@@ -61,6 +61,7 @@ from .superpose import (
     build_u_prime,
     pure_state_from_density,
     run_protocol,
+    run_sweep,
 )
 
 __version__ = "0.1.0"
@@ -105,6 +106,7 @@ __all__ = [
     "projector",
     "pure_state_from_density",
     "run_protocol",
+    "run_sweep",
     "state_fidelity",
     "superoperator_matrix",
     "swap_operator",

@@ -30,7 +30,7 @@ from .errors import (
     NonUniqueFixedPoint,
 )
 from .linalg import StateSet, StateVector, validate
-from .superpose import SuperpositionSpec, build_omega, build_u_ij, run_protocol
+from .superpose import SuperpositionSpec, build_u_ij, run_sweep
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -280,7 +280,8 @@ def cmd_superpose(args) -> int:
     _validate_states(states, tol)
     spec = _parse_spec(cfg)
     seed = _parse_seed(cfg, args)
-    policy = _parse_policy(cfg, args)
+    if _parse_policy(cfg, args) != "require_unique":
+        raise ConfigError("superpose solves every label under require_unique")
 
     size = states.size
     if ("m" in cfg) != ("n" in cfg):
@@ -295,17 +296,10 @@ def cmd_superpose(args) -> int:
     else:
         pairs = [(m, n) for m in range(size) for n in range(size)]
 
-    # surface amplitude cancellations before the heavier construction
-    for i in range(size):
-        for j in range(size):
-            if i != j:
-                build_omega(states, i, j, spec)
-
-    bundle = build_distinguisher(states, seed)
+    bundle, reports = run_sweep(states, pairs, spec, seed)
     cond = condition_report(states, bundle.uks)
     runs = []
-    for m, n in pairs:
-        rep = run_protocol(states, m, n, spec, seed)
+    for rep in reports:
         runs.append({
             "m": rep.m,
             "n": rep.n,
@@ -321,7 +315,7 @@ def cmd_superpose(args) -> int:
         "command": "superpose",
         "timestamp": _timestamp(),
         "seed": seed,
-        "policy": policy,
+        "policy": "require_unique",
         "alpha": _pair(spec.alpha),
         "beta": _pair(spec.beta),
         "state_set": [_vector_out(s) for s in states],
@@ -510,10 +504,6 @@ def cmd_example(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the rng_seed from the config")
-    parser.add_argument("--policy", choices=("require_unique", "max_entropy"),
-                        default=None, help="fixed-point selection policy")
-    parser.add_argument("--tolerance", action="append", metavar="KEY=VALUE",
-                        help="override a tolerance (repeatable)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the report to PATH instead of stdout")
     parser.add_argument("--json", action="store_true",
@@ -531,18 +521,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("superpose",
                        help="run the superposition protocol from a config")
     p.add_argument("config")
+    p.add_argument("--tolerance", action="append", metavar="KEY=VALUE",
+                   help="override a tolerance (repeatable)")
     _add_common(p)
     p.set_defaults(func=cmd_superpose)
 
     p = sub.add_parser("distinguish",
                        help="discriminate every member of a state set")
     p.add_argument("config")
+    p.add_argument("--tolerance", action="append", metavar="KEY=VALUE",
+                   help="override a tolerance (repeatable)")
     _add_common(p)
     p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("fixed-point",
                        help="solve the self-consistency condition directly")
     p.add_argument("config")
+    p.add_argument("--policy", choices=("require_unique", "max_entropy"),
+                   default=None, help="fixed-point selection policy")
     _add_common(p)
     p.set_defaults(func=cmd_fixed_point)
 

@@ -113,17 +113,15 @@ def superoperator_matrix(u, rho_cr) -> np.ndarray:
     rho_cr = _as_matrix(rho_cr)
     cr_dim, ctc_dim = _split_dims(u, rho_cr)
     weights, vectors = np.linalg.eigh((rho_cr + rho_cr.conj().T) / 2)
+    # drop the rounding-noise weights eigh leaves on a pure rho_cr
+    keep = weights > weights.max() * cr_dim * np.finfo(float).eps
     u4 = u.reshape(cr_dim, ctc_dim, cr_dim, ctc_dim)
-    L = np.zeros((ctc_dim**2, ctc_dim**2), dtype=complex)
-    for b in range(cr_dim):
-        if weights[b] <= 0.0:
-            continue
-        # blocks[a] = (<a| (x) I) u (|chi_b> (x) I), one Kraus op per a
-        blocks = np.tensordot(u4, vectors[:, b], axes=([2], [0]))
-        for a in range(cr_dim):
-            k = np.sqrt(weights[b]) * blocks[a]
-            L += np.kron(k.conj(), k)
-    return L
+    # blocks[a, :, :, b] = (<a| (x) I) u (|chi_b> (x) I); one Kraus op a row
+    blocks = np.tensordot(u4, vectors[:, keep], axes=([2], [0]))
+    kraus = (blocks * np.sqrt(weights[keep])).transpose(3, 0, 1, 2)
+    kraus = kraus.reshape(-1, ctc_dim**2)
+    L = (kraus.conj().T @ kraus).reshape(ctc_dim, ctc_dim, ctc_dim, ctc_dim)
+    return L.transpose(0, 2, 1, 3).reshape(ctc_dim**2, ctc_dim**2)
 
 
 def von_neumann_entropy(state) -> float:

@@ -30,6 +30,7 @@ from .linalg import (
     state_fidelity,
     unitary_from_first_column,
 )
+from .sampling import haar_state
 
 TOL_COND2 = 1e-6
 MAX_ATTEMPTS = 64
@@ -75,11 +76,8 @@ class DistinguishResult:
 
 def swap_operator(dim: int) -> np.ndarray:
     """SWAP on two registers of equal dimension (first factor slow)."""
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            s[b * dim + a, a * dim + b] = 1.0
-    return s
+    eye = np.eye(dim * dim, dtype=complex).reshape(dim, dim, dim, dim)
+    return eye.transpose(0, 1, 3, 2).reshape(dim * dim, dim * dim)
 
 
 def controlled_stack(uks: Sequence) -> np.ndarray:
@@ -103,11 +101,6 @@ def _index_swap_permutation(dim: int, k: int) -> np.ndarray:
     return p
 
 
-def _haar_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
-
-
 def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
     """Construct U_k with U_k psi_k = |k> and all basis overlaps nonzero.
 
@@ -129,7 +122,7 @@ def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
         if attempt == 0:
             candidates: list[np.ndarray] = []
         else:
-            candidates = [_haar_vector(rng, n) for _ in range(n)]
+            candidates = [haar_state(n, rng).amplitudes for _ in range(n)]
         w = unitary_from_first_column(psi_k, candidates)
         v = w.entries @ perm
         overlaps = [

@@ -10,6 +10,11 @@ then writes the normalized target gamma^{-1} (alpha psi_i + beta psi_j)
 onto a fresh ancilla, conditioned on the two label registers.  The
 labels m, n are never read classically after state preparation; they
 are recovered only through the CTC dynamics.
+
+With both label registers traced out, the block-diagonal u_prime leaves
+the ancilla in sum_{i,j} p1_i p2_j |omega_ij><omega_ij|, omega_ij being
+U^{i,j}|0>.  :func:`run_sweep` reads the ancilla off that sum;
+:func:`build_u_prime` stays as the unitary-level reference.
 """
 
 from __future__ import annotations
@@ -19,18 +24,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .discrimination import build_distinguisher, distinguish
+from .discrimination import (DistinguisherBundle, _index_swap_permutation,
+                             build_distinguisher, distinguish)
 from .errors import DegenerateSuperposition, DimensionError, PurityLoss
 from .linalg import (
     StateSet,
     StateVector,
     UnitaryMatrix,
     _as_matrix,
-    basis_state,
-    partial_trace,
-    projector,
     state_fidelity,
-    tensor_product,
     unitary_from_first_column,
 )
 
@@ -97,11 +99,8 @@ def build_u_ij(states: StateSet, i: int, j: int, spec: SuperpositionSpec,
     if not (0 <= i < n and 0 <= j < n):
         raise DimensionError(f"block indices ({i}, {j}) out of range for N={n}")
     if i == j:
-        p = np.eye(n, dtype=complex)
-        if i != 0:
-            p[[0, i]] = p[[i, 0]]
         u_i = np.asarray(uks[i], dtype=complex)
-        return UnitaryMatrix(u_i.conj().T @ p)
+        return UnitaryMatrix(u_i.conj().T @ _index_swap_permutation(n, i))
     omega = build_omega(states, i, j, spec)
     return unitary_from_first_column(omega, states.states)
 
@@ -139,42 +138,50 @@ def pure_state_from_density(reduced, second_eig_tol: float = _PURITY_SECOND_EIG)
     return StateVector(v[:, -1])
 
 
-def run_protocol(states: StateSet, m: int, n: int, spec: SuperpositionSpec,
-                 rng_seed: int = 0) -> ProtocolReport:
-    """End-to-end superposition of psi_m and psi_n on a fresh ancilla.
+def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
+              spec: SuperpositionSpec, rng_seed: int = 0,
+              ) -> tuple[DistinguisherBundle, list[ProtocolReport]]:
+    """Superpose psi_m and psi_n on a fresh ancilla for each (m, n) in `pairs`.
 
-    Builds one discrimination bundle, runs two independent CTC
-    fixed-point passes on psi_m and psi_n, applies the block-diagonal
-    control unitary to (out1 (x) out2 (x) |0><0|), and extracts the
-    ancilla state by tracing out both label registers.  The reported
-    fidelity compares the ancilla against the normalized target (for
-    m == n the target is psi_m itself, whatever the amplitudes).
+    All N^2 targets are formed before the one discrimination bundle, so
+    a cancelling pair raises :class:`DegenerateSuperposition` first.
+    Each distinct input index is distinguished once, and p1, p2 are the
+    diagonals of the two CTC outputs.  Fidelities compare against omega_mn.
     """
     size = states.size
-    if not (0 <= m < size and 0 <= n < size):
-        raise DimensionError(f"block indices ({m}, {n}) out of range for N={size}")
+    for m, n in pairs:
+        if not (0 <= m < size and 0 <= n < size):
+            raise DimensionError(
+                f"block indices ({m}, {n}) out of range for N={size}")
+    omegas = [[states[i] if i == j else build_omega(states, i, j, spec)
+               for j in range(size)] for i in range(size)]
+    targets = np.array([[w.amplitudes for w in row] for row in omegas])
     bundle = build_distinguisher(states, rng_seed)
-    r1 = distinguish(bundle, states[m])
-    r2 = distinguish(bundle, states[n])
-    u_prime = build_u_prime(states, spec, bundle.uks)
-    joint = tensor_product(
-        tensor_product(r1.rho_out.entries, r2.rho_out.entries),
-        projector(basis_state(size, 0)),
-    )
-    evolved = u_prime.entries @ joint @ u_prime.entries.conj().T
-    reduced = partial_trace(evolved, size * size, size, "second")
-    ancilla = pure_state_from_density(reduced)
-    if m == n:
-        expected = states[m]
-    else:
-        expected = build_omega(states, m, n, spec)
-    return ProtocolReport(
-        spec=spec,
-        m=int(m),
-        n=int(n),
-        ancilla_state=ancilla,
-        expected=expected,
-        fidelity=state_fidelity(ancilla, expected),
-        fixed_point_residuals=(r1.residual, r2.residual),
-        decoded_indices=(r1.decoded, r2.decoded),
-    )
+    labels = {k: distinguish(bundle, states[k])
+              for k in sorted({k for pair in pairs for k in pair})}
+    reports = []
+    for m, n in pairs:
+        r1, r2 = labels[m], labels[n]
+        p1, p2 = (np.diag(r.rho_out.entries).real for r in (r1, r2))
+        ancilla = pure_state_from_density(np.einsum(
+            "i,j,ijk,ijl->kl", p1, p2, targets, targets.conj()))
+        reports.append(ProtocolReport(
+            spec=spec,
+            m=int(m),
+            n=int(n),
+            ancilla_state=ancilla,
+            expected=omegas[m][n],
+            fidelity=state_fidelity(ancilla, omegas[m][n]),
+            fixed_point_residuals=(r1.residual, r2.residual),
+            decoded_indices=(r1.decoded, r2.decoded),
+        ))
+    return bundle, reports
+
+
+def run_protocol(states: StateSet, m: int, n: int, spec: SuperpositionSpec,
+                 rng_seed: int = 0) -> ProtocolReport:
+    """End-to-end superposition of psi_m and psi_n: :func:`run_sweep` on one pair.
+
+    For m == n the target is psi_m itself, whatever the amplitudes.
+    """
+    return run_sweep(states, [(m, n)], spec, rng_seed)[1][0]

@@ -1,9 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 import yaml
 
+from ctcsim import cli, deutsch, superpose
 from ctcsim.cli import main
+from ctcsim.sampling import random_state_set
 
 S_17 = format(1 / np.sqrt(2), ".17g")
 
@@ -90,6 +93,59 @@ n: 0
     cfg = write(tmp_path, "dup3.yaml", dup)
     assert main(["superpose", cfg, "--tolerance", "distinct=-1e-9"]) == 3
     assert "DegenerateSuperposition" in capsys.readouterr().err
+
+
+def test_superpose_sweep_builds_one_distinguisher(tmp_path, capsys,
+                                                  monkeypatch):
+    calls = {"build_distinguisher": 0, "distinguish": 0,
+             "build_u_prime": 0, "fixed_point": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((superpose, "build_distinguisher"),
+                         (cli, "build_distinguisher"),
+                         (superpose, "distinguish"),
+                         (cli, "distinguish"),
+                         (superpose, "build_u_prime"),
+                         (deutsch, "fixed_point")):
+        count(module, name)
+    states = random_state_set(3, np.random.default_rng(31))
+    cfg = write(tmp_path, "three.yaml", yaml.safe_dump({
+        "state_set": [[[float(z.real), float(z.imag)] for z in s.amplitudes]
+                      for s in states],
+        "alpha": [0.6, 0.1], "beta": [-0.3, 0.7], "rng_seed": 5,
+    }))
+    assert main(["superpose", cfg]) == 0
+    assert len(yaml.safe_load(capsys.readouterr().out)["runs"]) == 9
+    assert calls == {"build_distinguisher": 1, "distinguish": 3,
+                     "build_u_prime": 0, "fixed_point": 3}
+
+
+@pytest.mark.parametrize("argv", [
+    ["superpose", "CFG", "--policy", "max_entropy"],
+    ["distinguish", "CFG", "--policy", "max_entropy"],
+    ["example", "--policy", "max_entropy"],
+    ["fixed-point", "CFG", "--tolerance", "distinct=1"],
+    ["example", "--tolerance", "distinct=1"],
+])
+def test_unread_flags_are_not_accepted(tmp_path, argv):
+    cfg = write(tmp_path, "pair.yaml", PAIR_CONFIG)
+    with pytest.raises(SystemExit) as err:
+        main([cfg if a == "CFG" else a for a in argv])
+    assert err.value.code == 2
+
+
+def test_superpose_rejects_max_entropy_config(tmp_path, capsys):
+    cfg = write(tmp_path, "me.yaml", PAIR_CONFIG + "policy: max_entropy\n")
+    assert main(["superpose", cfg]) == 2
+    assert "require_unique" in capsys.readouterr().err
 
 
 def test_superpose_malformed_config_reports_line(tmp_path, capsys):

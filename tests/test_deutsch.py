@@ -17,7 +17,7 @@ from ctcsim import (
     validate,
     von_neumann_entropy,
 )
-from ctcsim.sampling import haar_unitary, random_density_matrix
+from ctcsim.sampling import haar_state, haar_unitary, random_density_matrix
 
 PLUS = np.array([S, S], dtype=complex)
 MINUS = np.array([S, -S], dtype=complex)
@@ -140,9 +140,11 @@ def test_superoperator_matches_map_on_random_inputs():
 def test_superoperator_against_matrix_unit_oracle():
     rng = np.random.default_rng(23)
     u = haar_unitary(6, rng).entries
-    rho = random_density_matrix(2, rng).entries
-    L = superoperator_matrix(u, rho)
-    assert np.abs(L - matrix_unit_superoperator(u, rho, 3)).max() < 1e-12
+    mixed = random_density_matrix(2, rng).entries
+    pure = projector(haar_state(2, rng))
+    for rho in (mixed, pure):
+        L = superoperator_matrix(u, rho)
+        assert np.abs(L - matrix_unit_superoperator(u, rho, 3)).max() < 1e-12
 
 
 def test_map_is_cptp_on_random_inputs():

@@ -13,9 +13,14 @@ from ctcsim import (
     build_omega,
     build_u_ij,
     build_u_prime,
+    distinguish,
+    partial_trace,
+    projector,
     pure_state_from_density,
     run_protocol,
+    run_sweep,
     state_fidelity,
+    tensor_product,
     validate,
 )
 from ctcsim.sampling import random_state_set
@@ -305,6 +310,39 @@ def test_protocol_is_phase_robust():
                for m, n in pairs]
     for f0, f1 in zip(base, shifted):
         assert abs(f0 - f1) <= 1e-10
+
+
+def dense_ancilla(states, u_prime, bundle, m, n):
+    """Reference ancilla: u_prime on (out1 (x) out2 (x) |0><0|), labels traced."""
+    size = states.size
+    joint = tensor_product(
+        tensor_product(distinguish(bundle, states[m]).rho_out.entries,
+                       distinguish(bundle, states[n]).rho_out.entries),
+        projector(basis_state(size, 0)),
+    )
+    evolved = u_prime.entries @ joint @ u_prime.entries.conj().T
+    return pure_state_from_density(
+        partial_trace(evolved, size * size, size, "second"))
+
+
+def test_sweep_ancilla_matches_dense_u_prime_oracle():
+    rng = np.random.default_rng(2718)
+    for size in (2, 3, 4):
+        states = random_state_set(size, rng)
+        pairs = [(m, n) for m in range(size) for n in range(size)]
+        spec = random_spec(rng, states=states,
+                           pairs=[p for p in pairs if p[0] != p[1]])
+        bundle, reports = run_sweep(states, pairs, spec, rng_seed=size)
+        u_prime = build_u_prime(states, spec, bundle.uks)
+        for (m, n), report in zip(pairs, reports):
+            assert (report.m, report.n) == (m, n)
+            ref = dense_ancilla(states, u_prime, bundle, m, n).amplitudes
+            got = report.ancilla_state.amplitudes
+            phase = np.vdot(got, ref)
+            phase /= abs(phase)
+            assert np.abs(phase * got - ref).max() < 1e-12
+            assert abs(report.fidelity
+                       - state_fidelity(ref, report.expected)) < 1e-12
 
 
 def test_pure_state_extraction_rejects_mixed_input():
