@@ -54,6 +54,10 @@ class ConfigError(Exception):
 # config parsing
 
 
+# libyaml's C parser and emitter when PyYAML was built with them
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -61,7 +65,7 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = (
@@ -191,7 +195,7 @@ def _fmt_float(x: float) -> str:
     return s
 
 
-class _ReportDumper(yaml.SafeDumper):
+class _ReportDumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
     pass
 
 

@@ -12,6 +12,15 @@ eigenvalue-1 space is extracted as the null space of (L - I) by SVD,
 and the density-matrix solution is reconstructed from it.  This finds
 all fixed points and therefore detects non-uniqueness, which an
 iterative solver cannot.
+
+When the fixed space has more than one dimension, the ``max_entropy``
+policy applies Deutsch's maximum-entropy rule.  It starts from the
+closed-form Cesaro limit of the orbit of I/d, the spectral projection
+of I/d onto the fixed space, whose support contains that of every fixed
+state.  On that support it takes damped Newton steps over the traceless
+fixed directions until the entropy gradient (the KKT certificate) is
+below ``_KKT_TOL``.  If ``_MAX_NEWTON`` steps do not get it there, it
+raises :class:`NoFixedPointNumerical`.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ SVD_CUTOFF = 1e-9
 
 Policy = Literal["require_unique", "max_entropy"]
 
-_ENTROPY_STOP = 1e-10
-_MAX_SWEEPS = 200
+_KKT_TOL = 1e-12
+_MAX_NEWTON = 50
 
 
 @dataclass(frozen=True)
@@ -193,99 +202,61 @@ def _hermitian_fixed_basis(null_vecs: np.ndarray, dim: int) -> list[np.ndarray]:
     return basis
 
 
-def _project_to_span(m: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(m)
-    for h in basis:
-        out = out + np.real(np.trace(h.conj().T @ m)) * h
-    return out
-
-
-def _entropy_or_neg_inf(sigma: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(sigma)
-    if w.min() < -1e-12:
-        return -np.inf
-    w = w[w > 1e-15]
-    return float(-(w * np.log(w)).sum())
-
-
-def _line_max_entropy(sigma: np.ndarray, direction: np.ndarray) -> tuple[np.ndarray, float]:
-    """Maximize entropy along sigma + t * direction inside the PSD cone."""
-
-    def feasible(t: float) -> bool:
-        return np.linalg.eigvalsh(sigma + t * direction).min() >= -1e-12
-
-    def boundary(sign: float) -> float:
-        t = sign * 0.25
-        while feasible(t) and abs(t) < 1e6:
-            t *= 2
-        lo, hi = 0.0, t
-        for _ in range(40):
-            mid = (lo + hi) / 2
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    lo, hi = boundary(-1.0), boundary(+1.0)
-    for _ in range(60):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if _entropy_or_neg_inf(sigma + m1 * direction) < _entropy_or_neg_inf(sigma + m2 * direction):
-            lo = m1
-        else:
-            hi = m2
-    t_best = (lo + hi) / 2
-    here = _entropy_or_neg_inf(sigma)
-    there = _entropy_or_neg_inf(sigma + t_best * direction)
-    # refuse steps at the noise floor so the iterate cannot drift
-    if there <= here + 1e-14:
-        return sigma, here
-    return sigma + t_best * direction, there
-
-
-def _max_entropy_fixed_point(u, rho_cr, null_vecs: np.ndarray,
+def _max_entropy_fixed_point(right: np.ndarray, left: np.ndarray,
                              dim: int) -> np.ndarray:
     """Entropy-maximizing element of the fixed-point set.
 
-    Start from the projection of the maximally mixed state onto the
-    fixed subspace (falling back to a Cesaro-averaged orbit of it when
-    that projection is not positive), then refine by gradient-free
-    coordinate ascent along traceless fixed directions until the
-    entropy improvement of a full sweep drops below 1e-10.
+    `right` and `left` hold the right and left null vectors of (L - I) as
+    columns.  The spectral projector R (Ul^dagger R)^-1 Ul^dagger onto
+    the fixed space maps I/d to the Cesaro limit of its orbit: a fixed
+    state whose support contains the support of every fixed state.  On
+    that support the entropy is strictly concave over the traceless
+    fixed directions D_i, and Newton steps, halved while they leave the
+    positive-definite cone, drive its gradient -Tr(D_i log sigma) to 0.
     """
-    basis = _hermitian_fixed_basis(null_vecs, dim)
-    sigma = _project_to_span(np.eye(dim) / dim, basis)
-    tr = sigma.trace().real
-    if abs(tr) < 1e-12 or np.linalg.eigvalsh(sigma / tr).min() < -1e-10:
-        # Cesaro mean of the orbit of I/d converges into the fixed set
-        # and every partial average is a valid density matrix.
-        z = np.eye(dim, dtype=complex) / dim
-        avg = z.copy()
-        for t in range(1, 4000):
-            z = ctc_map(u, rho_cr, z).entries
-            avg = avg * (t / (t + 1)) + z / (t + 1)
-            if t % 50 == 0 and consistency_residual(u, rho_cr, avg) < 1e-11:
-                break
-        sigma = _project_to_span(avg, basis)
-        tr = sigma.trace().real
-    sigma = (sigma + sigma.conj().T) / 2 / tr
+    mixed = np.eye(dim).ravel() / dim
+    limit = right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ mixed)
+    start = _unvec(limit, dim)
+    w, v = np.linalg.eigh((start + start.conj().T) / 2)
+    keep = w > TOL_PSD
+    support = v[:, keep]
 
+    basis = _hermitian_fixed_basis(right.T, dim)
     traces = np.array([h.trace().real for h in basis])
     _, _, vh = np.linalg.svd(traces[None, :])
-    directions = []
-    for row in vh[1:]:
-        d = sum(c * h for c, h in zip(row, basis))
-        directions.append((d + d.conj().T) / 2)
+    directions = np.tensordot(vh[1:], np.array(basis), axes=1)
+    directions = support.conj().T @ directions @ support
+    directions = (directions + directions.conj().transpose(0, 2, 1)) / 2
 
-    best = _entropy_or_neg_inf(sigma)
-    for _ in range(_MAX_SWEEPS):
-        before = best
-        for d in directions:
-            sigma, best = _line_max_entropy(sigma, d)
-        if best - before < _ENTROPY_STOP:
-            break
-    return sigma
+    lam = w[keep] / w[keep].sum()
+    q = np.eye(lam.size, dtype=complex)
+    sigma = np.diag(lam).astype(complex)
+    for _ in range(_MAX_NEWTON):
+        rotated = (q.conj().T @ directions @ q).reshape(len(directions), -1)
+        log_lam = np.log(lam)
+        grad = -(rotated[:, :: lam.size + 1].real @ log_lam)
+        if grad.size == 0 or np.abs(grad).max() < _KKT_TOL:
+            return support @ sigma @ support.conj().T
+        gap = np.subtract.outer(lam, lam)
+        flat = np.abs(gap) <= 1e-12 * lam.max()
+        gamma = np.where(
+            flat, 2 / np.add.outer(lam, lam),
+            np.subtract.outer(log_lam, log_lam) / np.where(flat, 1.0, gap),
+        )
+        # minus the Hessian of the entropy over the directions
+        hess = ((rotated.conj() * gamma.ravel()) @ rotated.T).real
+        step = np.tensordot(np.linalg.solve(hess, grad), directions, axes=1)
+        for _ in range(60):
+            trial = sigma + step
+            lam_t, q_t = np.linalg.eigh(trial)
+            if lam_t.min() > 0:
+                sigma, lam, q = trial, lam_t, q_t
+                break
+            step = step / 2
+    raise NoFixedPointNumerical(
+        f"max-entropy refinement not converged after {_MAX_NEWTON} Newton "
+        f"steps: KKT gradient {np.abs(grad).max():.3e} > {_KKT_TOL}"
+    )
 
 
 def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResult:
@@ -295,13 +266,17 @@ def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResul
     of (L - I), extracted by SVD with singular-value cutoff
     ``SVD_CUTOFF``.  Under ``require_unique`` a multi-dimensional fixed
     space raises :class:`NonUniqueFixedPoint`; under ``max_entropy`` the
-    entropy-maximizing fixed density matrix is returned.
+    entropy-maximizing fixed density matrix is returned.  It is found
+    from the Cesaro limit of I/d, taken in closed form from the left and
+    right null vectors, by Newton steps on that state's support; a KKT
+    gradient still above ``_KKT_TOL`` after ``_MAX_NEWTON`` steps raises
+    :class:`NoFixedPointNumerical`.
     """
     if policy not in ("require_unique", "max_entropy"):
         raise ValueError(f"unknown policy {policy!r}")
     L = superoperator_matrix(u, rho_cr)
     dim = int(round(np.sqrt(L.shape[0])))
-    _, svals, vh = np.linalg.svd(L - np.eye(dim * dim))
+    uu, svals, vh = np.linalg.svd(L - np.eye(dim * dim))
     null_mask = svals <= SVD_CUTOFF
     fixed_space_dim = int(null_mask.sum())
     if fixed_space_dim == 0:
@@ -315,5 +290,5 @@ def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResul
         return _finalize(u, rho_cr, sigma, fixed_space_dim)
     if policy == "require_unique":
         raise NonUniqueFixedPoint(fixed_space_dim)
-    sigma = _max_entropy_fixed_point(u, rho_cr, null_vecs, dim)
+    sigma = _max_entropy_fixed_point(null_vecs.T, uu[:, null_mask], dim)
     return _finalize(u, rho_cr, sigma, fixed_space_dim)

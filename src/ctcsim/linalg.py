@@ -19,7 +19,7 @@ an invariant check it themselves at their boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import ClassVar, Literal, Sequence
 
 import numpy as np
 
@@ -67,43 +67,36 @@ class StateVector:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class _SquareMatrix:
+    """A d x d complex matrix; subclasses name what it is expected to be."""
+
+    entries: np.ndarray
+    _what: ClassVar[str]
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "entries",
+            _frozen_complex_array(self.entries, 2, self._what),
+        )
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.entries, dtype=dtype)
+
+
+class DensityMatrix(_SquareMatrix):
     """A mixed or pure state held as a d x d complex matrix."""
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries",
-            _frozen_complex_array(self.entries, 2, "density matrix"),
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
+    _what = "density matrix"
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryMatrix:
+class UnitaryMatrix(_SquareMatrix):
     """An operator held as a d x d complex matrix, expected unitary."""
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries",
-            _frozen_complex_array(self.entries, 2, "unitary matrix"),
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
+    _what = "unitary matrix"
 
 
 @dataclass(frozen=True, eq=False)

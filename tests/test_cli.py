@@ -180,6 +180,33 @@ def test_report_is_deterministic(tmp_path):
     assert strip_timestamp(out1.read_text()) == strip_timestamp(out2.read_text())
 
 
+class _PurePythonDumper(yaml.SafeDumper):
+    pass
+
+
+_PurePythonDumper.add_representer(
+    float, cli._ReportDumper.yaml_representers[float])
+
+
+@pytest.mark.parametrize("command", ["superpose", "fixed-point"])
+def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
+                                                  monkeypatch, command):
+    if command == "superpose":
+        cfg = write(tmp_path, "pair.yaml", PAIR_CONFIG)
+    else:
+        cfg = write(tmp_path, "fp.yaml", yaml.safe_dump({
+            "unitary": np.eye(4).tolist(),
+            "rho_cr": [[0.6, 0], [0.8, 0]],
+            "policy": "max_entropy",
+        }))
+    monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00Z")
+    assert main([command, cfg]) == 0
+    native = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_ReportDumper", _PurePythonDumper)
+    assert main([command, cfg]) == 0
+    assert capsys.readouterr().out == native
+
+
 def test_report_floats_round_trip(tmp_path, capsys):
     cfg = write(tmp_path, "pair.yaml", PAIR_CONFIG)
     assert main(["superpose", cfg]) == 0

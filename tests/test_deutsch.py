@@ -4,6 +4,7 @@ import pytest
 from conftest import HADAMARD, S, damped_power_iteration
 from ctcsim import (
     DimensionError,
+    NoFixedPointNumerical,
     NonUniqueFixedPoint,
     basis_state,
     consistency_residual,
@@ -17,6 +18,7 @@ from ctcsim import (
     validate,
     von_neumann_entropy,
 )
+from ctcsim import deutsch
 from ctcsim.sampling import haar_state, haar_unitary, random_density_matrix
 
 PLUS = np.array([S, S], dtype=complex)
@@ -238,6 +240,110 @@ def test_fixed_point_degenerate_dephasing_selects_mixed():
     assert result.fixed_space_dim == 2
     assert np.abs(result.fixed_point.entries - np.eye(2) / 2).max() < 1e-9
     assert abs(von_neumann_entropy(result.fixed_point) - np.log(2)) < 1e-9
+
+
+def _ginibre_state(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _qr_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _swap(a, b):
+    """SWAP taking |x>_a |y>_b to |y>_b |x>_a (first factor slow)."""
+    s = np.zeros((a * b, a * b))
+    for x in range(a):
+        for y in range(b):
+            s[y * a + x, x * b + y] = 1.0
+    return s
+
+
+def _entropy(m):
+    w = np.linalg.eigvalsh(m)
+    w = w[w > 0]
+    return -(w * np.log(w)).sum()
+
+
+def _block_channel_case(cr_dim):
+    """Identity on |0>, (A (x) Bu) . SWAP on CR (x) B with dim B = cr_dim.
+
+    The fixed set is {p |0><0| + (1 - p) omega} with omega = Bu rho Bu^dagger,
+    and the entropy h(p) + (1 - p) S(omega) peaks at p = 1 / (1 + e^S(omega)).
+    """
+    rng = np.random.default_rng(cr_dim)
+    ctc_dim = cr_dim + 1
+    a, b = _qr_unitary(rng, cr_dim), _qr_unitary(rng, cr_dim)
+    u = np.zeros((cr_dim * ctc_dim,) * 2, dtype=complex)
+    zero = [c * ctc_dim for c in range(cr_dim)]
+    block = [c * ctc_dim + 1 + j for c in range(cr_dim) for j in range(cr_dim)]
+    u[zero, zero] = 1.0
+    u[np.ix_(block, block)] = np.kron(a, b) @ _swap(cr_dim, cr_dim)
+    rho = _ginibre_state(rng, cr_dim)
+    omega = b @ rho @ b.conj().T
+    p = 1.0 / (1.0 + np.exp(_entropy(omega)))
+    expected = np.zeros((ctc_dim, ctc_dim), dtype=complex)
+    expected[0, 0] = p
+    expected[1:, 1:] = (1.0 - p) * omega
+    return u, rho, expected
+
+
+def _chain_case():
+    """Distinguisher-shaped map sigma -> sum_k sigma_kk U_k rho U_k^dagger.
+
+    Labels {0, 1} and {2, 3} are closed classes and label 4 is transient,
+    so every fixed state is q sigma_0 (+) (1 - q) sigma_1, where sigma_c
+    is its class's stationary mixture, and the max-entropy state (rank 4
+    of 5) has q_c proportional to exp S(sigma_c).
+    """
+    rng = np.random.default_rng(7)
+    n = 5
+    rho = np.zeros((n, n), dtype=complex)
+    rho[:2, :2] = _ginibre_state(rng, 2)
+    to_second = np.eye(n)[:, [2, 3, 0, 1, 4]]
+    unitaries = []
+    for lift in (np.eye(n), to_second):
+        for _ in range(2):
+            v = np.eye(n, dtype=complex)
+            v[:2, :2] = _qr_unitary(rng, 2)
+            unitaries.append(lift @ v)
+    unitaries.append(_qr_unitary(rng, n))
+    u = sum(np.kron(np.diag(np.eye(n)[k]), uk)
+            for k, uk in enumerate(unitaries)) @ _swap(n, n)
+    taus = [uk @ rho @ uk.conj().T for uk in unitaries]
+    classes = []
+    for labels in ([0, 1], [2, 3]):
+        t = np.array([[taus[k][j, j].real for k in labels] for j in labels])
+        vals, vecs = np.linalg.eig(t)
+        pi = vecs[:, np.argmin(np.abs(vals - 1))].real
+        pi = pi / pi.sum()
+        classes.append(sum(w * taus[k] for w, k in zip(pi, labels)))
+    q = np.array([np.exp(_entropy(s)) for s in classes])
+    q = q / q.sum()
+    return u, rho, q[0] * classes[0] + q[1] * classes[1]
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _block_channel_case(3),
+    lambda: _block_channel_case(5),
+    _chain_case,
+], ids=["block-3x4", "block-5x6", "chain-two-classes"])
+def test_max_entropy_matches_closed_form(case):
+    u, rho, expected = case()
+    result = fixed_point(u, rho, policy="max_entropy")
+    assert result.fixed_space_dim == 2
+    assert np.abs(result.fixed_point.entries - expected).max() < 1e-12
+
+
+def test_max_entropy_failed_certificate_raises(monkeypatch):
+    monkeypatch.setattr(deutsch, "_KKT_TOL", 0.0)
+    u, rho, _ = _block_channel_case(3)
+    with pytest.raises(NoFixedPointNumerical, match="KKT gradient"):
+        fixed_point(u, rho, policy="max_entropy")
 
 
 def test_fixed_point_rejects_unknown_policy():
