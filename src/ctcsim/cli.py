@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import deutsch, linalg
-from .discrimination import build_distinguisher, condition_report, distinguish
+from .discrimination import build_distinguisher, distinguish
 from .errors import (
     Condition2Exhausted,
     CtcSimError,
@@ -301,7 +301,7 @@ def cmd_superpose(args) -> int:
         pairs = [(m, n) for m in range(size) for n in range(size)]
 
     bundle, reports = run_sweep(states, pairs, spec, seed)
-    cond = condition_report(states, bundle.uks)
+    cond = bundle.condition
     runs = []
     for rep in reports:
         runs.append({
@@ -343,7 +343,7 @@ def cmd_distinguish(args) -> int:
     seed = _parse_seed(cfg, args)
 
     bundle = build_distinguisher(states, seed)
-    cond = condition_report(states, bundle.uks)
+    cond = bundle.condition
     runs = []
     for j in range(states.size):
         r = distinguish(bundle, states[j])

@@ -9,24 +9,39 @@ maps each set member onto its basis label on both outputs once the CTC
 state settles on its unique fixed point.  The per-index unitaries must
 satisfy two conditions: (1) U_k psi_k = |k>, and (2) every overlap
 <j| U_k |psi_j> is nonzero, which is what makes the fixed point unique.
+
+For a pure input psi, write phi_k = U_k psi and Phi = [phi_0 ... phi_{N-1}].
+The circuit's self-consistency map is sigma -> sum_k sigma_kk phi_k phi_k^dagger:
+it reads only diag(sigma), so the CTC state is fixed by a distribution p
+over the N labels.  Its diagonal closes on itself exactly when p = T p for
+the column-stochastic label chain T[j, k] = |<j|phi_k>|^2 (the
+Brun-Harrington-Wilde mechanism, PRL 102, 210402, 2009).  Every fixed
+point, density matrix or not, is determined by its diagonal, so the
+fixed space of the map has the dimension of the null space of T - I, and
+the fixed point is unique exactly when that null space is one-dimensional.
+:func:`distinguish` solves this N x N chain; the generic solver
+:func:`ctcsim.deutsch.fixed_point` on the N^2 x N^2 circuit
+:attr:`DistinguisherBundle.total` is its test oracle.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import deutsch
-from .errors import Condition2Exhausted, DimensionError, InputNotInSetWarning
+from .errors import (Condition2Exhausted, DimensionError, InputNotInSetWarning,
+                     NoFixedPointNumerical, NonUniqueFixedPoint)
 from .linalg import (
+    TOL_PSD,
     DensityMatrix,
     StateSet,
     UnitaryMatrix,
     _as_vector,
-    projector,
     state_fidelity,
     unitary_from_first_column,
 )
@@ -53,17 +68,36 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class DistinguisherBundle:
-    """A fully assembled discrimination circuit for one state set."""
+    """The per-index unitaries of a discrimination circuit for one state set.
+
+    `condition` holds both construction conditions measured on `uks`.
+    The N^2 x N^2 circuit :attr:`total` is assembled on first access only;
+    :func:`distinguish` never needs it.
+    """
 
     state_set: StateSet
     uks: tuple[UnitaryMatrix, ...]
-    total: UnitaryMatrix
-    condition2_min: float
+    condition: ConditionReport
+
+    @property
+    def condition2_min(self) -> float:
+        return self.condition.min_overlap
+
+    @cached_property
+    def total(self) -> UnitaryMatrix:
+        """The circuit ( sum_k |k><k| (x) U_k ) . SWAP, CR register first."""
+        return UnitaryMatrix(
+            controlled_stack(self.uks) @ swap_operator(self.state_set.size))
 
 
 @dataclass(frozen=True)
 class DistinguishResult:
-    """Outcome of one discrimination run."""
+    """Outcome of one discrimination run.
+
+    `chain_gap` is the smallest singular value of T - I above
+    ``deutsch.SVD_CUTOFF``: how far the uniqueness verdict sits from the
+    cutoff (inf when every singular value is null, as for N = 1).
+    """
 
     rho_ctc: DensityMatrix
     rho_out: DensityMatrix
@@ -72,6 +106,7 @@ class DistinguishResult:
     residual: float
     unique: bool
     input_in_set: bool
+    chain_gap: float
 
 
 def swap_operator(dim: int) -> np.ndarray:
@@ -159,21 +194,18 @@ def condition_report(states: StateSet, uks: Sequence) -> ConditionReport:
 
 
 def bundle_from_unitaries(states: StateSet, uks: Sequence) -> DistinguisherBundle:
-    """Assemble the SWAP-then-controlled circuit from given unitaries.
+    """Bundle the given unitaries with their measured construction conditions.
 
-    No condition threshold is enforced here; the measured minimum
-    overlap is recorded in the bundle for inspection.
+    No condition threshold is enforced here; the measured overlaps are
+    recorded in the bundle for inspection.
     """
-    report = condition_report(states, uks)
-    total = controlled_stack(uks) @ swap_operator(states.size)
     return DistinguisherBundle(
         state_set=states,
         uks=tuple(
             u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(np.asarray(u))
             for u in uks
         ),
-        total=UnitaryMatrix(total),
-        condition2_min=report.min_overlap,
+        condition=condition_report(states, uks),
     )
 
 
@@ -186,11 +218,18 @@ def build_distinguisher(states: StateSet, rng_seed: int = 0) -> DistinguisherBun
 def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
     """Run one discrimination: solve the CTC fixed point and decode.
 
-    The CR register is prepared in the input state, the fixed point of
-    the bundle circuit is solved under the unique-solution policy, and
-    the decoded label is the argmax of the basis-diagonal output
-    probabilities.  Inputs outside the declared set are flagged with
-    :class:`InputNotInSetWarning` but still computed.
+    The CR register is prepared in the input state psi.  With
+    Phi = [U_0 psi ... U_{N-1} psi], the stationary distribution p of the
+    label chain T = |Phi|^2 (elementwise) gives the CTC state
+    sigma = Phi diag(p) Phi^dagger and the CR output
+    sigma o (Phi^dagger Phi)^T (elementwise product), whose diagonal is
+    diag(sigma).  p spans the null space of T - I, taken by SVD with cutoff
+    ``deutsch.SVD_CUTOFF``: a null space of more than one dimension raises
+    :class:`NonUniqueFixedPoint`, none at all, a negative weight below
+    -``TOL_PSD`` or a residual above ``deutsch.TOL_FIX`` raises
+    :class:`NoFixedPointNumerical`.  The decoded label is the argmax of
+    the output's diagonal.  Inputs outside the declared set are flagged
+    with :class:`InputNotInSetWarning` but still computed.
     """
     vec = _as_vector(input_state)
     states = bundle.state_set
@@ -208,17 +247,42 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
             InputNotInSetWarning,
             stacklevel=2,
         )
-    rho_cr = projector(vec)
-    result = deutsch.fixed_point(bundle.total, rho_cr, policy="require_unique")
-    rho_out = deutsch.output_state(bundle.total, rho_cr, result.fixed_point)
-    probs = np.diag(rho_out.entries).real
+    phi = np.array([u.entries @ vec for u in bundle.uks]).T
+    chain = np.abs(phi) ** 2
+    _, svals, vh = np.linalg.svd(chain - np.eye(states.size))
+    null_mask = svals <= deutsch.SVD_CUTOFF
+    null_dim = int(null_mask.sum())
+    if null_dim == 0:
+        raise NoFixedPointNumerical(
+            f"smallest singular value of (T - I) is {svals.min():.3e}; "
+            "no stationary label distribution found"
+        )
+    if null_dim > 1:
+        raise NonUniqueFixedPoint(null_dim)
+    p = vh[null_mask][0]
+    p = p / p.sum()
+    if p.min() < -TOL_PSD:
+        raise NoFixedPointNumerical(
+            f"candidate fixed point has negative label weight {p.min():.3e}"
+        )
+    sigma = (phi * p) @ phi.conj().T
+    mapped = (phi * np.diag(sigma).real) @ phi.conj().T
+    residual = float(np.abs(sigma - mapped).max())
+    if residual > deutsch.TOL_FIX:
+        raise NoFixedPointNumerical(
+            f"candidate fixed point has residual {residual:.3e} > {deutsch.TOL_FIX}"
+        )
+    rho_out = sigma * (phi.conj().T @ phi).T
+    probs = np.diag(rho_out).real
     decoded = int(np.argmax(probs))
+    kept = svals[~null_mask]
     return DistinguishResult(
-        rho_ctc=result.fixed_point,
-        rho_out=rho_out,
+        rho_ctc=DensityMatrix(sigma),
+        rho_out=DensityMatrix(rho_out),
         decoded=decoded,
         fidelity_to_basis=float(probs[decoded]),
-        residual=result.residual,
-        unique=result.unique,
+        residual=residual,
+        unique=True,
         input_in_set=in_set,
+        chain_gap=float(kept.min()) if kept.size else float("inf"),
     )

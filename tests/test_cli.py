@@ -125,7 +125,29 @@ def test_superpose_sweep_builds_one_distinguisher(tmp_path, capsys,
     assert main(["superpose", cfg]) == 0
     assert len(yaml.safe_load(capsys.readouterr().out)["runs"]) == 9
     assert calls == {"build_distinguisher": 1, "distinguish": 3,
-                     "build_u_prime": 0, "fixed_point": 3}
+                     "build_u_prime": 0, "fixed_point": 0}
+
+
+def test_distinguish_builds_no_superoperator(tmp_path, capsys, monkeypatch):
+    calls = {"fixed_point": 0, "superoperator_matrix": 0}
+    for name in calls:
+        real = getattr(deutsch, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(deutsch, name, counted)
+    states = random_state_set(4, np.random.default_rng(41))
+    cfg = write(tmp_path, "four.yaml", yaml.safe_dump({
+        "state_set": [[[float(z.real), float(z.imag)] for z in s.amplitudes]
+                      for s in states],
+        "rng_seed": 2,
+    }))
+    assert main(["distinguish", cfg]) == 0
+    report = yaml.safe_load(capsys.readouterr().out)
+    assert [r["decoded"] for r in report["runs"]] == [0, 1, 2, 3]
+    assert calls == {"fixed_point": 0, "superoperator_matrix": 0}
 
 
 @pytest.mark.parametrize("argv", [

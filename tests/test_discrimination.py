@@ -6,6 +6,7 @@ from ctcsim import (
     Condition2Exhausted,
     DimensionError,
     InputNotInSetWarning,
+    NoFixedPointNumerical,
     NonUniqueFixedPoint,
     StateSet,
     StateVector,
@@ -16,10 +17,12 @@ from ctcsim import (
     condition_report,
     controlled_stack,
     distinguish,
+    projector,
     swap_operator,
     tensor_product,
 )
-from ctcsim.sampling import random_state_set
+from ctcsim import deutsch, discrimination
+from ctcsim.sampling import haar_state, random_state_set
 
 
 def orthonormal_set(n):
@@ -179,3 +182,71 @@ def test_distinguish_dimension_mismatch(zero_minus_set):
     bundle = build_distinguisher(zero_minus_set, rng_seed=0)
     with pytest.raises(DimensionError):
         distinguish(bundle, basis_state(3, 0))
+
+
+def _oracle_chain_gap(bundle, rho_cr, n):
+    # T read off the diagonal-to-diagonal block of the dense superoperator
+    L = deutsch.superoperator_matrix(bundle.total.entries, rho_cr)
+    svals = np.linalg.svd(L[::n + 1, ::n + 1] - np.eye(n), compute_uv=False)
+    kept = svals[svals > deutsch.SVD_CUTOFF]
+    return kept.min() if kept.size else np.inf
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_chain_solve_matches_generic_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        states = random_state_set(n, rng)
+        bundle = build_distinguisher(states, rng_seed=int(rng.integers(1 << 30)))
+        inputs = list(states) + [haar_state(n, rng)]
+        results = []
+        for k, psi in enumerate(inputs):
+            if k < n:
+                results.append(distinguish(bundle, psi))
+            else:
+                with pytest.warns(InputNotInSetWarning):
+                    results.append(distinguish(bundle, psi))
+        assert "total" not in vars(bundle)
+        for psi, result in zip(inputs, results):
+            rho_cr = projector(psi)
+            oracle = deutsch.fixed_point(bundle.total.entries, rho_cr)
+            out = deutsch.output_state(bundle.total.entries, rho_cr,
+                                       oracle.fixed_point).entries
+            probs = np.diag(out).real
+            assert np.abs(result.rho_ctc.entries
+                          - oracle.fixed_point.entries).max() <= 1e-12
+            assert np.abs(result.rho_out.entries - out).max() <= 1e-12
+            assert result.decoded == int(np.argmax(probs))
+            assert abs(result.fidelity_to_basis - probs.max()) <= 1e-12
+            assert result.residual <= deutsch.TOL_FIX
+            assert oracle.residual <= deutsch.TOL_FIX
+            assert abs(result.chain_gap
+                       - _oracle_chain_gap(bundle, rho_cr, n)) <= 1e-12
+        for k, result in enumerate(results[:n]):
+            assert result.decoded == k
+
+
+def test_chain_gap_on_example_and_single_state(zero_minus_set):
+    # T - I is [[0, 1/2], [0, -1/2]] for |0> and [[-1/2, 0], [1/2, 0]] for |->,
+    # both with singular values 1/sqrt(2) and 0
+    bundle = build_distinguisher(zero_minus_set, rng_seed=0)
+    for psi in zero_minus_set:
+        assert distinguish(bundle, psi).chain_gap == pytest.approx(S, abs=1e-15)
+    single = StateSet((basis_state(1, 0),))
+    result = distinguish(build_distinguisher(single), single[0])
+    assert result.decoded == 0
+    assert result.chain_gap == np.inf
+
+
+@pytest.mark.parametrize("module, name, value, match", [
+    (deutsch, "SVD_CUTOFF", -1.0, "singular value"),
+    (discrimination, "TOL_PSD", -2.0, "negative label weight"),
+    (deutsch, "TOL_FIX", -1.0, "residual"),
+])
+def test_distinguish_failed_checks_raise(monkeypatch, module, name, value,
+                                         match):
+    states = random_state_set(4, np.random.default_rng(3))
+    bundle = build_distinguisher(states, rng_seed=3)
+    monkeypatch.setattr(module, name, value)
+    with pytest.raises(NoFixedPointNumerical, match=match):
+        distinguish(bundle, states[2])
