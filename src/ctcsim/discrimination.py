@@ -104,7 +104,6 @@ class DistinguishResult:
     decoded: int
     fidelity_to_basis: float
     residual: float
-    unique: bool
     input_in_set: bool
     chain_gap: float
 
@@ -128,20 +127,13 @@ def controlled_stack(uks: Sequence) -> np.ndarray:
     return out
 
 
-def _index_swap_permutation(dim: int, k: int) -> np.ndarray:
-    """Permutation matrix exchanging basis indices 0 and k."""
-    p = np.eye(dim, dtype=complex)
-    if k != 0:
-        p[[0, k]] = p[[k, 0]]
-    return p
-
-
 def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
     """Construct U_k with U_k psi_k = |k> and all basis overlaps nonzero.
 
-    The unitary V whose column k is psi_k is completed by Gram-Schmidt
-    (standard basis on the first attempt, Haar-random candidate vectors
-    from the seeded generator on retries) and U_k = V^dagger.  Condition
+    psi_k is completed to a unitary by Gram-Schmidt (standard basis on
+    the first attempt, Haar-random candidate vectors from the seeded
+    generator on retries), whose columns 0 and k are exchanged to give
+    V with column k psi_k, and U_k = V^dagger.  Condition
     (1) is then exact by construction; condition (2) holds generically,
     so failures are retried up to ``MAX_ATTEMPTS`` times before raising
     :class:`Condition2Exhausted`.
@@ -149,8 +141,9 @@ def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
     n = states.size
     if not 0 <= k < n:
         raise DimensionError(f"index {k} out of range for a set of {n} states")
-    psi_k = states[k]
-    perm = _index_swap_permutation(n, k)
+    amps = np.array([s.amplitudes for s in states])
+    order = list(range(n))
+    order[0], order[k] = k, 0
     rng = np.random.default_rng(rng_seed)
     worst = np.inf
     for attempt in range(MAX_ATTEMPTS):
@@ -158,14 +151,12 @@ def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
             candidates: list[np.ndarray] = []
         else:
             candidates = [haar_state(n, rng).amplitudes for _ in range(n)]
-        w = unitary_from_first_column(psi_k, candidates)
-        v = w.entries @ perm
-        overlaps = [
-            abs(np.vdot(v[:, j], states[j].amplitudes)) for j in range(n)
-        ]
-        worst = min(worst, min(overlaps))
-        if min(overlaps) > TOL_COND2:
-            return UnitaryMatrix(v.conj().T)
+        w = unitary_from_first_column(states[k], candidates)
+        u = w.entries[:, order].conj().T
+        overlap_min = np.abs(np.einsum("jc,jc->j", u, amps)).min()
+        worst = min(worst, overlap_min)
+        if overlap_min > TOL_COND2:
+            return UnitaryMatrix(u)
     raise Condition2Exhausted(
         f"no completion for index {k} reached overlap > {TOL_COND2} "
         f"in {MAX_ATTEMPTS} attempts (best worst-case overlap {worst:.3e})"
@@ -178,14 +169,11 @@ def condition_report(states: StateSet, uks: Sequence) -> ConditionReport:
     mats = [np.asarray(u, dtype=complex) for u in uks]
     if len(mats) != n or any(m.shape != (n, n) for m in mats):
         raise DimensionError(f"expected {n} unitaries of dim {n}")
-    overlaps = np.zeros((n, n))
-    for j in range(n):
-        for k in range(n):
-            overlaps[j, k] = abs(mats[k][j] @ states[j].amplitudes)
-    cond1 = np.array([
-        np.linalg.norm(mats[k] @ states[k].amplitudes
-                       - np.eye(n)[k]) for k in range(n)
-    ])
+    mats = np.array(mats)
+    amps = np.array([s.amplitudes for s in states])
+    overlaps = np.abs(np.einsum("kjc,jc->jk", mats, amps))
+    cond1 = np.linalg.norm(
+        np.einsum("kjc,kc->kj", mats, amps) - np.eye(n), axis=1)
     return ConditionReport(
         overlaps=overlaps,
         min_overlap=float(overlaps.min()),
@@ -249,14 +237,9 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
         )
     phi = np.array([u.entries @ vec for u in bundle.uks]).T
     chain = np.abs(phi) ** 2
-    _, svals, vh = np.linalg.svd(chain - np.eye(states.size))
-    null_mask = svals <= deutsch.SVD_CUTOFF
+    _, svals, vh, null_mask = deutsch._null_space(
+        chain, "T", "stationary label distribution")
     null_dim = int(null_mask.sum())
-    if null_dim == 0:
-        raise NoFixedPointNumerical(
-            f"smallest singular value of (T - I) is {svals.min():.3e}; "
-            "no stationary label distribution found"
-        )
     if null_dim > 1:
         raise NonUniqueFixedPoint(null_dim)
     p = vh[null_mask][0]
@@ -282,7 +265,6 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
         decoded=decoded,
         fidelity_to_basis=float(probs[decoded]),
         residual=residual,
-        unique=True,
         input_in_set=in_set,
         chain_gap=float(kept.min()) if kept.size else float("inf"),
     )

@@ -7,6 +7,9 @@ Conventions fixed here, once, for the whole package:
   chronology-respecting register first and the CTC register second.
 * Residuals are measured in the max-entry norm unless stated otherwise,
   and tolerances are absolute.
+* Every unitary the constructions need is a basis completion by
+  :func:`unitary_from_first_column`: two classical Gram-Schmidt passes
+  per vector against all accepted columns at once.
 
 The wrapper types (:class:`StateVector`, :class:`DensityMatrix`,
 :class:`UnitaryMatrix`, :class:`StateSet`) enforce only structural shape
@@ -31,9 +34,6 @@ TOL_UNI = 1e-10
 TOL_GS = 1e-10
 TOL_PSD = 1e-9
 TOL_DISTINCT = 1e-9
-
-# loss of orthogonality that triggers a second Gram-Schmidt sweep
-_REORTH_THRESHOLD = 1e-8
 
 
 def _frozen_complex_array(values, ndim: int, what: str) -> np.ndarray:
@@ -196,27 +196,15 @@ def partial_trace(m, dim_a: int, dim_b: int,
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-def _orthogonal_residual(vec: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
-    """One or two modified Gram-Schmidt sweeps of `vec` against `cols`."""
-    r = vec.astype(complex).copy()
-    for q in cols:
-        r -= np.vdot(q, r) * q
-    if cols and np.linalg.norm(r) >= TOL_GS:
-        worst = max(abs(np.vdot(q, r)) for q in cols)
-        if worst > _REORTH_THRESHOLD:
-            for q in cols:
-                r -= np.vdot(q, r) * q
-    return r
-
-
 def unitary_from_first_column(first, candidates: Sequence = ()) -> UnitaryMatrix:
     """Complete a normalized vector to a unitary whose column 0 it is.
 
-    The remaining columns come from modified Gram-Schmidt over
-    `candidates` in order; vectors whose residual drops below
-    ``TOL_GS`` are skipped.  If the candidates do not span the space,
-    the basis is completed with standard basis vectors in index order.
-    Column 0 equals `first` exactly.
+    The remaining columns come from the `candidates` in order, then the
+    standard basis vectors in index order.  Each is projected off the
+    columns accepted so far by two classical Gram-Schmidt passes, which
+    keep the columns orthonormal to rounding (Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 2005); vectors whose residual drops below
+    ``TOL_GS`` are skipped.  Column 0 equals `first` exactly.
     """
     v0 = _as_vector(first)
     if abs(np.linalg.norm(v0) - 1.0) > TOL_NORM:
@@ -224,7 +212,6 @@ def unitary_from_first_column(first, candidates: Sequence = ()) -> UnitaryMatrix
             f"first column has norm {np.linalg.norm(v0):.12g}, expected 1"
         )
     dim = v0.size
-    cols: list[np.ndarray] = [v0]
     pool: list[np.ndarray] = []
     for c in candidates:
         cv = _as_vector(c)
@@ -234,17 +221,23 @@ def unitary_from_first_column(first, candidates: Sequence = ()) -> UnitaryMatrix
             )
         pool.append(cv)
     pool.extend(np.eye(dim, dtype=complex))
+    cols = np.zeros((dim, dim), dtype=complex)
+    cols[:, 0] = v0
+    filled = 1
     for vec in pool:
-        if len(cols) == dim:
+        if filled == dim:
             break
-        r = _orthogonal_residual(vec, cols)
+        q = cols[:, :filled]
+        r = vec - q @ (q.conj().T @ vec)
+        r -= q @ (q.conj().T @ r)
         nrm = np.linalg.norm(r)
         if nrm < TOL_GS:
             continue
-        cols.append(r / nrm)
-    if len(cols) != dim:
+        cols[:, filled] = r / nrm
+        filled += 1
+    if filled != dim:
         raise RuntimeError("basis completion failed to reach full rank")
-    return UnitaryMatrix(np.column_stack(cols))
+    return UnitaryMatrix(cols)
 
 
 def state_fidelity(a, b) -> float:

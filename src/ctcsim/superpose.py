@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .discrimination import (DistinguisherBundle, _index_swap_permutation,
-                             build_distinguisher, distinguish)
+from .discrimination import DistinguisherBundle, build_distinguisher, distinguish
 from .errors import DegenerateSuperposition, DimensionError, PurityLoss
 from .linalg import (
     StateSet,
@@ -51,6 +50,8 @@ class SuperpositionSpec:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
+        if not np.isfinite([self.alpha, self.beta]).all():
+            raise ValueError("amplitudes (alpha, beta) must be finite")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("amplitudes (alpha, beta) must not both be zero")
 
@@ -92,15 +93,16 @@ def build_u_ij(states: StateSet, i: int, j: int, spec: SuperpositionSpec,
     Off the diagonal this is a Gram-Schmidt completion whose first
     column is the target state, with the set members as completion
     candidates in index order.  On the diagonal the target is psi_i
-    itself, realized exactly as U_i^dagger P_i with P_i the permutation
-    sending |0> to |i>.
+    itself, realized exactly as U_i^dagger with its columns 0 and i
+    exchanged.
     """
     n = states.size
     if not (0 <= i < n and 0 <= j < n):
         raise DimensionError(f"block indices ({i}, {j}) out of range for N={n}")
     if i == j:
-        u_i = np.asarray(uks[i], dtype=complex)
-        return UnitaryMatrix(u_i.conj().T @ _index_swap_permutation(n, i))
+        order = list(range(n))
+        order[0], order[i] = i, 0
+        return UnitaryMatrix(np.asarray(uks[i], dtype=complex).conj().T[:, order])
     omega = build_omega(states, i, j, spec)
     return unitary_from_first_column(omega, states.states)
 

@@ -109,7 +109,6 @@ def test_criterion_2_distinguisher_correctness():
                 for j in range(n):
                     result = distinguish(bundle, states[j])
                     target = projector(basis_state(n, j))
-                    assert result.unique
                     assert result.residual <= 1e-8
                     assert np.abs(result.rho_ctc.entries - target).max() <= 1e-8
                     assert np.abs(result.rho_out.entries - target).max() <= 1e-8

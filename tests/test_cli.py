@@ -164,6 +164,33 @@ def test_unread_flags_are_not_accepted(tmp_path, argv):
     assert err.value.code == 2
 
 
+NEGATIVE_SEED_CONFIG = PAIR_CONFIG.replace("rng_seed: 0", "rng_seed: -5")
+NON_SQUARE_CONFIG = "unitary: [[1, 0, 0], [0, 1, 0]]\nrho_cr: [1, 0]\n"
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["fixed-point", "CFG"], NON_SQUARE_CONFIG),
+    (["superpose", "CFG"], NEGATIVE_SEED_CONFIG),
+    (["distinguish", "CFG"], NEGATIVE_SEED_CONFIG),
+    (["superpose", "CFG", "--seed", "-1"], PAIR_CONFIG),
+    (["distinguish", "CFG", "--seed", "-1"], PAIR_CONFIG),
+    (["example", "--seed", "-1"], PAIR_CONFIG),
+    (["superpose", "CFG"],
+     PAIR_CONFIG.replace(f"alpha: [{S_17}, 0]", "alpha: .nan")),
+    (["superpose", "CFG"],
+     PAIR_CONFIG.replace(f"beta: [{S_17}, 0]", "beta: [0, .inf]")),
+    (["example", "--alpha", "nan"], PAIR_CONFIG),
+    (["example", "--beta", "inf"], PAIR_CONFIG),
+], ids=["non-square-unitary", "superpose-rng-seed", "distinguish-rng-seed",
+        "superpose-seed-flag", "distinguish-seed-flag", "example-seed-flag",
+        "superpose-nan-alpha", "superpose-inf-beta", "example-nan-alpha",
+        "example-inf-beta"])
+def test_bad_inputs_are_config_errors(tmp_path, capsys, argv, config):
+    cfg = write(tmp_path, "bad.yaml", config)
+    assert main([cfg if a == "CFG" else a for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_superpose_rejects_max_entropy_config(tmp_path, capsys):
     cfg = write(tmp_path, "me.yaml", PAIR_CONFIG + "policy: max_entropy\n")
     assert main(["superpose", cfg]) == 2

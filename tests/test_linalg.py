@@ -167,6 +167,37 @@ def test_completion_always_unitary():
         assert res <= 1e-10
 
 
+def test_completion_skips_dependent_candidate_before_basis_fallback():
+    # omega lies in span(psi_0, psi_1): psi_0 gives column 1, psi_1 leaves
+    # no residual and is skipped, and psi_2 (not |0>) gives column 2
+    rng = np.random.default_rng(7)
+    psi = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    raw = 0.6 * psi[0] + (0.3 - 0.7j) * psi[1]
+    omega = raw / np.linalg.norm(raw)
+    u = unitary_from_first_column(omega, [StateVector(p) for p in psi]).entries
+    q, r = np.linalg.qr(np.column_stack([omega, psi[0], psi[2]]))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    assert np.array_equal(u[:, 0], omega)
+    assert np.abs(u - q).max() <= 1e-12
+
+
+def test_completion_orthonormal_for_nearly_dependent_candidates():
+    # each candidate leaves a residual of about 1e-8, above TOL_GS: one
+    # Gram-Schmidt pass would lose orthogonality at about 1e-8
+    rng = np.random.default_rng(11)
+    for dim in (3, 6, 12):
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        first = z / np.linalg.norm(z)
+        cands = []
+        for _ in range(dim - 1):
+            d = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            c = first + 1e-8 * d / np.linalg.norm(d)
+            cands.append(c / np.linalg.norm(c))
+        u = unitary_from_first_column(first, cands).entries
+        assert np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-12
+
+
 def test_completion_rejects_unnormalized_first():
     with pytest.raises(NormalizationError):
         unitary_from_first_column(StateVector([1, 1]))
