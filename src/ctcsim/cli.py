@@ -499,8 +499,6 @@ def cmd_example(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the rng_seed from the config")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the report to PATH instead of stdout")
     parser.add_argument("--json", action="store_true",
@@ -514,8 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "discrimination, and superposition of set members.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="override the rng_seed from the config")
 
-    p = sub.add_parser("superpose",
+    p = sub.add_parser("superpose", parents=[seeded],
                        help="run the superposition protocol from a config")
     p.add_argument("config")
     p.add_argument("--tolerance", action="append", metavar="KEY=VALUE",
@@ -523,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_superpose)
 
-    p = sub.add_parser("distinguish",
+    p = sub.add_parser("distinguish", parents=[seeded],
                        help="discriminate every member of a state set")
     p.add_argument("config")
     p.add_argument("--tolerance", action="append", metavar="KEY=VALUE",
@@ -539,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_fixed_point)
 
-    p = sub.add_parser("example",
+    p = sub.add_parser("example", parents=[seeded],
                        help="reproduce the two-state worked construction")
     p.add_argument("--alpha", type=float, default=1 / np.sqrt(2),
                    help="real target amplitude for the first state")

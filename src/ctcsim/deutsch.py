@@ -7,11 +7,11 @@ self-consistency condition
     sigma = Tr_CR[ u (rho_cr (x) sigma) u^dagger ],
 
 and the chronology-respecting output is the complementary trace.  The
-solver is spectral: the map is linearized over vectorized sigma, the
-eigenvalue-1 space is extracted as the null space of (L - I) by SVD,
-and the density-matrix solution is reconstructed from it.  This finds
-all fixed points and therefore detects non-uniqueness, which an
-iterative solver cannot.
+solver is spectral: the map preserves hermiticity, so it is linearized
+as a real matrix L over real coordinates of Hermitian sigma, and the
+eigenvalue-1 space is the null space of (L - I), whose SVD null vectors
+are Hermitian matrices.  This finds all fixed points and therefore
+detects non-uniqueness, which an iterative solver cannot.
 
 When the fixed space has more than one dimension, the ``max_entropy``
 policy applies Deutsch's maximum-entropy rule.  It starts from the
@@ -106,10 +106,6 @@ def consistency_residual(u, rho_cr, sigma) -> float:
     return float(np.abs(sigma - ctc_map(u, rho_cr, sigma).entries).max())
 
 
-def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return v.reshape(dim, dim, order="F")
-
-
 def superoperator_matrix(u, rho_cr) -> np.ndarray:
     """Linearization L of the self-consistency map over vectorized sigma.
 
@@ -133,30 +129,46 @@ def superoperator_matrix(u, rho_cr) -> np.ndarray:
     return L.transpose(0, 2, 1, 3).reshape(ctc_dim**2, ctc_dim**2)
 
 
+def _hermitian_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vec positions of the diagonal, the upper entries and their mirrors."""
+    i, j = np.triu_indices(dim, 1)
+    return np.arange(dim) * (dim + 1), j * dim + i, i * dim + j
+
+
+def _hermitian_superoperator(u, rho_cr) -> np.ndarray:
+    """The map as a real matrix over orthonormal coordinates of Hermitian X:
+    its diagonal, then sqrt(2) Re and sqrt(2) Im of its upper entries.
+
+    Images are Hermitian, so only L's diagonal and upper rows are read.
+    """
+    L = superoperator_matrix(u, rho_cr)
+    dim = int(round(np.sqrt(L.shape[0])))
+    diag, up, low = _hermitian_index(dim)
+    rows = L[np.concatenate([diag, up])]
+    del L
+    a, b = rows[:, up], rows[:, low]
+    cols = np.concatenate(
+        [rows[:, diag], (a + b) / np.sqrt(2), 1j * (a - b) / np.sqrt(2)], axis=1)
+    return np.concatenate([
+        cols[:dim].real, np.sqrt(2) * cols[dim:].real, np.sqrt(2) * cols[dim:].imag])
+
+
+def _hermitian(x: np.ndarray, dim: int) -> np.ndarray:
+    """Hermitian matrices from coordinates along the last axis of x."""
+    diag, up, low = _hermitian_index(dim)
+    z = (x[..., dim:dim + up.size] + 1j * x[..., dim + up.size:]) / np.sqrt(2)
+    vec = np.zeros(x.shape[:-1] + (dim * dim,), dtype=complex)
+    vec[..., diag], vec[..., up], vec[..., low] = x[..., :dim], z, z.conj()
+    # + 0.0 turns the signed zeros of conj() and of the SVD into 0.0
+    return vec.reshape(x.shape[:-1] + (dim, dim)).swapaxes(-1, -2) + 0.0
+
+
 def von_neumann_entropy(state) -> float:
     """Entropy -Tr(rho ln rho) in nats."""
     m = _as_matrix(state)
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
     w = w[w > 1e-15]
     return float(-(w * np.log(w)).sum())
-
-
-def _density_from_vector(v: np.ndarray, dim: int) -> np.ndarray:
-    """Turn a raw fixed-space eigenvector into a density matrix.
-
-    Numerical eigenvectors carry an arbitrary global phase, which must
-    be rotated out (via the trace) before Hermitization, or a phase
-    near +-i would annihilate the Hermitian part entirely.
-    """
-    m = _unvec(v, dim)
-    tr = m.trace()
-    if abs(tr) < 1e-12:
-        raise NoFixedPointNumerical(
-            "fixed-space eigenvector is traceless; no density-matrix solution"
-        )
-    m = m * (tr.conjugate() / abs(tr))
-    m = (m + m.conj().T) / 2
-    return m / m.trace().real
 
 
 def _finalize(u, rho_cr, sigma: np.ndarray, fixed_space_dim: int) -> FixedPointResult:
@@ -178,53 +190,28 @@ def _finalize(u, rho_cr, sigma: np.ndarray, fixed_space_dim: int) -> FixedPointR
     )
 
 
-def _hermitian_fixed_basis(null_vecs: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of the fixed subspace.
-
-    The map preserves hermiticity, so the fixed space is closed under
-    dagger and is spanned by Hermitian elements.
-    """
-    raw: list[np.ndarray] = []
-    for v in null_vecs:
-        b = _unvec(v, dim)
-        raw.append((b + b.conj().T) / 2)
-        raw.append((b - b.conj().T) / 2j)
-    rows = np.array([
-        np.concatenate([h.real.ravel(), h.imag.ravel()]) for h in raw
-    ])
-    _, svals, vh = np.linalg.svd(rows, full_matrices=False)
-    basis = []
-    for s, row in zip(svals, vh):
-        if s <= 1e-10:
-            continue
-        re, im = row[: dim * dim], row[dim * dim:]
-        basis.append((re + 1j * im).reshape(dim, dim))
-    return basis
-
-
 def _max_entropy_fixed_point(right: np.ndarray, left: np.ndarray,
                              dim: int) -> np.ndarray:
     """Entropy-maximizing element of the fixed-point set.
 
-    `right` and `left` hold the right and left null vectors of (L - I) as
-    columns.  The spectral projector R (Ul^dagger R)^-1 Ul^dagger onto
-    the fixed space maps I/d to the Cesaro limit of its orbit: a fixed
-    state whose support contains the support of every fixed state.  On
-    that support the entropy is strictly concave over the traceless
-    fixed directions D_i, and Newton steps, halved while they leave the
-    positive-definite cone, drive its gradient -Tr(D_i log sigma) to 0.
+    `right` and `left` hold the real right and left null vectors of
+    (L - I) as columns; `right` is an orthonormal Hermitian basis of the
+    fixed space.  The spectral projector R (Ul^T R)^-1 Ul^T maps I/d to
+    the Cesaro limit of its orbit: a fixed state whose support contains
+    the support of every fixed state.  On that support the entropy is
+    strictly concave over the traceless fixed directions D_i, and Newton
+    steps, halved while they leave the positive-definite cone, drive its
+    gradient -Tr(D_i log sigma) to 0.
     """
-    mixed = np.eye(dim).ravel() / dim
-    limit = right @ np.linalg.solve(left.conj().T @ right, left.conj().T @ mixed)
-    start = _unvec(limit, dim)
-    w, v = np.linalg.eigh((start + start.conj().T) / 2)
+    mixed = np.zeros(dim * dim)
+    mixed[:dim] = 1 / dim
+    limit = right @ np.linalg.solve(left.T @ right, left.T @ mixed)
+    w, v = np.linalg.eigh(_hermitian(limit, dim))
     keep = w > TOL_PSD
     support = v[:, keep]
 
-    basis = _hermitian_fixed_basis(right.T, dim)
-    traces = np.array([h.trace().real for h in basis])
-    _, _, vh = np.linalg.svd(traces[None, :])
-    directions = np.tensordot(vh[1:], np.array(basis), axes=1)
+    _, _, vh = np.linalg.svd(right[:dim].sum(axis=0)[None, :])
+    directions = _hermitian(vh[1:] @ right.T, dim)
     directions = support.conj().T @ directions @ support
     directions = (directions + directions.conj().transpose(0, 2, 1)) / 2
 
@@ -279,10 +266,11 @@ def _null_space(m: np.ndarray, name: str, what: str):
 def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResult:
     """Solve the self-consistency condition for the CTC state.
 
-    The eigenvalue-1 eigenspace of the linearized map is the null space
-    of (L - I), extracted by SVD with singular-value cutoff
-    ``SVD_CUTOFF``.  Under ``require_unique`` a multi-dimensional fixed
-    space raises :class:`NonUniqueFixedPoint`; under ``max_entropy`` the
+    The eigenvalue-1 eigenspace of the map on Hermitian matrices is the
+    null space of the real (L - I), extracted by SVD with singular-value
+    cutoff ``SVD_CUTOFF``; a unique fixed point is its null vector over
+    its trace.  Under ``require_unique`` a multi-dimensional fixed space
+    raises :class:`NonUniqueFixedPoint`; under ``max_entropy`` the
     entropy-maximizing fixed density matrix is returned.  It is found
     from the Cesaro limit of I/d, taken in closed form from the left and
     right null vectors, by Newton steps on that state's support; a KKT
@@ -291,15 +279,19 @@ def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResul
     """
     if policy not in ("require_unique", "max_entropy"):
         raise ValueError(f"unknown policy {policy!r}")
-    L = superoperator_matrix(u, rho_cr)
-    dim = int(round(np.sqrt(L.shape[0])))
-    uu, _, vh, null_mask = _null_space(L, "L", "fixed space")
+    real = _hermitian_superoperator(u, rho_cr)
+    dim = int(round(np.sqrt(real.shape[0])))
+    uu, _, vh, null_mask = _null_space(real, "L", "fixed space")
     fixed_space_dim = int(null_mask.sum())
-    null_vecs = vh[null_mask].conj()
     if fixed_space_dim == 1:
-        sigma = _density_from_vector(null_vecs[0], dim)
-        return _finalize(u, rho_cr, sigma, fixed_space_dim)
+        x = vh[null_mask][0]
+        trace = x[:dim].sum()
+        if abs(trace) < 1e-12:
+            raise NoFixedPointNumerical(
+                "fixed-space eigenvector is traceless; no density-matrix solution"
+            )
+        return _finalize(u, rho_cr, _hermitian(x / trace, dim), fixed_space_dim)
     if policy == "require_unique":
         raise NonUniqueFixedPoint(fixed_space_dim)
-    sigma = _max_entropy_fixed_point(null_vecs.T, uu[:, null_mask], dim)
+    sigma = _max_entropy_fixed_point(vh[null_mask].T, uu[:, null_mask], dim)
     return _finalize(u, rho_cr, sigma, fixed_space_dim)

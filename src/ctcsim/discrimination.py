@@ -47,7 +47,6 @@ from .linalg import (
 )
 from .sampling import haar_state
 
-TOL_COND2 = 1e-6
 MAX_ATTEMPTS = 64
 
 _IN_SET_TOL = 1e-8
@@ -134,9 +133,12 @@ def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
     the first attempt, Haar-random candidate vectors from the seeded
     generator on retries), whose columns 0 and k are exchanged to give
     V with column k psi_k, and U_k = V^dagger.  Condition
-    (1) is then exact by construction; condition (2) holds generically,
-    so failures are retried up to ``MAX_ATTEMPTS`` times before raising
-    :class:`Condition2Exhausted`.
+    (1) is then exact by construction.  Condition (2) is enforced as
+    every overlap^2 above 10 ``deutsch.SVD_CUTOFF`` sqrt(N - 1): member
+    j's label chain, j absorbing, has a gap of at least q / sqrt(N - 1),
+    q its least overlap^2, so its fixed point is unique.  Condition (2)
+    holds generically, so failures are retried up to ``MAX_ATTEMPTS``
+    times before raising :class:`Condition2Exhausted`.
     """
     n = states.size
     if not 0 <= k < n:
@@ -145,6 +147,7 @@ def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
     order = list(range(n))
     order[0], order[k] = k, 0
     rng = np.random.default_rng(rng_seed)
+    threshold = 10 * deutsch.SVD_CUTOFF * np.sqrt(n - 1)
     worst = np.inf
     for attempt in range(MAX_ATTEMPTS):
         if attempt == 0:
@@ -153,13 +156,13 @@ def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
             candidates = [haar_state(n, rng).amplitudes for _ in range(n)]
         w = unitary_from_first_column(states[k], candidates)
         u = w.entries[:, order].conj().T
-        overlap_min = np.abs(np.einsum("jc,jc->j", u, amps)).min()
-        worst = min(worst, overlap_min)
-        if overlap_min > TOL_COND2:
+        q = np.abs(np.einsum("jc,jc->j", u, amps)).min() ** 2
+        worst = min(worst, q)
+        if q > threshold:
             return UnitaryMatrix(u)
     raise Condition2Exhausted(
-        f"no completion for index {k} reached overlap > {TOL_COND2} "
-        f"in {MAX_ATTEMPTS} attempts (best worst-case overlap {worst:.3e})"
+        f"no completion for index {k} reached overlap^2 > {threshold:.3e} "
+        f"in {MAX_ATTEMPTS} attempts (best worst-case overlap^2 {worst:.3e})"
     )
 
 

@@ -240,15 +240,16 @@ def test_criterion_6_byte_determinism(tmp_path):
 
         def collect(tag):
             chunks = []
+            # fixed-point reads no seed and rejects --seed
             for k, argv in enumerate((
-                ["superpose", str(pair_cfg)],
-                ["superpose", str(pair_cfg), "--json"],
-                ["distinguish", str(pair_cfg)],
+                ["superpose", str(pair_cfg), "--seed", "0"],
+                ["superpose", str(pair_cfg), "--json", "--seed", "0"],
+                ["distinguish", str(pair_cfg), "--seed", "0"],
                 ["fixed-point", str(fp_cfg)],
-                ["example"],
+                ["example", "--seed", "0"],
             )):
                 out = tmp_path / f"{tag}_{k}.txt"
-                code = main(argv + ["--out", str(out), "--seed", "0"])
+                code = main(argv + ["--out", str(out)])
                 assert code == 0
                 chunks.append(strip_timestamps(out.read_text()))
             return "\n".join(chunks)

@@ -156,6 +156,7 @@ def test_distinguish_builds_no_superoperator(tmp_path, capsys, monkeypatch):
     ["example", "--policy", "max_entropy"],
     ["fixed-point", "CFG", "--tolerance", "distinct=1"],
     ["example", "--tolerance", "distinct=1"],
+    ["fixed-point", "CFG", "--seed", "1"],
 ])
 def test_unread_flags_are_not_accepted(tmp_path, argv):
     cfg = write(tmp_path, "pair.yaml", PAIR_CONFIG)

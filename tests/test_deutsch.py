@@ -346,6 +346,48 @@ def test_max_entropy_failed_certificate_raises(monkeypatch):
         fixed_point(u, rho, policy="max_entropy")
 
 
+def _hermitian_coordinates(x):
+    """Diagonal, then sqrt(2) Re and sqrt(2) Im of the upper entries."""
+    i, j = np.triu_indices(x.shape[0], 1)
+    return np.concatenate([np.diag(x).real, np.sqrt(2) * x[i, j].real,
+                           np.sqrt(2) * x[i, j].imag])
+
+
+def _haar_case():
+    rng = np.random.default_rng(41)
+    return haar_unitary(9, rng).entries, random_density_matrix(3, rng).entries
+
+
+def _diagonal_phase_case():
+    rng = np.random.default_rng(43)
+    u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 8)))
+    return u, _ginibre_state(rng, 2)
+
+
+@pytest.mark.parametrize("case", [
+    _haar_case,
+    lambda: (np.eye(8), _ginibre_state(np.random.default_rng(42), 2)),
+    _diagonal_phase_case,
+    lambda: _block_channel_case(3)[:2],
+], ids=["haar-3x3", "identity-2x4", "diagonal-phase-2x4", "block-3x4"])
+def test_hermitian_restriction_matches_complex_path(case):
+    u, rho = case()
+    d = u.shape[0] // rho.shape[0]
+    svals = np.linalg.svd(superoperator_matrix(u, rho) - np.eye(d * d),
+                          compute_uv=False)
+    result = fixed_point(u, rho, policy="max_entropy")
+    assert result.fixed_space_dim == (svals <= deutsch.SVD_CUTOFF).sum()
+    real = deutsch._hermitian_superoperator(u, rho)
+    assert real.shape == (d * d, d * d) and not np.iscomplexobj(real)
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = g + g.conj().T
+        image = ctc_map(u, rho, x).entries
+        assert np.abs(real @ _hermitian_coordinates(x)
+                      - _hermitian_coordinates(image)).max() < 1e-12
+
+
 def test_fixed_point_rejects_unknown_policy():
     with pytest.raises(ValueError):
         fixed_point(np.eye(4), np.eye(2) / 2, policy="largest")

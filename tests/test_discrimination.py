@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import HADAMARD, S
 from ctcsim import (
@@ -179,6 +181,43 @@ def test_distinguish_detects_condition2_violation():
     assert bundle.condition2_min < 1e-6
     with pytest.raises(NonUniqueFixedPoint):
         distinguish(bundle, states[0])
+
+
+def test_near_threshold_set_decodes_uniquely():
+    # with condition 2 enforced as overlap > 1e-6 this set was accepted
+    # (condition2_min 1.3e-5), and psi_2's label chain had a
+    # two-dimensional null space
+    vectors = np.array([[1, 0, 0], [0.3, 1, 0], [0.5, 0.6, 1e-5]], dtype=complex)
+    states = StateSet(tuple(
+        StateVector(v / np.linalg.norm(v)) for v in vectors))
+    bundle = build_distinguisher(states, rng_seed=0)
+    for j, psi in enumerate(states):
+        result = distinguish(bundle, psi)
+        assert result.decoded == j
+        assert result.chain_gap > deutsch.SVD_CUTOFF
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.floats(min_value=1e-3, max_value=1.0),
+       st.integers(0, 2**31 - 1))
+def test_chain_gap_absorbing_bound(n, spread, seed):
+    # nearly parallel states give small overlaps; member j's label chain
+    # has j absorbing and keeps its gap at or above q / sqrt(N - 1), q the
+    # smallest overlap^2, which build_uk holds above 10 SVD_CUTOFF sqrt(N - 1)
+    rng = np.random.default_rng(seed)
+    base = haar_state(n, rng).amplitudes
+    states = StateSet(tuple(
+        StateVector(v / np.linalg.norm(v))
+        for v in (base + spread * haar_state(n, rng).amplitudes
+                  for _ in range(n))))
+    bundle = build_distinguisher(states, rng_seed=seed)
+    for j, psi in enumerate(states):
+        q = bundle.condition.overlaps[j].min() ** 2
+        assert q > 10 * deutsch.SVD_CUTOFF * np.sqrt(n - 1)
+        phi = np.array([u.entries @ psi.amplitudes for u in bundle.uks]).T
+        svals = np.linalg.svd(np.abs(phi) ** 2 - np.eye(n), compute_uv=False)
+        assert svals[-1] <= deutsch.SVD_CUTOFF
+        assert svals[-2] >= q / np.sqrt(n - 1)
 
 
 def test_distinguish_dimension_mismatch(zero_minus_set):
