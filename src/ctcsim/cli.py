@@ -6,6 +6,16 @@ Complex numbers are serialized as two-element [re, im] arrays and every
 float is printed with 17 significant digits so that reparsing
 reproduces the binary double.
 
+Neither direction goes through PyYAML's Python object layers.  Reports
+are written by :func:`_yaml_report`, which lays out what they hold
+(mappings, flow sequences of numbers, nested block sequences, block
+sequences of mappings or of flow mappings, and scalars) byte for byte as
+``yaml.dump`` with libyaml would, 80-column wrap included; any other
+value raises TypeError.  Configs are built from libyaml's event stream
+by :func:`_read_document`, with YAML 1.1's scalar rules.  A config that
+uses anchors or aliases, explicit tags, merge keys, non-scalar keys or
+several documents is handed whole to ``yaml.load``.
+
 Exit codes: 0 success, 2 validation/config error, 3 protocol error
 (degenerate superposition, non-unique fixed point, exhausted unitary
 construction), 1 internal error.
@@ -14,7 +24,10 @@ construction), 1 internal error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -56,6 +69,104 @@ class ConfigError(Exception):
 
 # libyaml's C parser and emitter when PyYAML was built with them
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_RESOLVER = yaml.resolver.Resolver()
+_CONSTRUCTOR = yaml.constructor.SafeConstructor()
+_STR_TAG = "tag:yaml.org,2002:str"
+# plain scalars that YAML 1.1 reads as a decimal int (group 1) or float
+_DECIMAL = re.compile(r"[-+]?(?:(0|[1-9][0-9]*)|[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)")
+
+
+class _Delegate(Exception):
+    """The document needs PyYAML's composer or fails in its constructor."""
+
+
+_NO_KEY = object()  # an open mapping waits for its next key
+
+
+def _resolved_scalar(event) -> object:
+    """A plain scalar that is not a decimal number, read as yaml.load would."""
+    tag = _RESOLVER.resolve(yaml.ScalarNode, event.value, (True, False))
+    if tag == _STR_TAG:
+        return event.value
+    node = yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark)
+    construct = _CONSTRUCTOR.yaml_constructors.get(
+        tag, _CONSTRUCTOR.yaml_constructors[None])
+    try:
+        return construct(_CONSTRUCTOR, node)
+    except (yaml.YAMLError, ValueError):
+        # merge keys, '=' and bad timestamps: yaml.load raises or rewrites
+        # them only once the whole document has parsed
+        raise _Delegate
+
+
+def _read_document(text: str):
+    """Build the config from libyaml's event stream.
+
+    Plain scalars resolve under YAML 1.1 exactly as in ``yaml.load``;
+    anchors, aliases, explicit tags, non-scalar keys, a second document
+    and scalars the safe constructor rejects raise :class:`_Delegate`.
+    """
+    root = None
+    parents = []  # the collections enclosing `node`
+    node = None  # the innermost open collection
+    append = None  # node.append when node is a list
+    key = _NO_KEY  # the pending key when node is a dict
+    documents = 0
+    for event in yaml.parse(text, Loader=_Loader):
+        kind = type(event)
+        if kind is yaml.ScalarEvent:
+            if event.anchor is not None or event.tag is not None:
+                raise _Delegate
+            value = event.value
+            if event.implicit[0]:
+                number = _DECIMAL.fullmatch(value)
+                if number is None:
+                    value = _resolved_scalar(event)
+                elif number.group(1) is None:
+                    value = float(value)
+                else:
+                    value = int(value)
+        elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+            if event.anchor is not None or event.tag is not None:
+                raise _Delegate
+            value = [] if kind is yaml.SequenceStartEvent else {}
+        elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+            node = parents.pop()
+            append = node.append if type(node) is list else None
+            continue
+        elif kind is yaml.DocumentStartEvent:
+            documents += 1
+            if documents > 1:
+                raise _Delegate
+            continue
+        elif kind is yaml.AliasEvent:
+            raise _Delegate
+        else:
+            continue
+        if append is not None:
+            append(value)
+        elif node is None:
+            root = value
+        elif key is not _NO_KEY:
+            node[key] = value
+            key = _NO_KEY
+        elif kind is yaml.ScalarEvent:
+            key = value
+        else:
+            raise _Delegate
+        if kind is not yaml.ScalarEvent:
+            parents.append(node)
+            node = value
+            append = value.append if type(value) is list else None
+    return root
+
+
+def _read_config(text: str):
+    """The object ``yaml.load(text, Loader=_Loader)`` returns."""
+    try:
+        return _read_document(text)
+    except _Delegate:
+        return yaml.load(text, Loader=_Loader)
 
 
 def _load_config(path: str) -> dict:
@@ -65,7 +176,7 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     try:
-        data = yaml.load(text, Loader=_Loader)
+        data = _read_config(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = (
@@ -91,9 +202,41 @@ def _parse_complex(node, where: str) -> complex:
     raise ConfigError(f"{where}: expected a number or [re, im] pair")
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _numeric(node: list, depth: int):
+    """`node` as a complex array of `depth` axes, or None.
+
+    A well-formed node nests lists `depth` deep whose leaves are all
+    ints or floats (bools excluded), or `depth + 1` deep ending in
+    [re, im] pairs.  Anything else, empty or mixed forms included,
+    returns None and is left to the per-entry walk.
+    """
+    try:
+        arr = np.array(node, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not arr.size or arr.ndim not in (depth, depth + 1):
+        return None
+    if arr.ndim > depth and arr.shape[-1] != 2:
+        return None
+    leaves = node
+    for _ in range(arr.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= _NUMBER_TYPES:
+        return None
+    if arr.ndim > depth:
+        return arr.view(complex)[..., 0]
+    return arr.astype(complex)
+
+
 def _parse_vector(node, where: str) -> np.ndarray:
     if not isinstance(node, list) or not node:
         raise ConfigError(f"{where}: expected a nonempty list of amplitudes")
+    arr = _numeric(node, 1)
+    if arr is not None:
+        return arr
     return np.array(
         [_parse_complex(x, f"{where}[{k}]") for k, x in enumerate(node)],
         dtype=complex,
@@ -103,6 +246,9 @@ def _parse_vector(node, where: str) -> np.ndarray:
 def _parse_matrix(node, where: str) -> np.ndarray:
     if not isinstance(node, list) or not node:
         raise ConfigError(f"{where}: expected a nonempty list of rows")
+    arr = _numeric(node, 2)
+    if arr is not None:
+        return arr
     rows = [_parse_vector(row, f"{where}[{k}]") for k, row in enumerate(node)]
     if any(r.size != rows[0].size for r in rows):
         raise ConfigError(f"{where}: rows have unequal lengths")
@@ -169,7 +315,13 @@ def _merge_tolerances(cfg: dict, args) -> dict:
             )
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"tolerance {key} must be a number")
-        tol[key] = float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"tolerance {key} must be finite, got {value}")
+        # a negative distinct tolerance admits equal members on purpose
+        if value < 0 and key != "distinct":
+            raise ConfigError(f"tolerance {key} must be non-negative, got {value}")
+        tol[key] = value
     return tol
 
 
@@ -190,13 +342,13 @@ def _validate_states(states: StateSet, tol: dict) -> None:
 
 def _fmt_float(x: float) -> str:
     s = format(float(x), ".17g")
-    if s not in ("inf", "-inf", "nan") and not any(c in s for c in ".eE"):
+    if s.lstrip("-").isdigit():
         s += ".0"
     return s
 
 
 class _ReportDumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
-    pass
+    """PyYAML's dumper for reports: the test oracle of :func:`_yaml_report`."""
 
 
 _ReportDumper.add_representer(
@@ -205,6 +357,156 @@ _ReportDumper.add_representer(
         "tag:yaml.org,2002:float", _fmt_float(value)
     ),
 )
+
+# strings a report holds: keys and names, plain unless YAML 1.1 reads
+# them as another type, and the quoted timestamp
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]{0,99}")
+_STAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+_WIDTH = 80  # libyaml's best_width
+_INDENT = 2  # libyaml's best_indent
+
+
+def _scalar_text(x):
+    """A scalar as libyaml writes it, or None for a list or dict."""
+    if isinstance(x, float):
+        s = _fmt_float(x)
+        # a float YAML 1.1 would not resolve implicitly carries its tag
+        return s if "." in s else "!!float " + s
+    if isinstance(x, (list, dict)):
+        return None
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if x is None:
+        return "null"
+    if isinstance(x, str):
+        if _NAME.fullmatch(x):
+            plain = _RESOLVER.resolve(yaml.ScalarNode, x, (True, False)) == _STR_TAG
+            return x if plain else f"'{x}'"
+        if _STAMP.fullmatch(x):
+            return f"'{x}'"
+    raise TypeError(f"cannot serialize {type(x).__name__} {x!r} as a report value")
+
+
+class _ReportWriter:
+    """libyaml's layout of ``yaml.dump(report, default_flow_style=None)``.
+
+    A list or dict of scalars is a flow collection, which breaks before
+    an item once the column passes 80; any other list or dict is a
+    block collection.  `col`, `ws` and `ind` track libyaml's column,
+    whitespace and indention flags.
+    """
+
+    def __init__(self):
+        self.out = []
+        self.col = 0
+        self.ws = True
+        self.ind = True
+        self.keys = {}
+
+    def text(self) -> str:
+        self.newline_to(0)
+        return "".join(self.out)
+
+    def write(self, text: str) -> None:
+        if not self.ws:
+            text = " " + text
+        self.out.append(text)
+        self.col += len(text)
+        self.ws = self.ind = False
+
+    def newline_to(self, indent: int) -> None:
+        if not self.ind or self.col > indent or (self.col == indent and not self.ws):
+            self.out.append("\n")
+            self.col = 0
+        if self.col < indent:
+            self.out.append(" " * (indent - self.col))
+            self.col = indent
+        self.ws = self.ind = True
+
+    def key(self, k) -> str:
+        text = self.keys.get(k)
+        if text is None:
+            if not isinstance(k, str):
+                raise TypeError(f"cannot serialize a {type(k).__name__} key")
+            text = self.keys[k] = _scalar_text(k)
+        return text
+
+    def collection(self, value, indent, in_mapping: bool) -> None:
+        """A list or dict whose parent node sits at `indent` (None: root)."""
+        if isinstance(value, dict):
+            keys = [self.key(k) for k in value]
+            texts = list(map(_scalar_text, value.values()))
+            if None not in texts:
+                self.flow("{", [f"{k}: {t}" for k, t in zip(keys, texts)], "}",
+                          indent)
+                return
+            inner = 0 if indent is None else indent + _INDENT
+            for k, t, v in zip(keys, texts, value.values()):
+                self.newline_to(inner)
+                self.write(k + ":")
+                if t is None:
+                    self.collection(v, inner, True)
+                else:
+                    self.write(t)
+            return
+        texts = list(map(_scalar_text, value))
+        if None not in texts:
+            self.flow("[", texts, "]", indent)
+            return
+        # a block sequence under a mapping key is not indented
+        if indent is None:
+            inner = 0
+        else:
+            inner = indent if in_mapping else indent + _INDENT
+        for t, v in zip(texts, value):
+            self.newline_to(inner)
+            self.write("-")
+            self.ind = True
+            if t is None:
+                self.collection(v, inner, False)
+            else:
+                self.write(t)
+
+    def flow(self, open_: str, texts: list, close: str, indent) -> None:
+        opening = open_ if self.ws else " " + open_
+        col = self.col + len(opening)
+        body = ", ".join(texts)
+        self.ws = self.ind = False
+        # the column after the last comma decides whether any line breaks
+        if not texts or (col <= _WIDTH
+                         and col + len(body) - len(texts[-1]) - 1 <= _WIDTH):
+            self.out.append(opening + body + close)
+            self.col = col + len(body) + 1
+            return
+        pad = "\n" + " " * (_INDENT if indent is None else indent + _INDENT)
+        out = self.out
+        out.append(opening)
+        for i, t in enumerate(texts):
+            if i:
+                col += 1
+                out.append(",")
+            if col > _WIDTH:
+                out.append(pad)
+                col = len(pad) - 1
+            elif i:
+                out.append(" ")
+                col += 1
+            out.append(t)
+            col += len(t)
+        out.append(close)
+        self.col = col + 1
+
+
+def _yaml_report(report: dict) -> str:
+    """``yaml.dump(report, Dumper=_ReportDumper, sort_keys=False,
+    default_flow_style=None)``, written directly."""
+    if not isinstance(report, dict):
+        raise TypeError("a report is a mapping")
+    writer = _ReportWriter()
+    writer.collection(report, None, False)
+    return writer.text()
 
 
 def _json_dumps(obj) -> str:
@@ -249,9 +551,7 @@ def _render(header: dict, runs: list[dict], as_json: bool) -> str:
         return "\n".join(lines) + "\n"
     report = dict(header)
     report["runs"] = runs
-    return yaml.dump(
-        report, Dumper=_ReportDumper, sort_keys=False, default_flow_style=None,
-    )
+    return _yaml_report(report)
 
 
 def _emit(text: str, args) -> None:
@@ -552,8 +852,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

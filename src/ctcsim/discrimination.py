@@ -217,10 +217,11 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
     diag(sigma).  p spans the null space of T - I, taken by SVD with cutoff
     ``deutsch.SVD_CUTOFF``: a null space of more than one dimension raises
     :class:`NonUniqueFixedPoint`, none at all, a negative weight below
-    -``TOL_PSD`` or a residual above ``deutsch.TOL_FIX`` raises
-    :class:`NoFixedPointNumerical`.  The decoded label is the argmax of
-    the output's diagonal.  Inputs outside the declared set are flagged
-    with :class:`InputNotInSetWarning` but still computed.
+    -(``TOL_PSD`` + N eps / gap), gap the chain gap, or a residual above
+    ``deutsch.TOL_FIX`` raises :class:`NoFixedPointNumerical`.  The decoded
+    label is the argmax of the output's diagonal.  Inputs outside the
+    declared set are flagged with :class:`InputNotInSetWarning` but still
+    computed.
     """
     vec = _as_vector(input_state)
     states = bundle.state_set
@@ -245,11 +246,16 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
     null_dim = int(null_mask.sum())
     if null_dim > 1:
         raise NonUniqueFixedPoint(null_dim)
+    kept = svals[~null_mask]
+    chain_gap = float(kept.min()) if kept.size else float("inf")
     p = vh[null_mask][0]
     p = p / p.sum()
-    if p.min() < -TOL_PSD:
+    # the null vector carries rounding of about N eps / gap
+    weight_tol = TOL_PSD + states.size * np.finfo(float).eps / chain_gap
+    if p.min() < -weight_tol:
         raise NoFixedPointNumerical(
-            f"candidate fixed point has negative label weight {p.min():.3e}"
+            f"candidate fixed point has negative label weight {p.min():.3e} "
+            f"< -{weight_tol:.3e}"
         )
     sigma = (phi * p) @ phi.conj().T
     mapped = (phi * np.diag(sigma).real) @ phi.conj().T
@@ -261,7 +267,6 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
     rho_out = sigma * (phi.conj().T @ phi).T
     probs = np.diag(rho_out).real
     decoded = int(np.argmax(probs))
-    kept = svals[~null_mask]
     return DistinguishResult(
         rho_ctc=DensityMatrix(sigma),
         rho_out=DensityMatrix(rho_out),
@@ -269,5 +274,5 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
         fidelity_to_basis=float(probs[decoded]),
         residual=residual,
         input_in_set=in_set,
-        chain_gap=float(kept.min()) if kept.size else float("inf"),
+        chain_gap=chain_gap,
     )

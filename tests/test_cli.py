@@ -182,10 +182,19 @@ NON_SQUARE_CONFIG = "unitary: [[1, 0, 0], [0, 1, 0]]\nrho_cr: [1, 0]\n"
      PAIR_CONFIG.replace(f"beta: [{S_17}, 0]", "beta: [0, .inf]")),
     (["example", "--alpha", "nan"], PAIR_CONFIG),
     (["example", "--beta", "inf"], PAIR_CONFIG),
+    (["distinguish", "CFG", "--json", "--tolerance", "success_fidelity=inf"],
+     PAIR_CONFIG),
+    (["superpose", "CFG", "--tolerance", "success_fidelity=nan"], PAIR_CONFIG),
+    (["superpose", "CFG", "--tolerance", "success_fidelity=-1e-3"], PAIR_CONFIG),
+    (["distinguish", "CFG"], PAIR_CONFIG + "tolerances: {distinct: .inf}\n"),
+    (["superpose", "CFG"], PAIR_CONFIG + "tolerances: {success_fidelity: -1}\n"),
 ], ids=["non-square-unitary", "superpose-rng-seed", "distinguish-rng-seed",
         "superpose-seed-flag", "distinguish-seed-flag", "example-seed-flag",
         "superpose-nan-alpha", "superpose-inf-beta", "example-nan-alpha",
-        "example-inf-beta"])
+        "example-inf-beta", "distinguish-inf-tolerance-flag",
+        "superpose-nan-tolerance-flag", "superpose-negative-tolerance-flag",
+        "distinguish-inf-tolerance-config",
+        "superpose-negative-tolerance-config"])
 def test_bad_inputs_are_config_errors(tmp_path, capsys, argv, config):
     cfg = write(tmp_path, "bad.yaml", config)
     assert main([cfg if a == "CFG" else a for a in argv]) == 2
@@ -241,6 +250,8 @@ _PurePythonDumper.add_representer(
 @pytest.mark.parametrize("command", ["superpose", "fixed-point"])
 def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
                                                   monkeypatch, command):
+    # the report the command printed, dumped again by libyaml's and by
+    # PyYAML's pure-Python emitter
     if command == "superpose":
         cfg = write(tmp_path, "pair.yaml", PAIR_CONFIG)
     else:
@@ -249,12 +260,25 @@ def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
             "rho_cr": [[0.6, 0], [0.8, 0]],
             "policy": "max_entropy",
         }))
-    monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00Z")
+    reports = []
+    emit = cli._yaml_report
+    monkeypatch.setattr(cli, "_yaml_report",
+                        lambda report: reports.append(report) or emit(report))
     assert main([command, cfg]) == 0
-    native = capsys.readouterr().out
-    monkeypatch.setattr(cli, "_ReportDumper", _PurePythonDumper)
-    assert main([command, cfg]) == 0
-    assert capsys.readouterr().out == native
+    (report,) = reports
+    printed = capsys.readouterr().out
+    for dumper in (cli._ReportDumper, _PurePythonDumper):
+        assert printed == yaml.dump(report, Dumper=dumper, sort_keys=False,
+                                    default_flow_style=None)
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    def fail():
+        raise AssertionError("build_parser called from main")
+
+    monkeypatch.setattr(cli, "build_parser", fail)
+    assert main(["example"]) == 0
+    assert main(["example", "--alpha", "0.6", "--beta", "0.8"]) == 0
 
 
 def test_report_floats_round_trip(tmp_path, capsys):

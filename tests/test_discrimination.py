@@ -197,6 +197,24 @@ def test_near_threshold_set_decodes_uniquely():
         assert result.chain_gap > deutsch.SVD_CUTOFF
 
 
+def test_near_parallel_set_decodes_every_member():
+    # member 0's chain gap is 4.7e-7, so its null vector carries rounding
+    # of about N eps / gap = 3.3e-9: a label weight of -1.05e-9 that a
+    # fixed -TOL_PSD bound rejected
+    rng = np.random.default_rng(0)
+    base = haar_state(7, rng).amplitudes
+    states = StateSet(tuple(
+        StateVector(v / np.linalg.norm(v))
+        for v in (base + 1e-3 * haar_state(7, rng).amplitudes
+                  for _ in range(7))))
+    bundle = build_distinguisher(states, rng_seed=0)
+    for j, psi in enumerate(states):
+        result = distinguish(bundle, psi)
+        assert result.decoded == j
+        assert result.residual <= deutsch.TOL_FIX
+        assert result.fidelity_to_basis > 1 - 1e-8
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(2, 8), st.floats(min_value=1e-3, max_value=1.0),
        st.integers(0, 2**31 - 1))
