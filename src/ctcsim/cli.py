@@ -500,8 +500,9 @@ class _ReportWriter:
 
 
 def _yaml_report(report: dict) -> str:
-    """``yaml.dump(report, Dumper=_ReportDumper, sort_keys=False,
-    default_flow_style=None)``, written directly."""
+    """What ``yaml.dump(report, Dumper=_ReportDumper, sort_keys=False,
+    default_flow_style=None)`` returns, for a report whose lists and dicts
+    are distinct objects (the dumper would alias a repeated one)."""
     if not isinstance(report, dict):
         raise TypeError("a report is a mapping")
     writer = _ReportWriter()

@@ -17,7 +17,11 @@ from hypothesis import strategies as st
 
 from ctcsim import cli
 
-_Pure = type("_Pure", (yaml.SafeDumper,), {})
+
+class _Pure(yaml.SafeDumper):
+    pass
+
+
 _Pure.add_representer(float, cli._ReportDumper.yaml_representers[float])
 
 LOADERS = [yaml.SafeLoader]
