@@ -11,10 +11,22 @@ are written by :func:`_yaml_report`, which lays out what they hold
 (mappings, flow sequences of numbers, nested block sequences, block
 sequences of mappings or of flow mappings, and scalars) byte for byte as
 ``yaml.dump`` with libyaml would, 80-column wrap included; any other
-value raises TypeError.  Configs are built from libyaml's event stream
-by :func:`_read_document`, with YAML 1.1's scalar rules.  A config that
-uses anchors or aliases, explicit tags, merge keys, non-scalar keys or
-several documents is handed whole to ``yaml.load``.
+value raises TypeError.  Numeric report entries are float arrays, laid
+out as their ``tolist()`` would be: a 1-d array as one flow sequence, an
+n-d array as nested block sequences of flow rows along its last axis,
+each row joined in one piece unless it could pass column 80.
+
+Configs are built from libyaml's event stream by :func:`_read_document`,
+with YAML 1.1's scalar rules.  A numeric row, a line whose value is one
+flow sequence of numbers after block-sequence dashes or a plain key
+(``- [..]``, ``- - [..]``, ``key: [..]``, ``- key: [..]``), is read by
+one ``json.loads`` when YAML 1.1 reads every number in it as a decimal,
+and the parse sees a placeholder scalar in its place.  If that parse
+fails, delegates, or a placeholder does not come back as a plain scalar
+of its own (a row inside a block scalar, a multi-line scalar or a flow
+collection), the original text is read again without placeholders.  A
+config that uses anchors or aliases, explicit tags, merge keys,
+non-scalar keys or several documents is handed whole to ``yaml.load``.
 
 Exit codes: 0 success, 2 validation/config error, 3 protocol error
 (degenerate superposition, non-unique fixed point, exhausted unitary
@@ -76,11 +88,56 @@ _STR_TAG = "tag:yaml.org,2002:str"
 _DECIMAL = re.compile(r"[-+]?(?:(0|[1-9][0-9]*)|[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)")
 
 
+# a numeric row: a flow sequence of numbers that ends its line, after
+# block-sequence dashes or a plain key
+_ROW = re.compile(
+    r"^ *(?:- +)*(?:- +|[A-Za-z_][A-Za-z0-9_-]*: +)(\[[][0-9eE.+, -]*\]) *$",
+    re.MULTILINE)
+_ROW_TOKEN = re.compile(r"[^][, ]+")
+
+
 class _Delegate(Exception):
     """The document needs PyYAML's composer or fails in its constructor."""
 
 
+class _Unmasked(Exception):
+    """A row placeholder did not come back as a plain scalar of its own."""
+
+
 _NO_KEY = object()  # an open mapping waits for its next key
+
+
+def _mask_rows(text: str) -> tuple[str, dict]:
+    """`text` with its numeric rows masked, and the rows by start index.
+
+    Each row that ``json.loads`` reads, and whose numbers YAML 1.1 also
+    reads as decimals, is replaced by the plain scalar ``x,,,`` of the
+    same length, so that no mark moves.  ``,`` ends a plain scalar in a
+    flow collection, so a placeholder there cannot come back whole.
+    """
+    rows = {}
+    pieces = []
+    end = 0
+    for match in _ROW.finditer(text):
+        row = match.group(1)
+        try:
+            value = json.loads(row)
+        except (ValueError, RecursionError):
+            continue
+        # JSON also reads 1e5 and 1.5e5, which YAML 1.1 reads as strings
+        if ("e" in row or "E" in row) and not all(
+                map(_DECIMAL.fullmatch, _ROW_TOKEN.findall(row))):
+            continue
+        start = match.start(1)
+        mask = "x" + "," * (len(row) - 1)
+        rows[start] = (mask, value)
+        pieces.append(text[end:start])
+        pieces.append(mask)
+        end = match.end(1)
+    if not rows:
+        return text, rows
+    pieces.append(text[end:])
+    return "".join(pieces), rows
 
 
 def _resolved_scalar(event) -> object:
@@ -99,12 +156,16 @@ def _resolved_scalar(event) -> object:
         raise _Delegate
 
 
-def _read_document(text: str):
+def _read_document(text: str, rows=None):
     """Build the config from libyaml's event stream.
 
     Plain scalars resolve under YAML 1.1 exactly as in ``yaml.load``;
     anchors, aliases, explicit tags, non-scalar keys, a second document
     and scalars the safe constructor rejects raise :class:`_Delegate`.
+    `rows` maps the start index of each placeholder of :func:`_mask_rows`
+    to its mask and value; a placeholder is replaced by its value where
+    it arrives whole as a plain scalar, and :class:`_Unmasked` is raised
+    if one does not.
     """
     root = None
     parents = []  # the collections enclosing `node`
@@ -118,7 +179,12 @@ def _read_document(text: str):
             if event.anchor is not None or event.tag is not None:
                 raise _Delegate
             value = event.value
-            if event.implicit[0]:
+            row = rows.pop(event.start_mark.index, None) if rows else None
+            if row is not None:
+                if not event.implicit[0] or value != row[0]:
+                    raise _Unmasked
+                value = row[1]
+            elif event.implicit[0]:
                 number = _DECIMAL.fullmatch(value)
                 if number is None:
                     value = _resolved_scalar(event)
@@ -158,11 +224,24 @@ def _read_document(text: str):
             parents.append(node)
             node = value
             append = value.append if type(value) is list else None
+    if rows:
+        raise _Unmasked
     return root
 
 
 def _read_config(text: str):
-    """The object ``yaml.load(text, Loader=_Loader)`` returns."""
+    """The object ``yaml.load(text, Loader=_Loader)`` returns.
+
+    Numeric rows are read in bulk into a parse of the masked text.  If
+    that parse raises, delegates or leaves a placeholder unspliced, the
+    original text is read as if it held no rows.
+    """
+    masked, rows = _mask_rows(text)
+    if rows:
+        try:
+            return _read_document(masked, rows)
+        except Exception:  # noqa: BLE001 - the plain read below raises it again
+            pass
     try:
         return _read_document(text)
     except _Delegate:
@@ -299,7 +378,10 @@ def _parse_policy(cfg: dict, args) -> str:
 
 def _merge_tolerances(cfg: dict, args) -> dict:
     tol = dict(_DEFAULT_TOLERANCES)
-    overrides = dict(cfg.get("tolerances") or {})
+    overrides = cfg.get("tolerances")
+    if not isinstance(overrides, (dict, type(None))):
+        raise ConfigError("tolerances must map tolerance names to numbers")
+    overrides = dict(overrides or {})
     for item in getattr(args, "tolerance", None) or []:
         key, sep, value = item.partition("=")
         if not sep:
@@ -347,6 +429,19 @@ def _fmt_float(x: float) -> str:
     return s
 
 
+def _fmt_floats(arr: np.ndarray, tag: str = "") -> list:
+    """:func:`_fmt_float` of every entry of `arr`, in C order.
+
+    `tag` prefixes each text that holds no '.' after that rule: the
+    ``!!float`` tag of ``inf``, ``nan`` and ``1e+22`` in a YAML report.
+    """
+    texts = list(map(format, arr.ravel().tolist(), itertools.repeat(".17g")))
+    for i, s in enumerate(texts):
+        if "." not in s:
+            texts[i] = s + ".0" if s.lstrip("-").isdigit() else tag + s
+    return texts
+
+
 class _ReportDumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
     """PyYAML's dumper for reports: the test oracle of :func:`_yaml_report`."""
 
@@ -362,6 +457,7 @@ _ReportDumper.add_representer(
 # them as another type, and the quoted timestamp
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]{0,99}")
 _STAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+_FLOAT_TAG = "!!float "
 _WIDTH = 80  # libyaml's best_width
 _INDENT = 2  # libyaml's best_indent
 
@@ -371,8 +467,8 @@ def _scalar_text(x):
     if isinstance(x, float):
         s = _fmt_float(x)
         # a float YAML 1.1 would not resolve implicitly carries its tag
-        return s if "." in s else "!!float " + s
-    if isinstance(x, (list, dict)):
+        return s if "." in s else _FLOAT_TAG + s
+    if isinstance(x, (list, dict, np.ndarray)):
         return None
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -435,6 +531,9 @@ class _ReportWriter:
 
     def collection(self, value, indent, in_mapping: bool) -> None:
         """A list or dict whose parent node sits at `indent` (None: root)."""
+        if isinstance(value, np.ndarray):
+            self.array(value, indent, in_mapping)
+            return
         if isinstance(value, dict):
             keys = [self.key(k) for k in value]
             texts = list(map(_scalar_text, value.values()))
@@ -468,6 +567,59 @@ class _ReportWriter:
                 self.collection(v, inner, False)
             else:
                 self.write(t)
+
+    def array(self, arr: np.ndarray, indent, in_mapping: bool) -> None:
+        """A float array, laid out as :meth:`collection` lays out its list.
+
+        A 1-d array is a flow sequence; an n-d one nests block sequences
+        down to flow rows along its last axis.  Each float is formatted
+        once, and a row is joined whole unless it could pass column 80.
+        """
+        if arr.dtype != np.float64 or arr.ndim == 0 or not arr.size:
+            self.collection(arr.tolist(), indent, in_mapping)
+            return
+        texts = _fmt_floats(arr, _FLOAT_TAG)
+        if arr.ndim == 1:
+            self.flow("[", texts, "]", indent)
+            return
+        depth = arr.ndim - 1  # block sequences around each row
+        inner = indent if in_mapping else indent + _INDENT
+        # a row that opens an item of the sequence at `level` starts its
+        # line at that sequence's indent with depth - level dashes, so
+        # every row's "[" ends at column `col`
+        dashes = ["- " * (depth - level - 1) + "-" for level in range(depth)]
+        heads = ["\n" + " " * (inner + _INDENT * level) + d
+                 for level, d in enumerate(dashes)]
+        col = inner + _INDENT * depth + 1
+        lines = [heads[-1]]
+        for level in range(depth - 2, -1, -1):
+            lines = [heads[level]] + lines[1:] + lines * (arr.shape[level + 1] - 1)
+        lines *= arr.shape[0]
+        lines[0] = dashes[0]
+        width = arr.shape[-1]
+        bodies = list(map(", ".join, zip(*[iter(texts)] * width)))
+        self.newline_to(inner)
+        # a row of at most `fits` characters ends by column 80 after its
+        # last comma, so it cannot wrap
+        fits = _WIDTH + 2 - col
+        if col <= _WIDTH and max(map(len, bodies)) <= fits:
+            parts = [None, " [", None, "]"] * len(bodies)
+            parts[::4] = lines
+            parts[2::4] = bodies
+            self.out.append("".join(parts))
+            self.col = col + len(bodies[-1]) + 1
+        else:
+            for k, (line, body) in enumerate(zip(lines, bodies)):
+                self.out.append(line)
+                if col <= _WIDTH and len(body) <= fits:
+                    self.out.append(" [" + body + "]")
+                    self.col = col + len(body) + 1
+                else:
+                    self.col = col - 2
+                    self.ws = False
+                    self.flow("[", texts[k * width:(k + 1) * width], "]",
+                              inner + _INDENT * (depth - 1))
+        self.ws = self.ind = False
 
     def flow(self, open_: str, texts: list, close: str, indent) -> None:
         opening = open_ if self.ws else " " + open_
@@ -527,15 +679,27 @@ def _json_dumps(obj) -> str:
         return "{" + ",".join(
             f"{json.dumps(str(k))}:{_json_dumps(v)}" for k, v in obj.items()
         ) + "}"
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or obj.ndim == 0 or not obj.size:
+            return _json_dumps(obj.tolist())
+        texts = _fmt_floats(obj)
+        for size in reversed(obj.shape):
+            texts = ["[" + ",".join(texts[i:i + size]) + "]"
+                     for i in range(0, len(texts), size)]
+        return texts[0]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _out(values) -> list:
-    """Nested lists of floats; a complex entry becomes its [re, im] pair."""
+def _out(values) -> np.ndarray:
+    """A float array; a complex entry becomes its [re, im] pair.
+
+    Reports hold these arrays as they are: :class:`_ReportWriter` and
+    :func:`_json_dumps` print one exactly as its ``tolist()``.
+    """
     arr = np.asarray(values)
     if np.iscomplexobj(arr):
-        arr = np.stack([arr.real, arr.imag], axis=-1)
-    return arr.tolist()
+        return np.stack([arr.real, arr.imag], axis=-1)
+    return arr.astype(float)
 
 
 def _timestamp() -> str:

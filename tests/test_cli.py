@@ -188,13 +188,18 @@ NON_SQUARE_CONFIG = "unitary: [[1, 0, 0], [0, 1, 0]]\nrho_cr: [1, 0]\n"
     (["superpose", "CFG", "--tolerance", "success_fidelity=-1e-3"], PAIR_CONFIG),
     (["distinguish", "CFG"], PAIR_CONFIG + "tolerances: {distinct: .inf}\n"),
     (["superpose", "CFG"], PAIR_CONFIG + "tolerances: {success_fidelity: -1}\n"),
+    (["superpose", "CFG"], PAIR_CONFIG + "tolerances: [1, 2]\n"),
+    (["distinguish", "CFG"], PAIR_CONFIG + "tolerances: 5\n"),
+    (["superpose", "CFG"], PAIR_CONFIG + "tolerances: abc\n"),
+    (["distinguish", "CFG"], PAIR_CONFIG + "tolerances: [[distinct, 0.5]]\n"),
 ], ids=["non-square-unitary", "superpose-rng-seed", "distinguish-rng-seed",
         "superpose-seed-flag", "distinguish-seed-flag", "example-seed-flag",
         "superpose-nan-alpha", "superpose-inf-beta", "example-nan-alpha",
         "example-inf-beta", "distinguish-inf-tolerance-flag",
         "superpose-nan-tolerance-flag", "superpose-negative-tolerance-flag",
         "distinguish-inf-tolerance-config",
-        "superpose-negative-tolerance-config"])
+        "superpose-negative-tolerance-config", "tolerances-list",
+        "tolerances-number", "tolerances-string", "tolerances-pair-list"])
 def test_bad_inputs_are_config_errors(tmp_path, capsys, argv, config):
     cfg = write(tmp_path, "bad.yaml", config)
     assert main([cfg if a == "CFG" else a for a in argv]) == 2
@@ -247,11 +252,22 @@ _PurePythonDumper.add_representer(
     float, cli._ReportDumper.yaml_representers[float])
 
 
+def _as_lists(obj):
+    """The report with every array replaced by its ``tolist()``."""
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
+
+
 @pytest.mark.parametrize("command", ["superpose", "fixed-point"])
 def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
                                                   monkeypatch, command):
-    # the report the command printed, dumped again by libyaml's and by
-    # PyYAML's pure-Python emitter
+    # the report the command printed, with its arrays as lists, dumped
+    # again by libyaml's and by PyYAML's pure-Python emitter
     if command == "superpose":
         cfg = write(tmp_path, "pair.yaml", PAIR_CONFIG)
     else:
@@ -265,7 +281,7 @@ def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
     monkeypatch.setattr(cli, "_yaml_report",
                         lambda report: reports.append(report) or emit(report))
     assert main([command, cfg]) == 0
-    (report,) = reports
+    report = _as_lists(*reports)
     printed = capsys.readouterr().out
     for dumper in (cli._ReportDumper, _PurePythonDumper):
         assert printed == yaml.dump(report, Dumper=dumper, sort_keys=False,

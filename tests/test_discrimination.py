@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import HADAMARD, S
@@ -20,6 +22,7 @@ from ctcsim import (
     controlled_stack,
     distinguish,
     projector,
+    state_fidelity,
     swap_operator,
     tensor_product,
 )
@@ -167,6 +170,33 @@ def test_distinguish_flags_unknown_input():
     with pytest.warns(InputNotInSetWarning):
         result = distinguish(bundle, plus)
     assert not result.input_in_set
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1),
+       st.floats(-14, -1), st.floats(0, 2 * np.pi))
+def test_set_membership_matches_fidelity_oracle(n, seed, log_eps, phase):
+    # a phased member pushed off by 10**log_eps: inside the set's
+    # fidelity tolerance for small pushes, outside it for large ones
+    rng = np.random.default_rng(seed)
+    states = random_state_set(n, rng)
+    bundle = build_distinguisher(states, rng_seed=seed)
+    member = states[int(rng.integers(n))].amplitudes
+    push = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi = np.exp(1j * phase) * member + 10.0 ** log_eps * push
+    psi /= np.linalg.norm(psi)
+    fidelities = [state_fidelity(psi, s) for s in states]
+    threshold = 1.0 - discrimination._IN_SET_TOL
+    # the product and the per-member overlaps round differently
+    assume(min(abs(f - threshold) for f in fidelities) > 1e-14)
+    expected = max(fidelities) >= threshold
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = distinguish(bundle, StateVector(psi))
+    assert result.input_in_set == expected
+    flagged = [w for w in caught
+               if issubclass(w.category, InputNotInSetWarning)]
+    assert len(flagged) == (0 if expected else 1)
 
 
 def test_distinguish_detects_condition2_violation():

@@ -8,12 +8,14 @@ under libyaml's parser and under PyYAML's pure-Python one.
 import math
 import re
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctcsim import cli
 
@@ -100,6 +102,70 @@ def test_emitter_matches_dumper_on_shapes(report):
     check_emitter(report)
 
 
+# report arrays: the shapes commands print, with integral floats among
+# the entries; rows of up to 12 entries cross column 80
+ARRAY_FLOATS = FLOATS | st.integers(-2**60, 2**60).map(float)
+ARRAY_SHAPES = (st.tuples(st.integers(1, 12))
+                | st.tuples(st.integers(1, 6), st.just(2))
+                | st.tuples(st.integers(1, 4), st.integers(1, 12))
+                | st.tuples(st.integers(1, 3), st.integers(1, 4), st.just(2)))
+ARRAYS = hnp.arrays(np.float64, ARRAY_SHAPES, elements=ARRAY_FLOATS)
+ARRAY_REPORTS = st.dictionaries(
+    KEYS, st.recursive(SCALARS | ROWS | ARRAYS, _values, max_leaves=12),
+    min_size=1, max_size=6)
+
+
+def _as_lists(obj):
+    """The report with every array replaced by its ``tolist()``."""
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
+
+
+def check_arrays(report):
+    lists = _as_lists(report)
+    check_emitter(lists)
+    assert cli._yaml_report(report) == cli._yaml_report(lists)
+    assert cli._json_dumps(report) == cli._json_dumps(lists)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ARRAY_REPORTS)
+def test_array_reports_match_both_dumpers(report):
+    check_arrays(report)
+
+
+def _nested(value, depth):
+    for k in range(depth):
+        value = {f"k{k}": value} if k % 2 else [value]
+    return value
+
+
+PAIRS_4x3 = np.arange(24.0).reshape(4, 3, 2) / 7
+ROW_OF_12 = -np.arange(1, 13) / 3
+
+
+@pytest.mark.parametrize("report", [
+    {"unitary": PAIRS_4x3, "rho_cr": np.eye(2)},
+    {"runs": [{"ancilla": PAIRS_4x3[0], "overlaps": np.outer(ROW_OF_12, ROW_OF_12)}]},
+    {"state_set": [PAIRS_4x3[0], PAIRS_4x3[1]], "row": ROW_OF_12},
+    {"k" * 78: ROW_OF_12, "l" * 76: np.ones((2, 2)), "m" * 90: PAIRS_4x3},
+    {"deep": _nested(PAIRS_4x3, 60), "deep_row": _nested(ROW_OF_12, 41)},
+    {"four": PAIRS_4x3.reshape(2, 2, 3, 2), "column": np.ones((3, 1))},
+    {"special": np.array([[math.inf, -math.inf], [math.nan, 1e22],
+                          [-0.0, 5e-324], [1e308, 2.0**53]])},
+    {"empty": np.zeros(0), "empty_rows": np.zeros((2, 0)),
+     "ints": np.arange(3)},
+], ids=["fixed-point", "sweep-run", "state-set", "long-keys", "past-column-80",
+        "four-axes", "tagged", "other-arrays"])
+def test_array_reports_match_dumper_on_shapes(report):
+    check_arrays(report)
+
+
 @pytest.mark.parametrize("report", [
     {"a": (1.0, 2.0)},
     {"a": "two words"},
@@ -108,8 +174,10 @@ def test_emitter_matches_dumper_on_shapes(report):
     {"a": 1 + 2j},
     {1: "int key"},
     [1.0],
+    {"a": np.array(1.5)},
+    {"a": np.array([1 + 2j])},
 ], ids=["tuple", "spaced-string", "colon-string", "bytes", "complex",
-        "int-key", "list-root"])
+        "int-key", "list-root", "zero-axis-array", "complex-array"])
 def test_emitter_rejects_other_shapes(report):
     with pytest.raises(TypeError):
         cli._yaml_report(report)
@@ -142,6 +210,22 @@ DOCUMENTS = [
     "a: !!str 1\nb: !!float 2\n", "? [1, 2]\n: 3\n", "{[1, 2]: 3}",
     "a: =\n", "=: 1\n", "a: 2001-02-30\n", "a: 1\n---\nb: 2\n",
     "a: *undefined\n", "a: !!int foo\n", "a: !!binary aGVsbG8=\n",
+    # numeric rows: numbers json.loads reads but YAML 1.1 does not, or
+    # the reverse, and huge ints
+    "a: [1e5, 2]\n", "a: [1.5e5]\n", "- [1.0E+5, -2.5e-3]\n", "a: [-0, 0]\n",
+    "a: [01, 2]\n", "a: [+1]\n", "a: [1.]\n", "a: [.5]\n", "a: [1, 2,]\n",
+    "a: [123456789012345678901234567890, -0.0, [5e-324]]\n",
+    "a: [1, " + "9" * 4301 + "]\n", "- [" + "1" * 4300 + "]\n",
+    # rows whose placeholder does not come back whole, or never is one
+    "a: |\n  - [1, 2]\n", "a: x\n  - [1, 2]\n", "a: 'x\n  - [1, 2]\n  y'\n",
+    "a: [1, 2]\n  b\n", "a: [1, 2] # note\n", "a: [1, 2]\r\nb: [3]\r\n",
+    "a: {b: 1,\n  c: [1, 2]\n  }\n", "a: [\n  - [1, 2]\n  ]\n",
+    "a: &x [1, 2]\nb: *x\n", "a: !!seq [1, 2]\n", "- &r [1]\n- *r\n",
+    # rows read in bulk
+    "a: [1]\na: [2, 3]\n", "a: [1]\n---\nb: [2]\n", "yes: [1]\nNo: [2]\n",
+    "- [1, 2]\n- - [3, 4]\n  - [5, 6]\n- k: [7.5]\n- - - []\n",
+    "a:\n  - [[1, 0], [0, 1]]\n  - [ ]\nb:   [1,2]   \n", "[1, 2]\n",
+    "a: [1, 2]\nb:\n  c: [[0.5, -0.25]]\n  d: yes\n",
 ]
 
 
@@ -192,6 +276,15 @@ MALFORMED = [
     "a: =\n",
     "a: &x [1, 2\n",
     "state_set: [[1, 0], [0, 1]]\nalpha: [1, 0\n",
+    # numeric rows before, around and after the error
+    "state_set:\n  - [[1, 0], [0, 0]]\n  - [[0, 0], [1, 0]\nalpha: [1, 0]\n",
+    "a: [1, 2]\nb: [3, 4]\n c: [5]\n",
+    "a: [1, 2]\n  b\n",
+    "a: [1, 2]\n- [3]\n",
+    "- [1, 2]\n- [3, 4]\nx: [5]\n",
+    "a: [1]\n---\nb: [2]\n",
+    "a: |\n  - [1, 2]\n b: [3]\n",
+    "a: [1, 2]\nb: {c: [3]\n",
 ]
 
 
@@ -204,6 +297,56 @@ def _parent_message(text):
         return (f"parse failure at line {mark.line + 1}, column "
                 f"{mark.column + 1}: {exc.problem}")
     raise AssertionError("document parsed")
+
+
+def _haar_pairs(rng, shape):
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def _rows(matrix):
+    """Rows of [re, im] pairs with every digit, as configs are written."""
+    return "".join(
+        "  - [" + ", ".join(f"[{z.real!r}, {z.imag!r}]" for z in row) + "]\n"
+        for row in matrix.tolist())
+
+
+def _benchmark_shaped_configs():
+    rng = np.random.default_rng(3)
+    states = _rows(_haar_pairs(rng, (6, 6)))
+    u, _ = np.linalg.qr(_haar_pairs(rng, (8, 8)))
+    yield ("state_set:\n" + states + "alpha: [0.6, -0.25]\nbeta: [-1.5, 0.0]\n"
+           "rng_seed: 7\n")
+    yield "state_set:\n" + states + "rng_seed: 0\n"
+    yield ("policy: max_entropy\nunitary:\n" + _rows(u)
+           + "rho_cr:\n" + _rows(np.diag([0.25 + 0j, 0.75])))
+    for path in sorted(DEMO_CONFIGS.glob("*.yaml")):
+        yield path.read_text(encoding="utf-8")
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_benchmark_shaped_configs_take_the_masked_parse(monkeypatch, loader):
+    texts = list(_benchmark_shaped_configs())
+    assert len(texts) == 6
+    expected = [_typed(yaml.load(text, Loader=loader)) for text in texts]
+    monkeypatch.setattr(cli, "_Loader", loader)
+    monkeypatch.setattr(yaml, "load", None)
+    reads = []
+    read = cli._read_document
+
+    def spy(text, rows=None):
+        reads.append(rows)
+        return read(text, rows)
+
+    monkeypatch.setattr(cli, "_read_document", spy)
+    for text, value in zip(texts, expected):
+        reads.clear()
+        assert _typed(cli._read_config(text)) == value
+        # one parse, of the masked text, which spliced every row
+        assert reads == [{}]
 
 
 @pytest.mark.parametrize("text", MALFORMED)
