@@ -27,3 +27,14 @@ def damped_power_iteration(u, rho_cr, sigma0, max_iters=3000, tol=1e-12):
             return nxt, True
         sigma = nxt
     return sigma, False
+
+
+def as_lists(obj):
+    """A report with every array replaced by its ``tolist()``."""
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [as_lists(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import as_lists
 from ctcsim import cli, deutsch, superpose
 from ctcsim.cli import main
 from ctcsim.sampling import random_state_set
@@ -252,17 +253,6 @@ _PurePythonDumper.add_representer(
     float, cli._ReportDumper.yaml_representers[float])
 
 
-def _as_lists(obj):
-    """The report with every array replaced by its ``tolist()``."""
-    if isinstance(obj, dict):
-        return {k: _as_lists(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_as_lists(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
 @pytest.mark.parametrize("command", ["superpose", "fixed-point"])
 def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
                                                   monkeypatch, command):
@@ -281,7 +271,7 @@ def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
     monkeypatch.setattr(cli, "_yaml_report",
                         lambda report: reports.append(report) or emit(report))
     assert main([command, cfg]) == 0
-    report = _as_lists(*reports)
+    report = as_lists(*reports)
     printed = capsys.readouterr().out
     for dumper in (cli._ReportDumper, _PurePythonDumper):
         assert printed == yaml.dump(report, Dumper=dumper, sort_keys=False,

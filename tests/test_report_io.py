@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import as_lists
 from ctcsim import cli
 
 
@@ -115,19 +116,8 @@ ARRAY_REPORTS = st.dictionaries(
     min_size=1, max_size=6)
 
 
-def _as_lists(obj):
-    """The report with every array replaced by its ``tolist()``."""
-    if isinstance(obj, dict):
-        return {k: _as_lists(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_as_lists(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
 def check_arrays(report):
-    lists = _as_lists(report)
+    lists = as_lists(report)
     check_emitter(lists)
     assert cli._yaml_report(report) == cli._yaml_report(lists)
     assert cli._json_dumps(report) == cli._json_dumps(lists)
@@ -164,6 +154,21 @@ ROW_OF_12 = -np.arange(1, 13) / 3
         "four-axes", "tagged", "other-arrays"])
 def test_array_reports_match_dumper_on_shapes(report):
     check_arrays(report)
+
+
+def _row_before_last(chars):
+    """Floats whose flow row up to its last item takes `chars` characters."""
+    # with its ", ", 0.5 takes 5 characters and 10.5 takes 6
+    sixes = chars % 5
+    return [0.5] * ((chars - 6 * sixes) // 5) + [10.5] * sixes + [0.5]
+
+
+@pytest.mark.parametrize("chars", range(66, 84))
+def test_array_rows_at_the_wrap_column(chars):
+    # the last comma of these rows lands on either side of column 80
+    row = _row_before_last(chars)
+    check_arrays({"a": np.array(row), "b": np.array([row, row[::-1]]),
+                  "c": [np.array([[row], [row]])]})
 
 
 @pytest.mark.parametrize("report", [
@@ -299,6 +304,19 @@ def _parent_message(text):
     raise AssertionError("document parsed")
 
 
+def _spy_reads(monkeypatch):
+    """The `rows` argument of each `_read_document` call, as it ends up."""
+    reads = []
+    read = cli._read_document
+
+    def spy(text, rows=None):
+        reads.append(rows)
+        return read(text, rows)
+
+    monkeypatch.setattr(cli, "_read_document", spy)
+    return reads
+
+
 def _haar_pairs(rng, shape):
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
@@ -309,6 +327,9 @@ def _rows(matrix):
     return "".join(
         "  - [" + ", ".join(f"[{z.real!r}, {z.imag!r}]" for z in row) + "]\n"
         for row in matrix.tolist())
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def _benchmark_shaped_configs():
@@ -324,9 +345,6 @@ def _benchmark_shaped_configs():
         yield path.read_text(encoding="utf-8")
 
 
-DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
-
-
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
 def test_benchmark_shaped_configs_take_the_masked_parse(monkeypatch, loader):
     texts = list(_benchmark_shaped_configs())
@@ -334,19 +352,26 @@ def test_benchmark_shaped_configs_take_the_masked_parse(monkeypatch, loader):
     expected = [_typed(yaml.load(text, Loader=loader)) for text in texts]
     monkeypatch.setattr(cli, "_Loader", loader)
     monkeypatch.setattr(yaml, "load", None)
-    reads = []
-    read = cli._read_document
-
-    def spy(text, rows=None):
-        reads.append(rows)
-        return read(text, rows)
-
-    monkeypatch.setattr(cli, "_read_document", spy)
+    reads = _spy_reads(monkeypatch)
     for text, value in zip(texts, expected):
         reads.clear()
         assert _typed(cli._read_config(text)) == value
         # one parse, of the masked text, which spliced every row
         assert reads == [{}]
+
+
+@pytest.mark.parametrize("text", [
+    "a: |\n  - [1, 2]\n", "a: x\n  - [1, 2]\n", "a: 'x\n  - [1, 2]\n  y'\n",
+    "a: {b: 1,\n  c: [1, 2]\n  }\n", "a: [\n  - [1, 2]\n  ]\n",
+    "a: [1, 2]\nb: {c: 1,\n  d: [3, 4]\n  }\n",
+])
+def test_rows_not_spliced_are_read_again(monkeypatch, text):
+    # rows inside block scalars, multi-line scalars and flow collections
+    expected = _outcome(lambda t: yaml.load(t, Loader=cli._Loader), text)
+    reads = _spy_reads(monkeypatch)
+    assert _outcome(cli._read_config, text) == expected
+    # a masked parse, then the plain one
+    assert len(reads) == 2 and reads[0] is not None and reads[1] is None
 
 
 @pytest.mark.parametrize("text", MALFORMED)
