@@ -225,7 +225,8 @@ DOCUMENTS = [
     "a: |\n  - [1, 2]\n", "a: x\n  - [1, 2]\n", "a: 'x\n  - [1, 2]\n  y'\n",
     "a: [1, 2]\n  b\n", "a: [1, 2] # note\n", "a: [1, 2]\r\nb: [3]\r\n",
     "a: {b: 1,\n  c: [1, 2]\n  }\n", "a: [\n  - [1, 2]\n  ]\n",
-    "a: &x [1, 2]\nb: *x\n", "a: !!seq [1, 2]\n", "- &r [1]\n- *r\n",
+    "a: &x [1.5, 2]\nb: [3, 4]\nc: *x\n", "a: !!seq [1, 2]\n",
+    "- &r [1]\n- *r\n",
     # rows read in bulk
     "a: [1]\na: [2, 3]\n", "a: [1]\n---\nb: [2]\n", "yes: [1]\nNo: [2]\n",
     "- [1, 2]\n- - [3, 4]\n  - [5, 6]\n- k: [7.5]\n- - - []\n",
