@@ -429,19 +429,6 @@ def _fmt_float(x: float) -> str:
     return s
 
 
-def _fmt_floats(arr: np.ndarray, tag: str = "") -> list:
-    """:func:`_fmt_float` of every entry of `arr`, in C order.
-
-    `tag` prefixes each text that holds no '.' after that rule: the
-    ``!!float`` tag of ``inf``, ``nan`` and ``1e+22`` in a YAML report.
-    """
-    texts = list(map(format, arr.ravel().tolist(), itertools.repeat(".17g")))
-    for i, s in enumerate(texts):
-        if "." not in s:
-            texts[i] = s + ".0" if s.lstrip("-").isdigit() else tag + s
-    return texts
-
-
 class _ReportDumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
     """PyYAML's dumper for reports: the test oracle of :func:`_yaml_report`."""
 
@@ -578,7 +565,7 @@ class _ReportWriter:
         if arr.dtype != np.float64 or arr.ndim == 0 or not arr.size:
             self.collection(arr.tolist(), indent, in_mapping)
             return
-        texts = _fmt_floats(arr, _FLOAT_TAG)
+        texts = list(map(_scalar_text, arr.ravel().tolist()))
         if arr.ndim == 1:
             self.flow("[", texts, "]", indent)
             return
@@ -601,24 +588,17 @@ class _ReportWriter:
         self.newline_to(inner)
         # a row of at most `fits` characters ends by column 80 after its
         # last comma, so it cannot wrap
-        fits = _WIDTH + 2 - col
-        if col <= _WIDTH and max(map(len, bodies)) <= fits:
-            parts = [None, " [", None, "]"] * len(bodies)
-            parts[::4] = lines
-            parts[2::4] = bodies
-            self.out.append("".join(parts))
-            self.col = col + len(bodies[-1]) + 1
-        else:
-            for k, (line, body) in enumerate(zip(lines, bodies)):
-                self.out.append(line)
-                if col <= _WIDTH and len(body) <= fits:
-                    self.out.append(" [" + body + "]")
-                    self.col = col + len(body) + 1
-                else:
-                    self.col = col - 2
-                    self.ws = False
-                    self.flow("[", texts[k * width:(k + 1) * width], "]",
-                              inner + _INDENT * (depth - 1))
+        fits = _WIDTH + 2 - col if col <= _WIDTH else -1
+        for k, (line, body) in enumerate(zip(lines, bodies)):
+            self.out.append(line)
+            if len(body) <= fits:
+                self.out.append(" [" + body + "]")
+                self.col = col + len(body) + 1
+            else:
+                self.col = col - 2
+                self.ws = False
+                self.flow("[", texts[k * width:(k + 1) * width], "]",
+                          inner + _INDENT * (depth - 1))
         self.ws = self.ind = False
 
     def flow(self, open_: str, texts: list, close: str, indent) -> None:
@@ -680,13 +660,7 @@ def _json_dumps(obj) -> str:
             f"{json.dumps(str(k))}:{_json_dumps(v)}" for k, v in obj.items()
         ) + "}"
     if isinstance(obj, np.ndarray):
-        if obj.dtype != np.float64 or obj.ndim == 0 or not obj.size:
-            return _json_dumps(obj.tolist())
-        texts = _fmt_floats(obj)
-        for size in reversed(obj.shape):
-            texts = ["[" + ",".join(texts[i:i + size]) + "]"
-                     for i in range(0, len(texts), size)]
-        return texts[0]
+        return _json_dumps(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
