@@ -589,6 +589,7 @@ class _ReportWriter:
         # a row of at most `fits` characters ends by column 80 after its
         # last comma, so it cannot wrap
         fits = _WIDTH + 2 - col if col <= _WIDTH else -1
+        start = len(self.out)
         for k, (line, body) in enumerate(zip(lines, bodies)):
             self.out.append(line)
             if len(body) <= fits:
@@ -599,6 +600,8 @@ class _ReportWriter:
                 self.ws = False
                 self.flow("[", texts[k * width:(k + 1) * width], "]",
                           inner + _INDENT * (depth - 1))
+        # one string per array, so the row pieces are freed before the next
+        self.out[start:] = ["".join(self.out[start:])]
         self.ws = self.ind = False
 
     def flow(self, open_: str, texts: list, close: str, indent) -> None:
