@@ -423,10 +423,16 @@ def _validate_states(states: StateSet, tol: dict) -> None:
 
 
 def _fmt_float(x: float) -> str:
-    s = format(float(x), ".17g")
-    if s.lstrip("-").isdigit():
-        s += ".0"
-    return s
+    return _float_text(format(float(x), ".17g"))
+
+
+def _float_text(s: str, tag: str = "") -> str:
+    """A float's ``.17g`` text `s` as a report prints it: with '.0' after
+    an integral value, and `tag` before any other text that holds no '.'
+    (``inf``, ``nan``, ``1e+22``)."""
+    if "." in s:
+        return s
+    return s + ".0" if s.lstrip("-").isdigit() else tag + s
 
 
 class _ReportDumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
@@ -452,9 +458,8 @@ _INDENT = 2  # libyaml's best_indent
 def _scalar_text(x):
     """A scalar as libyaml writes it, or None for a list or dict."""
     if isinstance(x, float):
-        s = _fmt_float(x)
         # a float YAML 1.1 would not resolve implicitly carries its tag
-        return s if "." in s else _FLOAT_TAG + s
+        return _float_text(format(x, ".17g"), _FLOAT_TAG)
     if isinstance(x, (list, dict, np.ndarray)):
         return None
     if isinstance(x, bool):
@@ -565,7 +570,8 @@ class _ReportWriter:
         if arr.dtype != np.float64 or arr.ndim == 0 or not arr.size:
             self.collection(arr.tolist(), indent, in_mapping)
             return
-        texts = list(map(_scalar_text, arr.ravel().tolist()))
+        texts = [s if "." in s else _float_text(s, _FLOAT_TAG)
+                 for s in map(format, arr.ravel().tolist(), itertools.repeat(".17g"))]
         if arr.ndim == 1:
             self.flow("[", texts, "]", indent)
             return
