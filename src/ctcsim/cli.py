@@ -593,8 +593,9 @@ class _ReportWriter:
         bodies = list(map(", ".join, zip(*[iter(texts)] * width)))
         self.newline_to(inner)
         # a row of at most `fits` characters ends by column 80 after its
-        # last comma, so it cannot wrap
-        fits = _WIDTH + 2 - col if col <= _WIDTH else -1
+        # last comma, so it cannot wrap; past column 80, fits < 3 and
+        # every row goes through flow
+        fits = _WIDTH + 2 - col
         start = len(self.out)
         for k, (line, body) in enumerate(zip(lines, bodies)):
             self.out.append(line)
