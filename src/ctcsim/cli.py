@@ -6,7 +6,7 @@ Complex numbers are serialized as two-element [re, im] arrays and every
 float is printed with 17 significant digits so that reparsing
 reproduces the binary double.
 
-Neither direction goes through PyYAML's Python object layers.  Reports
+Reports do not go through PyYAML's Python object layers.  They
 are written by :func:`_yaml_report`, which lays out what they hold
 (mappings, flow sequences of numbers, nested block sequences, block
 sequences of mappings or of flow mappings, and scalars) byte for byte as
@@ -16,17 +16,16 @@ out as their ``tolist()`` would be: a 1-d array as one flow sequence, an
 n-d array as nested block sequences of flow rows along its last axis,
 each row joined in one piece unless it could pass column 80.
 
-Configs are built from libyaml's event stream by :func:`_read_document`,
+Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
 with YAML 1.1's scalar rules.  A numeric row, a line whose value is one
 flow sequence of numbers after block-sequence dashes or a plain key
 (``- [..]``, ``- - [..]``, ``key: [..]``, ``- key: [..]``), is read by
 one ``json.loads`` when YAML 1.1 reads every number in it as a decimal,
-and the parse sees a placeholder scalar in its place.  If that parse
-fails, delegates, or a placeholder does not come back as a plain scalar
-of its own (a row inside a block scalar, a multi-line scalar or a flow
-collection), the original text is read again without placeholders.  A
-config that uses anchors or aliases, explicit tags, merge keys,
-non-scalar keys or several documents is handed whole to ``yaml.load``.
+and one ``yaml.load`` of the text sees a placeholder scalar in its
+place.  If that load fails, or a placeholder does not come back as a
+scalar of its own (a row inside a block scalar, a multi-line scalar or a
+flow collection), the original text is loaded again without
+placeholders.
 
 Exit codes: 0 success, 2 validation/config error, 3 protocol error
 (degenerate superposition, non-unique fixed point, exhausted unitary
@@ -82,10 +81,9 @@ class ConfigError(Exception):
 # libyaml's C parser and emitter when PyYAML was built with them
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _RESOLVER = yaml.resolver.Resolver()
-_CONSTRUCTOR = yaml.constructor.SafeConstructor()
 _STR_TAG = "tag:yaml.org,2002:str"
-# plain scalars that YAML 1.1 reads as a decimal int (group 1) or float
-_DECIMAL = re.compile(r"[-+]?(?:(0|[1-9][0-9]*)|[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)")
+# plain scalars that YAML 1.1 reads as a decimal int or float
+_DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*|[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)")
 
 
 # a numeric row: a flow sequence of numbers that ends its line, after
@@ -94,17 +92,6 @@ _ROW = re.compile(
     r"^ *(?:- +)*(?:- +|[A-Za-z_][A-Za-z0-9_-]*: +)(\[[][0-9eE.+, -]*\]) *$",
     re.MULTILINE)
 _ROW_TOKEN = re.compile(r"[^][, ]+")
-
-
-class _Delegate(Exception):
-    """The document needs PyYAML's composer or fails in its constructor."""
-
-
-class _Unmasked(Exception):
-    """A row placeholder did not come back as a plain scalar of its own."""
-
-
-_NO_KEY = object()  # an open mapping waits for its next key
 
 
 def _mask_rows(text: str) -> tuple[str, dict]:
@@ -140,119 +127,44 @@ def _mask_rows(text: str) -> tuple[str, dict]:
     return "".join(pieces), rows
 
 
-def _resolved_scalar(event) -> object:
-    """A plain scalar that is not a decimal number, read as yaml.load would."""
-    tag = _RESOLVER.resolve(yaml.ScalarNode, event.value, (True, False))
-    if tag == _STR_TAG:
-        return event.value
-    node = yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark)
-    construct = _CONSTRUCTOR.yaml_constructors.get(
-        tag, _CONSTRUCTOR.yaml_constructors[None])
-    try:
-        return construct(_CONSTRUCTOR, node)
-    except (yaml.YAMLError, ValueError):
-        # merge keys, '=' and bad timestamps: yaml.load raises or rewrites
-        # them only once the whole document has parsed
-        raise _Delegate
-
-
-def _read_document(text: str, rows=None):
-    """Build the config from libyaml's event stream.
-
-    Plain scalars resolve under YAML 1.1 exactly as in ``yaml.load``;
-    anchors, aliases, explicit tags, non-scalar keys, a second document
-    and scalars the safe constructor rejects raise :class:`_Delegate`.
-    `rows` maps the start index of each placeholder of :func:`_mask_rows`
-    to its mask and value; a placeholder is replaced by its value where
-    it arrives whole as a plain scalar, and :class:`_Unmasked` is raised
-    if one does not.
-    """
-    root = None
-    parents = []  # the collections enclosing `node`
-    node = None  # the innermost open collection
-    append = None  # node.append when node is a list
-    key = _NO_KEY  # the pending key when node is a dict
-    documents = 0
-    for event in yaml.parse(text, Loader=_Loader):
-        kind = type(event)
-        if kind is yaml.ScalarEvent:
-            if event.anchor is not None or event.tag is not None:
-                raise _Delegate
-            value = event.value
-            row = rows.pop(event.start_mark.index, None) if rows else None
-            if row is not None:
-                if not event.implicit[0] or value != row[0]:
-                    raise _Unmasked
-                value = row[1]
-            elif event.implicit[0]:
-                number = _DECIMAL.fullmatch(value)
-                if number is None:
-                    value = _resolved_scalar(event)
-                elif number.group(1) is None:
-                    value = float(value)
-                else:
-                    value = int(value)
-        elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
-            if event.anchor is not None or event.tag is not None:
-                raise _Delegate
-            value = [] if kind is yaml.SequenceStartEvent else {}
-        elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
-            node = parents.pop()
-            append = node.append if type(node) is list else None
-            continue
-        elif kind is yaml.DocumentStartEvent:
-            documents += 1
-            if documents > 1:
-                raise _Delegate
-            continue
-        elif kind is yaml.AliasEvent:
-            raise _Delegate
-        else:
-            continue
-        if append is not None:
-            append(value)
-        elif node is None:
-            root = value
-        elif key is not _NO_KEY:
-            node[key] = value
-            key = _NO_KEY
-        elif kind is yaml.ScalarEvent:
-            key = value
-        else:
-            raise _Delegate
-        if kind is not yaml.ScalarEvent:
-            parents.append(node)
-            node = value
-            append = value.append if type(value) is list else None
-    if rows:
-        raise _Unmasked
-    return root
-
-
 def _read_config(text: str):
     """The object ``yaml.load(text, Loader=_Loader)`` returns.
 
-    Numeric rows are read in bulk into a parse of the masked text.  If
-    that parse raises, delegates or leaves a placeholder unspliced, the
-    original text is read as if it held no rows.
+    The text with its numeric rows masked is loaded once, and each
+    placeholder that arrives whole as a scalar at its row's start is
+    replaced by its row.  If that load raises or leaves a row unused (a
+    row inside a block scalar, a multi-line scalar or a flow
+    collection), the original text is loaded again, so values and errors
+    are those of a plain load.
     """
     masked, rows = _mask_rows(text)
-    if rows:
-        try:
-            return _read_document(masked, rows)
-        except Exception:  # noqa: BLE001 - the plain read below raises it again
-            pass
+
+    def splice(loader, node):
+        row = rows.get(node.start_mark.index)
+        if row is not None and node.value == row[0]:
+            del rows[node.start_mark.index]
+            return row[1]
+        return loader.construct_yaml_str(node)
+
+    loader = _Loader(masked)
+    loader.yaml_constructors = {**loader.yaml_constructors, _STR_TAG: splice}
     try:
-        return _read_document(text)
-    except _Delegate:
-        return yaml.load(text, Loader=_Loader)
+        data = loader.get_single_data()
+        if not rows:
+            return data
+    except Exception:  # noqa: BLE001 - the plain load below raises it again
+        pass
+    finally:
+        loader.dispose()
+    return yaml.load(text, Loader=_Loader)
 
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, which libyaml's marks do not count
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     try:
         data = _read_config(text)

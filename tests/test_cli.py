@@ -31,7 +31,10 @@ beta: 0
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return str(path)
 
 
@@ -193,6 +196,7 @@ NON_SQUARE_CONFIG = "unitary: [[1, 0, 0], [0, 1, 0]]\nrho_cr: [1, 0]\n"
     (["distinguish", "CFG"], PAIR_CONFIG + "tolerances: 5\n"),
     (["superpose", "CFG"], PAIR_CONFIG + "tolerances: abc\n"),
     (["distinguish", "CFG"], PAIR_CONFIG + "tolerances: [[distinct, 0.5]]\n"),
+    (["distinguish", "CFG"], PAIR_CONFIG.encode() + b"# caf\xe9\n"),
 ], ids=["non-square-unitary", "superpose-rng-seed", "distinguish-rng-seed",
         "superpose-seed-flag", "distinguish-seed-flag", "example-seed-flag",
         "superpose-nan-alpha", "superpose-inf-beta", "example-nan-alpha",
@@ -200,7 +204,8 @@ NON_SQUARE_CONFIG = "unitary: [[1, 0, 0], [0, 1, 0]]\nrho_cr: [1, 0]\n"
         "superpose-nan-tolerance-flag", "superpose-negative-tolerance-flag",
         "distinguish-inf-tolerance-config",
         "superpose-negative-tolerance-config", "tolerances-list",
-        "tolerances-number", "tolerances-string", "tolerances-pair-list"])
+        "tolerances-number", "tolerances-string", "tolerances-pair-list",
+        "non-utf8-byte"])
 def test_bad_inputs_are_config_errors(tmp_path, capsys, argv, config):
     cfg = write(tmp_path, "bad.yaml", config)
     assert main([cfg if a == "CFG" else a for a in argv]) == 2

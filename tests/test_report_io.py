@@ -232,6 +232,9 @@ DOCUMENTS = [
     "- [1, 2]\n- - [3, 4]\n  - [5, 6]\n- k: [7.5]\n- - - []\n",
     "a:\n  - [[1, 0], [0, 1]]\n  - [ ]\nb:   [1,2]   \n", "[1, 2]\n",
     "a: [1, 2]\nb:\n  c: [[0.5, -0.25]]\n  d: yes\n",
+    # rows under anchors, aliases, tags, merge keys and non-scalar keys
+    "a: &x\n  - [1, 2]\nb: *x\n", "base: &b\n  r: [1, 2]\nd:\n  <<: *b\n  y: [3.5]\n",
+    "a: !!seq\n  - [1, 2]\n", "? - [1, 2]\n: 3\n", "a: [1, 2]\nb: =\n",
 ]
 
 
@@ -263,8 +266,10 @@ def test_reader_matches_yaml_load(monkeypatch, loader, text):
     "a: 1\n", "a: [1, 2.5]\n", "a: {b: -0.0}\n", "- 1\n", "a: yes\n",
 ])
 def test_reader_takes_no_second_path(monkeypatch, text):
+    loads = _spy_loads(monkeypatch, cli._Loader)
     monkeypatch.setattr(yaml, "load", None)
     cli._read_config(text)
+    assert len(loads) == 1
 
 
 MALFORMED = [
@@ -305,17 +310,17 @@ def _parent_message(text):
     raise AssertionError("document parsed")
 
 
-def _spy_reads(monkeypatch):
-    """The `rows` argument of each `_read_document` call, as it ends up."""
-    reads = []
-    read = cli._read_document
+def _spy_loads(monkeypatch, loader):
+    """The text of each load `cli._read_config` makes through `loader`."""
+    loads = []
 
-    def spy(text, rows=None):
-        reads.append(rows)
-        return read(text, rows)
+    class Spy(loader):
+        def __init__(self, stream):
+            loads.append(stream)
+            super().__init__(stream)
 
-    monkeypatch.setattr(cli, "_read_document", spy)
-    return reads
+    monkeypatch.setattr(cli, "_Loader", Spy)
+    return loads
 
 
 def _haar_pairs(rng, shape):
@@ -351,14 +356,28 @@ def test_benchmark_shaped_configs_take_the_masked_parse(monkeypatch, loader):
     texts = list(_benchmark_shaped_configs())
     assert len(texts) == 6
     expected = [_typed(yaml.load(text, Loader=loader)) for text in texts]
-    monkeypatch.setattr(cli, "_Loader", loader)
+    loads = _spy_loads(monkeypatch, loader)
     monkeypatch.setattr(yaml, "load", None)
-    reads = _spy_reads(monkeypatch)
     for text, value in zip(texts, expected):
-        reads.clear()
+        loads.clear()
         assert _typed(cli._read_config(text)) == value
-        # one parse, of the masked text, which spliced every row
-        assert reads == [{}]
+        # one load, of the masked text, which spliced every row
+        assert loads == [cli._mask_rows(text)[0]] and loads[0] != text
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_bom_configs_take_the_masked_parse(monkeypatch, tmp_path, loader):
+    # libyaml's marks do not count a byte-order mark
+    texts = list(_benchmark_shaped_configs())
+    expected = [_typed(yaml.load(text, Loader=loader)) for text in texts]
+    path = tmp_path / "bom.yaml"
+    loads = _spy_loads(monkeypatch, loader)
+    monkeypatch.setattr(yaml, "load", None)
+    for text, value in zip(texts, expected):
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        loads.clear()
+        assert _typed(cli._load_config(str(path))) == value
+        assert loads == [cli._mask_rows(text)[0]] and loads[0] != text
 
 
 @pytest.mark.parametrize("text", [
@@ -369,10 +388,10 @@ def test_benchmark_shaped_configs_take_the_masked_parse(monkeypatch, loader):
 def test_rows_not_spliced_are_read_again(monkeypatch, text):
     # rows inside block scalars, multi-line scalars and flow collections
     expected = _outcome(lambda t: yaml.load(t, Loader=cli._Loader), text)
-    reads = _spy_reads(monkeypatch)
+    loads = _spy_loads(monkeypatch, cli._Loader)
     assert _outcome(cli._read_config, text) == expected
-    # a masked parse, then the plain one
-    assert len(reads) == 2 and reads[0] is not None and reads[1] is None
+    # a masked load, then the plain one
+    assert loads == [cli._mask_rows(text)[0], text] and loads[0] != text
 
 
 @pytest.mark.parametrize("text", MALFORMED)
@@ -383,6 +402,18 @@ def test_malformed_config_errors_are_unchanged(tmp_path, text):
         cli._load_config(str(path))
     assert str(err.value) == _parent_message(text)
     assert re.match(r"parse failure at line \d+, column \d+: ", str(err.value))
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("text", MALFORMED)
+def test_bom_malformed_config_errors_are_unchanged(monkeypatch, tmp_path,
+                                                  loader, text):
+    monkeypatch.setattr(cli, "_Loader", loader)
+    path = tmp_path / "bad.yaml"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    with pytest.raises(cli.ConfigError) as err:
+        cli._load_config(str(path))
+    assert str(err.value) == _parent_message("\ufeff" + text)
 
 
 # ---------------------------------------------------------------------------
