@@ -27,9 +27,12 @@ scalar of its own (a row inside a block scalar, a multi-line scalar or a
 flow collection), the original text is loaded again without
 placeholders.
 
-Exit codes: 0 success, 2 validation/config error, 3 protocol error
-(degenerate superposition, non-unique fixed point, exhausted unitary
-construction), 1 internal error.
+Each subcommand returns its report header, runs and verdict; :func:`main`
+stamps the header, writes the report and picks the exit code.  Exit
+codes: 0 success, 2 validation/config error (an unwritable ``--out``
+included), 3 protocol error (degenerate superposition, non-unique fixed
+point, exhausted unitary construction) or a command's own failed verdict,
+after its whole report is written, 1 internal error.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .errors import (
     NonUniqueFixedPoint,
 )
 from .linalg import StateSet, StateVector, validate
-from .superpose import SuperpositionSpec, build_u_ij, run_sweep
+from .superpose import SuperpositionSpec, build_u_ij, run_sweep, unit_scaled
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -319,7 +322,11 @@ def _merge_tolerances(cfg: dict, args) -> dict:
     return tol
 
 
-def _validate_states(states: StateSet, tol: dict) -> None:
+def _read_state_set_config(args) -> tuple[dict, dict, StateSet]:
+    """The config, its merged tolerances and its validated state set."""
+    cfg = _load_config(args.config)
+    tol = _merge_tolerances(cfg, args)
+    states = _parse_state_set(cfg)
     report = validate(states, distinct_tol=tol["distinct"])
     if not report.passed:
         lines = ", ".join(
@@ -328,6 +335,7 @@ def _validate_states(states: StateSet, tol: dict) -> None:
             for c in report.failures()
         )
         raise ConfigError(f"state_set fails validation: {lines}")
+    return cfg, tol, states
 
 
 # ---------------------------------------------------------------------------
@@ -602,38 +610,13 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _render(header: dict, runs: list[dict], as_json: bool) -> str:
-    if as_json:
-        lines = []
-        for run in runs:
-            obj = dict(header)
-            obj["run"] = run
-            lines.append(_json_dumps(obj))
-        return "\n".join(lines) + "\n"
-    report = dict(header)
-    report["runs"] = runs
-    return _yaml_report(report)
-
-
-def _emit(text: str, args) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_superpose(args) -> int:
+def cmd_superpose(args) -> tuple[dict, list, bool]:
     """Run the superposition protocol for one pair or a full sweep."""
-    cfg = _load_config(args.config)
-    tol = _merge_tolerances(cfg, args)
-    states = _parse_state_set(cfg)
-    _validate_states(states, tol)
+    cfg, tol, states = _read_state_set_config(args)
     spec = _parse_spec(cfg)
     seed = _parse_seed(cfg, args)
     if _parse_policy(cfg, args) != "require_unique":
@@ -668,8 +651,6 @@ def cmd_superpose(args) -> int:
             "expected_state": _out(rep.expected),
         })
     header = {
-        "command": "superpose",
-        "timestamp": _timestamp(),
         "seed": seed,
         "policy": "require_unique",
         "alpha": _out(spec.alpha),
@@ -680,18 +661,13 @@ def cmd_superpose(args) -> int:
         "condition1_deviation": _out(cond.condition1_deviation),
         "tolerances": {k: float(v) for k, v in sorted(tol.items())},
     }
-    _emit(_render(header, runs, args.json), args)
     threshold = 1.0 - tol["success_fidelity"]
-    ok = all(r["fidelity"] >= threshold for r in runs)
-    return EXIT_OK if ok else EXIT_PROTOCOL
+    return header, runs, all(r["fidelity"] >= threshold for r in runs)
 
 
-def cmd_distinguish(args) -> int:
+def cmd_distinguish(args) -> tuple[dict, list, bool]:
     """Discriminate every set member and report the decoded labels."""
-    cfg = _load_config(args.config)
-    tol = _merge_tolerances(cfg, args)
-    states = _parse_state_set(cfg)
-    _validate_states(states, tol)
+    cfg, tol, states = _read_state_set_config(args)
     seed = _parse_seed(cfg, args)
 
     bundle = build_distinguisher(states, seed)
@@ -707,20 +683,16 @@ def cmd_distinguish(args) -> int:
             "fidelity_to_basis": float(r.fidelity_to_basis),
         })
     header = {
-        "command": "distinguish",
-        "timestamp": _timestamp(),
         "seed": seed,
         "state_set": [_out(s) for s in states],
         "condition_overlaps": _out(cond.overlaps),
         "condition2_min": float(cond.min_overlap),
         "tolerances": {k: float(v) for k, v in sorted(tol.items())},
     }
-    _emit(_render(header, runs, args.json), args)
-    ok = all(r["decoded"] == r["input_index"] for r in runs)
-    return EXIT_OK if ok else EXIT_PROTOCOL
+    return header, runs, all(r["decoded"] == r["input_index"] for r in runs)
 
 
-def cmd_fixed_point(args) -> int:
+def cmd_fixed_point(args) -> tuple[dict, list, bool]:
     """Solve the self-consistency condition for a user-supplied circuit."""
     cfg = _load_config(args.config)
     policy = _parse_policy(cfg, args)
@@ -768,15 +740,8 @@ def cmd_fixed_point(args) -> int:
         "unique": bool(result.unique),
         "entropy_nats": deutsch.von_neumann_entropy(result.fixed_point),
     }
-    header = {
-        "command": "fixed-point",
-        "timestamp": _timestamp(),
-        "policy": policy,
-        "unitary": _out(u),
-        "rho_cr": _out(rho),
-    }
-    _emit(_render(header, [run], args.json), args)
-    return EXIT_OK
+    header = {"policy": policy, "unitary": _out(u), "rho_cr": _out(rho)}
+    return header, [run], True
 
 
 def _example_states() -> StateSet:
@@ -793,6 +758,7 @@ def _example_reference(i: int, j: int, alpha: complex, beta: complex) -> np.ndar
         hadamard = np.array([[s, s], [s, -s]], dtype=complex)
         flip = np.array([[0, 1], [1, 0]], dtype=complex)
         return hadamard @ flip
+    alpha, beta = unit_scaled(alpha, beta)
     if (i, j) == (1, 0):
         alpha, beta = beta, alpha
     g = np.sqrt(abs(alpha + beta * s) ** 2 + abs(beta) ** 2 / 2)
@@ -815,7 +781,7 @@ def _column_phase_deviation(constructed: np.ndarray,
     return worst
 
 
-def cmd_example(args) -> int:
+def cmd_example(args) -> tuple[dict, list, bool]:
     """Reproduce the canonical two-state construction at given amplitudes."""
     try:
         spec = SuperpositionSpec(args.alpha, args.beta)
@@ -843,16 +809,13 @@ def cmd_example(args) -> int:
                 "deviation": deviation,
             })
     header = {
-        "command": "example",
-        "timestamp": _timestamp(),
         "seed": seed,
         "alpha": _out(spec.alpha),
         "beta": _out(spec.beta),
         "state_set": [_out(s) for s in states],
         "max_deviation": worst,
     }
-    _emit(_render(header, blocks, args.json), args)
-    return EXIT_OK if worst < _EXAMPLE_DEVIATION else EXIT_PROTOCOL
+    return header, blocks, worst < _EXAMPLE_DEVIATION
 
 
 # ---------------------------------------------------------------------------
@@ -876,20 +839,18 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None,
                         help="override the rng_seed from the config")
+    state_set = argparse.ArgumentParser(add_help=False)
+    state_set.add_argument("config")
+    state_set.add_argument("--tolerance", action="append", metavar="KEY=VALUE",
+                           help="override a tolerance (repeatable)")
 
-    p = sub.add_parser("superpose", parents=[seeded],
+    p = sub.add_parser("superpose", parents=[seeded, state_set],
                        help="run the superposition protocol from a config")
-    p.add_argument("config")
-    p.add_argument("--tolerance", action="append", metavar="KEY=VALUE",
-                   help="override a tolerance (repeatable)")
     _add_common(p)
     p.set_defaults(func=cmd_superpose)
 
-    p = sub.add_parser("distinguish", parents=[seeded],
+    p = sub.add_parser("distinguish", parents=[seeded, state_set],
                        help="discriminate every member of a state set")
-    p.add_argument("config")
-    p.add_argument("--tolerance", action="append", metavar="KEY=VALUE",
-                   help="override a tolerance (repeatable)")
     _add_common(p)
     p.set_defaults(func=cmd_distinguish)
 
@@ -919,7 +880,22 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        header, runs, ok = args.func(args)
+        header = {"command": args.command, "timestamp": _timestamp(), **header}
+        if args.json:
+            text = "\n".join(_json_dumps({**header, "run": run})
+                             for run in runs) + "\n"
+        else:
+            text = _yaml_report({**header, "runs": runs})
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write report: {exc}")
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK if ok else EXIT_PROTOCOL
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,6 +6,8 @@ import numpy as np
 
 from .linalg import DensityMatrix, StateSet, StateVector, UnitaryMatrix
 
+_MAX_PAIRWISE_FIDELITY = 0.9
+
 
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Haar-random pure state."""
@@ -29,12 +31,11 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(m / m.trace())
 
 
-def random_state_set(n: int, rng: np.random.Generator,
-                     max_pairwise_fidelity: float = 0.9) -> StateSet:
+def random_state_set(n: int, rng: np.random.Generator) -> StateSet:
     """N random distinct states in N dimensions.
 
     Resamples until every pairwise fidelity stays below
-    `max_pairwise_fidelity`, which keeps the discrimination problem
+    ``_MAX_PAIRWISE_FIDELITY``, which keeps the discrimination problem
     numerically well separated without making the states orthogonal.
     """
     for _ in range(1000):
@@ -43,6 +44,6 @@ def random_state_set(n: int, rng: np.random.Generator,
             abs(np.vdot(states[i].amplitudes, states[j].amplitudes)) ** 2
             for i in range(n) for j in range(i + 1, n)
         ]
-        if not fids or max(fids) < max_pairwise_fidelity:
+        if not fids or max(fids) < _MAX_PAIRWISE_FIDELITY:
             return StateSet(tuple(states))
     raise RuntimeError("could not sample a well-separated state set")

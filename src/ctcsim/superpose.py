@@ -19,6 +19,7 @@ U^{i,j}|0>.  :func:`run_sweep` reads the ancilla off that sum;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +36,8 @@ from .linalg import (
     unitary_from_first_column,
 )
 
+# bound on gamma of the amplitudes scaled by :func:`unit_scaled`, so the
+# degeneracy verdict depends only on alpha : beta
 TOL_GAMMA = 1e-9
 
 _PURITY_SECOND_EIG = 1e-6
@@ -70,16 +73,31 @@ class ProtocolReport:
     decoded_indices: tuple[int, int]
 
 
+def unit_scaled(alpha: complex, beta: complex) -> tuple[complex, complex]:
+    """(alpha, beta) times the power of two that brings their largest
+    real or imaginary part into [0.5, 1).
+
+    The scale is exact, so alpha : beta is kept bit for bit.  The parts
+    decide it because ``abs`` of a finite complex can overflow.
+    """
+    parts = (alpha.real, alpha.imag, beta.real, beta.imag)
+    e = math.frexp(max(map(abs, parts)))[1]
+    re_a, im_a, re_b, im_b = (math.ldexp(x, -e) for x in parts)
+    return complex(re_a, im_a), complex(re_b, im_b)
+
+
 def build_omega(states: StateSet, i: int, j: int,
                 spec: SuperpositionSpec) -> StateVector:
     """Normalized target (alpha psi_i + beta psi_j) / gamma.
 
-    gamma is the Euclidean norm of the unnormalized combination; if it
-    falls below ``TOL_GAMMA`` the amplitudes cancel and
+    The amplitudes are first brought to unit scale by :func:`unit_scaled`,
+    so the target and the degeneracy verdict depend only on alpha : beta.
+    gamma is the Euclidean norm of the scaled combination; if it falls
+    below ``TOL_GAMMA`` the amplitudes cancel and
     :class:`DegenerateSuperposition` is raised.
     """
-    raw = (spec.alpha * states[i].amplitudes
-           + spec.beta * states[j].amplitudes)
+    alpha, beta = unit_scaled(spec.alpha, spec.beta)
+    raw = alpha * states[i].amplitudes + beta * states[j].amplitudes
     gamma = float(np.linalg.norm(raw))
     if gamma < TOL_GAMMA:
         raise DegenerateSuperposition(i, j, gamma)
@@ -125,15 +143,16 @@ def build_u_prime(states: StateSet, spec: SuperpositionSpec,
     return UnitaryMatrix(out)
 
 
-def pure_state_from_density(reduced, second_eig_tol: float = _PURITY_SECOND_EIG) -> StateVector:
+def pure_state_from_density(reduced) -> StateVector:
     """Dominant eigenvector of a numerically pure reduced matrix.
 
     Raises :class:`PurityLoss` when the second eigenvalue exceeds
-    `second_eig_tol`, which would mean the reduction is genuinely mixed.
+    ``_PURITY_SECOND_EIG``, which would mean the reduction is genuinely
+    mixed.
     """
     m = _as_matrix(reduced)
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    if m.shape[0] > 1 and w[-2] > second_eig_tol:
+    if m.shape[0] > 1 and w[-2] > _PURITY_SECOND_EIG:
         raise PurityLoss(
             f"reduced state has second eigenvalue {w[-2]:.3e}; expected pure"
         )

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from ctcsim.cli import main
 from ctcsim.sampling import random_state_set
 
 S_17 = format(1 / np.sqrt(2), ".17g")
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 PAIR_CONFIG = f"""\
 state_set:
@@ -39,8 +42,9 @@ def write(tmp_path, name, text):
 
 
 def strip_timestamp(text):
-    return "\n".join(
-        line for line in text.splitlines() if not line.startswith("timestamp")
+    return "".join(
+        line for line in text.splitlines(keepends=True)
+        if not line.startswith("timestamp")
     )
 
 
@@ -434,3 +438,110 @@ def test_example_balanced_column(capsys):
 
 def test_example_rejects_zero_amplitudes(capsys):
     assert main(["example", "--alpha", "0", "--beta", "0"]) == 2
+
+
+def _zero_fidelity(monkeypatch):
+    monkeypatch.setattr(superpose, "state_fidelity", lambda a, b: 0.0)
+
+
+def _misdecode(monkeypatch):
+    real = cli.distinguish
+    monkeypatch.setattr(cli, "distinguish", lambda bundle, psi:
+                        dataclasses.replace(real(bundle, psi), decoded=-1))
+
+
+def _no_deviation_allowed(monkeypatch):
+    monkeypatch.setattr(cli, "_EXAMPLE_DEVIATION", 0.0)
+
+
+@pytest.mark.parametrize("argv, fail_verdict", [
+    (["superpose", str(DEMO_CONFIGS / "superpose_two_state.yaml")],
+     _zero_fidelity),
+    (["distinguish", str(DEMO_CONFIGS / "distinguish_three_state.yaml")],
+     _misdecode),
+    # fixed-point has no verdict of its own
+    (["fixed-point", str(DEMO_CONFIGS / "fixed_point_swap.yaml")], None),
+    (["example"], _no_deviation_allowed),
+], ids=["superpose", "distinguish", "fixed-point", "example"])
+def test_main_stamps_writes_and_exits(tmp_path, capsys, monkeypatch, argv,
+                                      fail_verdict):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"command: {argv[0]}\ntimestamp: '")
+    report = yaml.safe_load(printed)
+
+    out = tmp_path / "report.yaml"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    written = out.read_text(encoding="utf-8")
+    assert strip_timestamp(written) == strip_timestamp(printed)
+
+    assert main(argv + ["--json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(report["runs"])
+    for line in lines:
+        obj = json.loads(line)
+        keys = list(obj)
+        assert keys[:2] == ["command", "timestamp"] and keys[-1] == "run"
+        assert obj["command"] == argv[0]
+
+    if fail_verdict is not None:
+        fail_verdict(monkeypatch)
+        assert main(argv) == 3
+        failed = yaml.safe_load(capsys.readouterr().out)
+        assert list(failed) == list(report)
+        assert list(map(list, failed["runs"])) == list(map(list, report["runs"]))
+
+
+@pytest.mark.parametrize("target", ["missing/report.yaml", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, target):
+    assert main(["example", "--out", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot write report: ")
+
+
+def run_at_scale(tmp_path, capsys, command, x):
+    """Exit code and report of `command` at alpha = beta = x, without the
+    timestamp and the alpha/beta echo."""
+    if command == "superpose":
+        text = (PAIR_CONFIG
+                .replace(f"alpha: [{S_17}, 0]", f"alpha: [{x:.17e}, 0]")
+                .replace(f"beta: [{S_17}, 0]", f"beta: [{x:.17e}, 0]"))
+        argv = ["superpose", write(tmp_path, "scaled.yaml", text)]
+    else:
+        argv = ["example", "--alpha", repr(x), "--beta", repr(x)]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    return code, "".join(
+        line for line in lines
+        if not line.lstrip(" -").startswith(("timestamp:", "alpha:", "beta:")))
+
+
+@pytest.mark.parametrize("command", ["superpose", "example"])
+@pytest.mark.parametrize("scale", [2.0**-40, 2.0**600])
+def test_amplitude_scale_leaves_runs_unchanged(tmp_path, capsys, command, scale):
+    unit = run_at_scale(tmp_path, capsys, command, 1.0)
+    assert unit[0] == 0
+    assert run_at_scale(tmp_path, capsys, command, scale) == unit
+
+
+@pytest.mark.parametrize("scale",
+                         [1.0, 2.0**-40, 2.0**600, 1e-10, 1e200, 1e-320])
+def test_only_cancelling_amplitudes_are_degenerate_at_any_scale(tmp_path, capsys,
+                                                               scale):
+    for command in ("superpose", "example"):
+        assert run_at_scale(tmp_path, capsys, command, scale)[0] == 0
+    dup = f"""\
+state_set:
+  - [[1, 0], [0, 0]]
+  - [[1, 0], [0, 0]]
+alpha: [{scale:.17e}, 0]
+beta: [{-scale:.17e}, 0]
+m: 0
+n: 0
+"""
+    cfg = write(tmp_path, "dup.yaml", dup)
+    assert main(["superpose", cfg, "--tolerance", "distinct=-1e-9"]) == 3
+    assert "DegenerateSuperposition" in capsys.readouterr().err
