@@ -11,10 +11,11 @@ are written by :func:`_yaml_report`, which lays out what they hold
 (mappings, flow sequences of numbers, nested block sequences, block
 sequences of mappings or of flow mappings, and scalars) byte for byte as
 ``yaml.dump`` with libyaml would, 80-column wrap included; any other
-value raises TypeError.  Numeric report entries are float arrays, laid
-out as their ``tolist()`` would be: a 1-d array as one flow sequence, an
-n-d array as nested block sequences of flow rows along its last axis,
-each row joined in one piece unless it could pass column 80.
+value raises TypeError.  A complex value is written as its [re, im]
+pair, by the writer and :func:`_json_dumps` alone.  Numeric entries are
+laid out as their ``tolist()`` would be: a 1-d float array as one flow
+sequence, any other as nested block sequences of flow rows along its
+last axis, each row joined in one piece unless it could pass column 80.
 
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
 with YAML 1.1's scalar rules.  A numeric row, a line whose value is one
@@ -376,11 +377,11 @@ _INDENT = 2  # libyaml's best_indent
 
 
 def _scalar_text(x):
-    """A scalar as libyaml writes it, or None for a list or dict."""
+    """A scalar as libyaml writes it, or None for a collection or complex."""
     if isinstance(x, float):
         # a float YAML 1.1 would not resolve implicitly carries its tag
         return _float_text(format(x, ".17g"), _FLOAT_TAG)
-    if isinstance(x, (list, dict, np.ndarray)):
+    if isinstance(x, (list, dict, np.ndarray, complex)):
         return None
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -442,8 +443,8 @@ class _ReportWriter:
         return text
 
     def collection(self, value, indent, in_mapping: bool) -> None:
-        """A list or dict whose parent node sits at `indent` (None: root)."""
-        if isinstance(value, np.ndarray):
+        """A collection whose parent node sits at `indent` (None: root)."""
+        if isinstance(value, (np.ndarray, complex)):
             self.array(value, indent, in_mapping)
             return
         if isinstance(value, dict):
@@ -480,13 +481,20 @@ class _ReportWriter:
             else:
                 self.write(t)
 
-    def array(self, arr: np.ndarray, indent, in_mapping: bool) -> None:
-        """A float array, laid out as :meth:`collection` lays out its list.
+    def array(self, arr, indent, in_mapping: bool) -> None:
+        """A numeric array, laid out as :meth:`collection` lays out its list.
 
-        A 1-d array is a flow sequence; an n-d one nests block sequences
-        down to flow rows along its last axis.  Each float is formatted
-        once, and a row is joined whole unless it could pass column 80.
+        A complex array or number is viewed as [re, im] pairs along a new
+        last axis.  A 1-d float array is a flow sequence; an n-d one nests
+        block sequences down to flow rows along its last axis.  Each float
+        is formatted once, and a row is joined whole unless it could pass
+        column 80.
         """
+        if np.iscomplexobj(arr):
+            # ascontiguousarray makes a 0-d value 1-d
+            shape = np.shape(arr) + (2,)
+            arr = np.ascontiguousarray(arr, dtype=complex).view(np.float64)
+            arr = arr.reshape(shape)
         if arr.dtype != np.float64 or arr.ndim == 0 or not arr.size:
             self.collection(arr.tolist(), indent, in_mapping)
             return
@@ -581,6 +589,8 @@ def _json_dumps(obj) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
+    if isinstance(obj, complex):
+        return f"[{_fmt_float(obj.real)},{_fmt_float(obj.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -592,18 +602,6 @@ def _json_dumps(obj) -> str:
     if isinstance(obj, np.ndarray):
         return _json_dumps(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _out(values) -> np.ndarray:
-    """A float array; a complex entry becomes its [re, im] pair.
-
-    Reports hold these arrays as they are: :class:`_ReportWriter` and
-    :func:`_json_dumps` print one exactly as its ``tolist()``.
-    """
-    arr = np.asarray(values)
-    if np.iscomplexobj(arr):
-        return np.stack([arr.real, arr.imag], axis=-1)
-    return arr.astype(float)
 
 
 def _timestamp() -> str:
@@ -642,23 +640,23 @@ def cmd_superpose(args) -> tuple[dict, list, bool]:
         runs.append({
             "m": rep.m,
             "n": rep.n,
-            "alpha": _out(rep.spec.alpha),
-            "beta": _out(rep.spec.beta),
+            "alpha": rep.spec.alpha,
+            "beta": rep.spec.beta,
             "decoded_indices": list(rep.decoded_indices),
             "fixed_point_residuals": [float(r) for r in rep.fixed_point_residuals],
             "fidelity": float(rep.fidelity),
-            "ancilla_state": _out(rep.ancilla_state),
-            "expected_state": _out(rep.expected),
+            "ancilla_state": rep.ancilla_state.amplitudes,
+            "expected_state": rep.expected.amplitudes,
         })
     header = {
         "seed": seed,
         "policy": "require_unique",
-        "alpha": _out(spec.alpha),
-        "beta": _out(spec.beta),
-        "state_set": [_out(s) for s in states],
-        "condition_overlaps": _out(cond.overlaps),
+        "alpha": spec.alpha,
+        "beta": spec.beta,
+        "state_set": [s.amplitudes for s in states],
+        "condition_overlaps": cond.overlaps,
         "condition2_min": float(cond.min_overlap),
-        "condition1_deviation": _out(cond.condition1_deviation),
+        "condition1_deviation": cond.condition1_deviation,
         "tolerances": {k: float(v) for k, v in sorted(tol.items())},
     }
     threshold = 1.0 - tol["success_fidelity"]
@@ -684,8 +682,8 @@ def cmd_distinguish(args) -> tuple[dict, list, bool]:
         })
     header = {
         "seed": seed,
-        "state_set": [_out(s) for s in states],
-        "condition_overlaps": _out(cond.overlaps),
+        "state_set": [s.amplitudes for s in states],
+        "condition_overlaps": cond.overlaps,
         "condition2_min": float(cond.min_overlap),
         "tolerances": {k: float(v) for k, v in sorted(tol.items())},
     }
@@ -734,13 +732,13 @@ def cmd_fixed_point(args) -> tuple[dict, list, bool]:
 
     result = deutsch.fixed_point(u, rho, policy=policy)
     run = {
-        "fixed_point": _out(result.fixed_point.entries),
+        "fixed_point": result.fixed_point.entries,
         "residual": float(result.residual),
         "fixed_space_dim": result.fixed_space_dim,
         "unique": bool(result.unique),
         "entropy_nats": deutsch.von_neumann_entropy(result.fixed_point),
     }
-    header = {"policy": policy, "unitary": _out(u), "rho_cr": _out(rho)}
+    header = {"policy": policy, "unitary": u, "rho_cr": rho}
     return header, [run], True
 
 
@@ -804,15 +802,15 @@ def cmd_example(args) -> tuple[dict, list, bool]:
             blocks.append({
                 "i": i,
                 "j": j,
-                "constructed": _out(constructed),
-                "reference": _out(reference),
+                "constructed": constructed,
+                "reference": reference,
                 "deviation": deviation,
             })
     header = {
         "seed": seed,
-        "alpha": _out(spec.alpha),
-        "beta": _out(spec.beta),
-        "state_set": [_out(s) for s in states],
+        "alpha": spec.alpha,
+        "beta": spec.beta,
+        "state_set": [s.amplitudes for s in states],
         "max_deviation": worst,
     }
     return header, blocks, worst < _EXAMPLE_DEVIATION

@@ -246,7 +246,7 @@ def _max_entropy_fixed_point(right: np.ndarray, left: np.ndarray,
     )
 
 
-def _null_space(m: np.ndarray, name: str, what: str):
+def null_space(m: np.ndarray, name: str, what: str):
     """SVD ``(u, svals, vh)`` of m - I and the mask of its null singular values.
 
     A singular value is null at or below ``SVD_CUTOFF``.  With none null,
@@ -281,7 +281,7 @@ def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResul
         raise ValueError(f"unknown policy {policy!r}")
     real = _hermitian_superoperator(u, rho_cr)
     dim = int(round(np.sqrt(real.shape[0])))
-    uu, _, vh, null_mask = _null_space(real, "L", "fixed space")
+    uu, _, vh, null_mask = null_space(real, "L", "fixed space")
     fixed_space_dim = int(null_mask.sum())
     if fixed_space_dim == 1:
         x = vh[null_mask][0]

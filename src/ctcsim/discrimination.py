@@ -200,7 +200,11 @@ def bundle_from_unitaries(states: StateSet, uks: Sequence) -> DistinguisherBundl
 
 
 def build_distinguisher(states: StateSet, rng_seed: int = 0) -> DistinguisherBundle:
-    """Construct per-index unitaries for every k and assemble the circuit."""
+    """Construct per-index unitaries for every k and bundle them.
+
+    The bundle holds both measured construction conditions; its circuit
+    :attr:`DistinguisherBundle.total` is assembled only when it is read.
+    """
     uks = [build_uk(states, k, rng_seed) for k in range(states.size)]
     return bundle_from_unitaries(states, uks)
 
@@ -239,7 +243,7 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
         )
     phi = np.array([u.entries @ vec for u in bundle.uks]).T
     chain = np.abs(phi) ** 2
-    _, svals, vh, null_mask = deutsch._null_space(
+    _, svals, vh, null_mask = deutsch.null_space(
         chain, "T", "stationary label distribution")
     null_dim = int(null_mask.sum())
     if null_dim > 1:

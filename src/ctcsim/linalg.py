@@ -309,13 +309,13 @@ def validate(obj, *, distinct_tol: float = TOL_DISTINCT) -> ValidityReport:
             _check("unitary", res, TOL_UNI),
         ))
     if isinstance(obj, StateSet):
-        worst_norm = max(
-            abs(np.linalg.norm(s.amplitudes) - 1.0) for s in obj.states
-        )
-        max_fid = 0.0
-        for i in range(obj.size):
-            for j in range(i + 1, obj.size):
-                max_fid = max(max_fid, state_fidelity(obj[i], obj[j]))
+        amps = np.array([s.amplitudes for s in obj.states])
+        worst_norm = np.abs(np.linalg.norm(amps, axis=1) - 1.0).max()
+        # every pairwise fidelity from one Gram product, clamped as
+        # state_fidelity clamps one
+        gram = np.abs(amps.conj() @ amps.T) ** 2
+        pairs = gram[np.triu_indices(obj.size, 1)].max(initial=0.0)
+        max_fid = float(np.clip(pairs, 0.0, 1.0))
         distinct = InvariantCheck(
             "distinct",
             max_fid < 1.0 - distinct_tol,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, StateSet, StateVector, UnitaryMatrix
+from .linalg import DensityMatrix, StateSet, StateVector, UnitaryMatrix, validate
 
 _MAX_PAIRWISE_FIDELITY = 0.9
 
@@ -39,11 +39,7 @@ def random_state_set(n: int, rng: np.random.Generator) -> StateSet:
     numerically well separated without making the states orthogonal.
     """
     for _ in range(1000):
-        states = [haar_state(n, rng) for _ in range(n)]
-        fids = [
-            abs(np.vdot(states[i].amplitudes, states[j].amplitudes)) ** 2
-            for i in range(n) for j in range(i + 1, n)
-        ]
-        if not fids or max(fids) < _MAX_PAIRWISE_FIDELITY:
-            return StateSet(tuple(states))
+        states = StateSet(tuple(haar_state(n, rng) for _ in range(n)))
+        if validate(states, distinct_tol=1 - _MAX_PAIRWISE_FIDELITY).passed:
+            return states
     raise RuntimeError("could not sample a well-separated state set")

@@ -30,11 +30,14 @@ def damped_power_iteration(u, rho_cr, sigma0, max_iters=3000, tol=1e-12):
 
 
 def as_lists(obj):
-    """A report with every array replaced by its ``tolist()``."""
+    """A report with every array replaced by its ``tolist()`` and every
+    complex value by its [re, im] pair."""
     if isinstance(obj, dict):
         return {k: as_lists(v) for k, v in obj.items()}
     if isinstance(obj, list):
         return [as_lists(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return as_lists(obj.tolist())
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
     return obj

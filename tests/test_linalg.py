@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HADAMARD, PAULI_X, S
+from ctcsim import sampling
 from ctcsim import (
     DensityMatrix,
     DimensionError,
@@ -19,6 +20,7 @@ from ctcsim import (
     unitary_from_first_column,
     validate,
 )
+from ctcsim.sampling import haar_state, random_state_set
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +276,74 @@ def test_validate_duplicate_state_set():
 
 def test_validate_good_state_set(zero_minus_set):
     assert validate(zero_minus_set).passed
+
+
+def _pairwise_oracle(states):
+    """Worst norm residual and max pairwise fidelity, one pair at a time."""
+    norms = [abs(np.linalg.norm(s.amplitudes) - 1.0) for s in states]
+    fids = [state_fidelity(states[i], states[j])
+            for i in range(states.size) for j in range(i + 1, states.size)]
+    return max(norms), max(fids, default=0.0)
+
+
+def _haar_set(n, seed):
+    rng = np.random.default_rng(seed)
+    return StateSet(tuple(haar_state(n, rng) for _ in range(n)))
+
+
+@pytest.mark.parametrize("states", [
+    StateSet((basis_state(1, 0),)),
+    StateSet((StateVector([1j]),)),
+    StateSet((StateVector([2.0]),)),
+    StateSet((basis_state(2, 0), basis_state(2, 0))),
+    StateSet((StateVector([S, S]), StateVector([S * 1j, S * 1j]))),
+    StateSet((StateVector([0.6, 0.8j, 0]), StateVector([0.6, 0.8j, 0]),
+              basis_state(3, 2))),
+    StateSet((StateVector([1, 1]), basis_state(2, 1))),
+    StateSet((basis_state(2, 0), StateVector([1 - 1e-9, 1e-4]))),
+    _haar_set(2, 0), _haar_set(5, 1), _haar_set(16, 2),
+], ids=["N=1", "N=1-phase", "N=1-unnormalized", "duplicates",
+        "duplicates-up-to-phase", "duplicates-among-three", "unnormalized",
+        "near-parallel", "haar-2", "haar-5", "haar-16"])
+def test_validate_state_set_matches_pairwise_oracle(states):
+    worst_norm, max_fid = _pairwise_oracle(states)
+    eps = np.finfo(float).eps
+    for tol in (1e-9, 0.1, -1e-9):
+        norm, distinct = validate(states, distinct_tol=tol).checks
+        assert (norm.name, distinct.name) == ("members_normalized", "distinct")
+        assert abs(norm.residual - worst_norm) <= 4 * eps
+        assert norm.passed == (norm.residual <= 1e-10)
+        assert 0.0 <= distinct.residual <= 1.0
+        assert abs(distinct.residual - max_fid) <= 4 * eps
+        assert distinct.tolerance == 1.0 - tol
+        assert distinct.passed == (distinct.residual < 1.0 - tol)
+    if states.size == 1:
+        assert distinct.residual == 0.0
+
+
+def _old_random_state_set(n, rng):
+    """The pairwise acceptance loop `random_state_set` used to run."""
+    for _ in range(1000):
+        states = [haar_state(n, rng) for _ in range(n)]
+        fids = [
+            abs(np.vdot(states[i].amplitudes, states[j].amplitudes)) ** 2
+            for i in range(n) for j in range(i + 1, n)
+        ]
+        if not fids or max(fids) < sampling._MAX_PAIRWISE_FIDELITY:
+            return StateSet(tuple(states))
+    raise RuntimeError("could not sample a well-separated state set")
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_random_state_set_matches_pairwise_acceptance(n):
+    for seed in range(300):
+        rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_state_set(n, rng)
+        expected = _old_random_state_set(n, old_rng)
+        assert all(np.array_equal(a.amplitudes, b.amplitudes)
+                   for a, b in zip(got, expected, strict=True))
+        # the same number of draws were taken
+        assert rng.bit_generator.state == old_rng.bit_generator.state
 
 
 def test_validate_unnormalized_vector():

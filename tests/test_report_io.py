@@ -176,16 +176,68 @@ def test_array_rows_at_the_wrap_column(chars):
     {"a": "two words"},
     {"a": "x: y"},
     {"a": b"bytes"},
-    {"a": 1 + 2j},
     {1: "int key"},
     [1.0],
     {"a": np.array(1.5)},
-    {"a": np.array([1 + 2j])},
-], ids=["tuple", "spaced-string", "colon-string", "bytes", "complex",
-        "int-key", "list-root", "zero-axis-array", "complex-array"])
+], ids=["tuple", "spaced-string", "colon-string", "bytes", "int-key",
+        "list-root", "zero-axis-array"])
 def test_emitter_rejects_other_shapes(report):
     with pytest.raises(TypeError):
         cli._yaml_report(report)
+
+
+# complex values: written as their [re, im] pairs, the form `as_lists`
+# gives them, in YAML and in JSON
+
+def check_complex(report):
+    pairs = as_lists(report)
+    text = cli._yaml_report(report)
+    assert text == dump(pairs, cli._ReportDumper)
+    if "!!float" not in text:
+        assert text == dump(pairs, _Pure)
+    assert cli._json_dumps(report) == cli._json_dumps(pairs)
+
+
+COMPLEX_4x3 = (np.arange(12.0) - 5.5j * np.arange(12.0)[::-1]).reshape(4, 3) / 7
+
+
+@pytest.mark.parametrize("report", [
+    {"alpha": 0.6 - 0.8j, "beta": np.complex128(1j), "one": complex(1, 0)},
+    {"zeros": complex(-0.0, 0.0), "neg": complex(0.0, -0.0),
+     "both": complex(-0.0, -0.0)},
+    {"inf": complex(math.inf, -math.inf), "nan": complex(math.nan, 1e22),
+     "tiny": complex(5e-324, -1e308)},
+    {"vector": COMPLEX_4x3[0], "row": COMPLEX_4x3.ravel()},
+    {"matrix": COMPLEX_4x3, "cube": COMPLEX_4x3.reshape(2, 2, 3)},
+    {"transposed": COMPLEX_4x3.T, "strided": COMPLEX_4x3[::2, ::-1],
+     "real_part": COMPLEX_4x3.real},
+    {"state_set": [COMPLEX_4x3[0], COMPLEX_4x3[1]],
+     "mixed": [1 + 2j, 0.5, [3j, -1.0], "name"]},
+    {"runs": [{"alpha": 0.5j, "residual": 1e-17}, {"a": 1j, "b": 2 - 0j}],
+     "nested": {"z": {"w": complex(-0.0, math.inf)}}},
+    {"k" * 78: 1 + 1j, "l" * 76: COMPLEX_4x3[:2],
+     "wide": np.full(8, 0.12345678901234566 - 0.98765432109876543j)},
+    {"empty": np.zeros(0, complex), "empty_rows": np.zeros((2, 0), complex),
+     "zero_axis": np.array(0.25 - 1j)},
+], ids=["scalars", "signed-zeros", "non-finite-and-tagged", "vectors",
+        "matrices", "non-contiguous", "in-lists", "in-mappings",
+        "past-column-80", "empty-and-0-d"])
+def test_complex_values_are_written_as_pairs(report):
+    check_complex(report)
+
+
+COMPLEXES = st.builds(complex, FLOATS, FLOATS)
+COMPLEX_ARRAYS = hnp.arrays(np.complex128, ARRAY_SHAPES, elements=COMPLEXES)
+COMPLEX_REPORTS = st.dictionaries(
+    KEYS, st.recursive(SCALARS | COMPLEXES | COMPLEX_ARRAYS, _values,
+                       max_leaves=12),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(COMPLEX_REPORTS)
+def test_complex_reports_match_both_dumpers(report):
+    check_complex(report)
 
 
 # ---------------------------------------------------------------------------
