@@ -31,8 +31,8 @@ print("1. set {|0>, |->}, overlap fidelity:",
       state_fidelity(states[0], states[1]))
 
 bundle = build_distinguisher(states, rng_seed=0)
-print("   U_0 (identity expected):\n", bundle.uks[0].entries.real)
-print("   U_1 (Hadamard expected):\n", bundle.uks[1].entries.real)
+print("   U_0 (identity expected):\n", bundle.uks[0].real)
+print("   U_1 (Hadamard expected):\n", bundle.uks[1].real)
 
 report = condition_report(states, bundle.uks)
 print("   overlap table |<j|U_k|psi_j>|:\n", report.overlaps)

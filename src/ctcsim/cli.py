@@ -32,13 +32,15 @@ Each subcommand returns its report header, runs and verdict; :func:`main`
 stamps the header, writes the report and picks the exit code.  Exit
 codes: 0 success, 2 validation/config error (an unwritable ``--out``
 included), 3 protocol error (degenerate superposition, non-unique fixed
-point, exhausted unitary construction) or a command's own failed verdict,
-after its whole report is written, 1 internal error.
+point, no numerical fixed point, exhausted unitary construction) or a
+command's own failed verdict, after its whole report is written, 1
+internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -55,9 +57,10 @@ from .errors import (
     Condition2Exhausted,
     CtcSimError,
     DegenerateSuperposition,
+    NoFixedPointNumerical,
     NonUniqueFixedPoint,
 )
-from .linalg import StateSet, StateVector, validate
+from .linalg import StateSet, validate
 from .superpose import SuperpositionSpec, build_u_ij, run_sweep, unit_scaled
 
 EXIT_OK = 0
@@ -256,11 +259,9 @@ def _parse_state_set(cfg: dict) -> StateSet:
     node = cfg["state_set"]
     if not isinstance(node, list) or not node:
         raise ConfigError("state_set: expected a nonempty list of vectors")
-    vectors = [
-        _parse_vector(v, f"state_set[{k}]") for k, v in enumerate(node)
-    ]
+    amplitudes = _parse_matrix(node, "state_set")
     try:
-        return StateSet(tuple(StateVector(v) for v in vectors))
+        return StateSet(amplitudes)
     except CtcSimError as exc:
         raise ConfigError(f"state_set: {exc}")
 
@@ -653,7 +654,7 @@ def cmd_superpose(args) -> tuple[dict, list, bool]:
         "policy": "require_unique",
         "alpha": spec.alpha,
         "beta": spec.beta,
-        "state_set": [s.amplitudes for s in states],
+        "state_set": states.amplitudes,
         "condition_overlaps": cond.overlaps,
         "condition2_min": float(cond.min_overlap),
         "condition1_deviation": cond.condition1_deviation,
@@ -682,7 +683,7 @@ def cmd_distinguish(args) -> tuple[dict, list, bool]:
         })
     header = {
         "seed": seed,
-        "state_set": [s.amplitudes for s in states],
+        "state_set": states.amplitudes,
         "condition_overlaps": cond.overlaps,
         "condition2_min": float(cond.min_overlap),
         "tolerances": {k: float(v) for k, v in sorted(tol.items())},
@@ -744,7 +745,7 @@ def cmd_fixed_point(args) -> tuple[dict, list, bool]:
 
 def _example_states() -> StateSet:
     s = 1 / np.sqrt(2)
-    return StateSet((StateVector([1, 0]), StateVector([s, -s])))
+    return StateSet([[1, 0], [s, -s]])
 
 
 def _example_reference(i: int, j: int, alpha: complex, beta: complex) -> np.ndarray:
@@ -810,7 +811,7 @@ def cmd_example(args) -> tuple[dict, list, bool]:
         "seed": seed,
         "alpha": spec.alpha,
         "beta": spec.beta,
-        "state_set": [s.amplitudes for s in states],
+        "state_set": states.amplitudes,
         "max_deviation": worst,
     }
     return header, blocks, worst < _EXAMPLE_DEVIATION
@@ -872,11 +873,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = build_parser()
+# built on first use: argparse's gettext and locale work stays out of import
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         header, runs, ok = args.func(args)
         header = {"command": args.command, "timestamp": _timestamp(), **header}
@@ -898,7 +902,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DegenerateSuperposition, NonUniqueFixedPoint,
-            Condition2Exhausted) as exc:
+            NoFixedPointNumerical, Condition2Exhausted) as exc:
         print(f"protocol error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit 1

@@ -10,7 +10,9 @@ state settles on its unique fixed point.  The per-index unitaries must
 satisfy two conditions: (1) U_k psi_k = |k>, and (2) every overlap
 <j| U_k |psi_j> is nonzero, which is what makes the fixed point unique.
 
-For a pure input psi, write phi_k = U_k psi and Phi = [phi_0 ... phi_{N-1}].
+The U_k are held as one read-only (N, N, N) stack, U_k = uks[k].  For a
+pure input psi, write phi_k = U_k psi and Phi = [phi_0 ... phi_{N-1}],
+one product of the stack with psi.
 The circuit's self-consistency map is sigma -> sum_k sigma_kk phi_k phi_k^dagger:
 it reads only diag(sigma), so the CTC state is fixed by a distribution p
 over the N labels.  Its diagonal closes on itself exactly when p = T p for
@@ -68,13 +70,14 @@ class ConditionReport:
 class DistinguisherBundle:
     """The per-index unitaries of a discrimination circuit for one state set.
 
-    `condition` holds both construction conditions measured on `uks`.
+    `uks` is one read-only (N, N, N) array whose row k is U_k.
+    `condition` holds both construction conditions measured on it.
     The N^2 x N^2 circuit :attr:`total` is assembled on first access only;
     :func:`distinguish` never needs it.
     """
 
     state_set: StateSet
-    uks: tuple[UnitaryMatrix, ...]
+    uks: np.ndarray
     condition: ConditionReport
 
     @property
@@ -137,23 +140,35 @@ def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
     j's label chain, j absorbing, has a gap of at least q / sqrt(N - 1),
     q its least overlap^2, so its fixed point is unique.  Condition (2)
     holds generically, so failures are retried up to ``MAX_ATTEMPTS``
-    times before raising :class:`Condition2Exhausted`.
+    times before raising :class:`Condition2Exhausted`, which is raised
+    at once when some member j's weight off psi_k, |psi_j|^2 (1 - F_jk),
+    caps its overlap^2 (row j of U_k is orthogonal to psi_k) below it.
     """
     n = states.size
     if not 0 <= k < n:
         raise DimensionError(f"index {k} out of range for a set of {n} states")
-    amps = np.array([s.amplitudes for s in states])
+    amps = states.amplitudes
+    threshold = 10 * deutsch.SVD_CUTOFF * np.sqrt(n - 1)
+    norms2 = np.linalg.norm(amps, axis=1) ** 2
+    room = norms2 - np.abs(amps.conj() @ amps[k]) ** 2 / norms2[k]
+    room[k] = np.inf
+    j = int(np.argmin(room))
+    # room and the overlaps each carry rounding of a few N eps
+    if room[j] + 8 * n * np.finfo(float).eps < threshold:
+        raise Condition2Exhausted(
+            f"members {j} and {k} have 1 - F = {room[j] / norms2[j]:.3e}, "
+            f"which keeps overlap^2 of U_{k} from exceeding {threshold:.3e}"
+        )
     order = list(range(n))
     order[0], order[k] = k, 0
     rng = np.random.default_rng(rng_seed)
-    threshold = 10 * deutsch.SVD_CUTOFF * np.sqrt(n - 1)
     worst = np.inf
     for attempt in range(MAX_ATTEMPTS):
         if attempt == 0:
             candidates: list[np.ndarray] = []
         else:
             candidates = [haar_state(n, rng).amplitudes for _ in range(n)]
-        w = unitary_from_first_column(states[k], candidates)
+        w = unitary_from_first_column(amps[k], candidates)
         u = w.entries[:, order].conj().T
         q = np.abs(np.einsum("jc,jc->j", u, amps)).min() ** 2
         worst = min(worst, q)
@@ -168,11 +183,13 @@ def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
 def condition_report(states: StateSet, uks: Sequence) -> ConditionReport:
     """Measure both construction conditions for the given unitaries."""
     n = states.size
-    mats = [np.asarray(u, dtype=complex) for u in uks]
-    if len(mats) != n or any(m.shape != (n, n) for m in mats):
+    try:
+        mats = np.asarray(uks, dtype=complex)
+    except ValueError:  # unitaries of unequal shapes
+        mats = None
+    if mats is None or mats.shape != (n, n, n):
         raise DimensionError(f"expected {n} unitaries of dim {n}")
-    mats = np.array(mats)
-    amps = np.array([s.amplitudes for s in states])
+    amps = states.amplitudes
     overlaps = np.abs(np.einsum("kjc,jc->jk", mats, amps))
     cond1 = np.linalg.norm(
         np.einsum("kjc,kc->kj", mats, amps) - np.eye(n), axis=1)
@@ -189,14 +206,10 @@ def bundle_from_unitaries(states: StateSet, uks: Sequence) -> DistinguisherBundl
     No condition threshold is enforced here; the measured overlaps are
     recorded in the bundle for inspection.
     """
-    return DistinguisherBundle(
-        state_set=states,
-        uks=tuple(
-            u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(np.asarray(u))
-            for u in uks
-        ),
-        condition=condition_report(states, uks),
-    )
+    condition = condition_report(states, uks)
+    stack = np.array(uks, dtype=complex)
+    stack.setflags(write=False)
+    return DistinguisherBundle(state_set=states, uks=stack, condition=condition)
 
 
 def build_distinguisher(states: StateSet, rng_seed: int = 0) -> DistinguisherBundle:
@@ -205,7 +218,7 @@ def build_distinguisher(states: StateSet, rng_seed: int = 0) -> DistinguisherBun
     The bundle holds both measured construction conditions; its circuit
     :attr:`DistinguisherBundle.total` is assembled only when it is read.
     """
-    uks = [build_uk(states, k, rng_seed) for k in range(states.size)]
+    uks = [build_uk(states, k, rng_seed).entries for k in range(states.size)]
     return bundle_from_unitaries(states, uks)
 
 
@@ -232,8 +245,8 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
         raise DimensionError(
             f"input of dim {vec.size} does not match set dimension {states.size}"
         )
-    amps = np.array([s.amplitudes for s in states])
-    in_set = bool((np.abs(amps.conj() @ vec) ** 2 >= 1.0 - _IN_SET_TOL).any())
+    fids = np.abs(states.amplitudes.conj() @ vec) ** 2
+    in_set = bool((fids >= 1.0 - _IN_SET_TOL).any())
     if not in_set:
         warnings.warn(
             "input state matches no member of the declared set; "
@@ -241,7 +254,7 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
             InputNotInSetWarning,
             stacklevel=2,
         )
-    phi = np.array([u.entries @ vec for u in bundle.uks]).T
+    phi = (bundle.uks @ vec).T
     chain = np.abs(phi) ** 2
     _, svals, vh, null_mask = deutsch.null_space(
         chain, "T", "stationary label distribution")

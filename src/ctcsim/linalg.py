@@ -16,7 +16,9 @@ The wrapper types (:class:`StateVector`, :class:`DensityMatrix`,
 at construction.  Numeric invariants (normalization, hermiticity, unit
 trace, positivity, unitarity, distinctness) are checked by
 :func:`validate`, which reports instead of raising; operations that need
-an invariant check it themselves at their boundary.
+an invariant check it themselves at their boundary.  A
+:class:`StateSet` holds its N members as the rows of one read-only
+N x N array, which the constructions read whole.
 """
 
 from __future__ import annotations
@@ -101,36 +103,39 @@ class UnitaryMatrix(_SquareMatrix):
 
 @dataclass(frozen=True, eq=False)
 class StateSet:
-    """An ordered collection of N states in an N-dimensional space."""
+    """N states in an N-dimensional space, member k being row k of the
+    read-only N x N array `amplitudes`; members read back as
+    :class:`StateVector`."""
 
-    states: tuple[StateVector, ...]
+    amplitudes: np.ndarray
 
     def __post_init__(self):
-        members = tuple(
-            s if isinstance(s, StateVector) else StateVector(np.asarray(s))
-            for s in self.states
-        )
-        n = len(members)
+        n = len(self.amplitudes)
         if n == 0:
             raise DimensionError("state set must contain at least one state")
-        if any(s.dim != n for s in members):
+        try:
+            amps = np.array(self.amplitudes, dtype=complex)
+        except ValueError:  # members of unequal lengths
+            amps = None
+        if amps is None or amps.shape != (n, n):
             raise DimensionError(
                 f"a set of {n} states must live in a {n}-dimensional space"
             )
-        object.__setattr__(self, "states", members)
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.amplitudes)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.amplitudes)
 
     def __iter__(self):
-        return iter(self.states)
+        return map(StateVector, self.amplitudes)
 
     def __getitem__(self, k: int) -> StateVector:
-        return self.states[k]
+        return StateVector(self.amplitudes[k])
 
 
 def _as_vector(v) -> np.ndarray:
@@ -309,7 +314,7 @@ def validate(obj, *, distinct_tol: float = TOL_DISTINCT) -> ValidityReport:
             _check("unitary", res, TOL_UNI),
         ))
     if isinstance(obj, StateSet):
-        amps = np.array([s.amplitudes for s in obj.states])
+        amps = obj.amplitudes
         worst_norm = np.abs(np.linalg.norm(amps, axis=1) - 1.0).max()
         # every pairwise fidelity from one Gram product, clamped as
         # state_fidelity clamps one

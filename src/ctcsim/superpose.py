@@ -97,7 +97,7 @@ def build_omega(states: StateSet, i: int, j: int,
     :class:`DegenerateSuperposition` is raised.
     """
     alpha, beta = unit_scaled(spec.alpha, spec.beta)
-    raw = alpha * states[i].amplitudes + beta * states[j].amplitudes
+    raw = alpha * states.amplitudes[i] + beta * states.amplitudes[j]
     gamma = float(np.linalg.norm(raw))
     if gamma < TOL_GAMMA:
         raise DegenerateSuperposition(i, j, gamma)
@@ -122,7 +122,7 @@ def build_u_ij(states: StateSet, i: int, j: int, spec: SuperpositionSpec,
         order[0], order[i] = i, 0
         return UnitaryMatrix(np.asarray(uks[i], dtype=complex).conj().T[:, order])
     omega = build_omega(states, i, j, spec)
-    return unitary_from_first_column(omega, states.states)
+    return unitary_from_first_column(omega, states.amplitudes)
 
 
 def build_u_prime(states: StateSet, spec: SuperpositionSpec,

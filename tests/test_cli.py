@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -288,12 +291,24 @@ def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
 
 
 def test_main_reuses_one_parser(monkeypatch, capsys):
-    def fail():
-        raise AssertionError("build_parser called from main")
-
-    monkeypatch.setattr(cli, "build_parser", fail)
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
     assert main(["example"]) == 0
     assert main(["example", "--alpha", "0.6", "--beta", "0.8"]) == 0
+    assert len(builds) == 1
+
+
+def test_import_builds_no_parser():
+    # argparse's help strings go through gettext, which imports locale
+    code = "import sys, ctcsim.cli; print('locale' in sys.modules)"
+    src = Path(cli.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "False\n"
 
 
 def test_report_floats_round_trip(tmp_path, capsys):
@@ -407,6 +422,14 @@ def test_fixed_point_non_unique_is_protocol_error(tmp_path, capsys):
         "rho_cr": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
     }))
     assert main(["fixed-point", cfg]) == 3
+
+
+def test_fixed_point_without_numerical_solution_is_protocol_error(
+        capsys, monkeypatch):
+    monkeypatch.setattr(deutsch, "TOL_FIX", -1.0)
+    assert main(["fixed-point", str(DEMO_CONFIGS / "fixed_point_swap.yaml")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "protocol error: NoFixedPointNumerical: candidate fixed point has residual")
 
 
 def test_example_default_run(capsys):

@@ -25,6 +25,7 @@ from ctcsim import (
     state_fidelity,
     swap_operator,
     tensor_product,
+    validate,
 )
 from ctcsim import deutsch, discrimination
 from ctcsim.sampling import haar_state, random_state_set
@@ -74,6 +75,46 @@ def test_build_uk_duplicate_states_exhaust_retries():
         build_uk(dup, 0, rng_seed=0)
 
 
+def _near_parallel_set(n, delta):
+    # member j at infidelity j delta from member 0, which is |0>
+    rows = np.zeros((n, n))
+    rows[:, 0] = np.sqrt(1 - delta * np.arange(n))
+    rows[1:, 1:] = np.diag(np.sqrt(delta * np.arange(1, n)))
+    return StateSet(rows)
+
+
+@pytest.mark.parametrize("n, delta", [
+    (2, 2e-9), (3, 2e-9), (5, 2e-9), (8, 2e-9), (3, 1e-8), (5, 1e-8), (8, 1e-8),
+])
+def test_build_uk_fails_fast_below_condition2_bound(monkeypatch, n, delta):
+    # U_k psi_k = |k> caps <j|U_k|psi_j>^2 at 1 - F_jk, here below the
+    # condition-2 threshold, so no Haar retry can help
+    states = _near_parallel_set(n, delta)
+    assert validate(states).passed
+    draws = []
+    monkeypatch.setattr(discrimination, "haar_state",
+                        lambda *a: draws.append(a) or haar_state(*a))
+    threshold = 10 * deutsch.SVD_CUTOFF * np.sqrt(n - 1)
+    with pytest.raises(Condition2Exhausted) as err:
+        build_distinguisher(states, rng_seed=0)
+    assert str(err.value) == (
+        f"members 1 and 0 have 1 - F = {delta:.3e}, which keeps overlap^2 "
+        f"of U_0 from exceeding {threshold:.3e}")
+    assert draws == []
+
+
+@pytest.mark.parametrize("n, delta", [
+    (2, 1e-8), (2, 1e-7), (3, 1e-7), (5, 1e-7), (8, 1e-7),
+], ids=["boundary-2", "2", "3", "5", "8"])
+def test_near_parallel_sets_above_the_bound_decode(n, delta):
+    # at N = 2 and 1 - F = 1e-8 the pair sits on the threshold itself and
+    # passes by rounding, as the retry loop alone lets it
+    states = _near_parallel_set(n, delta)
+    bundle = build_distinguisher(states, rng_seed=0)
+    for j, psi in enumerate(states):
+        assert distinguish(bundle, psi).decoded == j
+
+
 def test_build_uk_index_out_of_range(zero_minus_set):
     with pytest.raises(DimensionError):
         build_uk(zero_minus_set, 2)
@@ -113,7 +154,7 @@ def test_bundle_invariants_on_random_sets():
         for _ in range(3):
             states = random_state_set(n, rng)
             bundle = build_distinguisher(states, rng_seed=int(rng.integers(1 << 30)))
-            stacked = controlled_stack([u.entries for u in bundle.uks])
+            stacked = controlled_stack(bundle.uks)
             rebuilt = stacked @ swap_operator(n)
             assert np.abs(bundle.total.entries - rebuilt).max() < 1e-12
             eye = np.eye(n * n)
@@ -124,8 +165,20 @@ def test_bundle_invariants_on_random_sets():
             assert report.condition1_deviation.max() <= 1e-9
             for j in range(n):
                 for k in range(n):
-                    direct = abs(bundle.uks[k].entries[j] @ states[j].amplitudes)
+                    direct = abs(bundle.uks[k][j] @ states[j].amplitudes)
                     assert abs(report.overlaps[j, k] - direct) <= 1e-14
+
+
+def test_bundle_uks_is_one_read_only_stack():
+    states = random_state_set(4, np.random.default_rng(8))
+    bundle = build_distinguisher(states, rng_seed=8)
+    expected = np.array([build_uk(states, k, 8).entries for k in range(4)])
+    assert np.array_equal(bundle.uks, expected)
+    assert not bundle.uks.flags.writeable
+    given = [np.eye(2), HADAMARD]
+    assert not bundle_from_unitaries(
+        StateSet([[1, 0], [S, -S]]), given).uks.flags.writeable
+    assert given[0].flags.writeable
 
 
 def test_build_distinguisher_is_deterministic():
@@ -134,8 +187,7 @@ def test_build_distinguisher_is_deterministic():
     b1 = build_distinguisher(states, rng_seed=11)
     b2 = build_distinguisher(states, rng_seed=11)
     assert np.array_equal(b1.total.entries, b2.total.entries)
-    for u1, u2 in zip(b1.uks, b2.uks):
-        assert np.array_equal(u1.entries, u2.entries)
+    assert np.array_equal(b1.uks, b2.uks)
 
 
 def test_distinguish_example_minus(zero_minus_set):
@@ -262,7 +314,7 @@ def test_chain_gap_absorbing_bound(n, spread, seed):
     for j, psi in enumerate(states):
         q = bundle.condition.overlaps[j].min() ** 2
         assert q > 10 * deutsch.SVD_CUTOFF * np.sqrt(n - 1)
-        phi = np.array([u.entries @ psi.amplitudes for u in bundle.uks]).T
+        phi = np.array([u @ psi.amplitudes for u in bundle.uks]).T
         svals = np.linalg.svd(np.abs(phi) ** 2 - np.eye(n), compute_uv=False)
         assert svals[-1] <= deutsch.SVD_CUTOFF
         assert svals[-2] >= q / np.sqrt(n - 1)

@@ -142,7 +142,7 @@ def test_completion_reproduces_reference_columns(zero_minus_set):
     # column is fixed up to a phase
     raw = S * zero_minus_set[0].amplitudes + S * zero_minus_set[1].amplitudes
     omega = StateVector(raw / np.linalg.norm(raw))
-    u = unitary_from_first_column(omega, zero_minus_set.states)
+    u = unitary_from_first_column(omega, zero_minus_set.amplitudes)
     assert np.abs(u.entries[:, 0] - omega.amplitudes).max() == 0.0
     ref_col1 = np.array([0.38268343236508978, 0.92387953251128674])
     overlap = np.vdot(ref_col1, u.entries[:, 1])
@@ -354,3 +354,37 @@ def test_validate_unnormalized_vector():
 def test_state_set_requires_square_shape():
     with pytest.raises(DimensionError):
         StateSet((basis_state(3, 0), basis_state(3, 1)))
+
+
+def test_state_set_is_one_read_only_array():
+    rows = [[1, 0, 0], [S, S * 1j, 0], [0.6, 0, 0.8j]]
+    array = np.array(rows, dtype=complex)
+    sets = [StateSet(tuple(StateVector(r) for r in rows)), StateSet(rows),
+            StateSet(array)]
+    for states in sets:
+        assert states.amplitudes.dtype == complex
+        assert np.array_equal(states.amplitudes, array)
+        assert not states.amplitudes.flags.writeable
+        assert len(states) == states.size == 3
+        members = list(states)
+        for k in range(3):
+            for member in (states[k], members[k]):
+                assert isinstance(member, StateVector)
+                assert np.array_equal(member.amplitudes, array[k])
+        assert len(members) == 3
+    # the set owns a copy; the caller's array stays writable
+    assert array.flags.writeable
+
+
+@pytest.mark.parametrize("members, message", [
+    ((), "state set must contain at least one state"),
+    ((basis_state(3, 0), basis_state(3, 1)),
+     "a set of 2 states must live in a 2-dimensional space"),
+    (np.eye(3)[:2], "a set of 2 states must live in a 2-dimensional space"),
+    ((basis_state(2, 0), basis_state(3, 1)),
+     "a set of 2 states must live in a 2-dimensional space"),
+], ids=["empty", "non-square", "non-square-array", "unequal-lengths"])
+def test_state_set_shape_errors(members, message):
+    with pytest.raises(DimensionError) as err:
+        StateSet(members)
+    assert str(err.value) == message
