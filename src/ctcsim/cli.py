@@ -26,7 +26,10 @@ and one ``yaml.load`` of the text sees a placeholder scalar in its
 place.  If that load fails, or a placeholder does not come back as a
 scalar of its own (a row inside a block scalar, a multi-line scalar or a
 flow collection), the original text is loaded again without
-placeholders.
+placeholders.  Every complex value of a config is read by
+:func:`_parse_array`: a number is a YAML int or float, never a bool, a
+complex value is a bare number or an [re, im] pair, and a number beyond
+float range is a config error that names its entry.
 
 Each subcommand returns its report header, runs and verdict; :func:`main`
 stamps the header, writes the report and picks the exit code.  Exit
@@ -188,69 +191,47 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _parse_complex(node, where: str) -> complex:
-    if isinstance(node, bool):
-        raise ConfigError(f"{where}: expected a number or [re, im] pair")
-    if isinstance(node, (int, float)):
-        return complex(node)
-    if (isinstance(node, list) and len(node) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in node)):
-        return complex(node[0], node[1])
-    raise ConfigError(f"{where}: expected a number or [re, im] pair")
-
-
+# a config number: a YAML int or float, never a bool
 _NUMBER_TYPES = frozenset((int, float))
+_LIST_OF = {1: "amplitudes", 2: "rows"}
 
 
-def _numeric(node: list, depth: int):
-    """`node` as a complex array of `depth` axes, or None.
+def _parse_array(node, where: str, depth: int):
+    """`node` as a complex number (depth 0), vector (1) or matrix (2).
 
-    A well-formed node nests lists `depth` deep whose leaves are all
-    ints or floats (bools excluded), or `depth + 1` deep ending in
-    [re, im] pairs.  Anything else, empty or mixed forms included,
-    returns None and is left to the per-entry walk.
+    A well-formed node, lists nested `depth` deep ending in numbers or
+    `depth + 1` deep ending in [re, im] pairs, is read by one
+    ``np.array``; any other, mixed forms included, is read entry by
+    entry, and its first bad entry is a ConfigError that names it.
     """
+    if not depth:
+        parts = node if isinstance(node, list) and len(node) == 2 else [node]
+        if not set(map(type, parts)) <= _NUMBER_TYPES:
+            raise ConfigError(f"{where}: expected a number or [re, im] pair")
+        try:
+            return complex(*parts)
+        except OverflowError:
+            raise ConfigError(f"{where}: number beyond float range") from None
+    if not isinstance(node, list) or not node:
+        raise ConfigError(
+            f"{where}: expected a nonempty list of {_LIST_OF[depth]}")
     try:
         arr = np.array(node, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        return None
-    if not arr.size or arr.ndim not in (depth, depth + 1):
-        return None
-    if arr.ndim > depth and arr.shape[-1] != 2:
-        return None
-    leaves = node
-    for _ in range(arr.ndim - 1):
-        leaves = itertools.chain.from_iterable(leaves)
-    if not set(map(type, leaves)) <= _NUMBER_TYPES:
-        return None
-    if arr.ndim > depth:
-        return arr.view(complex)[..., 0]
-    return arr.astype(complex)
-
-
-def _parse_vector(node, where: str) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        raise ConfigError(f"{where}: expected a nonempty list of amplitudes")
-    arr = _numeric(node, 1)
-    if arr is not None:
-        return arr
-    return np.array(
-        [_parse_complex(x, f"{where}[{k}]") for k, x in enumerate(node)],
-        dtype=complex,
-    )
-
-
-def _parse_matrix(node, where: str) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        raise ConfigError(f"{where}: expected a nonempty list of rows")
-    arr = _numeric(node, 2)
-    if arr is not None:
-        return arr
-    rows = [_parse_vector(row, f"{where}[{k}]") for k, row in enumerate(node)]
-    if any(r.size != rows[0].size for r in rows):
+        arr = None
+    if (arr is not None and arr.size and arr.ndim >= depth
+            and arr.shape[depth:] in ((), (2,))):
+        leaves = node
+        for _ in range(arr.ndim - 1):
+            leaves = itertools.chain.from_iterable(leaves)
+        if set(map(type, leaves)) <= _NUMBER_TYPES:
+            if arr.ndim > depth:
+                return arr.view(complex)[..., 0]
+            return arr.astype(complex)
+    entries = [_parse_array(x, f"{where}[{k}]", depth - 1) for k, x in enumerate(node)]
+    if depth > 1 and any(r.size != entries[0].size for r in entries):
         raise ConfigError(f"{where}: rows have unequal lengths")
-    return np.array(rows, dtype=complex)
+    return np.array(entries, dtype=complex)
 
 
 def _parse_state_set(cfg: dict) -> StateSet:
@@ -259,7 +240,7 @@ def _parse_state_set(cfg: dict) -> StateSet:
     node = cfg["state_set"]
     if not isinstance(node, list) or not node:
         raise ConfigError("state_set: expected a nonempty list of vectors")
-    amplitudes = _parse_matrix(node, "state_set")
+    amplitudes = _parse_array(node, "state_set", 2)
     try:
         return StateSet(amplitudes)
     except CtcSimError as exc:
@@ -269,8 +250,8 @@ def _parse_state_set(cfg: dict) -> StateSet:
 def _parse_spec(cfg: dict) -> SuperpositionSpec:
     if "alpha" not in cfg or "beta" not in cfg:
         raise ConfigError("config is missing alpha/beta amplitudes")
-    alpha = _parse_complex(cfg["alpha"], "alpha")
-    beta = _parse_complex(cfg["beta"], "beta")
+    alpha = _parse_array(cfg["alpha"], "alpha", 0)
+    beta = _parse_array(cfg["beta"], "beta", 0)
     try:
         return SuperpositionSpec(alpha, beta)
     except ValueError as exc:
@@ -312,9 +293,12 @@ def _merge_tolerances(cfg: dict, args) -> dict:
             raise ConfigError(
                 f"unknown tolerance {key!r} (known: {', '.join(sorted(tol))})"
             )
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if type(value) not in _NUMBER_TYPES:
             raise ConfigError(f"tolerance {key} must be a number")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
         if not math.isfinite(value):
             raise ConfigError(f"tolerance {key} must be finite, got {value}")
         # a negative distinct tolerance admits equal members on purpose
@@ -697,7 +681,7 @@ def cmd_fixed_point(args) -> tuple[dict, list, bool]:
     policy = _parse_policy(cfg, args)
     if "unitary" not in cfg:
         raise ConfigError("config is missing the unitary key")
-    u = _parse_matrix(cfg["unitary"], "unitary")
+    u = _parse_array(cfg["unitary"], "unitary", 2)
     if u.shape[0] != u.shape[1]:
         raise ConfigError("unitary must be square")
     (check,) = validate(linalg.UnitaryMatrix(u)).checks
@@ -712,10 +696,10 @@ def cmd_fixed_point(args) -> tuple[dict, list, bool]:
     # double nesting is read as a pure-state vector
     if (isinstance(node, list) and node and isinstance(node[0], list)
             and node[0] and isinstance(node[0][0], list)):
-        rho = _parse_matrix(node, "rho_cr")
+        rho = _parse_array(node, "rho_cr", 2)
         how = "a density matrix"
     else:
-        vec = _parse_vector(node, "rho_cr")
+        vec = _parse_array(node, "rho_cr", 1)
         rho = np.outer(vec, vec.conj())
         how = f"a pure-state vector of {vec.size} amplitudes"
     if rho.shape[0] != rho.shape[1]:

@@ -178,6 +178,8 @@ def test_unread_flags_are_not_accepted(tmp_path, argv):
 
 NEGATIVE_SEED_CONFIG = PAIR_CONFIG.replace("rng_seed: 0", "rng_seed: -5")
 NON_SQUARE_CONFIG = "unitary: [[1, 0, 0], [0, 1, 0]]\nrho_cr: [1, 0]\n"
+# an integer beyond float range
+HUGE = "9" * 400
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -204,6 +206,14 @@ NON_SQUARE_CONFIG = "unitary: [[1, 0, 0], [0, 1, 0]]\nrho_cr: [1, 0]\n"
     (["superpose", "CFG"], PAIR_CONFIG + "tolerances: abc\n"),
     (["distinguish", "CFG"], PAIR_CONFIG + "tolerances: [[distinct, 0.5]]\n"),
     (["distinguish", "CFG"], PAIR_CONFIG.encode() + b"# caf\xe9\n"),
+    (["superpose", "CFG"],
+     PAIR_CONFIG.replace(f"alpha: [{S_17}, 0]", f"alpha: {HUGE}")),
+    (["distinguish", "CFG"],
+     PAIR_CONFIG.replace("- [[1, 0], [0, 0]]", f"- [[1, 0], [0, {HUGE}]]")),
+    (["fixed-point", "CFG"],
+     f"unitary: [[[1, 0], [0, 0]], [[0, 0], [1, {HUGE}]]]\nrho_cr: [1, 0]\n"),
+    (["fixed-point", "CFG"], f"unitary: [[1, 0], [0, 1]]\nrho_cr: [{HUGE}, 0]\n"),
+    (["distinguish", "CFG"], PAIR_CONFIG + f"tolerances: {{distinct: {HUGE}}}\n"),
 ], ids=["non-square-unitary", "superpose-rng-seed", "distinguish-rng-seed",
         "superpose-seed-flag", "distinguish-seed-flag", "example-seed-flag",
         "superpose-nan-alpha", "superpose-inf-beta", "example-nan-alpha",
@@ -212,7 +222,8 @@ NON_SQUARE_CONFIG = "unitary: [[1, 0, 0], [0, 1, 0]]\nrho_cr: [1, 0]\n"
         "distinguish-inf-tolerance-config",
         "superpose-negative-tolerance-config", "tolerances-list",
         "tolerances-number", "tolerances-string", "tolerances-pair-list",
-        "non-utf8-byte"])
+        "non-utf8-byte", "huge-alpha", "huge-state-set-entry",
+        "huge-unitary-pair", "huge-rho-cr", "huge-tolerance-config"])
 def test_bad_inputs_are_config_errors(tmp_path, capsys, argv, config):
     cfg = write(tmp_path, "bad.yaml", config)
     assert main([cfg if a == "CFG" else a for a in argv]) == 2

@@ -472,11 +472,29 @@ def test_bom_malformed_config_errors_are_unchanged(monkeypatch, tmp_path,
 # numeric parsing
 
 
+def _walk_complex(node, where):
+    """The reading of one number, bare or [re, im], as the test oracle."""
+    if isinstance(node, bool):
+        raise cli.ConfigError(f"{where}: expected a number or [re, im] pair")
+    if isinstance(node, (int, float)):
+        parts = (node,)
+    elif (isinstance(node, list) and len(node) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in node)):
+        parts = node
+    else:
+        raise cli.ConfigError(f"{where}: expected a number or [re, im] pair")
+    try:
+        return complex(*parts)
+    except OverflowError:
+        raise cli.ConfigError(f"{where}: number beyond float range") from None
+
+
 def _walk_vector(node, where):
     """The per-entry reading of a vector node, as the test oracle."""
     if not isinstance(node, list) or not node:
         raise cli.ConfigError(f"{where}: expected a nonempty list of amplitudes")
-    return np.array([cli._parse_complex(x, f"{where}[{k}]")
+    return np.array([_walk_complex(x, f"{where}[{k}]")
                      for k, x in enumerate(node)], dtype=complex)
 
 
@@ -489,17 +507,23 @@ def _walk_matrix(node, where):
     return np.array(rows, dtype=complex)
 
 
-def _parsed(parse, node):
+# the oracle of cli._parse_array at depths 0, 1 and 2
+WALKS = (_walk_complex, _walk_vector, _walk_matrix)
+
+
+def _parsed(parse, node, *depth):
     try:
-        arr = parse(node, "x")
+        value = parse(node, "x", *depth)
     except cli.ConfigError as exc:
         return ("ConfigError", str(exc))
+    arr = np.asarray(value)
     # compare bit patterns, so -0.0 and nan count
-    return (arr.dtype.str, arr.shape, arr.tobytes())
+    return (type(value).__name__, arr.dtype.str, arr.shape, arr.tobytes())
 
 
 LEAVES = (st.floats() | st.integers(-2**70, 2**70) | st.booleans()
-          | st.none() | st.sampled_from(["1.5", "x", -0.0]))
+          | st.none() | st.sampled_from(["1.5", "x", -0.0])
+          | st.integers(2**1024, 2**1100) | st.integers(-2**1100, -2**1024))
 NODES = st.recursive(LEAVES, lambda c: st.lists(c, max_size=4), max_leaves=20)
 REGULAR = st.integers(1, 4).flatmap(lambda n: st.lists(
     st.lists(st.floats() | st.integers(-9, 9), min_size=n, max_size=n)
@@ -509,23 +533,27 @@ REGULAR = st.integers(1, 4).flatmap(lambda n: st.lists(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(NODES | REGULAR | st.lists(REGULAR, min_size=1, max_size=3))
 def test_numeric_parse_matches_entry_walk(node):
-    assert _parsed(cli._parse_vector, node) == _parsed(_walk_vector, node)
-    assert _parsed(cli._parse_matrix, node) == _parsed(_walk_matrix, node)
+    for depth, walk in enumerate(WALKS):
+        assert _parsed(cli._parse_array, node, depth) == _parsed(walk, node)
 
 
 @pytest.mark.parametrize("node", [
     [1, 0.5], [[1, 0], [0, -0.0]], [[1, 0], 2], [True, 1.0], [[1, True]],
     [[1, 0], [0, 1, 2]], ["1.5", 0], [None], [[]], [[1, 0, 0]],
     [[[1, 0], [0, 1]], [[0, 0], [1, 0]]], [[[1, 0]], [1]], [[1, 2], [[0, 1], 3]],
-    [[[1, 0, 0]]], [[[[1, 0]]]], [10**400],
+    [[[1, 0, 0]]], [[[[1, 0]]]], [10**400], 2.5, True, [1, 2, 3],
 ], ids=str)
 def test_numeric_parse_cases(node):
-    for parse, walk in ((cli._parse_vector, _walk_vector),
-                        (cli._parse_matrix, _walk_matrix)):
-        try:
-            expected = _parsed(walk, node)
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                parse(node, "x")
-            continue
-        assert _parsed(parse, node) == expected
+    for depth, walk in enumerate(WALKS):
+        assert _parsed(cli._parse_array, node, depth) == _parsed(walk, node)
+
+
+@pytest.mark.parametrize("node, depth, where", [
+    (10**400, 0, "x"), ([0, -10**400], 0, "x"), ([10**400], 1, "x[0]"),
+    ([1, [2, 10**400]], 1, "x[1]"), ([[1, 0], [0, 10**400]], 2, "x[1][1]"),
+    ([[[1, 0], [-10**400, 0]]], 2, "x[0][1]"),
+], ids=["number", "pair", "vector", "vector-pair", "matrix", "matrix-pair"])
+def test_numbers_beyond_float_range_are_config_errors(node, depth, where):
+    with pytest.raises(cli.ConfigError) as err:
+        cli._parse_array(node, "x", depth)
+    assert str(err.value) == f"{where}: number beyond float range"
