@@ -29,7 +29,8 @@ flow collection), the original text is loaded again without
 placeholders.  Every complex value of a config is read by
 :func:`_parse_array`: a number is a YAML int or float, never a bool, a
 complex value is a bare number or an [re, im] pair, and a number beyond
-float range is a config error that names its entry.
+float range is a config error that names its entry, as is a config nested
+over ``_MAX_DEPTH`` levels deep or with a (fixed) ``tolerances`` key.
 
 Each subcommand returns its report header, runs and verdict; :func:`main`
 stamps the header, writes the report and picks the exit code.  Exit
@@ -46,7 +47,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import re
 import sys
 from datetime import datetime, timezone
@@ -71,11 +71,7 @@ EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_PROTOCOL = 3
 
-# exit 0 requires every requested fidelity >= 1 - success_fidelity
-_DEFAULT_TOLERANCES = {
-    "success_fidelity": 1e-6,
-    "distinct": linalg.TOL_DISTINCT,
-}
+_SUCCESS_FIDELITY = 1e-6
 
 _EXAMPLE_DEVIATION = 1e-9
 
@@ -104,8 +100,9 @@ _ROW = re.compile(
 _ROW_TOKEN = re.compile(r"[^][, ]+")
 
 
-def _mask_rows(text: str) -> tuple[str, dict]:
-    """`text` with its numeric rows masked, and the rows by start index.
+def _mask_rows(text: str) -> tuple[str, dict, str]:
+    """`text` with its numeric rows masked, the rows by start index, and
+    the text outside the masked rows.
 
     Each row that ``json.loads`` reads, and whose numbers YAML 1.1 also
     reads as decimals, is replaced by the plain scalar ``x,,,`` of the
@@ -131,10 +128,29 @@ def _mask_rows(text: str) -> tuple[str, dict]:
         pieces.append(text[end:start])
         pieces.append(mask)
         end = match.end(1)
-    if not rows:
-        return text, rows
     pieces.append(text[end:])
-    return "".join(pieces), rows
+    return "".join(pieces), rows, "".join(pieces[::2])
+
+
+# libyaml's composer overflows the C stack from about 25,000 levels
+_MAX_DEPTH = 1000
+
+
+def _check_depth(masked: str, outside: str) -> None:
+    """ConfigError past ``_MAX_DEPTH`` levels, counted on libyaml's event stream
+    (no recursion) unless the text `outside` the placeholders has few of the
+    ``[{-:?`` that open each level; parse errors are left to the load."""
+    if sum(map(outside.count, "[{-:?")) <= _MAX_DEPTH:
+        return
+    depth = 0
+    try:
+        for event in yaml.parse(masked, Loader=_Loader):
+            depth += (isinstance(event, yaml.CollectionStartEvent)
+                      - isinstance(event, yaml.CollectionEndEvent))
+            if depth > _MAX_DEPTH:
+                raise ConfigError(f"nesting deeper than {_MAX_DEPTH} levels")
+    except yaml.YAMLError:
+        pass
 
 
 def _read_config(text: str):
@@ -145,9 +161,11 @@ def _read_config(text: str):
     replaced by its row.  If that load raises or leaves a row unused (a
     row inside a block scalar, a multi-line scalar or a flow
     collection), the original text is loaded again, so values and errors
-    are those of a plain load.
+    are those of a plain load.  The masked text's nesting is checked first;
+    ``json.loads`` nests a row no deeper than the recursion limit.
     """
-    masked, rows = _mask_rows(text)
+    masked, rows, outside = _mask_rows(text)
+    _check_depth(masked, outside)
 
     def splice(loader, node):
         row = rows.get(node.start_mark.index)
@@ -188,6 +206,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"parse failure at {where}: {problem}")
     if not isinstance(data, dict):
         raise ConfigError("config must be a key-value mapping at top level")
+    if "tolerances" in data:
+        raise ConfigError("tolerances are fixed; remove the tolerances key")
     return data
 
 
@@ -274,46 +294,11 @@ def _parse_policy(cfg: dict, args) -> str:
     return policy
 
 
-def _merge_tolerances(cfg: dict, args) -> dict:
-    tol = dict(_DEFAULT_TOLERANCES)
-    overrides = cfg.get("tolerances")
-    if not isinstance(overrides, (dict, type(None))):
-        raise ConfigError("tolerances must map tolerance names to numbers")
-    overrides = dict(overrides or {})
-    for item in getattr(args, "tolerance", None) or []:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--tolerance expects KEY=VALUE, got {item!r}")
-        try:
-            overrides[key] = float(value)
-        except ValueError:
-            raise ConfigError(f"--tolerance {key}: {value!r} is not a number")
-    for key, value in overrides.items():
-        if key not in tol:
-            raise ConfigError(
-                f"unknown tolerance {key!r} (known: {', '.join(sorted(tol))})"
-            )
-        if type(value) not in _NUMBER_TYPES:
-            raise ConfigError(f"tolerance {key} must be a number")
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf if value > 0 else -math.inf
-        if not math.isfinite(value):
-            raise ConfigError(f"tolerance {key} must be finite, got {value}")
-        # a negative distinct tolerance admits equal members on purpose
-        if value < 0 and key != "distinct":
-            raise ConfigError(f"tolerance {key} must be non-negative, got {value}")
-        tol[key] = value
-    return tol
-
-
-def _read_state_set_config(args) -> tuple[dict, dict, StateSet]:
-    """The config, its merged tolerances and its validated state set."""
+def _read_state_set_config(args) -> tuple[dict, StateSet]:
+    """The config and its validated state set."""
     cfg = _load_config(args.config)
-    tol = _merge_tolerances(cfg, args)
     states = _parse_state_set(cfg)
-    report = validate(states, distinct_tol=tol["distinct"])
+    report = validate(states)
     if not report.passed:
         lines = ", ".join(
             f"{c.name} (residual {_fmt_float(c.residual)}, "
@@ -321,7 +306,7 @@ def _read_state_set_config(args) -> tuple[dict, dict, StateSet]:
             for c in report.failures()
         )
         raise ConfigError(f"state_set fails validation: {lines}")
-    return cfg, tol, states
+    return cfg, states
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +584,7 @@ def _timestamp() -> str:
 
 def cmd_superpose(args) -> tuple[dict, list, bool]:
     """Run the superposition protocol for one pair or a full sweep."""
-    cfg, tol, states = _read_state_set_config(args)
+    cfg, states = _read_state_set_config(args)
     spec = _parse_spec(cfg)
     seed = _parse_seed(cfg, args)
     if _parse_policy(cfg, args) != "require_unique":
@@ -642,15 +627,13 @@ def cmd_superpose(args) -> tuple[dict, list, bool]:
         "condition_overlaps": cond.overlaps,
         "condition2_min": float(cond.min_overlap),
         "condition1_deviation": cond.condition1_deviation,
-        "tolerances": {k: float(v) for k, v in sorted(tol.items())},
     }
-    threshold = 1.0 - tol["success_fidelity"]
-    return header, runs, all(r["fidelity"] >= threshold for r in runs)
+    return header, runs, all(r["fidelity"] >= 1 - _SUCCESS_FIDELITY for r in runs)
 
 
 def cmd_distinguish(args) -> tuple[dict, list, bool]:
     """Discriminate every set member and report the decoded labels."""
-    cfg, tol, states = _read_state_set_config(args)
+    cfg, states = _read_state_set_config(args)
     seed = _parse_seed(cfg, args)
 
     bundle = build_distinguisher(states, seed)
@@ -670,7 +653,6 @@ def cmd_distinguish(args) -> tuple[dict, list, bool]:
         "state_set": states.amplitudes,
         "condition_overlaps": cond.overlaps,
         "condition2_min": float(cond.min_overlap),
-        "tolerances": {k: float(v) for k, v in sorted(tol.items())},
     }
     return header, runs, all(r["decoded"] == r["input_index"] for r in runs)
 
@@ -824,8 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the rng_seed from the config")
     state_set = argparse.ArgumentParser(add_help=False)
     state_set.add_argument("config")
-    state_set.add_argument("--tolerance", action="append", metavar="KEY=VALUE",
-                           help="override a tolerance (repeatable)")
 
     p = sub.add_parser("superpose", parents=[seeded, state_set],
                        help="run the superposition protocol from a config")

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import DimensionError, NoFixedPointNumerical, NonUniqueFixedPoint
 from .linalg import (
+    SVD_CUTOFF,
     DensityMatrix,
     TOL_PSD,
     _as_matrix,
@@ -40,7 +41,6 @@ from .linalg import (
 )
 
 TOL_FIX = 1e-8
-SVD_CUTOFF = 1e-9
 
 Policy = Literal["require_unique", "max_entropy"]
 

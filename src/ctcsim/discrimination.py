@@ -44,6 +44,8 @@ from .linalg import (
     StateSet,
     UnitaryMatrix,
     _as_vector,
+    condition2_room,
+    condition2_threshold,
     unitary_from_first_column,
 )
 from .sampling import haar_state
@@ -136,29 +138,15 @@ def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
     generator on retries), whose columns 0 and k are exchanged to give
     V with column k psi_k, and U_k = V^dagger.  Condition
     (1) is then exact by construction.  Condition (2) is enforced as
-    every overlap^2 above 10 ``deutsch.SVD_CUTOFF`` sqrt(N - 1): member
-    j's label chain, j absorbing, has a gap of at least q / sqrt(N - 1),
-    q its least overlap^2, so its fixed point is unique.  Condition (2)
-    holds generically, so failures are retried up to ``MAX_ATTEMPTS``
-    times before raising :class:`Condition2Exhausted`, which is raised
-    at once when some member j's weight off psi_k, |psi_j|^2 (1 - F_jk),
-    caps its overlap^2 (row j of U_k is orthogonal to psi_k) below it.
+    every overlap^2 above :func:`ctcsim.linalg.condition2_threshold`.
+    It holds generically, so failures are retried up to ``MAX_ATTEMPTS``
+    times before raising :class:`Condition2Exhausted`.
     """
     n = states.size
     if not 0 <= k < n:
         raise DimensionError(f"index {k} out of range for a set of {n} states")
     amps = states.amplitudes
-    threshold = 10 * deutsch.SVD_CUTOFF * np.sqrt(n - 1)
-    norms2 = np.linalg.norm(amps, axis=1) ** 2
-    room = norms2 - np.abs(amps.conj() @ amps[k]) ** 2 / norms2[k]
-    room[k] = np.inf
-    j = int(np.argmin(room))
-    # room and the overlaps each carry rounding of a few N eps
-    if room[j] + 8 * n * np.finfo(float).eps < threshold:
-        raise Condition2Exhausted(
-            f"members {j} and {k} have 1 - F = {room[j] / norms2[j]:.3e}, "
-            f"which keeps overlap^2 of U_{k} from exceeding {threshold:.3e}"
-        )
+    threshold = condition2_threshold(n)
     order = list(range(n))
     order[0], order[k] = k, 0
     rng = np.random.default_rng(rng_seed)
@@ -215,9 +203,19 @@ def bundle_from_unitaries(states: StateSet, uks: Sequence) -> DistinguisherBundl
 def build_distinguisher(states: StateSet, rng_seed: int = 0) -> DistinguisherBundle:
     """Construct per-index unitaries for every k and bundle them.
 
+    The first k whose least room (:func:`ctcsim.linalg.condition2_room`)
+    falls short raises :class:`Condition2Exhausted` before any completion.
     The bundle holds both measured construction conditions; its circuit
     :attr:`DistinguisherBundle.total` is assembled only when it is read.
     """
+    room, least = condition2_room(states)
+    k = int(np.argmax(room.min(axis=0) < least))
+    j = int(np.argmin(room[:, k]))
+    if room[j, k] < least:
+        infidelity = room[j, k] / np.linalg.norm(states.amplitudes[j]) ** 2
+        raise Condition2Exhausted(
+            f"members {j} and {k} have 1 - F = {infidelity:.3e}, which keeps "
+            f"overlap^2 of U_{k} from exceeding {condition2_threshold(len(room)):.3e}")
     uks = [build_uk(states, k, rng_seed).entries for k in range(states.size)]
     return bundle_from_unitaries(states, uks)
 

@@ -18,7 +18,9 @@ trace, positivity, unitarity, distinctness) are checked by
 :func:`validate`, which reports instead of raising; operations that need
 an invariant check it themselves at their boundary.  A
 :class:`StateSet` holds its N members as the rows of one read-only
-N x N array, which the constructions read whole.
+N x N array, which the constructions read whole.  A set is distinct when
+every pair leaves condition (2) of the discrimination circuit the room
+:func:`condition2_room` measures; its ``distinct`` residual is the least room.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ TOL_HERM = 1e-10
 TOL_UNI = 1e-10
 TOL_GS = 1e-10
 TOL_PSD = 1e-9
-TOL_DISTINCT = 1e-9
+SVD_CUTOFF = 1e-9
 
 
 def _frozen_complex_array(values, ndim: int, what: str) -> np.ndarray:
@@ -287,12 +289,27 @@ def _check(name: str, residual: float, tolerance: float) -> InvariantCheck:
     return InvariantCheck(name, residual <= tolerance, residual, float(tolerance))
 
 
-def validate(obj, *, distinct_tol: float = TOL_DISTINCT) -> ValidityReport:
-    """Measure every invariant of a domain object; reports, never raises.
+def condition2_threshold(n: int) -> float:
+    """Least overlap^2 of condition (2): keeps chain gaps over ``SVD_CUTOFF``."""
+    return float(10 * SVD_CUTOFF * np.sqrt(n - 1))
 
-    `distinct_tol` overrides the state-set distinctness tolerance (the
-    pairwise fidelity bound is ``1 - distinct_tol``).
-    """
+
+def condition2_room(states: StateSet) -> tuple[np.ndarray, float]:
+    """``room[j, k] = |psi_j|^2 (1 - F_jk)`` (inf for j = k), which caps
+    |<j|U_k|psi_j>|^2 once U_k psi_k = |k>, and the least room condition
+    (2) needs: its threshold less 8 N eps, the rounding that room and the
+    overlaps each carry.  A zero member has room 0."""
+    amps = states.amplitudes
+    n = len(amps)
+    norms2 = np.linalg.norm(amps, axis=1) ** 2
+    overlap2 = np.abs(amps.conj() @ amps.T) ** 2
+    room = norms2[:, None] - overlap2 / np.maximum(norms2, np.finfo(float).tiny)
+    np.fill_diagonal(room, np.inf)
+    return room, float(condition2_threshold(n) - 8 * n * np.finfo(float).eps)
+
+
+def validate(obj) -> ValidityReport:
+    """Measure every invariant of a domain object; reports, never raises."""
     if isinstance(obj, StateVector):
         return ValidityReport("StateVector", (
             _check("norm", abs(np.linalg.norm(obj.amplitudes) - 1.0), TOL_NORM),
@@ -314,21 +331,11 @@ def validate(obj, *, distinct_tol: float = TOL_DISTINCT) -> ValidityReport:
             _check("unitary", res, TOL_UNI),
         ))
     if isinstance(obj, StateSet):
-        amps = obj.amplitudes
-        worst_norm = np.abs(np.linalg.norm(amps, axis=1) - 1.0).max()
-        # every pairwise fidelity from one Gram product, clamped as
-        # state_fidelity clamps one
-        gram = np.abs(amps.conj() @ amps.T) ** 2
-        pairs = gram[np.triu_indices(obj.size, 1)].max(initial=0.0)
-        max_fid = float(np.clip(pairs, 0.0, 1.0))
-        distinct = InvariantCheck(
-            "distinct",
-            max_fid < 1.0 - distinct_tol,
-            max_fid,
-            1.0 - distinct_tol,
-        )
+        worst_norm = np.abs(np.linalg.norm(obj.amplitudes, axis=1) - 1.0).max()
+        room, least = condition2_room(obj)
+        worst = float(room.min())
         return ValidityReport("StateSet", (
             _check("members_normalized", worst_norm, TOL_NORM),
-            distinct,
+            InvariantCheck("distinct", worst >= least, worst, least),
         ))
     raise TypeError(f"validate() does not know the type {type(obj).__name__}")

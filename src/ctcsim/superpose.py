@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .discrimination import DistinguisherBundle, build_distinguisher, distinguish
+from .discrimination import (DistinguisherBundle, build_distinguisher,
+                             controlled_stack, distinguish)
 from .errors import DegenerateSuperposition, DimensionError, PurityLoss
 from .linalg import (
     StateSet,
@@ -134,13 +135,8 @@ def build_u_prime(states: StateSet, spec: SuperpositionSpec,
     offending indices.
     """
     n = states.size
-    out = np.zeros((n**3, n**3), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            block = build_u_ij(states, i, j, spec, uks)
-            lo = (i * n + j) * n
-            out[lo:lo + n, lo:lo + n] = block.entries
-    return UnitaryMatrix(out)
+    return UnitaryMatrix(controlled_stack(
+        [build_u_ij(states, i, j, spec, uks).entries for i, j in np.ndindex(n, n)]))
 
 
 def pure_state_from_density(reduced) -> StateVector:

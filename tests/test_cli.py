@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,21 +90,63 @@ beta: -1
     assert "distinct" in capsys.readouterr().err
 
 
-def test_superpose_degenerate_pair_is_protocol_error(tmp_path, capsys):
-    # loosening the distinctness tolerance lets the duplicate set reach
-    # the protocol, where the cancelling amplitudes are detected
-    dup = """\
-state_set:
-  - [[1, 0], [0, 0]]
-  - [[1, 0], [0, 0]]
-alpha: 1
-beta: -1
-m: 0
-n: 0
-"""
-    cfg = write(tmp_path, "dup3.yaml", dup)
-    assert main(["superpose", cfg, "--tolerance", "distinct=-1e-9"]) == 3
-    assert "DegenerateSuperposition" in capsys.readouterr().err
+def _near_parallel_config(n, delta):
+    # member j at infidelity j delta from member 0, which is |0>
+    rows = np.zeros((n, n))
+    rows[:, 0] = np.sqrt(1 - delta * np.arange(n))
+    rows[1:, 1:] = np.diag(np.sqrt(delta * np.arange(1, n)))
+    return yaml.safe_dump({"state_set": [[[float(x), 0.0] for x in row]
+                                         for row in rows]})
+
+
+@pytest.mark.parametrize("n, delta", [
+    (2, 2e-9), (3, 2e-9), (5, 2e-9), (8, 2e-9), (3, 1e-8), (5, 1e-8), (8, 1e-8),
+])
+def test_sets_below_the_condition2_bound_fail_validation(tmp_path, capsys,
+                                                        monkeypatch, n, delta):
+    # 1 - F below 10 SVD_CUTOFF sqrt(N - 1) can never be built, so it is
+    # rejected before any U_k completion
+    monkeypatch.setattr(cli, "build_distinguisher", None)
+    cfg = write(tmp_path, "near.yaml", _near_parallel_config(n, delta))
+    assert main(["distinguish", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: state_set fails validation: distinct (residual ")
+
+
+@pytest.mark.parametrize("n, delta", [
+    (2, 1e-8), (2, 1e-7), (3, 1e-7), (5, 1e-7), (8, 1e-7),
+], ids=["boundary-2", "2", "3", "5", "8"])
+def test_sets_above_the_condition2_bound_decode(tmp_path, capsys, n, delta):
+    cfg = write(tmp_path, "near.yaml", _near_parallel_config(n, delta))
+    assert main(["distinguish", cfg]) == 0
+    report = yaml.safe_load(capsys.readouterr().out)
+    assert [r["decoded"] for r in report["runs"]] == list(range(n))
+
+
+def test_zero_member_is_a_config_error_without_warnings(tmp_path, capsys):
+    cfg = write(tmp_path, "zero.yaml",
+                "state_set:\n  - [[1, 0], [0, 0]]\n  - [[0, 0], [0, 0]]\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["distinguish", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: state_set fails validation: ")
+    assert "members_normalized" in err and "distinct (residual 0.0," in err
+
+
+@pytest.mark.parametrize("body", ["[" * 50000 + "1" + "]" * 50000,
+                                  "\n" + "- " * 50000 + "1"],
+                         ids=["flow", "block"])
+def test_deeply_nested_config_is_a_config_error(tmp_path, body):
+    # libyaml's composer overflows the C stack from about 25,000 levels,
+    # so this runs in a process of its own
+    cfg = write(tmp_path, "deep.yaml", "state_set: " + body + "\n")
+    src = Path(cli.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-m", "ctcsim", "distinguish", cfg],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 2
+    assert out.stderr.startswith("config error: nesting deeper than 1000 levels")
 
 
 def test_superpose_sweep_builds_one_distinguisher(tmp_path, capsys,
@@ -168,6 +211,13 @@ def test_distinguish_builds_no_superoperator(tmp_path, capsys, monkeypatch):
     ["fixed-point", "CFG", "--tolerance", "distinct=1"],
     ["example", "--tolerance", "distinct=1"],
     ["fixed-point", "CFG", "--seed", "1"],
+    # tolerances are fixed
+    ["distinguish", "CFG", "--json", "--tolerance", "success_fidelity=inf"],
+    ["superpose", "CFG", "--tolerance", "success_fidelity=nan"],
+    ["superpose", "CFG", "--tolerance", "success_fidelity=-1e-3"],
+    ["superpose", "CFG", "--tolerance", "sharpness=1"],
+    ["superpose", "CFG", "--tolerance", "success_fidelity=0.5"],
+    ["distinguish", "CFG", "--tolerance", "distinct=-1e-9"],
 ])
 def test_unread_flags_are_not_accepted(tmp_path, argv):
     cfg = write(tmp_path, "pair.yaml", PAIR_CONFIG)
@@ -195,10 +245,6 @@ HUGE = "9" * 400
      PAIR_CONFIG.replace(f"beta: [{S_17}, 0]", "beta: [0, .inf]")),
     (["example", "--alpha", "nan"], PAIR_CONFIG),
     (["example", "--beta", "inf"], PAIR_CONFIG),
-    (["distinguish", "CFG", "--json", "--tolerance", "success_fidelity=inf"],
-     PAIR_CONFIG),
-    (["superpose", "CFG", "--tolerance", "success_fidelity=nan"], PAIR_CONFIG),
-    (["superpose", "CFG", "--tolerance", "success_fidelity=-1e-3"], PAIR_CONFIG),
     (["distinguish", "CFG"], PAIR_CONFIG + "tolerances: {distinct: .inf}\n"),
     (["superpose", "CFG"], PAIR_CONFIG + "tolerances: {success_fidelity: -1}\n"),
     (["superpose", "CFG"], PAIR_CONFIG + "tolerances: [1, 2]\n"),
@@ -214,16 +260,20 @@ HUGE = "9" * 400
      f"unitary: [[[1, 0], [0, 0]], [[0, 0], [1, {HUGE}]]]\nrho_cr: [1, 0]\n"),
     (["fixed-point", "CFG"], f"unitary: [[1, 0], [0, 1]]\nrho_cr: [{HUGE}, 0]\n"),
     (["distinguish", "CFG"], PAIR_CONFIG + f"tolerances: {{distinct: {HUGE}}}\n"),
+    (["superpose", "CFG"], PAIR_CONFIG + "tolerances: {success_fidelity: 0.5}\n"),
+    (["distinguish", "CFG"], PAIR_CONFIG + "tolerances: {}\n"),
+    (["fixed-point", "CFG"],
+     "unitary: [[1, 0], [0, 1]]\nrho_cr: [1, 0]\ntolerances: {distinct: 0}\n"),
 ], ids=["non-square-unitary", "superpose-rng-seed", "distinguish-rng-seed",
         "superpose-seed-flag", "distinguish-seed-flag", "example-seed-flag",
         "superpose-nan-alpha", "superpose-inf-beta", "example-nan-alpha",
-        "example-inf-beta", "distinguish-inf-tolerance-flag",
-        "superpose-nan-tolerance-flag", "superpose-negative-tolerance-flag",
-        "distinguish-inf-tolerance-config",
+        "example-inf-beta", "distinguish-inf-tolerance-config",
         "superpose-negative-tolerance-config", "tolerances-list",
         "tolerances-number", "tolerances-string", "tolerances-pair-list",
         "non-utf8-byte", "huge-alpha", "huge-state-set-entry",
-        "huge-unitary-pair", "huge-rho-cr", "huge-tolerance-config"])
+        "huge-unitary-pair", "huge-rho-cr", "huge-tolerance-config",
+        "tolerances-success-fidelity", "tolerances-empty",
+        "fixed-point-tolerances"])
 def test_bad_inputs_are_config_errors(tmp_path, capsys, argv, config):
     cfg = write(tmp_path, "bad.yaml", config)
     assert main([cfg if a == "CFG" else a for a in argv]) == 2
@@ -241,11 +291,6 @@ def test_superpose_malformed_config_reports_line(tmp_path, capsys):
                 "state_set:\n  - [[1, 0], [0, 0]\nalpha: 1\n")
     assert main(["superpose", cfg]) == 2
     assert "line" in capsys.readouterr().err
-
-
-def test_superpose_unknown_tolerance(tmp_path, capsys):
-    cfg = write(tmp_path, "pair.yaml", PAIR_CONFIG)
-    assert main(["superpose", cfg, "--tolerance", "sharpness=1"]) == 2
 
 
 def test_superpose_json_lines(tmp_path, capsys):
@@ -565,17 +610,7 @@ def test_amplitude_scale_leaves_runs_unchanged(tmp_path, capsys, command, scale)
                          [1.0, 2.0**-40, 2.0**600, 1e-10, 1e200, 1e-320])
 def test_only_cancelling_amplitudes_are_degenerate_at_any_scale(tmp_path, capsys,
                                                                scale):
+    # the cancelling half is test_superpose's library-level sweep: a set
+    # whose members could cancel is not distinct and fails validation
     for command in ("superpose", "example"):
         assert run_at_scale(tmp_path, capsys, command, scale)[0] == 0
-    dup = f"""\
-state_set:
-  - [[1, 0], [0, 0]]
-  - [[1, 0], [0, 0]]
-alpha: [{scale:.17e}, 0]
-beta: [{-scale:.17e}, 0]
-m: 0
-n: 0
-"""
-    cfg = write(tmp_path, "dup.yaml", dup)
-    assert main(["superpose", cfg, "--tolerance", "distinct=-1e-9"]) == 3
-    assert "DegenerateSuperposition" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_build_uk_fails_fast_below_condition2_bound(monkeypatch, n, delta):
     # U_k psi_k = |k> caps <j|U_k|psi_j>^2 at 1 - F_jk, here below the
     # condition-2 threshold, so no Haar retry can help
     states = _near_parallel_set(n, delta)
-    assert validate(states).passed
+    assert not validate(states).passed
     draws = []
     monkeypatch.setattr(discrimination, "haar_state",
                         lambda *a: draws.append(a) or haar_state(*a))
@@ -113,6 +114,41 @@ def test_near_parallel_sets_above_the_bound_decode(n, delta):
     bundle = build_distinguisher(states, rng_seed=0)
     for j, psi in enumerate(states):
         assert distinguish(bundle, psi).decoded == j
+
+
+def _builds_up_front(states):
+    """False if build_distinguisher raises Condition2Exhausted before any
+    completion, else True (it may still exhaust its retries later)."""
+    completions = []
+    real = discrimination.unitary_from_first_column
+    with mock.patch.object(discrimination, "unitary_from_first_column",
+                           lambda *a: completions.append(1) or real(*a)):
+        try:
+            build_distinguisher(states, rng_seed=0)
+        except Condition2Exhausted as err:
+            if not completions:
+                assert str(err).startswith("members ")
+                return False
+    return True
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 8),
+       st.one_of(st.floats(0.1, 10.0), st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9])))
+def test_validate_passes_exactly_when_the_distinguisher_can_start(n, factor):
+    # near-parallel sets whose least 1 - F sits at `factor` times the
+    # condition-2 threshold, on both sides of it
+    delta = factor * 10 * deutsch.SVD_CUTOFF * np.sqrt(n - 1)
+    states = _near_parallel_set(n, delta)
+    assert validate(states).passed == _builds_up_front(states)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**31 - 1))
+def test_validate_agrees_with_the_distinguisher_on_haar_sets(n, seed):
+    rng = np.random.default_rng(seed)
+    states = StateSet(tuple(haar_state(n, rng) for _ in range(n)))
+    assert validate(states).passed == _builds_up_front(states)
 
 
 def test_build_uk_index_out_of_range(zero_minus_set):

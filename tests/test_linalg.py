@@ -279,11 +279,17 @@ def test_validate_good_state_set(zero_minus_set):
 
 
 def _pairwise_oracle(states):
-    """Worst norm residual and max pairwise fidelity, one pair at a time."""
+    """Worst norm residual and least condition-2 room, one pair at a time."""
     norms = [abs(np.linalg.norm(s.amplitudes) - 1.0) for s in states]
-    fids = [state_fidelity(states[i], states[j])
-            for i in range(states.size) for j in range(i + 1, states.size)]
-    return max(norms), max(fids, default=0.0)
+    rooms = []
+    for j, psi_j in enumerate(states):
+        for k, psi_k in enumerate(states):
+            if j != k:
+                norm_j = np.vdot(psi_j.amplitudes, psi_j.amplitudes).real
+                norm_k = np.vdot(psi_k.amplitudes, psi_k.amplitudes).real
+                overlap = abs(np.vdot(psi_j.amplitudes, psi_k.amplitudes)) ** 2
+                rooms.append(norm_j - (overlap / norm_k if norm_k else 0.0))
+    return max(norms), min(rooms, default=np.inf)
 
 
 def _haar_set(n, seed):
@@ -306,19 +312,23 @@ def _haar_set(n, seed):
         "duplicates-up-to-phase", "duplicates-among-three", "unnormalized",
         "near-parallel", "haar-2", "haar-5", "haar-16"])
 def test_validate_state_set_matches_pairwise_oracle(states):
-    worst_norm, max_fid = _pairwise_oracle(states)
+    # a pair is distinct when |psi_j|^2 (1 - F_jk) reaches the condition-2
+    # threshold 10 SVD_CUTOFF sqrt(N - 1), less 8 N eps of rounding
+    worst_norm, least_room = _pairwise_oracle(states)
+    n = states.size
     eps = np.finfo(float).eps
-    for tol in (1e-9, 0.1, -1e-9):
-        norm, distinct = validate(states, distinct_tol=tol).checks
-        assert (norm.name, distinct.name) == ("members_normalized", "distinct")
-        assert abs(norm.residual - worst_norm) <= 4 * eps
-        assert norm.passed == (norm.residual <= 1e-10)
-        assert 0.0 <= distinct.residual <= 1.0
-        assert abs(distinct.residual - max_fid) <= 4 * eps
-        assert distinct.tolerance == 1.0 - tol
-        assert distinct.passed == (distinct.residual < 1.0 - tol)
-    if states.size == 1:
-        assert distinct.residual == 0.0
+    bound = 10 * 1e-9 * np.sqrt(n - 1) - 8 * n * eps
+    norm, distinct = validate(states).checks
+    assert (norm.name, distinct.name) == ("members_normalized", "distinct")
+    assert abs(norm.residual - worst_norm) <= 4 * eps
+    assert norm.passed == (norm.residual <= 1e-10)
+    assert distinct.tolerance == bound
+    assert distinct.passed == (distinct.residual >= bound)
+    if n == 1:
+        assert distinct.residual == np.inf
+    else:
+        assert abs(distinct.residual - least_room) <= 8 * eps
+        assert distinct.passed == (least_room >= bound)
 
 
 def _old_random_state_set(n, rng):

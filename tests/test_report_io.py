@@ -557,3 +557,49 @@ def test_numbers_beyond_float_range_are_config_errors(node, depth, where):
     with pytest.raises(cli.ConfigError) as err:
         cli._parse_array(node, "x", depth)
     assert str(err.value) == f"{where}: number beyond float range"
+
+
+# ---------------------------------------------------------------------------
+# nesting depth
+
+
+def _nested(kind, levels):
+    """A mapping around `levels` - 1 nested sequences: `levels` in all."""
+    n = levels - 1
+    if kind == "flow":
+        return "a: " + "[" * n + "1" + "]" * n + "\n"
+    return "a:\n" + "- " * n + "1\n"
+
+
+# PyYAML's pure-Python composer raises RecursionError from about 500 levels
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="needs libyaml")
+@pytest.mark.parametrize("kind", ["flow", "block"])
+def test_nesting_beyond_the_limit_is_a_config_error(monkeypatch, kind):
+    assert list(cli._read_config(_nested(kind, cli._MAX_DEPTH))) == ["a"]
+    loads = _spy_loads(monkeypatch, cli._Loader)
+    monkeypatch.setattr(yaml, "load", None)
+    with pytest.raises(cli.ConfigError) as err:
+        cli._read_config(_nested(kind, cli._MAX_DEPTH + 1))
+    assert str(err.value) == f"nesting deeper than {cli._MAX_DEPTH} levels"
+    # one pass over the parser's events, no load
+    assert len(loads) == 1
+
+
+@pytest.mark.parametrize("text", [
+    'name: "' + "[{-:?" * 300 + '"\n',
+    "name: '" + "[" * 2000 + "'\n",
+    "a: |\n" + "  " + "- " * 2000 + "\n",
+    "# " + "[" * 2000 + "\na: [1, 2]\n",
+])
+def test_nesting_marks_inside_scalars_and_comments_load(text):
+    assert _outcome(cli._read_config, text) == _outcome(
+        lambda t: yaml.load(t, Loader=cli._Loader), text)
+
+
+def test_malformed_config_with_many_marks_keeps_its_error(tmp_path):
+    text = "a: [" + "-1, " * 1200 + "\nb: 2\n"
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(cli.ConfigError) as err:
+        cli._load_config(str(path))
+    assert str(err.value) == _parent_message(text)

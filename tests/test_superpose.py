@@ -240,6 +240,17 @@ def test_u_prime_annotates_degenerate_pair():
     assert (err.value.i, err.value.j) == (0, 1)
 
 
+@pytest.mark.parametrize("scale",
+                         [1.0, 2.0**-40, 2.0**600, 1e-10, 1e200, 1e-320])
+def test_sweep_of_cancelling_duplicates_is_degenerate_at_any_scale(scale):
+    # every target is formed before the distinguisher, which could not be
+    # built for equal members
+    dup = StateSet((basis_state(2, 0), basis_state(2, 0)))
+    with pytest.raises(DegenerateSuperposition) as err:
+        run_sweep(dup, [(0, 0)], SuperpositionSpec(scale, -scale))
+    assert (err.value.i, err.value.j) == (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # run_protocol
 
