@@ -22,15 +22,16 @@ with YAML 1.1's scalar rules.  A numeric row, a line whose value is one
 flow sequence of numbers after block-sequence dashes or a plain key
 (``- [..]``, ``- - [..]``, ``key: [..]``, ``- key: [..]``), is read by
 one ``json.loads`` when YAML 1.1 reads every number in it as a decimal,
-and one ``yaml.load`` of the text sees a placeholder scalar in its
-place.  If that load fails, or a placeholder does not come back as a
-scalar of its own (a row inside a block scalar, a multi-line scalar or a
-flow collection), the original text is loaded again without
-placeholders.  Every complex value of a config is read by
+and replaced by the placeholder ``x,``: the one ``yaml.load`` reads only
+the text outside the numeric rows.  If that load fails, or a placeholder
+does not come back as a scalar of its own (a row inside a block scalar,
+a multi-line scalar or a flow collection), the original text is loaded
+again without placeholders.  Every complex value of a config is read by
 :func:`_parse_array`: a number is a YAML int or float, never a bool, a
 complex value is a bare number or an [re, im] pair, and a number beyond
 float range is a config error that names its entry, as is a config nested
-over ``_MAX_DEPTH`` levels deep or with a (fixed) ``tolerances`` key.
+over ``_MAX_DEPTH`` levels deep (or too deep for PyYAML's pure-Python
+loader) or with a (fixed) ``tolerances`` key.
 
 Each subcommand returns its report header, runs and verdict; :func:`main`
 stamps the header, writes the report and picks the exit code.  Exit
@@ -88,8 +89,6 @@ class ConfigError(Exception):
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _RESOLVER = yaml.resolver.Resolver()
 _STR_TAG = "tag:yaml.org,2002:str"
-# plain scalars that YAML 1.1 reads as a decimal int or float
-_DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*|[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)")
 
 
 # a numeric row: a flow sequence of numbers that ends its line, after
@@ -97,50 +96,52 @@ _DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*|[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)
 _ROW = re.compile(
     r"^ *(?:- +)*(?:- +|[A-Za-z_][A-Za-z0-9_-]*: +)(\[[][0-9eE.+, -]*\]) *$",
     re.MULTILINE)
-_ROW_TOKEN = re.compile(r"[^][, ]+")
+# an exponent YAML 1.1 reads as part of a string: no fraction before it
+# or no sign after it (JSON reads 1e5 and 1.5e5 as numbers)
+_STRING_EXPONENT = re.compile(r"(?<![.0-9])[0-9]+[eE]|[eE][0-9]")
+# the plain scalar each masked row becomes; ``,`` ends a plain scalar in
+# a flow collection, so a placeholder there cannot come back whole
+_PLACEHOLDER = "x,"
 
 
-def _mask_rows(text: str) -> tuple[str, dict, str]:
-    """`text` with its numeric rows masked, the rows by start index, and
-    the text outside the masked rows.
+def _mask_rows(text: str) -> tuple[str, dict]:
+    """`text` with its numeric rows masked, and the rows by the start
+    index of their placeholder in the masked text.
 
     Each row that ``json.loads`` reads, and whose numbers YAML 1.1 also
-    reads as decimals, is replaced by the plain scalar ``x,,,`` of the
-    same length, so that no mark moves.  ``,`` ends a plain scalar in a
-    flow collection, so a placeholder there cannot come back whole.
+    reads as decimals, is replaced by ``_PLACEHOLDER``, so the masked
+    text is the config's skeleton.
     """
     rows = {}
     pieces = []
-    end = 0
+    end = start = 0
     for match in _ROW.finditer(text):
         row = match.group(1)
         try:
             value = json.loads(row)
         except (ValueError, RecursionError):
             continue
-        # JSON also reads 1e5 and 1.5e5, which YAML 1.1 reads as strings
-        if ("e" in row or "E" in row) and not all(
-                map(_DECIMAL.fullmatch, _ROW_TOKEN.findall(row))):
+        # most rows hold no exponent; the substring test skips their search
+        if ("e" in row or "E" in row) and _STRING_EXPONENT.search(row):
             continue
-        start = match.start(1)
-        mask = "x" + "," * (len(row) - 1)
-        rows[start] = (mask, value)
-        pieces.append(text[end:start])
-        pieces.append(mask)
+        pieces.append(text[end:match.start(1)])
+        start += len(pieces[-1])
+        rows[start] = value
+        start += len(_PLACEHOLDER)
         end = match.end(1)
     pieces.append(text[end:])
-    return "".join(pieces), rows, "".join(pieces[::2])
+    return _PLACEHOLDER.join(pieces), rows
 
 
 # libyaml's composer overflows the C stack from about 25,000 levels
 _MAX_DEPTH = 1000
 
 
-def _check_depth(masked: str, outside: str) -> None:
+def _check_depth(masked: str) -> None:
     """ConfigError past ``_MAX_DEPTH`` levels, counted on libyaml's event stream
-    (no recursion) unless the text `outside` the placeholders has few of the
-    ``[{-:?`` that open each level; parse errors are left to the load."""
-    if sum(map(outside.count, "[{-:?")) <= _MAX_DEPTH:
+    (no recursion) unless `masked` has few of the ``[{-:?`` that open each
+    level (placeholders hold none); parse errors are left to the load."""
+    if sum(map(masked.count, "[{-:?")) <= _MAX_DEPTH:
         return
     depth = 0
     try:
@@ -156,22 +157,20 @@ def _check_depth(masked: str, outside: str) -> None:
 def _read_config(text: str):
     """The object ``yaml.load(text, Loader=_Loader)`` returns.
 
-    The text with its numeric rows masked is loaded once, and each
-    placeholder that arrives whole as a scalar at its row's start is
+    The masked text, the config's skeleton, is loaded once, and each
+    scalar equal to the placeholder that starts at a row's index is
     replaced by its row.  If that load raises or leaves a row unused (a
     row inside a block scalar, a multi-line scalar or a flow
     collection), the original text is loaded again, so values and errors
     are those of a plain load.  The masked text's nesting is checked first;
     ``json.loads`` nests a row no deeper than the recursion limit.
     """
-    masked, rows, outside = _mask_rows(text)
-    _check_depth(masked, outside)
+    masked, rows = _mask_rows(text)
+    _check_depth(masked)
 
     def splice(loader, node):
-        row = rows.get(node.start_mark.index)
-        if row is not None and node.value == row[0]:
-            del rows[node.start_mark.index]
-            return row[1]
+        if node.value == _PLACEHOLDER and node.start_mark.index in rows:
+            return rows.pop(node.start_mark.index)
         return loader.construct_yaml_str(node)
 
     loader = _Loader(masked)
@@ -196,6 +195,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file: {exc}")
     try:
         data = _read_config(text)
+    except RecursionError:  # PyYAML's pure-Python composer recurses
+        raise ConfigError("nesting too deep to load") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = (
@@ -438,10 +439,7 @@ class _ReportWriter:
             self.flow("[", texts, "]", indent)
             return
         # a block sequence under a mapping key is not indented
-        if indent is None:
-            inner = 0
-        else:
-            inner = indent if in_mapping else indent + _INDENT
+        inner = indent if in_mapping else indent + _INDENT
         for t, v in zip(texts, value):
             self.newline_to(inner)
             self.write("-")

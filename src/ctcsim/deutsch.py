@@ -168,7 +168,8 @@ def von_neumann_entropy(state) -> float:
     m = _as_matrix(state)
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
     w = w[w > 1e-15]
-    return float(-(w * np.log(w)).sum())
+    # + 0.0 turns the -0.0 of a pure state into 0.0
+    return float(-(w * np.log(w)).sum()) + 0.0
 
 
 def _finalize(u, rho_cr, sigma: np.ndarray, fixed_space_dim: int) -> FixedPointResult:

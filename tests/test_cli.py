@@ -426,6 +426,17 @@ def test_fixed_point_swap(tmp_path, capsys):
     assert np.abs(fp - np.outer(plus, plus)).max() < 1e-10
 
 
+def test_pure_fixed_point_has_zero_entropy(tmp_path, capsys):
+    text = (DEMO_CONFIGS / "fixed_point_swap.yaml").read_text()
+    cfg = write(tmp_path, "pure.yaml", text.replace(
+        "rho_cr: [[0.70710678118654746, 0], [0.70710678118654746, 0]]",
+        "rho_cr: [[1, 0], [0, 0]]"))
+    assert main(["fixed-point", cfg]) == 0
+    assert "\n  entropy_nats: 0.0\n" in capsys.readouterr().out
+    assert main(["fixed-point", cfg, "--json"]) == 0
+    assert '"entropy_nats":0.0}' in capsys.readouterr().out
+
+
 def test_fixed_point_identity_max_entropy(tmp_path, capsys):
     eye4 = [[[1.0 if r == c else 0.0, 0.0] for c in range(4)] for r in range(4)]
     cfg = write(tmp_path, "fpid.yaml", yaml.safe_dump({

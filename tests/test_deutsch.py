@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,10 @@ def test_fixed_point_degenerate_dephasing_selects_mixed():
     assert result.fixed_space_dim == 2
     assert np.abs(result.fixed_point.entries - np.eye(2) / 2).max() < 1e-9
     assert abs(von_neumann_entropy(result.fixed_point) - np.log(2)) < 1e-9
+
+
+def test_entropy_of_a_pure_state_is_plus_zero():
+    assert math.copysign(1.0, von_neumann_entropy(projector([1, 0]))) == 1.0
 
 
 def _ginibre_state(rng, n):

@@ -5,6 +5,7 @@ emitter, and `cli._read_config` must return what ``yaml.load`` returns,
 under libyaml's parser and under PyYAML's pure-Python one.
 """
 
+import json
 import math
 import re
 from datetime import datetime
@@ -287,6 +288,8 @@ DOCUMENTS = [
     # rows under anchors, aliases, tags, merge keys and non-scalar keys
     "a: &x\n  - [1, 2]\nb: *x\n", "base: &b\n  r: [1, 2]\nd:\n  <<: *b\n  y: [3.5]\n",
     "a: !!seq\n  - [1, 2]\n", "? - [1, 2]\n: 3\n", "a: [1, 2]\nb: =\n",
+    # strings equal to the placeholder
+    "name: x,\na: [1, 2]\nb: x,\n",
 ]
 
 
@@ -316,6 +319,7 @@ def test_reader_matches_yaml_load(monkeypatch, loader, text):
 
 @pytest.mark.parametrize("text", [
     "a: 1\n", "a: [1, 2.5]\n", "a: {b: -0.0}\n", "- 1\n", "a: yes\n",
+    "name: x,\na: [1, 2]\nb: x,\n",
 ])
 def test_reader_takes_no_second_path(monkeypatch, text):
     loads = _spy_loads(monkeypatch, cli._Loader)
@@ -390,6 +394,11 @@ def _rows(matrix):
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
+def _skeleton(text):
+    """`text` with each flow sequence that ends a line replaced by `x,`."""
+    return re.sub(r"\[.*\](?= *$)", "x,", text, flags=re.MULTILINE)
+
+
 def _benchmark_shaped_configs():
     rng = np.random.default_rng(3)
     states = _rows(_haar_pairs(rng, (6, 6)))
@@ -413,8 +422,9 @@ def test_benchmark_shaped_configs_take_the_masked_parse(monkeypatch, loader):
     for text, value in zip(texts, expected):
         loads.clear()
         assert _typed(cli._read_config(text)) == value
-        # one load, of the masked text, which spliced every row
+        # one load, of the skeleton, which spliced every row
         assert loads == [cli._mask_rows(text)[0]] and loads[0] != text
+        assert loads[0] == _skeleton(text)
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
@@ -430,6 +440,7 @@ def test_bom_configs_take_the_masked_parse(monkeypatch, tmp_path, loader):
         loads.clear()
         assert _typed(cli._load_config(str(path))) == value
         assert loads == [cli._mask_rows(text)[0]] and loads[0] != text
+        assert loads[0] == _skeleton(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -444,6 +455,39 @@ def test_rows_not_spliced_are_read_again(monkeypatch, text):
     assert _outcome(cli._read_config, text) == expected
     # a masked load, then the plain one
     assert loads == [cli._mask_rows(text)[0], text] and loads[0] != text
+
+
+# the per-token rule the reader once applied to a row with an exponent:
+# YAML 1.1 reads every number of the row as a decimal int or float
+_DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*|[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)")
+
+
+def _every_token_decimal(row):
+    return all(map(_DECIMAL.fullmatch, re.findall(r"[^][, ]+", row)))
+
+
+JSON_NUMBERS = st.builds(
+    "".join,
+    st.tuples(st.sampled_from(["", "-"]),
+              st.from_regex(r"0|[1-9][0-9]{0,3}", fullmatch=True),
+              st.just("") | st.from_regex(r"\.[0-9]{1,3}", fullmatch=True),
+              st.just("") | st.from_regex(r"[eE][-+]?[0-9]{1,3}", fullmatch=True)))
+JSON_ROWS = st.lists(
+    st.recursive(JSON_NUMBERS,
+                 lambda c: st.lists(c, max_size=3).map(
+                     lambda xs: "[" + ", ".join(xs) + "]"),
+                 max_leaves=8),
+    max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(JSON_ROWS)
+def test_rows_are_masked_exactly_when_yaml_reads_decimals(row):
+    masked, rows = cli._mask_rows(f"a: {row}\n")
+    if _every_token_decimal(row):
+        assert (masked, rows) == ("a: x,\n", {3: json.loads(row)})
+    else:
+        assert (masked, rows) == (f"a: {row}\n", {})
 
 
 @pytest.mark.parametrize("text", MALFORMED)
@@ -594,6 +638,17 @@ def test_nesting_beyond_the_limit_is_a_config_error(monkeypatch, kind):
 def test_nesting_marks_inside_scalars_and_comments_load(text):
     assert _outcome(cli._read_config, text) == _outcome(
         lambda t: yaml.load(t, Loader=cli._Loader), text)
+
+
+def test_nesting_too_deep_for_the_pure_python_loader_is_a_config_error(
+        monkeypatch, tmp_path):
+    # its composer recurses about two frames a level, below _MAX_DEPTH
+    monkeypatch.setattr(cli, "_Loader", yaml.SafeLoader)
+    path = tmp_path / "deep.yaml"
+    path.write_text(_nested("block", 600))
+    with pytest.raises(cli.ConfigError) as err:
+        cli._load_config(str(path))
+    assert str(err.value) == "nesting too deep to load"
 
 
 def test_malformed_config_with_many_marks_keeps_its_error(tmp_path):
