@@ -12,26 +12,30 @@ are written by :func:`_yaml_report`, which lays out what they hold
 sequences of mappings or of flow mappings, and scalars) byte for byte as
 ``yaml.dump`` with libyaml would, 80-column wrap included; any other
 value raises TypeError.  A complex value is written as its [re, im]
-pair, by the writer and :func:`_json_dumps` alone.  Numeric entries are
-laid out as their ``tolist()`` would be: a 1-d float array as one flow
-sequence, any other as nested block sequences of flow rows along its
-last axis, each row joined in one piece unless it could pass column 80.
+pair, by the writer and :func:`_json_dumps` alone.  The writer recurses
+over the report and keeps no layout state between entries: each entry
+follows its head, text whose last line ends in its ``key:`` or ``-`` and
+so gives its column.  An array is laid out as its ``tolist()``
+would be, one recursion level per leading axis down to flow rows along
+its last axis, and is joined into one string as soon as it is written,
+so its many row strings are freed before the next array.
 
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
 with YAML 1.1's scalar rules.  A numeric row, a line whose value is one
 flow sequence of numbers after block-sequence dashes or a plain key
-(``- [..]``, ``- - [..]``, ``key: [..]``, ``- key: [..]``), is read by
-one ``json.loads`` when YAML 1.1 reads every number in it as a decimal,
-and replaced by the placeholder ``x,``: the one ``yaml.load`` reads only
-the text outside the numeric rows.  If that load fails, or a placeholder
-does not come back as a scalar of its own (a row inside a block scalar,
-a multi-line scalar or a flow collection), the original text is loaded
-again without placeholders.  Every complex value of a config is read by
-:func:`_parse_array`: a number is a YAML int or float, never a bool, a
-complex value is a bare number or an [re, im] pair, and a number beyond
-float range is a config error that names its entry, as is a config nested
-over ``_MAX_DEPTH`` levels deep (or too deep for PyYAML's pure-Python
-loader) or with a (fixed) ``tolerances`` key.
+(``- [..]``, ``- - [..]``, ``key: [..]``, ``- key: [..]``) and ending in
+LF or CRLF, is read by one ``json.loads`` when YAML 1.1 reads every
+number in it as a decimal, and replaced by the placeholder ``x,``: the
+one ``yaml.load`` reads only the text outside the numeric rows.  If that
+load fails, or a placeholder does not come back as a scalar of its own
+(a row inside a block scalar, a multi-line scalar or a flow collection),
+the original text is loaded again without placeholders.  Every complex
+value of a config is read by :func:`_parse_array`: a number is a YAML
+int or float, never a bool, a complex value is a bare number or an
+[re, im] pair, and a number beyond float range is a config error that
+names its entry, as is a config nested over ``_MAX_DEPTH`` levels deep
+(or too deep for PyYAML's pure-Python loader) or with a (fixed)
+``tolerances`` key.
 
 Each subcommand returns its report header, runs and verdict; :func:`main`
 stamps the header, writes the report and picks the exit code.  Exit
@@ -91,10 +95,10 @@ _RESOLVER = yaml.resolver.Resolver()
 _STR_TAG = "tag:yaml.org,2002:str"
 
 
-# a numeric row: a flow sequence of numbers that ends its line, after
-# block-sequence dashes or a plain key
+# a numeric row: a flow sequence of numbers that ends its line (LF or
+# CRLF), after block-sequence dashes or a plain key
 _ROW = re.compile(
-    r"^ *(?:- +)*(?:- +|[A-Za-z_][A-Za-z0-9_-]*: +)(\[[][0-9eE.+, -]*\]) *$",
+    r"^ *(?:- +)*(?:- +|[A-Za-z_][A-Za-z0-9_-]*: +)(\[[][0-9eE.+, -]*\]) *\r?$",
     re.MULTILINE)
 # an exponent YAML 1.1 reads as part of a string: no fraction before it
 # or no sign after it (JSON reads 1e5 and 1.5e5 as numbers)
@@ -369,172 +373,128 @@ def _scalar_text(x):
     raise TypeError(f"cannot serialize {type(x).__name__} {x!r} as a report value")
 
 
-class _ReportWriter:
-    """libyaml's layout of ``yaml.dump(report, default_flow_style=None)``.
+@functools.lru_cache(maxsize=256)
+def _key_head(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"cannot serialize a {type(key).__name__} key")
+    return _scalar_text(key) + ":"
 
-    A list or dict of scalars is a flow collection, which breaks before
-    an item once the column passes 80; any other list or dict is a
-    block collection.  `col`, `ws` and `ind` track libyaml's column,
-    whitespace and indention flags.
-    """
 
-    def __init__(self):
-        self.out = []
-        self.col = 0
-        self.ws = True
-        self.ind = True
-        self.keys = {}
+def _column(text: str) -> int:
+    """The column after `text`, which starts a line or holds a line break."""
+    return len(text) - 1 - text.rfind("\n")
 
-    def text(self) -> str:
-        self.newline_to(0)
-        return "".join(self.out)
 
-    def write(self, text: str) -> None:
-        if not self.ws:
-            text = " " + text
-        self.out.append(text)
-        self.col += len(text)
-        self.ws = self.ind = False
+def _entry(out: list, head: str, value, text, indent: int) -> None:
+    """`value` after `head`, text whose last line ends in the ``key:`` or
+    ``-`` of an entry of the block collection at `indent`; `text` is its
+    scalar text, None for a collection."""
+    if text is not None:
+        out.append(f"{head} {text}")
+        return
+    if isinstance(value, (np.ndarray, complex)):
+        _array(out, head, value, indent)
+        return
+    mapping = isinstance(value, dict)
+    heads = list(map(_key_head, value)) if mapping else itertools.repeat("-")
+    values = value.values() if mapping else value
+    texts = list(map(_scalar_text, values))
+    if None in texts:
+        _block(out, _block_prefix(head, indent, mapping), heads, values, texts)
+    elif mapping:
+        items = [f"{h} {t}" for h, t in zip(heads, texts)]
+        out.append(_flow(head + " {", items, "}", indent + _INDENT))
+    else:
+        out.append(_flow(head + " [", texts, "]", indent + _INDENT))
 
-    def newline_to(self, indent: int) -> None:
-        if not self.ind or self.col > indent or (self.col == indent and not self.ws):
-            self.out.append("\n")
-            self.col = 0
-        if self.col < indent:
-            self.out.append(" " * (indent - self.col))
-            self.col = indent
-        self.ws = self.ind = True
 
-    def key(self, k) -> str:
-        text = self.keys.get(k)
-        if text is None:
-            if not isinstance(k, str):
-                raise TypeError(f"cannot serialize a {type(k).__name__} key")
-            text = self.keys[k] = _scalar_text(k)
-        return text
+def _block_prefix(head: str, indent: int, mapping: bool) -> str:
+    """`head` and the start of the first item of the block collection after
+    it: on the dash's line, or on a new line, not indented for a sequence
+    under a key."""
+    if head.endswith("-"):
+        return head + " "
+    return head + "\n" + " " * (indent + _INDENT if mapping else indent)
 
-    def collection(self, value, indent, in_mapping: bool) -> None:
-        """A collection whose parent node sits at `indent` (None: root)."""
-        if isinstance(value, (np.ndarray, complex)):
-            self.array(value, indent, in_mapping)
-            return
-        if isinstance(value, dict):
-            keys = [self.key(k) for k in value]
-            texts = list(map(_scalar_text, value.values()))
-            if None not in texts:
-                self.flow("{", [f"{k}: {t}" for k, t in zip(keys, texts)], "}",
-                          indent)
-                return
-            inner = 0 if indent is None else indent + _INDENT
-            for k, t, v in zip(keys, texts, value.values()):
-                self.newline_to(inner)
-                self.write(k + ":")
-                if t is None:
-                    self.collection(v, inner, True)
-                else:
-                    self.write(t)
-            return
-        texts = list(map(_scalar_text, value))
-        if None not in texts:
-            self.flow("[", texts, "]", indent)
-            return
-        # a block sequence under a mapping key is not indented
-        inner = indent if in_mapping else indent + _INDENT
-        for t, v in zip(texts, value):
-            self.newline_to(inner)
-            self.write("-")
-            self.ind = True
-            if t is None:
-                self.collection(v, inner, False)
-            else:
-                self.write(t)
 
-    def array(self, arr, indent, in_mapping: bool) -> None:
-        """A numeric array, laid out as :meth:`collection` lays out its list.
+def _block(out: list, prefix: str, heads, values, texts: list) -> None:
+    """A block collection whose first item starts with `prefix` and every
+    other on a new line at the first one's column."""
+    indent = _column(prefix)
+    line = "\n" + " " * indent
+    for i, (head, v, t) in enumerate(zip(heads, values, texts)):
+        _entry(out, (line if i else prefix) + head, v, t, indent)
 
-        A complex array or number is viewed as [re, im] pairs along a new
-        last axis.  A 1-d float array is a flow sequence; an n-d one nests
-        block sequences down to flow rows along its last axis.  Each float
-        is formatted once, and a row is joined whole unless it could pass
-        column 80.
-        """
-        if np.iscomplexobj(arr):
-            # ascontiguousarray makes a 0-d value 1-d
-            shape = np.shape(arr) + (2,)
-            arr = np.ascontiguousarray(arr, dtype=complex).view(np.float64)
-            arr = arr.reshape(shape)
-        if arr.dtype != np.float64 or arr.ndim == 0 or not arr.size:
-            self.collection(arr.tolist(), indent, in_mapping)
-            return
-        texts = [s if "." in s else _float_text(s, _FLOAT_TAG)
-                 for s in map(format, arr.ravel().tolist(), itertools.repeat(".17g"))]
-        if arr.ndim == 1:
-            self.flow("[", texts, "]", indent)
-            return
-        depth = arr.ndim - 1  # block sequences around each row
-        inner = indent if in_mapping else indent + _INDENT
-        # a row that opens an item of the sequence at `level` starts its
-        # line at that sequence's indent with depth - level dashes, so
-        # every row's "[" ends at column `col`
-        dashes = ["- " * (depth - level - 1) + "-" for level in range(depth)]
-        heads = ["\n" + " " * (inner + _INDENT * level) + d
-                 for level, d in enumerate(dashes)]
-        col = inner + _INDENT * depth + 1
-        lines = [heads[-1]]
-        for level in range(depth - 2, -1, -1):
-            lines = [heads[level]] + lines[1:] + lines * (arr.shape[level + 1] - 1)
-        lines *= arr.shape[0]
-        lines[0] = dashes[0]
-        width = arr.shape[-1]
-        bodies = list(map(", ".join, zip(*[iter(texts)] * width)))
-        self.newline_to(inner)
-        # a row of at most `fits` characters ends by column 80 after its
-        # last comma, so it cannot wrap; past column 80, fits < 3 and
-        # every row goes through flow
-        fits = _WIDTH + 2 - col
-        start = len(self.out)
-        for k, (line, body) in enumerate(zip(lines, bodies)):
-            self.out.append(line)
-            if len(body) <= fits:
-                self.out.append(" [" + body + "]")
-                self.col = col + len(body) + 1
-            else:
-                self.col = col - 2
-                self.ws = False
-                self.flow("[", texts[k * width:(k + 1) * width], "]",
-                          inner + _INDENT * (depth - 1))
-        # one string per array, so the row pieces are freed before the next
-        self.out[start:] = ["".join(self.out[start:])]
-        self.ws = self.ind = False
 
-    def flow(self, open_: str, texts: list, close: str, indent) -> None:
-        opening = open_ if self.ws else " " + open_
-        col = self.col + len(opening)
-        body = ", ".join(texts)
-        self.ws = self.ind = False
-        # the column after the last comma decides whether any line breaks
-        if not texts or (col <= _WIDTH
-                         and col + len(body) - len(texts[-1]) - 1 <= _WIDTH):
-            self.out.append(opening + body + close)
-            self.col = col + len(body) + 1
-            return
-        pad = "\n" + " " * (_INDENT if indent is None else indent + _INDENT)
-        out = self.out
-        out.append(opening)
-        for i, t in enumerate(texts):
-            if i:
-                col += 1
-                out.append(",")
-            if col > _WIDTH:
-                out.append(pad)
-                col = len(pad) - 1
-            elif i:
-                out.append(" ")
-                col += 1
-            out.append(t)
-            col += len(t)
-        out.append(close)
-        self.col = col + 1
+def _array(out: list, head: str, arr, indent: int) -> None:
+    """A numeric array after `head`, laid out in one string as :func:`_entry`
+    lays out its list; a complex one as [re, im] pairs along a new axis."""
+    if np.iscomplexobj(arr):
+        pairs = np.ascontiguousarray(arr, dtype=complex).view(np.float64)
+        arr = pairs.reshape(np.shape(arr) + (2,))
+    if arr.ndim == 0:
+        raise TypeError("cannot serialize a 0-d array as a report value")
+    if arr.dtype != np.float64 or not arr.size:
+        _entry(out, head, arr.tolist(), None, indent)
+        return
+    texts = [s if "." in s else _float_text(s, _FLOAT_TAG)
+             for s in map(format, arr.ravel().tolist(), itertools.repeat(".17g"))]
+    if arr.ndim == 1:
+        out.append(_flow(head + " [", texts, "]", indent + _INDENT))
+        return
+    # the row pieces are joined at once, so they are freed before the next array
+    pieces = []
+    _rows(pieces, _block_prefix(head, indent, False), arr.shape[:-1],
+          zip(*[iter(texts)] * arr.shape[-1]))
+    out.append("".join(pieces))
+
+
+def _rows(out: list, prefix: str, shape: tuple, rows) -> None:
+    """A block sequence of `shape[0]` items, whose first starts with
+    `prefix`: nested sequences down to the flow rows drawn from `rows`."""
+    indent = _column(prefix)
+    line = "\n" + " " * indent
+    if len(shape) > 1:
+        for i in range(shape[0]):
+            _rows(out, (line if i else prefix) + "- ", shape[1:], rows)
+        return
+    # a row of at most `fits` characters ends by column 80 after its last
+    # comma, so it cannot wrap; past column 80, fits < 3 and every row
+    # goes through _flow
+    fits = _WIDTH - 1 - indent
+    for i, row in enumerate(itertools.islice(rows, shape[0])):
+        head = (line if i else prefix) + "-"
+        body = ", ".join(row)
+        if len(body) <= fits:
+            out.append(f"{head} [{body}]")
+        else:
+            out.append(_flow(head + " [", row, "]", indent + _INDENT))
+
+
+def _flow(opening: str, texts, close: str, indent: int) -> str:
+    """A flow collection of `texts` after `opening`, which ends in its
+    bracket; a line breaks before an item once the column passes 80, and
+    goes on at `indent`."""
+    col = _column(opening)
+    body = ", ".join(texts)
+    # the column after the last comma decides whether any line breaks
+    if not texts or (col <= _WIDTH
+                     and col + len(body) - len(texts[-1]) - 1 <= _WIDTH):
+        return opening + body + close
+    pieces = [opening]
+    sep = ""
+    for t in texts:
+        if col > _WIDTH:
+            sep += "\n" + " " * indent
+            col = indent
+        elif sep:
+            sep += " "
+            col += 1
+        pieces.append(sep + t)
+        col += len(t) + 1  # and the comma before the next item
+        sep = ","
+    pieces.append(close)
+    return "".join(pieces)
 
 
 def _yaml_report(report: dict) -> str:
@@ -543,9 +503,16 @@ def _yaml_report(report: dict) -> str:
     are distinct objects (the dumper would alias a repeated one)."""
     if not isinstance(report, dict):
         raise TypeError("a report is a mapping")
-    writer = _ReportWriter()
-    writer.collection(report, None, False)
-    return writer.text()
+    heads = list(map(_key_head, report))
+    texts = list(map(_scalar_text, report.values()))
+    if None not in texts:
+        # a root flow mapping goes on at column 2 when it breaks
+        items = [f"{h} {t}" for h, t in zip(heads, texts)]
+        return _flow("{", items, "}", _INDENT) + "\n"
+    out = []
+    _block(out, "", heads, report.values(), texts)
+    out.append("\n")
+    return "".join(out)
 
 
 def _json_dumps(obj) -> str:

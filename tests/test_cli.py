@@ -321,24 +321,30 @@ _PurePythonDumper.add_representer(
     float, cli._ReportDumper.yaml_representers[float])
 
 
-@pytest.mark.parametrize("command", ["superpose", "fixed-point"])
+@pytest.mark.parametrize("command", ["superpose", "fixed-point", "distinguish",
+                                     "example"])
 def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
                                                   monkeypatch, command):
     # the report the command printed, with its arrays as lists, dumped
-    # again by libyaml's and by PyYAML's pure-Python emitter
+    # again by libyaml's and by PyYAML's pure-Python emitter: distinguish
+    # runs are flow mappings, example runs hold 3-d arrays
     if command == "superpose":
-        cfg = write(tmp_path, "pair.yaml", PAIR_CONFIG)
-    else:
-        cfg = write(tmp_path, "fp.yaml", yaml.safe_dump({
+        argv = [command, write(tmp_path, "pair.yaml", PAIR_CONFIG)]
+    elif command == "fixed-point":
+        argv = [command, write(tmp_path, "fp.yaml", yaml.safe_dump({
             "unitary": np.eye(4).tolist(),
             "rho_cr": [[0.6, 0], [0.8, 0]],
             "policy": "max_entropy",
-        }))
+        }))]
+    elif command == "distinguish":
+        argv = [command, str(DEMO_CONFIGS / "distinguish_three_state.yaml")]
+    else:
+        argv = [command]
     reports = []
     emit = cli._yaml_report
     monkeypatch.setattr(cli, "_yaml_report",
                         lambda report: reports.append(report) or emit(report))
-    assert main([command, cfg]) == 0
+    assert main(argv) == 0
     report = as_lists(*reports)
     printed = capsys.readouterr().out
     for dumper in (cli._ReportDumper, _PurePythonDumper):
