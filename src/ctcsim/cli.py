@@ -23,19 +23,20 @@ so its many row strings are freed before the next array.
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
 with YAML 1.1's scalar rules.  A numeric row, a line whose value is one
 flow sequence of numbers after block-sequence dashes or a plain key
-(``- [..]``, ``- - [..]``, ``key: [..]``, ``- key: [..]``) and ending in
-LF or CRLF, is read by one ``json.loads`` when YAML 1.1 reads every
-number in it as a decimal, and replaced by the placeholder ``x,``: the
-one ``yaml.load`` reads only the text outside the numeric rows.  If that
-load fails, or a placeholder does not come back as a scalar of its own
-(a row inside a block scalar, a multi-line scalar or a flow collection),
-the original text is loaded again without placeholders.  Every complex
-value of a config is read by :func:`_parse_array`: a number is a YAML
-int or float, never a bool, a complex value is a bare number or an
-[re, im] pair, and a number beyond float range is a config error that
-names its entry, as is a config nested over ``_MAX_DEPTH`` levels deep
-(or too deep for PyYAML's pure-Python loader) or with a (fixed)
-``tolerances`` key.
+(``- [..]``, ``- - [..]``, ``key: [..]``, ``- key: [..]``), is read by
+one ``json.loads`` when YAML 1.1 reads every number in it as a decimal,
+and replaced by the placeholder ``x,``: the one ``yaml.load`` reads only
+the text outside the numeric rows.  A config file is read in text mode,
+whose universal newlines turn CRLF into LF before rows are looked for.
+If the load fails, or a placeholder does not come back as a scalar of
+its own (a row inside a block scalar, a multi-line scalar or a flow
+collection), the original text is loaded again without placeholders.
+Every complex value of a config is read by :func:`_parse_array`: a
+number is a YAML int or float, never a bool, a complex value is a bare
+number or an [re, im] pair, and a number beyond float range is a config
+error that names its entry, as is a config nested over ``_MAX_DEPTH``
+levels deep (or too deep for PyYAML's pure-Python loader) or with a
+(fixed) ``tolerances`` key.
 
 Each subcommand returns its report header, runs and verdict; :func:`main`
 stamps the header, writes the report and picks the exit code.  Exit
@@ -95,10 +96,10 @@ _RESOLVER = yaml.resolver.Resolver()
 _STR_TAG = "tag:yaml.org,2002:str"
 
 
-# a numeric row: a flow sequence of numbers that ends its line (LF or
-# CRLF), after block-sequence dashes or a plain key
+# a numeric row: a flow sequence of numbers that ends its line, after
+# block-sequence dashes or a plain key
 _ROW = re.compile(
-    r"^ *(?:- +)*(?:- +|[A-Za-z_][A-Za-z0-9_-]*: +)(\[[][0-9eE.+, -]*\]) *\r?$",
+    r"^ *(?:- +)*(?:- +|[A-Za-z_][A-Za-z0-9_-]*: +)(\[[][0-9eE.+, -]*\]) *$",
     re.MULTILINE)
 # an exponent YAML 1.1 reads as part of a string: no fraction before it
 # or no sign after it (JSON reads 1e5 and 1.5e5 as numbers)
