@@ -61,7 +61,7 @@ import numpy as np
 import yaml
 
 from . import deutsch, linalg
-from .discrimination import build_distinguisher, distinguish
+from .discrimination import build_distinguisher, distinguish_members
 from .errors import (
     Condition2Exhausted,
     CtcSimError,
@@ -605,13 +605,12 @@ def cmd_distinguish(args) -> tuple[dict, list, bool]:
     bundle = build_distinguisher(states, seed)
     cond = bundle.condition
     runs = []
-    for j in range(states.size):
-        r = distinguish(bundle, states[j])
+    for j, r in enumerate(distinguish_members(bundle)):
         runs.append({
             "input_index": j,
             "decoded": r.decoded,
             "residual": float(r.residual),
-            "unique": True,
+            "unique": r.certified,
             "fidelity_to_basis": float(r.fidelity_to_basis),
         })
     header = {

@@ -10,8 +10,15 @@ state settles on its unique fixed point.  The per-index unitaries must
 satisfy two conditions: (1) U_k psi_k = |k>, and (2) every overlap
 <j| U_k |psi_j> is nonzero, which is what makes the fixed point unique.
 
-The U_k are held as one read-only (N, N, N) stack, U_k = uks[k].  For a
-pure input psi, write phi_k = U_k psi and Phi = [phi_0 ... phi_{N-1}],
+The U_k are held as one read-only (N, N, N) stack, U_k = uks[k].  On
+the first attempt each U_k is the adjoint of a Gram-Schmidt completion of
+psi_k by the standard basis, which has a closed form in the suffix sums
+s_i = sum_{l >= i} |psi_k[l]|^2, so :func:`build_distinguisher` builds all
+N of them from one outer product.  The per-k loop :func:`build_uk` runs
+only where that form does not hold (Gram-Schmidt would skip a basis
+vector, as for psi_k = |0>) or the completion misses condition (2) and
+Haar-random candidates are drawn; it is also the form's test oracle.
+For a pure input psi, write phi_k = U_k psi and Phi = [phi_0 ... phi_{N-1}],
 one product of the stack with psi.
 The circuit's self-consistency map is sigma -> sum_k sigma_kk phi_k phi_k^dagger:
 it reads only diag(sigma), so the CTC state is fixed by a distribution p
@@ -21,9 +28,14 @@ Brun-Harrington-Wilde mechanism, PRL 102, 210402, 2009).  Every fixed
 point, density matrix or not, is determined by its diagonal, so the
 fixed space of the map has the dimension of the null space of T - I, and
 the fixed point is unique exactly when that null space is one-dimensional.
-:func:`distinguish` solves this N x N chain; the generic solver
-:func:`ctcsim.deutsch.fixed_point` on the N^2 x N^2 circuit
-:attr:`DistinguisherBundle.total` is its test oracle.
+:func:`distinguish` solves this N x N chain by SVD for any input; the
+generic solver :func:`ctcsim.deutsch.fixed_point` on the N^2 x N^2 circuit
+:attr:`DistinguisherBundle.total` is its test oracle.  For the set members
+themselves the conditions settle uniqueness: condition (2) bounds row m of
+member m's chain below by eps_m > 0 (Doeblin's minorization), so
+:func:`distinguish_members` takes every member's p from one stacked
+linear solve and certifies it with a bound on |p - e_m|_1; a member
+without that certificate takes the SVD path, which is its oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +51,8 @@ from . import deutsch
 from .errors import (Condition2Exhausted, DimensionError, InputNotInSetWarning,
                      NoFixedPointNumerical, NonUniqueFixedPoint)
 from .linalg import (
+    TOL_GS,
+    TOL_NORM,
     TOL_PSD,
     DensityMatrix,
     StateSet,
@@ -53,6 +67,8 @@ from .sampling import haar_state
 MAX_ATTEMPTS = 64
 
 _IN_SET_TOL = 1e-8
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -109,6 +125,32 @@ class DistinguishResult:
     residual: float
     input_in_set: bool
     chain_gap: float
+
+
+@dataclass(frozen=True)
+class MemberResult:
+    """Outcome of one member's run in :func:`distinguish_members`.
+
+    `minorization` is eps_m = min_k |<m|U_k|psi_m>|^2, `label_shift` the
+    distance |p - e_m|_1 of the label distribution from the member's own
+    label and `bound` its Doeblin bound, inf for a member that took the
+    SVD path.
+    """
+
+    rho_ctc: DensityMatrix
+    rho_out: DensityMatrix
+    decoded: int
+    fidelity_to_basis: float
+    residual: float
+    minorization: float
+    label_shift: float
+    bound: float
+
+    @property
+    def certified(self) -> bool:
+        """eps_m > 0 and the label distribution within its finite bound:
+        the fixed point is unique and its label is the member's own."""
+        return self.minorization > 0 and self.label_shift <= self.bound < np.inf
 
 
 def swap_operator(dim: int) -> np.ndarray:
@@ -168,19 +210,35 @@ def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
     )
 
 
-def condition_report(states: StateSet, uks: Sequence) -> ConditionReport:
-    """Measure both construction conditions for the given unitaries."""
+def _overlaps(uks: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """``|<j| U_k |psi_j>|`` at [j, k]."""
+    return np.abs(np.einsum("kjc,jc->jk", uks, amps))
+
+
+def _unitary_stack(states: StateSet, uks, copy: bool) -> np.ndarray:
     n = states.size
     try:
-        mats = np.asarray(uks, dtype=complex)
+        stack = (np.array if copy else np.asarray)(uks, dtype=complex)
     except ValueError:  # unitaries of unequal shapes
-        mats = None
-    if mats is None or mats.shape != (n, n, n):
+        stack = None
+    if stack is None or stack.shape != (n, n, n):
         raise DimensionError(f"expected {n} unitaries of dim {n}")
+    return stack
+
+
+def condition_report(states: StateSet, uks: Sequence,
+                     overlaps: np.ndarray | None = None) -> ConditionReport:
+    """Measure both construction conditions for the given unitaries.
+
+    `overlaps` may pass in ``|<j| U_k |psi_j>|`` at [j, k] when it has
+    already been measured on these unitaries.
+    """
+    mats = _unitary_stack(states, uks, copy=False)
     amps = states.amplitudes
-    overlaps = np.abs(np.einsum("kjc,jc->jk", mats, amps))
+    if overlaps is None:
+        overlaps = _overlaps(mats, amps)
     cond1 = np.linalg.norm(
-        np.einsum("kjc,kc->kj", mats, amps) - np.eye(n), axis=1)
+        (mats @ amps[:, :, None])[..., 0] - np.eye(states.size), axis=1)
     return ConditionReport(
         overlaps=overlaps,
         min_overlap=float(overlaps.min()),
@@ -192,12 +250,48 @@ def bundle_from_unitaries(states: StateSet, uks: Sequence) -> DistinguisherBundl
     """Bundle the given unitaries with their measured construction conditions.
 
     No condition threshold is enforced here; the measured overlaps are
-    recorded in the bundle for inspection.
+    recorded in the bundle for inspection.  The bundle holds its own
+    read-only copy of the unitaries.
     """
-    condition = condition_report(states, uks)
-    stack = np.array(uks, dtype=complex)
+    stack = _unitary_stack(states, uks, copy=True)
     stack.setflags(write=False)
-    return DistinguisherBundle(state_set=states, uks=stack, condition=condition)
+    return DistinguisherBundle(state_set=states, uks=stack,
+                               condition=condition_report(states, stack))
+
+
+def _first_completions(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every first-attempt U_k in closed form, and where the form holds.
+
+    Gram-Schmidt of e_0 ... e_{N-2} after psi = c, with suffix sums
+    s_i = sum_{l >= i} |c_l|^2, gives column i + 1 of W as
+    (e_i - [l >= i] c conj(c_i) / s_i) sqrt(s_i / s_{i+1}): entry i is
+    sqrt(s_{i+1} / s_i), entry l > i is -c_l conj(c_i) / sqrt(s_i s_{i+1}).
+    Row r of U_k = V^dagger, V being W with columns 0 and k exchanged, is
+    the conjugate of column r of W, so one outer product of
+    [1, -c_0 / sqrt(s_0 s_1), ...] with conj(c) fills the upper triangle of
+    every U_k (rows 0 and k exchanged) and the subdiagonal is set apart.
+    The form holds for k unless psi_k is off unit norm by over
+    ``TOL_NORM / 2`` or some s_{i+1} < (2 ``TOL_GS``)^2 s_i, a factor 2 in
+    from where the loop would raise or skip a vector; there the returned
+    U_k is zero.
+    """
+    n = len(amps)
+    s = np.cumsum((np.abs(amps) ** 2)[:, ::-1], axis=1)[:, ::-1]
+    served = ((s[:, 1:] >= (2 * TOL_GS) ** 2 * s[:, :-1]).all(axis=1)
+              & (np.abs(np.sqrt(s[:, 0]) - 1) <= TOL_NORM / 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.ones((n, n), dtype=complex)
+        coef[:, 1:] = -amps[:, :-1] / np.sqrt(s[:, :-1] * s[:, 1:])
+        uks = np.matmul(coef[:, :, None], amps.conj()[:, None, :])
+        uks[:, np.tri(n, n, -1, dtype=bool)] = 0
+        sub = np.arange(1, n)
+        uks[:, sub, sub - 1] = np.sqrt(s[:, 1:] / s[:, :-1])
+    uks[~served] = 0
+    ks = np.arange(n)
+    row0 = uks[:, 0].copy()
+    uks[:, 0] = uks[ks, ks]
+    uks[ks, ks] = row0
+    return uks, served
 
 
 def build_distinguisher(states: StateSet, rng_seed: int = 0) -> DistinguisherBundle:
@@ -205,8 +299,13 @@ def build_distinguisher(states: StateSet, rng_seed: int = 0) -> DistinguisherBun
 
     The first k whose least room (:func:`ctcsim.linalg.condition2_room`)
     falls short raises :class:`Condition2Exhausted` before any completion.
-    The bundle holds both measured construction conditions; its circuit
-    :attr:`DistinguisherBundle.total` is assembled only when it is read.
+    Every first attempt is built at once in closed form
+    (:func:`_first_completions`); a k the form does not serve, or whose
+    first completion misses condition (2), is built by :func:`build_uk`,
+    whose first attempt is the same completion and whose retries draw
+    Haar candidates.  The bundle holds both measured construction
+    conditions; its circuit :attr:`DistinguisherBundle.total` is
+    assembled only when it is read.
     """
     room, least = condition2_room(states)
     k = int(np.argmax(room.min(axis=0) < least))
@@ -216,8 +315,54 @@ def build_distinguisher(states: StateSet, rng_seed: int = 0) -> DistinguisherBun
         raise Condition2Exhausted(
             f"members {j} and {k} have 1 - F = {infidelity:.3e}, which keeps "
             f"overlap^2 of U_{k} from exceeding {condition2_threshold(len(room)):.3e}")
-    uks = [build_uk(states, k, rng_seed).entries for k in range(states.size)]
-    return bundle_from_unitaries(states, uks)
+    amps = states.amplitudes
+    uks, served = _first_completions(amps)
+    overlaps = _overlaps(uks, amps)
+    served &= overlaps.min(axis=0) ** 2 > condition2_threshold(states.size)
+    if not served.all():
+        for k in np.flatnonzero(~served):
+            uks[k] = build_uk(states, int(k), rng_seed).entries
+        overlaps = _overlaps(uks, amps)
+    uks.setflags(write=False)
+    return DistinguisherBundle(state_set=states, uks=uks,
+                               condition=condition_report(states, uks, overlaps))
+
+
+def _svd_labels(chain: np.ndarray) -> tuple[np.ndarray, float]:
+    """Stationary label distribution of the chain by SVD, and the chain gap."""
+    _, svals, vh, null_mask = deutsch.null_space(
+        chain, "T", "stationary label distribution")
+    null_dim = int(null_mask.sum())
+    if null_dim > 1:
+        raise NonUniqueFixedPoint(null_dim)
+    kept = svals[~null_mask]
+    chain_gap = float(kept.min()) if kept.size else float("inf")
+    p = vh[null_mask][0]
+    return p / p.sum(), chain_gap
+
+
+def _settle(phi: np.ndarray, p: np.ndarray, weight_tol: float):
+    """CTC state, CR output, decoded label, its probability and the
+    residual for the label distribution p; raises on a weight below
+    -`weight_tol` or a residual above ``deutsch.TOL_FIX``."""
+    if p.min() < -weight_tol:
+        raise NoFixedPointNumerical(
+            f"candidate fixed point has negative label weight {p.min():.3e} "
+            f"< -{weight_tol:.3e}"
+        )
+    phi_h = phi.conj().T
+    sigma = (phi * p) @ phi_h
+    mapped = (phi * sigma.diagonal().real) @ phi_h
+    residual = float(np.abs(sigma - mapped).max())
+    if residual > deutsch.TOL_FIX:
+        raise NoFixedPointNumerical(
+            f"candidate fixed point has residual {residual:.3e} > {deutsch.TOL_FIX}"
+        )
+    rho_out = sigma * (phi_h @ phi).T
+    probs = rho_out.diagonal().real
+    decoded = int(np.argmax(probs))
+    return (DensityMatrix(sigma), DensityMatrix(rho_out), decoded,
+            float(probs[decoded]), residual)
 
 
 def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
@@ -235,7 +380,8 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
     ``deutsch.TOL_FIX`` raises :class:`NoFixedPointNumerical`.  The decoded
     label is the argmax of the output's diagonal.  Inputs outside the
     declared set are flagged with :class:`InputNotInSetWarning` but still
-    computed.
+    computed.  Set members are served all at once by
+    :func:`distinguish_members`, which this function is the oracle of.
     """
     vec = _as_vector(input_state)
     states = bundle.state_set
@@ -253,39 +399,115 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
             stacklevel=2,
         )
     phi = (bundle.uks @ vec).T
-    chain = np.abs(phi) ** 2
-    _, svals, vh, null_mask = deutsch.null_space(
-        chain, "T", "stationary label distribution")
-    null_dim = int(null_mask.sum())
-    if null_dim > 1:
-        raise NonUniqueFixedPoint(null_dim)
-    kept = svals[~null_mask]
-    chain_gap = float(kept.min()) if kept.size else float("inf")
-    p = vh[null_mask][0]
-    p = p / p.sum()
+    p, chain_gap = _svd_labels(np.abs(phi) ** 2)
     # the null vector carries rounding of about N eps / gap
-    weight_tol = TOL_PSD + states.size * np.finfo(float).eps / chain_gap
-    if p.min() < -weight_tol:
-        raise NoFixedPointNumerical(
-            f"candidate fixed point has negative label weight {p.min():.3e} "
-            f"< -{weight_tol:.3e}"
-        )
-    sigma = (phi * p) @ phi.conj().T
-    mapped = (phi * np.diag(sigma).real) @ phi.conj().T
-    residual = float(np.abs(sigma - mapped).max())
-    if residual > deutsch.TOL_FIX:
-        raise NoFixedPointNumerical(
-            f"candidate fixed point has residual {residual:.3e} > {deutsch.TOL_FIX}"
-        )
-    rho_out = sigma * (phi.conj().T @ phi).T
-    probs = np.diag(rho_out).real
-    decoded = int(np.argmax(probs))
+    weight_tol = TOL_PSD + states.size * _EPS / chain_gap
+    rho_ctc, rho_out, decoded, fidelity, residual = _settle(phi, p, weight_tol)
     return DistinguishResult(
-        rho_ctc=DensityMatrix(sigma),
-        rho_out=DensityMatrix(rho_out),
+        rho_ctc=rho_ctc,
+        rho_out=rho_out,
         decoded=decoded,
-        fidelity_to_basis=float(probs[decoded]),
+        fidelity_to_basis=fidelity,
         residual=residual,
         input_in_set=in_set,
         chain_gap=chain_gap,
     )
+
+
+def distinguish_members(bundle: DistinguisherBundle) -> Iterator[MemberResult]:
+    """Discriminate every set member, certifying each label by minorization.
+
+    For member m, with T_m[j, k] = |<j|U_k|psi_m>|^2, condition (1) makes
+    column m of T_m nearly e_m and condition (2) bounds row m below by
+    eps_m = min_k T_m[m, k] > 0: Doeblin's minorization condition, under
+    which T_m contracts zero-sum vectors by 1 - eps_m in the 1-norm.  So
+    the stationary distribution p is unique, and for column sums within
+    delta_m of 1 (their rounding),
+
+        |p - e_m|_1 <= (|T_m e_m - e_m|_1 + |T_m p - p|_1 + |1 - sum p|)
+                       / (eps_m - delta_m),
+
+    which `bound` states with N eps of rounding allowed for in each sum.
+
+    The chains of all members come from one product of the stack with the
+    set, squared in its own buffer, and every p from one stacked bordered
+    solve: row 0 of T_m - I replaced by ones, right-hand side e_0.  Its
+    residual |T_m p - p|_1 is the column-sum rounding sum_k (c_k - 1) p_k
+    of the replaced row plus the solve's own rounding.  A member whose
+    eps_m does not exceed 2 delta_m + N eps (the bordered system may then
+    be singular), or whose p misses its bound, has no certificate and
+    takes the SVD path of :func:`distinguish` instead, with its
+    exceptions.
+
+    Results are yielded in member order, one at a time, so a caller never
+    needs every CTC state and output at once.  Negative label weights are
+    checked against -(``TOL_PSD`` + N eps / eps_m), residuals against
+    ``deutsch.TOL_FIX``, as in :func:`distinguish`.
+    """
+    states = bundle.state_set
+    n = states.size
+    # chain[k, j, m] = T_m[j, k], as re^2 + im^2 in the real parts
+    chain = (bundle.uks.reshape(n * n, n) @ states.amplitudes.T).reshape(n, n, n)
+    parts = chain.view(float).reshape(-1, 2)
+    np.square(parts, out=parts)
+    np.add(parts[:, 0], parts[:, 1], out=parts[:, 0])
+    t = chain.real
+    ks = np.arange(n)
+    minorization = t[:, ks, ks].min(axis=0)
+    column = t[ks, :, ks]
+    column[ks, ks] -= 1
+    column_miss = np.abs(column, out=column).sum(axis=1)
+    drift = np.abs(t.sum(axis=1) - 1).max(axis=0)
+    row0 = t[:, 0, :].copy()
+    row0[0] -= 1
+    minorized = minorization > 2 * drift + n * _EPS
+    # the bordered systems, in place; a member without a certificate
+    # solves the identity instead
+    t[ks, ks] -= 1
+    t[:, 0] = 1
+    for m in np.flatnonzero(~minorized):
+        t[:, :, m] = np.eye(n)
+    bordered = t.transpose(2, 1, 0)
+    e0 = np.zeros((n, 1))
+    e0[0] = 1
+    p = np.linalg.solve(bordered, e0)[..., 0]
+    p /= p.sum(axis=1, keepdims=True)
+    moved = np.matmul(bordered, p[..., None])[..., 0]
+    moved[:, 0] = np.einsum("km,mk->m", row0, p)
+    del chain, parts, t, bordered
+    residual = np.abs(moved).sum(axis=1)
+    shift = np.abs(p - np.eye(n)).sum(axis=1)
+    # what rounding may hide in the sums, the residual and the shift
+    hidden = n * _EPS * (1 + column_miss + residual + 2 * shift)
+    bound = np.full(n, np.inf)
+    np.divide(column_miss + residual + np.abs(1 - p.sum(axis=1)) + hidden,
+              minorization - drift - n * _EPS, out=bound, where=minorized)
+    return _member_results(bundle, p, minorization.tolist(), shift.tolist(),
+                           bound.tolist())
+
+
+def _member_results(bundle, p, minorization, shift, bound):
+    states = bundle.state_set
+    n = states.size
+    for m, psi in enumerate(states.amplitudes):
+        phi = (bundle.uks @ psi).T
+        if shift[m] <= bound[m] < np.inf:
+            label_p, label_shift, label_bound = p[m], shift[m], bound[m]
+            weight_tol = TOL_PSD + n * _EPS / minorization[m]
+        else:
+            label_p, chain_gap = _svd_labels(np.abs(phi) ** 2)
+            label_shift = float(np.abs(label_p - np.eye(n)[m]).sum())
+            label_bound = np.inf
+            weight_tol = TOL_PSD + n * _EPS / chain_gap
+        rho_ctc, rho_out, decoded, fidelity, residual = _settle(
+            phi, label_p, weight_tol)
+        yield MemberResult(
+            rho_ctc=rho_ctc,
+            rho_out=rho_out,
+            decoded=decoded,
+            fidelity_to_basis=fidelity,
+            residual=residual,
+            minorization=minorization[m],
+            label_shift=label_shift,
+            bound=label_bound,
+        )

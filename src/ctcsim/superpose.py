@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .discrimination import (DistinguisherBundle, build_distinguisher,
-                             controlled_stack, distinguish)
+                             controlled_stack, distinguish_members)
 from .errors import DegenerateSuperposition, DimensionError, PurityLoss
 from .linalg import (
     StateSet,
@@ -162,7 +162,8 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
 
     All N^2 targets are formed before the one discrimination bundle, so
     a cancelling pair raises :class:`DegenerateSuperposition` first.
-    Each distinct input index is distinguished once, and p1, p2 are the
+    Every member is distinguished once, by one
+    :func:`ctcsim.discrimination.distinguish_members`, and p1, p2 are the
     diagonals of the two CTC outputs.  Fidelities compare against omega_mn.
     """
     size = states.size
@@ -174,8 +175,9 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
                for j in range(size)] for i in range(size)]
     targets = np.array([[w.amplitudes for w in row] for row in omegas])
     bundle = build_distinguisher(states, rng_seed)
-    labels = {k: distinguish(bundle, states[k])
-              for k in sorted({k for pair in pairs for k in pair})}
+    needed = {k for pair in pairs for k in pair}
+    labels = {k: r for k, r in enumerate(distinguish_members(bundle))
+              if k in needed}
     reports = []
     for m, n in pairs:
         r1, r2 = labels[m], labels[n]

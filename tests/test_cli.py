@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from conftest import as_lists
-from ctcsim import cli, deutsch, superpose
+from ctcsim import cli, deutsch, discrimination, superpose
 from ctcsim.cli import main
 from ctcsim.sampling import random_state_set
 
@@ -151,8 +151,8 @@ def test_deeply_nested_config_is_a_config_error(tmp_path, body):
 
 def test_superpose_sweep_builds_one_distinguisher(tmp_path, capsys,
                                                   monkeypatch):
-    calls = {"build_distinguisher": 0, "distinguish": 0,
-             "build_u_prime": 0, "fixed_point": 0}
+    calls = {"build_distinguisher": 0, "distinguish_members": 0,
+             "distinguish": 0, "build_u_prime": 0, "fixed_point": 0}
 
     def count(module, name):
         real = getattr(module, name)
@@ -165,8 +165,9 @@ def test_superpose_sweep_builds_one_distinguisher(tmp_path, capsys,
 
     for module, name in ((superpose, "build_distinguisher"),
                          (cli, "build_distinguisher"),
-                         (superpose, "distinguish"),
-                         (cli, "distinguish"),
+                         (superpose, "distinguish_members"),
+                         (cli, "distinguish_members"),
+                         (discrimination, "distinguish"),
                          (superpose, "build_u_prime"),
                          (deutsch, "fixed_point")):
         count(module, name)
@@ -178,8 +179,8 @@ def test_superpose_sweep_builds_one_distinguisher(tmp_path, capsys,
     }))
     assert main(["superpose", cfg]) == 0
     assert len(yaml.safe_load(capsys.readouterr().out)["runs"]) == 9
-    assert calls == {"build_distinguisher": 1, "distinguish": 3,
-                     "build_u_prime": 0, "fixed_point": 0}
+    assert calls == {"build_distinguisher": 1, "distinguish_members": 1,
+                     "distinguish": 0, "build_u_prime": 0, "fixed_point": 0}
 
 
 def test_distinguish_builds_no_superoperator(tmp_path, capsys, monkeypatch):
@@ -541,9 +542,9 @@ def _zero_fidelity(monkeypatch):
 
 
 def _misdecode(monkeypatch):
-    real = cli.distinguish
-    monkeypatch.setattr(cli, "distinguish", lambda bundle, psi:
-                        dataclasses.replace(real(bundle, psi), decoded=-1))
+    real = cli.distinguish_members
+    monkeypatch.setattr(cli, "distinguish_members", lambda bundle: (
+        dataclasses.replace(r, decoded=-1) for r in real(bundle)))
 
 
 def _no_deviation_allowed(monkeypatch):

@@ -22,6 +22,7 @@ from ctcsim import (
     condition_report,
     controlled_stack,
     distinguish,
+    distinguish_members,
     projector,
     state_fidelity,
     swap_operator,
@@ -209,7 +210,7 @@ def test_bundle_uks_is_one_read_only_stack():
     states = random_state_set(4, np.random.default_rng(8))
     bundle = build_distinguisher(states, rng_seed=8)
     expected = np.array([build_uk(states, k, 8).entries for k in range(4)])
-    assert np.array_equal(bundle.uks, expected)
+    assert np.abs(bundle.uks - expected).max() <= 1e-14
     assert not bundle.uks.flags.writeable
     given = [np.eye(2), HADAMARD]
     assert not bundle_from_unitaries(
@@ -428,3 +429,208 @@ def test_distinguish_failed_checks_raise(monkeypatch, module, name, value,
     monkeypatch.setattr(module, name, value)
     with pytest.raises(NoFixedPointNumerical, match=match):
         distinguish(bundle, states[2])
+
+
+# ---------------------------------------------------------------------------
+# closed-form completions and the member path against their oracles
+
+
+def _loop_stack(states, seed):
+    return np.array([build_uk(states, k, seed).entries
+                     for k in range(states.size)])
+
+
+def _counting_completions(monkeypatch):
+    completions = []
+    real = discrimination.unitary_from_first_column
+    monkeypatch.setattr(discrimination, "unitary_from_first_column",
+                        lambda *a: completions.append(1) or real(*a))
+    return completions
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 24, 32])
+def test_closed_form_completions_match_the_loop(monkeypatch, n):
+    rng = np.random.default_rng(200 + n)
+    for _ in range(3):
+        states = random_state_set(n, rng)
+        seed = int(rng.integers(1 << 30))
+        completions = _counting_completions(monkeypatch)
+        bundle = build_distinguisher(states, rng_seed=seed)
+        assert completions == []
+        assert np.abs(bundle.uks - _loop_stack(states, seed)).max() <= 1e-14
+        assert not bundle.uks.flags.writeable
+
+
+def _first_completion_misses_condition2():
+    # psi_1 is orthogonal to row 1 of the first-attempt U_0, so that U_0
+    # has a zero overlap and build_uk must draw Haar candidates for k = 0
+    rng = np.random.default_rng(4)
+    psi0, psi2 = haar_state(3, rng).amplitudes, haar_state(3, rng).amplitudes
+    u0 = discrimination.unitary_from_first_column(psi0).entries.conj().T
+    psi1 = psi0 + u0[2].conj()
+    return StateSet([psi0, psi1 / np.linalg.norm(psi1), psi2])
+
+
+@pytest.mark.parametrize("states, fallback, retries", [
+    (StateSet([[1, 0], [S, -S]]), [0], False),
+    (StateSet([[0.6, 0.8j, 0], [S, 0, S], [0, 0.6, -0.8]]), [0], False),
+    (_first_completion_misses_condition2(), [0], True),
+], ids=["zero-minus", "zero-trailing-amplitude", "haar-retries"])
+def test_fallback_completions_are_the_loop_bit_for_bit(monkeypatch, states,
+                                                       fallback, retries):
+    # psi = e_0 and a zero trailing amplitude make Gram-Schmidt skip a
+    # basis vector, where the closed form does not hold
+    draws, looped = [], []
+    monkeypatch.setattr(discrimination, "haar_state",
+                        lambda *a: draws.append(a) or haar_state(*a))
+    monkeypatch.setattr(discrimination, "build_uk",
+                        lambda states, k, seed: looped.append(k)
+                        or build_uk(states, k, seed))
+    bundle = build_distinguisher(states, rng_seed=9)
+    assert looped == fallback
+    assert bool(draws) == retries
+    loop = _loop_stack(states, 9)
+    for k in range(states.size):
+        if k in fallback:
+            assert np.array_equal(bundle.uks[k], loop[k])
+        else:
+            assert np.abs(bundle.uks[k] - loop[k]).max() <= 1e-14
+
+
+def _svd_label_distribution(bundle, m):
+    chain = np.abs(bundle.uks @ bundle.state_set.amplitudes[m]).T ** 2
+    p, _ = discrimination._svd_labels(chain)
+    return chain, p
+
+
+def _assert_members_match_the_svd_path(bundle):
+    n = bundle.state_set.size
+    eps = np.finfo(float).eps
+    results = list(distinguish_members(bundle))
+    for m, (r, psi) in enumerate(zip(results, bundle.state_set)):
+        oracle = distinguish(bundle, psi)
+        assert r.decoded == oracle.decoded == m
+        assert r.certified
+        assert r.minorization == pytest.approx(
+            bundle.condition.overlaps[m].min() ** 2, rel=1e-12)
+        # the SVD's p sits within the bound plus its own residual over
+        # the contraction 1 - (eps_m - delta_m)
+        chain, p = _svd_label_distribution(bundle, m)
+        drift = np.abs(chain.sum(axis=0) - 1).max()
+        own = ((np.abs(chain @ p - p).sum() + abs(1 - p.sum()) + n * eps)
+               / (r.minorization - drift - n * eps))
+        shift = np.abs(p - np.eye(n)[m]).sum()
+        assert shift <= r.bound + own
+        # sigma and the output are linear in p with entries of modulus <= 1
+        moved = r.label_shift + shift + 1e-15
+        assert np.abs(r.rho_ctc.entries - oracle.rho_ctc.entries).max() <= moved
+        assert np.abs(r.rho_out.entries - oracle.rho_out.entries).max() <= moved
+        assert abs(r.fidelity_to_basis - oracle.fidelity_to_basis) <= moved
+        assert r.residual <= deutsch.TOL_FIX
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**31 - 1))
+def test_member_path_matches_the_svd_path_on_haar_sets(n, seed):
+    rng = np.random.default_rng(seed)
+    states = StateSet(tuple(haar_state(n, rng) for _ in range(n)))
+    _assert_members_match_the_svd_path(build_distinguisher(states, seed))
+
+
+@pytest.mark.parametrize("n, delta", [
+    (2, 1e-8), (2, 1e-7), (3, 1e-7), (5, 1e-7), (8, 1e-7),
+], ids=["boundary-2", "2", "3", "5", "8"])
+def test_member_path_matches_the_svd_path_on_near_parallel_sets(n, delta):
+    bundle = build_distinguisher(_near_parallel_set(n, delta), rng_seed=0)
+    _assert_members_match_the_svd_path(bundle)
+
+
+def test_member_path_yields_lazily_in_member_order(zero_minus_set):
+    bundle = build_distinguisher(zero_minus_set, rng_seed=0)
+    results = distinguish_members(bundle)
+    first = next(results)
+    assert first.decoded == 0 and first.label_shift == 0.0
+    assert first.minorization == pytest.approx(0.5, abs=1e-15)
+    assert next(results).decoded == 1
+    assert next(results, None) is None
+
+
+def _uncertified_bundle():
+    # U_2 exchanges |0> and |1>, so rows 0 and 1 of the chains of psi_0
+    # and psi_1 hold a zero: no minorization, though each fixed point is
+    # unique (the member's label absorbs the chain); psi_2's row is all ones
+    states = orthonormal_set(3)
+    u2 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    return bundle_from_unitaries(states, [np.eye(3), np.eye(3), u2])
+
+
+def test_members_without_minorization_take_the_svd_path():
+    bundle = _uncertified_bundle()
+    results = list(distinguish_members(bundle))
+    assert [r.decoded for r in results] == [0, 1, 2]
+    assert [r.certified for r in results] == [False, False, True]
+    assert [r.minorization for r in results] == [0.0, 0.0, 1.0]
+    assert [r.bound for r in results[:2]] == [np.inf, np.inf]
+    for r, psi in zip(results, bundle.state_set):
+        oracle = distinguish(bundle, psi)
+        assert np.abs(r.rho_ctc.entries - oracle.rho_ctc.entries).max() <= 1e-15
+
+
+def test_member_path_raises_on_a_non_unique_fixed_point():
+    states = orthonormal_set(3)
+    u1 = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
+    u2 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+    bundle = bundle_from_unitaries(states, [np.eye(3), u1, u2])
+    with pytest.raises(NonUniqueFixedPoint):
+        next(distinguish_members(bundle))
+
+
+@pytest.mark.parametrize("module, name, value, match, certified_path", [
+    (deutsch, "SVD_CUTOFF", -1.0, "singular value", False),
+    (discrimination, "TOL_PSD", -2.0, "negative label weight", True),
+    (deutsch, "TOL_FIX", -1.0, "residual", True),
+])
+def test_member_path_failed_checks_raise(monkeypatch, module, name, value,
+                                         match, certified_path):
+    # only the SVD path reads the singular-value cutoff; the certified
+    # path checks weights and residuals as distinguish does
+    haar = build_distinguisher(random_state_set(4, np.random.default_rng(3)),
+                               rng_seed=3)
+    monkeypatch.setattr(module, name, value)
+    for bundle, raises in ((haar, certified_path), (_uncertified_bundle(), True)):
+        if raises:
+            with pytest.raises(NoFixedPointNumerical, match=match):
+                list(distinguish_members(bundle))
+        else:
+            assert all(r.certified for r in distinguish_members(bundle))
+
+
+@pytest.mark.parametrize("n, seed", [(2, 2), (2, 3), (3, 108)])
+def test_tight_certificates_hold_through_rounding(n, seed):
+    # in two and three dimensions the contraction bound is nearly exact,
+    # and the shift can exceed the bound by rounding unless allowed for
+    states = random_state_set(n, np.random.default_rng(seed))
+    results = list(distinguish_members(build_distinguisher(states, seed)))
+    assert all(r.certified for r in results)
+    assert max(r.label_shift / r.bound for r in results) > 0.5
+
+
+def test_bound_covers_an_inaccurate_solve(monkeypatch):
+    # the bound is measured on the p the solve returned, so an error in
+    # that p shows up in the bound, and the residual check still holds
+    states = random_state_set(4, np.random.default_rng(3))
+    bundle = build_distinguisher(states, rng_seed=3)
+    exact = list(distinguish_members(bundle))
+    real = np.linalg.solve
+
+    def off_by_1e12(a, b):
+        p = real(a, b)
+        p[1, 0] += 1e-12
+        return p
+
+    monkeypatch.setattr(np.linalg, "solve", off_by_1e12)
+    results = list(distinguish_members(bundle))
+    assert all(r.certified for r in results)
+    assert 1.9e-12 < results[1].label_shift <= results[1].bound
+    assert results[1].bound > 100 * exact[1].bound
+    assert [r.decoded for r in results] == [0, 1, 2, 3]
