@@ -521,8 +521,9 @@ def _assert_members_match_the_svd_path(bundle):
                / (r.minorization - drift - n * eps))
         shift = np.abs(p - np.eye(n)[m]).sum()
         assert shift <= r.bound + own
-        # sigma and the output are linear in p with entries of modulus <= 1
-        moved = r.label_shift + shift + 1e-15
+        # sigma and the output are linear in p with entries of modulus <= 1;
+        # forming each rounds by up to 2 N eps
+        moved = r.label_shift + shift + 4 * n * eps
         assert np.abs(r.rho_ctc.entries - oracle.rho_ctc.entries).max() <= moved
         assert np.abs(r.rho_out.entries - oracle.rho_out.entries).max() <= moved
         assert abs(r.fidelity_to_basis - oracle.fidelity_to_basis) <= moved
