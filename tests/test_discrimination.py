@@ -440,21 +440,17 @@ def _loop_stack(states, seed):
                      for k in range(states.size)])
 
 
-def _counting_completions(monkeypatch):
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 24, 32])
+def test_closed_form_completions_match_the_loop(monkeypatch, n):
     completions = []
     real = discrimination.unitary_from_first_column
     monkeypatch.setattr(discrimination, "unitary_from_first_column",
                         lambda *a: completions.append(1) or real(*a))
-    return completions
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16, 24, 32])
-def test_closed_form_completions_match_the_loop(monkeypatch, n):
     rng = np.random.default_rng(200 + n)
     for _ in range(3):
         states = random_state_set(n, rng)
         seed = int(rng.integers(1 << 30))
-        completions = _counting_completions(monkeypatch)
+        completions.clear()
         bundle = build_distinguisher(states, rng_seed=seed)
         assert completions == []
         assert np.abs(bundle.uks - _loop_stack(states, seed)).max() <= 1e-14
@@ -497,12 +493,6 @@ def test_fallback_completions_are_the_loop_bit_for_bit(monkeypatch, states,
             assert np.abs(bundle.uks[k] - loop[k]).max() <= 1e-14
 
 
-def _svd_label_distribution(bundle, m):
-    chain = np.abs(bundle.uks @ bundle.state_set.amplitudes[m]).T ** 2
-    p, _ = discrimination._svd_labels(chain)
-    return chain, p
-
-
 def _assert_members_match_the_svd_path(bundle):
     n = bundle.state_set.size
     eps = np.finfo(float).eps
@@ -515,7 +505,8 @@ def _assert_members_match_the_svd_path(bundle):
             bundle.condition.overlaps[m].min() ** 2, rel=1e-12)
         # the SVD's p sits within the bound plus its own residual over
         # the contraction 1 - (eps_m - delta_m)
-        chain, p = _svd_label_distribution(bundle, m)
+        chain = np.abs(bundle.uks @ psi.amplitudes).T ** 2
+        p, _ = discrimination._svd_labels(chain)
         drift = np.abs(chain.sum(axis=0) - 1).max()
         own = ((np.abs(chain @ p - p).sum() + abs(1 - p.sum()) + n * eps)
                / (r.minorization - drift - n * eps))
