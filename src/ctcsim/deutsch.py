@@ -9,9 +9,22 @@ self-consistency condition
 and the chronology-respecting output is the complementary trace.  The
 solver is spectral: the map preserves hermiticity, so it is linearized
 as a real matrix L over real coordinates of Hermitian sigma, and the
-eigenvalue-1 space is the null space of (L - I), whose SVD null vectors
-are Hermitian matrices.  This finds all fixed points and therefore
-detects non-uniqueness, which an iterative solver cannot.
+eigenvalue-1 space is the null space of A = L - I.  This finds all fixed
+points and therefore detects non-uniqueness, which an iterative solver
+cannot.
+
+A unique fixed point is first certified without an SVD.  B is A with
+row 0 replaced by the trace row; B - A has rank one, so the two smallest
+singular values of A satisfy
+
+    s_(n-1)(A) >= s_min(B) >= 1 / |B^-1|_F,    s_min(A) <= |A x| / |x|,
+
+for x = B^-1 e_0, the fixed point at trace 1.  When the first bound is
+above ``SVD_CUTOFF`` and the second at or below it, exactly one singular
+value of A is null, the verdict an SVD would give.  Otherwise the null
+space is taken by a full SVD, whose null vectors are Hermitian matrices
+(Stewart, Introduction to the Numerical Solution of Markov Chains, 1994,
+for the bordered system).
 
 When the fixed space has more than one dimension, the ``max_entropy``
 policy applies Deutsch's maximum-entropy rule.  It starts from the
@@ -19,8 +32,9 @@ closed-form Cesaro limit of the orbit of I/d, the spectral projection
 of I/d onto the fixed space, whose support contains that of every fixed
 state.  On that support it takes damped Newton steps over the traceless
 fixed directions until the entropy gradient (the KKT certificate) is
-below ``_KKT_TOL``.  If ``_MAX_NEWTON`` steps do not get it there, it
-raises :class:`NoFixedPointNumerical`.
+below ``_KKT_TOL``.  If ``_MAX_NEWTON`` steps do not get it there, or
+a step still leaves the cone after ``_MAX_HALVINGS`` halvings, it raises
+:class:`NoFixedPointNumerical`.
 """
 
 from __future__ import annotations
@@ -46,6 +60,7 @@ Policy = Literal["require_unique", "max_entropy"]
 
 _KKT_TOL = 1e-12
 _MAX_NEWTON = 50
+_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -202,7 +217,9 @@ def _max_entropy_fixed_point(right: np.ndarray, left: np.ndarray,
     the support of every fixed state.  On that support the entropy is
     strictly concave over the traceless fixed directions D_i, and Newton
     steps, halved while they leave the positive-definite cone, drive its
-    gradient -Tr(D_i log sigma) to 0.
+    gradient -Tr(D_i log sigma) to 0.  A step still outside the cone after
+    ``_MAX_HALVINGS`` halvings raises :class:`NoFixedPointNumerical` at
+    once, naming the step.
     """
     mixed = np.zeros(dim * dim)
     mixed[:dim] = 1 / dim
@@ -219,7 +236,7 @@ def _max_entropy_fixed_point(right: np.ndarray, left: np.ndarray,
     lam = w[keep] / w[keep].sum()
     q = np.eye(lam.size, dtype=complex)
     sigma = np.diag(lam).astype(complex)
-    for _ in range(_MAX_NEWTON):
+    for newton in range(_MAX_NEWTON):
         rotated = (q.conj().T @ directions @ q).reshape(len(directions), -1)
         log_lam = np.log(lam)
         grad = -(rotated[:, :: lam.size + 1].real @ log_lam)
@@ -234,13 +251,19 @@ def _max_entropy_fixed_point(right: np.ndarray, left: np.ndarray,
         # minus the Hessian of the entropy over the directions
         hess = ((rotated.conj() * gamma.ravel()) @ rotated.T).real
         step = np.tensordot(np.linalg.solve(hess, grad), directions, axes=1)
-        for _ in range(60):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = sigma + step
             lam_t, q_t = np.linalg.eigh(trial)
             if lam_t.min() > 0:
                 sigma, lam, q = trial, lam_t, q_t
                 break
             step = step / 2
+        else:
+            raise NoFixedPointNumerical(
+                f"max-entropy Newton step {newton + 1} leaves the positive-"
+                f"definite cone after {_MAX_HALVINGS} halvings: smallest "
+                f"trial eigenvalue {lam_t.min():.3e}"
+            )
     raise NoFixedPointNumerical(
         f"max-entropy refinement not converged after {_MAX_NEWTON} Newton "
         f"steps: KKT gradient {np.abs(grad).max():.3e} > {_KKT_TOL}"
@@ -252,7 +275,11 @@ def null_space(m: np.ndarray, name: str, what: str):
 
     A singular value is null at or below ``SVD_CUTOFF``.  With none null,
     :class:`NoFixedPointNumerical` is raised, naming the matrix `name`
-    and the missing `what`.
+    and the missing `what`.  :func:`fixed_point` calls it only for the
+    fixed spaces that the bordered certificate, s_(n-1)(L - I) >=
+    1 / |B^-1|_F > ``SVD_CUTOFF`` >= |(L - I) x| / |x|, leaves open: more
+    than one dimension, none, or a bound not met.  It stays the oracle of
+    that certificate.
     """
     uu, svals, vh = np.linalg.svd(m - np.eye(m.shape[0]))
     null_mask = svals <= SVD_CUTOFF
@@ -264,24 +291,61 @@ def null_space(m: np.ndarray, name: str, what: str):
     return uu, svals, vh, null_mask
 
 
+def _certified_fixed_point(real: np.ndarray, dim: int) -> np.ndarray | None:
+    """The fixed point's coordinates if one bordered inverse certifies that
+    the fixed space of `real` is one-dimensional, else None.
+
+    B is A = real - I with row 0 replaced by the trace row, and x = B^-1 e_0
+    has trace 1 and (A x)_i = 0 for i > 0; row 0 of A is minus the sum of
+    the other diagonal rows, as the map preserves trace.  B - A has rank
+    one, so the second-smallest singular value of A is at least
+    sigma_min(B) >= 1 / |B^-1|_F, and the smallest is at most |A x| / |x|.
+    With the first above ``SVD_CUTOFF`` and the second at or below it,
+    exactly one singular value of A is null: the verdict the SVD of
+    :func:`null_space` would give.
+    """
+    a = real - np.eye(real.shape[0])
+    bordered = a.copy()
+    bordered[0] = 0.0
+    bordered[0, :dim] = 1.0
+    try:
+        inverse = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError:
+        return None
+    x = inverse[:, 0]
+    if (1 / np.linalg.norm(inverse) > SVD_CUTOFF
+            and np.linalg.norm(a @ x) <= SVD_CUTOFF * np.linalg.norm(x)):
+        return x
+    return None
+
+
 def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResult:
     """Solve the self-consistency condition for the CTC state.
 
     The eigenvalue-1 eigenspace of the map on Hermitian matrices is the
-    null space of the real (L - I), extracted by SVD with singular-value
-    cutoff ``SVD_CUTOFF``; a unique fixed point is its null vector over
-    its trace.  Under ``require_unique`` a multi-dimensional fixed space
+    null space of the real A = L - I, with singular-value cutoff
+    ``SVD_CUTOFF``.  A unique fixed point is taken from one inverse of the
+    bordered B, A with row 0 replaced by the trace row: x = B^-1 e_0 is
+    certified when s_(n-1)(A) >= 1 / |B^-1|_F > ``SVD_CUTOFF`` and
+    s_min(A) <= |A x| / |x| <= ``SVD_CUTOFF``, which leave exactly one
+    singular value null.  Otherwise (B singular, or a bound not met) the
+    null space is extracted by SVD (:func:`null_space`), and a
+    one-dimensional one gives its null vector over its trace.  Under ``require_unique`` a multi-dimensional fixed space
     raises :class:`NonUniqueFixedPoint`; under ``max_entropy`` the
     entropy-maximizing fixed density matrix is returned.  It is found
     from the Cesaro limit of I/d, taken in closed form from the left and
     right null vectors, by Newton steps on that state's support; a KKT
-    gradient still above ``_KKT_TOL`` after ``_MAX_NEWTON`` steps raises
-    :class:`NoFixedPointNumerical`.
+    gradient still above ``_KKT_TOL`` after ``_MAX_NEWTON`` steps, or a
+    step outside the positive-definite cone after ``_MAX_HALVINGS``
+    halvings, raises :class:`NoFixedPointNumerical`.
     """
     if policy not in ("require_unique", "max_entropy"):
         raise ValueError(f"unknown policy {policy!r}")
     real = _hermitian_superoperator(u, rho_cr)
     dim = int(round(np.sqrt(real.shape[0])))
+    x = _certified_fixed_point(real, dim)
+    if x is not None:
+        return _finalize(u, rho_cr, _hermitian(x, dim), 1)
     uu, _, vh, null_mask = null_space(real, "L", "fixed space")
     fixed_space_dim = int(null_mask.sum())
     if fixed_space_dim == 1:

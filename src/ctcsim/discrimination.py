@@ -377,7 +377,10 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
     ``deutsch.SVD_CUTOFF``: a null space of more than one dimension raises
     :class:`NonUniqueFixedPoint`, none at all, a negative weight below
     -(``TOL_PSD`` + N eps / gap), gap the chain gap, or a residual above
-    ``deutsch.TOL_FIX`` raises :class:`NoFixedPointNumerical`.  The decoded
+    ``deutsch.TOL_FIX`` raises :class:`NoFixedPointNumerical`.  N eps / gap
+    is not the SVD's rounding: on Haar sets its p lies up to ~91 eps from
+    e_m with a gap near 1, about 20 times that term, and ``TOL_PSD`` is
+    what covers it.  The decoded
     label is the argmax of the output's diagonal.  Inputs outside the
     declared set are flagged with :class:`InputNotInSetWarning` but still
     computed.  Set members are served all at once by
@@ -400,7 +403,8 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
         )
     phi = (bundle.uks @ vec).T
     p, chain_gap = _svd_labels(np.abs(phi) ** 2)
-    # the null vector carries rounding of about N eps / gap
+    # the SVD's p can sit ~20 times N eps / gap from e_m (up to ~91 eps on
+    # Haar sets at gap ~1); TOL_PSD, not this term, covers that rounding
     weight_tol = TOL_PSD + states.size * _EPS / chain_gap
     rho_ctc, rho_out, decoded, fidelity, residual = _settle(phi, p, weight_tol)
     return DistinguishResult(

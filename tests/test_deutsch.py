@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import HADAMARD, S, damped_power_iteration
 from ctcsim import (
@@ -350,6 +352,158 @@ def test_max_entropy_failed_certificate_raises(monkeypatch):
     u, rho, _ = _block_channel_case(3)
     with pytest.raises(NoFixedPointNumerical, match="KKT gradient"):
         fixed_point(u, rho, policy="max_entropy")
+
+
+def _draining_channel_case():
+    """Dephasing on |0>..|8> while |9>..|15> drain into |0>.
+
+    The fixed states are the diagonal states on |0>..|8>, and the
+    max-entropy one is I/9 there.  The Cesaro limit of I/16 puts 1/2 on
+    |0>, so the first full Newton step leaves the positive-definite cone.
+    """
+    d = 16
+    kraus = [np.outer(np.eye(d)[c], np.eye(d)[c]) for c in range(9)]
+    kraus += [np.outer(np.eye(d)[0], np.eye(d)[t]) for t in range(9, d)]
+    isometry = np.concatenate(kraus)  # the columns of u on CR state |0>
+    u = np.hstack([isometry, np.linalg.svd(isometry)[0][:, d:]])
+    return u, projector(basis_state(d, 0)), np.diag([1 / 9] * 9 + [0] * 7)
+
+
+def test_max_entropy_halves_a_step_that_leaves_the_cone():
+    u, rho, expected = _draining_channel_case()
+    result = fixed_point(u, rho, policy="max_entropy")
+    assert result.fixed_space_dim == 9
+    assert np.abs(result.fixed_point.entries - expected).max() < 1e-12
+
+
+def test_max_entropy_fails_at_the_step_that_fails(monkeypatch):
+    monkeypatch.setattr(deutsch, "_MAX_HALVINGS", 0)
+    u, rho, _ = _draining_channel_case()
+    with pytest.raises(NoFixedPointNumerical,
+                       match=r"Newton step 1 leaves the positive-definite cone "
+                             r"after 0 halvings: smallest trial eigenvalue -"):
+        fixed_point(u, rho, policy="max_entropy")
+
+
+# ---------------------------------------------------------------------------
+# the bordered certificate against the SVD path
+
+
+def _svd_path(u, rho, policy="require_unique"):
+    """fixed_point with the certificate turned off: its result or error."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deutsch, "_certified_fixed_point", lambda real, dim: None)
+        try:
+            return fixed_point(u, rho, policy=policy)
+        except (NonUniqueFixedPoint, NoFixedPointNumerical) as err:
+            return err
+
+
+def _count_null_space(monkeypatch):
+    calls = []
+    svd = deutsch.null_space
+    monkeypatch.setattr(deutsch, "null_space",
+                        lambda *args: calls.append(args) or svd(*args))
+    return calls
+
+
+def _haar_circuit(cr_dim, ctc_dim):
+    rng = np.random.default_rng([cr_dim, ctc_dim])
+    return (haar_unitary(cr_dim * ctc_dim, rng).entries,
+            random_density_matrix(cr_dim, rng).entries)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _haar_circuit(2, 8),
+    lambda: _haar_circuit(3, 8),
+    lambda: _haar_circuit(4, 6),
+    lambda: _haar_circuit(2, 16),
+    lambda: _haar_circuit(3, 3),
+    lambda: (EXAMPLE_U, projector(MINUS)),
+], ids=["haar-2x8", "haar-3x8", "haar-4x6", "haar-2x16", "haar-3x3",
+        "example"])
+def test_certified_fixed_point_matches_svd_path(monkeypatch, case):
+    u, rho = case()
+    oracle = _svd_path(u, rho)
+    calls = _count_null_space(monkeypatch)
+    result = fixed_point(u, rho)
+    assert calls == []
+    assert result.fixed_space_dim == oracle.fixed_space_dim == 1
+    assert result.unique
+    assert np.abs(result.fixed_point.entries
+                  - oracle.fixed_point.entries).max() < 1e-12
+    assert abs(result.residual - oracle.residual) < 1e-12
+
+
+@pytest.mark.parametrize("case, policy, svd_calls", [
+    (lambda: _haar_circuit(2, 8), "require_unique", 0),
+    (lambda: _haar_circuit(2, 8), "max_entropy", 0),
+    (lambda: (np.eye(16), _haar_circuit(2, 8)[1]), "max_entropy", 1),
+    (lambda: _block_channel_case(3)[:2], "max_entropy", 1),
+    (lambda: _block_channel_case(5)[:2], "max_entropy", 1),
+], ids=["haar-unique", "haar-max-entropy", "identity", "block-3x4",
+        "block-5x6"])
+def test_full_svd_runs_only_when_the_certificate_fails(monkeypatch, case,
+                                                       policy, svd_calls):
+    u, rho = case()
+    calls = _count_null_space(monkeypatch)
+    fixed_point(u, rho, policy=policy)
+    assert len(calls) == svd_calls
+
+
+def test_non_unique_fixed_space_still_raises_through_the_svd(monkeypatch):
+    calls = _count_null_space(monkeypatch)
+    with pytest.raises(NonUniqueFixedPoint) as err:
+        fixed_point(np.eye(4), np.eye(2) / 2, policy="require_unique")
+    assert err.value.fixed_space_dim == 4
+    assert len(calls) == 1
+
+
+def test_failed_cutoff_is_never_certified(monkeypatch):
+    monkeypatch.setattr(deutsch, "SVD_CUTOFF", -1.0)
+    certified = []
+    certify = deutsch._certified_fixed_point
+    monkeypatch.setattr(deutsch, "_certified_fixed_point",
+                        lambda real, dim: certified.append(certify(real, dim)))
+    with pytest.raises(NoFixedPointNumerical, match="smallest singular value"):
+        fixed_point(*_haar_circuit(2, 8))
+    assert certified == [None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cr_dim=st.integers(2, 3),
+       ctc_dim=st.integers(2, 3), decades=st.floats(0, 12))
+def test_certificate_agrees_with_svd_near_the_identity(seed, cr_dim, ctc_dim,
+                                                        decades):
+    # (1 - w) Phi + w id keeps Phi's fixed space but scales its gap by
+    # 1 - w = 10^-decades, which carries the verdict across the cutoff
+    rng = np.random.default_rng(seed)
+    w = 1 - 10.0**-decades
+    v = haar_unitary(cr_dim * ctc_dim, rng).entries
+    u = (tensor_product(np.diag([1, 0]), v)
+         + tensor_product(np.diag([0, 1]), np.eye(cr_dim * ctc_dim)))
+    rho = tensor_product(np.diag([1 - w, w]),
+                         random_density_matrix(cr_dim, rng).entries)
+    oracle = _svd_path(u, rho)
+    try:
+        result = fixed_point(u, rho)
+    except (NonUniqueFixedPoint, NoFixedPointNumerical) as err:
+        assert type(err) is type(oracle)
+        assert (getattr(err, "fixed_space_dim", None)
+                == getattr(oracle, "fixed_space_dim", None))
+        return
+    assert isinstance(oracle, deutsch.FixedPointResult)
+    assert result.fixed_space_dim == oracle.fixed_space_dim
+    # both solvers are backward stable, so they part by the rounding of
+    # the bordered inverse, at most about d^2 eps |B^-1|_F
+    real = deutsch._hermitian_superoperator(u, rho)
+    bordered = real - np.eye(ctc_dim**2)
+    bordered[0] = 0.0
+    bordered[0, :ctc_dim] = 1.0
+    tol = ctc_dim**2 * np.finfo(float).eps * np.linalg.norm(
+        np.linalg.inv(bordered))
+    assert np.abs(result.fixed_point.entries
+                  - oracle.fixed_point.entries).max() <= tol
 
 
 def _hermitian_coordinates(x):
