@@ -292,17 +292,12 @@ def null_space(m: np.ndarray, name: str, what: str):
 
 
 def _certified_fixed_point(real: np.ndarray, dim: int) -> np.ndarray | None:
-    """The fixed point's coordinates if one bordered inverse certifies that
-    the fixed space of `real` is one-dimensional, else None.
+    """x = B^-1 e_0 when the bordered certificate of the module docstring
+    holds for A = `real` - I, else None.
 
-    B is A = real - I with row 0 replaced by the trace row, and x = B^-1 e_0
-    has trace 1 and (A x)_i = 0 for i > 0; row 0 of A is minus the sum of
-    the other diagonal rows, as the map preserves trace.  B - A has rank
-    one, so the second-smallest singular value of A is at least
-    sigma_min(B) >= 1 / |B^-1|_F, and the smallest is at most |A x| / |x|.
-    With the first above ``SVD_CUTOFF`` and the second at or below it,
-    exactly one singular value of A is null: the verdict the SVD of
-    :func:`null_space` would give.
+    x has trace 1 and (A x)_i = 0 for i > 0, and (A x)_0 = 0 as well in
+    exact arithmetic: the map preserves trace, so row 0 of A is minus the
+    sum of the other diagonal rows.
     """
     a = real - np.eye(real.shape[0])
     bordered = a.copy()
@@ -330,8 +325,8 @@ def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResul
     s_min(A) <= |A x| / |x| <= ``SVD_CUTOFF``, which leave exactly one
     singular value null.  Otherwise (B singular, or a bound not met) the
     null space is extracted by SVD (:func:`null_space`), and a
-    one-dimensional one gives its null vector over its trace.  Under ``require_unique`` a multi-dimensional fixed space
-    raises :class:`NonUniqueFixedPoint`; under ``max_entropy`` the
+    one-dimensional one gives its null vector over its trace.  Under
+    ``require_unique`` a multi-dimensional fixed space raises :class:`NonUniqueFixedPoint`; under ``max_entropy`` the
     entropy-maximizing fixed density matrix is returned.  It is found
     from the Cesaro limit of I/d, taken in closed form from the left and
     right null vectors, by Newton steps on that state's support; a KKT

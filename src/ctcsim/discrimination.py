@@ -378,13 +378,13 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
     :class:`NonUniqueFixedPoint`, none at all, a negative weight below
     -(``TOL_PSD`` + N eps / gap), gap the chain gap, or a residual above
     ``deutsch.TOL_FIX`` raises :class:`NoFixedPointNumerical`.  N eps / gap
-    is not the SVD's rounding: on Haar sets its p lies up to ~91 eps from
-    e_m with a gap near 1, about 20 times that term, and ``TOL_PSD`` is
-    what covers it.  The decoded
-    label is the argmax of the output's diagonal.  Inputs outside the
-    declared set are flagged with :class:`InputNotInSetWarning` but still
-    computed.  Set members are served all at once by
-    :func:`distinguish_members`, which this function is the oracle of.
+    does not bound the SVD's rounding: on Haar sets its p lies up to ~91
+    eps from e_m with a gap near 1, about 20 times that term, and
+    ``TOL_PSD`` is what covers it.  The decoded label is the argmax of the
+    output's diagonal.  Inputs outside the declared set are flagged with
+    :class:`InputNotInSetWarning` but still computed.  Set members are
+    served all at once by :func:`distinguish_members`, which this function
+    is the oracle of.
     """
     vec = _as_vector(input_state)
     states = bundle.state_set

@@ -190,10 +190,12 @@ def test_fixed_point_identity_max_entropy():
     assert np.abs(result.fixed_point.entries - np.eye(2) / 2).max() < 1e-10
 
 
-def test_fixed_point_identity_requires_unique():
+def test_fixed_point_identity_requires_unique(monkeypatch):
+    calls = _count_null_space(monkeypatch)
     with pytest.raises(NonUniqueFixedPoint) as err:
         fixed_point(np.eye(4), np.eye(2) / 2, policy="require_unique")
     assert err.value.fixed_space_dim == 4
+    assert len(calls) == 1
 
 
 def test_fixed_point_swap_returns_cr_state():
@@ -449,14 +451,6 @@ def test_full_svd_runs_only_when_the_certificate_fails(monkeypatch, case,
     calls = _count_null_space(monkeypatch)
     fixed_point(u, rho, policy=policy)
     assert len(calls) == svd_calls
-
-
-def test_non_unique_fixed_space_still_raises_through_the_svd(monkeypatch):
-    calls = _count_null_space(monkeypatch)
-    with pytest.raises(NonUniqueFixedPoint) as err:
-        fixed_point(np.eye(4), np.eye(2) / 2, policy="require_unique")
-    assert err.value.fixed_space_dim == 4
-    assert len(calls) == 1
 
 
 def test_failed_cutoff_is_never_certified(monkeypatch):
