@@ -13,7 +13,6 @@ from ctcsim import (
     StateSet,
     StateVector,
     build_distinguisher,
-    condition_report,
     distinguish_members,
     state_fidelity,
 )
@@ -34,9 +33,8 @@ bundle = build_distinguisher(states, rng_seed=0)
 print("   U_0 (identity expected):\n", bundle.uks[0].real)
 print("   U_1 (Hadamard expected):\n", bundle.uks[1].real)
 
-report = condition_report(states, bundle.uks)
-print("   overlap table |<j|U_k|psi_j>|:\n", report.overlaps)
-print("   minimum overlap (must stay well above zero):", report.min_overlap)
+print("   overlap table |<j|U_k|psi_j>|:\n", bundle.overlaps)
+print("   minimum overlap (must stay well above zero):", bundle.condition2_min)
 print()
 
 # ---------------------------------------------------------------------------

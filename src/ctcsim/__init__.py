@@ -16,14 +16,11 @@ from .deutsch import (
     von_neumann_entropy,
 )
 from .discrimination import (
-    ConditionReport,
     DistinguishResult,
     DistinguisherBundle,
     MemberResult,
     build_distinguisher,
     build_uk,
-    bundle_from_unitaries,
-    condition_report,
     controlled_stack,
     distinguish,
     distinguish_members,
@@ -70,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Condition2Exhausted",
-    "ConditionReport",
     "CtcSimError",
     "DegenerateSuperposition",
     "DensityMatrix",
@@ -97,8 +93,6 @@ __all__ = [
     "build_u_ij",
     "build_u_prime",
     "build_uk",
-    "bundle_from_unitaries",
-    "condition_report",
     "consistency_residual",
     "controlled_stack",
     "ctc_map",

@@ -295,14 +295,19 @@ def _parse_seed(cfg: dict, args) -> int:
 
 def _parse_policy(cfg: dict, args) -> str:
     policy = getattr(args, "policy", None) or cfg.get("policy", "require_unique")
-    if policy not in ("require_unique", "max_entropy"):
+    if policy not in deutsch.POLICIES:
         raise ConfigError(f"unknown policy {policy!r}")
     return policy
 
 
 def _read_state_set_config(args) -> tuple[dict, StateSet]:
-    """The config and its validated state set."""
+    """The config and its validated state set; every label is solved
+    under ``require_unique``, so no other policy is accepted."""
     cfg = _load_config(args.config)
+    policy = _parse_policy(cfg, args)
+    if policy != "require_unique":
+        raise ConfigError("superpose and distinguish solve every label under "
+                          f"require_unique, not {policy!r}")
     states = _parse_state_set(cfg)
     report = validate(states)
     if not report.passed:
@@ -553,8 +558,6 @@ def cmd_superpose(args) -> tuple[dict, list, bool]:
     cfg, states = _read_state_set_config(args)
     spec = _parse_spec(cfg)
     seed = _parse_seed(cfg, args)
-    if _parse_policy(cfg, args) != "require_unique":
-        raise ConfigError("superpose solves every label under require_unique")
 
     size = states.size
     if ("m" in cfg) != ("n" in cfg):
@@ -570,7 +573,6 @@ def cmd_superpose(args) -> tuple[dict, list, bool]:
         pairs = [(m, n) for m in range(size) for n in range(size)]
 
     bundle, reports = run_sweep(states, pairs, spec, seed)
-    cond = bundle.condition
     runs = []
     for rep in reports:
         runs.append({
@@ -590,9 +592,9 @@ def cmd_superpose(args) -> tuple[dict, list, bool]:
         "alpha": spec.alpha,
         "beta": spec.beta,
         "state_set": states.amplitudes,
-        "condition_overlaps": cond.overlaps,
-        "condition2_min": float(cond.min_overlap),
-        "condition1_deviation": cond.condition1_deviation,
+        "condition_overlaps": bundle.overlaps,
+        "condition2_min": bundle.condition2_min,
+        "condition1_deviation": bundle.condition1_deviation,
     }
     return header, runs, all(r["fidelity"] >= 1 - _SUCCESS_FIDELITY for r in runs)
 
@@ -603,7 +605,6 @@ def cmd_distinguish(args) -> tuple[dict, list, bool]:
     seed = _parse_seed(cfg, args)
 
     bundle = build_distinguisher(states, seed)
-    cond = bundle.condition
     runs = []
     for j, r in enumerate(distinguish_members(bundle)):
         runs.append({
@@ -616,8 +617,8 @@ def cmd_distinguish(args) -> tuple[dict, list, bool]:
     header = {
         "seed": seed,
         "state_set": states.amplitudes,
-        "condition_overlaps": cond.overlaps,
-        "condition2_min": float(cond.min_overlap),
+        "condition_overlaps": bundle.overlaps,
+        "condition2_min": bundle.condition2_min,
     }
     return header, runs, all(r["decoded"] == r["input_index"] for r in runs)
 
@@ -785,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed-point",
                        help="solve the self-consistency condition directly")
     p.add_argument("config")
-    p.add_argument("--policy", choices=("require_unique", "max_entropy"),
+    p.add_argument("--policy", choices=deutsch.POLICIES,
                    default=None, help="fixed-point selection policy")
     _add_common(p)
     p.set_defaults(func=cmd_fixed_point)

@@ -40,7 +40,7 @@ a step still leaves the cone after ``_MAX_HALVINGS`` halvings, it raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .linalg import (
 TOL_FIX = 1e-8
 
 Policy = Literal["require_unique", "max_entropy"]
+POLICIES = get_args(Policy)
 
 _KKT_TOL = 1e-12
 _MAX_NEWTON = 50
@@ -326,7 +327,8 @@ def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResul
     singular value null.  Otherwise (B singular, or a bound not met) the
     null space is extracted by SVD (:func:`null_space`), and a
     one-dimensional one gives its null vector over its trace.  Under
-    ``require_unique`` a multi-dimensional fixed space raises :class:`NonUniqueFixedPoint`; under ``max_entropy`` the
+    ``require_unique`` a multi-dimensional fixed space raises
+    :class:`NonUniqueFixedPoint`; under ``max_entropy`` the
     entropy-maximizing fixed density matrix is returned.  It is found
     from the Cesaro limit of I/d, taken in closed form from the left and
     right null vectors, by Newton steps on that state's support; a KKT
@@ -334,7 +336,7 @@ def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResul
     step outside the positive-definite cone after ``_MAX_HALVINGS``
     halvings, raises :class:`NoFixedPointNumerical`.
     """
-    if policy not in ("require_unique", "max_entropy"):
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     real = _hermitian_superoperator(u, rho_cr)
     dim = int(round(np.sqrt(real.shape[0])))

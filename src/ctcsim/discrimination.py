@@ -10,7 +10,9 @@ state settles on its unique fixed point.  The per-index unitaries must
 satisfy two conditions: (1) U_k psi_k = |k>, and (2) every overlap
 <j| U_k |psi_j> is nonzero, which is what makes the fixed point unique.
 
-The U_k are held as one read-only (N, N, N) stack, U_k = uks[k].  On
+A :class:`DistinguisherBundle` holds the U_k as its own read-only
+(N, N, N) stack, U_k = uks[k], and measures both conditions on that
+stack, so it cannot carry conditions of other unitaries.  On
 the first attempt each U_k is the adjoint of a Gram-Schmidt completion of
 psi_k by the standard basis, which has a closed form in the suffix sums
 s_i = sum_{l >= i} |psi_k[l]|^2, so :func:`build_distinguisher` builds all
@@ -72,35 +74,45 @@ _EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class ConditionReport:
-    """Measured construction conditions for a list of per-index unitaries.
-
-    `overlaps[j, k] = |<j| U_k |psi_j>|`; `condition1_deviation[k]` is
-    the Euclidean distance of U_k psi_k from the basis vector |k>.
-    """
-
-    overlaps: np.ndarray
-    min_overlap: float
-    condition1_deviation: np.ndarray
-
-
-@dataclass(frozen=True)
 class DistinguisherBundle:
     """The per-index unitaries of a discrimination circuit for one state set.
 
-    `uks` is one read-only (N, N, N) array whose row k is U_k.
-    `condition` holds both construction conditions measured on it.
-    The N^2 x N^2 circuit :attr:`total` is assembled on first access only;
-    :func:`distinguish` never needs it.
+    `uks` is held as one read-only (N, N, N) copy of the given unitaries,
+    whose row k is U_k.  Both construction conditions are measured on it
+    when first read: `overlaps[j, k] = |<j| U_k |psi_j>|`, their least
+    value `condition2_min`, and `condition1_deviation[k]`, the Euclidean
+    distance of U_k psi_k from |k>.  No condition threshold is enforced
+    here.  The N^2 x N^2 circuit :attr:`total` is assembled on first
+    access only; :func:`distinguish` never needs it.
     """
 
     state_set: StateSet
     uks: np.ndarray
-    condition: ConditionReport
 
-    @property
+    def __post_init__(self):
+        n = self.state_set.size
+        try:
+            stack = np.array(self.uks, dtype=complex)
+        except ValueError:  # unitaries of unequal shapes
+            stack = None
+        if stack is None or stack.shape != (n, n, n):
+            raise DimensionError(f"expected {n} unitaries of dim {n}")
+        stack.setflags(write=False)
+        object.__setattr__(self, "uks", stack)
+
+    @cached_property
+    def overlaps(self) -> np.ndarray:
+        return np.abs(np.einsum("kjc,jc->jk", self.uks, self.state_set.amplitudes))
+
+    @cached_property
     def condition2_min(self) -> float:
-        return self.condition.min_overlap
+        return float(self.overlaps.min())
+
+    @cached_property
+    def condition1_deviation(self) -> np.ndarray:
+        amps = self.state_set.amplitudes
+        return np.linalg.norm(
+            (self.uks @ amps[:, :, None])[..., 0] - np.eye(len(amps)), axis=1)
 
     @cached_property
     def total(self) -> UnitaryMatrix:
@@ -210,55 +222,6 @@ def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
     )
 
 
-def _overlaps(uks: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """``|<j| U_k |psi_j>|`` at [j, k]."""
-    return np.abs(np.einsum("kjc,jc->jk", uks, amps))
-
-
-def _unitary_stack(states: StateSet, uks, copy: bool) -> np.ndarray:
-    n = states.size
-    try:
-        stack = (np.array if copy else np.asarray)(uks, dtype=complex)
-    except ValueError:  # unitaries of unequal shapes
-        stack = None
-    if stack is None or stack.shape != (n, n, n):
-        raise DimensionError(f"expected {n} unitaries of dim {n}")
-    return stack
-
-
-def condition_report(states: StateSet, uks: Sequence,
-                     overlaps: np.ndarray | None = None) -> ConditionReport:
-    """Measure both construction conditions for the given unitaries.
-
-    `overlaps` may pass in ``|<j| U_k |psi_j>|`` at [j, k] when it has
-    already been measured on these unitaries.
-    """
-    mats = _unitary_stack(states, uks, copy=False)
-    amps = states.amplitudes
-    if overlaps is None:
-        overlaps = _overlaps(mats, amps)
-    cond1 = np.linalg.norm(
-        (mats @ amps[:, :, None])[..., 0] - np.eye(states.size), axis=1)
-    return ConditionReport(
-        overlaps=overlaps,
-        min_overlap=float(overlaps.min()),
-        condition1_deviation=cond1,
-    )
-
-
-def bundle_from_unitaries(states: StateSet, uks: Sequence) -> DistinguisherBundle:
-    """Bundle the given unitaries with their measured construction conditions.
-
-    No condition threshold is enforced here; the measured overlaps are
-    recorded in the bundle for inspection.  The bundle holds its own
-    read-only copy of the unitaries.
-    """
-    stack = _unitary_stack(states, uks, copy=True)
-    stack.setflags(write=False)
-    return DistinguisherBundle(state_set=states, uks=stack,
-                               condition=condition_report(states, stack))
-
-
 def _first_completions(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every first-attempt U_k in closed form, and where the form holds.
 
@@ -303,9 +266,10 @@ def build_distinguisher(states: StateSet, rng_seed: int = 0) -> DistinguisherBun
     (:func:`_first_completions`); a k the form does not serve, or whose
     first completion misses condition (2), is built by :func:`build_uk`,
     whose first attempt is the same completion and whose retries draw
-    Haar candidates.  The bundle holds both measured construction
-    conditions; its circuit :attr:`DistinguisherBundle.total` is
-    assembled only when it is read.
+    Haar candidates.  The overlaps the bundle measures on the first
+    completions decide condition (2), so in the common case, every k
+    served, they are measured once; its circuit
+    :attr:`DistinguisherBundle.total` is assembled only when it is read.
     """
     room, least = condition2_room(states)
     k = int(np.argmax(room.min(axis=0) < least))
@@ -315,17 +279,14 @@ def build_distinguisher(states: StateSet, rng_seed: int = 0) -> DistinguisherBun
         raise Condition2Exhausted(
             f"members {j} and {k} have 1 - F = {infidelity:.3e}, which keeps "
             f"overlap^2 of U_{k} from exceeding {condition2_threshold(len(room)):.3e}")
-    amps = states.amplitudes
-    uks, served = _first_completions(amps)
-    overlaps = _overlaps(uks, amps)
-    served &= overlaps.min(axis=0) ** 2 > condition2_threshold(states.size)
-    if not served.all():
-        for k in np.flatnonzero(~served):
-            uks[k] = build_uk(states, int(k), rng_seed).entries
-        overlaps = _overlaps(uks, amps)
-    uks.setflags(write=False)
-    return DistinguisherBundle(state_set=states, uks=uks,
-                               condition=condition_report(states, uks, overlaps))
+    uks, served = _first_completions(states.amplitudes)
+    bundle = DistinguisherBundle(states, uks)
+    served &= bundle.overlaps.min(axis=0) ** 2 > condition2_threshold(states.size)
+    if served.all():
+        return bundle
+    for k in np.flatnonzero(~served):
+        uks[k] = build_uk(states, int(k), rng_seed).entries
+    return DistinguisherBundle(states, uks)
 
 
 def _svd_labels(chain: np.ndarray) -> tuple[np.ndarray, float]:
@@ -343,7 +304,8 @@ def _svd_labels(chain: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _settle(phi: np.ndarray, p: np.ndarray, weight_tol: float):
     """CTC state, CR output, decoded label, its probability and the
-    residual for the label distribution p; raises on a weight below
+    residual for the label distribution p, in the field order of
+    :class:`DistinguishResult` and :class:`MemberResult`; raises on a weight below
     -`weight_tol` or a residual above ``deutsch.TOL_FIX``."""
     if p.min() < -weight_tol:
         raise NoFixedPointNumerical(
@@ -363,6 +325,16 @@ def _settle(phi: np.ndarray, p: np.ndarray, weight_tol: float):
     decoded = int(np.argmax(probs))
     return (DensityMatrix(sigma), DensityMatrix(rho_out), decoded,
             float(probs[decoded]), residual)
+
+
+def _settle_by_svd(phi: np.ndarray):
+    """The label distribution by :func:`_svd_labels`, the chain gap and
+    :func:`_settle` on them."""
+    p, chain_gap = _svd_labels(np.abs(phi) ** 2)
+    # the SVD's p can sit ~20 times N eps / gap from e_m (up to ~91 eps on
+    # Haar sets at gap ~1); TOL_PSD, not this term, covers that rounding
+    weight_tol = TOL_PSD + len(p) * _EPS / chain_gap
+    return p, chain_gap, _settle(phi, p, weight_tol)
 
 
 def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
@@ -401,21 +373,8 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
             InputNotInSetWarning,
             stacklevel=2,
         )
-    phi = (bundle.uks @ vec).T
-    p, chain_gap = _svd_labels(np.abs(phi) ** 2)
-    # the SVD's p can sit ~20 times N eps / gap from e_m (up to ~91 eps on
-    # Haar sets at gap ~1); TOL_PSD, not this term, covers that rounding
-    weight_tol = TOL_PSD + states.size * _EPS / chain_gap
-    rho_ctc, rho_out, decoded, fidelity, residual = _settle(phi, p, weight_tol)
-    return DistinguishResult(
-        rho_ctc=rho_ctc,
-        rho_out=rho_out,
-        decoded=decoded,
-        fidelity_to_basis=fidelity,
-        residual=residual,
-        input_in_set=in_set,
-        chain_gap=chain_gap,
-    )
+    _, chain_gap, settled = _settle_by_svd((bundle.uks @ vec).T)
+    return DistinguishResult(*settled, input_in_set=in_set, chain_gap=chain_gap)
 
 
 def distinguish_members(bundle: DistinguisherBundle) -> Iterator[MemberResult]:
@@ -496,22 +455,11 @@ def _member_results(bundle, p, minorization, shift, bound):
     for m, psi in enumerate(states.amplitudes):
         phi = (bundle.uks @ psi).T
         if shift[m] <= bound[m] < np.inf:
-            label_p, label_shift, label_bound = p[m], shift[m], bound[m]
-            weight_tol = TOL_PSD + n * _EPS / minorization[m]
+            label_shift, label_bound = shift[m], bound[m]
+            settled = _settle(phi, p[m], TOL_PSD + n * _EPS / minorization[m])
         else:
-            label_p, chain_gap = _svd_labels(np.abs(phi) ** 2)
+            label_p, _, settled = _settle_by_svd(phi)
             label_shift = float(np.abs(label_p - np.eye(n)[m]).sum())
             label_bound = np.inf
-            weight_tol = TOL_PSD + n * _EPS / chain_gap
-        rho_ctc, rho_out, decoded, fidelity, residual = _settle(
-            phi, label_p, weight_tol)
-        yield MemberResult(
-            rho_ctc=rho_ctc,
-            rho_out=rho_out,
-            decoded=decoded,
-            fidelity_to_basis=fidelity,
-            residual=residual,
-            minorization=minorization[m],
-            label_shift=label_shift,
-            bound=label_bound,
-        )
+        yield MemberResult(*settled, minorization=minorization[m],
+                           label_shift=label_shift, bound=label_bound)

@@ -174,16 +174,16 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
     omegas = [[states[i] if i == j else build_omega(states, i, j, spec)
                for j in range(size)] for i in range(size)]
     targets = np.array([[w.amplitudes for w in row] for row in omegas])
+    targets_conj = targets.conj()
     bundle = build_distinguisher(states, rng_seed)
     needed = {k for pair in pairs for k in pair}
-    labels = {k: r for k, r in enumerate(distinguish_members(bundle))
-              if k in needed}
+    labels = {k: (r, np.diag(r.rho_out.entries).real)
+              for k, r in enumerate(distinguish_members(bundle)) if k in needed}
     reports = []
     for m, n in pairs:
-        r1, r2 = labels[m], labels[n]
-        p1, p2 = (np.diag(r.rho_out.entries).real for r in (r1, r2))
+        (r1, p1), (r2, p2) = labels[m], labels[n]
         ancilla = pure_state_from_density(np.einsum(
-            "i,j,ijk,ijl->kl", p1, p2, targets, targets.conj()))
+            "i,j,ijk,ijl->kl", p1, p2, targets, targets_conj))
         reports.append(ProtocolReport(
             spec=spec,
             m=int(m),

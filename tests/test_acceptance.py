@@ -13,6 +13,7 @@ import pytest
 from conftest import HADAMARD, PAULI_X, S, damped_power_iteration
 from ctcsim import (
     DegenerateSuperposition,
+    DistinguisherBundle,
     NonUniqueFixedPoint,
     StateSet,
     SuperpositionSpec,
@@ -20,7 +21,6 @@ from ctcsim import (
     build_distinguisher,
     build_omega,
     build_u_ij,
-    bundle_from_unitaries,
     distinguish,
     fixed_point,
     projector,
@@ -197,7 +197,7 @@ def test_criterion_5_degenerate_and_error_paths():
         states = StateSet(tuple(basis_state(3, k) for k in range(3)))
         u1 = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
         u2 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-        bundle = bundle_from_unitaries(states, [np.eye(3), u1, u2])
+        bundle = DistinguisherBundle(states, [np.eye(3), u1, u2])
         assert bundle.condition2_min <= 1e-6
         with pytest.raises(NonUniqueFixedPoint):
             distinguish(bundle, states[0])

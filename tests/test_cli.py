@@ -265,6 +265,8 @@ HUGE = "9" * 400
     (["distinguish", "CFG"], PAIR_CONFIG + "tolerances: {}\n"),
     (["fixed-point", "CFG"],
      "unitary: [[1, 0], [0, 1]]\nrho_cr: [1, 0]\ntolerances: {distinct: 0}\n"),
+    (["distinguish", "CFG"], PAIR_CONFIG + "policy: max_entropy\n"),
+    (["distinguish", "CFG"], PAIR_CONFIG + "policy: bogus\n"),
 ], ids=["non-square-unitary", "superpose-rng-seed", "distinguish-rng-seed",
         "superpose-seed-flag", "distinguish-seed-flag", "example-seed-flag",
         "superpose-nan-alpha", "superpose-inf-beta", "example-nan-alpha",
@@ -274,7 +276,8 @@ HUGE = "9" * 400
         "non-utf8-byte", "huge-alpha", "huge-state-set-entry",
         "huge-unitary-pair", "huge-rho-cr", "huge-tolerance-config",
         "tolerances-success-fidelity", "tolerances-empty",
-        "fixed-point-tolerances"])
+        "fixed-point-tolerances", "distinguish-max-entropy-policy",
+        "distinguish-unknown-policy"])
 def test_bad_inputs_are_config_errors(tmp_path, capsys, argv, config):
     cfg = write(tmp_path, "bad.yaml", config)
     assert main([cfg if a == "CFG" else a for a in argv]) == 2
@@ -285,6 +288,17 @@ def test_superpose_rejects_max_entropy_config(tmp_path, capsys):
     cfg = write(tmp_path, "me.yaml", PAIR_CONFIG + "policy: max_entropy\n")
     assert main(["superpose", cfg]) == 2
     assert "require_unique" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", ["max_entropy", "bogus"])
+def test_state_set_commands_reject_a_policy_alike(tmp_path, capsys, policy):
+    cfg = write(tmp_path, "policy.yaml", PAIR_CONFIG + f"policy: {policy}\n")
+    errors = []
+    for command in ("superpose", "distinguish"):
+        assert main([command, cfg]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("config error: ")
 
 
 def test_superpose_malformed_config_reports_line(tmp_path, capsys):

@@ -10,6 +10,7 @@ from conftest import HADAMARD, S
 from ctcsim import (
     Condition2Exhausted,
     DimensionError,
+    DistinguisherBundle,
     InputNotInSetWarning,
     NoFixedPointNumerical,
     NonUniqueFixedPoint,
@@ -18,8 +19,6 @@ from ctcsim import (
     basis_state,
     build_distinguisher,
     build_uk,
-    bundle_from_unitaries,
-    condition_report,
     controlled_stack,
     distinguish,
     distinguish_members,
@@ -157,24 +156,43 @@ def test_build_uk_index_out_of_range(zero_minus_set):
         build_uk(zero_minus_set, 2)
 
 
-def test_condition_report_orthonormal_identity():
-    states = orthonormal_set(2)
-    report = condition_report(states, [np.eye(2), np.eye(2)])
-    assert np.abs(report.overlaps - np.ones((2, 2))).max() < 1e-14
-    assert report.min_overlap == pytest.approx(1.0)
+def test_bundle_conditions_orthonormal_identity():
+    bundle = DistinguisherBundle(orthonormal_set(2), [np.eye(2), np.eye(2)])
+    assert np.abs(bundle.overlaps - np.ones((2, 2))).max() < 1e-14
+    assert bundle.condition2_min == pytest.approx(1.0)
 
 
-def test_condition_report_example_table(zero_minus_set):
-    report = condition_report(zero_minus_set, [np.eye(2), HADAMARD])
+def test_bundle_conditions_example_table(zero_minus_set):
+    bundle = DistinguisherBundle(zero_minus_set, [np.eye(2), HADAMARD])
     expected = np.array([[1, S], [S, 1]])
-    assert np.abs(report.overlaps - expected).max() < 1e-12
-    assert report.min_overlap == pytest.approx(S)
-    assert report.condition1_deviation.max() < 1e-12
+    assert np.abs(bundle.overlaps - expected).max() < 1e-12
+    assert bundle.condition2_min == pytest.approx(S)
+    assert bundle.condition1_deviation.max() < 1e-12
 
 
-def test_condition_report_rejects_wrong_count(zero_minus_set):
-    with pytest.raises(DimensionError):
-        condition_report(zero_minus_set, [np.eye(2)])
+@pytest.mark.parametrize("uks", [
+    [np.eye(2)],
+    [np.eye(2)] * 3,
+    [np.eye(2), np.eye(3)],
+    [np.eye(3), np.eye(3)],
+    np.eye(2),
+], ids=["too-few", "too-many", "unequal-shapes", "wrong-dim", "one-matrix"])
+def test_bundle_rejects_wrong_count_or_shape(zero_minus_set, uks):
+    with pytest.raises(DimensionError, match="expected 2 unitaries of dim 2"):
+        DistinguisherBundle(zero_minus_set, uks)
+
+
+def test_bundle_holds_a_read_only_copy(zero_minus_set):
+    given = np.array([np.eye(2), HADAMARD])
+    bundle = DistinguisherBundle(zero_minus_set, given)
+    overlaps = bundle.overlaps.copy()
+    given[1] = np.eye(2)
+    assert np.array_equal(bundle.uks[1], HADAMARD)
+    assert np.array_equal(bundle.overlaps, overlaps)
+    assert given.flags.writeable
+    assert not bundle.uks.flags.writeable
+    with pytest.raises(ValueError):
+        bundle.uks[0, 0, 0] = 2
 
 
 def test_build_distinguisher_example_total(zero_minus_set):
@@ -198,12 +216,11 @@ def test_bundle_invariants_on_random_sets():
             assert np.abs(bundle.total.entries.conj().T
                           @ bundle.total.entries - eye).max() < 1e-10
             assert bundle.condition2_min > 1e-6
-            report = condition_report(states, bundle.uks)
-            assert report.condition1_deviation.max() <= 1e-9
+            assert bundle.condition1_deviation.max() <= 1e-9
             for j in range(n):
                 for k in range(n):
                     direct = abs(bundle.uks[k][j] @ states[j].amplitudes)
-                    assert abs(report.overlaps[j, k] - direct) <= 1e-14
+                    assert abs(bundle.overlaps[j, k] - direct) <= 1e-14
 
 
 def test_bundle_uks_is_one_read_only_stack():
@@ -213,7 +230,7 @@ def test_bundle_uks_is_one_read_only_stack():
     assert np.abs(bundle.uks - expected).max() <= 1e-14
     assert not bundle.uks.flags.writeable
     given = [np.eye(2), HADAMARD]
-    assert not bundle_from_unitaries(
+    assert not DistinguisherBundle(
         StateSet([[1, 0], [S, -S]]), given).uks.flags.writeable
     assert given[0].flags.writeable
 
@@ -296,7 +313,7 @@ def test_distinguish_detects_condition2_violation():
     states = orthonormal_set(3)
     u1 = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)  # 0<->2
     u2 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)  # 0<->1
-    bundle = bundle_from_unitaries(states, [np.eye(3), u1, u2])
+    bundle = DistinguisherBundle(states, [np.eye(3), u1, u2])
     assert bundle.condition2_min < 1e-6
     with pytest.raises(NonUniqueFixedPoint):
         distinguish(bundle, states[0])
@@ -349,7 +366,7 @@ def test_chain_gap_absorbing_bound(n, spread, seed):
                   for _ in range(n))))
     bundle = build_distinguisher(states, rng_seed=seed)
     for j, psi in enumerate(states):
-        q = bundle.condition.overlaps[j].min() ** 2
+        q = bundle.overlaps[j].min() ** 2
         assert q > 10 * deutsch.SVD_CUTOFF * np.sqrt(n - 1)
         phi = np.array([u @ psi.amplitudes for u in bundle.uks]).T
         svals = np.linalg.svd(np.abs(phi) ** 2 - np.eye(n), compute_uv=False)
@@ -467,11 +484,19 @@ def _first_completion_misses_condition2():
     return StateSet([psi0, psi1 / np.linalg.norm(psi1), psi2])
 
 
+FALLBACK_SETS = [
+    StateSet([[1, 0], [S, -S]]),
+    StateSet([[0.6, 0.8j, 0], [S, 0, S], [0, 0.6, -0.8]]),
+    _first_completion_misses_condition2(),
+]
+FALLBACK_IDS = ["zero-minus", "zero-trailing-amplitude", "haar-retries"]
+
+
 @pytest.mark.parametrize("states, fallback, retries", [
-    (StateSet([[1, 0], [S, -S]]), [0], False),
-    (StateSet([[0.6, 0.8j, 0], [S, 0, S], [0, 0.6, -0.8]]), [0], False),
-    (_first_completion_misses_condition2(), [0], True),
-], ids=["zero-minus", "zero-trailing-amplitude", "haar-retries"])
+    (FALLBACK_SETS[0], [0], False),
+    (FALLBACK_SETS[1], [0], False),
+    (FALLBACK_SETS[2], [0], True),
+], ids=FALLBACK_IDS)
 def test_fallback_completions_are_the_loop_bit_for_bit(monkeypatch, states,
                                                        fallback, retries):
     # psi = e_0 and a zero trailing amplitude make Gram-Schmidt skip a
@@ -493,6 +518,18 @@ def test_fallback_completions_are_the_loop_bit_for_bit(monkeypatch, states,
             assert np.abs(bundle.uks[k] - loop[k]).max() <= 1e-14
 
 
+@pytest.mark.parametrize("states", FALLBACK_SETS + [
+    random_state_set(n, np.random.default_rng(300 + n)) for n in (1, 2, 3, 8, 16)
+], ids=FALLBACK_IDS + ["haar-1", "haar-2", "haar-3", "haar-8", "haar-16"])
+def test_built_bundle_measures_what_a_rebuilt_bundle_measures(states):
+    bundle = build_distinguisher(states, rng_seed=9)
+    rebuilt = DistinguisherBundle(states, bundle.uks)
+    assert np.array_equal(bundle.overlaps, rebuilt.overlaps)
+    assert bundle.condition2_min == rebuilt.condition2_min
+    assert np.array_equal(bundle.condition1_deviation,
+                          rebuilt.condition1_deviation)
+
+
 def _assert_members_match_the_svd_path(bundle):
     n = bundle.state_set.size
     eps = np.finfo(float).eps
@@ -502,7 +539,7 @@ def _assert_members_match_the_svd_path(bundle):
         assert r.decoded == oracle.decoded == m
         assert r.certified
         assert r.minorization == pytest.approx(
-            bundle.condition.overlaps[m].min() ** 2, rel=1e-12)
+            bundle.overlaps[m].min() ** 2, rel=1e-12)
         # the SVD's p sits within the bound plus its own residual over
         # the contraction 1 - (eps_m - delta_m)
         chain = np.abs(bundle.uks @ psi.amplitudes).T ** 2
@@ -553,7 +590,7 @@ def _uncertified_bundle():
     # unique (the member's label absorbs the chain); psi_2's row is all ones
     states = orthonormal_set(3)
     u2 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    return bundle_from_unitaries(states, [np.eye(3), np.eye(3), u2])
+    return DistinguisherBundle(states, [np.eye(3), np.eye(3), u2])
 
 
 def test_members_without_minorization_take_the_svd_path():
@@ -572,7 +609,7 @@ def test_member_path_raises_on_a_non_unique_fixed_point():
     states = orthonormal_set(3)
     u1 = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
     u2 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    bundle = bundle_from_unitaries(states, [np.eye(3), u1, u2])
+    bundle = DistinguisherBundle(states, [np.eye(3), u1, u2])
     with pytest.raises(NonUniqueFixedPoint):
         next(distinguish_members(bundle))
 
