@@ -73,7 +73,7 @@ _IN_SET_TOL = 1e-8
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistinguisherBundle:
     """The per-index unitaries of a discrimination circuit for one state set.
 

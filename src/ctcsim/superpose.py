@@ -13,8 +13,15 @@ are recovered only through the CTC dynamics.
 
 With both label registers traced out, the block-diagonal u_prime leaves
 the ancilla in sum_{i,j} p1_i p2_j |omega_ij><omega_ij|, omega_ij being
-U^{i,j}|0>.  :func:`run_sweep` reads the ancilla off that sum;
-:func:`build_u_prime` stays as the unitary-level reference.
+U^{i,j}|0>.  :func:`run_sweep` reads the ancilla off that sum without a
+per-pair loop: all N^2 targets come from one broadcast, and for each
+first label m one batched product gives B_j = sum_i p1_i
+|omega_ij><omega_ij| for every j, one product with the second labels
+gives the density of every requested pair (m, .), and one stacked
+``eigh`` gives their ancillas.  Each ancilla is returned in the phase
+that makes <omega_mn|ancilla> real and non-negative.
+:func:`build_omega` is the per-pair form of the targets and
+:func:`build_u_prime` the unitary-level reference.
 """
 
 from __future__ import annotations
@@ -139,20 +146,26 @@ def build_u_prime(states: StateSet, spec: SuperpositionSpec,
         [build_u_ij(states, i, j, spec, uks).entries for i, j in np.ndindex(n, n)]))
 
 
-def pure_state_from_density(reduced) -> StateVector:
+def pure_state_from_density(reduced):
     """Dominant eigenvector of a numerically pure reduced matrix.
 
-    Raises :class:`PurityLoss` when the second eigenvalue exceeds
-    ``_PURITY_SECOND_EIG``, which would mean the reduction is genuinely
-    mixed.
+    A stack (..., d, d) is taken by one stacked ``eigh`` and gives the
+    (..., d) array of its dominant eigenvectors; a single d x d matrix
+    gives a :class:`StateVector`.  Raises :class:`PurityLoss` when a
+    second eigenvalue exceeds ``_PURITY_SECOND_EIG``, which would mean the
+    reduction is genuinely mixed; the message carries the second
+    eigenvalue of the first such matrix in the stack.
     """
-    m = _as_matrix(reduced)
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    if m.shape[0] > 1 and w[-2] > _PURITY_SECOND_EIG:
-        raise PurityLoss(
-            f"reduced state has second eigenvalue {w[-2]:.3e}; expected pure"
-        )
-    return StateVector(v[:, -1])
+    m = (_as_matrix(reduced) if np.ndim(reduced) <= 2
+         else np.asarray(reduced, dtype=complex))
+    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+    if m.shape[-1] > 1:
+        second = w[..., -2].ravel()
+        mixed = np.flatnonzero(second > _PURITY_SECOND_EIG)
+        if mixed.size:
+            raise PurityLoss(f"reduced state has second eigenvalue "
+                             f"{second[mixed[0]]:.3e}; expected pure")
+    return StateVector(v[:, -1]) if m.ndim == 2 else v[..., -1]
 
 
 def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
@@ -160,37 +173,78 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
               ) -> tuple[DistinguisherBundle, list[ProtocolReport]]:
     """Superpose psi_m and psi_n on a fresh ancilla for each (m, n) in `pairs`.
 
-    All N^2 targets are formed before the one discrimination bundle, so
-    a cancelling pair raises :class:`DegenerateSuperposition` first.
-    Every member is distinguished once, by one
+    All N^2 targets are formed in one broadcast before the one
+    discrimination bundle, so a cancelling pair raises
+    :class:`DegenerateSuperposition` first, naming the first such pair in
+    row-major order.  Every member is distinguished once, by one
     :func:`ctcsim.discrimination.distinguish_members`, and p1, p2 are the
-    diagonals of the two CTC outputs.  Fidelities compare against omega_mn.
+    diagonals of the two CTC outputs.
+
+    The pairs are grouped by their first label m, in the order each m
+    first appears.  For a group, one batched product forms B_j = sum_i
+    p1_i |omega_ij><omega_ij| for all j, the density of each pair (m, n)
+    is sum_j p2_j B_j, one product for the whole group, and one stacked
+    :func:`pure_state_from_density` extracts the ancillas, so no array
+    larger than N^3 is formed.  A :class:`PurityLoss` carries the second
+    eigenvalue of the first mixed pair in the first group that has one,
+    which for pairs in row-major order is the first mixed pair.
+
+    Phase rule: each ancilla is multiplied by the phase that makes
+    <omega_mn|ancilla> real and non-negative, and is left as ``eigh``
+    returns it when that overlap is exactly 0.  Fidelities compare
+    against omega_mn.
     """
     size = states.size
     for m, n in pairs:
         if not (0 <= m < size and 0 <= n < size):
             raise DimensionError(
                 f"block indices ({m}, {n}) out of range for N={size}")
-    omegas = [[states[i] if i == j else build_omega(states, i, j, spec)
-               for j in range(size)] for i in range(size)]
-    targets = np.array([[w.amplitudes for w in row] for row in omegas])
-    targets_conj = targets.conj()
+    amps = states.amplitudes
+    alpha, beta = unit_scaled(spec.alpha, spec.beta)
+    targets = alpha * amps[:, None, :] + beta * amps[None, :, :]
+    gammas = np.linalg.norm(targets, axis=2)
+    # a diagonal target is the member itself, whatever the amplitudes
+    np.fill_diagonal(gammas, 1.0)
+    cancelling = np.argwhere(gammas < TOL_GAMMA)
+    if len(cancelling):
+        i, j = cancelling[0]
+        raise DegenerateSuperposition(i, j, gammas[i, j])
+    targets /= gammas[:, :, None]
+    targets[np.arange(size), np.arange(size)] = amps
     bundle = build_distinguisher(states, rng_seed)
     needed = {k for pair in pairs for k in pair}
-    labels = {k: (r, np.diag(r.rho_out.entries).real)
-              for k, r in enumerate(distinguish_members(bundle)) if k in needed}
+    members, labels = {}, np.zeros((size, size))
+    for k, r in enumerate(distinguish_members(bundle)):
+        if k in needed:
+            members[k] = r
+            labels[k] = r.rho_out.entries.diagonal().real
+
+    firsts, seconds = np.array(pairs, dtype=int).reshape(-1, 2).T
+    by_label = targets.transpose(1, 2, 0)
+    adjoints = targets.transpose(1, 0, 2).conj()
+    ancillas = np.empty((len(firsts), size), dtype=complex)
+    for m in dict.fromkeys(firsts.tolist()):
+        group = np.flatnonzero(firsts == m)
+        blocks = (by_label * labels[m]) @ adjoints
+        densities = labels[seconds[group]] @ blocks.reshape(size, size * size)
+        ancillas[group] = pure_state_from_density(
+            densities.reshape(-1, size, size))
+    overlaps = (targets[firsts, seconds].conj() * ancillas).sum(axis=1)
+    ancillas *= np.divide(overlaps.conj(), np.abs(overlaps),
+                          out=np.ones_like(overlaps), where=overlaps != 0)[:, None]
+    ancillas += 0.0  # a -0.0 part left by the phase prints as 0.0
+
     reports = []
-    for m, n in pairs:
-        (r1, p1), (r2, p2) = labels[m], labels[n]
-        ancilla = pure_state_from_density(np.einsum(
-            "i,j,ijk,ijl->kl", p1, p2, targets, targets_conj))
+    for (m, n), ancilla in zip(pairs, ancillas):
+        r1, r2 = members[m], members[n]
+        ancilla, omega = StateVector(ancilla), StateVector(targets[m, n])
         reports.append(ProtocolReport(
             spec=spec,
             m=int(m),
             n=int(n),
             ancilla_state=ancilla,
-            expected=omegas[m][n],
-            fidelity=state_fidelity(ancilla, omegas[m][n]),
+            expected=omega,
+            fidelity=state_fidelity(ancilla, omega),
             fixed_point_residuals=(r1.residual, r2.residual),
             decoded_indices=(r1.decoded, r2.decoded),
         ))

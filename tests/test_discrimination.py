@@ -195,6 +195,14 @@ def test_bundle_holds_a_read_only_copy(zero_minus_set):
         bundle.uks[0, 0, 0] = 2
 
 
+def test_bundle_compares_and_hashes_by_identity(zero_minus_set):
+    bundle = build_distinguisher(zero_minus_set, rng_seed=0)
+    other = build_distinguisher(zero_minus_set, rng_seed=0)
+    assert bundle == bundle
+    assert bundle != other
+    assert len({bundle, other}) == 2
+
+
 def test_build_distinguisher_example_total(zero_minus_set):
     bundle = build_distinguisher(zero_minus_set, rng_seed=0)
     reference = (tensor_product(np.diag([1, 0]), np.eye(2))

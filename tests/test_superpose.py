@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import HADAMARD, PAULI_X, S
 from ctcsim import (
     DegenerateSuperposition,
+    DensityMatrix,
     PurityLoss,
     StateSet,
     StateVector,
@@ -14,6 +17,7 @@ from ctcsim import (
     build_u_ij,
     build_u_prime,
     distinguish,
+    distinguish_members,
     partial_trace,
     projector,
     pure_state_from_density,
@@ -23,6 +27,7 @@ from ctcsim import (
     tensor_product,
     validate,
 )
+from ctcsim import superpose
 from ctcsim.sampling import random_state_set
 
 
@@ -251,6 +256,16 @@ def test_sweep_of_cancelling_duplicates_is_degenerate_at_any_scale(scale):
     assert (err.value.i, err.value.j) == (0, 1)
 
 
+def test_sweep_names_first_cancelling_pair_in_row_major_order():
+    # members 0 and 2 are equal, so (0, 2) and (2, 0) cancel; the sweep
+    # names (0, 2) whatever pairs were asked for
+    a, b, _ = random_state_set(3, np.random.default_rng(17)).amplitudes
+    states = StateSet([a, b, a])
+    with pytest.raises(DegenerateSuperposition) as err:
+        run_sweep(states, [(2, 0), (1, 1)], SuperpositionSpec(1, -1))
+    assert (err.value.i, err.value.j) == (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # run_protocol
 
@@ -356,9 +371,110 @@ def test_sweep_ancilla_matches_dense_u_prime_oracle():
                        - state_fidelity(ref, report.expected)) < 1e-12
 
 
+def shuffled_pairs(rng, size):
+    """Every ordered pair once, `size` of them again, in random order."""
+    pairs = [(m, n) for m in range(size) for n in range(size)]
+    pairs += [pairs[k] for k in rng.integers(len(pairs), size=size)]
+    return [pairs[k] for k in rng.permutation(len(pairs))]
+
+
+def einsum_density(states, spec, p1, p2):
+    """Reference density of one pair, sum_ij p1_i p2_j |omega_ij><omega_ij|,
+    by one four-index einsum."""
+    size = states.size
+    targets = np.array([[states[i].amplitudes if i == j
+                         else build_omega(states, i, j, spec).amplitudes
+                         for j in range(size)] for i in range(size)])
+    return np.einsum("i,j,ijk,ijl->kl", p1, p2, targets, targets.conj())
+
+
+def test_sweep_matches_per_pair_einsum_oracle():
+    rng = np.random.default_rng(3141)
+    for size in range(2, 9):
+        states = random_state_set(size, rng)
+        pairs = shuffled_pairs(rng, size)
+        spec = random_spec(rng, states=states,
+                           pairs=[p for p in pairs if p[0] != p[1]])
+        bundle, reports = run_sweep(states, pairs, spec, rng_seed=size)
+        labels = [np.diag(r.rho_out.entries).real
+                  for r in distinguish_members(bundle)]
+        for (m, n), report in zip(pairs, reports):
+            assert (report.m, report.n) == (m, n)
+            got = report.ancilla_state.amplitudes
+            ref = pure_state_from_density(
+                einsum_density(states, spec, labels[m], labels[n])).amplitudes
+            phase = np.vdot(ref, got)
+            phase /= abs(phase)
+            assert np.abs(got - phase * ref).max() < 1e-12
+            omega = states[m] if m == n else build_omega(states, m, n, spec)
+            assert np.abs(report.expected.amplitudes
+                          - omega.amplitudes).max() <= 1e-15
+            single = run_protocol(states, m, n, spec, rng_seed=size)
+            assert np.abs(single.ancilla_state.amplitudes - got).max() < 1e-12
+            assert abs(single.fidelity - report.fidelity) < 1e-12
+
+
+def test_sweep_ancilla_overlap_with_target_is_real_and_non_negative(
+        zero_minus_set):
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(1618)
+    sets = [(zero_minus_set, balanced())]
+    for size in range(2, 9):
+        states = random_state_set(size, rng)
+        sets.append((states, random_spec(rng, states=states, pairs=[
+            (m, n) for m in range(size) for n in range(size) if m != n])))
+    for states, spec in sets:
+        pairs = [(m, n) for m in range(states.size) for n in range(states.size)]
+        for report in run_sweep(states, pairs, spec)[1]:
+            overlap = np.vdot(report.expected.amplitudes,
+                              report.ancilla_state.amplitudes)
+            assert abs(overlap.imag) <= 4 * eps
+            assert overlap.real >= 0
+    # with exact labels the ancilla reads entry by entry as its target,
+    # and its zero imaginary parts carry no sign
+    for report in run_sweep(zero_minus_set, [(0, 1), (1, 1)], balanced())[1]:
+        ancilla = report.ancilla_state.amplitudes
+        assert np.abs(ancilla - report.expected.amplitudes).max() < 1e-12
+        assert not np.signbit(ancilla.imag).any()
+
+
+def test_sweep_raises_purity_loss_for_a_mixed_label(monkeypatch):
+    rng = np.random.default_rng(2020)
+    states = random_state_set(3, rng)
+    spec = random_spec(rng, states=states, pairs=[(0, 1), (0, 2), (1, 2)])
+    members = superpose.distinguish_members
+
+    def uniform_label_one(bundle):
+        for k, r in enumerate(members(bundle)):
+            yield (dataclasses.replace(r, rho_out=DensityMatrix(np.eye(3) / 3))
+                   if k == 1 else r)
+
+    monkeypatch.setattr(superpose, "distinguish_members", uniform_label_one)
+    assert run_sweep(states, [(0, 2), (2, 2)], spec)[1][0].fidelity > 1 - 1e-8
+    # the first mixed pair in row-major order is (0, 1)
+    second = np.linalg.eigvalsh(
+        einsum_density(states, spec, np.eye(3)[0], np.full(3, 1 / 3)))[-2]
+    pairs = [(m, n) for m in range(3) for n in range(3)]
+    with pytest.raises(PurityLoss, match=f"second eigenvalue {second:.3e};"):
+        run_sweep(states, pairs, spec)
+
+
 def test_pure_state_extraction_rejects_mixed_input():
     with pytest.raises(PurityLoss):
         pure_state_from_density(np.eye(2) / 2)
+
+
+def test_pure_state_extraction_of_a_stack_matches_single_calls():
+    rng = np.random.default_rng(31)
+    stack = np.array([projector(random_state_set(4, rng)[0]) for _ in range(5)])
+    got = pure_state_from_density(stack)
+    assert got.shape == (5, 4)
+    for rho, vec in zip(stack, got):
+        assert np.array_equal(vec, pure_state_from_density(rho).amplitudes)
+    stack[3] = np.diag([0.7, 0.3, 0, 0])
+    stack[4] = np.eye(4) / 4
+    with pytest.raises(PurityLoss, match="second eigenvalue 3.000e-01;"):
+        pure_state_from_density(stack)
 
 
 def test_protocol_rejects_out_of_range_indices(zero_minus_set):
