@@ -41,15 +41,17 @@ print()
 # 2. Feed each member through the circuit and decode.
 
 # Every member at once: one stacked solve, each label certified by
-# eps_m = min_k |<m|U_k|psi_m>|^2 > 0 and a bound on |p - e_m|_1.
+# eps_m = min_k |<m|U_k|psi_m>|^2 > 0 and a bound on |p - e_m|_1, and
+# one record whose row j is member j.
 
 print("2. discrimination runs")
-for j, result in enumerate(distinguish_members(bundle)):
-    print(f"   input psi_{j}: decoded={result.decoded}"
-          f"  P(decoded)={result.fidelity_to_basis:.12f}"
-          f"  residual={result.residual:.2e}"
-          f"  eps={result.minorization:.3f}"
-          f"  certified={result.certified}")
+members = distinguish_members(bundle)
+for j in range(states.size):
+    print(f"   input psi_{j}: decoded={members.decoded[j]}"
+          f"  P(decoded)={members.fidelity_to_basis[j]:.12f}"
+          f"  residual={members.residual[j]:.2e}"
+          f"  eps={members.minorization[j]:.3f}"
+          f"  certified={members.certified[j]}")
 print()
 
 # ---------------------------------------------------------------------------
@@ -64,5 +66,5 @@ fids = [
 ]
 print("  ", fids)
 bundle = build_distinguisher(random_set, rng_seed=7)
-decoded = [r.decoded for r in distinguish_members(bundle)]
+decoded = distinguish_members(bundle).decoded.tolist()
 print("   decoded labels:", decoded, "(expected [0, 1, 2, 3])")

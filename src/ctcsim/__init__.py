@@ -18,7 +18,7 @@ from .deutsch import (
 from .discrimination import (
     DistinguishResult,
     DistinguisherBundle,
-    MemberResult,
+    MemberResults,
     build_distinguisher,
     build_uk,
     controlled_stack,
@@ -76,7 +76,7 @@ __all__ = [
     "FixedPointResult",
     "InputNotInSetWarning",
     "InvariantCheck",
-    "MemberResult",
+    "MemberResults",
     "NoFixedPointNumerical",
     "NonUniqueFixedPoint",
     "NormalizationError",

@@ -90,7 +90,7 @@ class ConfigError(Exception):
 # config parsing
 
 
-# libyaml's C parser and emitter when PyYAML was built with them
+# libyaml's C parser when PyYAML was built with it
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _RESOLVER = yaml.resolver.Resolver()
 _STR_TAG = "tag:yaml.org,2002:str"
@@ -337,17 +337,6 @@ def _float_text(s: str, tag: str = "") -> str:
     return s + ".0" if s.lstrip("-").isdigit() else tag + s
 
 
-class _ReportDumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
-    """PyYAML's dumper for reports: the test oracle of :func:`_yaml_report`."""
-
-
-_ReportDumper.add_representer(
-    float,
-    lambda dumper, value: dumper.represent_scalar(
-        "tag:yaml.org,2002:float", _fmt_float(value)
-    ),
-)
-
 # strings a report holds: keys and names, plain unless YAML 1.1 reads
 # them as another type, and the quoted timestamp
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]{0,99}")
@@ -504,9 +493,10 @@ def _flow(opening: str, texts, close: str, indent: int) -> str:
 
 
 def _yaml_report(report: dict) -> str:
-    """What ``yaml.dump(report, Dumper=_ReportDumper, sort_keys=False,
-    default_flow_style=None)`` returns, for a report whose lists and dicts
-    are distinct objects (the dumper would alias a repeated one)."""
+    """What ``yaml.dump(report, sort_keys=False, default_flow_style=None)``
+    returns with libyaml's safe dumper and :func:`_fmt_float` as its float
+    representer, for a report whose lists and dicts are distinct objects
+    (the dumper would alias a repeated one)."""
     if not isinstance(report, dict):
         raise TypeError("a report is a mapping")
     heads = list(map(_key_head, report))
@@ -605,15 +595,16 @@ def cmd_distinguish(args) -> tuple[dict, list, bool]:
     seed = _parse_seed(cfg, args)
 
     bundle = build_distinguisher(states, seed)
-    runs = []
-    for j, r in enumerate(distinguish_members(bundle)):
-        runs.append({
-            "input_index": j,
-            "decoded": r.decoded,
-            "residual": float(r.residual),
-            "unique": r.certified,
-            "fidelity_to_basis": float(r.fidelity_to_basis),
-        })
+    members = distinguish_members(bundle)
+    columns = zip(members.decoded.tolist(), members.residual.tolist(),
+                  members.certified.tolist(), members.fidelity_to_basis.tolist())
+    runs = [{
+        "input_index": j,
+        "decoded": decoded,
+        "residual": residual,
+        "unique": unique,
+        "fidelity_to_basis": fidelity,
+    } for j, (decoded, residual, unique, fidelity) in enumerate(columns)]
     header = {
         "seed": seed,
         "state_set": states.amplitudes,

@@ -125,24 +125,19 @@ def consistency_residual(u, rho_cr, sigma) -> float:
 def superoperator_matrix(u, rho_cr) -> np.ndarray:
     """Linearization L of the self-consistency map over vectorized sigma.
 
-    Column-stacking convention: vec(map(sigma)) = L @ vec(sigma).  L is
-    assembled from the Kraus form of the map, K_{a,b} = sqrt(p_b)
-    (<a| (x) I) u (|chi_b> (x) I) with rho_cr = sum_b p_b
-    |chi_b><chi_b|, so that L = sum_{a,b} conj(K_{a,b}) (x) K_{a,b}.
+    Column-stacking convention: vec(map(sigma)) = L @ vec(sigma).  With u
+    indexed u[(a, x), (b, y)], CR indices a, b and CTC indices x, y < d,
+    L[x + d x', y + d y'] = sum_{a,b,b'} u[(a,x), (b,y)] rho_cr[b, b']
+    conj(u[(a,x'), (b',y')]), taken by two tensor contractions.
     """
     u = _as_matrix(u)
     rho_cr = _as_matrix(rho_cr)
     cr_dim, ctc_dim = _split_dims(u, rho_cr)
-    weights, vectors = np.linalg.eigh((rho_cr + rho_cr.conj().T) / 2)
-    # drop the rounding-noise weights eigh leaves on a pure rho_cr
-    keep = weights > weights.max() * cr_dim * np.finfo(float).eps
     u4 = u.reshape(cr_dim, ctc_dim, cr_dim, ctc_dim)
-    # blocks[a, :, :, b] = (<a| (x) I) u (|chi_b> (x) I); one Kraus op a row
-    blocks = np.tensordot(u4, vectors[:, keep], axes=([2], [0]))
-    kraus = (blocks * np.sqrt(weights[keep])).transpose(3, 0, 1, 2)
-    kraus = kraus.reshape(-1, ctc_dim**2)
-    L = (kraus.conj().T @ kraus).reshape(ctc_dim, ctc_dim, ctc_dim, ctc_dim)
-    return L.transpose(0, 2, 1, 3).reshape(ctc_dim**2, ctc_dim**2)
+    # t[x, y, x', y'], the sum above
+    t = np.tensordot(np.tensordot(u4, rho_cr, ([2], [0])), u4.conj(),
+                     ([0, 3], [0, 2]))
+    return t.transpose(2, 0, 3, 1).reshape(ctc_dim**2, ctc_dim**2)
 
 
 def _hermitian_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -45,7 +45,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,30 +139,32 @@ class DistinguishResult:
     chain_gap: float
 
 
-@dataclass(frozen=True)
-class MemberResult:
-    """Outcome of one member's run in :func:`distinguish_members`.
+@dataclass(frozen=True, eq=False)
+class MemberResults:
+    """Outcome of :func:`distinguish_members`, row m for member m.
 
-    `minorization` is eps_m = min_k |<m|U_k|psi_m>|^2, `label_shift` the
-    distance |p - e_m|_1 of the label distribution from the member's own
-    label and `bound` its Doeblin bound, inf for a member that took the
-    SVD path.
+    `labels[m]` is the diagonal of member m's CR output, its label
+    distribution; `decoded` its argmax and `fidelity_to_basis` the
+    probability there.  `minorization` is eps_m = min_k
+    |<m|U_k|psi_m>|^2, `label_shift` the distance |p - e_m|_1 of the
+    label distribution from the member's own label and `bound` its
+    Doeblin bound, inf for a member that took the SVD path.
     """
 
-    rho_ctc: DensityMatrix
-    rho_out: DensityMatrix
-    decoded: int
-    fidelity_to_basis: float
-    residual: float
-    minorization: float
-    label_shift: float
-    bound: float
+    labels: np.ndarray
+    decoded: np.ndarray
+    fidelity_to_basis: np.ndarray
+    residual: np.ndarray
+    minorization: np.ndarray
+    label_shift: np.ndarray
+    bound: np.ndarray
 
     @property
-    def certified(self) -> bool:
+    def certified(self) -> np.ndarray:
         """eps_m > 0 and the label distribution within its finite bound:
         the fixed point is unique and its label is the member's own."""
-        return self.minorization > 0 and self.label_shift <= self.bound < np.inf
+        return ((self.minorization > 0) & (self.label_shift <= self.bound)
+                & (self.bound < np.inf))
 
 
 def swap_operator(dim: int) -> np.ndarray:
@@ -305,8 +307,8 @@ def _svd_labels(chain: np.ndarray) -> tuple[np.ndarray, float]:
 def _settle(phi: np.ndarray, p: np.ndarray, weight_tol: float):
     """CTC state, CR output, decoded label, its probability and the
     residual for the label distribution p, in the field order of
-    :class:`DistinguishResult` and :class:`MemberResult`; raises on a weight below
-    -`weight_tol` or a residual above ``deutsch.TOL_FIX``."""
+    :class:`DistinguishResult`; raises on a weight below -`weight_tol` or a
+    residual above ``deutsch.TOL_FIX``."""
     if p.min() < -weight_tol:
         raise NoFixedPointNumerical(
             f"candidate fixed point has negative label weight {p.min():.3e} "
@@ -377,7 +379,7 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
     return DistinguishResult(*settled, input_in_set=in_set, chain_gap=chain_gap)
 
 
-def distinguish_members(bundle: DistinguisherBundle) -> Iterator[MemberResult]:
+def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
     """Discriminate every set member, certifying each label by minorization.
 
     For member m, with T_m[j, k] = |<j|U_k|psi_m>|^2, condition (1) makes
@@ -402,10 +404,10 @@ def distinguish_members(bundle: DistinguisherBundle) -> Iterator[MemberResult]:
     takes the SVD path of :func:`distinguish` instead, with its
     exceptions.
 
-    Results are yielded in member order, one at a time, so a caller never
-    needs every CTC state and output at once.  Negative label weights are
-    checked against -(``TOL_PSD`` + N eps / eps_m), residuals against
-    ``deutsch.TOL_FIX``, as in :func:`distinguish`.
+    Members are then settled in member order, keeping each output's
+    diagonal and residual; the first member that fails a check raises.
+    Negative label weights are checked against -(``TOL_PSD`` + N eps /
+    eps_m), residuals against ``deutsch.TOL_FIX``, as in :func:`distinguish`.
     """
     states = bundle.state_set
     n = states.size
@@ -438,28 +440,24 @@ def distinguish_members(bundle: DistinguisherBundle) -> Iterator[MemberResult]:
     moved = np.matmul(bordered, p[..., None])[..., 0]
     moved[:, 0] = np.einsum("km,mk->m", row0, p)
     del chain, parts, t, bordered
-    residual = np.abs(moved).sum(axis=1)
+    solve_miss = np.abs(moved).sum(axis=1)
     shift = np.abs(p - np.eye(n)).sum(axis=1)
     # what rounding may hide in the sums, the residual and the shift
-    hidden = n * _EPS * (1 + column_miss + residual + 2 * shift)
+    hidden = n * _EPS * (1 + column_miss + solve_miss + 2 * shift)
     bound = np.full(n, np.inf)
-    np.divide(column_miss + residual + np.abs(1 - p.sum(axis=1)) + hidden,
+    np.divide(column_miss + solve_miss + np.abs(1 - p.sum(axis=1)) + hidden,
               minorization - drift - n * _EPS, out=bound, where=minorized)
-    return _member_results(bundle, p, minorization.tolist(), shift.tolist(),
-                           bound.tolist())
-
-
-def _member_results(bundle, p, minorization, shift, bound):
-    states = bundle.state_set
-    n = states.size
+    labels, residual = np.empty((n, n)), np.empty(n)
     for m, psi in enumerate(states.amplitudes):
         phi = (bundle.uks @ psi).T
         if shift[m] <= bound[m] < np.inf:
-            label_shift, label_bound = shift[m], bound[m]
             settled = _settle(phi, p[m], TOL_PSD + n * _EPS / minorization[m])
         else:
             label_p, _, settled = _settle_by_svd(phi)
-            label_shift = float(np.abs(label_p - np.eye(n)[m]).sum())
-            label_bound = np.inf
-        yield MemberResult(*settled, minorization=minorization[m],
-                           label_shift=label_shift, bound=label_bound)
+            shift[m] = np.abs(label_p - np.eye(n)[m]).sum()
+            bound[m] = np.inf
+        _, rho_out, _, _, residual[m] = settled
+        labels[m] = rho_out.entries.diagonal().real
+    decoded = labels.argmax(axis=1)
+    return MemberResults(labels, decoded, labels[ks, decoded], residual,
+                         minorization, shift, bound)

@@ -96,7 +96,8 @@ def unit_scaled(alpha: complex, beta: complex) -> tuple[complex, complex]:
 
 def build_omega(states: StateSet, i: int, j: int,
                 spec: SuperpositionSpec) -> StateVector:
-    """Normalized target (alpha psi_i + beta psi_j) / gamma.
+    """Normalized target (alpha psi_i + beta psi_j) / gamma for i != j,
+    and psi_i itself for i == j, whatever the amplitudes.
 
     The amplitudes are first brought to unit scale by :func:`unit_scaled`,
     so the target and the degeneracy verdict depend only on alpha : beta.
@@ -104,6 +105,8 @@ def build_omega(states: StateSet, i: int, j: int,
     below ``TOL_GAMMA`` the amplitudes cancel and
     :class:`DegenerateSuperposition` is raised.
     """
+    if i == j:
+        return states[i]
     alpha, beta = unit_scaled(spec.alpha, spec.beta)
     raw = alpha * states.amplitudes[i] + beta * states.amplitudes[j]
     gamma = float(np.linalg.norm(raw))
@@ -177,8 +180,8 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
     discrimination bundle, so a cancelling pair raises
     :class:`DegenerateSuperposition` first, naming the first such pair in
     row-major order.  Every member is distinguished once, by one
-    :func:`ctcsim.discrimination.distinguish_members`, and p1, p2 are the
-    diagonals of the two CTC outputs.
+    :func:`ctcsim.discrimination.distinguish_members`, and p1, p2 are
+    rows m and n of its `labels`, the diagonals of the two CTC outputs.
 
     The pairs are grouped by their first label m, in the order each m
     first appears.  For a group, one batched product forms B_j = sum_i
@@ -212,12 +215,9 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
     targets /= gammas[:, :, None]
     targets[np.arange(size), np.arange(size)] = amps
     bundle = build_distinguisher(states, rng_seed)
-    needed = {k for pair in pairs for k in pair}
-    members, labels = {}, np.zeros((size, size))
-    for k, r in enumerate(distinguish_members(bundle)):
-        if k in needed:
-            members[k] = r
-            labels[k] = r.rho_out.entries.diagonal().real
+    members = distinguish_members(bundle)
+    # one float object per member, shared by the reports that name it
+    residuals, decoded = members.residual.tolist(), members.decoded.tolist()
 
     firsts, seconds = np.array(pairs, dtype=int).reshape(-1, 2).T
     by_label = targets.transpose(1, 2, 0)
@@ -225,8 +225,9 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
     ancillas = np.empty((len(firsts), size), dtype=complex)
     for m in dict.fromkeys(firsts.tolist()):
         group = np.flatnonzero(firsts == m)
-        blocks = (by_label * labels[m]) @ adjoints
-        densities = labels[seconds[group]] @ blocks.reshape(size, size * size)
+        blocks = (by_label * members.labels[m]) @ adjoints
+        densities = (members.labels[seconds[group]]
+                     @ blocks.reshape(size, size * size))
         ancillas[group] = pure_state_from_density(
             densities.reshape(-1, size, size))
     overlaps = (targets[firsts, seconds].conj() * ancillas).sum(axis=1)
@@ -236,7 +237,6 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
 
     reports = []
     for (m, n), ancilla in zip(pairs, ancillas):
-        r1, r2 = members[m], members[n]
         ancilla, omega = StateVector(ancilla), StateVector(targets[m, n])
         reports.append(ProtocolReport(
             spec=spec,
@@ -245,8 +245,8 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
             ancilla_state=ancilla,
             expected=omega,
             fidelity=state_fidelity(ancilla, omega),
-            fixed_point_residuals=(r1.residual, r2.residual),
-            decoded_indices=(r1.decoded, r2.decoded),
+            fixed_point_residuals=(residuals[m], residuals[n]),
+            decoded_indices=(decoded[m], decoded[n]),
         ))
     return bundle, reports
 

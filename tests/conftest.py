@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import yaml
 
 from ctcsim import StateSet, StateVector, ctc_map
+from ctcsim.cli import _fmt_float
 
 S = 1 / np.sqrt(2)
 HADAMARD = np.array([[S, S], [S, -S]], dtype=complex)
@@ -41,3 +43,15 @@ def as_lists(obj):
     if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
     return obj
+
+
+class ReportDumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
+    """PyYAML's dumper for reports: the oracle of ``cli._yaml_report``."""
+
+
+ReportDumper.add_representer(
+    float,
+    lambda dumper, value: dumper.represent_scalar(
+        "tag:yaml.org,2002:float", _fmt_float(value)
+    ),
+)

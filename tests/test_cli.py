@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import as_lists
+from conftest import ReportDumper, as_lists
 from ctcsim import cli, deutsch, discrimination, superpose
 from ctcsim.cli import main
 from ctcsim.sampling import random_state_set
@@ -333,7 +333,7 @@ class _PurePythonDumper(yaml.SafeDumper):
 
 
 _PurePythonDumper.add_representer(
-    float, cli._ReportDumper.yaml_representers[float])
+    float, ReportDumper.yaml_representers[float])
 
 
 @pytest.mark.parametrize("command", ["superpose", "fixed-point", "distinguish",
@@ -362,7 +362,7 @@ def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
     assert main(argv) == 0
     report = as_lists(*reports)
     printed = capsys.readouterr().out
-    for dumper in (cli._ReportDumper, _PurePythonDumper):
+    for dumper in (ReportDumper, _PurePythonDumper):
         assert printed == yaml.dump(report, Dumper=dumper, sort_keys=False,
                                     default_flow_style=None)
 
@@ -557,8 +557,13 @@ def _zero_fidelity(monkeypatch):
 
 def _misdecode(monkeypatch):
     real = cli.distinguish_members
-    monkeypatch.setattr(cli, "distinguish_members", lambda bundle: (
-        dataclasses.replace(r, decoded=-1) for r in real(bundle)))
+
+    def misdecoded(bundle):
+        members = real(bundle)
+        return dataclasses.replace(members,
+                                   decoded=np.full_like(members.decoded, -1))
+
+    monkeypatch.setattr(cli, "distinguish_members", misdecoded)
 
 
 def _no_deviation_allowed(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -541,12 +542,13 @@ def test_built_bundle_measures_what_a_rebuilt_bundle_measures(states):
 def _assert_members_match_the_svd_path(bundle):
     n = bundle.state_set.size
     eps = np.finfo(float).eps
-    results = list(distinguish_members(bundle))
-    for m, (r, psi) in enumerate(zip(results, bundle.state_set)):
+    members = distinguish_members(bundle)
+    for m, psi in enumerate(bundle.state_set):
         oracle = distinguish(bundle, psi)
-        assert r.decoded == oracle.decoded == m
-        assert r.certified
-        assert r.minorization == pytest.approx(
+        assert members.decoded[m] == oracle.decoded == m
+        assert members.certified[m]
+        minorization = members.minorization[m]
+        assert minorization == pytest.approx(
             bundle.overlaps[m].min() ** 2, rel=1e-12)
         # the SVD's p sits within the bound plus its own residual over
         # the contraction 1 - (eps_m - delta_m)
@@ -554,16 +556,17 @@ def _assert_members_match_the_svd_path(bundle):
         p, _ = discrimination._svd_labels(chain)
         drift = np.abs(chain.sum(axis=0) - 1).max()
         own = ((np.abs(chain @ p - p).sum() + abs(1 - p.sum()) + n * eps)
-               / (r.minorization - drift - n * eps))
+               / (minorization - drift - n * eps))
         shift = np.abs(p - np.eye(n)[m]).sum()
-        assert shift <= r.bound + own
-        # sigma and the output are linear in p with entries of modulus <= 1;
-        # forming each rounds by up to 2 N eps
-        moved = r.label_shift + shift + 4 * n * eps
-        assert np.abs(r.rho_ctc.entries - oracle.rho_ctc.entries).max() <= moved
-        assert np.abs(r.rho_out.entries - oracle.rho_out.entries).max() <= moved
-        assert abs(r.fidelity_to_basis - oracle.fidelity_to_basis) <= moved
-        assert r.residual <= deutsch.TOL_FIX
+        assert shift <= members.bound[m] + own
+        # the output is linear in p with entries of modulus <= 1; forming
+        # it rounds by up to 2 N eps
+        moved = members.label_shift[m] + shift + 4 * n * eps
+        oracle_labels = np.diag(oracle.rho_out.entries).real
+        assert np.abs(members.labels[m] - oracle_labels).max() <= moved
+        assert abs(members.fidelity_to_basis[m]
+                   - oracle.fidelity_to_basis) <= moved
+        assert members.residual[m] <= deutsch.TOL_FIX
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -582,14 +585,14 @@ def test_member_path_matches_the_svd_path_on_near_parallel_sets(n, delta):
     _assert_members_match_the_svd_path(bundle)
 
 
-def test_member_path_yields_lazily_in_member_order(zero_minus_set):
-    bundle = build_distinguisher(zero_minus_set, rng_seed=0)
-    results = distinguish_members(bundle)
-    first = next(results)
-    assert first.decoded == 0 and first.label_shift == 0.0
-    assert first.minorization == pytest.approx(0.5, abs=1e-15)
-    assert next(results).decoded == 1
-    assert next(results, None) is None
+def test_member_rows_come_in_member_order(zero_minus_set):
+    members = distinguish_members(build_distinguisher(zero_minus_set,
+                                                      rng_seed=0))
+    assert members.decoded[0] == 0 and members.label_shift[0] == 0.0
+    assert members.minorization[0] == pytest.approx(0.5, abs=1e-15)
+    assert members.decoded[1] == 1
+    for field in dataclasses.fields(members):
+        assert len(getattr(members, field.name)) == 2
 
 
 def _uncertified_bundle():
@@ -603,14 +606,15 @@ def _uncertified_bundle():
 
 def test_members_without_minorization_take_the_svd_path():
     bundle = _uncertified_bundle()
-    results = list(distinguish_members(bundle))
-    assert [r.decoded for r in results] == [0, 1, 2]
-    assert [r.certified for r in results] == [False, False, True]
-    assert [r.minorization for r in results] == [0.0, 0.0, 1.0]
-    assert [r.bound for r in results[:2]] == [np.inf, np.inf]
-    for r, psi in zip(results, bundle.state_set):
+    members = distinguish_members(bundle)
+    assert members.decoded.tolist() == [0, 1, 2]
+    assert members.certified.tolist() == [False, False, True]
+    assert members.minorization.tolist() == [0.0, 0.0, 1.0]
+    assert members.bound[:2].tolist() == [np.inf, np.inf]
+    assert members.label_shift.tolist() == [0.0, 0.0, 0.0]
+    for labels, psi in zip(members.labels, bundle.state_set):
         oracle = distinguish(bundle, psi)
-        assert np.abs(r.rho_ctc.entries - oracle.rho_ctc.entries).max() <= 1e-15
+        assert np.abs(labels - np.diag(oracle.rho_out.entries).real).max() <= 1e-15
 
 
 def test_member_path_raises_on_a_non_unique_fixed_point():
@@ -619,7 +623,7 @@ def test_member_path_raises_on_a_non_unique_fixed_point():
     u2 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
     bundle = DistinguisherBundle(states, [np.eye(3), u1, u2])
     with pytest.raises(NonUniqueFixedPoint):
-        next(distinguish_members(bundle))
+        distinguish_members(bundle)
 
 
 @pytest.mark.parametrize("module, name, value, match, certified_path", [
@@ -637,9 +641,9 @@ def test_member_path_failed_checks_raise(monkeypatch, module, name, value,
     for bundle, raises in ((haar, certified_path), (_uncertified_bundle(), True)):
         if raises:
             with pytest.raises(NoFixedPointNumerical, match=match):
-                list(distinguish_members(bundle))
+                distinguish_members(bundle)
         else:
-            assert all(r.certified for r in distinguish_members(bundle))
+            assert distinguish_members(bundle).certified.all()
 
 
 @pytest.mark.parametrize("n, seed", [(2, 2), (2, 3), (3, 108)])
@@ -647,9 +651,9 @@ def test_tight_certificates_hold_through_rounding(n, seed):
     # in two and three dimensions the contraction bound is nearly exact,
     # and the shift can exceed the bound by rounding unless allowed for
     states = random_state_set(n, np.random.default_rng(seed))
-    results = list(distinguish_members(build_distinguisher(states, seed)))
-    assert all(r.certified for r in results)
-    assert max(r.label_shift / r.bound for r in results) > 0.5
+    members = distinguish_members(build_distinguisher(states, seed))
+    assert members.certified.all()
+    assert (members.label_shift / members.bound).max() > 0.5
 
 
 def test_bound_covers_an_inaccurate_solve(monkeypatch):
@@ -657,7 +661,7 @@ def test_bound_covers_an_inaccurate_solve(monkeypatch):
     # that p shows up in the bound, and the residual check still holds
     states = random_state_set(4, np.random.default_rng(3))
     bundle = build_distinguisher(states, rng_seed=3)
-    exact = list(distinguish_members(bundle))
+    exact = distinguish_members(bundle)
     real = np.linalg.solve
 
     def off_by_1e12(a, b):
@@ -666,8 +670,9 @@ def test_bound_covers_an_inaccurate_solve(monkeypatch):
         return p
 
     monkeypatch.setattr(np.linalg, "solve", off_by_1e12)
-    results = list(distinguish_members(bundle))
-    assert all(r.certified for r in results)
-    assert 1.9e-12 < results[1].label_shift <= results[1].bound
-    assert results[1].bound > 100 * exact[1].bound
-    assert [r.decoded for r in results] == [0, 1, 2, 3]
+    members = distinguish_members(bundle)
+    assert members.certified.all()
+    assert 1.9e-12 < members.label_shift[1] <= members.bound[1]
+    assert members.bound[1] > 100 * exact.bound[1]
+    assert members.decoded.tolist() == [0, 1, 2, 3]
+

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import as_lists
+from conftest import ReportDumper, as_lists
 from ctcsim import cli
 
 
@@ -26,7 +26,7 @@ class _Pure(yaml.SafeDumper):
     pass
 
 
-_Pure.add_representer(float, cli._ReportDumper.yaml_representers[float])
+_Pure.add_representer(float, ReportDumper.yaml_representers[float])
 
 LOADERS = [yaml.SafeLoader]
 if hasattr(yaml, "CSafeLoader"):
@@ -73,7 +73,7 @@ REPORTS = st.dictionaries(KEYS, VALUES, min_size=1, max_size=6)
 
 def check_emitter(report):
     text = cli._yaml_report(report)
-    assert text == dump(report, cli._ReportDumper)
+    assert text == dump(report, ReportDumper)
     # PyYAML's Python emitter single-quotes a tagged scalar, `!!float 'inf'`
     # where libyaml writes `!!float inf`, which also moves its line breaks
     if "!!float" not in text:
@@ -196,7 +196,7 @@ def test_emitter_rejects_other_shapes(report):
 def check_complex(report):
     pairs = as_lists(report)
     text = cli._yaml_report(report)
-    assert text == dump(pairs, cli._ReportDumper)
+    assert text == dump(pairs, ReportDumper)
     if "!!float" not in text:
         assert text == dump(pairs, _Pure)
     assert cli._json_dumps(report) == cli._json_dumps(pairs)

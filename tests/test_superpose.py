@@ -6,7 +6,6 @@ import pytest
 from conftest import HADAMARD, PAULI_X, S
 from ctcsim import (
     DegenerateSuperposition,
-    DensityMatrix,
     PurityLoss,
     StateSet,
     StateVector,
@@ -80,6 +79,19 @@ def test_omega_example_formula(zero_minus_set):
     raw = np.array([alpha + beta * S, -beta * S])
     expected = raw / np.linalg.norm(raw)
     assert np.abs(omega.amplitudes - expected).max() < 1e-14
+
+
+def test_omega_diagonal_is_the_member_bit_for_bit():
+    rng = np.random.default_rng(404)
+    states = random_state_set(4, rng)
+    for spec in (SuperpositionSpec(1, -1), SuperpositionSpec(1, 1j),
+                 SuperpositionSpec(0, 2), random_spec(rng)):
+        for i in range(4):
+            omega = build_omega(states, i, i, spec)
+            assert np.array_equal(omega.amplitudes, states[i].amplitudes)
+            assert np.array_equal(
+                run_protocol(states, i, i, spec).expected.amplitudes,
+                omega.amplitudes)
 
 
 def test_omega_exact_cancellation_raises():
@@ -396,8 +408,7 @@ def test_sweep_matches_per_pair_einsum_oracle():
         spec = random_spec(rng, states=states,
                            pairs=[p for p in pairs if p[0] != p[1]])
         bundle, reports = run_sweep(states, pairs, spec, rng_seed=size)
-        labels = [np.diag(r.rho_out.entries).real
-                  for r in distinguish_members(bundle)]
+        labels = distinguish_members(bundle).labels
         for (m, n), report in zip(pairs, reports):
             assert (report.m, report.n) == (m, n)
             got = report.ancilla_state.amplitudes
@@ -445,9 +456,10 @@ def test_sweep_raises_purity_loss_for_a_mixed_label(monkeypatch):
     members = superpose.distinguish_members
 
     def uniform_label_one(bundle):
-        for k, r in enumerate(members(bundle)):
-            yield (dataclasses.replace(r, rho_out=DensityMatrix(np.eye(3) / 3))
-                   if k == 1 else r)
+        record = members(bundle)
+        labels = record.labels.copy()
+        labels[1] = 1 / 3
+        return dataclasses.replace(record, labels=labels)
 
     monkeypatch.setattr(superpose, "distinguish_members", uniform_label_one)
     assert run_sweep(states, [(0, 2), (2, 2)], spec)[1][0].fidelity > 1 - 1e-8
