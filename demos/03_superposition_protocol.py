@@ -18,7 +18,7 @@ from ctcsim import (
     build_distinguisher,
     build_omega,
     build_u_prime,
-    run_protocol,
+    run_sweep,
 )
 from ctcsim.sampling import random_state_set
 
@@ -35,11 +35,12 @@ spec = SuperpositionSpec(S, S)
 print("1. target for (m, n) = (0, 1):",
       build_omega(states, 0, 1, spec).amplitudes.real)
 
-report = run_protocol(states, 0, 1, spec, rng_seed=0)
-print("   ancilla state: ", report.ancilla_state.amplitudes.real)
-print("   fidelity to target:", report.fidelity)
-print("   decoded labels:", report.decoded_indices,
-      "  fixed-point residuals:", report.fixed_point_residuals)
+sweep = run_sweep(states, [(0, 1)], spec, rng_seed=0)
+print("   ancilla state: ", sweep.ancillas[0].real)
+print("   fidelity to target:", sweep.fidelity[0])
+# rows m and n of the member record belong to the pair; here N = 2
+print("   decoded labels:", tuple(sweep.members.decoded.tolist()),
+      "  fixed-point residuals:", tuple(sweep.members.residual.tolist()))
 print()
 
 # ---------------------------------------------------------------------------
@@ -53,14 +54,16 @@ print()
 
 # ---------------------------------------------------------------------------
 # 3. Full sweep over every ordered pair, including the diagonal where
-#    the protocol simply returns the input state.
+#    the protocol simply returns the input state.  One sweep serves
+#    every pair, with one discrimination of each member.
 
 print("3. sweep over all (m, n) at alpha = beta = 1/sqrt(2)")
-for m in range(2):
-    for n in range(2):
-        rep = run_protocol(states, m, n, spec, rng_seed=0)
-        print(f"   (m={m}, n={n}): fidelity={rep.fidelity:.12f}"
-              f"  decoded={rep.decoded_indices}")
+sweep = run_sweep(states, [(m, n) for m in range(2) for n in range(2)],
+                  spec, rng_seed=0)
+decoded = sweep.members.decoded.tolist()
+for (m, n), fidelity in zip(sweep.pairs.tolist(), sweep.fidelity):
+    print(f"   (m={m}, n={n}): fidelity={fidelity:.12f}"
+          f"  decoded={(decoded[m], decoded[n])}")
 print()
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,6 @@ print("4. random 3-state set, complex amplitudes")
 rng = np.random.default_rng(42)
 random_set = random_state_set(3, rng)
 spec = SuperpositionSpec(0.6 + 0.3j, -0.2 + 0.7j)
-for m, n in ((0, 1), (1, 2), (2, 0)):
-    rep = run_protocol(random_set, m, n, spec, rng_seed=42)
-    print(f"   (m={m}, n={n}): fidelity={rep.fidelity:.12f}")
+sweep = run_sweep(random_set, [(0, 1), (1, 2), (2, 0)], spec, rng_seed=42)
+for (m, n), fidelity in zip(sweep.pairs.tolist(), sweep.fidelity):
+    print(f"   (m={m}, n={n}): fidelity={fidelity:.12f}")

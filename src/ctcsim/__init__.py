@@ -53,13 +53,12 @@ from .linalg import (
     validate,
 )
 from .superpose import (
-    ProtocolReport,
     SuperpositionSpec,
+    SweepResult,
     build_omega,
     build_u_ij,
     build_u_prime,
     pure_state_from_density,
-    run_protocol,
     run_sweep,
 )
 
@@ -80,11 +79,11 @@ __all__ = [
     "NoFixedPointNumerical",
     "NonUniqueFixedPoint",
     "NormalizationError",
-    "ProtocolReport",
     "PurityLoss",
     "StateSet",
     "StateVector",
     "SuperpositionSpec",
+    "SweepResult",
     "UnitaryMatrix",
     "ValidityReport",
     "basis_state",
@@ -103,7 +102,6 @@ __all__ = [
     "partial_trace",
     "projector",
     "pure_state_from_density",
-    "run_protocol",
     "run_sweep",
     "state_fidelity",
     "superoperator_matrix",

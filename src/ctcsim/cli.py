@@ -562,29 +562,34 @@ def cmd_superpose(args) -> tuple[dict, list, bool]:
     else:
         pairs = [(m, n) for m in range(size) for n in range(size)]
 
-    bundle, reports = run_sweep(states, pairs, spec, seed)
-    runs = []
-    for rep in reports:
-        runs.append({
-            "m": rep.m,
-            "n": rep.n,
-            "alpha": rep.spec.alpha,
-            "beta": rep.spec.beta,
-            "decoded_indices": list(rep.decoded_indices),
-            "fixed_point_residuals": [float(r) for r in rep.fixed_point_residuals],
-            "fidelity": float(rep.fidelity),
-            "ancilla_state": rep.ancilla_state.amplitudes,
-            "expected_state": rep.expected.amplitudes,
-        })
+    sweep = run_sweep(states, pairs, spec, seed)
+    # Python scalars, as the writer rejects numpy ones; the runs share one
+    # float object per member, and the pairs go by columns, since P
+    # two-item lists would raise the tracemalloc peak
+    residuals = sweep.members.residual.tolist()
+    decoded = sweep.members.decoded.tolist()
+    columns = zip(*sweep.pairs.T.tolist(), sweep.fidelity.tolist(),
+                  sweep.ancillas, sweep.expected)
+    runs = [{
+        "m": m,
+        "n": n,
+        "alpha": spec.alpha,
+        "beta": spec.beta,
+        "decoded_indices": [decoded[m], decoded[n]],
+        "fixed_point_residuals": [residuals[m], residuals[n]],
+        "fidelity": fidelity,
+        "ancilla_state": ancilla,
+        "expected_state": expected,
+    } for m, n, fidelity, ancilla, expected in columns]
     header = {
         "seed": seed,
         "policy": "require_unique",
         "alpha": spec.alpha,
         "beta": spec.beta,
         "state_set": states.amplitudes,
-        "condition_overlaps": bundle.overlaps,
-        "condition2_min": bundle.condition2_min,
-        "condition1_deviation": bundle.condition1_deviation,
+        "condition_overlaps": sweep.bundle.overlaps,
+        "condition2_min": sweep.bundle.condition2_min,
+        "condition1_deviation": sweep.bundle.condition1_deviation,
     }
     return header, runs, all(r["fidelity"] >= 1 - _SUCCESS_FIDELITY for r in runs)
 

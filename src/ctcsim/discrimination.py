@@ -404,6 +404,11 @@ def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
     takes the SVD path of :func:`distinguish` instead, with its
     exceptions.
 
+    The bound is measured on the p the solve returned, so an error in p
+    raises the bound with it: a minorized member with a bad p keeps its
+    certificate, and the residual check of its settle raises
+    :class:`NoFixedPointNumerical` rather than the SVD path taking over.
+
     Members are then settled in member order, keeping each output's
     diagonal and residual; the first member that fails a check raises.
     Negative label weights are checked against -(``TOL_PSD`` + N eps /

@@ -18,10 +18,11 @@ per-pair loop: all N^2 targets come from one broadcast, and for each
 first label m one batched product gives B_j = sum_i p1_i
 |omega_ij><omega_ij| for every j, one product with the second labels
 gives the density of every requested pair (m, .), and one stacked
-``eigh`` gives their ancillas.  Each ancilla is returned in the phase
-that makes <omega_mn|ancilla> real and non-negative.
-:func:`build_omega` is the per-pair form of the targets and
-:func:`build_u_prime` the unitary-level reference.
+``eigh`` gives their ancillas.  It returns one :class:`SweepResult`,
+row k for the k-th requested pair.  Each ancilla is in the phase that
+makes <omega_mn|ancilla> real and non-negative.  :func:`build_omega` is
+the per-pair form of the targets and :func:`build_u_prime` the
+unitary-level reference.
 """
 
 from __future__ import annotations
@@ -32,15 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .discrimination import (DistinguisherBundle, build_distinguisher,
-                             controlled_stack, distinguish_members)
+from .discrimination import (DistinguisherBundle, MemberResults,
+                             build_distinguisher, controlled_stack,
+                             distinguish_members)
 from .errors import DegenerateSuperposition, DimensionError, PurityLoss
 from .linalg import (
     StateSet,
     StateVector,
     UnitaryMatrix,
-    _as_matrix,
-    state_fidelity,
     unitary_from_first_column,
 )
 
@@ -67,18 +67,19 @@ class SuperpositionSpec:
             raise ValueError("amplitudes (alpha, beta) must not both be zero")
 
 
-@dataclass(frozen=True)
-class ProtocolReport:
-    """Outcome of one end-to-end superposition run."""
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """Outcome of :func:`run_sweep`, row k for the k-th (m, n) of `pairs`:
+    its target omega_mn in `expected`, its phase-aligned ancilla and
+    |<omega_mn|ancilla>|^2.  Rows m and n of `members` hold its residuals
+    and decoded labels."""
 
-    spec: SuperpositionSpec
-    m: int
-    n: int
-    ancilla_state: StateVector
-    expected: StateVector
-    fidelity: float
-    fixed_point_residuals: tuple[float, float]
-    decoded_indices: tuple[int, int]
+    bundle: DistinguisherBundle
+    members: MemberResults
+    pairs: np.ndarray
+    ancillas: np.ndarray
+    expected: np.ndarray
+    fidelity: np.ndarray
 
 
 def unit_scaled(alpha: complex, beta: complex) -> tuple[complex, complex]:
@@ -149,18 +150,20 @@ def build_u_prime(states: StateSet, spec: SuperpositionSpec,
         [build_u_ij(states, i, j, spec, uks).entries for i, j in np.ndindex(n, n)]))
 
 
-def pure_state_from_density(reduced):
-    """Dominant eigenvector of a numerically pure reduced matrix.
+def pure_state_from_density(reduced) -> np.ndarray:
+    """Dominant eigenvectors of a stack (..., d, d) of numerically pure
+    reduced matrices, as the (..., d) array given by one stacked ``eigh``.
 
-    A stack (..., d, d) is taken by one stacked ``eigh`` and gives the
-    (..., d) array of its dominant eigenvectors; a single d x d matrix
-    gives a :class:`StateVector`.  Raises :class:`PurityLoss` when a
-    second eigenvalue exceeds ``_PURITY_SECOND_EIG``, which would mean the
+    Raises :class:`DimensionError` for an input that is not a stack of
+    nonempty square matrices, and :class:`PurityLoss` when a second
+    eigenvalue exceeds ``_PURITY_SECOND_EIG``, which would mean the
     reduction is genuinely mixed; the message carries the second
     eigenvalue of the first such matrix in the stack.
     """
-    m = (_as_matrix(reduced) if np.ndim(reduced) <= 2
-         else np.asarray(reduced, dtype=complex))
+    m = np.asarray(reduced, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise DimensionError(
+            f"expected a stack of nonempty square matrices, got shape {m.shape}")
     w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
     if m.shape[-1] > 1:
         second = w[..., -2].ravel()
@@ -168,18 +171,19 @@ def pure_state_from_density(reduced):
         if mixed.size:
             raise PurityLoss(f"reduced state has second eigenvalue "
                              f"{second[mixed[0]]:.3e}; expected pure")
-    return StateVector(v[:, -1]) if m.ndim == 2 else v[..., -1]
+    return v[..., -1]
 
 
 def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
-              spec: SuperpositionSpec, rng_seed: int = 0,
-              ) -> tuple[DistinguisherBundle, list[ProtocolReport]]:
+              spec: SuperpositionSpec, rng_seed: int = 0) -> SweepResult:
     """Superpose psi_m and psi_n on a fresh ancilla for each (m, n) in `pairs`.
 
-    All N^2 targets are formed in one broadcast before the one
-    discrimination bundle, so a cancelling pair raises
-    :class:`DegenerateSuperposition` first, naming the first such pair in
-    row-major order.  Every member is distinguished once, by one
+    Every label is checked before any work: a bool, non-integer or
+    out-of-range index raises :class:`DimensionError`.  All N^2 targets
+    are then formed in one broadcast before the one discrimination
+    bundle, so a cancelling pair raises :class:`DegenerateSuperposition`
+    first, naming the first such pair in row-major order.  Every member
+    is distinguished once, by one
     :func:`ctcsim.discrimination.distinguish_members`, and p1, p2 are
     rows m and n of its `labels`, the diagonals of the two CTC outputs.
 
@@ -194,14 +198,19 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
 
     Phase rule: each ancilla is multiplied by the phase that makes
     <omega_mn|ancilla> real and non-negative, and is left as ``eigh``
-    returns it when that overlap is exactly 0.  Fidelities compare
-    against omega_mn.
+    returns it when that overlap is exactly 0.  The fidelity of each
+    aligned ancilla to omega_mn is computed as one stacked product,
+    clipped to [0, 1].
     """
     size = states.size
     for m, n in pairs:
+        if any(isinstance(k, bool) or not isinstance(k, (int, np.integer))
+               for k in (m, n)):
+            raise DimensionError(f"block indices ({m!r}, {n!r}) must be integers")
         if not (0 <= m < size and 0 <= n < size):
             raise DimensionError(
                 f"block indices ({m}, {n}) out of range for N={size}")
+    pair_array = np.array(pairs, dtype=int).reshape(-1, 2)
     amps = states.amplitudes
     alpha, beta = unit_scaled(spec.alpha, spec.beta)
     targets = alpha * amps[:, None, :] + beta * amps[None, :, :]
@@ -216,10 +225,8 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
     targets[np.arange(size), np.arange(size)] = amps
     bundle = build_distinguisher(states, rng_seed)
     members = distinguish_members(bundle)
-    # one float object per member, shared by the reports that name it
-    residuals, decoded = members.residual.tolist(), members.decoded.tolist()
 
-    firsts, seconds = np.array(pairs, dtype=int).reshape(-1, 2).T
+    firsts, seconds = pair_array.T
     by_label = targets.transpose(1, 2, 0)
     adjoints = targets.transpose(1, 0, 2).conj()
     ancillas = np.empty((len(firsts), size), dtype=complex)
@@ -230,31 +237,13 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
                      @ blocks.reshape(size, size * size))
         ancillas[group] = pure_state_from_density(
             densities.reshape(-1, size, size))
-    overlaps = (targets[firsts, seconds].conj() * ancillas).sum(axis=1)
+    expected = targets[firsts, seconds]
+    overlaps = (expected.conj() * ancillas).sum(axis=1)
     ancillas *= np.divide(overlaps.conj(), np.abs(overlaps),
                           out=np.ones_like(overlaps), where=overlaps != 0)[:, None]
     ancillas += 0.0  # a -0.0 part left by the phase prints as 0.0
-
-    reports = []
-    for (m, n), ancilla in zip(pairs, ancillas):
-        ancilla, omega = StateVector(ancilla), StateVector(targets[m, n])
-        reports.append(ProtocolReport(
-            spec=spec,
-            m=int(m),
-            n=int(n),
-            ancilla_state=ancilla,
-            expected=omega,
-            fidelity=state_fidelity(ancilla, omega),
-            fixed_point_residuals=(residuals[m], residuals[n]),
-            decoded_indices=(decoded[m], decoded[n]),
-        ))
-    return bundle, reports
-
-
-def run_protocol(states: StateSet, m: int, n: int, spec: SuperpositionSpec,
-                 rng_seed: int = 0) -> ProtocolReport:
-    """End-to-end superposition of psi_m and psi_n: :func:`run_sweep` on one pair.
-
-    For m == n the target is psi_m itself, whatever the amplitudes.
-    """
-    return run_sweep(states, [(m, n)], spec, rng_seed)[1][0]
+    # a stacked vdot: an einsum or a row sum would round differently
+    fidelity = np.abs((expected.conj()[:, None, :]
+                       @ ancillas[:, :, None])[:, 0, 0]) ** 2
+    return SweepResult(bundle, members, pair_array, ancillas, expected,
+                       np.clip(fidelity, 0.0, 1.0))

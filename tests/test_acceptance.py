@@ -24,7 +24,7 @@ from ctcsim import (
     distinguish,
     fixed_point,
     projector,
-    run_protocol,
+    run_sweep,
     swap_operator,
     tensor_product,
     validate,
@@ -136,11 +136,10 @@ def test_criterion_3_superposition_correctness():
                     ]
                     if min(gammas) > 1e-3:
                         specs.append(SuperpositionSpec(alpha, beta))
+                pairs = [(m, k) for m in range(n) for k in range(n)]
                 for spec in specs:
-                    for m in range(n):
-                        for k in range(n):
-                            report = run_protocol(states, m, k, spec, seed)
-                            assert report.fidelity >= 1 - 1e-8
+                    sweep = run_sweep(states, pairs, spec, seed)
+                    assert sweep.fidelity.min() >= 1 - 1e-8
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"sweep took {elapsed:.1f} s"
 

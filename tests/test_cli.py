@@ -552,7 +552,13 @@ def test_example_rejects_zero_amplitudes(capsys):
 
 
 def _zero_fidelity(monkeypatch):
-    monkeypatch.setattr(superpose, "state_fidelity", lambda a, b: 0.0)
+    real = cli.run_sweep
+
+    def unfaithful(*args):
+        sweep = real(*args)
+        return dataclasses.replace(sweep, fidelity=np.zeros_like(sweep.fidelity))
+
+    monkeypatch.setattr(cli, "run_sweep", unfaithful)
 
 
 def _misdecode(monkeypatch):

@@ -676,3 +676,25 @@ def test_bound_covers_an_inaccurate_solve(monkeypatch):
     assert members.bound[1] > 100 * exact.bound[1]
     assert members.decoded.tolist() == [0, 1, 2, 3]
 
+
+
+def test_a_corrupted_solve_raises_on_the_residual_not_the_svd_path(monkeypatch):
+    # the bound grows with the bad p, so member 1 keeps its certificate
+    # and the settle's residual check is what catches the error
+    states = random_state_set(4, np.random.default_rng(3))
+    bundle = build_distinguisher(states, rng_seed=3)
+    real = np.linalg.solve
+
+    def off_by_half(a, b):
+        p = real(a, b)
+        p[1, 0] += 0.5
+        return p
+
+    def no_svd(phi):
+        raise AssertionError("a certified member took the SVD path")
+
+    monkeypatch.setattr(np.linalg, "solve", off_by_half)
+    monkeypatch.setattr(discrimination, "_settle_by_svd", no_svd)
+    with pytest.raises(NoFixedPointNumerical,
+                       match=r"^candidate fixed point has residual \d\.\d{3}e-0[12] >"):
+        distinguish_members(bundle)

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import HADAMARD, PAULI_X, S
 from ctcsim import (
     DegenerateSuperposition,
+    DimensionError,
     PurityLoss,
     StateSet,
     StateVector,
@@ -20,7 +22,6 @@ from ctcsim import (
     partial_trace,
     projector,
     pure_state_from_density,
-    run_protocol,
     run_sweep,
     state_fidelity,
     tensor_product,
@@ -89,9 +90,8 @@ def test_omega_diagonal_is_the_member_bit_for_bit():
         for i in range(4):
             omega = build_omega(states, i, i, spec)
             assert np.array_equal(omega.amplitudes, states[i].amplitudes)
-            assert np.array_equal(
-                run_protocol(states, i, i, spec).expected.amplitudes,
-                omega.amplitudes)
+        diagonal = run_sweep(states, [(i, i) for i in range(4)], spec)
+        assert np.array_equal(diagonal.expected, states.amplitudes)
 
 
 def test_omega_exact_cancellation_raises():
@@ -279,45 +279,46 @@ def test_sweep_names_first_cancelling_pair_in_row_major_order():
 
 
 # ---------------------------------------------------------------------------
-# run_protocol
+# run_sweep
 
 
 def test_protocol_example_pair(zero_minus_set):
-    report = run_protocol(zero_minus_set, 0, 1, balanced(), rng_seed=0)
-    assert report.fidelity >= 1 - 1e-8
-    assert report.decoded_indices == (0, 1)
-    assert max(report.fixed_point_residuals) <= 1e-8
+    sweep = run_sweep(zero_minus_set, [(0, 1)], balanced(), rng_seed=0)
+    assert sweep.pairs.tolist() == [[0, 1]]
+    assert sweep.fidelity[0] >= 1 - 1e-8
+    assert sweep.members.decoded[sweep.pairs[0]].tolist() == [0, 1]
+    assert sweep.members.residual[sweep.pairs[0]].max() <= 1e-8
     omega = build_omega(zero_minus_set, 0, 1, balanced())
-    assert state_fidelity(report.ancilla_state, omega) >= 1 - 1e-8
+    assert state_fidelity(sweep.ancillas[0], omega) >= 1 - 1e-8
 
 
 def test_protocol_diagonal_returns_member(zero_minus_set):
     rng = np.random.default_rng(10)
     for m in range(2):
         spec = random_spec(rng)
-        report = run_protocol(zero_minus_set, m, m, spec, rng_seed=0)
-        assert state_fidelity(report.ancilla_state, zero_minus_set[m]) >= 1 - 1e-8
+        sweep = run_sweep(zero_minus_set, [(m, m)], spec, rng_seed=0)
+        assert state_fidelity(sweep.ancillas[0], zero_minus_set[m]) >= 1 - 1e-8
 
 
 def test_protocol_diagonal_with_cancelling_amplitudes(zero_minus_set):
     # the diagonal rule never forms the combination, so alpha = -beta
     # still deterministically returns the input state
-    report = run_protocol(zero_minus_set, 1, 1, SuperpositionSpec(1, -1),
-                          rng_seed=0)
-    assert state_fidelity(report.ancilla_state, zero_minus_set[1]) >= 1 - 1e-8
+    sweep = run_sweep(zero_minus_set, [(1, 1)], SuperpositionSpec(1, -1),
+                      rng_seed=0)
+    assert state_fidelity(sweep.ancillas[0], zero_minus_set[1]) >= 1 - 1e-8
 
 
 def test_protocol_beta_only_returns_second_member(zero_minus_set):
-    report = run_protocol(zero_minus_set, 0, 1, SuperpositionSpec(0, 1),
-                          rng_seed=0)
-    assert state_fidelity(report.ancilla_state, zero_minus_set[1]) >= 1 - 1e-8
+    sweep = run_sweep(zero_minus_set, [(0, 1)], SuperpositionSpec(0, 1),
+                      rng_seed=0)
+    assert state_fidelity(sweep.ancillas[0], zero_minus_set[1]) >= 1 - 1e-8
 
 
 def test_protocol_report_invariants(zero_minus_set):
-    report = run_protocol(zero_minus_set, 1, 0, balanced(), rng_seed=0)
-    assert report.fidelity == state_fidelity(report.ancilla_state,
-                                             report.expected)
-    assert validate(report.ancilla_state).passed
+    sweep = run_sweep(zero_minus_set, [(1, 0)], balanced(), rng_seed=0)
+    assert sweep.fidelity[0] == state_fidelity(sweep.ancillas[0],
+                                               sweep.expected[0])
+    assert validate(StateVector(sweep.ancillas[0])).passed
 
 
 def test_protocol_sweep_small_random_sets():
@@ -327,10 +328,10 @@ def test_protocol_sweep_small_random_sets():
         pairs = [(m, k) for m in range(n) for k in range(n)]
         spec = random_spec(rng, states=states,
                            pairs=[p for p in pairs if p[0] != p[1]])
-        for m, k in pairs:
-            report = run_protocol(states, m, k, spec, rng_seed=1)
-            assert report.fidelity >= 1 - 1e-8
-            assert report.decoded_indices == (m, k)
+        sweep = run_sweep(states, pairs, spec, rng_seed=1)
+        assert sweep.pairs.tolist() == list(map(list, pairs))
+        assert sweep.fidelity.min() >= 1 - 1e-8
+        assert np.array_equal(sweep.members.decoded[sweep.pairs], sweep.pairs)
 
 
 def test_protocol_is_phase_robust():
@@ -338,16 +339,13 @@ def test_protocol_is_phase_robust():
     states = random_state_set(3, rng)
     pairs = [(0, 1), (1, 2), (2, 2)]
     spec = random_spec(rng, states=states, pairs=[(0, 1), (1, 2)])
-    base = [run_protocol(states, m, n, spec, rng_seed=2).fidelity
-            for m, n in pairs]
+    base = run_sweep(states, pairs, spec, rng_seed=2).fidelity
     phased = StateSet(tuple(
         StateVector(np.exp(1j * rng.uniform(0, 2 * np.pi)) * s.amplitudes)
         for s in states
     ))
-    shifted = [run_protocol(phased, m, n, spec, rng_seed=2).fidelity
-               for m, n in pairs]
-    for f0, f1 in zip(base, shifted):
-        assert abs(f0 - f1) <= 1e-10
+    shifted = run_sweep(phased, pairs, spec, rng_seed=2).fidelity
+    assert np.abs(base - shifted).max() <= 1e-10
 
 
 def dense_ancilla(states, u_prime, bundle, m, n):
@@ -370,17 +368,16 @@ def test_sweep_ancilla_matches_dense_u_prime_oracle():
         pairs = [(m, n) for m in range(size) for n in range(size)]
         spec = random_spec(rng, states=states,
                            pairs=[p for p in pairs if p[0] != p[1]])
-        bundle, reports = run_sweep(states, pairs, spec, rng_seed=size)
-        u_prime = build_u_prime(states, spec, bundle.uks)
-        for (m, n), report in zip(pairs, reports):
-            assert (report.m, report.n) == (m, n)
-            ref = dense_ancilla(states, u_prime, bundle, m, n).amplitudes
-            got = report.ancilla_state.amplitudes
+        sweep = run_sweep(states, pairs, spec, rng_seed=size)
+        u_prime = build_u_prime(states, spec, sweep.bundle.uks)
+        assert sweep.pairs.tolist() == list(map(list, pairs))
+        for (m, n), got, expected, fidelity in zip(
+                pairs, sweep.ancillas, sweep.expected, sweep.fidelity):
+            ref = dense_ancilla(states, u_prime, sweep.bundle, m, n)
             phase = np.vdot(got, ref)
             phase /= abs(phase)
             assert np.abs(phase * got - ref).max() < 1e-12
-            assert abs(report.fidelity
-                       - state_fidelity(ref, report.expected)) < 1e-12
+            assert abs(fidelity - state_fidelity(ref, expected)) < 1e-12
 
 
 def shuffled_pairs(rng, size):
@@ -407,22 +404,24 @@ def test_sweep_matches_per_pair_einsum_oracle():
         pairs = shuffled_pairs(rng, size)
         spec = random_spec(rng, states=states,
                            pairs=[p for p in pairs if p[0] != p[1]])
-        bundle, reports = run_sweep(states, pairs, spec, rng_seed=size)
-        labels = distinguish_members(bundle).labels
-        for (m, n), report in zip(pairs, reports):
-            assert (report.m, report.n) == (m, n)
-            got = report.ancilla_state.amplitudes
+        sweep = run_sweep(states, pairs, spec, rng_seed=size)
+        labels = distinguish_members(sweep.bundle).labels
+        assert np.array_equal(sweep.members.labels, labels)
+        assert sweep.pairs.tolist() == list(map(list, pairs))
+        for (m, n), got, expected, fidelity in zip(
+                pairs, sweep.ancillas, sweep.expected, sweep.fidelity):
             ref = pure_state_from_density(
-                einsum_density(states, spec, labels[m], labels[n])).amplitudes
+                einsum_density(states, spec, labels[m], labels[n]))
             phase = np.vdot(ref, got)
             phase /= abs(phase)
             assert np.abs(got - phase * ref).max() < 1e-12
             omega = states[m] if m == n else build_omega(states, m, n, spec)
-            assert np.abs(report.expected.amplitudes
-                          - omega.amplitudes).max() <= 1e-15
-            single = run_protocol(states, m, n, spec, rng_seed=size)
-            assert np.abs(single.ancilla_state.amplitudes - got).max() < 1e-12
-            assert abs(single.fidelity - report.fidelity) < 1e-12
+            assert np.abs(expected - omega.amplitudes).max() <= 1e-15
+            # the stacked fidelity is np.vdot's, bit for bit
+            assert fidelity == state_fidelity(got, expected)
+            single = run_sweep(states, [(m, n)], spec, rng_seed=size)
+            assert np.abs(single.ancillas[0] - got).max() < 1e-12
+            assert abs(single.fidelity[0] - fidelity) < 1e-12
 
 
 def test_sweep_ancilla_overlap_with_target_is_real_and_non_negative(
@@ -436,17 +435,16 @@ def test_sweep_ancilla_overlap_with_target_is_real_and_non_negative(
             (m, n) for m in range(size) for n in range(size) if m != n])))
     for states, spec in sets:
         pairs = [(m, n) for m in range(states.size) for n in range(states.size)]
-        for report in run_sweep(states, pairs, spec)[1]:
-            overlap = np.vdot(report.expected.amplitudes,
-                              report.ancilla_state.amplitudes)
+        sweep = run_sweep(states, pairs, spec)
+        for expected, ancilla in zip(sweep.expected, sweep.ancillas):
+            overlap = np.vdot(expected, ancilla)
             assert abs(overlap.imag) <= 4 * eps
             assert overlap.real >= 0
     # with exact labels the ancilla reads entry by entry as its target,
     # and its zero imaginary parts carry no sign
-    for report in run_sweep(zero_minus_set, [(0, 1), (1, 1)], balanced())[1]:
-        ancilla = report.ancilla_state.amplitudes
-        assert np.abs(ancilla - report.expected.amplitudes).max() < 1e-12
-        assert not np.signbit(ancilla.imag).any()
+    sweep = run_sweep(zero_minus_set, [(0, 1), (1, 1)], balanced())
+    assert np.abs(sweep.ancillas - sweep.expected).max() < 1e-12
+    assert not np.signbit(sweep.ancillas.imag).any()
 
 
 def test_sweep_raises_purity_loss_for_a_mixed_label(monkeypatch):
@@ -462,7 +460,7 @@ def test_sweep_raises_purity_loss_for_a_mixed_label(monkeypatch):
         return dataclasses.replace(record, labels=labels)
 
     monkeypatch.setattr(superpose, "distinguish_members", uniform_label_one)
-    assert run_sweep(states, [(0, 2), (2, 2)], spec)[1][0].fidelity > 1 - 1e-8
+    assert run_sweep(states, [(0, 2), (2, 2)], spec).fidelity[0] > 1 - 1e-8
     # the first mixed pair in row-major order is (0, 1)
     second = np.linalg.eigvalsh(
         einsum_density(states, spec, np.eye(3)[0], np.full(3, 1 / 3)))[-2]
@@ -482,15 +480,76 @@ def test_pure_state_extraction_of_a_stack_matches_single_calls():
     got = pure_state_from_density(stack)
     assert got.shape == (5, 4)
     for rho, vec in zip(stack, got):
-        assert np.array_equal(vec, pure_state_from_density(rho).amplitudes)
+        assert np.array_equal(vec, pure_state_from_density(rho))
     stack[3] = np.diag([0.7, 0.3, 0, 0])
     stack[4] = np.eye(4) / 4
     with pytest.raises(PurityLoss, match="second eigenvalue 3.000e-01;"):
         pure_state_from_density(stack)
 
 
-def test_protocol_rejects_out_of_range_indices(zero_minus_set):
-    from ctcsim import DimensionError
-
+@pytest.mark.parametrize("shape", [(), (4,), (3, 4), (2, 3, 4), (0, 0)])
+def test_pure_state_extraction_rejects_a_non_square_stack(shape):
     with pytest.raises(DimensionError):
-        run_protocol(zero_minus_set, 0, 2, balanced(), rng_seed=0)
+        pure_state_from_density(np.zeros(shape))
+
+
+def test_protocol_rejects_out_of_range_indices(zero_minus_set):
+    with pytest.raises(DimensionError):
+        run_sweep(zero_minus_set, [(0, 2)], balanced(), rng_seed=0)
+
+
+@pytest.mark.parametrize("bad", [(-1, 0), (0.5, 1), (np.float64(1), 0),
+                                 (True, 0), (0, np.True_), ("1", 0)])
+def test_sweep_rejects_a_bad_index_before_any_work(zero_minus_set,
+                                                   monkeypatch, bad):
+    def no_work(*args):
+        raise AssertionError("the sweep started before checking its pairs")
+
+    monkeypatch.setattr(superpose, "unit_scaled", no_work)
+    with pytest.raises(DimensionError):
+        run_sweep(zero_minus_set, [(1, 1), bad], balanced())
+
+
+def test_sweep_takes_numpy_indices_and_an_empty_pair_list(zero_minus_set):
+    ints = run_sweep(zero_minus_set, [(np.int64(0), np.int32(1))], balanced())
+    rows = run_sweep(zero_minus_set, np.array([[0, 1]]), balanced())
+    plain = run_sweep(zero_minus_set, [(0, 1)], balanced())
+    for sweep in (ints, rows):
+        assert sweep.pairs.tolist() == [[0, 1]]
+        assert np.array_equal(sweep.ancillas, plain.ancillas)
+        assert np.array_equal(sweep.fidelity, plain.fidelity)
+    empty = run_sweep(zero_minus_set, [], balanced())
+    assert empty.pairs.shape == (0, 2)
+    assert empty.ancillas.shape == empty.expected.shape == (0, 2)
+    assert empty.fidelity.shape == (0,)
+    assert empty.members.decoded.tolist() == [0, 1]
+
+
+# the package's public names; a deleted one must leave this list too
+EXPORTS = """
+    Condition2Exhausted CtcSimError DegenerateSuperposition DensityMatrix
+    DimensionError DistinguishResult DistinguisherBundle FixedPointResult
+    InputNotInSetWarning InvariantCheck MemberResults NoFixedPointNumerical
+    NonUniqueFixedPoint NormalizationError PurityLoss StateSet StateVector
+    SuperpositionSpec SweepResult UnitaryMatrix ValidityReport basis_state
+    build_distinguisher build_omega build_u_ij build_u_prime build_uk
+    consistency_residual controlled_stack ctc_map distinguish
+    distinguish_members fixed_point output_state partial_trace projector
+    pure_state_from_density run_sweep state_fidelity superoperator_matrix
+    swap_operator tensor_product unitary_from_first_column validate
+    von_neumann_entropy
+""".split()
+
+
+def test_package_exports_resolve_and_name_no_deleted_api():
+    import ctcsim
+
+    assert sorted(ctcsim.__all__) == sorted(EXPORTS)
+    namespace = {}
+    exec("from ctcsim import *", namespace)
+    for name in ctcsim.__all__:
+        assert namespace[name] is getattr(ctcsim, name), name
+    # what else the package namespace holds is its submodules
+    for name in set(vars(ctcsim)) - set(EXPORTS):
+        assert name.startswith("_") or isinstance(getattr(ctcsim, name),
+                                                  types.ModuleType), name
