@@ -13,12 +13,21 @@ sequences of mappings or of flow mappings, and scalars) byte for byte as
 ``yaml.dump`` with libyaml would, 80-column wrap included; any other
 value raises TypeError.  A complex value is written as its [re, im]
 pair, by the writer and :func:`_json_dumps` alone.  The writer recurses
-over the report and keeps no layout state between entries: each entry
-follows its head, text whose last line ends in its ``key:`` or ``-`` and
-so gives its column.  An array is laid out as its ``tolist()``
-would be, one recursion level per leading axis down to flow rows along
-its last axis, and is joined into one string as soon as it is written,
-so its many row strings are freed before the next array.
+over the report: each entry follows its head, text whose last line ends
+in its ``key:`` or ``-`` and so gives its column.  A block sequence of
+mappings with the same keys, such as a command's runs, is laid out key
+by key by :func:`_mappings`.  Each key's head and the layout of its
+values are decided once: the arrays of one shape and dtype are stacked
+into one, and a value that is the same object in every item (a sweep's
+``alpha`` and ``beta``) is written once.  Each item is then written as
+one string that formats only its own floats, since the texts of a whole
+key's floats at once would raise a sweep's peak memory.  An array, on
+its own or as one item's value, is laid out as its ``tolist()`` would
+be, one recursion level per leading axis down to flow rows along its
+last axis, rows that cannot reach column 80 joined directly; it is
+joined into one string as soon as it is written, so its many row
+strings are freed before the next array.  A ``--json`` report writes
+its header's text once and each run after it.
 
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
 with YAML 1.1's scalar rules.  A numeric row, a line whose value is one
@@ -395,7 +404,9 @@ def _entry(out: list, head: str, value, text, indent: int) -> None:
     values = value.values() if mapping else value
     texts = list(map(_scalar_text, values))
     if None in texts:
-        _block(out, _block_prefix(head, indent, mapping), heads, values, texts)
+        prefix = _block_prefix(head, indent, mapping)
+        if mapping or not _mappings(out, prefix, value):
+            _block(out, prefix, heads, values, texts)
     elif mapping:
         items = [f"{h} {t}" for h, t in zip(heads, texts)]
         out.append(_flow(head + " {", items, "}", indent + _INDENT))
@@ -421,27 +432,122 @@ def _block(out: list, prefix: str, heads, values, texts: list) -> None:
         _entry(out, (line if i else prefix) + head, v, t, indent)
 
 
+def _mappings(out: list, prefix: str, items: list) -> bool:
+    """A block sequence of block mappings with the same keys, whose first
+    item starts with `prefix`, laid out key by key: each key's head and
+    the layout of its values are decided once, and each item is written
+    as one string.  False, with nothing written, unless every item is a
+    mapping with the first one's keys and some key holds a collection in
+    every item."""
+    keys = list(items[0]) if isinstance(items[0], dict) else None
+    if not keys or not all(isinstance(item, dict) and list(item) == keys
+                           for item in items):
+        return False
+    dashes = _column(prefix)
+    indent = dashes + _INDENT
+    renders = []
+    block = False
+    for key in keys:
+        head = " " * indent + _key_head(key)
+        render, collections = _key_renderer(
+            head, [item[key] for item in items], indent)
+        renders.append((render, "\n" + head))
+        block = block or collections
+    if not block:
+        return False
+    (first, _), *rest = renders
+    # each item's first key follows its dash, at the column of the others
+    key = _key_head(keys[0])
+    line = "\n" + " " * dashes
+    for i in range(len(items)):
+        parts = [first((line if i else prefix) + "- " + key, i)]
+        parts += [render(head, i) for render, head in rest]
+        out.append("".join(parts))
+    return True
+
+
+def _key_renderer(head: str, values: list, indent: int):
+    """``render(h, i)``, `values[i]` after `h` as :func:`_entry` writes it,
+    for heads `h` whose last line is as long as `head`'s, a line's start
+    ending in ``key:``; and whether every value is a collection."""
+    first = values[0]
+    if len(values) > 1 and all(v is first for v in values):
+        # the same object in every item, as the runs of a sweep share the
+        # spec's alpha and beta, is written once
+        text = _scalar_text(first)
+        tail = _text(head, first, text, indent)[len(head):]
+        return (lambda h, i: h + tail), text is None
+    kinds = set(map(type, values))
+    if kinds == {complex} or (kinds == {np.ndarray} and len(
+            {(v.shape, v.dtype) for v in values}) == 1):
+        return _arrays(head, values, indent), True
+    texts = list(map(_scalar_text, values))
+
+    def render(h, i):
+        text = texts[i]
+        return f"{h} {text}" if text is not None else _text(h, values[i], None, indent)
+
+    return render, texts.count(None) == len(texts)
+
+
+def _text(head: str, value, text, indent: int) -> str:
+    """What :func:`_entry` writes, in one string."""
+    out = []
+    _entry(out, head, value, text, indent)
+    return "".join(out)
+
+
 def _array(out: list, head: str, arr, indent: int) -> None:
-    """A numeric array after `head`, laid out in one string as :func:`_entry`
-    lays out its list; a complex one as [re, im] pairs along a new axis."""
-    if np.iscomplexobj(arr):
-        pairs = np.ascontiguousarray(arr, dtype=complex).view(np.float64)
-        arr = pairs.reshape(np.shape(arr) + (2,))
-    if arr.ndim == 0:
+    """A numeric array or complex number after `head`, in one string."""
+    out.append(_arrays(head, [arr], indent)(head, 0))
+
+
+def _arrays(head: str, values: list, indent: int):
+    """``render(h, i)``, `values[i]` after `h` laid out in one string as
+    :func:`_entry` lays out its list, for heads `h` whose last line is as
+    long as `head`'s.  The values are numeric arrays, or complex numbers,
+    of one shape and dtype; a complex one is written as [re, im] pairs
+    along a new axis.  They are stacked and their layout decided once,
+    and each call formats only its own value's floats: the texts of all
+    values at once would raise the peak memory of a sweep's report."""
+    stacked = np.asarray(values[0])[None] if len(values) == 1 else np.array(values)
+    if np.iscomplexobj(stacked):
+        pairs = np.ascontiguousarray(stacked, dtype=complex).view(np.float64)
+        stacked = pairs.reshape(stacked.shape + (2,))
+    shape = stacked.shape[1:]
+    if not shape:
         raise TypeError("cannot serialize a 0-d array as a report value")
-    if arr.dtype != np.float64 or not arr.size:
-        _entry(out, head, arr.tolist(), None, indent)
-        return
-    texts = [s if "." in s else _float_text(s, _FLOAT_TAG)
-             for s in map(format, arr.ravel().tolist(), itertools.repeat(".17g"))]
-    if arr.ndim == 1:
-        out.append(_flow(head + " [", texts, "]", indent + _INDENT))
-        return
-    # the row pieces are joined at once, so they are freed before the next array
-    pieces = []
-    _rows(pieces, _block_prefix(head, indent, False), arr.shape[:-1],
-          zip(*[iter(texts)] * arr.shape[-1]))
-    out.append("".join(pieces))
+    if stacked.dtype != np.float64 or not stacked.size:
+        return lambda h, i: _text(h, stacked[i].tolist(), None, indent)
+    flat = stacked.reshape(len(stacked), -1)
+
+    def texts(i):
+        return [s if "." in s else _float_text(s, _FLOAT_TAG)
+                for s in map(format, flat[i].tolist(), itertools.repeat(".17g"))]
+
+    if len(shape) == 1:
+        return lambda h, i: _flow(h + " [", texts(i), "]", indent + _INDENT)
+    width = shape[-1]
+    dashes = _column(_block_prefix(head, indent, False))
+    # a .17g float takes at most 24 characters, so rows of at most `width`
+    # of them end before column 80 and cannot wrap
+    if len(shape) == 2 and width * (24 + 2) - 2 <= _WIDTH - 1 - dashes:
+        between = "]\n" + " " * dashes + "- ["
+
+        def render(h, i):
+            rows = map(", ".join, zip(*[iter(texts(i))] * width))
+            return _block_prefix(h, indent, False) + "- [" + between.join(rows) + "]"
+
+        return render
+
+    def render(h, i):
+        # the row pieces are joined at once, so they are freed before the next value
+        pieces = []
+        _rows(pieces, _block_prefix(h, indent, False), shape[:-1],
+              zip(*[iter(texts(i))] * width))
+        return "".join(pieces)
+
+    return render
 
 
 def _rows(out: list, prefix: str, shape: tuple, rows) -> None:
@@ -811,7 +917,10 @@ def main(argv=None) -> int:
         header, runs, ok = args.func(args)
         header = {"command": args.command, "timestamp": _timestamp(), **header}
         if args.json:
-            text = "\n".join(_json_dumps({**header, "run": run})
+            # each line is {**header, "run": run}; the header, never empty,
+            # is written once
+            opening = _json_dumps(header)[:-1] + ',"run":'
+            text = "\n".join(opening + _json_dumps(run) + "}"
                              for run in runs) + "\n"
         else:
             text = _yaml_report({**header, "runs": runs})
