@@ -436,12 +436,15 @@ def _mappings(out: list, prefix: str, items: list) -> bool:
     """A block sequence of block mappings with the same keys, whose first
     item starts with `prefix`, laid out key by key: each key's head and
     the layout of its values are decided once, and each item is written
-    as one string.  False, with nothing written, unless every item is a
-    mapping with the first one's keys and some key holds a collection in
-    every item."""
-    keys = list(items[0]) if isinstance(items[0], dict) else None
-    if not keys or not all(isinstance(item, dict) and list(item) == keys
-                           for item in items):
+    as one string.  False, with nothing written, for one item, which
+    shares nothing, and unless every item is a mapping with the first
+    one's keys and some key holds a collection in every item."""
+    # a first item of scalars alone is a flow mapping, as a distinguish run is
+    if (len(items) < 2 or not isinstance(items[0], dict)
+            or None not in map(_scalar_text, items[0].values())):
+        return False
+    keys = list(items[0])
+    if not all(isinstance(item, dict) and list(item) == keys for item in items):
         return False
     dashes = _column(prefix)
     indent = dashes + _INDENT
@@ -455,12 +458,12 @@ def _mappings(out: list, prefix: str, items: list) -> bool:
         block = block or collections
     if not block:
         return False
-    (first, _), *rest = renders
+    (lead, _), *rest = renders
     # each item's first key follows its dash, at the column of the others
     key = _key_head(keys[0])
     line = "\n" + " " * dashes
     for i in range(len(items)):
-        parts = [first((line if i else prefix) + "- " + key, i)]
+        parts = [lead((line if i else prefix) + "- " + key, i)]
         parts += [render(head, i) for render, head in rest]
         out.append("".join(parts))
     return True
@@ -469,9 +472,10 @@ def _mappings(out: list, prefix: str, items: list) -> bool:
 def _key_renderer(head: str, values: list, indent: int):
     """``render(h, i)``, `values[i]` after `h` as :func:`_entry` writes it,
     for heads `h` whose last line is as long as `head`'s, a line's start
-    ending in ``key:``; and whether every value is a collection."""
+    ending in ``key:``; and whether every value is a collection.  There
+    are two or more values."""
     first = values[0]
-    if len(values) > 1 and all(v is first for v in values):
+    if all(v is first for v in values):
         # the same object in every item, as the runs of a sweep share the
         # spec's alpha and beta, is written once
         text = _scalar_text(first)
