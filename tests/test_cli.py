@@ -615,6 +615,24 @@ def test_main_stamps_writes_and_exits(tmp_path, capsys, monkeypatch, argv,
         assert list(map(list, failed["runs"])) == list(map(list, report["runs"]))
 
 
+@pytest.mark.parametrize("argv", [
+    ["superpose", str(DEMO_CONFIGS / "superpose_two_state.yaml")],
+    ["distinguish", str(DEMO_CONFIGS / "distinguish_three_state.yaml")],
+    ["example", "--alpha", "0.6", "--beta", "-0.8"],
+], ids=["superpose-sweep", "distinguish", "example"])
+def test_json_lines_are_header_and_run_objects(capsys, monkeypatch, argv):
+    # main writes the header's text once; each line must still be the
+    # object {**header, "run": run}
+    monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00Z")
+    args = cli._parser().parse_args(argv)
+    header, runs, _ = args.func(args)
+    header = {"command": argv[0], "timestamp": cli._timestamp(), **header}
+    expected = "\n".join(cli._json_dumps({**header, "run": run})
+                         for run in runs) + "\n"
+    assert main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("target", ["missing/report.yaml", "."],
                          ids=["missing-directory", "directory"])
 def test_unwritable_out_is_config_error(tmp_path, capsys, target):

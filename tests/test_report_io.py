@@ -133,7 +133,8 @@ def test_array_reports_match_both_dumpers(report):
     check_arrays(report)
 
 
-def _nested(value, depth):
+def _deep(value, depth):
+    """`value` inside `depth` levels of one-item sequences and mappings."""
     for k in range(depth):
         value = {f"k{k}": value} if k % 2 else [value]
     return value
@@ -148,14 +149,19 @@ ROW_OF_12 = -np.arange(1, 13) / 3
     {"runs": [{"ancilla": PAIRS_4x3[0], "overlaps": np.outer(ROW_OF_12, ROW_OF_12)}]},
     {"state_set": [PAIRS_4x3[0], PAIRS_4x3[1]], "row": ROW_OF_12},
     {"k" * 78: ROW_OF_12, "l" * 76: np.ones((2, 2)), "m" * 90: PAIRS_4x3},
-    {"deep": _nested(PAIRS_4x3, 60), "deep_row": _nested(ROW_OF_12, 41)},
+    {"deep": _deep(PAIRS_4x3, 60), "deep_row": _deep(ROW_OF_12, 41)},
     {"four": PAIRS_4x3.reshape(2, 2, 3, 2), "column": np.ones((3, 1))},
     {"special": np.array([[math.inf, -math.inf], [math.nan, 1e22],
                           [-0.0, 5e-324], [1e308, 2.0**53]])},
     {"empty": np.zeros(0), "empty_rows": np.zeros((2, 0)),
      "ints": np.arange(3)},
+    # rows of three 24-character floats: 76 characters fit after "- [" at
+    # column 2, not at column 4
+    {"a": {"k": [np.full((2, 3), -2.2250738585072014e-308)]},
+     "b": [[np.full((2, 3), 1.2345678901234567e-300)]],
+     "c": [np.full((2, 3), -1.2345678901234567e-300)]},
 ], ids=["fixed-point", "sweep-run", "state-set", "long-keys", "past-column-80",
-        "four-axes", "tagged", "other-arrays"])
+        "four-axes", "tagged", "other-arrays", "longest-rows-in-sequences"])
 def test_array_reports_match_dumper_on_shapes(report):
     check_arrays(report)
 
@@ -175,6 +181,9 @@ def test_array_rows_at_the_wrap_column(chars):
                   "c": [np.array([[row], [row]])]})
 
 
+ZERO_AXIS = np.array(0.5)
+
+
 @pytest.mark.parametrize("report", [
     {"a": (1.0, 2.0)},
     {"a": "two words"},
@@ -183,8 +192,13 @@ def test_array_rows_at_the_wrap_column(chars):
     {1: "int key"},
     [1.0],
     {"a": np.array(1.5)},
+    {"runs": [{"a": np.ones(2), "b": np.array(1.5)},
+              {"a": np.ones(2), "b": np.array(2.5)}]},
+    {"runs": [{"a": np.ones(2), "b": ZERO_AXIS}, {"a": np.ones(2), "b": ZERO_AXIS}]},
+    {"runs": [{"a": np.ones(2), "b": 1.5}, {"a": np.ones(2), "b": np.array(2.5)}]},
 ], ids=["tuple", "spaced-string", "colon-string", "bytes", "int-key",
-        "list-root", "zero-axis-array"])
+        "list-root", "zero-axis-array", "zero-axis-array-in-runs",
+        "shared-zero-axis-array-in-runs", "zero-axis-array-in-one-run"])
 def test_emitter_rejects_other_shapes(report):
     with pytest.raises(TypeError):
         cli._yaml_report(report)
@@ -242,6 +256,83 @@ COMPLEX_REPORTS = st.dictionaries(
 @given(COMPLEX_REPORTS)
 def test_complex_reports_match_both_dumpers(report):
     check_complex(report)
+
+
+# block sequences of mappings with the same keys, as a command's runs,
+# which the writer lays out key by key: values of one shape and dtype in
+# every item, one complex value shared by every item, scalar rows and
+# scalars, nested so deep that rows wrap
+RUN_SHAPES = st.sampled_from([(3,), (4, 2), (2, 3), (2, 2, 2), (12,), (3, 12)])
+
+
+@st.composite
+def same_key_runs(draw):
+    size = draw(st.integers(2, 5))
+    keys = draw(st.lists(KEYS, min_size=1, max_size=5, unique=True))
+    shared = draw(COMPLEXES)
+    columns = []
+    for k in range(len(keys)):
+        # the first key always holds a collection, so every item is a
+        # block mapping
+        kind = draw(st.sampled_from(
+            ["float", "complex", "shared"] + (["row", "scalar"] if k else [])))
+        if kind == "shared":
+            columns.append([shared] * size)
+            continue
+        if kind in ("float", "complex"):
+            shape = draw(RUN_SHAPES)
+            value = (hnp.arrays(np.float64, shape, elements=ARRAY_FLOATS)
+                     if kind == "float" else
+                     hnp.arrays(np.complex128, shape, elements=COMPLEXES))
+        else:
+            value = ROWS if kind == "row" else FLOATS
+        columns.append(draw(st.lists(value, min_size=size, max_size=size)))
+    runs = [dict(zip(keys, values)) for values in zip(*columns)]
+    return {draw(KEYS): _deep(runs, draw(st.integers(0, 20)))}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(same_key_runs())
+def test_same_key_runs_match_both_dumpers(report):
+    check_arrays(report)
+
+
+SHARED = np.arange(4.0).reshape(2, 2) / 3
+# rows of .17g texts of the greatest length, 24 characters
+LONG_PAIRS = np.full(3, -1.2345678901234567e-308 + 1.2345678901234567e-300j)
+
+
+@pytest.mark.parametrize("runs", [
+    [{"a": np.ones(3), "b": 0.5}, {"a": np.ones(4), "b": 1.5}],
+    [{"a": COMPLEX_4x3[0], "b": 1}, {"a": PAIRS_4x3[0, 0], "b": 2}],
+    [{"a": np.ones(2), "b": 1}, {"a": np.ones(2), "c": 1}],
+    [{"a": np.ones(2), "b": 1}, {"b": 1, "a": np.ones(2)}],
+    [{"a": np.ones(2)}, {"a": np.ones(2), "b": 1}],
+    [{"a": np.arange(3), "b": np.zeros(0)}, {"a": np.arange(3), "b": np.zeros(0)}],
+    [{"a": np.zeros((2, 0), complex)}, {"a": np.zeros((2, 0), complex)}],
+    [{"a": PAIRS_4x3, "b": 1 + 2j, "c": [0.5, -1.0]}],
+    [{"a": 0.5, "b": 1}, {"a": 1.5, "b": 2}],
+    [{"a": [0.5], "b": 1, "c": "name"}, {"a": 1.5, "b": 1, "c": "name"}],
+    [{"a": [0.5], "b": 1}, {"a": 1.5, "b": 2}],
+    [{"a": SHARED, "b": 0.5}, {"a": SHARED, "b": 1.5}],
+    [{"a": 0.5 - 1j, "b": np.ones((3, 12))}, {"a": 0.5 - 1j, "b": -np.ones((3, 12))}],
+    [{"a": np.full((2, 3), -2.2250738585072014e-308), "b": LONG_PAIRS},
+     {"a": np.full((2, 3), 1.2345678901234567e-300), "b": LONG_PAIRS.copy()}],
+    [{"a": [{"x": np.ones(2), "y": 1}, {"x": np.zeros(2), "y": 2}]},
+     {"a": [{"x": np.ones(2), "y": 3}]}],
+    [{}, {}],
+    [{"a": 1.5 + 0j}, {"a": 2.5 - 0j}, {"a": 1j}],
+    [{"a": {"z": 1}}, {"a": {"z": 2}}],
+    ["name", {"a": np.ones(2)}, {"a": np.ones(2)}],
+    [{"a": np.ones(2)}, [np.ones(2)], {"a": np.ones(2)}],
+], ids=["shapes-differ", "dtypes-differ", "keys-differ", "keys-reordered",
+        "keys-added", "int-and-empty", "empty-complex-rows", "one-item",
+        "scalar-items", "shared-scalars", "scalar-in-one-item", "shared-array",
+        "shared-complex-and-wide-rows", "longest-floats", "nested-runs", "empty-items",
+        "complex-scalars", "mappings", "scalar-first", "sequence-between"])
+@pytest.mark.parametrize("depth", [0, 3, 30])
+def test_same_key_runs_match_dumper_on_shapes(runs, depth):
+    check_arrays({"runs": _deep(runs, depth)})
 
 
 # ---------------------------------------------------------------------------
