@@ -36,8 +36,10 @@ generic solver :func:`ctcsim.deutsch.fixed_point` on the N^2 x N^2 circuit
 themselves the conditions settle uniqueness: condition (2) bounds row m of
 member m's chain below by eps_m > 0 (Doeblin's minorization), so
 :func:`distinguish_members` takes every member's p from one stacked
-linear solve and certifies it with a bound on |p - e_m|_1; a member
-without that certificate takes the SVD path, which is its oracle.
+linear solve and certifies it with a bound on |p - e_m|_1.  The same pass
+gives a certified member's labels T_m p and, from Phi_m formed a few
+members at a time, its residual, so no member is settled on its own; a
+member without that certificate takes the SVD path, which is its oracle.
 """
 
 from __future__ import annotations
@@ -71,6 +73,11 @@ MAX_ATTEMPTS = 64
 _IN_SET_TOL = 1e-8
 
 _EPS = np.finfo(float).eps
+
+# members whose Phi_m are formed at once for the residual; the member
+# solve's working arrays are freed by then, and four a chunk would set a
+# new peak at N = 16
+_CHUNK = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +151,10 @@ class MemberResults:
     """Outcome of :func:`distinguish_members`, row m for member m.
 
     `labels[m]` is the diagonal of member m's CR output, its label
-    distribution; `decoded` its argmax and `fidelity_to_basis` the
-    probability there.  `minorization` is eps_m = min_k
+    distribution: T_m p_m from the stacked solve for a certified member,
+    from the SVD path's output otherwise; `decoded` its argmax and
+    `fidelity_to_basis` the probability there.  `residual[m]` is the
+    largest entry of sigma - map(sigma).  `minorization` is eps_m = min_k
     |<m|U_k|psi_m>|^2, `label_shift` the distance |p - e_m|_1 of the
     label distribution from the member's own label and `bound` its
     Doeblin bound, inf for a member that took the SVD path.
@@ -304,24 +313,32 @@ def _svd_labels(chain: np.ndarray) -> tuple[np.ndarray, float]:
     return p / p.sum(), chain_gap
 
 
+def _weight_error(least: float, tol: float) -> NoFixedPointNumerical:
+    return NoFixedPointNumerical(
+        f"candidate fixed point has negative label weight {least:.3e} "
+        f"< -{tol:.3e}"
+    )
+
+
+def _residual_error(residual: float) -> NoFixedPointNumerical:
+    return NoFixedPointNumerical(
+        f"candidate fixed point has residual {residual:.3e} > {deutsch.TOL_FIX}"
+    )
+
+
 def _settle(phi: np.ndarray, p: np.ndarray, weight_tol: float):
     """CTC state, CR output, decoded label, its probability and the
     residual for the label distribution p, in the field order of
     :class:`DistinguishResult`; raises on a weight below -`weight_tol` or a
     residual above ``deutsch.TOL_FIX``."""
     if p.min() < -weight_tol:
-        raise NoFixedPointNumerical(
-            f"candidate fixed point has negative label weight {p.min():.3e} "
-            f"< -{weight_tol:.3e}"
-        )
+        raise _weight_error(p.min(), weight_tol)
     phi_h = phi.conj().T
     sigma = (phi * p) @ phi_h
     mapped = (phi * sigma.diagonal().real) @ phi_h
     residual = float(np.abs(sigma - mapped).max())
     if residual > deutsch.TOL_FIX:
-        raise NoFixedPointNumerical(
-            f"candidate fixed point has residual {residual:.3e} > {deutsch.TOL_FIX}"
-        )
+        raise _residual_error(residual)
     rho_out = sigma * (phi_h @ phi).T
     probs = rho_out.diagonal().real
     decoded = int(np.argmax(probs))
@@ -406,13 +423,21 @@ def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
 
     The bound is measured on the p the solve returned, so an error in p
     raises the bound with it: a minorized member with a bad p keeps its
-    certificate, and the residual check of its settle raises
+    certificate, and the residual check raises
     :class:`NoFixedPointNumerical` rather than the SVD path taking over.
 
-    Members are then settled in member order, keeping each output's
-    diagonal and residual; the first member that fails a check raises.
-    Negative label weights are checked against -(``TOL_PSD`` + N eps /
-    eps_m), residuals against ``deutsch.TOL_FIX``, as in :func:`distinguish`.
+    A certified member is settled by the same stacked pass, with no
+    per-member settle: the solve's check T_m p - p, row 0 from the
+    replaced row, gives its labels diag(rho_out) = diag(sigma) = T_m p,
+    and its residual is the largest entry of sigma - map(sigma) =
+    -Phi_m diag(T_m p - p) Phi_m^dagger.  Those Phi_m are formed from the
+    stack for two members at a time, after the solve's arrays are freed,
+    so the residuals add no N^3 array of their own.  Negative label
+    weights are checked against -(``TOL_PSD`` + N eps / eps_m), residuals
+    against ``deutsch.TOL_FIX``, as in :func:`distinguish`, for all
+    members at once.  Members without a certificate then take the SVD
+    path, and the first member in member order that fails a check, or
+    whose SVD path raises, is the one that raises.
     """
     states = bundle.state_set
     n = states.size
@@ -452,17 +477,34 @@ def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
     bound = np.full(n, np.inf)
     np.divide(column_miss + solve_miss + np.abs(1 - p.sum(axis=1)) + hidden,
               minorization - drift - n * _EPS, out=bound, where=minorized)
-    labels, residual = np.empty((n, n)), np.empty(n)
-    for m, psi in enumerate(states.amplitudes):
-        phi = (bundle.uks @ psi).T
-        if shift[m] <= bound[m] < np.inf:
-            settled = _settle(phi, p[m], TOL_PSD + n * _EPS / minorization[m])
-        else:
-            label_p, _, settled = _settle_by_svd(phi)
-            shift[m] = np.abs(label_p - np.eye(n)[m]).sum()
-            bound[m] = np.inf
+    certified = (shift <= bound) & (bound < np.inf)
+    # diag(rho_out) = diag(sigma) = T_m p_m
+    labels = p + moved
+    weight_tol = np.full(n, np.inf)
+    np.divide(n * _EPS, minorization, out=weight_tol, where=certified)
+    weight_tol += TOL_PSD
+    negative = certified & (p.min(axis=1) < -weight_tol)
+    # sigma - map(sigma) = -Phi_m diag(moved_m) Phi_m^dagger, formed for
+    # _CHUNK members at a time from phis[c, k] = phi_k = U_k psi_m
+    residual = np.empty(n)
+    uks = bundle.uks.reshape(n * n, n).T
+    for lo in range(0, n, _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        phis = (states.amplitudes[chunk] @ uks).reshape(-1, n, n)
+        gap = phis.conj().transpose(0, 2, 1) @ (moved[chunk, :, None] * phis)
+        residual[chunk] = np.abs(gap).max(axis=(1, 2))
+    failed = negative | (certified & (residual > deutsch.TOL_FIX))
+    first = int(np.argmax(failed)) if failed.any() else n
+    for m in np.flatnonzero(~certified[:first]):
+        label_p, _, settled = _settle_by_svd((bundle.uks @ states.amplitudes[m]).T)
+        shift[m] = np.abs(label_p - np.eye(n)[m]).sum()
+        bound[m] = np.inf
         _, rho_out, _, _, residual[m] = settled
         labels[m] = rho_out.entries.diagonal().real
+    if first < n and negative[first]:
+        raise _weight_error(p[first].min(), weight_tol[first])
+    if first < n:
+        raise _residual_error(residual[first])
     decoded = labels.argmax(axis=1)
     return MemberResults(labels, decoded, labels[ks, decoded], residual,
                          minorization, shift, bound)

@@ -14,8 +14,9 @@ are recovered only through the CTC dynamics.
 With both label registers traced out, the block-diagonal u_prime leaves
 the ancilla in sum_{i,j} p1_i p2_j |omega_ij><omega_ij|, omega_ij being
 U^{i,j}|0>.  :func:`run_sweep` reads the ancilla off that sum without a
-per-pair loop: all N^2 targets come from one broadcast, and for each
-first label m one batched product gives B_j = sum_i p1_i
+per-pair loop: the label distributions p1, p2 are the T_m p_m of one
+stacked member solve, all N^2 targets come from one broadcast, and for
+each first label m one batched product gives B_j = sum_i p1_i
 |omega_ij><omega_ij| for every j, one product with the second labels
 gives the density of every requested pair (m, .), and one stacked
 ``eigh`` gives their ancillas.  It returns one :class:`SweepResult`,
@@ -185,7 +186,10 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
     first, naming the first such pair in row-major order.  Every member
     is distinguished once, by one
     :func:`ctcsim.discrimination.distinguish_members`, and p1, p2 are
-    rows m and n of its `labels`, the diagonals of the two CTC outputs.
+    rows m and n of its `labels`, the diagonals of the two CTC outputs:
+    T_m p_m straight from its stacked solve for a certified member, with
+    the residuals taken a few members at a time and no member settled on
+    its own.
 
     The pairs are grouped by their first label m, in the order each m
     first appears.  For a group, one batched product forms B_j = sum_i
