@@ -75,8 +75,8 @@ _IN_SET_TOL = 1e-8
 _EPS = np.finfo(float).eps
 
 # members whose Phi_m are formed at once for the residual; the member
-# solve's working arrays are freed by then, and four a chunk would set a
-# new peak at N = 16
+# solve's working arrays are freed by then, but three a chunk would set a
+# new peak at N = 12 and four at N = 16
 _CHUNK = 2
 
 
@@ -484,8 +484,9 @@ def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
     np.divide(n * _EPS, minorization, out=weight_tol, where=certified)
     weight_tol += TOL_PSD
     negative = certified & (p.min(axis=1) < -weight_tol)
-    # sigma - map(sigma) = -Phi_m diag(moved_m) Phi_m^dagger, formed for
-    # _CHUNK members at a time from phis[c, k] = phi_k = U_k psi_m
+    # sigma - map(sigma) = -Phi_m diag(moved_m) Phi_m^dagger has the moduli
+    # of phis^dagger diag(moved_m) phis, phis[c, k] = U_k psi_m for
+    # m = lo + c, formed for _CHUNK members at a time
     residual = np.empty(n)
     uks = bundle.uks.reshape(n * n, n).T
     for lo in range(0, n, _CHUNK):

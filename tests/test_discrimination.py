@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -17,6 +18,7 @@ from ctcsim import (
     NonUniqueFixedPoint,
     StateSet,
     StateVector,
+    SuperpositionSpec,
     basis_state,
     build_distinguisher,
     build_uk,
@@ -24,6 +26,7 @@ from ctcsim import (
     distinguish,
     distinguish_members,
     projector,
+    run_sweep,
     state_fidelity,
     swap_operator,
     tensor_product,
@@ -680,7 +683,7 @@ def test_bound_covers_an_inaccurate_solve(monkeypatch):
 
 def test_a_corrupted_solve_raises_on_the_residual_not_the_svd_path(monkeypatch):
     # the bound grows with the bad p, so member 1 keeps its certificate
-    # and the settle's residual check is what catches the error
+    # and the residual check is what catches the error
     states = random_state_set(4, np.random.default_rng(3))
     bundle = build_distinguisher(states, rng_seed=3)
     real = np.linalg.solve
@@ -698,3 +701,105 @@ def test_a_corrupted_solve_raises_on_the_residual_not_the_svd_path(monkeypatch):
     with pytest.raises(NoFixedPointNumerical,
                        match=r"^candidate fixed point has residual \d\.\d{3}e-0[12] >"):
         distinguish_members(bundle)
+
+
+# ---------------------------------------------------------------------------
+# certified members settled in the stacked pass
+
+
+def _haar_bundle(n, seed):
+    rng = np.random.default_rng(seed)
+    states = StateSet(tuple(haar_state(n, rng) for _ in range(n)))
+    return build_distinguisher(states, seed)
+
+
+def test_certified_members_are_not_settled_one_by_one(monkeypatch):
+    def no_settle(*args):
+        raise AssertionError("a certified member was settled on its own")
+
+    monkeypatch.setattr(discrimination, "_settle", no_settle)
+    assert distinguish_members(_haar_bundle(16, 16)).certified.all()
+    states = random_state_set(8, np.random.default_rng(8))
+    pairs = [(m, n) for m in range(8) for n in range(8)]
+    spec = SuperpositionSpec(0.6 + 0.2j, -0.3 + 0.7j)
+    sweep = run_sweep(states, pairs, spec, rng_seed=8)
+    assert sweep.members.certified.all()
+    assert sweep.fidelity.min() >= 1 - 1e-8
+
+
+@pytest.mark.parametrize("n, seed", [(24, 24), (24, 25), (32, 32), (32, 33)])
+def test_stacked_members_match_the_oracle_beyond_the_hypothesis_sizes(n, seed):
+    bundle = _haar_bundle(n, seed)
+    members = distinguish_members(bundle)
+    assert members.certified.all()
+    assert members.decoded.tolist() == list(range(n))
+    eps = np.finfo(float).eps
+    for m, psi in enumerate(bundle.state_set):
+        oracle = distinguish(bundle, psi)
+        assert oracle.decoded == m
+        labels = np.diag(oracle.rho_out.entries).real
+        assert np.abs(members.labels[m] - labels).max() <= 1e-12
+        assert abs(members.residual[m] - oracle.residual) <= 8 * n * eps
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_member_pass_holds_no_more_than_its_chain_stack(n):
+    # the (N, N, N) complex chains take 16 N^3 bytes; forming every Phi_m
+    # at once for the residuals would more than double that
+    bundle = _haar_bundle(n, n)
+    distinguish_members(bundle)
+    tracemalloc.start()
+    try:
+        distinguish_members(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16 * n**3
+
+
+def _member_error(monkeypatch, bundle, shifts):
+    # the message distinguish_members raises when the solve's p[m, k] is
+    # off by shifts[m, k]
+    real = np.linalg.solve
+
+    def corrupt(a, b):
+        p = real(a, b)
+        for (m, k), shift in shifts.items():
+            p[m, k] += shift
+        return p
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", corrupt)
+        with pytest.raises(NoFixedPointNumerical) as raised:
+            distinguish_members(bundle)
+    return str(raised.value)
+
+
+def test_the_first_failing_member_raises(monkeypatch):
+    bundle = build_distinguisher(random_state_set(4, np.random.default_rng(3)),
+                                 rng_seed=3)
+    first = _member_error(monkeypatch, bundle, {(1, 0): 0.5})
+    second = _member_error(monkeypatch, bundle, {(2, 0): 0.25})
+    assert first.startswith("candidate fixed point has residual")
+    assert second.startswith("candidate fixed point has residual")
+    assert first != second
+    both = _member_error(monkeypatch, bundle, {(1, 0): 0.5, (2, 0): 0.25})
+    assert both == first
+    # within one member the weight check comes first, and an earlier
+    # member's residual comes before a later member's weight
+    negative = {(1, 2): -0.5}
+    assert _member_error(monkeypatch, bundle, negative).startswith(
+        "candidate fixed point has negative label weight")
+    assert _member_error(monkeypatch, bundle,
+                         {**negative, (2, 0): 0.25}).startswith(
+        "candidate fixed point has negative label weight")
+    assert _member_error(monkeypatch, bundle,
+                         {(1, 0): 0.5, (2, 3): -0.5}) == first
+
+
+def test_members_without_minorization_raise_no_warning():
+    # eps_m = 0 gives such a member no weight tolerance to divide out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        members = distinguish_members(_uncertified_bundle())
+    assert members.certified.tolist() == [False, False, True]
