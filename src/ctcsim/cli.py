@@ -7,39 +7,47 @@ float is printed with 17 significant digits so that reparsing
 reproduces the binary double.
 
 Reports do not go through PyYAML's Python object layers.  They
-are written by :func:`_yaml_report`, which lays out what they hold
+are rendered by :func:`_yaml_pieces`, which lays out what they hold
 (mappings, flow sequences of numbers, nested block sequences, block
 sequences of mappings or of flow mappings, and scalars) byte for byte as
 ``yaml.dump`` with libyaml would, 80-column wrap included; any other
 value raises TypeError.  A complex value is written as its [re, im]
 pair, by the writer and :func:`_json_dumps` alone.  The writer recurses
 over the report: each entry follows its head, text whose last line ends
-in its ``key:`` or ``-`` and so gives its column.  A block sequence of
-mappings with the same keys, such as a command's runs, is laid out key
-by key by :func:`_mappings`.  Each key's head and the layout of its
-values are decided once: the arrays of one shape and dtype are stacked
-into one, and a value that is the same object in every item (a sweep's
-``alpha`` and ``beta``) is written once.  Each item is then written as
-one string that formats only its own floats, since the texts of a whole
-key's floats at once would raise a sweep's peak memory.  An array, on
-its own or as one item's value, is laid out as its ``tolist()`` would
-be, one recursion level per leading axis down to flow rows along its
-last axis, rows that cannot reach column 80 joined directly; it is
-joined into one string as soon as it is written, so its many row
-strings are freed before the next array.  A ``--json`` report writes
-its header's text once and each run after it.
+in its ``key:`` or ``-`` and so gives its column.  Floats are written
+by ``%`` templates: a layout, with a slot per number, is made once for
+an array and filled by one ``%`` of the array's floats, ``%.17g`` or
+``%.1f`` for an integral value; one numpy pass over the floats finds
+the few, such as ``inf`` or ``1e+22``, whose text comes from
+:func:`_float_text`, and only their rows take patched templates.  An
+array is laid out as its ``tolist()`` would be, one recursion level per
+leading axis down to flow rows along its last axis; only an array whose
+rows could reach column 80, at 24 characters a float, goes through
+:func:`_flow`.  A block sequence of mappings with the same keys, such
+as a command's runs, is laid out key by key by :func:`_mappings`: the
+layout of every key is decided once and joined into one template, a
+value that is the same object in every item (a sweep's ``alpha`` and
+``beta``) is written into it once, and the numbers of all items are
+stacked into one float matrix, so that each item is one ``%`` of one
+row.  Items are formatted one by one, since the texts of a whole key's
+floats at once would raise a sweep's peak memory.  :func:`main` writes
+the rendered pieces with ``writelines`` and never joins them.  A
+``--json`` report writes its header's text once and each run after it.
 
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
-with YAML 1.1's scalar rules.  A numeric row, a line whose value is one
-flow sequence of numbers after block-sequence dashes or a plain key
-(``- [..]``, ``- - [..]``, ``key: [..]``, ``- key: [..]``), is read by
-one ``json.loads`` when YAML 1.1 reads every number in it as a decimal,
-and replaced by the placeholder ``x,``: the one ``yaml.load`` reads only
-the text outside the numeric rows.  A config file is read in text mode,
-whose universal newlines turn CRLF into LF before rows are looked for.
-If the load fails, or a placeholder does not come back as a scalar of
-its own (a row inside a block scalar, a multi-line scalar or a flow
-collection), the original text is loaded again without placeholders.
+with YAML 1.1's scalar rules.  A numeric row, one flow sequence of
+numbers, is read by one ``json.loads`` when YAML 1.1 reads every number
+in it as a decimal, and replaced by a placeholder: the one
+``yaml.load`` reads only the text outside the numeric rows.  A row is
+either a line's value after block-sequence dashes or a plain key
+(``- [..]``, ``- - [..]``, ``key: [..]``, ``- key: [..]``), replaced by
+``x,``, or a key's value inside a flow mapping (``{"key": [..], ..}``,
+as in a JSON config), replaced by ``x_``.  A config file is read in
+text mode, whose universal newlines turn CRLF into LF before rows are
+looked for.  If the load fails, or a placeholder does not come back as
+a scalar of its own (a row inside a block scalar or a multi-line
+scalar; ``x,`` inside a flow collection), the original text is loaded
+again without placeholders.
 Every complex value of a config is read by :func:`_parse_array`: a
 number is a YAML int or float, never a bool, a complex value is a bare
 number or an [re, im] pair, and a number beyond float range is a config
@@ -106,16 +114,21 @@ _STR_TAG = "tag:yaml.org,2002:str"
 
 
 # a numeric row: a flow sequence of numbers that ends its line, after
-# block-sequence dashes or a plain key
+# block-sequence dashes or a plain key (group 1), or that is a value in a
+# flow mapping, after its plain or double-quoted key, as in a JSON config
+# (group 2)
 _ROW = re.compile(
-    r"^ *(?:- +)*(?:- +|[A-Za-z_][A-Za-z0-9_-]*: +)(\[[][0-9eE.+, -]*\]) *$",
+    r"^ *(?:- +)*(?:- +|[A-Za-z_][A-Za-z0-9_-]*: +)(\[[][0-9eE.+, -]*\]) *$"
+    r'|[{,] *(?:"[^"\\\n]*"|[A-Za-z_][A-Za-z0-9_-]*): +'
+    r"(\[[][0-9eE.+, -]*\])(?= *[,}])",
     re.MULTILINE)
 # an exponent YAML 1.1 reads as part of a string: no fraction before it
 # or no sign after it (JSON reads 1e5 and 1.5e5 as numbers)
 _STRING_EXPONENT = re.compile(r"(?<![.0-9])[0-9]+[eE]|[eE][0-9]")
-# the plain scalar each masked row becomes; ``,`` ends a plain scalar in
-# a flow collection, so a placeholder there cannot come back whole
-_PLACEHOLDER = "x,"
+# the plain scalar each masked row becomes, by its group; ``,`` ends a
+# plain scalar in a flow collection, so a line's placeholder there cannot
+# come back whole, while a flow mapping's comes back whole in either
+_PLACEHOLDERS = ("x,", "x_")
 
 
 def _mask_rows(text: str) -> tuple[str, dict]:
@@ -123,14 +136,15 @@ def _mask_rows(text: str) -> tuple[str, dict]:
     index of their placeholder in the masked text.
 
     Each row that ``json.loads`` reads, and whose numbers YAML 1.1 also
-    reads as decimals, is replaced by ``_PLACEHOLDER``, so the masked
-    text is the config's skeleton.
+    reads as decimals, is replaced by its group's placeholder, so the
+    masked text is the config's skeleton.
     """
     rows = {}
     pieces = []
     end = start = 0
     for match in _ROW.finditer(text):
-        row = match.group(1)
+        group = match.lastindex
+        row = match.group(group)
         try:
             value = json.loads(row)
         except (ValueError, RecursionError):
@@ -138,13 +152,13 @@ def _mask_rows(text: str) -> tuple[str, dict]:
         # most rows hold no exponent; the substring test skips their search
         if ("e" in row or "E" in row) and _STRING_EXPONENT.search(row):
             continue
-        pieces.append(text[end:match.start(1)])
-        start += len(pieces[-1])
+        pieces += (text[end:match.start(group)], _PLACEHOLDERS[group - 1])
+        start += len(pieces[-2])
         rows[start] = value
-        start += len(_PLACEHOLDER)
-        end = match.end(1)
+        start += len(pieces[-1])
+        end = match.end(group)
     pieces.append(text[end:])
-    return _PLACEHOLDER.join(pieces), rows
+    return "".join(pieces), rows
 
 
 # libyaml's composer overflows the C stack from about 25,000 levels
@@ -174,16 +188,17 @@ def _read_config(text: str):
     The masked text, the config's skeleton, is loaded once, and each
     scalar equal to the placeholder that starts at a row's index is
     replaced by its row.  If that load raises or leaves a row unused (a
-    row inside a block scalar, a multi-line scalar or a flow
-    collection), the original text is loaded again, so values and errors
-    are those of a plain load.  The masked text's nesting is checked first;
-    ``json.loads`` nests a row no deeper than the recursion limit.
+    row inside a block scalar or a multi-line scalar, or a line's row
+    inside a flow collection), the original text is loaded again, so
+    values and errors are those of a plain load.  The masked text's
+    nesting is checked first; ``json.loads`` nests a row no deeper than
+    the recursion limit.
     """
     masked, rows = _mask_rows(text)
     _check_depth(masked)
 
     def splice(loader, node):
-        if node.value == _PLACEHOLDER and node.start_mark.index in rows:
+        if node.value in _PLACEHOLDERS and node.start_mark.index in rows:
             return rows.pop(node.start_mark.index)
         return loader.construct_yaml_str(node)
 
@@ -397,7 +412,7 @@ def _entry(out: list, head: str, value, text, indent: int) -> None:
         out.append(f"{head} {text}")
         return
     if isinstance(value, (np.ndarray, complex)):
-        _array(out, head, value, indent)
+        out += (head, _array_text(head, value, indent))
         return
     mapping = isinstance(value, dict)
     heads = list(map(_key_head, value)) if mapping else itertools.repeat("-")
@@ -434,11 +449,12 @@ def _block(out: list, prefix: str, heads, values, texts: list) -> None:
 
 def _mappings(out: list, prefix: str, items: list) -> bool:
     """A block sequence of block mappings with the same keys, whose first
-    item starts with `prefix`, laid out key by key: each key's head and
-    the layout of its values are decided once, and each item is written
-    as one string.  False, with nothing written, for one item, which
-    shares nothing, and unless every item is a mapping with the first
-    one's keys and some key holds a collection in every item."""
+    item starts with `prefix`, laid out key by key: the layout of each
+    key's values is decided once, and each item is written as one
+    string, by one ``%`` of one template.  False, with nothing written,
+    for one item, which shares nothing, and unless every item is a
+    mapping with the first one's keys and some key holds a collection in
+    every item."""
     # a first item of scalars alone is a flow mapping, as a distinguish run is
     if (len(items) < 2 or not isinstance(items[0], dict)
             or None not in map(_scalar_text, items[0].values())):
@@ -448,50 +464,235 @@ def _mappings(out: list, prefix: str, items: list) -> bool:
         return False
     dashes = _column(prefix)
     indent = dashes + _INDENT
-    renders = []
+    line = "\n" + " " * dashes
+    layout, kinds, columns, texts = [], [], [], []
     block = False
     for key in keys:
         head = " " * indent + _key_head(key)
-        render, collections = _key_renderer(
+        tail, key_kinds, values, collections = _key_layout(
             head, [item[key] for item in items], indent)
-        renders.append((render, "\n" + head))
+        # each item's first key follows its dash, at the column of the others
+        layout += (f"{line}- {_key_head(key)}" if not layout else "\n" + head,
+                   tail)
+        if not isinstance(values, np.ndarray):
+            texts.append((len(kinds), values))
+            values = np.zeros((len(items), 1))
+        columns.append(values)
+        kinds += key_kinds
         block = block or collections
     if not block:
         return False
-    (lead, _), *rest = renders
-    # each item's first key follows its dash, at the column of the others
-    key = _key_head(keys[0])
-    line = "\n" + " " * dashes
-    for i in range(len(items)):
-        parts = [lead((line if i else prefix) + "- " + key, i)]
-        parts += [render(head, i) for render, head in rest]
-        out.append("".join(parts))
+    matrix = np.concatenate(columns, axis=1)
+    del columns
+    rows = _formatted("".join(layout), matrix, kinds, texts=texts)
+    out.append(prefix + next(rows)[len(line):])
+    out.extend(rows)
     return True
 
 
-def _key_renderer(head: str, values: list, indent: int):
-    """``render(h, i)``, `values[i]` after `h` as :func:`_entry` writes it,
-    for heads `h` whose last line is as long as `head`'s, a line's start
-    ending in ``key:``; and whether every value is a collection.  There
-    are two or more values."""
+# a float's .17g text, '.0' or tag added, takes at most 24 characters
+_FLOAT_CHARS = 24
+# ints a float holds exactly, written by %d from a float column
+_EXACT_INT = 2**53
+# one number's place in a layout
+_SLOT = "\0"
+_FLOAT_FORMAT = "%.17g"
+
+
+def _key_layout(head: str, values: list, indent: int):
+    """`values`, one key's value in each item of a block sequence, laid
+    out after heads whose last line is as long as `head`'s, a line's
+    start ending in ``key:``.  Returns the layout after the head, with a
+    _SLOT per column; the columns' formats; their values, a float matrix
+    with a row per item, or for one ``%s`` column an iterator of each
+    item's text; and whether every value is a collection."""
     first = values[0]
-    if all(v is first for v in values):
+    types = set(map(type, values))
+    if len(set(map(id, values))) == 1:
         # the same object in every item, as the runs of a sweep share the
         # spec's alpha and beta, is written once
         text = _scalar_text(first)
         tail = _text(head, first, text, indent)[len(head):]
-        return (lambda h, i: h + tail), text is None
-    kinds = set(map(type, values))
-    if kinds == {complex} or (kinds == {np.ndarray} and len(
-            {(v.shape, v.dtype) for v in values}) == 1):
-        return _arrays(head, values, indent), True
-    texts = list(map(_scalar_text, values))
+        return tail, [], np.empty((len(values), 0)), text is None
+    kind = _number_kind(values, types)
+    if kind:
+        return " " + _SLOT, [kind], np.array(values, dtype=float)[:, None], False
+    if all(issubclass(t, complex) for t in types) or (
+            types == {np.ndarray}
+            and len({(v.shape, v.dtype) for v in values}) == 1):
+        return (*_arrays(head, values, indent), True)
+    if types == {list} and first and len(set(map(len, values))) == 1:
+        numbers = list(itertools.chain.from_iterable(values))
+        kind = _number_kind(numbers, set(map(type, numbers)))
+        # the longest int text is the smallest or the largest int's
+        width = (max(len(str(min(numbers))), len(str(max(numbers))))
+                 if kind == "%d" else _FLOAT_CHARS)
+        tail = kind and _array_layout(head, (len(first),), indent, width)
+        if tail:
+            matrix = np.array(numbers, dtype=float).reshape(len(values), -1)
+            return tail, [kind] * len(first), matrix, True
+    # any other key is written item by item
+    scalars = list(map(_scalar_text, values))
+    texts = (_text(head, v, t, indent)[len(head):] for v, t in zip(values, scalars))
+    return _SLOT, ["%s"], texts, scalars.count(None) == len(scalars)
 
-    def render(h, i):
-        text = texts[i]
-        return f"{h} {text}" if text is not None else _text(h, values[i], None, indent)
 
-    return render, texts.count(None) == len(texts)
+def _number_kind(values: list, types: set):
+    """``%.17g`` if every value is a float, ``%d`` if every one is an int
+    a float holds exactly, else None; `types` are the values' types."""
+    if all(issubclass(t, float) for t in types):
+        return _FLOAT_FORMAT
+    if types == {int} and -_EXACT_INT <= min(values) and max(values) <= _EXACT_INT:
+        return "%d"
+    return None
+
+
+def _arrays(head: str, values: list, indent: int) -> tuple:
+    """Numeric arrays of one shape and dtype, or complex numbers, laid out
+    after `head` as :func:`_key_layout` lays out a key's values: by one
+    template if no row can reach column 80, else each by its own text."""
+    shape, matrix = _stacked(values)
+    if not shape:
+        raise TypeError("cannot serialize a 0-d array as a report value")
+    if matrix is None:
+        texts = (_text(head, v.tolist(), None, indent)[len(head):] for v in values)
+        return _SLOT, ["%s"], texts
+    tail = _array_layout(head, shape, indent, _FLOAT_CHARS)
+    if tail is None:
+        return _SLOT, ["%s"], _wrapped(head, shape, matrix, indent)
+    return tail, [_FLOAT_FORMAT] * matrix.shape[1], matrix
+
+
+def _stacked(values: list):
+    """Numeric arrays of one shape and dtype, or complex numbers, stacked
+    once: the shape of one, a complex one as [re, im] pairs along a new
+    last axis, and a float64 matrix with a row per value, None unless
+    they hold floats."""
+    stacked = np.asarray(values[0])[None] if len(values) == 1 else np.array(values)
+    if np.iscomplexobj(stacked):
+        pairs = np.ascontiguousarray(stacked, dtype=complex).view(np.float64)
+        stacked = pairs.reshape(stacked.shape + (2,))
+    shape = stacked.shape[1:]
+    if stacked.dtype != np.float64 or not stacked.size:
+        return shape, None
+    return shape, stacked.reshape(len(stacked), -1)
+
+
+def _array_layout(head: str, shape: tuple, indent: int, width: int):
+    """The layout after `head` of an array of `shape`, as :func:`_entry`
+    lays out its list, with a _SLOT per number, for numbers of at most
+    `width` characters; None if a row could reach column 80, where
+    :func:`_flow` decides the line breaks."""
+    row = "[" + ", ".join([_SLOT] * shape[-1]) + "]"
+    # the column after a row's last comma decides whether it wraps
+    if len(shape) == 1:
+        col = _column(head) + 2
+        last = col + (shape[0] - 1) * (width + 2) - 1
+        return " " + row if max(col, last) <= _WIDTH else None
+    lead = _block_prefix(head, indent, False)[len(head):]
+    dashes = _column(head + lead)
+    # a row of at most 79 - column characters after its dash cannot wrap
+    if shape[-1] * (width + 2) - 2 > _WIDTH - 1 - dashes - _INDENT * (len(shape) - 2):
+        return None
+    for depth in reversed(range(len(shape) - 1)):
+        line = "\n" + " " * (dashes + _INDENT * depth)
+        row = line.join(["- " + row] * shape[depth])
+    return lead + row
+
+
+def _wrapped(head: str, shape: tuple, matrix, indent: int):
+    """Yield the text after `head` of each row of `matrix`, laid out as an
+    array of `shape` whose rows may reach column 80: rows too long to
+    be sure go through :func:`_flow`."""
+    for row in _formatted(",".join([_SLOT] * matrix.shape[1]), matrix):
+        texts = row.split(",")
+        if len(shape) == 1:
+            yield _flow(head + " [", texts, "]", indent + _INDENT)[len(head):]
+            continue
+        pieces = []
+        _rows(pieces, _block_prefix(head, indent, False), shape[:-1],
+              zip(*[iter(texts)] * shape[-1]))
+        yield "".join(pieces)[len(head):]
+
+
+def _array_text(head: str, value, indent: int) -> str:
+    """The text after `head` of a numeric array or complex number, laid
+    out as :func:`_entry` lays out its list."""
+    if isinstance(value, complex):
+        texts = [_scalar_text(value.real), _scalar_text(value.imag)]
+        return _flow(head + " [", texts, "]", indent + _INDENT)[len(head):]
+    tail, _, values = _arrays(head, [value], indent)
+    return next(_formatted(tail, values) if isinstance(values, np.ndarray) else values)
+
+
+def _formatted(layout: str, matrix, kinds=None, tag: str = _FLOAT_TAG,
+               texts=()):
+    """Yield each row of `matrix` written into `layout`, whose k-th _SLOT
+    takes column k: a float, or as ``kinds[k]`` says, ``%d`` for an int
+    held as a float and ``%s`` for a text, taken for each row from the
+    iterator paired with k in `texts`.  A float is written as
+    :func:`_float_text` writes its ``.17g`` text, `tag` included: by
+    ``%.17g``, by ``%.1f`` for an integral value below 1e16, or for the
+    few others, found by :func:`_float_codes`, by its own text.  A row
+    that holds these takes a template made once for its pattern."""
+    layout = layout.replace("%", "%%")
+    codes = _float_codes(matrix)
+    if kinds is not None:
+        codes[:, [k != _FLOAT_FORMAT for k in kinds]] = 0
+    templates = {}
+    for values, row_codes in zip(matrix, codes):
+        row = values.tolist()
+        for k, column in texts:
+            row[k] = next(column)
+        key = row_codes.tobytes()
+        if key not in templates:
+            templates[key] = _row_template(layout, kinds, row_codes)
+        template, odd = templates[key]
+        for k in odd:
+            row[k] = _float_text(format(row[k], ".17g"), tag)
+        yield template % tuple(row)
+
+
+def _row_template(layout: str, kinds, codes) -> tuple:
+    """The template of a row whose floats have `codes`: `layout` with
+    slot k made ``kinds[k]``, ``%.17g`` by default, or ``%.1f`` where
+    codes[k] is 1 or ``%s`` where it is 2; and the columns of the last."""
+    marked = np.flatnonzero(codes)
+    if kinds is None and not marked.size:
+        return layout.replace(_SLOT, _FLOAT_FORMAT), []
+    slots = [_FLOAT_FORMAT] * len(codes) if kinds is None else kinds.copy()
+    odd = []
+    for k, c in zip(marked.tolist(), codes[marked].tolist()):
+        slots[k] = "%.1f" if c == 1 else "%s"
+        if c == 2:
+            odd.append(k)
+    parts = layout.split(_SLOT)
+    return "".join(itertools.chain.from_iterable(zip(parts, slots))) + parts[-1], odd
+
+
+def _float_codes(a):
+    """Per float of `a`, whose ``.17g`` text :func:`_float_text` keeps
+    when it holds a '.': 0 where it does, 1 for an integral value below
+    1e16 (``%.1f`` writes its '.0'), and 2 for the others: non-finite and
+    larger integral values, and values below 1e-4 whose exponent form
+    has a one-digit mantissa (``1e-05``), found by its distance from an
+    integer and taken for every value below 1e-300, whose scale a float
+    does not hold exactly."""
+    mag = np.abs(a)
+    fits = mag < 1e16
+    whole = fits & (a == np.trunc(a))
+    # a non-integral value from 1e-4 up to 1e16 is written with its '.'
+    rest = np.flatnonzero(~(whole | fits & (mag >= 1e-4)))
+    codes = whole.view(np.int8)
+    if rest.size:
+        # inf / inf and a subnormal's zero scale warn
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = mag.reshape(-1)[rest]
+            mantissa = t / 10.0 ** np.floor(np.log10(t))
+            plain = ((t < 1e-4) & (t >= 1e-300)
+                     & (np.abs(mantissa - np.rint(mantissa)) > 1e-13))
+            codes.reshape(-1)[rest[~plain]] = 2
+    return codes
 
 
 def _text(head: str, value, text, indent: int) -> str:
@@ -499,59 +700,6 @@ def _text(head: str, value, text, indent: int) -> str:
     out = []
     _entry(out, head, value, text, indent)
     return "".join(out)
-
-
-def _array(out: list, head: str, arr, indent: int) -> None:
-    """A numeric array or complex number after `head`, in one string."""
-    out.append(_arrays(head, [arr], indent)(head, 0))
-
-
-def _arrays(head: str, values: list, indent: int):
-    """``render(h, i)``, `values[i]` after `h` laid out in one string as
-    :func:`_entry` lays out its list, for heads `h` whose last line is as
-    long as `head`'s.  The values are numeric arrays, or complex numbers,
-    of one shape and dtype; a complex one is written as [re, im] pairs
-    along a new axis.  They are stacked and their layout decided once,
-    and each call formats only its own value's floats: the texts of all
-    values at once would raise the peak memory of a sweep's report."""
-    stacked = np.asarray(values[0])[None] if len(values) == 1 else np.array(values)
-    if np.iscomplexobj(stacked):
-        pairs = np.ascontiguousarray(stacked, dtype=complex).view(np.float64)
-        stacked = pairs.reshape(stacked.shape + (2,))
-    shape = stacked.shape[1:]
-    if not shape:
-        raise TypeError("cannot serialize a 0-d array as a report value")
-    if stacked.dtype != np.float64 or not stacked.size:
-        return lambda h, i: _text(h, stacked[i].tolist(), None, indent)
-    flat = stacked.reshape(len(stacked), -1)
-
-    def texts(i):
-        return [s if "." in s else _float_text(s, _FLOAT_TAG)
-                for s in map(format, flat[i].tolist(), itertools.repeat(".17g"))]
-
-    if len(shape) == 1:
-        return lambda h, i: _flow(h + " [", texts(i), "]", indent + _INDENT)
-    width = shape[-1]
-    dashes = _column(_block_prefix(head, indent, False))
-    # a .17g float takes at most 24 characters, so rows of at most `width`
-    # of them end before column 80 and cannot wrap
-    if len(shape) == 2 and width * (24 + 2) - 2 <= _WIDTH - 1 - dashes:
-        between = "]\n" + " " * dashes + "- ["
-
-        def render(h, i):
-            rows = map(", ".join, zip(*[iter(texts(i))] * width))
-            return _block_prefix(h, indent, False) + "- [" + between.join(rows) + "]"
-
-        return render
-
-    def render(h, i):
-        # the row pieces are joined at once, so they are freed before the next value
-        pieces = []
-        _rows(pieces, _block_prefix(h, indent, False), shape[:-1],
-              zip(*[iter(texts(i))] * width))
-        return "".join(pieces)
-
-    return render
 
 
 def _rows(out: list, prefix: str, shape: tuple, rows) -> None:
@@ -602,10 +750,11 @@ def _flow(opening: str, texts, close: str, indent: int) -> str:
     return "".join(pieces)
 
 
-def _yaml_report(report: dict) -> str:
-    """What ``yaml.dump(report, sort_keys=False, default_flow_style=None)``
-    returns with libyaml's safe dumper and :func:`_fmt_float` as its float
-    representer, for a report whose lists and dicts are distinct objects
+def _yaml_pieces(report: dict) -> list:
+    """The report as ``yaml.dump(report, sort_keys=False,
+    default_flow_style=None)`` writes it with libyaml's safe dumper and
+    :func:`_fmt_float` as its float representer, in pieces to be written
+    in order, for a report whose lists and dicts are distinct objects
     (the dumper would alias a repeated one)."""
     if not isinstance(report, dict):
         raise TypeError("a report is a mapping")
@@ -614,11 +763,16 @@ def _yaml_report(report: dict) -> str:
     if None not in texts:
         # a root flow mapping goes on at column 2 when it breaks
         items = [f"{h} {t}" for h, t in zip(heads, texts)]
-        return _flow("{", items, "}", _INDENT) + "\n"
+        return [_flow("{", items, "}", _INDENT), "\n"]
     out = []
     _block(out, "", heads, report.values(), texts)
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def _yaml_report(report: dict) -> str:
+    """The text of :func:`_yaml_pieces`, in one string."""
+    return "".join(_yaml_pieces(report))
 
 
 def _json_dumps(obj) -> str:
@@ -641,7 +795,13 @@ def _json_dumps(obj) -> str:
             f"{json.dumps(str(k))}:{_json_dumps(v)}" for k, v in obj.items()
         ) + "}"
     if isinstance(obj, np.ndarray):
-        return _json_dumps(obj.tolist())
+        shape, matrix = _stacked([obj])
+        if not shape or matrix is None:
+            return _json_dumps(obj.tolist())
+        layout = _SLOT
+        for n in reversed(shape):
+            layout = "[" + ",".join([layout] * n) + "]"
+        return next(_formatted(layout, matrix, tag=""))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -924,18 +1084,20 @@ def main(argv=None) -> int:
             # each line is {**header, "run": run}; the header, never empty,
             # is written once
             opening = _json_dumps(header)[:-1] + ',"run":'
-            text = "\n".join(opening + _json_dumps(run) + "}"
-                             for run in runs) + "\n"
+            pieces = []
+            for run in runs:
+                pieces += (opening, _json_dumps(run) + "}\n")
         else:
-            text = _yaml_report({**header, "runs": runs})
+            pieces = _yaml_pieces({**header, "runs": runs})
+        # written in pieces: the report's text is never held in one string
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    fh.writelines(pieces)
             except OSError as exc:
                 raise ConfigError(f"cannot write report: {exc}")
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
         return EXIT_OK if ok else EXIT_PROTOCOL
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -356,8 +356,8 @@ def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
     else:
         argv = [command]
     reports = []
-    emit = cli._yaml_report
-    monkeypatch.setattr(cli, "_yaml_report",
+    emit = cli._yaml_pieces
+    monkeypatch.setattr(cli, "_yaml_pieces",
                         lambda report: reports.append(report) or emit(report))
     assert main(argv) == 0
     report = as_lists(*reports)

@@ -335,6 +335,64 @@ def test_same_key_runs_match_dumper_on_shapes(runs, depth):
     check_arrays({"runs": _deep(runs, depth)})
 
 
+# floats that %.17g writes unlike the report: integral values, which keep
+# their '.0', and values whose text _float_text tags or completes (1e-05
+# has a one-digit mantissa only below 17 digits of 1e-306); and values
+# next to them that %.17g writes as the report does
+SPECIAL_FLOATS = st.sampled_from([
+    1.0, 0.0, -0.0, -3.0, 1e15, 1e16, 1e17, 1e22, math.inf, -math.inf,
+    math.nan, 1.0000000000001002e16, 12345678901234568.0, 2.0**60,
+    1e-306, 5e-306, -7e-304, 1e-05, 4e-32, 5e-324, 1e-320,
+    -2.2250738585072014e-308, 1.7976931348623157e308,
+])
+RUN_FLOATS = st.floats(-1, 1) | SPECIAL_FLOATS
+
+
+@st.composite
+def special_runs(draw):
+    size = draw(st.integers(2, 5))
+    shape = draw(RUN_SHAPES)
+    real = hnp.arrays(np.float64, shape, elements=RUN_FLOATS)
+    state = hnp.arrays(np.complex128, shape,
+                       elements=st.builds(complex, RUN_FLOATS, RUN_FLOATS))
+    runs = [{
+        "m": draw(st.integers(-2**53, 2**53)),
+        "labels": draw(st.lists(st.integers(0, 99), min_size=2, max_size=2)),
+        "residuals": draw(st.lists(RUN_FLOATS, min_size=2, max_size=2)),
+        "fidelity": draw(RUN_FLOATS),
+        "amplitude": draw(st.builds(complex, RUN_FLOATS, RUN_FLOATS)),
+        "real": draw(real),
+        "state": draw(state),
+    } for _ in range(size)]
+    return {"runs": _deep(runs, draw(st.integers(0, 3)))}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(special_runs())
+def test_special_floats_in_same_key_runs_match_both_dumpers(report):
+    check_arrays(report)
+    check_complex(report)
+
+
+def test_identity_fixed_point_report_matches_both_dumpers(tmp_path):
+    # the identity's report holds integral floats in every array: its
+    # unitary's 1.0 and 0.0 entries and its max-entropy fixed point's
+    # zeros
+    path = tmp_path / "identity.yaml"
+    path.write_text(yaml.safe_dump({
+        "unitary": np.eye(16).tolist(),
+        "rho_cr": [[[0.75, 0], [0, 0]], [[0, 0], [0.25, 0]]],
+        "policy": "max_entropy",
+    }))
+    args = cli._parser().parse_args(["fixed-point", str(path)])
+    header, runs, ok = args.func(args)
+    assert ok
+    report = {"command": "fixed-point", **header, "runs": runs}
+    assert "1.0, 0.0" in cli._yaml_report(report)
+    check_arrays(report)
+    check_complex(report)
+
+
 # ---------------------------------------------------------------------------
 # config reader
 
@@ -384,6 +442,16 @@ DOCUMENTS = [
     "a: !!seq\n  - [1, 2]\n", "? - [1, 2]\n: 3\n", "a: [1, 2]\nb: =\n",
     # strings equal to the placeholder
     "name: x,\na: [1, 2]\nb: x,\n",
+    # rows in flow mappings, as in JSON configs, and strings equal to
+    # their placeholder
+    '{"a": [1, 2.5], "b": [[1, 0], [0, -0.0]], "c": 3}',
+    '{"a": [1, 2], "a": [3]}', "{a: [1, 2], b: {c: [3.5], d: x_}, e: 'x_'}\n",
+    "a: {b: [1, 2], c: [[3]]}\nd: [{e: [4]}]\n", '[{"a": [1, 2]}, {"b": [3]}]',
+    '{"a": [1e5, 2], "b": [1.5e+5], "c": [01], "d": [.5]}', '{"a": [1, 2] , "b":[3]}',
+    '{"a": [1, 2]\n, "b": [3]}', '{"a b": [1], "\\"": [2], "": [3]}',
+    # rows that look like flow-mapping values and are not
+    'x, "a": [1, 2], y\n', "a, b: [1, 2], c\n", "a, b: [1, 2]}\n",
+    "a: 'q, \"b\": [1, 2], c'\n", "a: \"{b: [1, 2]}\"\n", "{a: [1, 2], b: [3}\n",
 ]
 
 
@@ -413,7 +481,7 @@ def test_reader_matches_yaml_load(monkeypatch, loader, text):
 
 @pytest.mark.parametrize("text", [
     "a: 1\n", "a: [1, 2.5]\n", "a: {b: -0.0}\n", "- 1\n", "a: yes\n",
-    "name: x,\na: [1, 2]\nb: x,\n",
+    "name: x,\na: [1, 2]\nb: x,\n", '{"a": [1, 2.5], "b": [[1, 0]], "c": "x_"}',
 ])
 def test_reader_takes_no_second_path(monkeypatch, text):
     loads = _spy_loads(monkeypatch, cli._Loader)
@@ -519,6 +587,22 @@ def test_benchmark_shaped_configs_take_the_masked_parse(monkeypatch, loader):
         # one load, of the skeleton, which spliced every row
         assert loads == [cli._mask_rows(text)[0]] and loads[0] != text
         assert loads[0] == _skeleton(text)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_json_configs_take_the_masked_parse(monkeypatch, loader):
+    # the same configs written as JSON, on one line, as CI writes them
+    texts = [json.dumps(yaml.safe_load(text))
+             for text in _benchmark_shaped_configs()]
+    expected = [_typed(yaml.load(text, Loader=loader)) for text in texts]
+    loads = _spy_loads(monkeypatch, loader)
+    monkeypatch.setattr(yaml, "load", None)
+    for text, value in zip(texts, expected):
+        loads.clear()
+        assert _typed(cli._read_config(text)) == value
+        # one load, of the skeleton, which spliced every array
+        assert loads == [cli._mask_rows(text)[0]]
+        assert "[" not in loads[0] and "x_" in loads[0]
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
