@@ -335,10 +335,9 @@ def test_same_key_runs_match_dumper_on_shapes(runs, depth):
     check_arrays({"runs": _deep(runs, depth)})
 
 
-# floats that %.17g writes unlike the report: integral values, which keep
-# their '.0', and values whose text _float_text tags or completes (1e-05
-# has a one-digit mantissa only below 17 digits of 1e-306); and values
-# next to them that %.17g writes as the report does
+# floats whose .17g text holds no '.', which the report completes with
+# '.0' (1.0, 1e16) or tags (inf, 1e+17, 1e-306), and floats beside them
+# whose .17g text holds one (1e-05 is 1.0000000000000001e-05), in runs
 SPECIAL_FLOATS = st.sampled_from([
     1.0, 0.0, -0.0, -3.0, 1e15, 1e16, 1e17, 1e22, math.inf, -math.inf,
     math.nan, 1.0000000000001002e16, 12345678901234568.0, 2.0**60,
@@ -447,11 +446,13 @@ DOCUMENTS = [
     '{"a": [1, 2.5], "b": [[1, 0], [0, -0.0]], "c": 3}',
     '{"a": [1, 2], "a": [3]}', "{a: [1, 2], b: {c: [3.5], d: x_}, e: 'x_'}\n",
     "a: {b: [1, 2], c: [[3]]}\nd: [{e: [4]}]\n", '[{"a": [1, 2]}, {"b": [3]}]',
-    '{"a": [1e5, 2], "b": [1.5e+5], "c": [01], "d": [.5]}', '{"a": [1, 2] , "b":[3]}',
-    '{"a": [1, 2]\n, "b": [3]}', '{"a b": [1], "\\"": [2], "": [3]}',
+    '{"a": [1e5, 2], "b": [1.5e+5], "c": [01], "d": [.5]}',
+    '{"a": [1, 2] , "b":[3]}', '{"a": [1, 2]\n, "b": [3]}',
+    '{"a b": [1], "\\"": [2], "": [3]}',
     # rows that look like flow-mapping values and are not
     'x, "a": [1, 2], y\n', "a, b: [1, 2], c\n", "a, b: [1, 2]}\n",
-    "a: 'q, \"b\": [1, 2], c'\n", "a: \"{b: [1, 2]}\"\n", "{a: [1, 2], b: [3}\n",
+    "a: 'q, \"b\": [1, 2], c'\n", "a: \"{b: [1, 2]}\"\n",
+    "{a: [1, 2], b: [3}\n",
 ]
 
 
@@ -481,7 +482,8 @@ def test_reader_matches_yaml_load(monkeypatch, loader, text):
 
 @pytest.mark.parametrize("text", [
     "a: 1\n", "a: [1, 2.5]\n", "a: {b: -0.0}\n", "- 1\n", "a: yes\n",
-    "name: x,\na: [1, 2]\nb: x,\n", '{"a": [1, 2.5], "b": [[1, 0]], "c": "x_"}',
+    "name: x,\na: [1, 2]\nb: x,\n",
+    '{"a": [1, 2.5], "b": [[1, 0]], "c": "x_"}',
 ])
 def test_reader_takes_no_second_path(monkeypatch, text):
     loads = _spy_loads(monkeypatch, cli._Loader)
