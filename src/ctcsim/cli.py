@@ -494,17 +494,21 @@ def _mappings(out: list, prefix: str, items: list) -> bool:
 _FLOAT_CHARS = 24
 # ints a float holds exactly, written by %d from a float column
 _EXACT_INT = 2**53
-# one number's place in a layout
+# a slot's format by its code, the character that marks the slot in a
+# layout: a float (0), an integral float below 1e16 (1), a float written
+# by its own text (2), an int held as a float (3) and a text (4)
+_FORMATS = ("%.17g", "%.1f", "%s", "%d", "%s")
+_ODD, _INT, _TEXT = 2, 3, 4
+# one float's place in a layout
 _SLOT = "\0"
-_FLOAT_FORMAT = "%.17g"
 
 
 def _key_layout(head: str, values: list, indent: int):
     """`values`, one key's value in each item of a block sequence, laid
     out after heads whose last line is as long as `head`'s, a line's
     start ending in ``key:``.  Returns the layout after the head, with a
-    _SLOT per column; the columns' formats; their values, a float matrix
-    with a row per item, or for one ``%s`` column an iterator of each
+    _SLOT per column; the columns' codes; their values, a float matrix
+    with a row per item, or for one _TEXT column an iterator of each
     item's text; and whether every value is a collection."""
     first = values[0]
     types = set(map(type, values))
@@ -514,36 +518,38 @@ def _key_layout(head: str, values: list, indent: int):
         text = _scalar_text(first)
         tail = _text(head, first, text, indent)[len(head):]
         return tail, [], np.empty((len(values), 0)), text is None
-    kind = _number_kind(values, types)
-    if kind:
-        return " " + _SLOT, [kind], np.array(values, dtype=float)[:, None], False
+    code = _number_code(values, types)
+    if code is not None:
+        return " " + _SLOT, [code], np.array(values, dtype=float)[:, None], False
     if all(issubclass(t, complex) for t in types) or (
             types == {np.ndarray}
             and len({(v.shape, v.dtype) for v in values}) == 1):
         return (*_arrays(head, values, indent), True)
     if types == {list} and first and len(set(map(len, values))) == 1:
         numbers = list(itertools.chain.from_iterable(values))
-        kind = _number_kind(numbers, set(map(type, numbers)))
+        code = _number_code(numbers, set(map(type, numbers)))
         # the longest int text is the smallest or the largest int's
         width = (max(len(str(min(numbers))), len(str(max(numbers))))
-                 if kind == "%d" else _FLOAT_CHARS)
-        tail = kind and _array_layout(head, (len(first),), indent, width)
+                 if code == _INT else _FLOAT_CHARS)
+        tail = code is not None and _array_layout(
+            head, (len(first),), indent, width)
         if tail:
             matrix = np.array(numbers, dtype=float).reshape(len(values), -1)
-            return tail, [kind] * len(first), matrix, True
+            return tail, [code] * len(first), matrix, True
     # any other key is written item by item
     scalars = list(map(_scalar_text, values))
     texts = (_text(head, v, t, indent)[len(head):] for v, t in zip(values, scalars))
-    return _SLOT, ["%s"], texts, scalars.count(None) == len(scalars)
+    return _SLOT, [_TEXT], texts, scalars.count(None) == len(scalars)
 
 
-def _number_kind(values: list, types: set):
-    """``%.17g`` if every value is a float, ``%d`` if every one is an int
-    a float holds exactly, else None; `types` are the values' types."""
+def _number_code(values: list, types: set):
+    """The slot code of `values`: 0 if every value is a float, _INT if
+    every one is an int a float holds exactly, else None; `types` are
+    the values' types."""
     if all(issubclass(t, float) for t in types):
-        return _FLOAT_FORMAT
+        return 0
     if types == {int} and -_EXACT_INT <= min(values) and max(values) <= _EXACT_INT:
-        return "%d"
+        return _INT
     return None
 
 
@@ -556,11 +562,11 @@ def _arrays(head: str, values: list, indent: int) -> tuple:
         raise TypeError("cannot serialize a 0-d array as a report value")
     if matrix is None:
         texts = (_text(head, v.tolist(), None, indent)[len(head):] for v in values)
-        return _SLOT, ["%s"], texts
+        return _SLOT, [_TEXT], texts
     tail = _array_layout(head, shape, indent, _FLOAT_CHARS)
     if tail is None:
-        return _SLOT, ["%s"], _wrapped(head, shape, matrix, indent)
-    return tail, [_FLOAT_FORMAT] * matrix.shape[1], matrix
+        return _SLOT, [_TEXT], _wrapped(head, shape, matrix, indent)
+    return tail, [0] * matrix.shape[1], matrix
 
 
 def _stacked(values: list):
@@ -628,17 +634,19 @@ def _array_text(head: str, value, indent: int) -> str:
 def _formatted(layout: str, matrix, kinds=None, tag: str = _FLOAT_TAG,
                texts=()):
     """Yield each row of `matrix` written into `layout`, whose k-th _SLOT
-    takes column k: a float, or as ``kinds[k]`` says, ``%d`` for an int
-    held as a float and ``%s`` for a text, taken for each row from the
-    iterator paired with k in `texts`.  A float is written as
+    takes column k: a float, or as the code ``kinds[k]`` says, an int
+    held as a float (_INT) or a text (_TEXT), taken for each row from
+    the iterator paired with k in `texts`.  A float is written as
     :func:`_float_text` writes its ``.17g`` text, `tag` included: by
     ``%.17g``, by ``%.1f`` for an integral value below 1e16, or for the
-    few others, found by :func:`_float_codes`, by its own text.  A row
-    that holds these takes a template made once for its pattern."""
-    layout = layout.replace("%", "%%")
+    few others, found by :func:`_float_codes`, by its own text.  Each
+    pattern of codes takes its own template, made once."""
+    marks = np.frombuffer(layout.replace("%", "%%").encode(), np.uint8).copy()
+    slots = np.flatnonzero(marks == 0)
     codes = _float_codes(matrix)
     if kinds is not None:
-        codes[:, [k != _FLOAT_FORMAT for k in kinds]] = 0
+        kinds = np.array(kinds, dtype=np.int8)
+        codes = np.where(kinds != 0, kinds, codes)
     templates = {}
     for values, row_codes in zip(matrix, codes):
         row = values.tolist()
@@ -646,28 +654,16 @@ def _formatted(layout: str, matrix, kinds=None, tag: str = _FLOAT_TAG,
             row[k] = next(column)
         key = row_codes.tobytes()
         if key not in templates:
-            templates[key] = _row_template(layout, kinds, row_codes)
+            # each slot's mark becomes its code, and each code its format
+            marks[slots] = row_codes
+            template = marks.tobytes().decode()
+            for code, form in enumerate(_FORMATS):
+                template = template.replace(chr(code), form)
+            templates[key] = template, np.flatnonzero(row_codes == _ODD).tolist()
         template, odd = templates[key]
         for k in odd:
             row[k] = _float_text(format(row[k], ".17g"), tag)
         yield template % tuple(row)
-
-
-def _row_template(layout: str, kinds, codes) -> tuple:
-    """The template of a row whose floats have `codes`: `layout` with
-    slot k made ``kinds[k]``, ``%.17g`` by default, or ``%.1f`` where
-    codes[k] is 1 or ``%s`` where it is 2; and the columns of the last."""
-    marked = np.flatnonzero(codes)
-    if kinds is None and not marked.size:
-        return layout.replace(_SLOT, _FLOAT_FORMAT), []
-    slots = [_FLOAT_FORMAT] * len(codes) if kinds is None else kinds.copy()
-    odd = []
-    for k, c in zip(marked.tolist(), codes[marked].tolist()):
-        slots[k] = "%.1f" if c == 1 else "%s"
-        if c == 2:
-            odd.append(k)
-    parts = layout.split(_SLOT)
-    return "".join(itertools.chain.from_iterable(zip(parts, slots))) + parts[-1], odd
 
 
 def _float_codes(a):
