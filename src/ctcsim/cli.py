@@ -671,7 +671,7 @@ def _float_codes(a):
     when it holds a '.': 0 where it does, 1 for an integral value below
     1e16 (``%.1f`` writes its '.0'), and 2 for the others: non-finite and
     larger integral values, and values below 1e-4 whose exponent form
-    has a one-digit mantissa (``1e-05``), found by its distance from an
+    has a one-digit mantissa (``1e-306``), found by its distance from an
     integer and taken for every value below 1e-300, whose scale a float
     does not hold exactly."""
     mag = np.abs(a)
