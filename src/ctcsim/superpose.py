@@ -12,18 +12,20 @@ labels m, n are never read classically after state preparation; they
 are recovered only through the CTC dynamics.
 
 With both label registers traced out, the block-diagonal u_prime leaves
-the ancilla in sum_{i,j} p1_i p2_j |omega_ij><omega_ij|, omega_ij being
-U^{i,j}|0>.  :func:`run_sweep` reads the ancilla off that sum without a
-per-pair loop: the label distributions p1, p2 are the T_m p_m of one
-stacked member solve, all N^2 targets come from one broadcast, and for
-each first label m one batched product gives B_j = sum_i p1_i
-|omega_ij><omega_ij| for every j, one product with the second labels
-gives the density of every requested pair (m, .), and one stacked
-``eigh`` gives their ancillas.  It returns one :class:`SweepResult`,
-row k for the k-th requested pair.  Each ancilla is in the phase that
-makes <omega_mn|ancilla> real and non-negative.  :func:`build_omega` is
-the per-pair form of the targets and :func:`build_u_prime` the
-unitary-level reference.
+the ancilla in M = sum_{i,j} p1_i p2_j |omega_ij><omega_ij|, omega_ij
+being U^{i,j}|0>.  Each omega_ij lies in span{psi_i, psi_j}, so
+M = Psi C Psi^dagger, Psi's columns being the members and C an N x N
+matrix of member coefficients.  :func:`run_sweep` reads the ancilla off
+M without a per-pair loop and without forming M: the label distributions
+p1, p2 are the T_m p_m of one stacked member solve, all N^2 targets come
+from one broadcast, and two power steps in member coefficients, taken
+for all pairs at once, give each pair's dominant eigenvector with a
+residual certificate.  Only a pair whose certificate fails has its
+density formed and passed to a stacked ``eigh``.  It returns one
+:class:`SweepResult`, row k for the k-th requested pair.  Each ancilla
+is in the phase that makes <omega_mn|ancilla> real and non-negative.
+:func:`build_omega` is the per-pair form of the targets and
+:func:`build_u_prime` the unitary-level reference.
 """
 
 from __future__ import annotations
@@ -51,6 +53,15 @@ TOL_GAMMA = 1e-9
 
 _PURITY_SECOND_EIG = 1e-6
 
+# power steps c <- C G c per pair.  The start, the pair's target, sits an
+# angle of order 1 - w off the dominant eigenvector, w = p1_m p2_n being
+# its label weight, and each step scales that angle by lambda_2 / lambda_1,
+# itself of order 1 - w, so two steps leave (1 - w)^3: below eps while
+# 1 - w < 5e-6
+_POWER_STEPS = 2
+
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class SuperpositionSpec:
@@ -73,7 +84,10 @@ class SweepResult:
     """Outcome of :func:`run_sweep`, row k for the k-th (m, n) of `pairs`:
     its target omega_mn in `expected`, its phase-aligned ancilla and
     |<omega_mn|ancilla>|^2.  Rows m and n of `members` hold its residuals
-    and decoded labels."""
+    and decoded labels.  `second_eig_bound` bounds the second eigenvalue
+    of the pair's ancilla density, and `angle_bound` the sine of the
+    angle between its ancilla and the density's dominant eigenvector; it
+    is NaN for a pair whose ancilla came from the ``eigh`` fallback."""
 
     bundle: DistinguisherBundle
     members: MemberResults
@@ -81,6 +95,8 @@ class SweepResult:
     ancillas: np.ndarray
     expected: np.ndarray
     fidelity: np.ndarray
+    second_eig_bound: np.ndarray
+    angle_bound: np.ndarray
 
 
 def unit_scaled(alpha: complex, beta: complex) -> tuple[complex, complex]:
@@ -175,39 +191,166 @@ def pure_state_from_density(reduced) -> np.ndarray:
     return v[..., -1]
 
 
+def _span_ancillas(amps: np.ndarray, p1: np.ndarray, p2: np.ndarray,
+                   inv_gamma2: np.ndarray, alpha: complex, beta: complex,
+                   start: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
+    """Dominant eigenvectors of the P ancilla densities M = Psi C Psi^dagger
+    in member coefficients, with one certificate a row.
+
+    Psi's columns are the members, G = Psi^dagger Psi, and with
+    W = diag(p1) Gamma diag(p2), Gamma = `inv_gamma2`,
+
+        C = |alpha|^2 diag(W 1) + |beta|^2 diag(W^T 1) + alpha conj(beta) W
+            + beta conj(alpha) W^T + diag(p1 p2).
+
+    C is applied to all rows at once: one diagonal term and two products
+    with the fixed Gamma, so no array exceeds P x N.  Each row starts
+    from its target `start`, whose coefficients are alpha / gamma at m
+    and beta / gamma at n (1 at m on the diagonal), and takes
+    ``_POWER_STEPS`` steps c <- C G c.  They are carried on v = Psi c as
+    v <- Psi (C (Psi^dagger v)), so they start from the target vector
+    itself and need neither its coefficients nor G.  The certificate is
+    taken on the returned unit v itself: with s = Psi^dagger v,
+    rho = v^dagger M v = s^dagger C s and r = ||Psi C s - rho v||, and
+    tr M = tr(C G) from G's diagonal alone, as every target off the
+    diagonal has unit norm and a diagonal one carries its member's norm.
+    M is positive semidefinite, so lambda_2 <= tr M - lambda_1 <=
+    tr M - rho; then rho - lambda_2 >= 2 rho - tr M, and while that is
+    positive Davis and Kahan (SIAM J. Numer. Anal. 7, 1970) give
+    sin theta <= r / (2 rho - tr M) for the angle theta between v and
+    the dominant eigenvector.
+
+    Rounding allowances.  Each operation is taken to err by at most eps
+    relatively (twice the unit roundoff, which covers the second-order
+    terms and the extra rounding of complex products), and no quantity
+    below passes through more than 6N + 8 such errors: N in each of the
+    products with Psi^dagger, with Gamma (for C and for its diagonal),
+    with Psi and in the final row sums, and a few scalings and sums.
+    Let kappa = (6N + 8) eps.  With the absolute shadows h = |Psi|^T |v|,
+    b = |C| h, |C| being the sum of the moduli of C's terms, and
+    e = || |Psi| b ||, first-order error analysis (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3) bounds
+
+    - the computed M v by kappa e, and rho by kappa (h^T b + rho) <=
+      d_rho = kappa (e + rho), as h^T b <= ||v|| e and rho's own term is
+      the error of v's norm;
+    - tr M by d_t = kappa p1^T S p2, where S holds each target's shadow
+      norm || |alpha| |psi_i| + |beta| |psi_j| ||^2 / gamma_ij^2 off the
+      diagonal and ||psi_i||^2 on it: rounding the target and gamma
+      moves its unit norm relatively by at most (2N + 5) eps times that;
+    - r by d_r = d_rho + kappa (e + rho + r), the first two terms from
+      M v and rho v, the last from the norm.
+
+    So lambda_2 <= tr M - rho + d_t + d_rho, the row's second eigenvalue
+    bound, and sin theta <= (r + d_r) / (2 rho - tr M - 2 d_rho - d_t)
+    + kappa, its angle bound, the last kappa for the phase applied
+    afterwards.  The power steps' own rounding needs no allowance, as
+    nothing is certified about them.  A row is certified when its second
+    eigenvalue bound is at most ``_PURITY_SECOND_EIG``, its gap is
+    positive and r is at most d_r: v is then an eigenvector of M up to
+    the rounding of forming M v, which ``eigh`` of a formed M carries
+    too, so the fallback could not place it better.  Only an uncertified
+    row has its density formed, from the same C, and passed to
+    :func:`pure_state_from_density`, which keeps the :class:`PurityLoss`
+    verdict; its angle bound is NaN.
+
+    Returns the unit ancillas, the second eigenvalue bounds and the
+    angle bounds, row k for row k of `p1`, `p2` and `start`.
+    """
+    size = len(amps)
+    kappa = (6 * size + 8) * _EPS
+    ones = np.ones(size)
+    cross = alpha * beta.conjugate()
+    forward, backward = cross * inv_gamma2.T, cross.conjugate() * inv_gamma2
+    both = p1 * p2
+    diagonal = (abs(alpha) ** 2 * p1 * (p2 @ inv_gamma2.T)
+                + abs(beta) ** 2 * p2 * (p1 @ inv_gamma2) + both)
+    # complex copies, as a real factor costs a cast in every product
+    q1, q2, dq = p1.astype(complex), p2.astype(complex), diagonal.astype(complex)
+
+    def apply_c(x):
+        return dq * x + q1 * ((q2 * x) @ forward) + q2 * ((q1 * x) @ backward)
+
+    def rows(x, y):
+        """Re <x_k, y_k> for every row k."""
+        return (x.conj() * y).real @ ones
+
+    adjoint = amps.conj().T
+    ancillas = start
+    for _ in range(_POWER_STEPS):
+        ancillas = apply_c(ancillas @ adjoint) @ amps
+    ancillas = ancillas / np.sqrt(rows(ancillas, ancillas))[:, None]
+    overlaps = ancillas @ adjoint
+    image = apply_c(overlaps)
+    rho = rows(overlaps, image)
+    residual = image @ amps - rho[:, None] * ancillas
+    r = np.sqrt(rows(residual, residual))
+    moduli = np.abs(amps)
+    shadow = moduli @ moduli.T
+    norms2 = shadow.diagonal()
+    trace = (p1 @ ones) * (p2 @ ones) + both @ (norms2 - 1.0)
+
+    h = np.abs(ancillas) @ moduli.T
+    b = diagonal * h + abs(cross) * (p1 * ((p2 * h) @ inv_gamma2.T)
+                                     + p2 * ((p1 * h) @ inv_gamma2))
+    e = np.linalg.norm(b @ moduli, axis=1)
+    target_shadow = (abs(alpha) ** 2 * norms2[:, None] + abs(beta) ** 2 * norms2
+                     + 2 * abs(cross) * shadow) * inv_gamma2
+    d_rho = kappa * (e + rho)
+    d_t = kappa * ((p2 @ target_shadow.T) * p1 + both * norms2) @ ones
+    d_r = d_rho + kappa * (e + rho + r)
+    second = trace - rho + d_t + d_rho
+    gap = 2 * rho - trace - 2 * d_rho - d_t
+    certified = (second <= _PURITY_SECOND_EIG) & (gap > 0) & (r <= d_r)
+    angle = np.where(certified,
+                     (r + d_r) / np.where(certified, gap, 1.0) + kappa, np.nan)
+    if not certified.all():
+        failed = np.flatnonzero(~certified)
+        w = p1[failed, :, None] * inv_gamma2 * p2[failed, None, :]
+        dense = cross * w + cross.conjugate() * w.swapaxes(1, 2)
+        dense[:, np.arange(size), np.arange(size)] += diagonal[failed]
+        ancillas[failed] = pure_state_from_density(amps.T @ dense @ amps.conj())
+    return ancillas, second, angle
+
+
 def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
               spec: SuperpositionSpec, rng_seed: int = 0) -> SweepResult:
     """Superpose psi_m and psi_n on a fresh ancilla for each (m, n) in `pairs`.
 
-    Every label is checked before any work: a bool, non-integer or
-    out-of-range index raises :class:`DimensionError`.  All N^2 targets
-    are then formed in one broadcast before the one discrimination
-    bundle, so a cancelling pair raises :class:`DegenerateSuperposition`
-    first, naming the first such pair in row-major order.  Every member
-    is distinguished once, by one
+    Every pair is checked before any work: one that is not two indices,
+    or a bool, non-integer or out-of-range index, raises
+    :class:`DimensionError`.  All N^2 targets are then formed in one
+    broadcast before the one discrimination bundle, so a cancelling pair
+    raises :class:`DegenerateSuperposition` first, naming the first such
+    pair in row-major order.  Every member is distinguished once, by one
     :func:`ctcsim.discrimination.distinguish_members`, and p1, p2 are
     rows m and n of its `labels`, the diagonals of the two CTC outputs:
     T_m p_m straight from its stacked solve for a certified member, with
     the residuals taken a few members at a time and no member settled on
     its own.
 
-    The pairs are grouped by their first label m, in the order each m
-    first appears.  For a group, one batched product forms B_j = sum_i
-    p1_i |omega_ij><omega_ij| for all j, the density of each pair (m, n)
-    is sum_j p2_j B_j, one product for the whole group, and one stacked
-    :func:`pure_state_from_density` extracts the ancillas, so no array
-    larger than N^3 is formed.  A :class:`PurityLoss` carries the second
-    eigenvalue of the first mixed pair in the first group that has one,
-    which for pairs in row-major order is the first mixed pair.
+    Each ancilla density sum_ij p1_i p2_j |omega_ij><omega_ij| lies in
+    the span of the members, and :func:`_span_ancillas` finds its
+    dominant eigenvector there for all pairs at once, by power steps in
+    member coefficients from the pair's target, with a residual
+    certificate per pair; only a pair that fails its certificate has its
+    density formed and passed to :func:`pure_state_from_density`.  A
+    :class:`PurityLoss` carries the second eigenvalue of the first mixed
+    pair in the order of `pairs`.
 
     Phase rule: each ancilla is multiplied by the phase that makes
-    <omega_mn|ancilla> real and non-negative, and is left as ``eigh``
-    returns it when that overlap is exactly 0.  The fidelity of each
-    aligned ancilla to omega_mn is computed as one stacked product,
-    clipped to [0, 1].
+    <omega_mn|ancilla> real and non-negative, and is left as extracted
+    when that overlap is exactly 0.  The fidelity of each aligned ancilla
+    to omega_mn is computed as one stacked product, clipped to [0, 1].
     """
     size = states.size
-    for m, n in pairs:
+    for pair in pairs:
+        try:
+            m, n = pair
+        except (TypeError, ValueError):
+            raise DimensionError(
+                f"pair {pair!r} is not two block indices") from None
         if any(isinstance(k, bool) or not isinstance(k, (int, np.integer))
                for k in (m, n)):
             raise DimensionError(f"block indices ({m!r}, {n!r}) must be integers")
@@ -231,17 +374,12 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
     members = distinguish_members(bundle)
 
     firsts, seconds = pair_array.T
-    by_label = targets.transpose(1, 2, 0)
-    adjoints = targets.transpose(1, 0, 2).conj()
-    ancillas = np.empty((len(firsts), size), dtype=complex)
-    for m in dict.fromkeys(firsts.tolist()):
-        group = np.flatnonzero(firsts == m)
-        blocks = (by_label * members.labels[m]) @ adjoints
-        densities = (members.labels[seconds[group]]
-                     @ blocks.reshape(size, size * size))
-        ancillas[group] = pure_state_from_density(
-            densities.reshape(-1, size, size))
     expected = targets[firsts, seconds]
+    inv_gamma2 = gammas ** -2.0
+    np.fill_diagonal(inv_gamma2, 0.0)
+    ancillas, second, angle = _span_ancillas(
+        amps, members.labels[firsts], members.labels[seconds], inv_gamma2,
+        alpha, beta, expected)
     overlaps = (expected.conj() * ancillas).sum(axis=1)
     ancillas *= np.divide(overlaps.conj(), np.abs(overlaps),
                           out=np.ones_like(overlaps), where=overlaps != 0)[:, None]
@@ -250,4 +388,4 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
     fidelity = np.abs((expected.conj()[:, None, :]
                        @ ancillas[:, :, None])[:, 0, 0]) ** 2
     return SweepResult(bundle, members, pair_array, ancillas, expected,
-                       np.clip(fidelity, 0.0, 1.0))
+                       np.clip(fidelity, 0.0, 1.0), second, angle)

@@ -28,6 +28,7 @@ from ctcsim import (
     validate,
 )
 from ctcsim import superpose
+from ctcsim.linalg import condition2_threshold
 from ctcsim.sampling import random_state_set
 
 
@@ -399,7 +400,7 @@ def einsum_density(states, spec, p1, p2):
 
 def test_sweep_matches_per_pair_einsum_oracle():
     rng = np.random.default_rng(3141)
-    for size in range(2, 9):
+    for size in [*range(2, 9), 12, 16]:
         states = random_state_set(size, rng)
         pairs = shuffled_pairs(rng, size)
         spec = random_spec(rng, states=states,
@@ -469,6 +470,91 @@ def test_sweep_raises_purity_loss_for_a_mixed_label(monkeypatch):
         run_sweep(states, pairs, spec)
 
 
+def test_sweep_names_the_first_mixed_pair_in_the_order_of_pairs(
+        monkeypatch):
+    # (0, 1) and (2, 1) are mixed; (2, 1) comes first in the list though
+    # (0, 1) has the smaller first label
+    rng = np.random.default_rng(2021)
+    states = random_state_set(3, rng)
+    spec = random_spec(rng, states=states, pairs=[(0, 1), (1, 2), (2, 1)])
+    members = superpose.distinguish_members
+
+    def uniform_label_one(bundle):
+        record = members(bundle)
+        labels = record.labels.copy()
+        labels[1] = 1 / 3
+        return dataclasses.replace(record, labels=labels)
+
+    monkeypatch.setattr(superpose, "distinguish_members", uniform_label_one)
+    first, later = (np.linalg.eigvalsh(einsum_density(
+        states, spec, np.eye(3)[m], np.full(3, 1 / 3)))[-2] for m in (2, 0))
+    assert f"{first:.3e}" != f"{later:.3e}"
+    with pytest.raises(PurityLoss, match=f"second eigenvalue {first:.3e};"):
+        run_sweep(states, [(0, 0), (2, 1), (0, 1)], spec)
+
+
+def _near_parallel_set(n, factor):
+    """Member j at infidelity j delta from member 0, |0>, with the least
+    condition-2 room `factor` times what validation allows."""
+    delta = factor * condition2_threshold(n)
+    rows = np.zeros((n, n))
+    rows[:, 0] = np.sqrt(1 - delta * np.arange(n))
+    rows[1:, 1:] = np.diag(np.sqrt(delta * np.arange(1, n)))
+    return StateSet(rows)
+
+
+def test_sweep_certificates_bound_the_eigh_oracle():
+    rng = np.random.default_rng(1970)
+    sets = [random_state_set(n, rng) for n in (2, 3, 4, 6, 8)]
+    sets += [_near_parallel_set(n, 3.0) for n in (3, 5, 8)]
+    for states in sets:
+        assert validate(states).passed
+        size = states.size
+        pairs = [(m, n) for m in range(size) for n in range(size)]
+        spec = random_spec(rng, states=states,
+                           pairs=[p for p in pairs if p[0] != p[1]])
+        sweep = run_sweep(states, pairs, spec, rng_seed=size)
+        # every pair of these sets is certified, so none took the fallback
+        assert np.isfinite(sweep.angle_bound).all()
+        labels = sweep.members.labels
+        for (m, n), got, second, angle in zip(
+                pairs, sweep.ancillas, sweep.second_eig_bound,
+                sweep.angle_bound):
+            density = einsum_density(states, spec, labels[m], labels[n])
+            assert second >= np.linalg.eigvalsh(density)[-2]
+            ref = pure_state_from_density(density)
+            # sin theta is the part of the ancilla orthogonal to ref
+            assert angle >= np.linalg.norm(got - np.vdot(ref, got) * ref)
+            assert angle <= 1e-12
+
+
+def test_uncertified_pair_takes_the_eigh_fallback(monkeypatch):
+    # labels 1e-7 off a basis vector leave the target, with no power
+    # step, a residual far above rounding but a pure density
+    rng = np.random.default_rng(77)
+    states = random_state_set(3, rng)
+    pairs = [(m, n) for m in range(3) for n in range(3)]
+    spec = random_spec(rng, states=states,
+                       pairs=[p for p in pairs if p[0] != p[1]])
+    members = superpose.distinguish_members
+
+    def blurred_labels(bundle):
+        record = members(bundle)
+        labels = (1 - 3e-7) * record.labels + 1e-7
+        return dataclasses.replace(record, labels=labels)
+
+    monkeypatch.setattr(superpose, "distinguish_members", blurred_labels)
+    monkeypatch.setattr(superpose, "_POWER_STEPS", 0)
+    sweep = run_sweep(states, pairs, spec)
+    assert np.isnan(sweep.angle_bound).all()
+    labels = sweep.members.labels
+    for (m, n), got in zip(pairs, sweep.ancillas):
+        ref = pure_state_from_density(
+            einsum_density(states, spec, labels[m], labels[n]))
+        phase = np.vdot(ref, got)
+        assert np.abs(got - phase / abs(phase) * ref).max() < 1e-12
+
+
 def test_pure_state_extraction_rejects_mixed_input():
     with pytest.raises(PurityLoss):
         pure_state_from_density(np.eye(2) / 2)
@@ -499,15 +585,18 @@ def test_protocol_rejects_out_of_range_indices(zero_minus_set):
 
 
 @pytest.mark.parametrize("bad", [(-1, 0), (0.5, 1), (np.float64(1), 0),
-                                 (True, 0), (0, np.True_), ("1", 0)])
+                                 (True, 0), (0, np.True_), ("1", 0),
+                                 [(0, 1, 1)], [(0,)], [0, 1]])
 def test_sweep_rejects_a_bad_index_before_any_work(zero_minus_set,
                                                    monkeypatch, bad):
     def no_work(*args):
         raise AssertionError("the sweep started before checking its pairs")
 
+    # a list is the whole pair list, anything else a pair after a good one
+    pairs = bad if isinstance(bad, list) else [(1, 1), bad]
     monkeypatch.setattr(superpose, "unit_scaled", no_work)
     with pytest.raises(DimensionError):
-        run_sweep(zero_minus_set, [(1, 1), bad], balanced())
+        run_sweep(zero_minus_set, pairs, balanced())
 
 
 def test_sweep_takes_numpy_indices_and_an_empty_pair_list(zero_minus_set):
