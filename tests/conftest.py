@@ -16,6 +16,14 @@ def zero_minus_set() -> StateSet:
     return StateSet((StateVector([1, 0]), StateVector([S, -S])))
 
 
+def near_parallel_set(n, delta):
+    """Member j at infidelity j delta from member 0, which is |0>."""
+    rows = np.zeros((n, n))
+    rows[:, 0] = np.sqrt(1 - delta * np.arange(n))
+    rows[1:, 1:] = np.diag(np.sqrt(delta * np.arange(1, n)))
+    return StateSet(rows)
+
+
 def damped_power_iteration(u, rho_cr, sigma0, max_iters=3000, tol=1e-12):
     """Independent fixed-point oracle: sigma <- (sigma + map(sigma)) / 2.
 

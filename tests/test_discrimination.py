@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import HADAMARD, S
+from conftest import HADAMARD, S, near_parallel_set
 from ctcsim import (
     Condition2Exhausted,
     DimensionError,
@@ -80,21 +80,13 @@ def test_build_uk_duplicate_states_exhaust_retries():
         build_uk(dup, 0, rng_seed=0)
 
 
-def _near_parallel_set(n, delta):
-    # member j at infidelity j delta from member 0, which is |0>
-    rows = np.zeros((n, n))
-    rows[:, 0] = np.sqrt(1 - delta * np.arange(n))
-    rows[1:, 1:] = np.diag(np.sqrt(delta * np.arange(1, n)))
-    return StateSet(rows)
-
-
 @pytest.mark.parametrize("n, delta", [
     (2, 2e-9), (3, 2e-9), (5, 2e-9), (8, 2e-9), (3, 1e-8), (5, 1e-8), (8, 1e-8),
 ])
 def test_build_uk_fails_fast_below_condition2_bound(monkeypatch, n, delta):
     # U_k psi_k = |k> caps <j|U_k|psi_j>^2 at 1 - F_jk, here below the
     # condition-2 threshold, so no Haar retry can help
-    states = _near_parallel_set(n, delta)
+    states = near_parallel_set(n, delta)
     assert not validate(states).passed
     draws = []
     monkeypatch.setattr(discrimination, "haar_state",
@@ -114,7 +106,7 @@ def test_build_uk_fails_fast_below_condition2_bound(monkeypatch, n, delta):
 def test_near_parallel_sets_above_the_bound_decode(n, delta):
     # at N = 2 and 1 - F = 1e-8 the pair sits on the threshold itself and
     # passes by rounding, as the retry loop alone lets it
-    states = _near_parallel_set(n, delta)
+    states = near_parallel_set(n, delta)
     bundle = build_distinguisher(states, rng_seed=0)
     for j, psi in enumerate(states):
         assert distinguish(bundle, psi).decoded == j
@@ -143,7 +135,7 @@ def test_validate_passes_exactly_when_the_distinguisher_can_start(n, factor):
     # near-parallel sets whose least 1 - F sits at `factor` times the
     # condition-2 threshold, on both sides of it
     delta = factor * 10 * deutsch.SVD_CUTOFF * np.sqrt(n - 1)
-    states = _near_parallel_set(n, delta)
+    states = near_parallel_set(n, delta)
     assert validate(states).passed == _builds_up_front(states)
 
 
@@ -584,7 +576,7 @@ def test_member_path_matches_the_svd_path_on_haar_sets(n, seed):
     (2, 1e-8), (2, 1e-7), (3, 1e-7), (5, 1e-7), (8, 1e-7),
 ], ids=["boundary-2", "2", "3", "5", "8"])
 def test_member_path_matches_the_svd_path_on_near_parallel_sets(n, delta):
-    bundle = build_distinguisher(_near_parallel_set(n, delta), rng_seed=0)
+    bundle = build_distinguisher(near_parallel_set(n, delta), rng_seed=0)
     _assert_members_match_the_svd_path(bundle)
 
 

@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import HADAMARD, PAULI_X, S
+from conftest import HADAMARD, PAULI_X, S, near_parallel_set
 from ctcsim import (
     DegenerateSuperposition,
     DimensionError,
@@ -462,51 +462,24 @@ def test_sweep_raises_purity_loss_for_a_mixed_label(monkeypatch):
 
     monkeypatch.setattr(superpose, "distinguish_members", uniform_label_one)
     assert run_sweep(states, [(0, 2), (2, 2)], spec).fidelity[0] > 1 - 1e-8
-    # the first mixed pair in row-major order is (0, 1)
-    second = np.linalg.eigvalsh(
-        einsum_density(states, spec, np.eye(3)[0], np.full(3, 1 / 3)))[-2]
+    # the first mixed pair in the order of the pairs is (0, 1) in
+    # row-major order, and (2, 1) in the shuffled list, where it comes
+    # before (0, 1)
+    second = {m: np.linalg.eigvalsh(einsum_density(
+        states, spec, np.eye(3)[m], np.full(3, 1 / 3)))[-2] for m in (0, 2)}
+    assert f"{second[0]:.3e}" != f"{second[2]:.3e}"
     pairs = [(m, n) for m in range(3) for n in range(3)]
-    with pytest.raises(PurityLoss, match=f"second eigenvalue {second:.3e};"):
+    with pytest.raises(PurityLoss, match=f"second eigenvalue {second[0]:.3e};"):
         run_sweep(states, pairs, spec)
-
-
-def test_sweep_names_the_first_mixed_pair_in_the_order_of_pairs(
-        monkeypatch):
-    # (0, 1) and (2, 1) are mixed; (2, 1) comes first in the list though
-    # (0, 1) has the smaller first label
-    rng = np.random.default_rng(2021)
-    states = random_state_set(3, rng)
-    spec = random_spec(rng, states=states, pairs=[(0, 1), (1, 2), (2, 1)])
-    members = superpose.distinguish_members
-
-    def uniform_label_one(bundle):
-        record = members(bundle)
-        labels = record.labels.copy()
-        labels[1] = 1 / 3
-        return dataclasses.replace(record, labels=labels)
-
-    monkeypatch.setattr(superpose, "distinguish_members", uniform_label_one)
-    first, later = (np.linalg.eigvalsh(einsum_density(
-        states, spec, np.eye(3)[m], np.full(3, 1 / 3)))[-2] for m in (2, 0))
-    assert f"{first:.3e}" != f"{later:.3e}"
-    with pytest.raises(PurityLoss, match=f"second eigenvalue {first:.3e};"):
+    with pytest.raises(PurityLoss, match=f"second eigenvalue {second[2]:.3e};"):
         run_sweep(states, [(0, 0), (2, 1), (0, 1)], spec)
-
-
-def _near_parallel_set(n, factor):
-    """Member j at infidelity j delta from member 0, |0>, with the least
-    condition-2 room `factor` times what validation allows."""
-    delta = factor * condition2_threshold(n)
-    rows = np.zeros((n, n))
-    rows[:, 0] = np.sqrt(1 - delta * np.arange(n))
-    rows[1:, 1:] = np.diag(np.sqrt(delta * np.arange(1, n)))
-    return StateSet(rows)
 
 
 def test_sweep_certificates_bound_the_eigh_oracle():
     rng = np.random.default_rng(1970)
     sets = [random_state_set(n, rng) for n in (2, 3, 4, 6, 8)]
-    sets += [_near_parallel_set(n, 3.0) for n in (3, 5, 8)]
+    # the least condition-2 room three times what validation allows
+    sets += [near_parallel_set(n, 3 * condition2_threshold(n)) for n in (3, 5, 8)]
     for states in sets:
         assert validate(states).passed
         size = states.size
