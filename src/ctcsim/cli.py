@@ -6,32 +6,25 @@ Complex numbers are serialized as two-element [re, im] arrays and every
 float is printed with 17 significant digits so that reparsing
 reproduces the binary double.
 
-Reports do not go through PyYAML's Python object layers.  They
-are rendered by :func:`_yaml_pieces`, which lays out what they hold
-(mappings, flow sequences of numbers, nested block sequences, block
-sequences of mappings or of flow mappings, and scalars) byte for byte as
-``yaml.dump`` with libyaml would, 80-column wrap included; any other
-value raises TypeError.  A complex value is written as its [re, im]
-pair, by the writer and :func:`_json_dumps` alone.  The writer recurses
-over the report: each entry follows its head, text whose last line ends
-in its ``key:`` or ``-`` and so gives its column.  Floats are written
-by ``%`` templates: a layout, with a slot per number, is made once for
-an array and filled by one ``%`` of the array's floats, ``%.17g`` or
-``%.1f`` for an integral value; one numpy pass over the floats finds
-the few, such as ``inf`` or ``1e+22``, whose text comes from
-:func:`_float_text`, and only their rows take patched templates.  An
-array is laid out as its ``tolist()`` would be, one recursion level per
-leading axis down to flow rows along its last axis; only an array whose
-rows could reach column 80, at 24 characters a float, goes through
-:func:`_flow`.  A block sequence of mappings with the same keys, such
-as a command's runs, is laid out key by key by :func:`_mappings`: the
-layout of every key is decided once and joined into one template, a
-value that is the same object in every item (a sweep's ``alpha`` and
-``beta``) is written into it once, and the numbers of all items are
-stacked into one float matrix, so that each item is one ``%`` of one
-row.  Items are formatted one by one, since the texts of a whole key's
-floats at once would raise a sweep's peak memory.  :func:`main` writes
-the rendered pieces with ``writelines`` and never joins them.  A
+Reports do not go through PyYAML's Python object layers.  They are
+rendered by :func:`_yaml_pieces` byte for byte as ``yaml.dump`` with
+libyaml would write what they hold (mappings, flow sequences of numbers,
+nested block sequences, block sequences of mappings or of flow mappings,
+and scalars), 80-column wrap included; any other value raises
+TypeError.  A complex value is written as its [re, im] pair, by the
+writer and :func:`_json_dumps` alone.  One compiler, :func:`_compile`,
+lays out a stack of values, one per item, as a template with a slot per
+number: the header is a stack of one, and a block sequence of mappings,
+such as a command's runs, is cut out of it as a stack of its items.  A
+value that is the same object in every item, or a scalar with one text,
+is written into the template once, and values that cannot share a
+layout take a text slot, each compiled alone.  A template's numbers are
+one float matrix, a row per item; one numpy pass finds the few floats,
+such as ``inf`` or ``1e+22``, that ``%.17g`` or ``%.1f`` would not
+write, and each item is one ``%`` of its row, formatted when it is
+written.  A flow row that might reach column 80 is filled with
+separators and broken by :func:`_flow`.  :func:`main` writes the
+pieces, a run each, with ``writelines`` and never joins them.  A
 ``--json`` report writes its header's text once and each run after it.
 
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
@@ -368,6 +361,8 @@ _STAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 _FLOAT_TAG = "!!float "
 _WIDTH = 80  # libyaml's best_width
 _INDENT = 2  # libyaml's best_indent
+# what a report writes as a collection: a complex value is its [re, im]
+_COLLECTIONS = (list, dict, np.ndarray, complex)
 
 
 def _scalar_text(x):
@@ -375,7 +370,7 @@ def _scalar_text(x):
     if isinstance(x, float):
         # a float YAML 1.1 would not resolve implicitly carries its tag
         return _float_text(format(x, ".17g"), _FLOAT_TAG)
-    if isinstance(x, (list, dict, np.ndarray, complex)):
+    if isinstance(x, _COLLECTIONS):
         return None
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -404,90 +399,13 @@ def _column(text: str) -> int:
     return len(text) - 1 - text.rfind("\n")
 
 
-def _entry(out: list, head: str, value, text, indent: int) -> None:
-    """`value` after `head`, text whose last line ends in the ``key:`` or
-    ``-`` of an entry of the block collection at `indent`; `text` is its
-    scalar text, None for a collection."""
-    if text is not None:
-        out.append(f"{head} {text}")
-        return
-    if isinstance(value, (np.ndarray, complex)):
-        out += (head, _array_text(head, value, indent))
-        return
-    mapping = isinstance(value, dict)
-    heads = list(map(_key_head, value)) if mapping else itertools.repeat("-")
-    values = value.values() if mapping else value
-    texts = list(map(_scalar_text, values))
-    if None in texts:
-        prefix = _block_prefix(head, indent, mapping)
-        if mapping or not _mappings(out, prefix, value):
-            _block(out, prefix, heads, values, texts)
-    elif mapping:
-        items = [f"{h} {t}" for h, t in zip(heads, texts)]
-        out.append(_flow(head + " {", items, "}", indent + _INDENT))
-    else:
-        out.append(_flow(head + " [", texts, "]", indent + _INDENT))
-
-
 def _block_prefix(head: str, indent: int, mapping: bool) -> str:
     """`head` and the start of the first item of the block collection after
     it: on the dash's line, or on a new line, not indented for a sequence
-    under a key."""
+    under a key; the root's starts the report."""
     if head.endswith("-"):
         return head + " "
-    return head + "\n" + " " * (indent + _INDENT if mapping else indent)
-
-
-def _block(out: list, prefix: str, heads, values, texts: list) -> None:
-    """A block collection whose first item starts with `prefix` and every
-    other on a new line at the first one's column."""
-    indent = _column(prefix)
-    line = "\n" + " " * indent
-    for i, (head, v, t) in enumerate(zip(heads, values, texts)):
-        _entry(out, (line if i else prefix) + head, v, t, indent)
-
-
-def _mappings(out: list, prefix: str, items: list) -> bool:
-    """A block sequence of block mappings with the same keys, whose first
-    item starts with `prefix`, laid out key by key: the layout of each
-    key's values is decided once, and each item is written as one
-    string, by one ``%`` of one template.  False, with nothing written,
-    for one item, which shares nothing, and unless every item is a
-    mapping with the first one's keys and some key holds a collection in
-    every item."""
-    # a first item of scalars alone is a flow mapping, as a distinguish run is
-    if (len(items) < 2 or not isinstance(items[0], dict)
-            or None not in map(_scalar_text, items[0].values())):
-        return False
-    keys = list(items[0])
-    if not all(isinstance(item, dict) and list(item) == keys for item in items):
-        return False
-    dashes = _column(prefix)
-    indent = dashes + _INDENT
-    line = "\n" + " " * dashes
-    layout, kinds, columns, texts = [], [], [], []
-    block = False
-    for key in keys:
-        head = " " * indent + _key_head(key)
-        tail, key_kinds, values, collections = _key_layout(
-            head, [item[key] for item in items], indent)
-        # each item's first key follows its dash, at the column of the others
-        layout += (f"{line}- {_key_head(key)}" if not layout else "\n" + head,
-                   tail)
-        if not isinstance(values, np.ndarray):
-            texts.append((len(kinds), values))
-            values = np.zeros((len(items), 1))
-        columns.append(values)
-        kinds += key_kinds
-        block = block or collections
-    if not block:
-        return False
-    matrix = np.concatenate(columns, axis=1)
-    del columns
-    rows = _formatted("".join(layout), matrix, kinds, texts=texts)
-    out.append(prefix + next(rows)[len(line):])
-    out.extend(rows)
-    return True
+    return head and head + "\n" + " " * (indent + _INDENT if mapping else indent)
 
 
 # a float's .17g text, '.0' or tag added, takes at most 24 characters
@@ -499,53 +417,157 @@ _EXACT_INT = 2**53
 # by its own text (2), an int held as a float (3) and a text (4)
 _FORMATS = ("%.17g", "%.1f", "%s", "%d", "%s")
 _ODD, _INT, _TEXT = 2, 3, 4
-# one float's place in a layout
+# one number's or text's place in a layout
 _SLOT = "\0"
+# a wrap group: the items of a flow collection that might reach column
+# 80, separated by _SEP between two _GROUPs, whose line breaks _flow
+# decides once their texts are known; _CUT marks a cut sequence's place
+_GROUP, _SEP, _CUT = "\x1d", "\x1e", "\x1c"
 
 
-def _key_layout(head: str, values: list, indent: int):
-    """`values`, one key's value in each item of a block sequence, laid
-    out after heads whose last line is as long as `head`'s, a line's
-    start ending in ``key:``.  Returns the layout after the head, with a
-    _SLOT per column; the columns' codes; their values, a float matrix
-    with a row per item, or for one _TEXT column an iterator of each
-    item's text; and whether every value is a collection."""
+class _Template:
+    """A layout compiled for `size` items: its pieces, with a _SLOT per
+    number or text; each slot's code and float column, a row per item (a
+    _TEXT slot's texts come from its iterator in `texts`); each wrap
+    group's (column, indent); and the templates cut from it."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.layout, self.codes, self.columns = [], bytearray(), []
+        self.texts, self.groups, self.cuts = [], [], []
+
+
+def _compile(t: _Template, head: str, values: list, indent: int) -> None:
+    """Append to `t`'s layout `head`, text whose last line ends in an
+    entry's ``key:`` or ``-`` and starts a line or holds a line break,
+    and the layout of `values`, the entry's value in each item, in the
+    block collection at `indent`.  Values that differ in kind, shape or
+    keys take a text column, each compiled alone."""
     first = values[0]
-    types = set(map(type, values))
-    if len(set(map(id, values))) == 1:
-        # the same object in every item, as the runs of a sweep share the
-        # spec's alpha and beta, is written once
-        text = _scalar_text(first)
-        tail = _text(head, first, text, indent)[len(head):]
-        return tail, [], np.empty((len(values), 0)), text is None
-    code = _number_code(values, types)
+    if not isinstance(first, _COLLECTIONS):
+        item = _scalar_item(t, values)
+        if item is not None:
+            t.layout.append(f"{head} {item[0]}")
+            return
+    elif isinstance(first, (list, dict)):
+        if _collection(t, head, values, indent):
+            return
+    elif _arrays(t, head, values, indent):
+        return
+    t.layout.append(head + _SLOT)
+    _text_column(t, (_alone(head, v, indent) for v in values))
+
+
+def _distinct(values: list) -> list:
+    """`values`, or the first alone if every item holds the same object, as
+    the runs of a sweep share the spec's alpha and beta: one value in a
+    stack of many is compiled once, into text."""
+    return values[:1] if len(values) > 1 and len(set(map(id, values))) == 1 else values
+
+
+def _scalar_item(t: _Template, values: list):
+    """The text of scalars `values` in `t`'s layout and its greatest
+    length: a _SLOT, whose column `t` now holds, unless there is one
+    value or every value's text is the same; None, with nothing held, if
+    a value is a collection."""
+    code = _number_code(values) if len(values) > 1 else None
     if code is not None:
-        return " " + _SLOT, [code], np.array(values, dtype=float)[:, None], False
-    if all(issubclass(t, complex) for t in types) or (
-            types == {np.ndarray}
-            and len({(v.shape, v.dtype) for v in values}) == 1):
-        return (*_arrays(head, values, indent), True)
-    if types == {list} and first and len(set(map(len, values))) == 1:
-        numbers = list(itertools.chain.from_iterable(values))
-        code = _number_code(numbers, set(map(type, numbers)))
+        t.columns.append(np.array(values, dtype=float)[:, None])
+        t.codes.append(code)
         # the longest int text is the smallest or the largest int's
-        width = (max(len(str(min(numbers))), len(str(max(numbers))))
-                 if code == _INT else _FLOAT_CHARS)
-        tail = code is not None and _array_layout(
-            head, (len(first),), indent, width)
-        if tail:
-            matrix = np.array(numbers, dtype=float).reshape(len(values), -1)
-            return tail, [code] * len(first), matrix, True
-    # any other key is written item by item
-    scalars = list(map(_scalar_text, values))
-    texts = (_text(head, v, t, indent)[len(head):] for v, t in zip(values, scalars))
-    return _SLOT, [_TEXT], texts, scalars.count(None) == len(scalars)
+        return _SLOT, (max(len(str(min(values))), len(str(max(values))))
+                       if code == _INT else _FLOAT_CHARS)
+    texts = list(map(_scalar_text, _distinct(values)))
+    if None in texts:
+        return None
+    if texts.count(texts[0]) == len(texts):
+        return texts[0], len(texts[0])
+    _text_column(t, iter(texts))
+    return _SLOT, max(map(len, texts))
 
 
-def _number_code(values: list, types: set):
+def _text_column(t: _Template, texts) -> None:
+    """A _TEXT slot, filled for each item from the iterator `texts`."""
+    t.texts.append((len(t.codes), texts))
+    t.codes.append(_TEXT)
+    t.columns.append(np.zeros((t.size, 1)))
+
+
+def _collection(t: _Template, head: str, values: list, indent: int) -> bool:
+    """Lists of one length, or mappings with the same keys, laid out after
+    `head`, "" for the report's root, entry by entry; False, with nothing
+    laid out, if they cannot share a layout."""
+    values = _distinct(values)
+    first = values[0]
+    mapping = isinstance(first, dict)
+    if mapping:
+        keys = list(first)
+        if not (all(map(isinstance, values, itertools.repeat(dict)))
+                and len(set(map(tuple, values))) == 1):
+            return False
+        heads = list(map(_key_head, keys))
+        columns = list(map(list, zip(*map(dict.values, values))))
+    else:
+        if not (all(map(isinstance, values, itertools.repeat(list)))
+                and len(set(map(len, values))) == 1):
+            return False
+        if t.size == 1 and len(first) > 1 and all(isinstance(v, dict) for v in first):
+            # a block sequence of mappings in a one-item template is cut
+            # out: its items are compiled as one stack, each its own piece
+            prefix = _block_prefix(head, indent, False)
+            dashes = _column(prefix)
+            cut = _Template(len(first))
+            _compile(cut, "\n" + " " * dashes + "-", first, dashes)
+            t.layout.append(prefix + _CUT)
+            t.cuts.append(cut)
+            return True
+        heads = ["-"] * len(first)
+        columns = list(map(list, zip(*values)))
+    # an item that holds a collection is a block collection, any other a
+    # flow collection of scalars, and every item must be the first's kind
+    nested = [isinstance(c[0], _COLLECTIONS) for c in columns]
+    if True in nested:
+        if not all(map(isinstance, columns[nested.index(True)],
+                       itertools.repeat(_COLLECTIONS))):
+            return False
+        prefix = _block_prefix(head, indent, mapping)
+        indent = _column(prefix)
+        line = "\n" + " " * indent
+        for i, (key, column) in enumerate(zip(heads, columns)):
+            _compile(t, (line if i else prefix) + key, column, indent)
+        return True
+    if any(issubclass(tp, _COLLECTIONS)
+           for tp in set(map(type, itertools.chain.from_iterable(columns)))):
+        return False
+    items = [_scalar_item(t, column) for column in columns]
+    if mapping:
+        items = [(f"{key} {text}", len(key) + 1 + width)
+                 for key, (text, width) in zip(heads, items)]
+    # the root's flow mapping opens the report, and goes on at column 2
+    opening = (head and head + " ") + ("{" if mapping else "[")
+    body, group = _flow_items(_column(opening), items, indent + _INDENT)
+    t.layout.append(opening + body + ("}" if mapping else "]"))
+    if group:
+        t.groups.append(group)
+    return True
+
+
+def _flow_items(col: int, items: list, indent: int):
+    """The text between the brackets, opened at column `col`, of a flow
+    collection of `items`, each a text and its greatest length, and its
+    wrap group: (`col`, `indent`), or None where no line can break."""
+    texts = [text for text, _ in items]
+    # the column after the last comma decides whether any line breaks
+    last = col + sum(width + 2 for _, width in items[:-1]) - 1
+    if not items or max(col, last) <= _WIDTH:
+        return ", ".join(texts), None
+    return _GROUP + _SEP.join(texts) + _GROUP, (col, indent)
+
+
+def _number_code(values: list):
     """The slot code of `values`: 0 if every value is a float, _INT if
-    every one is an int a float holds exactly, else None; `types` are
-    the values' types."""
+    every one is an int a float holds exactly, else None."""
+    types = set(map(type, values))
     if all(issubclass(t, float) for t in types):
         return 0
     if types == {int} and -_EXACT_INT <= min(values) and max(values) <= _EXACT_INT:
@@ -553,20 +575,43 @@ def _number_code(values: list, types: set):
     return None
 
 
-def _arrays(head: str, values: list, indent: int) -> tuple:
+def _arrays(t: _Template, head: str, values: list, indent: int) -> bool:
     """Numeric arrays of one shape and dtype, or complex numbers, laid out
-    after `head` as :func:`_key_layout` lays out a key's values: by one
-    template if no row can reach column 80, else each by its own text."""
+    after `head` as their lists, with a _SLOT per float; False, with
+    nothing laid out, if they differ in type, shape or dtype."""
+    values = _distinct(values)
+    if not (all(map(isinstance, values, itertools.repeat(complex)))
+            or all(map(isinstance, values, itertools.repeat(np.ndarray)))
+            and len({(v.shape, v.dtype) for v in values}) == 1):
+        return False
     shape, matrix = _stacked(values)
     if not shape:
         raise TypeError("cannot serialize a 0-d array as a report value")
-    if matrix is None:
-        texts = (_text(head, v.tolist(), None, indent)[len(head):] for v in values)
-        return _SLOT, [_TEXT], texts
-    tail = _array_layout(head, shape, indent, _FLOAT_CHARS)
-    if tail is None:
-        return _SLOT, [_TEXT], _wrapped(head, shape, matrix, indent)
-    return tail, [0] * matrix.shape[1], matrix
+    if matrix is None or len(values) < t.size:
+        # arrays that hold no floats, and one that stands for every item,
+        # are laid out as lists
+        lists = ([v.tolist() for v in values] if matrix is None
+                 else [matrix.reshape(shape).tolist()])
+        _compile(t, head, lists, indent)
+        return True
+    t.columns.append(matrix)
+    t.codes += bytes(matrix.shape[1])
+    if len(shape) == 1:
+        lead, col, wrap = head + " ", _column(head) + 2, indent + _INDENT
+    else:
+        lead = _block_prefix(head, indent, False)
+        # every row is a flow sequence after a dash in this column
+        dashes = _column(lead) + _INDENT * (len(shape) - 2)
+        col, wrap = dashes + 3, dashes + _INDENT
+    body, group = _flow_items(col, [(_SLOT, _FLOAT_CHARS)] * shape[-1], wrap)
+    row = f"[{body}]"
+    for depth in reversed(range(len(shape) - 1)):
+        line = "\n" + " " * (_column(lead) + _INDENT * depth)
+        row = line.join(["- " + row] * shape[depth])
+    t.layout.append(lead + row)
+    if group:
+        t.groups += [group] * (matrix.shape[1] // shape[-1])
+    return True
 
 
 def _stacked(values: list):
@@ -584,57 +629,48 @@ def _stacked(values: list):
     return shape, stacked.reshape(len(stacked), -1)
 
 
-def _array_layout(head: str, shape: tuple, indent: int, width: int):
-    """The layout after `head` of an array of `shape`, as :func:`_entry`
-    lays out its list, with a _SLOT per number, for numbers of at most
-    `width` characters; None if a row could reach column 80, where
-    :func:`_flow` decides the line breaks."""
-    row = "[" + ", ".join([_SLOT] * shape[-1]) + "]"
-    # the column after a row's last comma decides whether it wraps
-    if len(shape) == 1:
-        col = _column(head) + 2
-        last = col + (shape[0] - 1) * (width + 2) - 1
-        return " " + row if max(col, last) <= _WIDTH else None
-    lead = _block_prefix(head, indent, False)[len(head):]
-    dashes = _column(head + lead)
-    # a row of at most 79 - column characters after its dash cannot wrap
-    if shape[-1] * (width + 2) - 2 > _WIDTH - 1 - dashes - _INDENT * (len(shape) - 2):
-        return None
-    for depth in reversed(range(len(shape) - 1)):
-        line = "\n" + " " * (dashes + _INDENT * depth)
-        row = line.join(["- " + row] * shape[depth])
-    return lead + row
+def _alone(head: str, value, indent: int) -> str:
+    """The text after `head` of `value`, compiled alone."""
+    t = _Template(1)
+    _compile(t, head, [value], indent)
+    return "".join(_pieces(t))[len(head):]
 
 
-def _wrapped(head: str, shape: tuple, matrix, indent: int):
-    """Yield the text after `head` of each row of `matrix`, laid out as an
-    array of `shape` whose rows may reach column 80: rows too long to
-    be sure go through :func:`_flow`."""
-    for row in _formatted(",".join([_SLOT] * matrix.shape[1]), matrix):
-        texts = row.split(",")
-        if len(shape) == 1:
-            yield _flow(head + " [", texts, "]", indent + _INDENT)[len(head):]
-            continue
-        pieces = []
-        _rows(pieces, _block_prefix(head, indent, False), shape[:-1],
-              zip(*[iter(texts)] * shape[-1]))
-        yield "".join(pieces)[len(head):]
+def _pieces(t: _Template):
+    """Yield the text of the one-item template `t` in pieces, with each
+    item of a template cut from it in its own."""
+    (text,) = _filled(t)
+    parts = text.split(_CUT)
+    del text
+    yield parts[0]
+    for cut, part in zip(t.cuts, parts[1:]):
+        items = _filled(cut)
+        # the first item's dash follows the text before the cut
+        yield next(items).lstrip("\n ")
+        yield from items
+        yield part
 
 
-def _array_text(head: str, value, indent: int) -> str:
-    """The text after `head` of a numeric array or complex number, laid
-    out as :func:`_entry` lays out its list."""
-    if isinstance(value, complex):
-        texts = [_scalar_text(value.real), _scalar_text(value.imag)]
-        return _flow(head + " [", texts, "]", indent + _INDENT)[len(head):]
-    tail, _, values = _arrays(head, [value], indent)
-    return next(_formatted(tail, values) if isinstance(values, np.ndarray) else values)
+def _filled(t: _Template):
+    """Yield the text of each item of `t`: its layout filled by one `%` of
+    its row, and each wrap group broken by :func:`_flow`.  The template
+    is spent: its numbers live on only in the matrix."""
+    matrix = np.concatenate([np.zeros((t.size, 0)), *t.columns], axis=1)
+    layout = "".join(t.layout)
+    t.layout = t.columns = None
+    for text in _formatted(layout, matrix, t.codes, texts=t.texts):
+        if t.groups:
+            parts = text.split(_GROUP)
+            parts[1::2] = [_flow(col, items.split(_SEP), indent)
+                           for (col, indent), items in zip(t.groups, parts[1::2])]
+            text = "".join(parts)
+        yield text
 
 
 def _formatted(layout: str, matrix, kinds=None, tag: str = _FLOAT_TAG,
                texts=()):
     """Yield each row of `matrix` written into `layout`, whose k-th _SLOT
-    takes column k: a float, or as the code ``kinds[k]`` says, an int
+    takes column k: a float, or as the code byte ``kinds[k]`` says, an int
     held as a float (_INT) or a text (_TEXT), taken for each row from
     the iterator paired with k in `texts`.  A float is written as
     :func:`_float_text` writes its ``.17g`` text, `tag` included: by
@@ -645,7 +681,7 @@ def _formatted(layout: str, matrix, kinds=None, tag: str = _FLOAT_TAG,
     slots = np.flatnonzero(marks == 0)
     codes = _float_codes(matrix)
     if kinds is not None:
-        kinds = np.array(kinds, dtype=np.int8)
+        kinds = np.frombuffer(kinds, dtype=np.int8)
         codes = np.where(kinds != 0, kinds, codes)
     templates = {}
     for values, row_codes in zip(matrix, codes):
@@ -691,46 +727,11 @@ def _float_codes(a):
     return codes
 
 
-def _text(head: str, value, text, indent: int) -> str:
-    """What :func:`_entry` writes, in one string."""
-    out = []
-    _entry(out, head, value, text, indent)
-    return "".join(out)
-
-
-def _rows(out: list, prefix: str, shape: tuple, rows) -> None:
-    """A block sequence of `shape[0]` items, whose first starts with
-    `prefix`: nested sequences down to the flow rows drawn from `rows`."""
-    indent = _column(prefix)
-    line = "\n" + " " * indent
-    if len(shape) > 1:
-        for i in range(shape[0]):
-            _rows(out, (line if i else prefix) + "- ", shape[1:], rows)
-        return
-    # a row of at most `fits` characters ends by column 80 after its last
-    # comma, so it cannot wrap; past column 80, fits < 3 and every row
-    # goes through _flow
-    fits = _WIDTH - 1 - indent
-    for i, row in enumerate(itertools.islice(rows, shape[0])):
-        head = (line if i else prefix) + "-"
-        body = ", ".join(row)
-        if len(body) <= fits:
-            out.append(f"{head} [{body}]")
-        else:
-            out.append(_flow(head + " [", row, "]", indent + _INDENT))
-
-
-def _flow(opening: str, texts, close: str, indent: int) -> str:
-    """A flow collection of `texts` after `opening`, which ends in its
-    bracket; a line breaks before an item once the column passes 80, and
-    goes on at `indent`."""
-    col = _column(opening)
-    body = ", ".join(texts)
-    # the column after the last comma decides whether any line breaks
-    if not texts or (col <= _WIDTH
-                     and col + len(body) - len(texts[-1]) - 1 <= _WIDTH):
-        return opening + body + close
-    pieces = [opening]
+def _flow(col: int, texts: list, indent: int) -> str:
+    """The items `texts` of a flow collection whose opening bracket ends at
+    column `col`, as they go between its brackets: a line breaks before
+    an item once the column passes 80, and goes on at `indent`."""
+    pieces = []
     sep = ""
     for t in texts:
         if col > _WIDTH:
@@ -742,7 +743,6 @@ def _flow(opening: str, texts, close: str, indent: int) -> str:
         pieces.append(sep + t)
         col += len(t) + 1  # and the comma before the next item
         sep = ","
-    pieces.append(close)
     return "".join(pieces)
 
 
@@ -754,16 +754,9 @@ def _yaml_pieces(report: dict) -> list:
     (the dumper would alias a repeated one)."""
     if not isinstance(report, dict):
         raise TypeError("a report is a mapping")
-    heads = list(map(_key_head, report))
-    texts = list(map(_scalar_text, report.values()))
-    if None not in texts:
-        # a root flow mapping goes on at column 2 when it breaks
-        items = [f"{h} {t}" for h, t in zip(heads, texts)]
-        return [_flow("{", items, "}", _INDENT), "\n"]
-    out = []
-    _block(out, "", heads, report.values(), texts)
-    out.append("\n")
-    return out
+    t = _Template(1)
+    _collection(t, "", [report], 0)
+    return [*_pieces(t), "\n"]
 
 
 def _yaml_report(report: dict) -> str:

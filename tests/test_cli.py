@@ -336,14 +336,32 @@ _PurePythonDumper.add_representer(
     float, ReportDumper.yaml_representers[float])
 
 
+def haar_config(tmp_path, n, seed, **extra):
+    """A config of `n` seeded random states, as [re, im] pairs."""
+    states = random_state_set(n, np.random.default_rng(seed))
+    return write(tmp_path, f"haar{n}.yaml", yaml.safe_dump({
+        "state_set": [[[float(z.real), float(z.imag)] for z in s.amplitudes]
+                      for s in states],
+        "rng_seed": seed, **extra,
+    }))
+
+
 @pytest.mark.parametrize("command", ["superpose", "fixed-point", "distinguish",
-                                     "example"])
+                                     "example", "superpose-haar5",
+                                     "distinguish-haar12"])
 def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
                                                   monkeypatch, command):
     # the report the command printed, with its arrays as lists, dumped
     # again by libyaml's and by PyYAML's pure-Python emitter: distinguish
-    # runs are flow mappings, example runs hold 3-d arrays
-    if command == "superpose":
+    # runs are flow mappings, example runs hold 3-d arrays; a five-state
+    # sweep's header rows wrap, and twelve states give distinguish runs
+    # two-digit indices, which bring their flow mappings to column 80
+    if command == "superpose-haar5":
+        argv = ["superpose", haar_config(tmp_path, 5, 55, alpha=[0.6, 0.2],
+                                         beta=[-0.3, 0.7])]
+    elif command == "distinguish-haar12":
+        argv = ["distinguish", haar_config(tmp_path, 12, 12)]
+    elif command == "superpose":
         argv = [command, write(tmp_path, "pair.yaml", PAIR_CONFIG)]
     elif command == "fixed-point":
         argv = [command, write(tmp_path, "fp.yaml", yaml.safe_dump({
@@ -365,6 +383,25 @@ def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
     for dumper in (ReportDumper, _PurePythonDumper):
         assert printed == yaml.dump(report, Dumper=dumper, sort_keys=False,
                                     default_flow_style=None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["superpose", str(DEMO_CONFIGS / "superpose_two_state.yaml")],
+    ["distinguish", str(DEMO_CONFIGS / "distinguish_three_state.yaml")],
+    ["fixed-point", str(DEMO_CONFIGS / "fixed_point_swap.yaml")],
+    ["example"],
+], ids=["superpose", "distinguish", "fixed-point", "example"])
+def test_report_floats_take_one_pass_for_the_header_and_one_for_the_runs(
+        capsys, monkeypatch, argv):
+    # the header and the runs are each one template, whose floats one
+    # _float_codes pass sorts, however many arrays they hold
+    calls = []
+    float_codes = cli._float_codes
+    monkeypatch.setattr(cli, "_float_codes",
+                        lambda a: calls.append(a.shape) or float_codes(a))
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert 1 <= len(calls) <= 2, calls
 
 
 def test_main_reuses_one_parser(monkeypatch, capsys):

@@ -501,6 +501,45 @@ def test_sweep_certificates_bound_the_eigh_oracle():
             assert angle <= 1e-12
 
 
+def longdouble_ancilla(states, spec, p1, p2, start, steps=60):
+    """Dominant eigenvector of sum_ij p1_i p2_j |omega_ij><omega_ij|, the
+    targets formed and the density power-iterated from `start` in
+    extended precision (np.clongdouble)."""
+    amps = states.amplitudes.astype(np.clongdouble)
+    alpha, beta = map(np.clongdouble, superpose.unit_scaled(spec.alpha, spec.beta))
+    raw = alpha * amps[:, None, :] + beta * amps[None, :, :]
+    targets = raw / np.sqrt((abs(raw) ** 2).sum(axis=2))[:, :, None]
+    size = states.size
+    targets[range(size), range(size)] = amps
+    weights = np.outer(p1, p2).astype(np.longdouble)
+    density = np.einsum("ij,ijk,ijl->kl", weights, targets, targets.conj())
+    v = start.astype(np.clongdouble)
+    for _ in range(steps):
+        v = density @ v
+        v /= np.sqrt((abs(v) ** 2).sum())
+    return v
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the reference needs a longdouble wider than float64")
+def test_sweep_certificate_covers_the_error_at_small_gamma():
+    # alpha : beta = 1 : -1.0001 on a near-parallel pair leaves gamma near
+    # 2e-4, where C's terms of size 1 / gamma^2 cost the ancilla about
+    # eps / gamma^2 of accuracy; the angle bound must still cover it
+    states = near_parallel_set(2, 3 * condition2_threshold(2))
+    spec = SuperpositionSpec(1, -1.0001)
+    gamma = np.linalg.norm(states[0].amplitudes - 1.0001 * states[1].amplitudes)
+    assert 1e-4 < gamma < 3e-4
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    sweep = run_sweep(states, pairs, spec)
+    labels = sweep.members.labels
+    for (m, n), got, angle in zip(pairs, sweep.ancillas, sweep.angle_bound):
+        ref = longdouble_ancilla(states, spec, labels[m], labels[n], got)
+        # sin theta is the part of the ancilla orthogonal to ref
+        miss = float(np.sqrt((abs(got - np.vdot(ref, got) * ref) ** 2).sum()))
+        assert np.isfinite(angle) and miss <= angle, (m, n, miss, angle)
+
+
 def test_uncertified_pair_takes_the_eigh_fallback(monkeypatch):
     # labels 1e-7 off a basis vector leave the target, with no power
     # step, a residual far above rounding but a pure density
