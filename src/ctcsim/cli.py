@@ -903,7 +903,9 @@ def cmd_fixed_point(args) -> tuple[dict, list, bool]:
         how = "a density matrix"
     else:
         vec = _parse_array(node, "rho_cr", 1)
-        rho = np.outer(vec, vec.conj())
+        # a non-finite amplitude is left to validation, without warnings
+        with np.errstate(all="ignore"):
+            rho = np.outer(vec, vec.conj())
         how = f"a pure-state vector of {vec.size} amplitudes"
     if rho.shape[0] != rho.shape[1]:
         raise ConfigError("rho_cr must be square")

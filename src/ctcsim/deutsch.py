@@ -17,14 +17,18 @@ A unique fixed point is first certified without an SVD.  B is A with
 row 0 replaced by the trace row; B - A has rank one, so the two smallest
 singular values of A satisfy
 
-    s_(n-1)(A) >= s_min(B) >= 1 / |B^-1|_F,    s_min(A) <= |A x| / |x|,
+    s_(n-1)(A) >= s_min(B),    s_min(A) <= |A x| / |x|,
 
-for x = B^-1 e_0, the fixed point at trace 1.  When the first bound is
-above ``SVD_CUTOFF`` and the second at or below it, exactly one singular
-value of A is null, the verdict an SVD would give.  Otherwise the null
-space is taken by a full SVD, whose null vectors are Hermitian matrices
-(Stewart, Introduction to the Numerical Solution of Markov Chains, 1994,
-for the bordered system).
+for x = B^-1 e_0, the fixed point at trace 1, taken by one LU solve.
+A Cholesky factorization of fl(B^T B) - s I that runs to completion
+proves s_min(B) > ``SVD_CUTOFF``, for a shift s that adds to
+``SVD_CUTOFF``^2 a bound on the rounding of the product and of the
+factorization (Rump, "Verification of positive definiteness", BIT 46,
+2006).  When it completes and the second bound is at or below the
+cutoff, exactly one singular value of A is null, the verdict an SVD
+would give.  Otherwise the null space is taken by a full SVD, whose
+null vectors are Hermitian matrices (Stewart, Introduction to the
+Numerical Solution of Markov Chains, 1994, for the bordered system).
 
 When the fixed space has more than one dimension, the ``max_entropy``
 policy applies Deutsch's maximum-entropy rule.  It starts from the
@@ -142,7 +146,8 @@ def superoperator_matrix(u, rho_cr) -> np.ndarray:
 
 def _hermitian_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vec positions of the diagonal, the upper entries and their mirrors."""
-    i, j = np.triu_indices(dim, 1)
+    # the i < j pairs in np.triu_indices(dim, 1) order, at a quarter of its cost
+    i, j = np.nonzero(np.arange(dim)[:, None] < np.arange(dim))
     return np.arange(dim) * (dim + 1), j * dim + i, i * dim + j
 
 
@@ -150,18 +155,42 @@ def _hermitian_superoperator(u, rho_cr) -> np.ndarray:
     """The map as a real matrix over orthonormal coordinates of Hermitian X:
     its diagonal, then sqrt(2) Re and sqrt(2) Im of its upper entries.
 
-    Images are Hermitian, so only L's diagonal and upper rows are read.
+    Images are Hermitian, so only the output entries x <= x' are formed:
+    t[p, y, y'] = sum_{a,b'} (u (rho_cr (x) I))[(a,x), (b',y)]
+    conj(u[(a,x'), (b',y')]) for the pairs p = (x, x'), diagonal first,
+    by one batched matmul.  Input coordinates take t[p, y, y] and
+    t[p, y, y'] +- t[p, y', y] for y < y'.
     """
-    L = superoperator_matrix(u, rho_cr)
-    dim = int(round(np.sqrt(L.shape[0])))
+    u = _as_matrix(u)
+    rho_cr = _as_matrix(rho_cr)
+    cr_dim, dim = _split_dims(u, rho_cr)
+    u4 = u.reshape(cr_dim, dim, cr_dim, dim)
+    # left[x, y, (a, b')] and right[x', (a, b'), y']
+    left = np.tensordot(u4, rho_cr, ([2], [0])).transpose(1, 2, 0, 3).reshape(
+        dim, dim, cr_dim**2)
+    right = u4.conj().transpose(1, 0, 2, 3).reshape(dim, cr_dim**2, dim)
     diag, up, low = _hermitian_index(dim)
-    rows = L[np.concatenate([diag, up])]
-    del L
-    a, b = rows[:, up], rows[:, low]
-    cols = np.concatenate(
-        [rows[:, diag], (a + b) / np.sqrt(2), 1j * (a - b) / np.sqrt(2)], axis=1)
-    return np.concatenate([
-        cols[:dim].real, np.sqrt(2) * cols[dim:].real, np.sqrt(2) * cols[dim:].imag])
+    # the output pairs (x, x'): (x, x) from diag, then x < x' from low
+    first, second = np.divmod(np.concatenate([diag, low]), dim)
+    t = np.matmul(left[first], right[second]).reshape(-1, dim * dim)
+    # t[:, low] holds t[p, y, y'] for y < y', and t[:, up] t[p, y', y]
+    minus, mirror, t = t[:, low], t[:, up], t[:, diag]
+    plus = minus + mirror
+    minus -= mirror
+    del mirror
+    n, m, r2 = dim * dim, low.size, np.sqrt(2)
+    real = np.empty((n, n))
+    re, im = slice(dim, dim + m), slice(dim + m, n)
+    real[:dim, :dim] = t[:dim].real
+    real[:dim, re] = plus[:dim].real / r2
+    real[:dim, im] = minus[:dim].imag / -r2
+    real[re, :dim] = r2 * t[dim:].real
+    real[im, :dim] = r2 * t[dim:].imag
+    real[re, re] = plus[dim:].real
+    real[im, re] = plus[dim:].imag
+    real[re, im] = -minus[dim:].imag
+    real[im, im] = minus[dim:].real
+    return real
 
 
 def _hermitian(x: np.ndarray, dim: int) -> np.ndarray:
@@ -184,13 +213,16 @@ def von_neumann_entropy(state) -> float:
 
 
 def _finalize(u, rho_cr, sigma: np.ndarray, fixed_space_dim: int) -> FixedPointResult:
+    # the checks are written to fail on NaN
+    if not np.isfinite(sigma).all():
+        raise NoFixedPointNumerical("candidate fixed point is not finite")
     eigmin = np.linalg.eigvalsh(sigma).min()
-    if eigmin < -TOL_PSD:
+    if not eigmin >= -TOL_PSD:
         raise NoFixedPointNumerical(
             f"candidate fixed point has negative eigenvalue {eigmin:.3e}"
         )
     residual = consistency_residual(u, rho_cr, sigma)
-    if residual > TOL_FIX:
+    if not residual <= TOL_FIX:
         raise NoFixedPointNumerical(
             f"candidate fixed point has residual {residual:.3e} > {TOL_FIX}"
         )
@@ -272,10 +304,10 @@ def null_space(m: np.ndarray, name: str, what: str):
     A singular value is null at or below ``SVD_CUTOFF``.  With none null,
     :class:`NoFixedPointNumerical` is raised, naming the matrix `name`
     and the missing `what`.  :func:`fixed_point` calls it only for the
-    fixed spaces that the bordered certificate, s_(n-1)(L - I) >=
-    1 / |B^-1|_F > ``SVD_CUTOFF`` >= |(L - I) x| / |x|, leaves open: more
-    than one dimension, none, or a bound not met.  It stays the oracle of
-    that certificate.
+    fixed spaces that the bordered certificate leaves open: more than
+    one dimension, none, a factorization of fl(B^T B) - s I that fails,
+    or |(L - I) x| > ``SVD_CUTOFF`` |x|.  It stays the oracle of that
+    certificate.
     """
     uu, svals, vh = np.linalg.svd(m - np.eye(m.shape[0]))
     null_mask = svals <= SVD_CUTOFF
@@ -288,26 +320,58 @@ def null_space(m: np.ndarray, name: str, what: str):
 
 
 def _certified_fixed_point(real: np.ndarray, dim: int) -> np.ndarray | None:
-    """x = B^-1 e_0 when the bordered certificate of the module docstring
-    holds for A = `real` - I, else None.
+    """x = B^-1 e_0 when the certificate of the module docstring holds
+    for A = `real` - I, else None.
 
     x has trace 1 and (A x)_i = 0 for i > 0, and (A x)_0 = 0 as well in
     exact arithmetic: the map preserves trace, so row 0 of A is minus the
-    sum of the other diagonal rows.
+    sum of the other diagonal rows.  x is taken by one LU solve; then a
+    Cholesky factorization of H = fl(C - s I), C = fl(B^T B), that runs
+    to completion proves s_min(B) > tau = ``SVD_CUTOFF`` for the shift
+    s = tau^2 + (n + 2) eps tr C.  With u = eps / 2 and
+    gamma_k = k u / (1 - k u), the shift covers three roundings:
+
+    - the product: each entry of C is an inner product of length n, so
+      |C - B^T B| <= gamma_n |B|^T |B|, of 2-norm at most
+      gamma_n |B|_F^2 <= gamma_n tr C / (1 - gamma_n);
+    - the shift: a factorization that completes had h_ii > 0, so
+      0 < s < c_ii, and each fl(c_ii - s) is off by at most u tr C;
+    - the factorization: a completed Cholesky gives R^T R = H + dH with
+      |dH| <= gamma_(n+1) |R|^T |R|, and |r_i|^2 <= h_ii / (1 - gamma_(n+1))
+      for the columns r_i of R, so |dH|_2 <= gamma_(n+1) tr H /
+      (1 - gamma_(n+1)) (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2002, ch. 10; Rump, "Verification of positive
+      definiteness", BIT 46, 2006).
+
+    Since R^T R is positive semidefinite, lambda_min(B^T B) >= s - (n + 1)
+    eps tr C (1 + O(n eps)), and the spare eps tr C, with tr C >= dim >= 1
+    from the trace row, outweighs the O(n eps) terms and the rounding of
+    s itself while n < 10^7: lambda_min(B^T B) > tau^2.  B is factorized
+    only after x passes |A x| <= tau |x|.
     """
-    a = real - np.eye(real.shape[0])
-    bordered = a.copy()
+    n = real.shape[0]
+    bordered = real.copy()
+    bordered.flat[::n + 1] -= 1.0
     bordered[0] = 0.0
     bordered[0, :dim] = 1.0
+    e0 = np.zeros(n)
+    e0[0] = 1.0
     try:
-        inverse = np.linalg.inv(bordered)
+        x = np.linalg.solve(bordered, e0)
     except np.linalg.LinAlgError:
         return None
-    x = inverse[:, 0]
-    if (1 / np.linalg.norm(inverse) > SVD_CUTOFF
-            and np.linalg.norm(a @ x) <= SVD_CUTOFF * np.linalg.norm(x)):
-        return x
-    return None
+    if not (np.linalg.norm(real @ x - x)
+            <= SVD_CUTOFF * np.linalg.norm(x)):
+        return None
+    gram = bordered.T @ bordered
+    del bordered  # the factorization holds two more n x n arrays
+    gram.flat[::n + 1] -= (SVD_CUTOFF**2
+                           + (n + 2) * np.finfo(float).eps * gram.trace())
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    return x
 
 
 def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResult:
@@ -315,13 +379,14 @@ def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResul
 
     The eigenvalue-1 eigenspace of the map on Hermitian matrices is the
     null space of the real A = L - I, with singular-value cutoff
-    ``SVD_CUTOFF``.  A unique fixed point is taken from one inverse of the
-    bordered B, A with row 0 replaced by the trace row: x = B^-1 e_0 is
-    certified when s_(n-1)(A) >= 1 / |B^-1|_F > ``SVD_CUTOFF`` and
-    s_min(A) <= |A x| / |x| <= ``SVD_CUTOFF``, which leave exactly one
-    singular value null.  Otherwise (B singular, or a bound not met) the
-    null space is extracted by SVD (:func:`null_space`), and a
-    one-dimensional one gives its null vector over its trace.  Under
+    ``SVD_CUTOFF``.  A unique fixed point is taken from one LU solve of
+    the bordered B, A with row 0 replaced by the trace row: x = B^-1 e_0
+    is certified when a shifted Cholesky factorization proves
+    s_(n-1)(A) >= s_min(B) > ``SVD_CUTOFF`` and s_min(A) <= |A x| / |x|
+    <= ``SVD_CUTOFF``, which leave exactly one singular value null.
+    Otherwise (B singular, the factorization failing or the residual
+    too large) the null space is extracted by SVD (:func:`null_space`),
+    and a one-dimensional one gives its null vector over its trace.  Under
     ``require_unique`` a multi-dimensional fixed space raises
     :class:`NonUniqueFixedPoint`; under ``max_entropy`` the
     entropy-maximizing fixed density matrix is returned.  It is found

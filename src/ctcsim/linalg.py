@@ -308,8 +308,13 @@ def condition2_room(states: StateSet) -> tuple[np.ndarray, float]:
     return room, float(condition2_threshold(n) - 8 * n * np.finfo(float).eps)
 
 
+@np.errstate(all="ignore")
 def validate(obj) -> ValidityReport:
-    """Measure every invariant of a domain object; reports, never raises."""
+    """Measure every invariant of a domain object; reports, never raises.
+
+    A non-finite entry fails its checks with a nan residual, without
+    numpy's floating-point warnings.
+    """
     if isinstance(obj, StateVector):
         return ValidityReport("StateVector", (
             _check("norm", abs(np.linalg.norm(obj.amplitudes) - 1.0), TOL_NORM),
@@ -318,11 +323,13 @@ def validate(obj) -> ValidityReport:
         m = obj.entries
         herm = np.abs(m - m.conj().T).max()
         trace = abs(m.trace() - 1.0)
-        eigmin = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
+        eigmin = (np.linalg.eigvalsh((m + m.conj().T) / 2).min()
+                  if np.isfinite(m).all() else np.nan)
         return ValidityReport("DensityMatrix", (
             _check("hermitian", herm, TOL_HERM),
             _check("unit_trace", trace, TOL_NORM),
-            _check("positive_semidefinite", max(0.0, -eigmin), TOL_PSD),
+            # np.maximum, unlike max, keeps a nan
+            _check("positive_semidefinite", np.maximum(0.0, -eigmin), TOL_PSD),
         ))
     if isinstance(obj, UnitaryMatrix):
         u = obj.entries

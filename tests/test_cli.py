@@ -540,6 +540,23 @@ def test_fixed_point_rejects_non_unitary(tmp_path, capsys):
     assert main(["fixed-point", cfg]) == 2
 
 
+@pytest.mark.parametrize("rho_cr", [
+    "[[.inf, 0], [0, 0]]",
+    "[[[.nan, 0], [0, 0]], [[0, 0], [1, 0]]]",
+], ids=["pure-inf", "density-nan"])
+def test_non_finite_rho_cr_is_a_config_error_without_warnings(tmp_path, capsys,
+                                                             rho_cr):
+    cfg = write(tmp_path, "nonfinite.yaml",
+                "unitary: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]\n"
+                f"rho_cr: {rho_cr}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fixed-point", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: rho_cr ")
+    assert err.rstrip().endswith("positive_semidefinite")
+
+
 def test_fixed_point_non_unique_is_protocol_error(tmp_path, capsys):
     eye4 = [[1.0 if r == c else 0.0 for c in range(4)] for r in range(4)]
     cfg = write(tmp_path, "fpnu.yaml", yaml.safe_dump({

@@ -415,15 +415,48 @@ def _haar_circuit(cr_dim, ctc_dim):
             random_density_matrix(cr_dim, rng).entries)
 
 
+def _gathered_superoperator(u, rho):
+    """Oracle of _hermitian_superoperator: rows and columns of the complex
+    L gathered into the Hermitian coordinates."""
+    L = superoperator_matrix(u, rho)
+    dim = int(round(np.sqrt(L.shape[0])))
+    diag, up, low = deutsch._hermitian_index(dim)
+    rows = L[np.concatenate([diag, up])]
+    a, b = rows[:, up], rows[:, low]
+    cols = np.concatenate(
+        [rows[:, diag], (a + b) / np.sqrt(2), 1j * (a - b) / np.sqrt(2)], axis=1)
+    return np.concatenate([
+        cols[:dim].real, np.sqrt(2) * cols[dim:].real, np.sqrt(2) * cols[dim:].imag])
+
+
+def _inverse_certificate(real, dim):
+    """Oracle of _certified_fixed_point: x = B^-1 e_0 when
+    1 / |B^-1|_F > SVD_CUTOFF >= |A x| / |x|, from an explicit inverse."""
+    a = real - np.eye(real.shape[0])
+    bordered = a.copy()
+    bordered[0] = 0.0
+    bordered[0, :dim] = 1.0
+    try:
+        inverse = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError:
+        return None
+    x = inverse[:, 0]
+    if (1 / np.linalg.norm(inverse) > deutsch.SVD_CUTOFF
+            and np.linalg.norm(a @ x) <= deutsch.SVD_CUTOFF * np.linalg.norm(x)):
+        return x
+    return None
+
+
 @pytest.mark.parametrize("case", [
     lambda: _haar_circuit(2, 8),
     lambda: _haar_circuit(3, 8),
     lambda: _haar_circuit(4, 6),
     lambda: _haar_circuit(2, 16),
+    lambda: _haar_circuit(2, 24),
     lambda: _haar_circuit(3, 3),
     lambda: (EXAMPLE_U, projector(MINUS)),
-], ids=["haar-2x8", "haar-3x8", "haar-4x6", "haar-2x16", "haar-3x3",
-        "example"])
+], ids=["haar-2x8", "haar-3x8", "haar-4x6", "haar-2x16", "haar-2x24",
+        "haar-3x3", "example"])
 def test_certified_fixed_point_matches_svd_path(monkeypatch, case):
     u, rho = case()
     oracle = _svd_path(u, rho)
@@ -479,6 +512,10 @@ def test_certificate_agrees_with_svd_near_the_identity(seed, cr_dim, ctc_dim,
     rho = tensor_product(np.diag([1 - w, w]),
                          random_density_matrix(cr_dim, rng).entries)
     oracle = _svd_path(u, rho)
+    real = deutsch._hermitian_superoperator(u, rho)
+    if deutsch._certified_fixed_point(real, ctc_dim) is not None:
+        svals = np.linalg.svd(real - np.eye(ctc_dim**2), compute_uv=False)
+        assert (svals <= deutsch.SVD_CUTOFF).sum() == 1
     try:
         result = fixed_point(u, rho)
     except (NonUniqueFixedPoint, NoFixedPointNumerical) as err:
@@ -489,8 +526,7 @@ def test_certificate_agrees_with_svd_near_the_identity(seed, cr_dim, ctc_dim,
     assert isinstance(oracle, deutsch.FixedPointResult)
     assert result.fixed_space_dim == oracle.fixed_space_dim
     # both solvers are backward stable, so they part by the rounding of
-    # the bordered inverse, at most about d^2 eps |B^-1|_F
-    real = deutsch._hermitian_superoperator(u, rho)
+    # the bordered solve, at most about d^2 eps |B^-1|_F
     bordered = real - np.eye(ctc_dim**2)
     bordered[0] = 0.0
     bordered[0, :ctc_dim] = 1.0
@@ -498,6 +534,39 @@ def test_certificate_agrees_with_svd_near_the_identity(seed, cr_dim, ctc_dim,
         np.linalg.inv(bordered))
     assert np.abs(result.fixed_point.entries
                   - oracle.fixed_point.entries).max() <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cr_dim=st.integers(2, 4),
+       ctc_dim=st.integers(2, 12), pure=st.booleans())
+def test_assembly_and_certificate_match_their_oracles(seed, cr_dim, ctc_dim,
+                                                     pure):
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(cr_dim * ctc_dim, rng).entries
+    if pure:
+        # the pure-state config form: a rank-1 rho_cr
+        psi = haar_state(cr_dim, rng).amplitudes
+        rho = np.outer(psi, psi.conj())
+    else:
+        rho = random_density_matrix(cr_dim, rng).entries
+    real = deutsch._hermitian_superoperator(u, rho)
+    oracle = _gathered_superoperator(u, rho)
+    eps = np.finfo(float).eps
+    assert np.abs(real - oracle).max() <= 8 * eps * np.linalg.norm(oracle)
+
+    n = ctc_dim**2
+    x = deutsch._certified_fixed_point(real, ctc_dim)
+    svals = np.linalg.svd(real - np.eye(n), compute_uv=False)
+    if x is not None:
+        assert (svals <= deutsch.SVD_CUTOFF).sum() == 1
+    inverse_x = _inverse_certificate(real, ctc_dim)
+    if inverse_x is not None:
+        assert x is not None
+        assert np.abs(x - inverse_x).max() <= 1e-12
+    result, svd = fixed_point(u, rho), _svd_path(u, rho)
+    assert result.fixed_space_dim == svd.fixed_space_dim == 1
+    assert np.abs(result.fixed_point.entries
+                  - svd.fixed_point.entries).max() <= 1e-12
 
 
 def _hermitian_coordinates(x):
@@ -533,6 +602,9 @@ def test_hermitian_restriction_matches_complex_path(case):
     assert result.fixed_space_dim == (svals <= deutsch.SVD_CUTOFF).sum()
     real = deutsch._hermitian_superoperator(u, rho)
     assert real.shape == (d * d, d * d) and not np.iscomplexobj(real)
+    oracle = _gathered_superoperator(u, rho)
+    assert np.abs(real - oracle).max() <= (
+        8 * np.finfo(float).eps * np.linalg.norm(oracle))
     rng = np.random.default_rng(d)
     for _ in range(5):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -545,6 +617,31 @@ def test_hermitian_restriction_matches_complex_path(case):
 def test_fixed_point_rejects_unknown_policy():
     with pytest.raises(ValueError):
         fixed_point(np.eye(4), np.eye(2) / 2, policy="largest")
+
+
+def _half_nan():
+    sigma = np.eye(2, dtype=complex) / 2
+    sigma[0, 1] = np.nan
+    return sigma
+
+
+@pytest.mark.parametrize("sigma", [
+    _half_nan(),
+    np.full((4, 4), np.nan, dtype=complex),
+], ids=["one-nan", "all-nan"])
+def test_finalize_rejects_a_non_finite_candidate(sigma):
+    # one NaN was accepted as unique with residual nan; an all-NaN 4 x 4
+    # made eigvalsh raise LinAlgError
+    d = sigma.shape[0]
+    with pytest.raises(NoFixedPointNumerical, match="not finite"):
+        deutsch._finalize(np.eye(2 * d), np.diag([1.0, 0.0]), sigma, 1)
+
+
+def test_finalize_rejects_a_nan_residual():
+    u = np.eye(4, dtype=complex)
+    u[0, 0] = np.nan
+    with pytest.raises(NoFixedPointNumerical, match="residual nan"):
+        deutsch._finalize(u, np.diag([1.0, 0.0]), np.eye(2) / 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +268,18 @@ def test_validate_bad_trace_density():
 def test_validate_non_psd_density():
     report = validate(DensityMatrix(np.diag([1.5, -0.5])))
     assert "positive_semidefinite" in {c.name for c in report.failures()}
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_validate_non_finite_density_fails_with_nan(entry):
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 2] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate(DensityMatrix(m))
+    (psd,) = [c for c in report.checks if c.name == "positive_semidefinite"]
+    assert not psd.passed and np.isnan(psd.residual)
+    assert not report.passed
 
 
 def test_validate_duplicate_state_set():
