@@ -14,18 +14,19 @@ and scalars), 80-column wrap included; any other value raises
 TypeError.  A complex value is written as its [re, im] pair, by the
 writer and :func:`_json_dumps` alone.  One compiler, :func:`_compile`,
 lays out a stack of values, one per item, as a template with a slot per
-number: the header is a stack of one, and a block sequence of mappings,
-such as a command's runs, is cut out of it as a stack of its items.  A
-value that is the same object in every item, or a scalar with one text,
-is written into the template once, and values that cannot share a
-layout take a text slot, each compiled alone.  A template's numbers are
-one float matrix, a row per item; one numpy pass finds the few floats,
-such as ``inf`` or ``1e+22``, that ``%.17g`` or ``%.1f`` would not
-write, and each item is one ``%`` of its row, formatted when it is
-written.  A flow row that might reach column 80 is filled with
-separators and broken by :func:`_flow`.  :func:`main` writes the
-pieces, a run each, with ``writelines`` and never joins them.  A
-``--json`` report writes its header's text once and each run after it.
+number: the header is a stack of one, and the runs are one stack with
+an item per run, the command's columns, each a list or an array with
+one entry per run.  A value that is the same object in every item of a
+list, or a scalar with one text, is written into the template once, and
+values that cannot share a layout take a text slot, each compiled
+alone.  A template's numbers are one float matrix, a row per item; one
+numpy pass finds the few floats, such as ``inf`` or ``1e+22``, that
+``%.17g`` or ``%.1f`` would not write, and each item is one ``%`` of its
+row, formatted when it is written.  A flow row that might reach column
+80 is filled with separators and broken by :func:`_flow`.  :func:`main`
+writes the pieces, a run each, with ``writelines`` and never joins
+them.  A ``--json`` report writes its header's text once and each run
+after it, the run's entry of every column.
 
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
 with YAML 1.1's scalar rules.  A numeric row, one flow sequence of
@@ -48,13 +49,13 @@ error that names its entry, as is a config nested over ``_MAX_DEPTH``
 levels deep (or too deep for PyYAML's pure-Python loader) or with a
 (fixed) ``tolerances`` key.
 
-Each subcommand returns its report header, runs and verdict; :func:`main`
-stamps the header, writes the report and picks the exit code.  Exit
-codes: 0 success, 2 validation/config error (an unwritable ``--out``
-included), 3 protocol error (degenerate superposition, non-unique fixed
-point, no numerical fixed point, exhausted unitary construction) or a
-command's own failed verdict, after its whole report is written, 1
-internal error.
+Each subcommand returns its report header, its runs as a mapping of
+columns and its verdict; :func:`main` stamps the header, writes the
+report and picks the exit code.  Exit codes: 0 success, 2
+validation/config error (an unwritable ``--out`` included), 3 protocol
+error (degenerate superposition, non-unique fixed point, no numerical
+fixed point, exhausted unitary construction) or a command's own failed
+verdict, after its whole report is written, 1 internal error.
 """
 
 from __future__ import annotations
@@ -421,20 +422,20 @@ _ODD, _INT, _TEXT = 2, 3, 4
 _SLOT = "\0"
 # a wrap group: the items of a flow collection that might reach column
 # 80, separated by _SEP between two _GROUPs, whose line breaks _flow
-# decides once their texts are known; _CUT marks a cut sequence's place
-_GROUP, _SEP, _CUT = "\x1d", "\x1e", "\x1c"
+# decides once their texts are known
+_GROUP, _SEP = "\x1d", "\x1e"
 
 
 class _Template:
     """A layout compiled for `size` items: its pieces, with a _SLOT per
     number or text; each slot's code and float column, a row per item (a
-    _TEXT slot's texts come from its iterator in `texts`); each wrap
-    group's (column, indent); and the templates cut from it."""
+    _TEXT slot's texts come from its iterator in `texts`); and each wrap
+    group's (column, indent)."""
 
     def __init__(self, size: int):
         self.size = size
         self.layout, self.codes, self.columns = [], bytearray(), []
-        self.texts, self.groups, self.cuts = [], [], []
+        self.texts, self.groups = [], []
 
 
 def _compile(t: _Template, head: str, values: list, indent: int) -> None:
@@ -458,11 +459,14 @@ def _compile(t: _Template, head: str, values: list, indent: int) -> None:
     _text_column(t, (_alone(head, v, indent) for v in values))
 
 
-def _distinct(values: list) -> list:
-    """`values`, or the first alone if every item holds the same object, as
-    the runs of a sweep share the spec's alpha and beta: one value in a
-    stack of many is compiled once, into text."""
-    return values[:1] if len(values) > 1 and len(set(map(id, values))) == 1 else values
+def _distinct(values):
+    """`values`, or the first alone if every item of a list holds the same
+    object, as the runs of a sweep share the spec's alpha and beta: one
+    value in a stack of many is compiled once, into text.  An array's
+    rows are views made on access, whose ids tell nothing."""
+    if isinstance(values, list) and len(values) > 1 and len(set(map(id, values))) == 1:
+        return values[:1]
+    return values
 
 
 def _scalar_item(t: _Template, values: list):
@@ -501,28 +505,26 @@ def _collection(t: _Template, head: str, values: list, indent: int) -> bool:
     first = values[0]
     mapping = isinstance(first, dict)
     if mapping:
-        keys = list(first)
         if not (all(map(isinstance, values, itertools.repeat(dict)))
                 and len(set(map(tuple, values))) == 1):
             return False
-        heads = list(map(_key_head, keys))
+        heads = list(map(_key_head, first))
         columns = list(map(list, zip(*map(dict.values, values))))
     else:
         if not (all(map(isinstance, values, itertools.repeat(list)))
                 and len(set(map(len, values))) == 1):
             return False
-        if t.size == 1 and len(first) > 1 and all(isinstance(v, dict) for v in first):
-            # a block sequence of mappings in a one-item template is cut
-            # out: its items are compiled as one stack, each its own piece
-            prefix = _block_prefix(head, indent, False)
-            dashes = _column(prefix)
-            cut = _Template(len(first))
-            _compile(cut, "\n" + " " * dashes + "-", first, dashes)
-            t.layout.append(prefix + _CUT)
-            t.cuts.append(cut)
-            return True
         heads = ["-"] * len(first)
         columns = list(map(list, zip(*values)))
+    return _entries(t, head, heads, columns, indent, mapping)
+
+
+def _entries(t: _Template, head: str, heads: list, columns: list,
+             indent: int, mapping: bool) -> bool:
+    """The entries of mappings, or of lists, laid out after `head`: in
+    `heads` each entry's ``key:`` or ``-``, and in `columns` its value in
+    each item, a list or an array with one entry per item; False, with
+    nothing laid out, if the items cannot share a layout."""
     # an item that holds a collection is a block collection, any other a
     # flow collection of scalars, and every item must be the first's kind
     nested = [isinstance(c[0], _COLLECTIONS) for c in columns]
@@ -580,7 +582,8 @@ def _arrays(t: _Template, head: str, values: list, indent: int) -> bool:
     after `head` as their lists, with a _SLOT per float; False, with
     nothing laid out, if they differ in type, shape or dtype."""
     values = _distinct(values)
-    if not (all(map(isinstance, values, itertools.repeat(complex)))
+    if not (isinstance(values, np.ndarray)
+            or all(map(isinstance, values, itertools.repeat(complex)))
             or all(map(isinstance, values, itertools.repeat(np.ndarray)))
             and len({(v.shape, v.dtype) for v in values}) == 1):
         return False
@@ -614,12 +617,12 @@ def _arrays(t: _Template, head: str, values: list, indent: int) -> bool:
     return True
 
 
-def _stacked(values: list):
+def _stacked(values):
     """Numeric arrays of one shape and dtype, or complex numbers, stacked
-    once: the shape of one, a complex one as [re, im] pairs along a new
-    last axis, and a float64 matrix with a row per value, None unless
-    they hold floats."""
-    stacked = np.asarray(values[0])[None] if len(values) == 1 else np.array(values)
+    once unless they are one array's rows already: the shape of one, a
+    complex one as [re, im] pairs along a new last axis, and a float64
+    matrix with a row per value, None unless they hold floats."""
+    stacked = np.asarray(values[0])[None] if len(values) == 1 else np.asarray(values)
     if np.iscomplexobj(stacked):
         pairs = np.ascontiguousarray(stacked, dtype=complex).view(np.float64)
         stacked = pairs.reshape(stacked.shape + (2,))
@@ -633,22 +636,8 @@ def _alone(head: str, value, indent: int) -> str:
     """The text after `head` of `value`, compiled alone."""
     t = _Template(1)
     _compile(t, head, [value], indent)
-    return "".join(_pieces(t))[len(head):]
-
-
-def _pieces(t: _Template):
-    """Yield the text of the one-item template `t` in pieces, with each
-    item of a template cut from it in its own."""
     (text,) = _filled(t)
-    parts = text.split(_CUT)
-    del text
-    yield parts[0]
-    for cut, part in zip(t.cuts, parts[1:]):
-        items = _filled(cut)
-        # the first item's dash follows the text before the cut
-        yield next(items).lstrip("\n ")
-        yield from items
-        yield part
+    return text[len(head):]
 
 
 def _filled(t: _Template):
@@ -746,22 +735,39 @@ def _flow(col: int, texts: list, indent: int) -> str:
     return "".join(pieces)
 
 
-def _yaml_pieces(report: dict) -> list:
-    """The report as ``yaml.dump(report, sort_keys=False,
-    default_flow_style=None)`` writes it with libyaml's safe dumper and
-    :func:`_fmt_float` as its float representer, in pieces to be written
-    in order, for a report whose lists and dicts are distinct objects
-    (the dumper would alias a repeated one)."""
-    if not isinstance(report, dict):
-        raise TypeError("a report is a mapping")
+def _yaml_pieces(header: dict, runs: dict) -> list:
+    """The report ``{**header, "runs": rows}``, the k-th of `rows` mapping
+    each key of `runs` to the k-th entry of its column, as
+    :func:`_yaml_report` writes it, in pieces to be written in order: the
+    header's text, then one piece for each run.  The runs, a stack with
+    an item per run, must share a block or a flow layout."""
+    if not (isinstance(header, dict) and isinstance(runs, dict)):
+        raise TypeError("a report's header and runs are mappings")
+    sizes = set(map(len, runs.values()))
+    if len(sizes) != 1 or 0 in sizes:
+        raise TypeError("runs are columns of one nonzero length")
     t = _Template(1)
-    _collection(t, "", [report], 0)
-    return [*_pieces(t), "\n"]
+    # the root's block mapping, however plain the header's values, as the
+    # runs follow them
+    for i, (key, value) in enumerate(header.items()):
+        _compile(t, "\n" * bool(i) + _key_head(key), [value], 0)
+    stack = _Template(sizes.pop())
+    if not _entries(stack, "\n-", list(map(_key_head, runs)),
+                    list(runs.values()), 0, True):
+        raise TypeError("runs that differ in kind cannot share a layout")
+    return [*_filled(t), "\n" * bool(header) + _key_head("runs"),
+            *_filled(stack), "\n"]
 
 
 def _yaml_report(report: dict) -> str:
-    """The text of :func:`_yaml_pieces`, in one string."""
-    return "".join(_yaml_pieces(report))
+    """The report as ``yaml.dump(report, sort_keys=False,
+    default_flow_style=None)`` writes it with libyaml's safe dumper and
+    :func:`_fmt_float` as its float representer, for a report whose
+    lists and dicts are distinct objects (the dumper would alias a
+    repeated one)."""
+    if not isinstance(report, dict):
+        raise TypeError("a report is a mapping")
+    return _alone("", report, 0) + "\n"
 
 
 def _json_dumps(obj) -> str:
@@ -802,7 +808,7 @@ def _timestamp() -> str:
 # subcommands
 
 
-def cmd_superpose(args) -> tuple[dict, list, bool]:
+def cmd_superpose(args) -> tuple[dict, dict, bool]:
     """Run the superposition protocol for one pair or a full sweep."""
     cfg, states = _read_state_set_config(args)
     spec = _parse_spec(cfg)
@@ -822,24 +828,20 @@ def cmd_superpose(args) -> tuple[dict, list, bool]:
         pairs = [(m, n) for m in range(size) for n in range(size)]
 
     sweep = run_sweep(states, pairs, spec, seed)
-    # Python scalars, as the writer rejects numpy ones; the runs share one
-    # float object per member, and the pairs go by columns, since P
-    # two-item lists would raise the tracemalloc peak
-    residuals = sweep.members.residual.tolist()
-    decoded = sweep.members.decoded.tolist()
-    columns = zip(*sweep.pairs.T.tolist(), sweep.fidelity.tolist(),
-                  sweep.ancillas, sweep.expected)
-    runs = [{
+    # scalars as Python lists, as the writer rejects numpy scalars; every
+    # run holds the same alpha and beta objects, which the writer writes once
+    m, n = sweep.pairs.T.tolist()
+    runs = {
         "m": m,
         "n": n,
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-        "decoded_indices": [decoded[m], decoded[n]],
-        "fixed_point_residuals": [residuals[m], residuals[n]],
-        "fidelity": fidelity,
-        "ancilla_state": ancilla,
-        "expected_state": expected,
-    } for m, n, fidelity, ancilla, expected in columns]
+        "alpha": [spec.alpha] * len(m),
+        "beta": [spec.beta] * len(m),
+        "decoded_indices": sweep.members.decoded[sweep.pairs],
+        "fixed_point_residuals": sweep.members.residual[sweep.pairs],
+        "fidelity": sweep.fidelity.tolist(),
+        "ancilla_state": sweep.ancillas,
+        "expected_state": sweep.expected,
+    }
     header = {
         "seed": seed,
         "policy": "require_unique",
@@ -850,35 +852,34 @@ def cmd_superpose(args) -> tuple[dict, list, bool]:
         "condition2_min": sweep.bundle.condition2_min,
         "condition1_deviation": sweep.bundle.condition1_deviation,
     }
-    return header, runs, all(r["fidelity"] >= 1 - _SUCCESS_FIDELITY for r in runs)
+    return header, runs, bool((sweep.fidelity >= 1 - _SUCCESS_FIDELITY).all())
 
 
-def cmd_distinguish(args) -> tuple[dict, list, bool]:
+def cmd_distinguish(args) -> tuple[dict, dict, bool]:
     """Discriminate every set member and report the decoded labels."""
     cfg, states = _read_state_set_config(args)
     seed = _parse_seed(cfg, args)
 
     bundle = build_distinguisher(states, seed)
     members = distinguish_members(bundle)
-    columns = zip(members.decoded.tolist(), members.residual.tolist(),
-                  members.certified.tolist(), members.fidelity_to_basis.tolist())
-    runs = [{
-        "input_index": j,
-        "decoded": decoded,
-        "residual": residual,
-        "unique": unique,
-        "fidelity_to_basis": fidelity,
-    } for j, (decoded, residual, unique, fidelity) in enumerate(columns)]
+    indices = np.arange(states.size)
+    runs = {
+        "input_index": indices.tolist(),
+        "decoded": members.decoded.tolist(),
+        "residual": members.residual.tolist(),
+        "unique": members.certified.tolist(),
+        "fidelity_to_basis": members.fidelity_to_basis.tolist(),
+    }
     header = {
         "seed": seed,
         "state_set": states.amplitudes,
         "condition_overlaps": bundle.overlaps,
         "condition2_min": bundle.condition2_min,
     }
-    return header, runs, all(r["decoded"] == r["input_index"] for r in runs)
+    return header, runs, bool((members.decoded == indices).all())
 
 
-def cmd_fixed_point(args) -> tuple[dict, list, bool]:
+def cmd_fixed_point(args) -> tuple[dict, dict, bool]:
     """Solve the self-consistency condition for a user-supplied circuit."""
     cfg = _load_config(args.config)
     policy = _parse_policy(cfg, args)
@@ -921,15 +922,15 @@ def cmd_fixed_point(args) -> tuple[dict, list, bool]:
         )
 
     result = deutsch.fixed_point(u, rho, policy=policy)
-    run = {
-        "fixed_point": result.fixed_point.entries,
-        "residual": float(result.residual),
-        "fixed_space_dim": result.fixed_space_dim,
-        "unique": bool(result.unique),
-        "entropy_nats": deutsch.von_neumann_entropy(result.fixed_point),
+    runs = {
+        "fixed_point": result.fixed_point.entries[None],
+        "residual": [float(result.residual)],
+        "fixed_space_dim": [result.fixed_space_dim],
+        "unique": [bool(result.unique)],
+        "entropy_nats": [deutsch.von_neumann_entropy(result.fixed_point)],
     }
     header = {"policy": policy, "unitary": u, "rho_cr": rho}
-    return header, [run], True
+    return header, runs, True
 
 
 def _example_states() -> StateSet:
@@ -969,7 +970,7 @@ def _column_phase_deviation(constructed: np.ndarray,
     return worst
 
 
-def cmd_example(args) -> tuple[dict, list, bool]:
+def cmd_example(args) -> tuple[dict, dict, bool]:
     """Reproduce the canonical two-state construction at given amplitudes."""
     try:
         spec = SuperpositionSpec(args.alpha, args.beta)
@@ -978,24 +979,19 @@ def cmd_example(args) -> tuple[dict, list, bool]:
     seed = _parse_seed({}, args)
     states = _example_states()
     bundle = build_distinguisher(states, seed)
-    blocks = []
-    worst = 0.0
-    for i in range(2):
-        for j in range(2):
-            constructed = build_u_ij(states, i, j, spec, bundle.uks).entries
-            reference = _example_reference(i, j, spec.alpha, spec.beta)
-            if i == j:
-                deviation = float(np.abs(constructed - reference).max())
-            else:
-                deviation = _column_phase_deviation(constructed, reference)
-            worst = max(worst, deviation)
-            blocks.append({
-                "i": i,
-                "j": j,
-                "constructed": constructed,
-                "reference": reference,
-                "deviation": deviation,
-            })
+    # the blocks U_ij, row by row
+    i, j = [0, 0, 1, 1], [0, 1, 0, 1]
+    constructed = np.array([build_u_ij(states, a, b, spec, bundle.uks).entries
+                            for a, b in zip(i, j)])
+    reference = np.array([_example_reference(a, b, spec.alpha, spec.beta)
+                          for a, b in zip(i, j)])
+    deviation = [float(np.abs(con - ref).max()) if a == b
+                 else _column_phase_deviation(con, ref)
+                 for a, b, con, ref in zip(i, j, constructed, reference)]
+    # a NaN deviation is the worst
+    worst = float(np.max(deviation))
+    runs = {"i": i, "j": j, "constructed": constructed,
+            "reference": reference, "deviation": deviation}
     header = {
         "seed": seed,
         "alpha": spec.alpha,
@@ -1003,7 +999,7 @@ def cmd_example(args) -> tuple[dict, list, bool]:
         "state_set": states.amplitudes,
         "max_deviation": worst,
     }
-    return header, blocks, worst < _EXAMPLE_DEVIATION
+    return header, runs, worst < _EXAMPLE_DEVIATION
 
 
 # ---------------------------------------------------------------------------
@@ -1072,14 +1068,14 @@ def main(argv=None) -> int:
         header, runs, ok = args.func(args)
         header = {"command": args.command, "timestamp": _timestamp(), **header}
         if args.json:
-            # each line is {**header, "run": run}; the header, never empty,
-            # is written once
+            # each line is {**header, "run": run}, a run holding its entry
+            # of every column; the header, never empty, is written once
             opening = _json_dumps(header)[:-1] + ',"run":'
             pieces = []
-            for run in runs:
-                pieces += (opening, _json_dumps(run) + "}\n")
+            for row in zip(*runs.values()):
+                pieces += (opening, _json_dumps(dict(zip(runs, row))) + "}\n")
         else:
-            pieces = _yaml_pieces({**header, "runs": runs})
+            pieces = _yaml_pieces(header, runs)
         # written in pieces: the report's text is never held in one string
         if args.out:
             try:

@@ -53,6 +53,11 @@ def as_lists(obj):
     return obj
 
 
+def run_rows(runs):
+    """A command's runs, one column a key, as one mapping a run."""
+    return [dict(zip(runs, row)) for row in zip(*runs.values())]
+
+
 class ReportDumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
     """PyYAML's dumper for reports: the oracle of ``cli._yaml_report``."""
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import ReportDumper, as_lists
+from conftest import ReportDumper, as_lists, run_rows
 from ctcsim import cli, deutsch, discrimination, superpose
 from ctcsim.cli import main
 from ctcsim.sampling import random_state_set
@@ -376,9 +376,11 @@ def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
     reports = []
     emit = cli._yaml_pieces
     monkeypatch.setattr(cli, "_yaml_pieces",
-                        lambda report: reports.append(report) or emit(report))
+                        lambda header, runs: reports.append((header, runs))
+                        or emit(header, runs))
     assert main(argv) == 0
-    report = as_lists(*reports)
+    ((header, runs),) = reports
+    report = as_lists({**header, "runs": run_rows(runs)})
     printed = capsys.readouterr().out
     for dumper in (ReportDumper, _PurePythonDumper):
         assert printed == yaml.dump(report, Dumper=dumper, sort_keys=False,
@@ -682,7 +684,7 @@ def test_json_lines_are_header_and_run_objects(capsys, monkeypatch, argv):
     header, runs, _ = args.func(args)
     header = {"command": argv[0], "timestamp": cli._timestamp(), **header}
     expected = "\n".join(cli._json_dumps({**header, "run": run})
-                         for run in runs) + "\n"
+                         for run in run_rows(runs)) + "\n"
     assert main(argv + ["--json"]) == 0
     assert capsys.readouterr().out == expected
 

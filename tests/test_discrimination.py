@@ -33,6 +33,7 @@ from ctcsim import (
     validate,
 )
 from ctcsim import deutsch, discrimination
+from ctcsim.linalg import TOL_NORM, condition2_threshold
 from ctcsim.sampling import haar_state, random_state_set
 
 
@@ -145,6 +146,32 @@ def test_validate_agrees_with_the_distinguisher_on_haar_sets(n, seed):
     rng = np.random.default_rng(seed)
     states = StateSet(tuple(haar_state(n, rng) for _ in range(n)))
     assert validate(states).passed == _builds_up_front(states)
+
+
+# two sets that validation accepts and a later stage refuses for its
+# tolerance alone (ROADMAP item 2); the marks go when the edges close
+
+@pytest.mark.xfail(raises=Condition2Exhausted, strict=True,
+                   reason="condition-2 edge: room above the bound is not enough")
+def test_validated_near_parallel_set_builds():
+    # twelve members at three times the least room validate allows; the
+    # construction builds at N = 3, 5 and 8
+    states = near_parallel_set(12, 3 * condition2_threshold(12))
+    assert validate(states).passed
+    build_distinguisher(states, rng_seed=0)
+
+
+@pytest.mark.xfail(raises=NoFixedPointNumerical, strict=True,
+                   reason="norm edge: the label weight check has no room for "
+                          "the norm error validate allows")
+def test_validated_set_off_unit_norm_is_distinguished():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z *= (1 + 0.95 * TOL_NORM * rng.choice([-1, 1], 8))[:, None]
+    states = StateSet(z)
+    assert validate(states).passed
+    distinguish_members(build_distinguisher(states, rng_seed=0))
 
 
 def test_build_uk_index_out_of_range(zero_minus_set):

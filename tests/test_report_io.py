@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import ReportDumper, as_lists
+from conftest import ReportDumper, as_lists, run_rows
 from ctcsim import cli
 
 
@@ -261,8 +261,33 @@ def test_complex_reports_match_both_dumpers(report):
 # block sequences of mappings with the same keys, as a command's runs,
 # which the writer lays out key by key: values of one shape and dtype in
 # every item, one complex value shared by every item, scalar rows and
-# scalars, nested so deep that rows wrap
+# scalars, nested so deep that rows wrap, and after a header as
+# `_yaml_pieces` writes them from their columns
 RUN_SHAPES = st.sampled_from([(3,), (4, 2), (2, 3), (2, 2, 2), (12,), (3, 12)])
+HEADERS = st.dictionaries(KEYS.filter(lambda key: key != "runs"),
+                          SCALARS | ARRAYS, max_size=4)
+
+
+def _stack(column):
+    """`column` as one array with a leading item axis, when its values
+    are arrays of one shape and dtype, else as it is."""
+    if (all(isinstance(v, np.ndarray) for v in column)
+            and len({(v.shape, v.dtype) for v in column}) == 1):
+        return np.stack(column)
+    return column
+
+
+def check_stack(header, rows):
+    """`_yaml_pieces` of `header` and the columns of `rows`, mappings with
+    the same keys, each column given as a list and as one array stack,
+    against both dumpers of ``{**header, "runs": rows}``."""
+    report = as_lists({**header, "runs": rows})
+    lists = {key: [row[key] for row in rows] for key in rows[0]}
+    for runs in (lists, {key: _stack(column) for key, column in lists.items()}):
+        text = "".join(cli._yaml_pieces(header, runs))
+        assert text == dump(report, ReportDumper)
+        if "!!float" not in text:
+            assert text == dump(report, _Pure)
 
 
 @st.composite
@@ -288,13 +313,16 @@ def same_key_runs(draw):
             value = ROWS if kind == "row" else FLOATS
         columns.append(draw(st.lists(value, min_size=size, max_size=size)))
     runs = [dict(zip(keys, values)) for values in zip(*columns)]
-    return {draw(KEYS): _deep(runs, draw(st.integers(0, 20)))}
+    return (draw(HEADERS), runs,
+            {draw(KEYS): _deep(runs, draw(st.integers(0, 20)))})
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(same_key_runs())
-def test_same_key_runs_match_both_dumpers(report):
+def test_same_key_runs_match_both_dumpers(drawn):
+    header, runs, report = drawn
     check_arrays(report)
+    check_stack(header, runs)
 
 
 SHARED = np.arange(4.0).reshape(2, 2) / 3
@@ -325,14 +353,46 @@ LONG_PAIRS = np.full(3, -1.2345678901234567e-308 + 1.2345678901234567e-300j)
     [{"a": {"z": 1}}, {"a": {"z": 2}}],
     ["name", {"a": np.ones(2)}, {"a": np.ones(2)}],
     [{"a": np.ones(2)}, [np.ones(2)], {"a": np.ones(2)}],
+    [{"a": np.full(2, float(k)), "b": k} for k in range(3)],
 ], ids=["shapes-differ", "dtypes-differ", "keys-differ", "keys-reordered",
         "keys-added", "int-and-empty", "empty-complex-rows", "one-item",
         "scalar-items", "shared-scalars", "scalar-in-one-item", "shared-array",
         "shared-complex-and-wide-rows", "longest-floats", "nested-runs", "empty-items",
-        "complex-scalars", "mappings", "scalar-first", "sequence-between"])
+        "complex-scalars", "mappings", "scalar-first", "sequence-between",
+        "distinct-rows"])
 @pytest.mark.parametrize("depth", [0, 3, 30])
 def test_same_key_runs_match_dumper_on_shapes(runs, depth):
     check_arrays({"runs": _deep(runs, depth)})
+    # as a stack after a header: of scalars alone, with arrays, or nested
+    # `depth` deep
+    if not (all(isinstance(run, dict) for run in runs)
+            and len(set(map(tuple, runs))) == 1 and runs[0]):
+        return
+    header = {0: {"command": "distinguish", "seed": 0, "passed": True},
+              3: {"seed": 3, "state_set": COMPLEX_4x3},
+              30: {"deep": _deep(ROW_OF_12, 30)}}[depth]
+    if any(len({isinstance(run[key], cli._COLLECTIONS) for run in runs}) > 1
+           for key in runs[0]):
+        # items that are block mappings in some runs and flow mappings in
+        # others share no layout
+        with pytest.raises(TypeError):
+            cli._yaml_pieces(header, {key: [run[key] for run in runs]
+                                      for key in runs[0]})
+        return
+    check_stack(header, runs)
+
+
+@pytest.mark.parametrize("runs", [
+    [{"a": 1.5}, {"a": 2.5}],
+    {},
+    {"a": []},
+    {"a": [1.5, 2.5], "b": [1.5]},
+    {"a": [np.ones(2), 1.5]},
+], ids=["list-of-mappings", "no-columns", "no-runs", "unequal-columns",
+        "mixed-kinds"])
+def test_runs_other_than_columns_are_rejected(runs):
+    with pytest.raises(TypeError):
+        cli._yaml_pieces({"seed": 0}, runs)
 
 
 # floats whose .17g text holds no '.', which the report completes with
@@ -354,23 +414,28 @@ def special_runs(draw):
     real = hnp.arrays(np.float64, shape, elements=RUN_FLOATS)
     state = hnp.arrays(np.complex128, shape,
                        elements=st.builds(complex, RUN_FLOATS, RUN_FLOATS))
-    runs = [{
+    rows = [{
         "m": draw(st.integers(-2**53, 2**53)),
         "labels": draw(st.lists(st.integers(0, 99), min_size=2, max_size=2)),
+        # an int array, which a stack holds as a sweep's decoded indices
+        "decoded": np.array(draw(st.lists(st.integers(0, 99), min_size=2,
+                                          max_size=2))),
         "residuals": draw(st.lists(RUN_FLOATS, min_size=2, max_size=2)),
         "fidelity": draw(RUN_FLOATS),
         "amplitude": draw(st.builds(complex, RUN_FLOATS, RUN_FLOATS)),
         "real": draw(real),
         "state": draw(state),
     } for _ in range(size)]
-    return {"runs": _deep(runs, draw(st.integers(0, 3)))}
+    return draw(HEADERS), rows, {"runs": _deep(rows, draw(st.integers(0, 3)))}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(special_runs())
-def test_special_floats_in_same_key_runs_match_both_dumpers(report):
+def test_special_floats_in_same_key_runs_match_both_dumpers(drawn):
+    header, rows, report = drawn
     check_arrays(report)
     check_complex(report)
+    check_stack(header, rows)
 
 
 def test_identity_fixed_point_report_matches_both_dumpers(tmp_path):
@@ -386,8 +451,10 @@ def test_identity_fixed_point_report_matches_both_dumpers(tmp_path):
     args = cli._parser().parse_args(["fixed-point", str(path)])
     header, runs, ok = args.func(args)
     assert ok
-    report = {"command": "fixed-point", **header, "runs": runs}
-    assert "1.0, 0.0" in cli._yaml_report(report)
+    header = {"command": "fixed-point", **header}
+    assert "1.0, 0.0" in "".join(cli._yaml_pieces(header, runs))
+    check_stack(header, run_rows(runs))
+    report = {**header, "runs": run_rows(runs)}
     check_arrays(report)
     check_complex(report)
 
