@@ -8,25 +8,30 @@ reproduces the binary double.
 
 Reports do not go through PyYAML's Python object layers.  They are
 rendered by :func:`_yaml_pieces` byte for byte as ``yaml.dump`` with
-libyaml would write what they hold (mappings, flow sequences of numbers,
-nested block sequences, block sequences of mappings or of flow mappings,
-and scalars), 80-column wrap included; any other value raises
+libyaml would write them, 80-column wrap included.  The writer takes
+what the commands hand it and nothing else: a header whose values are
+floats, ints, names, the timestamp, complex numbers and float or
+complex arrays, and runs as columns with an entry per run: lists of
+floats, ints, bools or names, one complex number that every run holds,
+and float, complex or int arrays (ints within 2**53) whose leading axis
+is the run.  Any other value, a nested list or mapping, None, an empty,
+0-d or bool array or arrays that differ in shape or dtype, raises
 TypeError.  A complex value is written as its [re, im] pair, by the
 writer and :func:`_json_dumps` alone.  One compiler, :func:`_compile`,
 lays out a stack of values, one per item, as a template with a slot per
 number: the header is a stack of one, and the runs are one stack with
-an item per run, the command's columns, each a list or an array with
-one entry per run.  A value that is the same object in every item of a
-list, or a scalar with one text, is written into the template once, and
-values that cannot share a layout take a text slot, each compiled
-alone.  A template's numbers are one float matrix, a row per item; one
-numpy pass finds the few floats, such as ``inf`` or ``1e+22``, that
-``%.17g`` or ``%.1f`` would not write, and each item is one ``%`` of its
-row, formatted when it is written.  A flow row that might reach column
-80 is filled with separators and broken by :func:`_flow`.  :func:`main`
-writes the pieces, a run each, with ``writelines`` and never joins
-them.  A ``--json`` report writes its header's text once and each run
-after it, the run's entry of every column.
+an item per run, a block mapping when a column holds arrays or complex
+values and a flow mapping otherwise.  A scalar with one text in every
+item, and the complex number the runs share, are written into the
+template once.  A template's numbers are one float matrix, a row per
+item; one numpy pass finds the few floats, such as ``inf`` or
+``1e+22``, that ``%.17g`` or ``%.1f`` would not write, and each item is
+one ``%`` of its row, formatted when it is written.  A flow row that
+might reach column 80 is filled with separators and broken by
+:func:`_flow`.  :func:`main` writes the pieces, a run each, with
+``writelines`` and never joins them.  A ``--json`` report writes its
+header's text once and each run after it, the run's entry of every
+column.
 
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
 with YAML 1.1's scalar rules.  A numeric row, one flow sequence of
@@ -55,7 +60,9 @@ report and picks the exit code.  Exit codes: 0 success, 2
 validation/config error (an unwritable ``--out`` included), 3 protocol
 error (degenerate superposition, non-unique fixed point, no numerical
 fixed point, exhausted unitary construction) or a command's own failed
-verdict, after its whole report is written, 1 internal error.
+verdict, after its whole report is written, 1 internal error.  A
+reader that closes stdout early, such as ``head``, leaves the report cut
+short and the command's exit code as it is.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -362,23 +370,17 @@ _STAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 _FLOAT_TAG = "!!float "
 _WIDTH = 80  # libyaml's best_width
 _INDENT = 2  # libyaml's best_indent
-# what a report writes as a collection: a complex value is its [re, im]
-_COLLECTIONS = (list, dict, np.ndarray, complex)
 
 
-def _scalar_text(x):
-    """A scalar as libyaml writes it, or None for a collection or complex."""
+def _scalar_text(x) -> str:
+    """A float, bool, int, name or timestamp as libyaml writes it."""
     if isinstance(x, float):
         # a float YAML 1.1 would not resolve implicitly carries its tag
         return _float_text(format(x, ".17g"), _FLOAT_TAG)
-    if isinstance(x, _COLLECTIONS):
-        return None
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    if x is None:
-        return "null"
     if isinstance(x, str):
         if _NAME.fullmatch(x):
             plain = _RESOLVER.resolve(yaml.ScalarNode, x, (True, False)) == _STR_TAG
@@ -398,15 +400,6 @@ def _key_head(key) -> str:
 def _column(text: str) -> int:
     """The column after `text`, which starts a line or holds a line break."""
     return len(text) - 1 - text.rfind("\n")
-
-
-def _block_prefix(head: str, indent: int, mapping: bool) -> str:
-    """`head` and the start of the first item of the block collection after
-    it: on the dash's line, or on a new line, not indented for a sequence
-    under a key; the root's starts the report."""
-    if head.endswith("-"):
-        return head + " "
-    return head and head + "\n" + " " * (indent + _INDENT if mapping else indent)
 
 
 # a float's .17g text, '.0' or tag added, takes at most 24 characters
@@ -438,42 +431,32 @@ class _Template:
         self.texts, self.groups = [], []
 
 
-def _compile(t: _Template, head: str, values: list, indent: int) -> None:
+def _compile(t: _Template, head: str, values, indent: int) -> None:
     """Append to `t`'s layout `head`, text whose last line ends in an
-    entry's ``key:`` or ``-`` and starts a line or holds a line break,
-    and the layout of `values`, the entry's value in each item, in the
-    block collection at `indent`.  Values that differ in kind, shape or
-    keys take a text column, each compiled alone."""
+    entry's ``key:``, and the layout of `values`, the entry's value in
+    each item, in the block mapping at `indent`: scalars, one complex
+    number that every item holds, or float, complex or int arrays of one
+    shape and dtype, given as a list or as one array whose leading axis
+    is the item.  Any other value raises TypeError."""
     first = values[0]
-    if not isinstance(first, _COLLECTIONS):
-        item = _scalar_item(t, values)
-        if item is not None:
-            t.layout.append(f"{head} {item[0]}")
-            return
-    elif isinstance(first, (list, dict)):
-        if _collection(t, head, values, indent):
-            return
-    elif _arrays(t, head, values, indent):
-        return
-    t.layout.append(head + _SLOT)
-    _text_column(t, (_alone(head, v, indent) for v in values))
-
-
-def _distinct(values):
-    """`values`, or the first alone if every item of a list holds the same
-    object, as the runs of a sweep share the spec's alpha and beta: one
-    value in a stack of many is compiled once, into text.  An array's
-    rows are views made on access, whose ids tell nothing."""
-    if isinstance(values, list) and len(values) > 1 and len(set(map(id, values))) == 1:
-        return values[:1]
-    return values
+    if isinstance(values, np.ndarray) or isinstance(first, np.ndarray):
+        _arrays(t, head, values, indent)
+    elif isinstance(first, complex):
+        # the same object in every item, as the runs of a sweep share the
+        # spec's alpha and beta: written into the template once
+        if len(set(map(id, values))) > 1:
+            raise TypeError("a complex value must be the same in every item")
+        lead = head + " ["
+        parts = [_scalar_text(first.real), _scalar_text(first.imag)]
+        t.layout.append(lead + _flow(_column(lead), parts, indent + _INDENT) + "]")
+    else:
+        t.layout.append(f"{head} {_scalar_item(t, values)[0]}")
 
 
 def _scalar_item(t: _Template, values: list):
     """The text of scalars `values` in `t`'s layout and its greatest
     length: a _SLOT, whose column `t` now holds, unless there is one
-    value or every value's text is the same; None, with nothing held, if
-    a value is a collection."""
+    value or every value's text is the same."""
     code = _number_code(values) if len(values) > 1 else None
     if code is not None:
         t.columns.append(np.array(values, dtype=float)[:, None])
@@ -481,77 +464,33 @@ def _scalar_item(t: _Template, values: list):
         # the longest int text is the smallest or the largest int's
         return _SLOT, (max(len(str(min(values))), len(str(max(values))))
                        if code == _INT else _FLOAT_CHARS)
-    texts = list(map(_scalar_text, _distinct(values)))
-    if None in texts:
-        return None
+    texts = list(map(_scalar_text, values))
     if texts.count(texts[0]) == len(texts):
         return texts[0], len(texts[0])
-    _text_column(t, iter(texts))
+    t.texts.append((len(t.codes), iter(texts)))
+    t.codes.append(_TEXT)
+    t.columns.append(np.zeros((t.size, 1)))
     return _SLOT, max(map(len, texts))
 
 
-def _text_column(t: _Template, texts) -> None:
-    """A _TEXT slot, filled for each item from the iterator `texts`."""
-    t.texts.append((len(t.codes), texts))
-    t.codes.append(_TEXT)
-    t.columns.append(np.zeros((t.size, 1)))
-
-
-def _collection(t: _Template, head: str, values: list, indent: int) -> bool:
-    """Lists of one length, or mappings with the same keys, laid out after
-    `head`, "" for the report's root, entry by entry; False, with nothing
-    laid out, if they cannot share a layout."""
-    values = _distinct(values)
-    first = values[0]
-    mapping = isinstance(first, dict)
-    if mapping:
-        if not (all(map(isinstance, values, itertools.repeat(dict)))
-                and len(set(map(tuple, values))) == 1):
-            return False
-        heads = list(map(_key_head, first))
-        columns = list(map(list, zip(*map(dict.values, values))))
-    else:
-        if not (all(map(isinstance, values, itertools.repeat(list)))
-                and len(set(map(len, values))) == 1):
-            return False
-        heads = ["-"] * len(first)
-        columns = list(map(list, zip(*values)))
-    return _entries(t, head, heads, columns, indent, mapping)
-
-
-def _entries(t: _Template, head: str, heads: list, columns: list,
-             indent: int, mapping: bool) -> bool:
-    """The entries of mappings, or of lists, laid out after `head`: in
-    `heads` each entry's ``key:`` or ``-``, and in `columns` its value in
-    each item, a list or an array with one entry per item; False, with
-    nothing laid out, if the items cannot share a layout."""
-    # an item that holds a collection is a block collection, any other a
-    # flow collection of scalars, and every item must be the first's kind
-    nested = [isinstance(c[0], _COLLECTIONS) for c in columns]
-    if True in nested:
-        if not all(map(isinstance, columns[nested.index(True)],
-                       itertools.repeat(_COLLECTIONS))):
-            return False
-        prefix = _block_prefix(head, indent, mapping)
-        indent = _column(prefix)
-        line = "\n" + " " * indent
-        for i, (key, column) in enumerate(zip(heads, columns)):
-            _compile(t, (line if i else prefix) + key, column, indent)
-        return True
-    if any(issubclass(tp, _COLLECTIONS)
-           for tp in set(map(type, itertools.chain.from_iterable(columns)))):
-        return False
+def _runs(t: _Template, runs: dict) -> None:
+    """The runs, a block sequence with an item per run in `t`, laid out
+    key by key from their columns: each run a block mapping if a column
+    holds arrays or complex values, else a flow mapping of scalars."""
+    heads = list(map(_key_head, runs))
+    columns = list(runs.values())
+    if any(isinstance(c, np.ndarray) or isinstance(c[0], (np.ndarray, complex))
+           for c in columns):
+        for i, (head, column) in enumerate(zip(heads, columns)):
+            _compile(t, ("\n  " if i else "\n- ") + head, column, _INDENT)
+        return
     items = [_scalar_item(t, column) for column in columns]
-    if mapping:
-        items = [(f"{key} {text}", len(key) + 1 + width)
-                 for key, (text, width) in zip(heads, items)]
-    # the root's flow mapping opens the report, and goes on at column 2
-    opening = (head and head + " ") + ("{" if mapping else "[")
-    body, group = _flow_items(_column(opening), items, indent + _INDENT)
-    t.layout.append(opening + body + ("}" if mapping else "]"))
+    items = [(f"{head} {text}", len(head) + 1 + width)
+             for head, (text, width) in zip(heads, items)]
+    body, group = _flow_items(_column("\n- {"), items, _INDENT)
+    t.layout.append("\n- {" + body + "}")
     if group:
         t.groups.append(group)
-    return True
 
 
 def _flow_items(col: int, items: list, indent: int):
@@ -561,7 +500,7 @@ def _flow_items(col: int, items: list, indent: int):
     texts = [text for text, _ in items]
     # the column after the last comma decides whether any line breaks
     last = col + sum(width + 2 for _, width in items[:-1]) - 1
-    if not items or max(col, last) <= _WIDTH:
+    if max(col, last) <= _WIDTH:
         return ", ".join(texts), None
     return _GROUP + _SEP.join(texts) + _GROUP, (col, indent)
 
@@ -577,67 +516,55 @@ def _number_code(values: list):
     return None
 
 
-def _arrays(t: _Template, head: str, values: list, indent: int) -> bool:
-    """Numeric arrays of one shape and dtype, or complex numbers, laid out
-    after `head` as their lists, with a _SLOT per float; False, with
-    nothing laid out, if they differ in type, shape or dtype."""
-    values = _distinct(values)
-    if not (isinstance(values, np.ndarray)
-            or all(map(isinstance, values, itertools.repeat(complex)))
-            or all(map(isinstance, values, itertools.repeat(np.ndarray)))
-            and len({(v.shape, v.dtype) for v in values}) == 1):
-        return False
-    shape, matrix = _stacked(values)
-    if not shape:
-        raise TypeError("cannot serialize a 0-d array as a report value")
-    if matrix is None or len(values) < t.size:
-        # arrays that hold no floats, and one that stands for every item,
-        # are laid out as lists
-        lists = ([v.tolist() for v in values] if matrix is None
-                 else [matrix.reshape(shape).tolist()])
-        _compile(t, head, lists, indent)
-        return True
+def _arrays(t: _Template, head: str, values, indent: int) -> None:
+    """Arrays of one shape and dtype laid out after `head` as their
+    lists, with a _SLOT per number."""
+    shape, matrix, code = _stacked(values)
     t.columns.append(matrix)
-    t.codes += bytes(matrix.shape[1])
+    t.codes += bytes([code]) * matrix.shape[1]
     if len(shape) == 1:
         lead, col, wrap = head + " ", _column(head) + 2, indent + _INDENT
     else:
-        lead = _block_prefix(head, indent, False)
+        # a block sequence under a key is not indented
+        lead = head + "\n" + " " * indent
         # every row is a flow sequence after a dash in this column
-        dashes = _column(lead) + _INDENT * (len(shape) - 2)
+        dashes = indent + _INDENT * (len(shape) - 2)
         col, wrap = dashes + 3, dashes + _INDENT
     body, group = _flow_items(col, [(_SLOT, _FLOAT_CHARS)] * shape[-1], wrap)
     row = f"[{body}]"
     for depth in reversed(range(len(shape) - 1)):
-        line = "\n" + " " * (_column(lead) + _INDENT * depth)
+        line = "\n" + " " * (indent + _INDENT * depth)
         row = line.join(["- " + row] * shape[depth])
     t.layout.append(lead + row)
     if group:
         t.groups += [group] * (matrix.shape[1] // shape[-1])
-    return True
 
 
 def _stacked(values):
-    """Numeric arrays of one shape and dtype, or complex numbers, stacked
-    once unless they are one array's rows already: the shape of one, a
-    complex one as [re, im] pairs along a new last axis, and a float64
-    matrix with a row per value, None unless they hold floats."""
-    stacked = np.asarray(values[0])[None] if len(values) == 1 else np.asarray(values)
-    if np.iscomplexobj(stacked):
+    """Float, complex or int arrays of one shape and dtype, nonempty and
+    of one axis or more, stacked once unless they are one array already:
+    the shape of one, a complex one as [re, im] pairs along a new last
+    axis; a float64 matrix with a row per value; and the slot code of its
+    numbers, _INT for ints, which must lie within 2**53."""
+    if not (isinstance(values, np.ndarray)
+            or all(map(isinstance, values, itertools.repeat(np.ndarray)))
+            and len({(v.shape, v.dtype) for v in values}) == 1):
+        raise TypeError("arrays that differ in type, shape or dtype")
+    stacked = values[0][None] if len(values) == 1 else np.asarray(values)
+    if not stacked.size or stacked.ndim < 2:
+        raise TypeError("cannot serialize an empty or 0-d array")
+    kind, code = stacked.dtype.kind, 0
+    if kind == "c":
         pairs = np.ascontiguousarray(stacked, dtype=complex).view(np.float64)
         stacked = pairs.reshape(stacked.shape + (2,))
-    shape = stacked.shape[1:]
-    if stacked.dtype != np.float64 or not stacked.size:
-        return shape, None
-    return shape, stacked.reshape(len(stacked), -1)
-
-
-def _alone(head: str, value, indent: int) -> str:
-    """The text after `head` of `value`, compiled alone."""
-    t = _Template(1)
-    _compile(t, head, [value], indent)
-    (text,) = _filled(t)
-    return text[len(head):]
+    elif kind in "iu":
+        if stacked.min() < -_EXACT_INT or stacked.max() > _EXACT_INT:
+            raise TypeError("cannot serialize an int array beyond 2**53")
+        code = _INT
+    elif kind != "f":
+        raise TypeError(f"cannot serialize a {stacked.dtype} array")
+    matrix = stacked.reshape(len(stacked), -1).astype(float, copy=False)
+    return stacked.shape[1:], matrix, code
 
 
 def _filled(t: _Template):
@@ -737,10 +664,11 @@ def _flow(col: int, texts: list, indent: int) -> str:
 
 def _yaml_pieces(header: dict, runs: dict) -> list:
     """The report ``{**header, "runs": rows}``, the k-th of `rows` mapping
-    each key of `runs` to the k-th entry of its column, as
-    :func:`_yaml_report` writes it, in pieces to be written in order: the
-    header's text, then one piece for each run.  The runs, a stack with
-    an item per run, must share a block or a flow layout."""
+    each key of `runs` to the k-th entry of its column, as ``yaml.dump``
+    writes it with libyaml's safe dumper and :func:`_fmt_float` as its
+    float representer, in pieces to be written in order: the header's
+    text, then one piece for each run.  The header's values, and the
+    columns' entries, are the kinds :func:`_compile` takes."""
     if not (isinstance(header, dict) and isinstance(runs, dict)):
         raise TypeError("a report's header and runs are mappings")
     sizes = set(map(len, runs.values()))
@@ -752,52 +680,34 @@ def _yaml_pieces(header: dict, runs: dict) -> list:
     for i, (key, value) in enumerate(header.items()):
         _compile(t, "\n" * bool(i) + _key_head(key), [value], 0)
     stack = _Template(sizes.pop())
-    if not _entries(stack, "\n-", list(map(_key_head, runs)),
-                    list(runs.values()), 0, True):
-        raise TypeError("runs that differ in kind cannot share a layout")
+    _runs(stack, runs)
     return [*_filled(t), "\n" * bool(header) + _key_head("runs"),
             *_filled(stack), "\n"]
 
 
-def _yaml_report(report: dict) -> str:
-    """The report as ``yaml.dump(report, sort_keys=False,
-    default_flow_style=None)`` writes it with libyaml's safe dumper and
-    :func:`_fmt_float` as its float representer, for a report whose
-    lists and dicts are distinct objects (the dumper would alias a
-    repeated one)."""
-    if not isinstance(report, dict):
-        raise TypeError("a report is a mapping")
-    return _alone("", report, 0) + "\n"
+def _json_dumps(values: dict) -> str:
+    """`values`, a mapping of the kinds :func:`_compile` takes, as one
+    JSON object."""
+    if not isinstance(values, dict):
+        raise TypeError("a JSON report is a mapping")
+    return "{" + ",".join(f"{json.dumps(str(k))}:{_json_value(v)}"
+                          for k, v in values.items()) + "}"
 
 
-def _json_dumps(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, complex):
-        return f"[{_fmt_float(obj.real)},{_fmt_float(obj.imag)}]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_json_dumps(x) for x in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ",".join(
-            f"{json.dumps(str(k))}:{_json_dumps(v)}" for k, v in obj.items()
-        ) + "}"
-    if isinstance(obj, np.ndarray):
-        shape, matrix = _stacked([obj])
-        if not shape or matrix is None:
-            return _json_dumps(obj.tolist())
+def _json_value(x) -> str:
+    if isinstance(x, float):
+        return _fmt_float(x)
+    if isinstance(x, complex):
+        return f"[{_fmt_float(x.real)},{_fmt_float(x.imag)}]"
+    if isinstance(x, str):
+        return json.dumps(x)
+    if isinstance(x, np.ndarray):
+        shape, matrix, code = _stacked([x])
         layout = _SLOT
         for n in reversed(shape):
             layout = "[" + ",".join([layout] * n) + "]"
-        return next(_formatted(layout, matrix, tag=""))
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return next(_formatted(layout, matrix, bytes([code]) * matrix.shape[1], tag=""))
+    return _scalar_text(x)
 
 
 def _timestamp() -> str:
@@ -1084,7 +994,15 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot write report: {exc}")
         else:
-            sys.stdout.writelines(pieces)
+            try:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader closed early: point stdout at devnull, so the
+                # interpreter's last flush of what is left stays quiet
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         return EXIT_OK if ok else EXIT_PROTOCOL
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -59,7 +59,7 @@ def run_rows(runs):
 
 
 class ReportDumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
-    """PyYAML's dumper for reports: the oracle of ``cli._yaml_report``."""
+    """PyYAML's dumper for reports: the oracle of ``cli._yaml_pieces``."""
 
 
 ReportDumper.add_representer(

@@ -678,15 +678,19 @@ def test_main_stamps_writes_and_exits(tmp_path, capsys, monkeypatch, argv,
 ], ids=["superpose-sweep", "distinguish", "example"])
 def test_json_lines_are_header_and_run_objects(capsys, monkeypatch, argv):
     # main writes the header's text once; each line must still be the
-    # object {**header, "run": run}
+    # object {**header, "run": run}: the header's entries, then the run's
     monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00Z")
     args = cli._parser().parse_args(argv)
     header, runs, _ = args.func(args)
     header = {"command": argv[0], "timestamp": cli._timestamp(), **header}
-    expected = "\n".join(cli._json_dumps({**header, "run": run})
-                         for run in run_rows(runs)) + "\n"
+    head = cli._json_dumps(header)
+    expected = "".join(f'{head[:-1]},"run":{cli._json_dumps(run)}}}\n'
+                       for run in run_rows(runs))
     assert main(argv + ["--json"]) == 0
-    assert capsys.readouterr().out == expected
+    out = capsys.readouterr().out
+    assert out == expected
+    for line, run in zip(out.splitlines(), run_rows(runs), strict=True):
+        assert json.loads(line) == {**as_lists(header), "run": as_lists(run)}
 
 
 @pytest.mark.parametrize("target", ["missing/report.yaml", "."],
@@ -696,6 +700,26 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, target):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: cannot write report: ")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["yaml", "json"])
+def test_reader_that_closes_early_is_no_program_fault(tmp_path, flags):
+    # an N = 12 sweep writes more than a pipe holds, so a reader that
+    # closes after its first line breaks the pipe while the report is
+    # still being written
+    cfg = haar_config(tmp_path, 12, 12, alpha=[0.6, 0.2], beta=[-0.3, 0.7])
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ctcsim", "superpose", cfg, *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert first.startswith(b"command: superpose" if not flags else b'{"command"')
+    assert stderr == b""
 
 
 def run_at_scale(tmp_path, capsys, command, x):

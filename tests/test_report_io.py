@@ -1,8 +1,9 @@
-"""The report emitter and the config reader against PyYAML as oracle.
+"""The report writer and the config reader against PyYAML as oracle.
 
-`cli._yaml_report` must print what ``yaml.dump`` prints with libyaml's
-emitter, and `cli._read_config` must return what ``yaml.load`` returns,
-under libyaml's parser and under PyYAML's pure-Python one.
+`cli._yaml_pieces` must print what ``yaml.dump`` prints with libyaml's
+emitter for every kind of value a command hands it, and raise TypeError
+for any other, and `cli._read_config` must return what ``yaml.load``
+returns, under libyaml's parser and under PyYAML's pure-Python one.
 """
 
 import json
@@ -39,7 +40,7 @@ def dump(report, dumper):
 
 
 # ---------------------------------------------------------------------------
-# report emitter
+# report writer
 
 FLOATS = st.floats() | st.sampled_from([
     -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
@@ -53,117 +54,191 @@ KEYS = NAMES | st.builds(lambda name, n: (name + "k" * n)[:100], NAMES,
                          st.integers(70, 100))
 STAMPS = st.datetimes(min_value=datetime(1000, 1, 1)).map(
     lambda t: t.strftime("%Y-%m-%dT%H:%M:%SZ"))
-SCALARS = (FLOATS | st.integers() | st.booleans() | st.none() | NAMES
-           | STAMPS)
-# rows of up to 12 floats of up to 24 characters cross column 80
-ROWS = st.lists(FLOATS, max_size=12)
-PAIRS = st.lists(FLOATS, min_size=2, max_size=2)
-FLOW_MAPS = st.dictionaries(KEYS, SCALARS, max_size=6)
-
-
-def _values(children):
-    return (st.lists(children, max_size=4)
-            | st.dictionaries(KEYS, children, max_size=4))
-
-
-VALUES = st.recursive(SCALARS | ROWS | PAIRS | FLOW_MAPS, _values,
-                      max_leaves=16)
-REPORTS = st.dictionaries(KEYS, VALUES, min_size=1, max_size=6)
-
-
-def check_emitter(report):
-    text = cli._yaml_report(report)
-    assert text == dump(report, ReportDumper)
-    # PyYAML's Python emitter single-quotes a tagged scalar, `!!float 'inf'`
-    # where libyaml writes `!!float inf`, which also moves its line breaks
-    if "!!float" not in text:
-        assert text == dump(report, _Pure)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(REPORTS)
-def test_emitter_matches_both_dumpers(report):
-    check_emitter(report)
-
-
-@pytest.mark.parametrize("report", [
-    {"row": [0.12345678901234566] * 9},
-    {"runs": [{"key": [[-0.12345678901234566, 1e-300] for _ in range(4)]}]},
-    {"k" * 78: [1.0, 2.0], "l" * 78: [1.0], "m" * 77: {"a": 1},
-     "n" * 79: [[0.5]]},
-    {"deep": [[[[0.5, -0.0]] for _ in range(5)] for _ in range(2)]},
-    {"runs": [{"input_index": 0, "decoded": 0,
-               "residual": 2.2204460492503131e-16, "unique": True,
-               "fidelity_to_basis": 0.99999999999999978,
-               "note": None, "when": "2000-01-01T00:00:00Z"}]},
-    {"empty": [], "none": {}, "nested_empty": [[], {}], "flags": [True, False]},
-    {"tagged": [math.inf, -math.inf, math.nan, 1e22, -1e300, 5e-324]},
-    {"k" * 78: 0.0, "A": 0.0},
-    {"yes" + "k" * 70: 0.0, "A": 0.0},
-], ids=["wrapped-row", "wrapped-pairs", "first-item-wrap", "nested-blocks",
-        "flow-mapping", "empty-collections", "non-finite-and-tagged",
-        "root-flow-wraps", "root-flow-fits"])
-def test_emitter_matches_dumper_on_shapes(report):
-    check_emitter(report)
-
-
+SCALARS = FLOATS | st.integers() | st.booleans() | NAMES | STAMPS
+COMPLEXES = st.builds(complex, FLOATS, FLOATS)
 # report arrays: the shapes commands print, with integral floats among
-# the entries; rows of up to 12 entries cross column 80
+# the entries; rows of up to 12 entries of up to 24 characters cross
+# column 80
 ARRAY_FLOATS = FLOATS | st.integers(-2**60, 2**60).map(float)
 ARRAY_SHAPES = (st.tuples(st.integers(1, 12))
                 | st.tuples(st.integers(1, 6), st.just(2))
                 | st.tuples(st.integers(1, 4), st.integers(1, 12))
                 | st.tuples(st.integers(1, 3), st.integers(1, 4), st.just(2)))
 ARRAYS = hnp.arrays(np.float64, ARRAY_SHAPES, elements=ARRAY_FLOATS)
-ARRAY_REPORTS = st.dictionaries(
-    KEYS, st.recursive(SCALARS | ROWS | ARRAYS, _values, max_leaves=12),
-    min_size=1, max_size=6)
+COMPLEX_ARRAYS = hnp.arrays(np.complex128, ARRAY_SHAPES, elements=COMPLEXES)
+# a run's arrays: a sweep's pairs and states, an example's blocks
+RUN_SHAPES = st.sampled_from([(3,), (4, 2), (2, 3), (2, 2, 2), (12,), (3, 12)])
+EXACT_INTS = st.integers(-2**53, 2**53)
 
 
-def check_arrays(report):
-    lists = as_lists(report)
-    check_emitter(lists)
-    assert cli._yaml_report(report) == cli._yaml_report(lists)
-    assert cli._json_dumps(report) == cli._json_dumps(lists)
+def dump(report, dumper):
+    return yaml.dump(report, Dumper=dumper, sort_keys=False,
+                     default_flow_style=None)
+
+
+def _finite(obj):
+    if isinstance(obj, dict):
+        return all(map(_finite, obj.values()))
+    if isinstance(obj, list):
+        return all(map(_finite, obj))
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
+def _other_form(runs):
+    """`runs` with each array column as a list of its rows, and each list
+    of arrays of one shape and dtype as one array."""
+    other = {}
+    for key, column in runs.items():
+        if isinstance(column, np.ndarray):
+            column = list(column)
+        elif (all(isinstance(v, np.ndarray) for v in column)
+              and len({(v.shape, v.dtype) for v in column}) == 1):
+            column = np.stack(column)
+        other[key] = column
+    return other
+
+
+def check_report(header, runs):
+    """`_yaml_pieces(header, runs)`, with each column given as a list and
+    as one array where it holds arrays, against both dumpers of the
+    report it stands for, and the JSON of the header and of each run,
+    read back by ``json.loads``, where every number is finite."""
+    rows = run_rows(runs)
+    report = as_lists({**header, "runs": rows})
+    for columns in (runs, _other_form(runs)):
+        text = "".join(cli._yaml_pieces(header, columns))
+        assert text == dump(report, ReportDumper)
+        # PyYAML's Python emitter single-quotes a tagged scalar, `!!float
+        # 'inf'` where libyaml writes `!!float inf`, which also moves its
+        # line breaks
+        if "!!float" not in text:
+            assert text == dump(report, _Pure)
+    for values in (header, *rows):
+        text = cli._json_dumps(values)
+        if _finite(as_lists(values)):
+            # an int array's entries come back as ints, not as floats
+            assert _typed(json.loads(text)) == _typed(as_lists(values))
+
+
+def check_rejected(header, runs):
+    with pytest.raises(TypeError):
+        cli._yaml_pieces(header, runs)
+
+
+@st.composite
+def reports(draw, header_values, kinds, block=False):
+    """A header of `header_values` and runs whose columns are of `kinds`:
+    ``int``, ``float``, ``bool`` or ``name`` lists, a ``shared`` complex,
+    or ``floats``, ``complexes`` or ``ints`` stacks; with `block` the
+    first column is a stack, so every run is a block mapping."""
+    header = draw(st.dictionaries(KEYS.filter(lambda key: key != "runs"),
+                                  header_values, max_size=5))
+    size = draw(st.integers(1, 5))
+    keys = draw(st.lists(KEYS, min_size=1, max_size=5, unique=True))
+    runs = {}
+    for k, key in enumerate(keys):
+        kind = draw(st.sampled_from(
+            ["floats", "complexes", "ints"] if block and not k else kinds))
+        if kind == "shared":
+            runs[key] = [draw(COMPLEXES)] * size
+        elif kind in ("floats", "complexes", "ints"):
+            dtype, elements = {"floats": (np.float64, ARRAY_FLOATS),
+                               "complexes": (np.complex128, COMPLEXES),
+                               "ints": (np.int64, EXACT_INTS)}[kind]
+            shape = (size,) + draw(RUN_SHAPES)
+            runs[key] = draw(hnp.arrays(dtype, shape, elements=elements))
+        else:
+            value = {"int": st.integers(), "float": FLOATS,
+                     "bool": st.booleans(), "name": NAMES | STAMPS}[kind]
+            runs[key] = draw(st.lists(value, min_size=size, max_size=size))
+    return header, runs
+
+
+RUN_KINDS = ["int", "float", "bool", "name", "shared", "floats", "complexes",
+             "ints"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(ARRAY_REPORTS)
-def test_array_reports_match_both_dumpers(report):
-    check_arrays(report)
-
-
-def _deep(value, depth):
-    """`value` inside `depth` levels of one-item sequences and mappings."""
-    for k in range(depth):
-        value = {f"k{k}": value} if k % 2 else [value]
-    return value
+@given(reports(SCALARS | COMPLEXES | ARRAYS | COMPLEX_ARRAYS, RUN_KINDS))
+def test_emitter_matches_both_dumpers(drawn):
+    check_report(*drawn)
 
 
 PAIRS_4x3 = np.arange(24.0).reshape(4, 3, 2) / 7
 ROW_OF_12 = -np.arange(1, 13) / 3
+COMPLEX_4x3 = (np.arange(12.0) - 5.5j * np.arange(12.0)[::-1]).reshape(4, 3) / 7
+# a complex value every run holds, as a sweep's alpha
+SHARED_Z = 0.5 - 1j
+# a run of a distinguish report, at the width of a two-digit index
+FLOW_RUN = {"input_index": [0, 11], "decoded": [0, 11],
+            "residual": [2.2204460492503131e-16, 0.0], "unique": [True, False],
+            "fidelity_to_basis": [0.99999999999999978, 1.0]}
 
 
-@pytest.mark.parametrize("report", [
-    {"unitary": PAIRS_4x3, "rho_cr": np.eye(2)},
-    {"runs": [{"ancilla": PAIRS_4x3[0], "overlaps": np.outer(ROW_OF_12, ROW_OF_12)}]},
-    {"state_set": [PAIRS_4x3[0], PAIRS_4x3[1]], "row": ROW_OF_12},
-    {"k" * 78: ROW_OF_12, "l" * 76: np.ones((2, 2)), "m" * 90: PAIRS_4x3},
-    {"deep": _deep(PAIRS_4x3, 60), "deep_row": _deep(ROW_OF_12, 41)},
-    {"four": PAIRS_4x3.reshape(2, 2, 3, 2), "column": np.ones((3, 1))},
-    {"special": np.array([[math.inf, -math.inf], [math.nan, 1e22],
-                          [-0.0, 5e-324], [1e308, 2.0**53]])},
-    {"empty": np.zeros(0), "empty_rows": np.zeros((2, 0)),
-     "ints": np.arange(3)},
+@pytest.mark.parametrize("header, runs", [
+    ({"row": np.full(9, 0.12345678901234566)},
+     {"residuals": np.full((2, 9), 0.12345678901234566)}),
+    ({"seed": 0}, {"key": np.tile([-0.12345678901234566, 1e-300], (1, 4, 1))}),
+    ({"k" * 78: np.array([1.0, 2.0]), "l" * 78: np.array([1.0]),
+      "m" * 77: 1 + 1j, "n" * 79: np.array([[0.5]])},
+     {"k" * 78: np.array([[1.0, 2.0]]), "m" * 77: [SHARED_Z]}),
+    ({"deep": np.tile([0.5, -0.0], (2, 5, 1, 1))},
+     {"deep": np.tile([0.5, -0.0], (1, 2, 5, 1, 1))}),
+    ({"command": "distinguish", "seed": 0},
+     {**FLOW_RUN, "note": ["max_entropy", "yes"],
+      "when": ["2000-01-01T00:00:00Z"] * 2}),
+    # a header with no entry
+    ({}, {"flags": [True, False]}),
+    ({"tagged": np.array([math.inf, -math.inf, math.nan, 1e22, -1e300, 5e-324]),
+      "alpha": complex(math.inf, math.nan)},
+     {"residual": [math.inf, math.nan, 1e22], "unique": [True] * 3}),
+    # runs of scalars are flow mappings
+    ({"seed": 0}, {"k" * 78: [0.0], "A": [0.0]}),
+    ({"seed": 0}, {"yes" + "k" * 70: [0.0], "A": [0.0]}),
+], ids=["wrapped-row", "wrapped-pairs", "first-item-wrap", "nested-blocks",
+        "flow-mapping", "empty-collections", "non-finite-and-tagged",
+        "root-flow-wraps", "root-flow-fits"])
+def test_emitter_matches_dumper_on_shapes(header, runs):
+    check_report(header, runs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(reports(SCALARS | ARRAYS, ["float", "int", "floats", "ints"]))
+def test_array_reports_match_both_dumpers(drawn):
+    check_report(*drawn)
+
+
+@pytest.mark.parametrize("header, runs", [
+    ({"policy": "require_unique", "unitary": PAIRS_4x3, "rho_cr": np.eye(2)},
+     {"fixed_point": COMPLEX_4x3[None, :3, :3], "residual": [1e-17],
+      "fixed_space_dim": [1], "unique": [True], "entropy_nats": [0.0]}),
+    ({"seed": 3}, {"ancilla": PAIRS_4x3[None, 0],
+                   "overlaps": np.outer(ROW_OF_12, ROW_OF_12)[None]}),
+    ({"state_set": PAIRS_4x3[:2], "row": ROW_OF_12},
+     {"m": [0, 1], "n": [1, 0], "decoded_indices": np.array([[0, 1], [1, 0]])}),
+    ({"k" * 78: ROW_OF_12, "l" * 76: np.ones((2, 2)), "m" * 90: PAIRS_4x3},
+     {"k" * 78: ROW_OF_12[None], "m" * 90: PAIRS_4x3[None]}),
+    # keys of 100 characters put every first item past column 80
+    ({"p" * 100: ROW_OF_12},
+     {"p" * 100: np.stack([ROW_OF_12, -ROW_OF_12]), "q" * 99: np.ones((2, 3, 2))}),
+    ({"four": PAIRS_4x3.reshape(2, 2, 3, 2), "column": np.ones((3, 1))},
+     {"four": PAIRS_4x3.reshape(1, 2, 2, 3, 2)}),
+    ({"special": np.array([[math.inf, -math.inf], [math.nan, 1e22],
+                           [-0.0, 5e-324], [1e308, 2.0**53]])},
+     {"special": np.array([[math.nan, 1e-306], [-1e16, 2.0**60]])[None]}),
+    # int arrays, up to 2**53, and rows of them that wrap
+    ({"ints": np.arange(3), "bounds": np.array([-2**53, 2**53]),
+      "small": np.arange(3, dtype=np.uint8)},
+     {"decoded": np.arange(6).reshape(3, 2), "wide": np.full((3, 2, 13), 2**53)}),
     # rows of three 24-character floats: 76 characters fit after "- [" at
-    # column 2, not at column 4
-    {"a": {"k": [np.full((2, 3), -2.2250738585072014e-308)]},
-     "b": [[np.full((2, 3), 1.2345678901234567e-300)]],
-     "c": [np.full((2, 3), -1.2345678901234567e-300)]},
+    # column 0, in the header, not at column 2, in a run
+    ({"a": np.full((2, 3), -2.2250738585072014e-308)},
+     {"b": np.full((2, 2, 3), 1.2345678901234567e-300),
+      "c": np.full((2, 2, 3), -2.2250738585072014e-308)}),
 ], ids=["fixed-point", "sweep-run", "state-set", "long-keys", "past-column-80",
         "four-axes", "tagged", "other-arrays", "longest-rows-in-sequences"])
-def test_array_reports_match_dumper_on_shapes(report):
-    check_arrays(report)
+def test_array_reports_match_dumper_on_shapes(header, runs):
+    check_report(header, runs)
 
 
 def _row_before_last(chars):
@@ -175,211 +250,189 @@ def _row_before_last(chars):
 
 @pytest.mark.parametrize("chars", range(66, 84))
 def test_array_rows_at_the_wrap_column(chars):
-    # the last comma of these rows lands on either side of column 80
+    # the last comma of these rows lands on either side of column 80, in
+    # the header and, two columns further in, in a run
     row = _row_before_last(chars)
-    check_arrays({"a": np.array(row), "b": np.array([row, row[::-1]]),
-                  "c": [np.array([[row], [row]])]})
+    check_report({"a": np.array(row), "b": np.array([row, row[::-1]])},
+                 {"a": np.array([row]), "c": np.array([[[row], [row]]])})
 
 
 ZERO_AXIS = np.array(0.5)
+ONE_RUN = {"m": [0]}
 
 
-@pytest.mark.parametrize("report", [
-    {"a": (1.0, 2.0)},
-    {"a": "two words"},
-    {"a": "x: y"},
-    {"a": b"bytes"},
-    {1: "int key"},
-    [1.0],
-    {"a": np.array(1.5)},
-    {"runs": [{"a": np.ones(2), "b": np.array(1.5)},
-              {"a": np.ones(2), "b": np.array(2.5)}]},
-    {"runs": [{"a": np.ones(2), "b": ZERO_AXIS}, {"a": np.ones(2), "b": ZERO_AXIS}]},
-    {"runs": [{"a": np.ones(2), "b": 1.5}, {"a": np.ones(2), "b": np.array(2.5)}]},
+@pytest.mark.parametrize("header, runs", [
+    ({"a": (1.0, 2.0)}, ONE_RUN),
+    ({"a": "two words"}, ONE_RUN),
+    ({"a": "x: y"}, ONE_RUN),
+    ({"a": b"bytes"}, ONE_RUN),
+    ({1: "int key"}, ONE_RUN),
+    ([1.0], ONE_RUN),
+    ({"a": np.array(1.5)}, ONE_RUN),
+    ({}, {"a": [np.ones(2)] * 2, "b": [np.array(1.5), np.array(2.5)]}),
+    ({}, {"a": [np.ones(2)] * 2, "b": [ZERO_AXIS, ZERO_AXIS]}),
+    ({}, {"a": [np.ones(2)] * 2, "b": [1.5, np.array(2.5)]}),
+    ({}, {"a": [np.ones(2), np.ones(3)]}),
+    ({}, {"a": [np.ones(2), np.ones(2, complex)]}),
+    ({}, {"a": [np.ones(2), np.ones(2, np.int64)]}),
+    # a complex value that is not one object in every run
+    ({}, {"a": [1.5j, complex(0, 1.5)]}),
+    ({}, {"a": [0.5, 1j]}),
+    ({}, {1: [0.5]}),
 ], ids=["tuple", "spaced-string", "colon-string", "bytes", "int-key",
         "list-root", "zero-axis-array", "zero-axis-array-in-runs",
-        "shared-zero-axis-array-in-runs", "zero-axis-array-in-one-run"])
-def test_emitter_rejects_other_shapes(report):
+        "shared-zero-axis-array-in-runs", "zero-axis-array-in-one-run",
+        "shapes-differ", "dtypes-differ", "float-and-int-arrays",
+        "complex-per-run", "complex-after-float", "int-key-in-runs"])
+def test_emitter_rejects_other_shapes(header, runs):
+    check_rejected(header, runs)
+
+
+# kinds no command hands the writer, and that it no longer writes
+@pytest.mark.parametrize("value", [
+    [1.0, 2.0], (1.0, 2.0), {"b": 1.0}, None, b"bytes",
+    np.zeros(0), np.zeros((2, 0), complex), np.array(0.5), np.array(0.25 - 1j),
+    np.array([True, False]), np.array([0, 2**53 + 1]), np.array([-2**53 - 1]),
+    np.array([1.0, "x"], dtype=object),
+], ids=["list", "tuple", "mapping", "none", "bytes", "empty", "empty-rows",
+        "zero-axis", "complex-zero-axis", "bools", "int-beyond-2**53",
+        "int-below--2**53", "objects"])
+def test_removed_kinds_are_rejected_by_both_writers(value):
+    check_rejected({"a": value}, ONE_RUN)
+    check_rejected({}, {"a": [value, value]})
     with pytest.raises(TypeError):
-        cli._yaml_report(report)
+        cli._json_dumps({"a": value})
 
 
 # complex values: written as their [re, im] pairs, the form `as_lists`
 # gives them, in YAML and in JSON
-
-def check_complex(report):
-    pairs = as_lists(report)
-    text = cli._yaml_report(report)
-    assert text == dump(pairs, ReportDumper)
-    if "!!float" not in text:
-        assert text == dump(pairs, _Pure)
-    assert cli._json_dumps(report) == cli._json_dumps(pairs)
-
-
-COMPLEX_4x3 = (np.arange(12.0) - 5.5j * np.arange(12.0)[::-1]).reshape(4, 3) / 7
-
-
-@pytest.mark.parametrize("report", [
-    {"alpha": 0.6 - 0.8j, "beta": np.complex128(1j), "one": complex(1, 0)},
-    {"zeros": complex(-0.0, 0.0), "neg": complex(0.0, -0.0),
-     "both": complex(-0.0, -0.0)},
-    {"inf": complex(math.inf, -math.inf), "nan": complex(math.nan, 1e22),
-     "tiny": complex(5e-324, -1e308)},
-    {"vector": COMPLEX_4x3[0], "row": COMPLEX_4x3.ravel()},
-    {"matrix": COMPLEX_4x3, "cube": COMPLEX_4x3.reshape(2, 2, 3)},
-    {"transposed": COMPLEX_4x3.T, "strided": COMPLEX_4x3[::2, ::-1],
-     "real_part": COMPLEX_4x3.real},
-    {"state_set": [COMPLEX_4x3[0], COMPLEX_4x3[1]],
-     "mixed": [1 + 2j, 0.5, [3j, -1.0], "name"]},
-    {"runs": [{"alpha": 0.5j, "residual": 1e-17}, {"a": 1j, "b": 2 - 0j}],
-     "nested": {"z": {"w": complex(-0.0, math.inf)}}},
-    {"k" * 78: 1 + 1j, "l" * 76: COMPLEX_4x3[:2],
-     "wide": np.full(8, 0.12345678901234566 - 0.98765432109876543j)},
-    {"empty": np.zeros(0, complex), "empty_rows": np.zeros((2, 0), complex),
-     "zero_axis": np.array(0.25 - 1j)},
-], ids=["scalars", "signed-zeros", "non-finite-and-tagged", "vectors",
-        "matrices", "non-contiguous", "in-lists", "in-mappings",
-        "past-column-80", "empty-and-0-d"])
-def test_complex_values_are_written_as_pairs(report):
-    check_complex(report)
+WIDE_Z = 0.12345678901234566 - 0.98765432109876543j
+COMPLEX_CASES = {
+    "scalars": ({"alpha": 0.6 - 0.8j, "beta": np.complex128(1j), "one": complex(1, 0)},
+                {"alpha": [SHARED_Z] * 3, "m": [0, 1, 2]}),
+    "signed-zeros": ({"zeros": complex(-0.0, 0.0), "neg": complex(0.0, -0.0),
+                      "both": complex(-0.0, -0.0)},
+                     {"both": [complex(-0.0, -0.0)] * 2, "i": [0, 1]}),
+    "non-finite-and-tagged": (
+        {"inf": complex(math.inf, -math.inf), "nan": complex(math.nan, 1e22),
+         "tiny": complex(5e-324, -1e308)},
+        {"z": [complex(math.nan, math.inf)] * 2,
+         "state": np.array([[complex(math.inf, 1e-306)], [complex(-0.0, 1e17)]])}),
+    "vectors": ({"vector": COMPLEX_4x3[0], "row": COMPLEX_4x3.ravel()},
+                {"vector": COMPLEX_4x3}),
+    "matrices": ({"matrix": COMPLEX_4x3, "cube": COMPLEX_4x3.reshape(2, 2, 3)},
+                 {"matrix": COMPLEX_4x3.reshape(2, 2, 3)}),
+    "non-contiguous": ({"transposed": COMPLEX_4x3.T, "strided": COMPLEX_4x3[::2, ::-1],
+                        "real_part": COMPLEX_4x3.real},
+                       {"strided": COMPLEX_4x3.T[::2], "real": COMPLEX_4x3.real[::-2]}),
+    # runs given as lists of arrays and of one shared value
+    "in-lists": ({"state_set": COMPLEX_4x3[:2]},
+                 {"state": [COMPLEX_4x3[0], COMPLEX_4x3[1]], "alpha": [SHARED_Z] * 2}),
+    # the runs' block mappings, which a shared complex value makes
+    "in-mappings": ({"z": complex(-0.0, math.inf)},
+                    {"alpha": [0.5j] * 2, "residual": [1e-17, 0.0]}),
+    "past-column-80": ({"k" * 78: 1 + 1j, "l" * 76: COMPLEX_4x3[:2],
+                        "wide": np.full(8, WIDE_Z)},
+                       {"k" * 78: [SHARED_Z] * 2, "wide": np.full((2, 8), WIDE_Z)}),
+    "empty-and-0-d": ({"empty": np.zeros(0, complex),
+                       "empty_rows": np.zeros((2, 0), complex),
+                       "zero_axis": np.array(0.25 - 1j)}, ONE_RUN),
+}
 
 
-COMPLEXES = st.builds(complex, FLOATS, FLOATS)
-COMPLEX_ARRAYS = hnp.arrays(np.complex128, ARRAY_SHAPES, elements=COMPLEXES)
-COMPLEX_REPORTS = st.dictionaries(
-    KEYS, st.recursive(SCALARS | COMPLEXES | COMPLEX_ARRAYS, _values,
-                       max_leaves=12),
-    min_size=1, max_size=6)
+@pytest.mark.parametrize("case", COMPLEX_CASES)
+def test_complex_values_are_written_as_pairs(case):
+    header, runs = COMPLEX_CASES[case]
+    if case == "empty-and-0-d":
+        # empty and 0-d arrays are no command's values
+        for key, value in header.items():
+            check_rejected({key: value}, runs)
+            with pytest.raises(TypeError):
+                cli._json_dumps({key: value})
+        return
+    check_report(header, runs)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(COMPLEX_REPORTS)
-def test_complex_reports_match_both_dumpers(report):
-    check_complex(report)
+@given(reports(SCALARS | COMPLEXES | COMPLEX_ARRAYS,
+               ["float", "shared", "complexes"]))
+def test_complex_reports_match_both_dumpers(drawn):
+    check_report(*drawn)
 
 
-# block sequences of mappings with the same keys, as a command's runs,
-# which the writer lays out key by key: values of one shape and dtype in
-# every item, one complex value shared by every item, scalar rows and
-# scalars, nested so deep that rows wrap, and after a header as
-# `_yaml_pieces` writes them from their columns
-RUN_SHAPES = st.sampled_from([(3,), (4, 2), (2, 3), (2, 2, 2), (12,), (3, 12)])
-HEADERS = st.dictionaries(KEYS.filter(lambda key: key != "runs"),
-                          SCALARS | ARRAYS, max_size=4)
-
-
-def _stack(column):
-    """`column` as one array with a leading item axis, when its values
-    are arrays of one shape and dtype, else as it is."""
-    if (all(isinstance(v, np.ndarray) for v in column)
-            and len({(v.shape, v.dtype) for v in column}) == 1):
-        return np.stack(column)
-    return column
-
-
-def check_stack(header, rows):
-    """`_yaml_pieces` of `header` and the columns of `rows`, mappings with
-    the same keys, each column given as a list and as one array stack,
-    against both dumpers of ``{**header, "runs": rows}``."""
-    report = as_lists({**header, "runs": rows})
-    lists = {key: [row[key] for row in rows] for key in rows[0]}
-    for runs in (lists, {key: _stack(column) for key, column in lists.items()}):
-        text = "".join(cli._yaml_pieces(header, runs))
-        assert text == dump(report, ReportDumper)
-        if "!!float" not in text:
-            assert text == dump(report, _Pure)
-
-
-@st.composite
-def same_key_runs(draw):
-    size = draw(st.integers(2, 5))
-    keys = draw(st.lists(KEYS, min_size=1, max_size=5, unique=True))
-    shared = draw(COMPLEXES)
-    columns = []
-    for k in range(len(keys)):
-        # the first key always holds a collection, so every item is a
-        # block mapping
-        kind = draw(st.sampled_from(
-            ["float", "complex", "shared"] + (["row", "scalar"] if k else [])))
-        if kind == "shared":
-            columns.append([shared] * size)
-            continue
-        if kind in ("float", "complex"):
-            shape = draw(RUN_SHAPES)
-            value = (hnp.arrays(np.float64, shape, elements=ARRAY_FLOATS)
-                     if kind == "float" else
-                     hnp.arrays(np.complex128, shape, elements=COMPLEXES))
-        else:
-            value = ROWS if kind == "row" else FLOATS
-        columns.append(draw(st.lists(value, min_size=size, max_size=size)))
-    runs = [dict(zip(keys, values)) for values in zip(*columns)]
-    return (draw(HEADERS), runs,
-            {draw(KEYS): _deep(runs, draw(st.integers(0, 20)))})
-
-
+# runs as block mappings, which the writer lays out key by key: values
+# of one shape and dtype in every run, one complex value shared by every
+# run, scalars, and keys long enough that rows wrap
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(same_key_runs())
+@given(reports(SCALARS | ARRAYS, RUN_KINDS, block=True))
 def test_same_key_runs_match_both_dumpers(drawn):
-    header, runs, report = drawn
-    check_arrays(report)
-    check_stack(header, runs)
+    check_report(*drawn)
 
 
 SHARED = np.arange(4.0).reshape(2, 2) / 3
 # rows of .17g texts of the greatest length, 24 characters
 LONG_PAIRS = np.full(3, -1.2345678901234567e-308 + 1.2345678901234567e-300j)
 
+# runs given as one mapping a run, turned into columns by `_columns`
+RUN_CASES = {
+    "shapes-differ": [{"a": np.ones(3), "b": 0.5}, {"a": np.ones(4), "b": 1.5}],
+    "dtypes-differ": [{"a": COMPLEX_4x3[0], "b": 1}, {"a": PAIRS_4x3[0, 0], "b": 2}],
+    "keys-differ": [{"a": np.ones(2), "b": 1}, {"a": np.ones(2), "c": 1}],
+    "keys-reordered": [{"a": np.ones(2), "b": 1}, {"b": 1, "a": np.ones(2)}],
+    "keys-added": [{"a": np.ones(2)}, {"a": np.ones(2), "b": 1}],
+    "int-and-empty": [{"a": np.arange(3), "b": np.zeros(0)}] * 2,
+    "empty-complex-rows": [{"a": np.zeros((2, 0), complex)}] * 2,
+    "one-item": [{"a": PAIRS_4x3, "b": 1 + 2j, "c": np.array([0.5, -1.0])}],
+    "scalar-items": [{"a": 0.5, "b": 1}, {"a": 1.5, "b": 2}],
+    "shared-scalars": [{"a": 0.5, "b": 1, "c": "name"},
+                       {"a": 1.5, "b": 1, "c": "name"}],
+    "scalar-in-one-item": [{"a": [0.5], "b": 1}, {"a": 1.5, "b": 2}],
+    "shared-array": [{"a": SHARED, "b": 0.5}, {"a": SHARED, "b": 1.5}],
+    "shared-complex-and-wide-rows": [{"a": SHARED_Z, "b": np.ones((3, 12))},
+                                     {"a": SHARED_Z, "b": -np.ones((3, 12))}],
+    "longest-floats": [{"a": np.full((2, 3), -2.2250738585072014e-308),
+                        "b": LONG_PAIRS},
+                       {"a": np.full((2, 3), 1.2345678901234567e-300),
+                        "b": LONG_PAIRS.copy()}],
+    "nested-runs": [{"a": [{"x": np.ones(2), "y": 1}, {"x": np.zeros(2), "y": 2}]},
+                    {"a": [{"x": np.ones(2), "y": 3}]}],
+    "empty-items": [{}, {}],
+    "complex-scalars": [{"a": 1.5 + 0j}, {"a": 2.5 - 0j}, {"a": 1j}],
+    "mappings": [{"a": {"z": 1}}, {"a": {"z": 2}}],
+    "scalar-first": [{"a": "name"}, {"a": np.ones(2)}, {"a": np.ones(2)}],
+    "sequence-between": [{"a": np.ones(2)}, {"a": [np.ones(2)]}, {"a": np.ones(2)}],
+    "distinct-rows": [{"a": np.full(2, float(k)), "b": k} for k in range(3)],
+}
+# the cases whose columns are of unequal lengths, hold no column, or
+# hold values no command hands the writer
+REJECTED_RUNS = {
+    "shapes-differ", "dtypes-differ", "keys-differ", "keys-added",
+    "int-and-empty", "empty-complex-rows", "scalar-in-one-item",
+    "nested-runs", "empty-items", "complex-scalars", "mappings",
+    "scalar-first", "sequence-between",
+}
+# headers by their seed: of scalars alone, with an array, or with a
+# key at the column-80 edge
+HEADERS_BY_SEED = {0: {"command": "distinguish", "seed": 0, "passed": True},
+                   3: {"seed": 3, "state_set": COMPLEX_4x3},
+                   30: {"seed": 30, "k" * 78: ROW_OF_12}}
 
-@pytest.mark.parametrize("runs", [
-    [{"a": np.ones(3), "b": 0.5}, {"a": np.ones(4), "b": 1.5}],
-    [{"a": COMPLEX_4x3[0], "b": 1}, {"a": PAIRS_4x3[0, 0], "b": 2}],
-    [{"a": np.ones(2), "b": 1}, {"a": np.ones(2), "c": 1}],
-    [{"a": np.ones(2), "b": 1}, {"b": 1, "a": np.ones(2)}],
-    [{"a": np.ones(2)}, {"a": np.ones(2), "b": 1}],
-    [{"a": np.arange(3), "b": np.zeros(0)}, {"a": np.arange(3), "b": np.zeros(0)}],
-    [{"a": np.zeros((2, 0), complex)}, {"a": np.zeros((2, 0), complex)}],
-    [{"a": PAIRS_4x3, "b": 1 + 2j, "c": [0.5, -1.0]}],
-    [{"a": 0.5, "b": 1}, {"a": 1.5, "b": 2}],
-    [{"a": [0.5], "b": 1, "c": "name"}, {"a": 1.5, "b": 1, "c": "name"}],
-    [{"a": [0.5], "b": 1}, {"a": 1.5, "b": 2}],
-    [{"a": SHARED, "b": 0.5}, {"a": SHARED, "b": 1.5}],
-    [{"a": 0.5 - 1j, "b": np.ones((3, 12))}, {"a": 0.5 - 1j, "b": -np.ones((3, 12))}],
-    [{"a": np.full((2, 3), -2.2250738585072014e-308), "b": LONG_PAIRS},
-     {"a": np.full((2, 3), 1.2345678901234567e-300), "b": LONG_PAIRS.copy()}],
-    [{"a": [{"x": np.ones(2), "y": 1}, {"x": np.zeros(2), "y": 2}]},
-     {"a": [{"x": np.ones(2), "y": 3}]}],
-    [{}, {}],
-    [{"a": 1.5 + 0j}, {"a": 2.5 - 0j}, {"a": 1j}],
-    [{"a": {"z": 1}}, {"a": {"z": 2}}],
-    ["name", {"a": np.ones(2)}, {"a": np.ones(2)}],
-    [{"a": np.ones(2)}, [np.ones(2)], {"a": np.ones(2)}],
-    [{"a": np.full(2, float(k)), "b": k} for k in range(3)],
-], ids=["shapes-differ", "dtypes-differ", "keys-differ", "keys-reordered",
-        "keys-added", "int-and-empty", "empty-complex-rows", "one-item",
-        "scalar-items", "shared-scalars", "scalar-in-one-item", "shared-array",
-        "shared-complex-and-wide-rows", "longest-floats", "nested-runs", "empty-items",
-        "complex-scalars", "mappings", "scalar-first", "sequence-between",
-        "distinct-rows"])
-@pytest.mark.parametrize("depth", [0, 3, 30])
-def test_same_key_runs_match_dumper_on_shapes(runs, depth):
-    check_arrays({"runs": _deep(runs, depth)})
-    # as a stack after a header: of scalars alone, with arrays, or nested
-    # `depth` deep
-    if not (all(isinstance(run, dict) for run in runs)
-            and len(set(map(tuple, runs))) == 1 and runs[0]):
-        return
-    header = {0: {"command": "distinguish", "seed": 0, "passed": True},
-              3: {"seed": 3, "state_set": COMPLEX_4x3},
-              30: {"deep": _deep(ROW_OF_12, 30)}}[depth]
-    if any(len({isinstance(run[key], cli._COLLECTIONS) for run in runs}) > 1
-           for key in runs[0]):
-        # items that are block mappings in some runs and flow mappings in
-        # others share no layout
-        with pytest.raises(TypeError):
-            cli._yaml_pieces(header, {key: [run[key] for run in runs]
-                                      for key in runs[0]})
-        return
-    check_stack(header, runs)
+
+def _columns(rows):
+    """The columns of `rows`, a key each in the order keys first appear,
+    with the values of the rows that hold the key."""
+    keys = dict.fromkeys(key for row in rows for key in row)
+    return {key: [row[key] for row in rows if key in row] for key in keys}
+
+
+@pytest.mark.parametrize("case", RUN_CASES)
+@pytest.mark.parametrize("seed", HEADERS_BY_SEED)
+def test_same_key_runs_match_dumper_on_shapes(case, seed):
+    header, runs = HEADERS_BY_SEED[seed], _columns(RUN_CASES[case])
+    if case in REJECTED_RUNS:
+        check_rejected(header, runs)
+    else:
+        check_report(header, runs)
 
 
 @pytest.mark.parametrize("runs", [
@@ -405,37 +458,39 @@ SPECIAL_FLOATS = st.sampled_from([
     -2.2250738585072014e-308, 1.7976931348623157e308,
 ])
 RUN_FLOATS = st.floats(-1, 1) | SPECIAL_FLOATS
+RUN_COMPLEXES = st.builds(complex, RUN_FLOATS, RUN_FLOATS)
 
 
 @st.composite
 def special_runs(draw):
     size = draw(st.integers(2, 5))
     shape = draw(RUN_SHAPES)
-    real = hnp.arrays(np.float64, shape, elements=RUN_FLOATS)
-    state = hnp.arrays(np.complex128, shape,
-                       elements=st.builds(complex, RUN_FLOATS, RUN_FLOATS))
-    rows = [{
-        "m": draw(st.integers(-2**53, 2**53)),
-        "labels": draw(st.lists(st.integers(0, 99), min_size=2, max_size=2)),
-        # an int array, which a stack holds as a sweep's decoded indices
-        "decoded": np.array(draw(st.lists(st.integers(0, 99), min_size=2,
-                                          max_size=2))),
-        "residuals": draw(st.lists(RUN_FLOATS, min_size=2, max_size=2)),
-        "fidelity": draw(RUN_FLOATS),
-        "amplitude": draw(st.builds(complex, RUN_FLOATS, RUN_FLOATS)),
-        "real": draw(real),
-        "state": draw(state),
-    } for _ in range(size)]
-    return draw(HEADERS), rows, {"runs": _deep(rows, draw(st.integers(0, 3)))}
+
+    def stack(dtype, elements, shape):
+        return draw(hnp.arrays(dtype, (size,) + shape, elements=elements))
+
+    runs = {
+        "m": draw(st.lists(EXACT_INTS, min_size=size, max_size=size)),
+        # int arrays, as a sweep's decoded indices
+        "labels": stack(np.int64, st.integers(0, 99), (2,)),
+        "residuals": stack(np.float64, RUN_FLOATS, (2,)),
+        "fidelity": draw(st.lists(RUN_FLOATS, min_size=size, max_size=size)),
+        "amplitude": [draw(RUN_COMPLEXES)] * size,
+        "real": stack(np.float64, RUN_FLOATS, shape),
+        "state": stack(np.complex128, RUN_COMPLEXES, shape),
+    }
+    header = draw(st.dictionaries(KEYS.filter(lambda key: key != "runs"),
+                                  RUN_FLOATS | RUN_COMPLEXES
+                                  | hnp.arrays(np.float64, ARRAY_SHAPES,
+                                               elements=RUN_FLOATS),
+                                  max_size=4))
+    return header, runs
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(special_runs())
 def test_special_floats_in_same_key_runs_match_both_dumpers(drawn):
-    header, rows, report = drawn
-    check_arrays(report)
-    check_complex(report)
-    check_stack(header, rows)
+    check_report(*drawn)
 
 
 def test_identity_fixed_point_report_matches_both_dumpers(tmp_path):
@@ -453,10 +508,7 @@ def test_identity_fixed_point_report_matches_both_dumpers(tmp_path):
     assert ok
     header = {"command": "fixed-point", **header}
     assert "1.0, 0.0" in "".join(cli._yaml_pieces(header, runs))
-    check_stack(header, run_rows(runs))
-    report = {**header, "runs": run_rows(runs)}
-    check_arrays(report)
-    check_complex(report)
+    check_report(header, runs)
 
 
 # ---------------------------------------------------------------------------
