@@ -29,7 +29,7 @@ states = StateSet((StateVector([1, 0]), StateVector([S, -S])))
 print("1. set {|0>, |->}, overlap fidelity:",
       state_fidelity(states[0], states[1]))
 
-bundle = build_distinguisher(states, rng_seed=0)
+bundle = build_distinguisher(states)
 print("   U_0 (identity expected):\n", bundle.uks[0].real)
 print("   U_1 (Hadamard expected):\n", bundle.uks[1].real)
 
@@ -65,6 +65,8 @@ fids = [
     for i in range(4) for j in range(i + 1, 4)
 ]
 print("  ", fids)
-bundle = build_distinguisher(random_set, rng_seed=7)
+# no draw picks the unitaries: each U_k is a Gram-Schmidt completion, or,
+# where that misses condition 2, the weighted polar factor
+bundle = build_distinguisher(random_set)
 decoded = distinguish_members(bundle).decoded.tolist()
 print("   decoded labels:", decoded, "(expected [0, 1, 2, 3])")

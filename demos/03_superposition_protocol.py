@@ -35,7 +35,7 @@ spec = SuperpositionSpec(S, S)
 print("1. target for (m, n) = (0, 1):",
       build_omega(states, 0, 1, spec).amplitudes.real)
 
-sweep = run_sweep(states, [(0, 1)], spec, rng_seed=0)
+sweep = run_sweep(states, [(0, 1)], spec)
 print("   ancilla state: ", sweep.ancillas[0].real)
 print("   fidelity to target:", sweep.fidelity[0])
 # rows m and n of the member record belong to the pair; here N = 2
@@ -46,7 +46,7 @@ print()
 # ---------------------------------------------------------------------------
 # 2. The conditional unitary is one 8x8 block-diagonal operator.
 
-uks = build_distinguisher(states, rng_seed=0).uks
+uks = build_distinguisher(states).uks
 u_prime = build_u_prime(states, spec, uks)
 print("2. control unitary (8x8, blocks on the diagonal):")
 print(u_prime.entries.real)
@@ -58,8 +58,7 @@ print()
 #    every pair, with one discrimination of each member.
 
 print("3. sweep over all (m, n) at alpha = beta = 1/sqrt(2)")
-sweep = run_sweep(states, [(m, n) for m in range(2) for n in range(2)],
-                  spec, rng_seed=0)
+sweep = run_sweep(states, [(m, n) for m in range(2) for n in range(2)], spec)
 decoded = sweep.members.decoded.tolist()
 for (m, n), fidelity in zip(sweep.pairs.tolist(), sweep.fidelity):
     print(f"   (m={m}, n={n}): fidelity={fidelity:.12f}"
@@ -73,6 +72,6 @@ print("4. random 3-state set, complex amplitudes")
 rng = np.random.default_rng(42)
 random_set = random_state_set(3, rng)
 spec = SuperpositionSpec(0.6 + 0.3j, -0.2 + 0.7j)
-sweep = run_sweep(random_set, [(0, 1), (1, 2), (2, 0)], spec, rng_seed=42)
+sweep = run_sweep(random_set, [(0, 1), (1, 2), (2, 0)], spec)
 for (m, n), fidelity in zip(sweep.pairs.tolist(), sweep.fidelity):
     print(f"   (m={m}, n={n}): fidelity={fidelity:.12f}")

@@ -1,4 +1,4 @@
-"""Command-line front end: config ingestion, seeded runs, reports.
+"""Command-line front end: config ingestion, runs, reports.
 
 Configs and reports share one human-readable structured-text format
 (YAML-compatible key-value with nested lists; JSON configs parse too).
@@ -311,6 +311,7 @@ def _parse_spec(cfg: dict) -> SuperpositionSpec:
 
 
 def _parse_seed(cfg: dict, args) -> int:
+    """The seed, validated and echoed in the header; no run draws from it."""
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = cfg.get("rng_seed", 0)
@@ -737,7 +738,7 @@ def cmd_superpose(args) -> tuple[dict, dict, bool]:
     else:
         pairs = [(m, n) for m in range(size) for n in range(size)]
 
-    sweep = run_sweep(states, pairs, spec, seed)
+    sweep = run_sweep(states, pairs, spec)
     # scalars as Python lists, as the writer rejects numpy scalars; every
     # run holds the same alpha and beta objects, which the writer writes once
     m, n = sweep.pairs.T.tolist()
@@ -770,7 +771,7 @@ def cmd_distinguish(args) -> tuple[dict, dict, bool]:
     cfg, states = _read_state_set_config(args)
     seed = _parse_seed(cfg, args)
 
-    bundle = build_distinguisher(states, seed)
+    bundle = build_distinguisher(states)
     members = distinguish_members(bundle)
     indices = np.arange(states.size)
     runs = {
@@ -888,7 +889,7 @@ def cmd_example(args) -> tuple[dict, dict, bool]:
         raise ConfigError(str(exc))
     seed = _parse_seed({}, args)
     states = _example_states()
-    bundle = build_distinguisher(states, seed)
+    bundle = build_distinguisher(states)
     # the blocks U_ij, row by row
     i, j = [0, 0, 1, 1], [0, 1, 0, 1]
     constructed = np.array([build_u_ij(states, a, b, spec, bundle.uks).entries
@@ -932,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None,
-                        help="override the rng_seed from the config")
+                        help="override the config's rng_seed (echoed only)")
     state_set = argparse.ArgumentParser(add_help=False)
     state_set.add_argument("config")
 

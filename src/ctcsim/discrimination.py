@@ -16,10 +16,10 @@ stack, so it cannot carry conditions of other unitaries.  On
 the first attempt each U_k is the adjoint of a Gram-Schmidt completion of
 psi_k by the standard basis, which has a closed form in the suffix sums
 s_i = sum_{l >= i} |psi_k[l]|^2, so :func:`build_distinguisher` builds all
-N of them from one outer product.  The per-k loop :func:`build_uk` runs
-only where that form does not hold (Gram-Schmidt would skip a basis
-vector, as for psi_k = |0>) or the completion misses condition (2) and
-Haar-random candidates are drawn; it is also the form's test oracle.
+N of them from one outer product.  The per-k :func:`build_uk` runs only
+where that form does not hold (Gram-Schmidt would skip a basis vector, as
+for psi_k = |0>) or misses condition (2), met then by a weighted polar
+factor; it is also the form's test oracle.
 For a pure input psi, write phi_k = U_k psi and Phi = [phi_0 ... phi_{N-1}],
 one product of the stack with psi.
 The circuit's self-consistency map is sigma -> sum_k sigma_kk phi_k phi_k^dagger:
@@ -66,9 +66,6 @@ from .linalg import (
     condition2_threshold,
     unitary_from_first_column,
 )
-from .sampling import haar_state
-
-MAX_ATTEMPTS = 64
 
 _IN_SET_TOL = 1e-8
 
@@ -195,41 +192,44 @@ def controlled_stack(uks: Sequence) -> np.ndarray:
     return out
 
 
-def build_uk(states: StateSet, k: int, rng_seed: int = 0) -> UnitaryMatrix:
+def build_uk(states: StateSet, k: int) -> UnitaryMatrix:
     """Construct U_k with U_k psi_k = |k> and all basis overlaps nonzero.
 
-    psi_k is completed to a unitary by Gram-Schmidt (standard basis on
-    the first attempt, Haar-random candidate vectors from the seeded
-    generator on retries), whose columns 0 and k are exchanged to give
-    V with column k psi_k, and U_k = V^dagger.  Condition
-    (1) is then exact by construction.  Condition (2) is enforced as
-    every overlap^2 above :func:`ctcsim.linalg.condition2_threshold`.
-    It holds generically, so failures are retried up to ``MAX_ATTEMPTS``
-    times before raising :class:`Condition2Exhausted`.
+    psi_k is completed by Gram-Schmidt with the standard basis to a
+    unitary W, whose columns 0 and k are exchanged to give V with column k
+    psi_k; U_k = V^dagger meets condition (1) exactly.  Condition (2) is
+    every overlap^2 above the least room of
+    :func:`ctcsim.linalg.condition2_room`, the bar ``validate`` sets.
+    Where the completion misses it, rows j != k become the weighted polar
+    factor (Q X Y^dagger)^dagger: Q is W's columns 1 ... N-1, r_j =
+    Q^dagger psi_j, D = diag(1 / |r_j|^2) and X S Y^dagger = svd(R D).
+    Its w_j maximise sum_j Re <w_j|r_j> / |r_j|^2 (Schoenemann,
+    Psychometrika 31, 1966; Higham, Functions of Matrices, 2008, ch. 8),
+    and <j|U_k|psi_j> = <w_j|r_j>.  Where they miss it too, or some r_j
+    is zero, :class:`Condition2Exhausted` is raised.
     """
     n = states.size
     if not 0 <= k < n:
         raise DimensionError(f"index {k} out of range for a set of {n} states")
     amps = states.amplitudes
-    threshold = condition2_threshold(n)
+    _, least = condition2_room(states)
     order = list(range(n))
     order[0], order[k] = k, 0
-    rng = np.random.default_rng(rng_seed)
-    worst = np.inf
-    for attempt in range(MAX_ATTEMPTS):
-        if attempt == 0:
-            candidates: list[np.ndarray] = []
-        else:
-            candidates = [haar_state(n, rng).amplitudes for _ in range(n)]
-        w = unitary_from_first_column(amps[k], candidates)
-        u = w.entries[:, order].conj().T
-        q = np.abs(np.einsum("jc,jc->j", u, amps)).min() ** 2
-        worst = min(worst, q)
-        if q > threshold:
-            return UnitaryMatrix(u)
+    w = unitary_from_first_column(amps[k]).entries
+    u = w[:, order].conj().T
+    reached = np.abs(np.einsum("jc,jc->j", u, amps)).min() ** 2
+    others = np.arange(n) != k
+    r = w[:, 1:].conj().T @ amps[others].T
+    room = np.linalg.norm(r, axis=0) ** 2
+    if reached <= least and room.min() > 0:
+        x, _, yh = np.linalg.svd(r / room)
+        u[others] = (w[:, 1:] @ x @ yh).conj().T
+        reached = np.abs(np.einsum("jc,jc->j", u, amps)).min() ** 2
+    if reached > least:
+        return UnitaryMatrix(u)
     raise Condition2Exhausted(
-        f"no completion for index {k} reached overlap^2 > {threshold:.3e} "
-        f"in {MAX_ATTEMPTS} attempts (best worst-case overlap^2 {worst:.3e})"
+        f"no completion for index {k} reached overlap^2 > {least:.3e} "
+        f"(least overlap^2 {reached:.3e})"
     )
 
 
@@ -268,19 +268,18 @@ def _first_completions(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uks, served
 
 
-def build_distinguisher(states: StateSet, rng_seed: int = 0) -> DistinguisherBundle:
+def build_distinguisher(states: StateSet) -> DistinguisherBundle:
     """Construct per-index unitaries for every k and bundle them.
 
     The first k whose least room (:func:`ctcsim.linalg.condition2_room`)
     falls short raises :class:`Condition2Exhausted` before any completion.
     Every first attempt is built at once in closed form
     (:func:`_first_completions`); a k the form does not serve, or whose
-    first completion misses condition (2), is built by :func:`build_uk`,
-    whose first attempt is the same completion and whose retries draw
-    Haar candidates.  The overlaps the bundle measures on the first
-    completions decide condition (2), so in the common case, every k
-    served, they are measured once; its circuit
-    :attr:`DistinguisherBundle.total` is assembled only when it is read.
+    completion misses condition (2), is built by :func:`build_uk`.  The
+    overlaps the bundle measures on the first completions decide condition
+    (2), so in the common case, every k served, they are measured once;
+    its circuit :attr:`DistinguisherBundle.total` is assembled only when
+    it is read.
     """
     room, least = condition2_room(states)
     k = int(np.argmax(room.min(axis=0) < least))
@@ -292,11 +291,11 @@ def build_distinguisher(states: StateSet, rng_seed: int = 0) -> DistinguisherBun
             f"overlap^2 of U_{k} from exceeding {condition2_threshold(len(room)):.3e}")
     uks, served = _first_completions(states.amplitudes)
     bundle = DistinguisherBundle(states, uks)
-    served &= bundle.overlaps.min(axis=0) ** 2 > condition2_threshold(states.size)
+    served &= bundle.overlaps.min(axis=0) ** 2 > least
     if served.all():
         return bundle
     for k in np.flatnonzero(~served):
-        uks[k] = build_uk(states, int(k), rng_seed).entries
+        uks[k] = build_uk(states, int(k)).entries
     return DistinguisherBundle(states, uks)
 
 

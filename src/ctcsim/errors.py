@@ -35,7 +35,7 @@ class NonUniqueFixedPoint(CtcSimError):
 
 
 class Condition2Exhausted(CtcSimError):
-    """No unitary completion with all basis overlaps nonzero was found."""
+    """No completion of some U_k reaches condition 2 (all overlaps nonzero)."""
 
 
 class DegenerateSuperposition(CtcSimError):

@@ -315,7 +315,7 @@ def _span_ancillas(amps: np.ndarray, p1: np.ndarray, p2: np.ndarray,
 
 
 def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
-              spec: SuperpositionSpec, rng_seed: int = 0) -> SweepResult:
+              spec: SuperpositionSpec) -> SweepResult:
     """Superpose psi_m and psi_n on a fresh ancilla for each (m, n) in `pairs`.
 
     Every pair is checked before any work: one that is not two indices,
@@ -370,7 +370,7 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
         raise DegenerateSuperposition(i, j, gammas[i, j])
     targets /= gammas[:, :, None]
     targets[np.arange(size), np.arange(size)] = amps
-    bundle = build_distinguisher(states, rng_seed)
+    bundle = build_distinguisher(states)
     members = distinguish_members(bundle)
 
     firsts, seconds = pair_array.T

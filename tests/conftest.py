@@ -4,6 +4,7 @@ import yaml
 
 from ctcsim import StateSet, StateVector, ctc_map
 from ctcsim.cli import _fmt_float
+from ctcsim.linalg import condition2_threshold
 
 S = 1 / np.sqrt(2)
 HADAMARD = np.array([[S, S], [S, -S]], dtype=complex)
@@ -21,6 +22,16 @@ def near_parallel_set(n, delta):
     rows = np.zeros((n, n))
     rows[:, 0] = np.sqrt(1 - delta * np.arange(n))
     rows[1:, 1:] = np.diag(np.sqrt(delta * np.arange(1, n)))
+    return StateSet(rows)
+
+
+def planar_set(n, factor):
+    """N members in the plane of |0> and |1>, at angles j sqrt(factor t),
+    t = ``condition2_threshold(n)``, so that neighbours have room
+    factor t."""
+    angles = np.arange(n) * np.sqrt(factor * condition2_threshold(n))
+    rows = np.zeros((n, n))
+    rows[:, 0], rows[:, 1] = np.cos(angles), np.sin(angles)
     return StateSet(rows)
 
 

@@ -69,7 +69,7 @@ def phase_aligned_deviation(got, want):
 def test_criterion_1_worked_example_reproduction():
     with criterion(1, "worked example reproduction"):
         states = two_state_set()
-        bundle = build_distinguisher(states, rng_seed=0)
+        bundle = build_distinguisher(states)
         reference_total = (
             tensor_product(np.diag([1, 0]), np.eye(2))
             + tensor_product(np.diag([0, 1]), HADAMARD)
@@ -104,8 +104,7 @@ def test_criterion_2_distinguisher_correctness():
             rng = np.random.default_rng(200 + n)
             for trial in range(20):
                 states = random_state_set(n, rng)
-                bundle = build_distinguisher(states,
-                                             rng_seed=int(rng.integers(1 << 30)))
+                bundle = build_distinguisher(states)
                 for j in range(n):
                     result = distinguish(bundle, states[j])
                     target = projector(basis_state(n, j))
@@ -122,7 +121,6 @@ def test_criterion_3_superposition_correctness():
             rng = np.random.default_rng(300 + n)
             for trial in range(10):
                 states = random_state_set(n, rng)
-                seed = int(rng.integers(1 << 30))
                 specs = []
                 while len(specs) < 5:
                     alpha = complex(rng.standard_normal(), rng.standard_normal())
@@ -138,7 +136,7 @@ def test_criterion_3_superposition_correctness():
                         specs.append(SuperpositionSpec(alpha, beta))
                 pairs = [(m, k) for m in range(n) for k in range(n)]
                 for spec in specs:
-                    sweep = run_sweep(states, pairs, spec, seed)
+                    sweep = run_sweep(states, pairs, spec)
                     assert sweep.fidelity.min() >= 1 - 1e-8
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"sweep took {elapsed:.1f} s"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -326,6 +327,26 @@ def test_report_is_deterministic(tmp_path):
     assert main(["superpose", cfg, "--out", str(out1)]) == 0
     assert main(["superpose", cfg, "--out", str(out2)]) == 0
     assert strip_timestamp(out1.read_text()) == strip_timestamp(out2.read_text())
+
+
+# the YAML header holds the seed once, each of the three JSON lines once
+@pytest.mark.parametrize("extra, seed_text, echoes", [
+    ([], "seed: {}\n", 1), (["--json"], '"seed":{},', 3),
+], ids=["yaml", "json"])
+def test_seed_is_echoed_and_selects_nothing(tmp_path, extra, seed_text,
+                                            echoes):
+    # the three-state set's first completions of U_0 and U_2 miss
+    # condition 2, where Haar draws from the seed once chose the rows
+    cfg = str(DEMO_CONFIGS / "distinguish_three_state.yaml")
+    texts = []
+    for seed in (0, 1):
+        out = tmp_path / f"r{seed}"
+        assert main(["distinguish", cfg, "--seed", str(seed), "--out", str(out)]
+                    + extra) == 0
+        texts.append(re.sub(r'"timestamp":"[^"]*"', "",
+                            strip_timestamp(out.read_text())))
+    assert texts[0].count(seed_text.format(0)) == echoes
+    assert texts[0].replace(seed_text.format(0), seed_text.format(1)) == texts[1]
 
 
 class _PurePythonDumper(yaml.SafeDumper):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import HADAMARD, S, near_parallel_set
+from conftest import HADAMARD, S, near_parallel_set, planar_set
 from ctcsim import (
     Condition2Exhausted,
     DimensionError,
@@ -33,8 +33,8 @@ from ctcsim import (
     validate,
 )
 from ctcsim import deutsch, discrimination
-from ctcsim.linalg import TOL_NORM, condition2_threshold
-from ctcsim.sampling import haar_state, random_state_set
+from ctcsim.linalg import TOL_NORM, condition2_room, condition2_threshold
+from ctcsim.sampling import haar_state, haar_unitary, random_state_set
 
 
 def orthonormal_set(n):
@@ -53,14 +53,14 @@ def test_swap_operator_exchanges_registers():
 def test_build_uk_orthonormal_basis_is_identity():
     states = orthonormal_set(2)
     for k in (0, 1):
-        uk = build_uk(states, k, rng_seed=0)
+        uk = build_uk(states, k)
         assert np.abs(uk.entries - np.eye(2)).max() < 1e-14
 
 
 def test_build_uk_example_reproduces_hadamard(zero_minus_set):
-    u1 = build_uk(zero_minus_set, 1, rng_seed=0)
+    u1 = build_uk(zero_minus_set, 1)
     assert np.abs(u1.entries - HADAMARD).max() < 1e-14
-    u0 = build_uk(zero_minus_set, 0, rng_seed=0)
+    u0 = build_uk(zero_minus_set, 0)
     assert np.abs(u0.entries - np.eye(2)).max() < 1e-14
 
 
@@ -68,7 +68,7 @@ def test_build_uk_conditions_on_random_set():
     rng = np.random.default_rng(7)
     states = random_state_set(3, rng)
     for k in range(3):
-        uk = build_uk(states, k, rng_seed=7)
+        uk = build_uk(states, k)
         mapped = uk.entries @ states[k].amplitudes
         assert np.linalg.norm(mapped - np.eye(3)[k]) < 1e-9
         for j in range(3):
@@ -78,7 +78,7 @@ def test_build_uk_conditions_on_random_set():
 def test_build_uk_duplicate_states_exhaust_retries():
     dup = StateSet((basis_state(2, 0), basis_state(2, 0)))
     with pytest.raises(Condition2Exhausted):
-        build_uk(dup, 0, rng_seed=0)
+        build_uk(dup, 0)
 
 
 @pytest.mark.parametrize("n, delta", [
@@ -86,42 +86,44 @@ def test_build_uk_duplicate_states_exhaust_retries():
 ])
 def test_build_uk_fails_fast_below_condition2_bound(monkeypatch, n, delta):
     # U_k psi_k = |k> caps <j|U_k|psi_j>^2 at 1 - F_jk, here below the
-    # condition-2 threshold, so no Haar retry can help
+    # condition-2 threshold, so no completion can help and none runs
     states = near_parallel_set(n, delta)
     assert not validate(states).passed
-    draws = []
-    monkeypatch.setattr(discrimination, "haar_state",
-                        lambda *a: draws.append(a) or haar_state(*a))
+    completions = []
+    for name in ("_first_completions", "unitary_from_first_column"):
+        real = getattr(discrimination, name)
+        monkeypatch.setattr(discrimination, name, lambda *a, real=real:
+                            completions.append(a) or real(*a))
     threshold = 10 * deutsch.SVD_CUTOFF * np.sqrt(n - 1)
     with pytest.raises(Condition2Exhausted) as err:
-        build_distinguisher(states, rng_seed=0)
+        build_distinguisher(states)
     assert str(err.value) == (
         f"members 1 and 0 have 1 - F = {delta:.3e}, which keeps overlap^2 "
         f"of U_0 from exceeding {threshold:.3e}")
-    assert draws == []
+    assert completions == []
 
 
 @pytest.mark.parametrize("n, delta", [
     (2, 1e-8), (2, 1e-7), (3, 1e-7), (5, 1e-7), (8, 1e-7),
 ], ids=["boundary-2", "2", "3", "5", "8"])
 def test_near_parallel_sets_above_the_bound_decode(n, delta):
-    # at N = 2 and 1 - F = 1e-8 the pair sits on the threshold itself and
-    # passes by rounding, as the retry loop alone lets it
+    # at N = 2 and 1 - F = 1e-8 the pair sits on the threshold itself; it
+    # builds because build_uk, as validate, allows the 8 N eps of rounding
     states = near_parallel_set(n, delta)
-    bundle = build_distinguisher(states, rng_seed=0)
+    bundle = build_distinguisher(states)
     for j, psi in enumerate(states):
         assert distinguish(bundle, psi).decoded == j
 
 
 def _builds_up_front(states):
     """False if build_distinguisher raises Condition2Exhausted before any
-    completion, else True (it may still exhaust its retries later)."""
+    completion, else True (a completion may still raise later)."""
     completions = []
     real = discrimination.unitary_from_first_column
     with mock.patch.object(discrimination, "unitary_from_first_column",
                            lambda *a: completions.append(1) or real(*a)):
         try:
-            build_distinguisher(states, rng_seed=0)
+            build_distinguisher(states)
         except Condition2Exhausted as err:
             if not completions:
                 assert str(err).startswith("members ")
@@ -148,17 +150,78 @@ def test_validate_agrees_with_the_distinguisher_on_haar_sets(n, seed):
     assert validate(states).passed == _builds_up_front(states)
 
 
-# two sets that validation accepts and a later stage refuses for its
-# tolerance alone (ROADMAP item 2); the marks go when the edges close
+def _bessel_sum(states):
+    """max_k sum_{j != k} t / room[j, k]: at 1 or more, and with every
+    r_j of U_k parallel, Bessel's inequality leaves no U_k that meets
+    condition 2."""
+    room, _ = condition2_room(states)
+    return float((condition2_threshold(states.size) / room).sum(axis=0).max())
 
-@pytest.mark.xfail(raises=Condition2Exhausted, strict=True,
-                   reason="condition-2 edge: room above the bound is not enough")
+
+def _family_set(family, n, factor, rng):
+    t = condition2_threshold(n)
+    if family == "planar":
+        return planar_set(n, factor)
+    if family == "near-parallel":
+        rotation = haar_unitary(n, rng).entries
+        return StateSet(near_parallel_set(n, factor * t).amplitudes @ rotation.T)
+    z = np.array([haar_state(n, rng).amplitudes for _ in range(n)])
+    if family == "moved":
+        # member 1 at room factor t from member 0, along its own part
+        # orthogonal to member 0
+        perp = z[1] - np.vdot(z[0], z[1]) * z[0]
+        z[1] = (np.sqrt(1 - factor * t) * z[0]
+                + np.sqrt(factor * t) * perp / np.linalg.norm(perp))
+    return StateSet(z)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from(["haar", "moved", "near-parallel", "planar"]),
+       st.integers(2, 16), st.floats(1.0, 10.0), st.integers(0, 2**31 - 1))
+def test_validated_sets_build_unless_no_completion_exists(family, n, factor,
+                                                          seed):
+    # the Bessel sum proves that no U_k exists only for planar sets; a
+    # rotated near-parallel set at room near t also raises with a sum
+    # above 1, though a U_k exists for it (ROADMAP item 9)
+    states = _family_set(family, n, factor, np.random.default_rng(seed))
+    assume(validate(states).passed)
+    try:
+        bundle = build_distinguisher(states)
+    except Condition2Exhausted:
+        assert _bessel_sum(states) >= 1
+        return
+    assert bundle.condition1_deviation.max() <= 1e-12
+    gram = bundle.uks @ bundle.uks.conj().transpose(0, 2, 1)
+    assert np.abs(gram - np.eye(n)).max() <= 1e-12
+    assert (bundle.overlaps ** 2 > condition2_room(states)[1]).all()
+
+
 def test_validated_near_parallel_set_builds():
-    # twelve members at three times the least room validate allows; the
-    # construction builds at N = 3, 5 and 8
+    # twelve members at three times the least room validate allows: the
+    # Gram-Schmidt completions of U_2 ... U_10 miss condition 2, and the
+    # weighted polar factor meets it
     states = near_parallel_set(12, 3 * condition2_threshold(12))
     assert validate(states).passed
-    build_distinguisher(states, rng_seed=0)
+    bundle = build_distinguisher(states)
+    assert bundle.condition2_min ** 2 > condition2_room(states)[1]
+    assert distinguish_members(bundle).decoded.tolist() == list(range(12))
+
+
+# two sets that validation accepts and a later stage refuses (ROADMAP
+# items 2 and 9); the marks go when the edges close
+
+@pytest.mark.xfail(raises=Condition2Exhausted, strict=True,
+                   reason="planar edge: validate passes a set whose Bessel sum "
+                          "exceeds 1, so no U_k exists; distinctness is not "
+                          "yet taken from the construction")
+def test_validated_planar_set_without_completion_builds():
+    # sixteen members in one plane at spacing sqrt(3 t): every r_j of
+    # U_k is parallel, so by Bessel's inequality condition 2 needs
+    # sum_j t / room[j, k] < 1, and that sum reaches 1.013
+    states = planar_set(16, 3.0)
+    assert validate(states).passed
+    assert _bessel_sum(states) > 1
+    build_distinguisher(states)
 
 
 @pytest.mark.xfail(raises=NoFixedPointNumerical, strict=True,
@@ -171,7 +234,7 @@ def test_validated_set_off_unit_norm_is_distinguished():
     z *= (1 + 0.95 * TOL_NORM * rng.choice([-1, 1], 8))[:, None]
     states = StateSet(z)
     assert validate(states).passed
-    distinguish_members(build_distinguisher(states, rng_seed=0))
+    distinguish_members(build_distinguisher(states))
 
 
 def test_build_uk_index_out_of_range(zero_minus_set):
@@ -219,15 +282,15 @@ def test_bundle_holds_a_read_only_copy(zero_minus_set):
 
 
 def test_bundle_compares_and_hashes_by_identity(zero_minus_set):
-    bundle = build_distinguisher(zero_minus_set, rng_seed=0)
-    other = build_distinguisher(zero_minus_set, rng_seed=0)
+    bundle = build_distinguisher(zero_minus_set)
+    other = build_distinguisher(zero_minus_set)
     assert bundle == bundle
     assert bundle != other
     assert len({bundle, other}) == 2
 
 
 def test_build_distinguisher_example_total(zero_minus_set):
-    bundle = build_distinguisher(zero_minus_set, rng_seed=0)
+    bundle = build_distinguisher(zero_minus_set)
     reference = (tensor_product(np.diag([1, 0]), np.eye(2))
                  + tensor_product(np.diag([0, 1]), HADAMARD)) @ swap_operator(2)
     assert np.abs(bundle.total.entries - reference).max() < 1e-12
@@ -239,7 +302,7 @@ def test_bundle_invariants_on_random_sets():
     for n in (3, 4):
         for _ in range(3):
             states = random_state_set(n, rng)
-            bundle = build_distinguisher(states, rng_seed=int(rng.integers(1 << 30)))
+            bundle = build_distinguisher(states)
             stacked = controlled_stack(bundle.uks)
             rebuilt = stacked @ swap_operator(n)
             assert np.abs(bundle.total.entries - rebuilt).max() < 1e-12
@@ -256,8 +319,8 @@ def test_bundle_invariants_on_random_sets():
 
 def test_bundle_uks_is_one_read_only_stack():
     states = random_state_set(4, np.random.default_rng(8))
-    bundle = build_distinguisher(states, rng_seed=8)
-    expected = np.array([build_uk(states, k, 8).entries for k in range(4)])
+    bundle = build_distinguisher(states)
+    expected = np.array([build_uk(states, k).entries for k in range(4)])
     assert np.abs(bundle.uks - expected).max() <= 1e-14
     assert not bundle.uks.flags.writeable
     given = [np.eye(2), HADAMARD]
@@ -269,14 +332,14 @@ def test_bundle_uks_is_one_read_only_stack():
 def test_build_distinguisher_is_deterministic():
     rng = np.random.default_rng(5)
     states = random_state_set(4, rng)
-    b1 = build_distinguisher(states, rng_seed=11)
-    b2 = build_distinguisher(states, rng_seed=11)
+    b1 = build_distinguisher(states)
+    b2 = build_distinguisher(states)
     assert np.array_equal(b1.total.entries, b2.total.entries)
     assert np.array_equal(b1.uks, b2.uks)
 
 
 def test_distinguish_example_minus(zero_minus_set):
-    bundle = build_distinguisher(zero_minus_set, rng_seed=0)
+    bundle = build_distinguisher(zero_minus_set)
     result = distinguish(bundle, zero_minus_set[1])
     assert result.decoded == 1
     assert result.input_in_set
@@ -286,14 +349,14 @@ def test_distinguish_example_minus(zero_minus_set):
 
 
 def test_distinguish_orthonormal_basis():
-    bundle = build_distinguisher(orthonormal_set(2), rng_seed=0)
+    bundle = build_distinguisher(orthonormal_set(2))
     assert distinguish(bundle, basis_state(2, 0)).decoded == 0
 
 
 def test_distinguish_every_member_of_random_set():
     rng = np.random.default_rng(21)
     states = random_state_set(3, rng)
-    bundle = build_distinguisher(states, rng_seed=21)
+    bundle = build_distinguisher(states)
     for j in range(3):
         result = distinguish(bundle, states[j])
         assert result.decoded == j
@@ -302,7 +365,7 @@ def test_distinguish_every_member_of_random_set():
 
 
 def test_distinguish_flags_unknown_input():
-    bundle = build_distinguisher(orthonormal_set(2), rng_seed=0)
+    bundle = build_distinguisher(orthonormal_set(2))
     plus = StateVector([S, S])
     with pytest.warns(InputNotInSetWarning):
         result = distinguish(bundle, plus)
@@ -317,7 +380,7 @@ def test_set_membership_matches_fidelity_oracle(n, seed, log_eps, phase):
     # fidelity tolerance for small pushes, outside it for large ones
     rng = np.random.default_rng(seed)
     states = random_state_set(n, rng)
-    bundle = build_distinguisher(states, rng_seed=seed)
+    bundle = build_distinguisher(states)
     member = states[int(rng.integers(n))].amplitudes
     push = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi = np.exp(1j * phase) * member + 10.0 ** log_eps * push
@@ -357,7 +420,7 @@ def test_near_threshold_set_decodes_uniquely():
     vectors = np.array([[1, 0, 0], [0.3, 1, 0], [0.5, 0.6, 1e-5]], dtype=complex)
     states = StateSet(tuple(
         StateVector(v / np.linalg.norm(v)) for v in vectors))
-    bundle = build_distinguisher(states, rng_seed=0)
+    bundle = build_distinguisher(states)
     for j, psi in enumerate(states):
         result = distinguish(bundle, psi)
         assert result.decoded == j
@@ -374,7 +437,7 @@ def test_near_parallel_set_decodes_every_member():
         StateVector(v / np.linalg.norm(v))
         for v in (base + 1e-3 * haar_state(7, rng).amplitudes
                   for _ in range(7))))
-    bundle = build_distinguisher(states, rng_seed=0)
+    bundle = build_distinguisher(states)
     for j, psi in enumerate(states):
         result = distinguish(bundle, psi)
         assert result.decoded == j
@@ -395,7 +458,7 @@ def test_chain_gap_absorbing_bound(n, spread, seed):
         StateVector(v / np.linalg.norm(v))
         for v in (base + spread * haar_state(n, rng).amplitudes
                   for _ in range(n))))
-    bundle = build_distinguisher(states, rng_seed=seed)
+    bundle = build_distinguisher(states)
     for j, psi in enumerate(states):
         q = bundle.overlaps[j].min() ** 2
         assert q > 10 * deutsch.SVD_CUTOFF * np.sqrt(n - 1)
@@ -406,7 +469,7 @@ def test_chain_gap_absorbing_bound(n, spread, seed):
 
 
 def test_distinguish_dimension_mismatch(zero_minus_set):
-    bundle = build_distinguisher(zero_minus_set, rng_seed=0)
+    bundle = build_distinguisher(zero_minus_set)
     with pytest.raises(DimensionError):
         distinguish(bundle, basis_state(3, 0))
 
@@ -424,7 +487,7 @@ def test_chain_solve_matches_generic_oracle(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(3):
         states = random_state_set(n, rng)
-        bundle = build_distinguisher(states, rng_seed=int(rng.integers(1 << 30)))
+        bundle = build_distinguisher(states)
         inputs = list(states) + [haar_state(n, rng)]
         results = []
         for k, psi in enumerate(inputs):
@@ -456,7 +519,7 @@ def test_chain_solve_matches_generic_oracle(n):
 def test_chain_gap_on_example_and_single_state(zero_minus_set):
     # T - I is [[0, 1/2], [0, -1/2]] for |0> and [[-1/2, 0], [1/2, 0]] for |->,
     # both with singular values 1/sqrt(2) and 0
-    bundle = build_distinguisher(zero_minus_set, rng_seed=0)
+    bundle = build_distinguisher(zero_minus_set)
     for psi in zero_minus_set:
         assert distinguish(bundle, psi).chain_gap == pytest.approx(S, abs=1e-15)
     single = StateSet((basis_state(1, 0),))
@@ -473,7 +536,7 @@ def test_chain_gap_on_example_and_single_state(zero_minus_set):
 def test_distinguish_failed_checks_raise(monkeypatch, module, name, value,
                                          match):
     states = random_state_set(4, np.random.default_rng(3))
-    bundle = build_distinguisher(states, rng_seed=3)
+    bundle = build_distinguisher(states)
     monkeypatch.setattr(module, name, value)
     with pytest.raises(NoFixedPointNumerical, match=match):
         distinguish(bundle, states[2])
@@ -483,8 +546,8 @@ def test_distinguish_failed_checks_raise(monkeypatch, module, name, value,
 # closed-form completions and the member path against their oracles
 
 
-def _loop_stack(states, seed):
-    return np.array([build_uk(states, k, seed).entries
+def _loop_stack(states):
+    return np.array([build_uk(states, k).entries
                      for k in range(states.size)])
 
 
@@ -497,17 +560,16 @@ def test_closed_form_completions_match_the_loop(monkeypatch, n):
     rng = np.random.default_rng(200 + n)
     for _ in range(3):
         states = random_state_set(n, rng)
-        seed = int(rng.integers(1 << 30))
         completions.clear()
-        bundle = build_distinguisher(states, rng_seed=seed)
+        bundle = build_distinguisher(states)
         assert completions == []
-        assert np.abs(bundle.uks - _loop_stack(states, seed)).max() <= 1e-14
+        assert np.abs(bundle.uks - _loop_stack(states)).max() <= 1e-14
         assert not bundle.uks.flags.writeable
 
 
 def _first_completion_misses_condition2():
     # psi_1 is orthogonal to row 1 of the first-attempt U_0, so that U_0
-    # has a zero overlap and build_uk must draw Haar candidates for k = 0
+    # has a zero overlap and build_uk takes the polar rows for k = 0
     rng = np.random.default_rng(4)
     psi0, psi2 = haar_state(3, rng).amplitudes, haar_state(3, rng).amplitudes
     u0 = discrimination.unitary_from_first_column(psi0).entries.conj().T
@@ -520,40 +582,54 @@ FALLBACK_SETS = [
     StateSet([[0.6, 0.8j, 0], [S, 0, S], [0, 0.6, -0.8]]),
     _first_completion_misses_condition2(),
 ]
-FALLBACK_IDS = ["zero-minus", "zero-trailing-amplitude", "haar-retries"]
+FALLBACK_IDS = ["zero-minus", "zero-trailing-amplitude", "polar-rows"]
 
 
-@pytest.mark.parametrize("states, fallback, retries", [
+def _gram_schmidt_uk(states, k):
+    """build_uk's first attempt: the adjoint of the completion of psi_k
+    with columns 0 and k exchanged."""
+    order = list(range(states.size))
+    order[0], order[k] = k, 0
+    w = discrimination.unitary_from_first_column(states.amplitudes[k])
+    return w.entries[:, order].conj().T
+
+
+@pytest.mark.parametrize("states, fallback, polar", [
     (FALLBACK_SETS[0], [0], False),
     (FALLBACK_SETS[1], [0], False),
     (FALLBACK_SETS[2], [0], True),
 ], ids=FALLBACK_IDS)
 def test_fallback_completions_are_the_loop_bit_for_bit(monkeypatch, states,
-                                                       fallback, retries):
+                                                       fallback, polar):
     # psi = e_0 and a zero trailing amplitude make Gram-Schmidt skip a
-    # basis vector, where the closed form does not hold
-    draws, looped = [], []
-    monkeypatch.setattr(discrimination, "haar_state",
-                        lambda *a: draws.append(a) or haar_state(*a))
+    # basis vector, where the closed form does not hold; the third set's
+    # completion misses condition 2, and the polar rows serve its U_0
+    looped = []
     monkeypatch.setattr(discrimination, "build_uk",
-                        lambda states, k, seed: looped.append(k)
-                        or build_uk(states, k, seed))
-    bundle = build_distinguisher(states, rng_seed=9)
+                        lambda states, k: looped.append(k) or build_uk(states, k))
+    bundle = build_distinguisher(states)
     assert looped == fallback
-    assert bool(draws) == retries
-    loop = _loop_stack(states, 9)
+    loop = _loop_stack(states)
+    least = condition2_room(states)[1]
     for k in range(states.size):
+        first = _gram_schmidt_uk(states, k)
+        overlaps = np.abs(np.einsum("jc,jc->j", first, states.amplitudes))
+        missed = overlaps.min() ** 2 <= least
+        assert missed == (polar and k == 0)
         if k in fallback:
             assert np.array_equal(bundle.uks[k], loop[k])
+            assert np.array_equal(bundle.uks[k], first) == (not missed)
         else:
             assert np.abs(bundle.uks[k] - loop[k]).max() <= 1e-14
+    assert bundle.condition2_min ** 2 > least
+    assert bundle.condition1_deviation.max() <= 1e-12
 
 
 @pytest.mark.parametrize("states", FALLBACK_SETS + [
     random_state_set(n, np.random.default_rng(300 + n)) for n in (1, 2, 3, 8, 16)
 ], ids=FALLBACK_IDS + ["haar-1", "haar-2", "haar-3", "haar-8", "haar-16"])
 def test_built_bundle_measures_what_a_rebuilt_bundle_measures(states):
-    bundle = build_distinguisher(states, rng_seed=9)
+    bundle = build_distinguisher(states)
     rebuilt = DistinguisherBundle(states, bundle.uks)
     assert np.array_equal(bundle.overlaps, rebuilt.overlaps)
     assert bundle.condition2_min == rebuilt.condition2_min
@@ -596,20 +672,19 @@ def _assert_members_match_the_svd_path(bundle):
 def test_member_path_matches_the_svd_path_on_haar_sets(n, seed):
     rng = np.random.default_rng(seed)
     states = StateSet(tuple(haar_state(n, rng) for _ in range(n)))
-    _assert_members_match_the_svd_path(build_distinguisher(states, seed))
+    _assert_members_match_the_svd_path(build_distinguisher(states))
 
 
 @pytest.mark.parametrize("n, delta", [
     (2, 1e-8), (2, 1e-7), (3, 1e-7), (5, 1e-7), (8, 1e-7),
 ], ids=["boundary-2", "2", "3", "5", "8"])
 def test_member_path_matches_the_svd_path_on_near_parallel_sets(n, delta):
-    bundle = build_distinguisher(near_parallel_set(n, delta), rng_seed=0)
+    bundle = build_distinguisher(near_parallel_set(n, delta))
     _assert_members_match_the_svd_path(bundle)
 
 
 def test_member_rows_come_in_member_order(zero_minus_set):
-    members = distinguish_members(build_distinguisher(zero_minus_set,
-                                                      rng_seed=0))
+    members = distinguish_members(build_distinguisher(zero_minus_set))
     assert members.decoded[0] == 0 and members.label_shift[0] == 0.0
     assert members.minorization[0] == pytest.approx(0.5, abs=1e-15)
     assert members.decoded[1] == 1
@@ -657,8 +732,7 @@ def test_member_path_failed_checks_raise(monkeypatch, module, name, value,
                                          match, certified_path):
     # only the SVD path reads the singular-value cutoff; the certified
     # path checks weights and residuals as distinguish does
-    haar = build_distinguisher(random_state_set(4, np.random.default_rng(3)),
-                               rng_seed=3)
+    haar = build_distinguisher(random_state_set(4, np.random.default_rng(3)))
     monkeypatch.setattr(module, name, value)
     for bundle, raises in ((haar, certified_path), (_uncertified_bundle(), True)):
         if raises:
@@ -673,7 +747,7 @@ def test_tight_certificates_hold_through_rounding(n, seed):
     # in two and three dimensions the contraction bound is nearly exact,
     # and the shift can exceed the bound by rounding unless allowed for
     states = random_state_set(n, np.random.default_rng(seed))
-    members = distinguish_members(build_distinguisher(states, seed))
+    members = distinguish_members(build_distinguisher(states))
     assert members.certified.all()
     assert (members.label_shift / members.bound).max() > 0.5
 
@@ -682,7 +756,7 @@ def test_bound_covers_an_inaccurate_solve(monkeypatch):
     # the bound is measured on the p the solve returned, so an error in
     # that p shows up in the bound, and the residual check still holds
     states = random_state_set(4, np.random.default_rng(3))
-    bundle = build_distinguisher(states, rng_seed=3)
+    bundle = build_distinguisher(states)
     exact = distinguish_members(bundle)
     real = np.linalg.solve
 
@@ -704,7 +778,7 @@ def test_a_corrupted_solve_raises_on_the_residual_not_the_svd_path(monkeypatch):
     # the bound grows with the bad p, so member 1 keeps its certificate
     # and the residual check is what catches the error
     states = random_state_set(4, np.random.default_rng(3))
-    bundle = build_distinguisher(states, rng_seed=3)
+    bundle = build_distinguisher(states)
     real = np.linalg.solve
 
     def off_by_half(a, b):
@@ -729,7 +803,7 @@ def test_a_corrupted_solve_raises_on_the_residual_not_the_svd_path(monkeypatch):
 def _haar_bundle(n, seed):
     rng = np.random.default_rng(seed)
     states = StateSet(tuple(haar_state(n, rng) for _ in range(n)))
-    return build_distinguisher(states, seed)
+    return build_distinguisher(states)
 
 
 def test_certified_members_are_not_settled_one_by_one(monkeypatch):
@@ -741,7 +815,7 @@ def test_certified_members_are_not_settled_one_by_one(monkeypatch):
     states = random_state_set(8, np.random.default_rng(8))
     pairs = [(m, n) for m in range(8) for n in range(8)]
     spec = SuperpositionSpec(0.6 + 0.2j, -0.3 + 0.7j)
-    sweep = run_sweep(states, pairs, spec, rng_seed=8)
+    sweep = run_sweep(states, pairs, spec)
     assert sweep.members.certified.all()
     assert sweep.fidelity.min() >= 1 - 1e-8
 
@@ -795,8 +869,7 @@ def _member_error(monkeypatch, bundle, shifts):
 
 
 def test_the_first_failing_member_raises(monkeypatch):
-    bundle = build_distinguisher(random_state_set(4, np.random.default_rng(3)),
-                                 rng_seed=3)
+    bundle = build_distinguisher(random_state_set(4, np.random.default_rng(3)))
     first = _member_error(monkeypatch, bundle, {(1, 0): 0.5})
     second = _member_error(monkeypatch, bundle, {(2, 0): 0.25})
     assert first.startswith("candidate fixed point has residual")

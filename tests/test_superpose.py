@@ -37,7 +37,7 @@ def balanced():
 
 
 def example_uks(states):
-    return build_distinguisher(states, rng_seed=0).uks
+    return build_distinguisher(states).uks
 
 
 def random_spec(rng, min_gamma=1e-3, states=None, pairs=None):
@@ -169,7 +169,7 @@ def test_off_diagonal_blocks_match_reference_matrices(zero_minus_set):
 def test_diagonal_blocks_map_ancilla_to_member():
     rng = np.random.default_rng(77)
     states = random_state_set(3, rng)
-    uks = build_distinguisher(states, rng_seed=3).uks
+    uks = build_distinguisher(states).uks
     spec = random_spec(rng)
     for i in range(3):
         u = build_u_ij(states, i, i, spec, uks)
@@ -180,7 +180,7 @@ def test_diagonal_blocks_map_ancilla_to_member():
 def test_off_diagonal_blocks_map_ancilla_to_omega():
     rng = np.random.default_rng(78)
     states = random_state_set(3, rng)
-    uks = build_distinguisher(states, rng_seed=4).uks
+    uks = build_distinguisher(states).uks
     pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
     spec = random_spec(rng, states=states, pairs=pairs)
     for i, j in pairs:
@@ -213,7 +213,7 @@ def test_u_prime_blocks_match_example(zero_minus_set):
 def test_u_prime_is_unitary_on_random_set():
     rng = np.random.default_rng(123)
     states = random_state_set(3, rng)
-    uks = build_distinguisher(states, rng_seed=9).uks
+    uks = build_distinguisher(states).uks
     u = build_u_prime(states, random_spec(rng), uks)
     res = np.abs(u.entries.conj().T @ u.entries - np.eye(27)).max()
     assert res < 1e-10
@@ -223,7 +223,7 @@ def test_u_prime_selects_block_on_basis_inputs():
     rng = np.random.default_rng(55)
     for n in (2, 3):
         states = random_state_set(n, rng)
-        uks = build_distinguisher(states, rng_seed=8).uks
+        uks = build_distinguisher(states).uks
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         spec = random_spec(rng, states=states, pairs=pairs)
         u = build_u_prime(states, spec, uks)
@@ -241,7 +241,7 @@ def test_u_prime_selects_block_on_basis_inputs():
 def test_u_prime_single_term_always_writes_psi_i():
     rng = np.random.default_rng(66)
     states = random_state_set(3, rng)
-    uks = build_distinguisher(states, rng_seed=6).uks
+    uks = build_distinguisher(states).uks
     u = build_u_prime(states, SuperpositionSpec(1, 0), uks)
     for i in range(3):
         for j in range(3):
@@ -284,7 +284,7 @@ def test_sweep_names_first_cancelling_pair_in_row_major_order():
 
 
 def test_protocol_example_pair(zero_minus_set):
-    sweep = run_sweep(zero_minus_set, [(0, 1)], balanced(), rng_seed=0)
+    sweep = run_sweep(zero_minus_set, [(0, 1)], balanced())
     assert sweep.pairs.tolist() == [[0, 1]]
     assert sweep.fidelity[0] >= 1 - 1e-8
     assert sweep.members.decoded[sweep.pairs[0]].tolist() == [0, 1]
@@ -297,26 +297,24 @@ def test_protocol_diagonal_returns_member(zero_minus_set):
     rng = np.random.default_rng(10)
     for m in range(2):
         spec = random_spec(rng)
-        sweep = run_sweep(zero_minus_set, [(m, m)], spec, rng_seed=0)
+        sweep = run_sweep(zero_minus_set, [(m, m)], spec)
         assert state_fidelity(sweep.ancillas[0], zero_minus_set[m]) >= 1 - 1e-8
 
 
 def test_protocol_diagonal_with_cancelling_amplitudes(zero_minus_set):
     # the diagonal rule never forms the combination, so alpha = -beta
     # still deterministically returns the input state
-    sweep = run_sweep(zero_minus_set, [(1, 1)], SuperpositionSpec(1, -1),
-                      rng_seed=0)
+    sweep = run_sweep(zero_minus_set, [(1, 1)], SuperpositionSpec(1, -1))
     assert state_fidelity(sweep.ancillas[0], zero_minus_set[1]) >= 1 - 1e-8
 
 
 def test_protocol_beta_only_returns_second_member(zero_minus_set):
-    sweep = run_sweep(zero_minus_set, [(0, 1)], SuperpositionSpec(0, 1),
-                      rng_seed=0)
+    sweep = run_sweep(zero_minus_set, [(0, 1)], SuperpositionSpec(0, 1))
     assert state_fidelity(sweep.ancillas[0], zero_minus_set[1]) >= 1 - 1e-8
 
 
 def test_protocol_report_invariants(zero_minus_set):
-    sweep = run_sweep(zero_minus_set, [(1, 0)], balanced(), rng_seed=0)
+    sweep = run_sweep(zero_minus_set, [(1, 0)], balanced())
     assert sweep.fidelity[0] == state_fidelity(sweep.ancillas[0],
                                                sweep.expected[0])
     assert validate(StateVector(sweep.ancillas[0])).passed
@@ -329,7 +327,7 @@ def test_protocol_sweep_small_random_sets():
         pairs = [(m, k) for m in range(n) for k in range(n)]
         spec = random_spec(rng, states=states,
                            pairs=[p for p in pairs if p[0] != p[1]])
-        sweep = run_sweep(states, pairs, spec, rng_seed=1)
+        sweep = run_sweep(states, pairs, spec)
         assert sweep.pairs.tolist() == list(map(list, pairs))
         assert sweep.fidelity.min() >= 1 - 1e-8
         assert np.array_equal(sweep.members.decoded[sweep.pairs], sweep.pairs)
@@ -340,12 +338,12 @@ def test_protocol_is_phase_robust():
     states = random_state_set(3, rng)
     pairs = [(0, 1), (1, 2), (2, 2)]
     spec = random_spec(rng, states=states, pairs=[(0, 1), (1, 2)])
-    base = run_sweep(states, pairs, spec, rng_seed=2).fidelity
+    base = run_sweep(states, pairs, spec).fidelity
     phased = StateSet(tuple(
         StateVector(np.exp(1j * rng.uniform(0, 2 * np.pi)) * s.amplitudes)
         for s in states
     ))
-    shifted = run_sweep(phased, pairs, spec, rng_seed=2).fidelity
+    shifted = run_sweep(phased, pairs, spec).fidelity
     assert np.abs(base - shifted).max() <= 1e-10
 
 
@@ -369,7 +367,7 @@ def test_sweep_ancilla_matches_dense_u_prime_oracle():
         pairs = [(m, n) for m in range(size) for n in range(size)]
         spec = random_spec(rng, states=states,
                            pairs=[p for p in pairs if p[0] != p[1]])
-        sweep = run_sweep(states, pairs, spec, rng_seed=size)
+        sweep = run_sweep(states, pairs, spec)
         u_prime = build_u_prime(states, spec, sweep.bundle.uks)
         assert sweep.pairs.tolist() == list(map(list, pairs))
         for (m, n), got, expected, fidelity in zip(
@@ -405,7 +403,7 @@ def test_sweep_matches_per_pair_einsum_oracle():
         pairs = shuffled_pairs(rng, size)
         spec = random_spec(rng, states=states,
                            pairs=[p for p in pairs if p[0] != p[1]])
-        sweep = run_sweep(states, pairs, spec, rng_seed=size)
+        sweep = run_sweep(states, pairs, spec)
         labels = distinguish_members(sweep.bundle).labels
         assert np.array_equal(sweep.members.labels, labels)
         assert sweep.pairs.tolist() == list(map(list, pairs))
@@ -420,7 +418,7 @@ def test_sweep_matches_per_pair_einsum_oracle():
             assert np.abs(expected - omega.amplitudes).max() <= 1e-15
             # the stacked fidelity is np.vdot's, bit for bit
             assert fidelity == state_fidelity(got, expected)
-            single = run_sweep(states, [(m, n)], spec, rng_seed=size)
+            single = run_sweep(states, [(m, n)], spec)
             assert np.abs(single.ancillas[0] - got).max() < 1e-12
             assert abs(single.fidelity[0] - fidelity) < 1e-12
 
@@ -486,7 +484,7 @@ def test_sweep_certificates_bound_the_eigh_oracle():
         pairs = [(m, n) for m in range(size) for n in range(size)]
         spec = random_spec(rng, states=states,
                            pairs=[p for p in pairs if p[0] != p[1]])
-        sweep = run_sweep(states, pairs, spec, rng_seed=size)
+        sweep = run_sweep(states, pairs, spec)
         # every pair of these sets is certified, so none took the fallback
         assert np.isfinite(sweep.angle_bound).all()
         labels = sweep.members.labels
@@ -593,7 +591,7 @@ def test_pure_state_extraction_rejects_a_non_square_stack(shape):
 
 def test_protocol_rejects_out_of_range_indices(zero_minus_set):
     with pytest.raises(DimensionError):
-        run_sweep(zero_minus_set, [(0, 2)], balanced(), rng_seed=0)
+        run_sweep(zero_minus_set, [(0, 2)], balanced())
 
 
 @pytest.mark.parametrize("bad", [(-1, 0), (0.5, 1), (np.float64(1), 0),
