@@ -30,6 +30,18 @@ would give.  Otherwise the null space is taken by a full SVD, whose
 null vectors are Hermitian matrices (Stewart, Introduction to the
 Numerical Solution of Markov Chains, 1994, for the bordered system).
 
+This path holds at most two n x n arrays, n = d^2.  L is assembled in
+Fortran order, a slab of output pairs at a time, and B overwrites it in
+place; L's row 0 and diagonal are saved, so that writing them back
+restores L when B is singular, |A x| is too large, or a pre-check shows
+that the factorization cannot complete: s_min(B) <= |v^T B| / |v| for v
+the indicator of the diagonal rows 1 .. d-1, with the rounding of fl(v^T B)
+bounded.  Since a completed factorization would prove the opposite, the
+pre-check changes no verdict; the identity and block channels, which
+conserve sigma_00, take it.  Otherwise fl(B^T B) is formed and B
+dropped before the factorization, and L is assembled again only if
+that fails.
+
 When the fixed space has more than one dimension, the ``max_entropy``
 policy applies Deutsch's maximum-entropy rule.  It starts from the
 closed-form Cesaro limit of the orbit of I/d, the spectral projection
@@ -43,6 +55,7 @@ a step still leaves the cone after ``_MAX_HALVINGS`` halvings, it raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, get_args
 
@@ -66,6 +79,8 @@ POLICIES = get_args(Policy)
 _KKT_TOL = 1e-12
 _MAX_NEWTON = 50
 _MAX_HALVINGS = 60
+# output pairs a slab of the assembly forms at once
+_SLAB = 32
 
 
 @dataclass(frozen=True)
@@ -158,8 +173,11 @@ def _hermitian_superoperator(u, rho_cr) -> np.ndarray:
     Images are Hermitian, so only the output entries x <= x' are formed:
     t[p, y, y'] = sum_{a,b'} (u (rho_cr (x) I))[(a,x), (b',y)]
     conj(u[(a,x'), (b',y')]) for the pairs p = (x, x'), diagonal first,
-    by one batched matmul.  Input coordinates take t[p, y, y] and
-    t[p, y, y'] +- t[p, y', y] for y < y'.
+    by a batched matmul of at most ``_SLAB`` pairs at a time, so that the
+    complex temporaries stay a small share of the result.  Input
+    coordinates take t[p, y, y] and t[p, y, y'] +- t[p, y', y] for y < y'.
+    Pair p gives row p, and an off-diagonal pair row p + d(d-1)/2 too.
+    The result is in Fortran order, the layout LAPACK reads.
     """
     u = _as_matrix(u)
     rho_cr = _as_matrix(rho_cr)
@@ -172,24 +190,34 @@ def _hermitian_superoperator(u, rho_cr) -> np.ndarray:
     diag, up, low = _hermitian_index(dim)
     # the output pairs (x, x'): (x, x) from diag, then x < x' from low
     first, second = np.divmod(np.concatenate([diag, low]), dim)
-    t = np.matmul(left[first], right[second]).reshape(-1, dim * dim)
-    # t[:, low] holds t[p, y, y'] for y < y', and t[:, up] t[p, y', y]
-    minus, mirror, t = t[:, low], t[:, up], t[:, diag]
-    plus = minus + mirror
-    minus -= mirror
-    del mirror
+    # t's columns in the order of the coordinates: t[p, y, y], then
+    # t[p, y, y'] for y < y' under re and t[p, y', y] under im
+    order = np.concatenate([diag, low, up])
     n, m, r2 = dim * dim, low.size, np.sqrt(2)
-    real = np.empty((n, n))
+    real = np.empty((n, n), order="F")
     re, im = slice(dim, dim + m), slice(dim + m, n)
-    real[:dim, :dim] = t[:dim].real
-    real[:dim, re] = plus[:dim].real / r2
-    real[:dim, im] = minus[:dim].imag / -r2
-    real[re, :dim] = r2 * t[dim:].real
-    real[im, :dim] = r2 * t[dim:].imag
-    real[re, re] = plus[dim:].real
-    real[im, re] = plus[dim:].imag
-    real[re, im] = -minus[dim:].imag
-    real[im, im] = minus[dim:].real
+    for start in range(0, first.size, _SLAB):
+        stop = min(start + _SLAB, first.size)
+        t = np.matmul(left[first[start:stop]], right[second[start:stop]])
+        t = t.reshape(-1, n)[:, order]
+        plus, minus = t[:, re] + t[:, im], t[:, re] - t[:, im]
+        # the slab's first k pairs are diagonal and fill one row each; the
+        # others fill a row under re and one under im
+        k = min(max(dim - start, 0), stop - start)
+        if k:
+            on = slice(start, start + k)
+            real[on, :dim] = t[:k, :dim].real
+            real[on, re] = plus[:k].real / r2
+            real[on, im] = minus[:k].imag / -r2
+        if start + k < stop:
+            rre, rim = slice(start + k, stop), slice(start + k + m, stop + m)
+            real[rre, :dim] = r2 * t[k:, :dim].real
+            real[rim, :dim] = r2 * t[k:, :dim].imag
+            real[rre, re] = plus[k:].real
+            real[rim, re] = plus[k:].imag
+            real[rre, im] = -minus[k:].imag
+            real[rim, im] = minus[k:].real
+        del t, plus, minus  # before the next slab's matmul allocates
     return real
 
 
@@ -306,8 +334,8 @@ def null_space(m: np.ndarray, name: str, what: str):
     and the missing `what`.  :func:`fixed_point` calls it only for the
     fixed spaces that the bordered certificate leaves open: more than
     one dimension, none, a factorization of fl(B^T B) - s I that fails,
-    or |(L - I) x| > ``SVD_CUTOFF`` |x|.  It stays the oracle of that
-    certificate.
+    a pre-check that proves it would fail, or |(L - I) x| >
+    ``SVD_CUTOFF`` |x|.  It stays the oracle of that certificate.
     """
     uu, svals, vh = np.linalg.svd(m - np.eye(m.shape[0]))
     null_mask = svals <= SVD_CUTOFF
@@ -319,17 +347,48 @@ def null_space(m: np.ndarray, name: str, what: str):
     return uu, svals, vh, null_mask
 
 
-def _certified_fixed_point(real: np.ndarray, dim: int) -> np.ndarray | None:
-    """x = B^-1 e_0 when the certificate of the module docstring holds
-    for A = `real` - I, else None.
+def _certified_fixed_point(u, rho_cr) -> tuple[np.ndarray | None,
+                                                np.ndarray | None]:
+    """``(x, None)`` with x = B^-1 e_0 when the certificate of the module
+    docstring holds for A = L - I, else ``(None, L)``, with L the real
+    matrix of :func:`_hermitian_superoperator`.
 
     x has trace 1 and (A x)_i = 0 for i > 0, and (A x)_0 = 0 as well in
     exact arithmetic: the map preserves trace, so row 0 of A is minus the
-    sum of the other diagonal rows.  x is taken by one LU solve; then a
-    Cholesky factorization of H = fl(C - s I), C = fl(B^T B), that runs
-    to completion proves s_min(B) > tau = ``SVD_CUTOFF`` for the shift
-    s = tau^2 + (n + 2) eps tr C.  With u = eps / 2 and
-    gamma_k = k u / (1 - k u), the shift covers three roundings:
+    sum of the other diagonal rows.  No more than two n x n arrays are
+    held at once, n = d^2:
+
+    - L is assembled, then overwritten in place by B: its row 0 and its
+      diagonal are saved, the diagonal becomes fl(l_ii - 1) and row 0 the
+      trace row.  B is in Fortran order, so the LU solve copies it to
+      LAPACK's layout without a transpose.  A x is fl(B x) with row 0
+      taken from the saved row.
+    - Writing back the saved row and diagonal restores L bit for bit.
+      That is done when a pre-check proves s_min(B) <= tau for
+      tau = ``SVD_CUTOFF``, which no Cholesky factorization below can
+      pass; when B is singular; and when |A x| > tau |x|.
+    - Otherwise C = fl(B^T B) is formed and B dropped, and the shifted
+      Cholesky factorization reads C's Fortran-ordered view, its
+      transpose.  Only if it fails is L assembled a second time, for the
+      SVD.
+
+    The pre-check moves no verdict.  Let v be the indicator of the
+    diagonal rows 1 .. d-1.  Then s_min(B) = s_min(B^T) <= |v^T B| / |v|,
+    and v^T B = v^T A = -(row 0 of A) by the trace argument above, so the
+    bound is small when row 0 of L is e_0^T: the identity and the block
+    channels, which conserve sigma_00, take this route.  The sum fl(v^T B)
+    of d - 1 rows is off by at most gamma_(d-2) sqrt(d - 1) |B_(1..d-1)|_F.
+    The test |fl(v^T B)| / sqrt(d - 1) + g |B_(1..d-1)|_F <= (1 - 2 g) tau,
+    g = (n + 2) eps, passes only if s_min(B) <= tau: g is far above
+    gamma_(d-2), and 1 - 2 g covers the relative error, below
+    (n / 2 + 5) eps / 2, of the first norm, the division and the sum.  A
+    Cholesky factorization that completed would prove s_min(B) > tau, so
+    it fails whenever the pre-check passes.
+
+    The Cholesky factorization of H = fl(C - s I) that runs to completion
+    proves s_min(B) > tau for the shift s = tau^2 + (n + 2) eps tr C.
+    With u = eps / 2 and gamma_k = k u / (1 - k u), the shift covers three
+    roundings:
 
     - the product: each entry of C is an inner product of length n, so
       |C - B^T B| <= gamma_n |B|^T |B|, of 2-norm at most
@@ -346,32 +405,57 @@ def _certified_fixed_point(real: np.ndarray, dim: int) -> np.ndarray | None:
     Since R^T R is positive semidefinite, lambda_min(B^T B) >= s - (n + 1)
     eps tr C (1 + O(n eps)), and the spare eps tr C, with tr C >= dim >= 1
     from the trace row, outweighs the O(n eps) terms and the rounding of
-    s itself while n < 10^7: lambda_min(B^T B) > tau^2.  B is factorized
-    only after x passes |A x| <= tau |x|.
+    s itself while n < 10^7: lambda_min(B^T B) > tau^2.
     """
+    real = _hermitian_superoperator(u, rho_cr)
     n = real.shape[0]
-    bordered = real.copy()
-    bordered.flat[::n + 1] -= 1.0
-    bordered[0] = 0.0
-    bordered[0, :dim] = 1.0
+    row, diagonal = real[0].copy(), real.diagonal().copy()
+    real.flat[::n + 1] = diagonal - 1.0
+    real[0] = 0.0
+    real[0, :math.isqrt(n)] = 1.0
+    x = _bordered_solution(real, row)
+    if x is None:
+        real[0] = row
+        real.flat[::n + 1] = diagonal
+        return None, real
+    gram = real.T @ real
+    del real  # the factorization holds two n x n arrays of its own
+    gram.flat[::n + 1] -= (SVD_CUTOFF**2
+                           + (n + 2) * np.finfo(float).eps * gram.trace())
+    try:
+        np.linalg.cholesky(gram.T)
+    except np.linalg.LinAlgError:
+        del gram
+        return None, _hermitian_superoperator(u, rho_cr)
+    return x, None
+
+
+def _bordered_solution(bordered: np.ndarray, row: np.ndarray) -> np.ndarray | None:
+    """x = B^-1 e_0 for B = `bordered`, unless the pre-check of
+    :func:`_certified_fixed_point` proves s_min(B) <= ``SVD_CUTOFF``, B is
+    singular, or |A x| > ``SVD_CUTOFF`` |x|; `row` is row 0 of L."""
+    n = bordered.shape[0]
+    dim = math.isqrt(n)
+    if dim > 1:
+        # |v^T B| / |v| for v the indicator of the diagonal rows 1 .. d-1;
+        # its first test spares the norm of the rows on most channels
+        rows = bordered[1:dim]
+        bound = np.linalg.norm(np.ones(dim - 1) @ rows) / np.sqrt(dim - 1)
+        g = (n + 2) * np.finfo(float).eps
+        if (bound <= SVD_CUTOFF and bound + g * np.linalg.norm(rows)
+                <= (1 - 2 * g) * SVD_CUTOFF):
+            return None
     e0 = np.zeros(n)
     e0[0] = 1.0
     try:
         x = np.linalg.solve(bordered, e0)
     except np.linalg.LinAlgError:
         return None
-    if not (np.linalg.norm(real @ x - x)
-            <= SVD_CUTOFF * np.linalg.norm(x)):
-        return None
-    gram = bordered.T @ bordered
-    del bordered  # the factorization holds two more n x n arrays
-    gram.flat[::n + 1] -= (SVD_CUTOFF**2
-                           + (n + 2) * np.finfo(float).eps * gram.trace())
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None
-    return x
+    ax = bordered @ x
+    ax[0] = row @ x - x[0]
+    if np.linalg.norm(ax) <= SVD_CUTOFF * np.linalg.norm(x):
+        return x
+    return None
 
 
 def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResult:
@@ -383,10 +467,14 @@ def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResul
     the bordered B, A with row 0 replaced by the trace row: x = B^-1 e_0
     is certified when a shifted Cholesky factorization proves
     s_(n-1)(A) >= s_min(B) > ``SVD_CUTOFF`` and s_min(A) <= |A x| / |x|
-    <= ``SVD_CUTOFF``, which leave exactly one singular value null.
-    Otherwise (B singular, the factorization failing or the residual
-    too large) the null space is extracted by SVD (:func:`null_space`),
-    and a one-dimensional one gives its null vector over its trace.  Under
+    <= ``SVD_CUTOFF``, which leave exactly one singular value null.  That
+    path holds at most two n x n arrays, n = d^2, and this function holds
+    no reference to L while it runs (:func:`_certified_fixed_point`).
+    Otherwise (a pre-check proving s_min(B) <= ``SVD_CUTOFF``, B singular,
+    the residual too large or the factorization failing) the null space
+    of L, restored or assembled again, is extracted by SVD
+    (:func:`null_space`), and a one-dimensional one gives its null vector
+    over its trace.  Under
     ``require_unique`` a multi-dimensional fixed space raises
     :class:`NonUniqueFixedPoint`; under ``max_entropy`` the
     entropy-maximizing fixed density matrix is returned.  It is found
@@ -398,11 +486,10 @@ def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResul
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    real = _hermitian_superoperator(u, rho_cr)
-    dim = int(round(np.sqrt(real.shape[0])))
-    x = _certified_fixed_point(real, dim)
+    x, real = _certified_fixed_point(u, rho_cr)
     if x is not None:
-        return _finalize(u, rho_cr, _hermitian(x, dim), 1)
+        return _finalize(u, rho_cr, _hermitian(x, math.isqrt(x.size)), 1)
+    dim = math.isqrt(real.shape[0])
     uu, _, vh, null_mask = null_space(real, "L", "fixed space")
     fixed_space_dim = int(null_mask.sum())
     if fixed_space_dim == 1:

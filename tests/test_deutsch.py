@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,7 +395,8 @@ def test_max_entropy_fails_at_the_step_that_fails(monkeypatch):
 def _svd_path(u, rho, policy="require_unique"):
     """fixed_point with the certificate turned off: its result or error."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(deutsch, "_certified_fixed_point", lambda real, dim: None)
+        mp.setattr(deutsch, "_certified_fixed_point",
+                   lambda u, rho: (None, deutsch._hermitian_superoperator(u, rho)))
         try:
             return fixed_point(u, rho, policy=policy)
         except (NonUniqueFixedPoint, NoFixedPointNumerical) as err:
@@ -491,19 +493,19 @@ def test_failed_cutoff_is_never_certified(monkeypatch):
     certified = []
     certify = deutsch._certified_fixed_point
     monkeypatch.setattr(deutsch, "_certified_fixed_point",
-                        lambda real, dim: certified.append(certify(real, dim)))
+                        lambda u, rho: certified.append(certify(u, rho))
+                        or certified[-1])
+    u, rho = _haar_circuit(2, 8)
     with pytest.raises(NoFixedPointNumerical, match="smallest singular value"):
-        fixed_point(*_haar_circuit(2, 8))
-    assert certified == [None]
+        fixed_point(u, rho)
+    ((x, real),) = certified
+    assert x is None
+    assert np.array_equal(real, deutsch._hermitian_superoperator(u, rho))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), cr_dim=st.integers(2, 3),
-       ctc_dim=st.integers(2, 3), decades=st.floats(0, 12))
-def test_certificate_agrees_with_svd_near_the_identity(seed, cr_dim, ctc_dim,
-                                                        decades):
-    # (1 - w) Phi + w id keeps Phi's fixed space but scales its gap by
-    # 1 - w = 10^-decades, which carries the verdict across the cutoff
+def _near_identity_case(seed, cr_dim, ctc_dim, decades):
+    """(1 - w) Phi + w id for a Haar circuit Phi: it keeps Phi's fixed
+    space but scales its gap by 1 - w = 10^-decades."""
     rng = np.random.default_rng(seed)
     w = 1 - 10.0**-decades
     v = haar_unitary(cr_dim * ctc_dim, rng).entries
@@ -511,11 +513,24 @@ def test_certificate_agrees_with_svd_near_the_identity(seed, cr_dim, ctc_dim,
          + tensor_product(np.diag([0, 1]), np.eye(cr_dim * ctc_dim)))
     rho = tensor_product(np.diag([1 - w, w]),
                          random_density_matrix(cr_dim, rng).entries)
+    return u, rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cr_dim=st.integers(2, 3),
+       ctc_dim=st.integers(2, 3), decades=st.floats(0, 12))
+def test_certificate_agrees_with_svd_near_the_identity(seed, cr_dim, ctc_dim,
+                                                        decades):
+    # the scaled gap carries the verdict across the cutoff
+    u, rho = _near_identity_case(seed, cr_dim, ctc_dim, decades)
     oracle = _svd_path(u, rho)
     real = deutsch._hermitian_superoperator(u, rho)
-    if deutsch._certified_fixed_point(real, ctc_dim) is not None:
+    x, restored = deutsch._certified_fixed_point(u, rho)
+    if x is not None:
         svals = np.linalg.svd(real - np.eye(ctc_dim**2), compute_uv=False)
         assert (svals <= deutsch.SVD_CUTOFF).sum() == 1
+    else:
+        assert np.array_equal(restored, real)
     try:
         result = fixed_point(u, rho)
     except (NonUniqueFixedPoint, NoFixedPointNumerical) as err:
@@ -555,10 +570,12 @@ def test_assembly_and_certificate_match_their_oracles(seed, cr_dim, ctc_dim,
     assert np.abs(real - oracle).max() <= 8 * eps * np.linalg.norm(oracle)
 
     n = ctc_dim**2
-    x = deutsch._certified_fixed_point(real, ctc_dim)
+    x, restored = deutsch._certified_fixed_point(u, rho)
     svals = np.linalg.svd(real - np.eye(n), compute_uv=False)
     if x is not None:
         assert (svals <= deutsch.SVD_CUTOFF).sum() == 1
+    else:
+        assert np.array_equal(restored, real)
     inverse_x = _inverse_certificate(real, ctc_dim)
     if inverse_x is not None:
         assert x is not None
@@ -567,6 +584,106 @@ def test_assembly_and_certificate_match_their_oracles(seed, cr_dim, ctc_dim,
     assert result.fixed_space_dim == svd.fixed_space_dim == 1
     assert np.abs(result.fixed_point.entries
                   - svd.fixed_point.entries).max() <= 1e-12
+
+
+def _pairwise_superoperator(u, rho):
+    """Oracle of the slabbed _hermitian_superoperator: each output pair's
+    rows from a matmul of its own, with the assembly's arithmetic."""
+    cr_dim = rho.shape[0]
+    dim = u.shape[0] // cr_dim
+    u4 = u.reshape(cr_dim, dim, cr_dim, dim)
+    left = np.tensordot(u4, rho, ([2], [0])).transpose(1, 2, 0, 3).reshape(
+        dim, dim, cr_dim**2)
+    right = u4.conj().transpose(1, 0, 2, 3).reshape(dim, cr_dim**2, dim)
+    i, j = np.triu_indices(dim, 1)
+    pairs = [(x, x) for x in range(dim)] + list(zip(i, j))
+    r2 = np.sqrt(2)
+    real = np.empty((dim * dim, dim * dim))
+    for p, (x, x_) in enumerate(pairs):
+        t = left[x] @ right[x_]
+        plus, minus = t[i, j] + t[j, i], t[i, j] - t[j, i]
+        if p < dim:
+            real[p] = np.concatenate(
+                [t.diagonal().real, plus.real / r2, minus.imag / -r2])
+        else:
+            real[p] = np.concatenate(
+                [r2 * t.diagonal().real, plus.real, -minus.imag])
+            real[p + i.size] = np.concatenate(
+                [r2 * t.diagonal().imag, plus.imag, minus.real])
+    return real
+
+
+@pytest.mark.parametrize("slab", [None, 5], ids=["slab-32", "slab-5"])
+@pytest.mark.parametrize("ctc_dim", [2, 5, 8, 9, 16])
+def test_slabbed_assembly_is_the_pairwise_one_bit_for_bit(monkeypatch, slab,
+                                                          ctc_dim):
+    # at 5 pairs a slab, slab edges fall before and after the diagonal
+    # pairs end; at 32, every slab edge falls after
+    if slab is not None:
+        monkeypatch.setattr(deutsch, "_SLAB", slab)
+    u, rho = _haar_circuit(2, ctc_dim)
+    real = deutsch._hermitian_superoperator(u, rho)
+    assert real.flags.f_contiguous
+    assert np.array_equal(real, _pairwise_superoperator(u, rho))
+    oracle = _gathered_superoperator(u, rho)
+    assert np.abs(real - oracle).max() <= (
+        8 * np.finfo(float).eps * np.linalg.norm(oracle))
+
+
+@pytest.mark.parametrize("ctc_dim", [16, 24])
+def test_unique_fixed_point_holds_two_superoperators(ctc_dim):
+    u, rho = _haar_circuit(2, ctc_dim)
+    fixed_point(u, rho)  # numpy's lazily built state is not measured
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = fixed_point(u, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.unique
+    assert peak <= 1.05 * 2 * ctc_dim**4 * 8
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Record each call of owner.name as True when it returns, else False."""
+    calls = []
+    func = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(False)
+        out = func(*args)
+        calls[-1] = True
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case, builds, factorizations", [
+    (lambda: (np.eye(16), _haar_circuit(2, 8)[1]), 1, []),
+    (lambda: _block_channel_case(3)[:2], 1, []),
+    (lambda: _block_channel_case(5)[:2], 1, []),
+    (lambda: _haar_circuit(2, 8), 1, [True]),
+    (lambda: _near_identity_case(0, 2, 3, 8), 2, [False]),
+], ids=["identity", "block-3x4", "block-5x6", "haar-2x8", "near-identity"])
+def test_superoperator_is_assembled_again_only_after_a_failed_factorization(
+        monkeypatch, case, builds, factorizations):
+    # the identity and the block channels conserve sigma_00, so the
+    # pre-check rules the factorization out and L is restored in place
+    u, rho = case()
+    oracle = _svd_path(u, rho, "max_entropy")
+    assembled = _count_calls(monkeypatch, deutsch, "_hermitian_superoperator")
+    factorized = _count_calls(monkeypatch, np.linalg, "cholesky")
+    result = fixed_point(u, rho, policy="max_entropy")
+    assert len(assembled) == builds
+    assert factorized == factorizations
+    assert result.fixed_space_dim == oracle.fixed_space_dim
+    if factorizations != [True]:
+        # the SVD ran on the restored or rebuilt L, which is L bit for bit
+        assert np.array_equal(result.fixed_point.entries,
+                              oracle.fixed_point.entries)
+        assert result.residual == oracle.residual
 
 
 def _hermitian_coordinates(x):
