@@ -403,12 +403,23 @@ def _svd_path(u, rho, policy="require_unique"):
             return err
 
 
-def _count_null_space(monkeypatch):
+def _count_calls(monkeypatch, owner, name):
+    """Record each call of owner.name as True when it returns, else False."""
     calls = []
-    svd = deutsch.null_space
-    monkeypatch.setattr(deutsch, "null_space",
-                        lambda *args: calls.append(args) or svd(*args))
+    func = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(False)
+        out = func(*args)
+        calls[-1] = True
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _count_null_space(monkeypatch):
+    return _count_calls(monkeypatch, deutsch, "null_space")
 
 
 def _haar_circuit(cr_dim, ctc_dim):
@@ -643,21 +654,6 @@ def test_unique_fixed_point_holds_two_superoperators(ctc_dim):
         tracemalloc.stop()
     assert result.unique
     assert peak <= 1.05 * 2 * ctc_dim**4 * 8
-
-
-def _count_calls(monkeypatch, owner, name):
-    """Record each call of owner.name as True when it returns, else False."""
-    calls = []
-    func = getattr(owner, name)
-
-    def counted(*args):
-        calls.append(False)
-        out = func(*args)
-        calls[-1] = True
-        return out
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 @pytest.mark.parametrize("case, builds, factorizations", [
