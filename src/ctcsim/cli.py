@@ -26,12 +26,16 @@ item, and the complex number the runs share, are written into the
 template once.  A template's numbers are one float matrix, a row per
 item; one numpy pass finds the few floats, such as ``inf`` or
 ``1e+22``, that ``%.17g`` or ``%.1f`` would not write, and each item is
-one ``%`` of its row, formatted when it is written.  A flow row that
-might reach column 80 is filled with separators and broken by
-:func:`_flow`.  :func:`main` writes the pieces, a run each, with
-``writelines`` and never joins them.  A ``--json`` report writes its
-header's text once and each run after it, the run's entry of every
-column.
+one ``%`` of its row.  A flow row that might reach column 80 is filled
+with separators and broken by :func:`_flow`.  :func:`_yaml_pieces`
+compiles both templates before it returns, so a rejected value raises
+TypeError before the first byte, and returns an iterator whose pieces,
+a run each, are formatted as they are taken.  :func:`main` streams it
+with ``writelines``, an ``--out`` file in write-through mode, so no two
+runs' texts are held at once.  A ``--json`` report is streamed the same
+way by :func:`_json_lines`, which checks every entry first and then
+formats each line, the header's text once rendered and the run's entry
+of every column, as it is written.
 
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
 with YAML 1.1's scalar rules.  A numeric row, one flow sequence of
@@ -627,9 +631,10 @@ def _float_codes(a):
     has a one-digit mantissa (``1e-306``), found by its distance from an
     integer and taken for every value below 1e-300, whose scale a float
     does not hold exactly."""
+    whole = a == np.trunc(a)
     mag = np.abs(a)
     fits = mag < 1e16
-    whole = fits & (a == np.trunc(a))
+    whole &= fits
     # a non-integral value from 1e-4 up to 1e16 is written with its '.'
     rest = np.flatnonzero(~(whole | fits & (mag >= 1e-4)))
     codes = whole.view(np.int8)
@@ -663,13 +668,15 @@ def _flow(col: int, texts: list, indent: int) -> str:
     return "".join(pieces)
 
 
-def _yaml_pieces(header: dict, runs: dict) -> list:
+def _yaml_pieces(header: dict, runs: dict):
     """The report ``{**header, "runs": rows}``, the k-th of `rows` mapping
     each key of `runs` to the k-th entry of its column, as ``yaml.dump``
     writes it with libyaml's safe dumper and :func:`_fmt_float` as its
-    float representer, in pieces to be written in order: the header's
-    text, then one piece for each run.  The header's values, and the
-    columns' entries, are the kinds :func:`_compile` takes."""
+    float representer, as an iterator of pieces to be written in order:
+    the header's text, then one piece for each run, each formatted as it
+    is taken.  The header's values, and the columns' entries, are the
+    kinds :func:`_compile` takes; both templates are compiled before the
+    iterator is returned, so any other kind raises TypeError here."""
     if not (isinstance(header, dict) and isinstance(runs, dict)):
         raise TypeError("a report's header and runs are mappings")
     sizes = set(map(len, runs.values()))
@@ -682,8 +689,28 @@ def _yaml_pieces(header: dict, runs: dict) -> list:
         _compile(t, "\n" * bool(i) + _key_head(key), [value], 0)
     stack = _Template(sizes.pop())
     _runs(stack, runs)
-    return [*_filled(t), "\n" * bool(header) + _key_head("runs"),
-            *_filled(stack), "\n"]
+    return itertools.chain(_filled(t), ["\n" * bool(header) + _key_head("runs")],
+                           _filled(stack), ["\n"])
+
+
+def _json_lines(header: dict, runs: dict):
+    """The ``--json`` report as an iterator of lines, one
+    ``{**header, "run": run}`` per run, a run holding its entry of every
+    column; the header, never empty, is written once.  Every entry is
+    checked before the iterator is returned, so a kind that
+    :func:`_json_value` rejects raises TypeError here."""
+    opening = _json_dumps(header)[:-1] + ',"run":'
+    for column in runs.values():
+        if isinstance(column, np.ndarray) and column.ndim > 1:
+            _stacked(column)  # every run's array at once
+            continue
+        for x in column:
+            if isinstance(x, np.ndarray):
+                _stacked([x])
+            elif not isinstance(x, (float, complex, str)):
+                _scalar_text(x)
+    return (opening + _json_dumps(dict(zip(runs, row))) + "}\n"
+            for row in zip(*runs.values()))
 
 
 def _json_dumps(values: dict) -> str:
@@ -978,19 +1005,15 @@ def main(argv=None) -> int:
     try:
         header, runs, ok = args.func(args)
         header = {"command": args.command, "timestamp": _timestamp(), **header}
-        if args.json:
-            # each line is {**header, "run": run}, a run holding its entry
-            # of every column; the header, never empty, is written once
-            opening = _json_dumps(header)[:-1] + ',"run":'
-            pieces = []
-            for row in zip(*runs.values()):
-                pieces += (opening, _json_dumps(dict(zip(runs, row))) + "}\n")
-        else:
-            pieces = _yaml_pieces(header, runs)
-        # written in pieces: the report's text is never held in one string
+        pieces = (_json_lines if args.json else _yaml_pieces)(header, runs)
+        # each piece is formatted as it is written, so the report's text is
+        # never held at once
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:
+                    # each piece goes to the byte buffer as it is written,
+                    # not held with others until 8 KB of text is pending
+                    fh.reconfigure(write_through=True)
                     fh.writelines(pieces)
             except OSError as exc:
                 raise ConfigError(f"cannot write report: {exc}")

@@ -205,7 +205,10 @@ def _span_ancillas(amps: np.ndarray, p1: np.ndarray, p2: np.ndarray,
             + beta conj(alpha) W^T + diag(p1 p2).
 
     C is applied to all rows at once: one diagonal term and two products
-    with the fixed Gamma, so no array exceeds P x N.  Each row starts
+    with the fixed Gamma, added in place, with one buffer for p2 x and
+    then p1 x, so applying C holds its input and three P x N arrays.
+    Each power step's input, and the certificate's overlaps, image and
+    residual, are freed once used.  Each row starts
     from its target `start`, whose coefficients are alpha / gamma at m
     and beta / gamma at n (1 at m on the diagonal), and takes
     ``_POWER_STEPS`` steps c <- C G c.  They are carried on v = Psi c as
@@ -266,26 +269,44 @@ def _span_ancillas(amps: np.ndarray, p1: np.ndarray, p2: np.ndarray,
     both = p1 * p2
     diagonal = (abs(alpha) ** 2 * p1 * (p2 @ inv_gamma2.T)
                 + abs(beta) ** 2 * p2 * (p1 @ inv_gamma2) + both)
-    # complex copies, as a real factor costs a cast in every product
-    q1, q2, dq = p1.astype(complex), p2.astype(complex), diagonal.astype(complex)
 
     def apply_c(x):
-        return dq * x + q1 * ((q2 * x) @ forward) + q2 * ((q1 * x) @ backward)
+        """diagonal x + p1 ((p2 x) forward) + p2 ((p1 x) backward) for
+        every row x, summed in that order.  numpy casts a real factor to
+        complex inside its loop, so each product rounds as with a complex
+        copy of the factor."""
+        scaled = p2 * x
+        out = scaled @ forward
+        out *= p1
+        out += np.multiply(diagonal, x, out=scaled)
+        term = np.multiply(p1, x, out=scaled) @ backward
+        del scaled  # before the cast of p2 takes its own buffer
+        term *= p2
+        out += term
+        return out
 
     def rows(x, y):
         """Re <x_k, y_k> for every row k."""
-        return (x.conj() * y).real @ ones
+        product = x.conj()
+        product *= y
+        return product.real @ ones
 
     adjoint = amps.conj().T
     ancillas = start
     for _ in range(_POWER_STEPS):
-        ancillas = apply_c(ancillas @ adjoint) @ amps
+        # rebinding frees the step's input before C is applied
+        ancillas = ancillas @ adjoint
+        ancillas = apply_c(ancillas) @ amps
     ancillas = ancillas / np.sqrt(rows(ancillas, ancillas))[:, None]
     overlaps = ancillas @ adjoint
     image = apply_c(overlaps)
     rho = rows(overlaps, image)
-    residual = image @ amps - rho[:, None] * ancillas
+    del overlaps
+    residual = image @ amps
+    del image
+    residual -= rho[:, None] * ancillas
     r = np.sqrt(rows(residual, residual))
+    del residual
     moduli = np.abs(amps)
     shadow = moduli @ moduli.T
     norms2 = shadow.diagonal()
@@ -323,7 +344,9 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
     :class:`DimensionError`.  All N^2 targets are then formed in one
     broadcast before the one discrimination bundle, so a cancelling pair
     raises :class:`DegenerateSuperposition` first, naming the first such
-    pair in row-major order.  Every member is distinguished once, by one
+    pair in row-major order.  The requested targets, `expected`, are
+    taken then, and the N^3 array of all targets is dropped before the
+    member solve.  Every member is distinguished once, by one
     :func:`ctcsim.discrimination.distinguish_members`, and p1, p2 are
     rows m and n of its `labels`, the diagonals of the two CTC outputs:
     T_m p_m straight from its stacked solve for a certified member, with
@@ -342,7 +365,9 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
     Phase rule: each ancilla is multiplied by the phase that makes
     <omega_mn|ancilla> real and non-negative, and is left as extracted
     when that overlap is exactly 0.  The fidelity of each aligned ancilla
-    to omega_mn is computed as one stacked product, clipped to [0, 1].
+    to omega_mn is computed as one stacked product, clipped to [0, 1];
+    the conjugate targets are formed once, for the overlaps and the
+    fidelity.
     """
     size = states.size
     for pair in pairs:
@@ -370,22 +395,23 @@ def run_sweep(states: StateSet, pairs: Sequence[tuple[int, int]],
         raise DegenerateSuperposition(i, j, gammas[i, j])
     targets /= gammas[:, :, None]
     targets[np.arange(size), np.arange(size)] = amps
+    firsts, seconds = pair_array.T
+    expected = targets[firsts, seconds]
+    del targets
     bundle = build_distinguisher(states)
     members = distinguish_members(bundle)
 
-    firsts, seconds = pair_array.T
-    expected = targets[firsts, seconds]
     inv_gamma2 = gammas ** -2.0
     np.fill_diagonal(inv_gamma2, 0.0)
     ancillas, second, angle = _span_ancillas(
         amps, members.labels[firsts], members.labels[seconds], inv_gamma2,
         alpha, beta, expected)
-    overlaps = (expected.conj() * ancillas).sum(axis=1)
+    bra = expected.conj()
+    overlaps = (bra * ancillas).sum(axis=1)
     ancillas *= np.divide(overlaps.conj(), np.abs(overlaps),
                           out=np.ones_like(overlaps), where=overlaps != 0)[:, None]
     ancillas += 0.0  # a -0.0 part left by the phase prints as 0.0
     # a stacked vdot: an einsum or a row sum would round differently
-    fidelity = np.abs((expected.conj()[:, None, :]
-                       @ ancillas[:, :, None])[:, 0, 0]) ** 2
+    fidelity = np.abs((bra[:, None, :] @ ancillas[:, :, None])[:, 0, 0]) ** 2
     return SweepResult(bundle, members, pair_array, ancillas, expected,
                        np.clip(fidelity, 0.0, 1.0), second, angle)

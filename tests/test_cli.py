@@ -723,6 +723,76 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, target):
     assert captured.err.startswith("config error: cannot write report: ")
 
 
+def _command_returning(monkeypatch, runs):
+    """Make every command hand main a one-key header and `runs`."""
+    parser = cli._parser()
+
+    class Parser:
+        def parse_args(self, argv):
+            args = parser.parse_args(argv)
+            args.func = lambda args: ({"seed": 0}, runs, True)
+            return args
+
+    monkeypatch.setattr(cli, "_parser", Parser)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["yaml", "json"])
+@pytest.mark.parametrize("runs", [
+    {"m": [0, 1, 2], "x": [1.0, 2.0, None]},
+    {"m": [0, 1, 2], "x": np.zeros((3, 2), dtype=bool)},
+], ids=["last-entry", "bool-array"])
+def test_rejected_column_writes_no_byte(tmp_path, capsys, monkeypatch,
+                                        flags, runs):
+    # the writer checks every entry before the first piece: a rejected
+    # column leaves no --out file and prints nothing
+    _command_returning(monkeypatch, runs)
+    out = tmp_path / "report"
+    assert main(["example", *flags, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert main(["example", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("internal error: TypeError: ") == 2
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["yaml", "json"])
+def test_sweep_report_is_written_as_it_is_formatted(tmp_path, monkeypatch,
+                                                   flags):
+    # every run's text is formatted just before it is written, so no two
+    # runs are written after the same number of formatted rows
+    cfg = haar_config(tmp_path, 16, 16, alpha=[0.6, 0.2], beta=[-0.3, 0.7])
+    rows = []
+    formatted = cli._formatted
+
+    def counted(*args, **kwargs):
+        for text in formatted(*args, **kwargs):
+            rows.append(text)
+            yield text
+
+    class Stdout:
+        def __init__(self):
+            self.written = []
+
+        def writelines(self, pieces):
+            self.written += [(piece, len(rows)) for piece in pieces]
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "_formatted", counted)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["superpose", cfg, *flags]) == 0
+    written = sys.stdout.written
+    # YAML: the header, "runs:", a piece per run and the last newline
+    runs = written if flags else written[2:-1]
+    assert len(runs) == 256
+    counts = [count for _, count in runs]
+    assert counts == sorted(set(counts))
+    assert counts[-1] == len(rows)
+    if not flags:
+        assert counts[0] == 2  # the header's row and the first run's
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["yaml", "json"])
 def test_reader_that_closes_early_is_no_program_fault(tmp_path, flags):
     # an N = 12 sweep writes more than a pipe holds, so a reader that

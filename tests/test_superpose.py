@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import types
 
 import numpy as np
@@ -622,6 +623,27 @@ def test_sweep_takes_numpy_indices_and_an_empty_pair_list(zero_minus_set):
     assert empty.ancillas.shape == empty.expected.shape == (0, 2)
     assert empty.fidelity.shape == (0,)
     assert empty.members.decoded.tolist() == [0, 1]
+
+
+
+@pytest.mark.parametrize("size", [16, 32])
+def test_sweep_holds_a_fixed_number_of_pair_arrays(size):
+    # a P x N complex array takes 16 N^3 bytes at P = N^2; the sweep
+    # returns two (ancillas, expected) and holds a few more while it runs
+    rng = np.random.default_rng(size)
+    z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    states = StateSet(z / np.linalg.norm(z, axis=1, keepdims=True))
+    pairs = [(m, n) for m in range(size) for n in range(size)]
+    spec = SuperpositionSpec(0.6 + 0.2j, -0.3 + 0.7j)
+    run_sweep(states, pairs, spec)  # numpy's lazily built state is not measured
+    tracemalloc.start()
+    try:
+        sweep = run_sweep(states, pairs, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweep.fidelity.min() >= 1 - 1e-8
+    assert peak <= 11 * 16 * size**3
 
 
 # the package's public names; a deleted one must leave this list too
