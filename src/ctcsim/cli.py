@@ -33,9 +33,11 @@ TypeError before the first byte, and returns an iterator whose pieces,
 a run each, are formatted as they are taken.  :func:`main` streams it
 with ``writelines``, an ``--out`` file in write-through mode, so no two
 runs' texts are held at once.  A ``--json`` report is streamed the same
-way by :func:`_json_lines`, which checks every entry first and then
-formats each line, the header's text once rendered and the run's entry
-of every column, as it is written.
+way by :func:`_json_lines`, which first checks the header and every
+column by the writer's rules, without stacking a column, so it rejects
+what the YAML writer rejects, and then formats each line, the header's
+text once rendered and the run's entry of every column, as it is
+written.
 
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
 with YAML 1.1's scalar rules.  A numeric row, one flow sequence of
@@ -449,13 +451,18 @@ def _compile(t: _Template, head: str, values, indent: int) -> None:
     elif isinstance(first, complex):
         # the same object in every item, as the runs of a sweep share the
         # spec's alpha and beta: written into the template once
-        if len(set(map(id, values))) > 1:
-            raise TypeError("a complex value must be the same in every item")
+        _one_object(values)
         lead = head + " ["
         parts = [_scalar_text(first.real), _scalar_text(first.imag)]
         t.layout.append(lead + _flow(_column(lead), parts, indent + _INDENT) + "]")
     else:
         t.layout.append(f"{head} {_scalar_item(t, values)[0]}")
+
+
+def _one_object(values) -> None:
+    """TypeError unless `values` are one complex object."""
+    if len(set(map(id, values))) > 1:
+        raise TypeError("a complex value must be the same in every item")
 
 
 def _scalar_item(t: _Template, values: list):
@@ -545,16 +552,22 @@ def _arrays(t: _Template, head: str, values, indent: int) -> None:
         t.groups += [group] * (matrix.shape[1] // shape[-1])
 
 
+def _one_kind(values) -> None:
+    """TypeError unless `values` are arrays of one shape and dtype, or
+    one array whose leading axis is the item."""
+    if not (isinstance(values, np.ndarray)
+            or all(map(isinstance, values, itertools.repeat(np.ndarray)))
+            and len({(v.shape, v.dtype) for v in values}) == 1):
+        raise TypeError("arrays that differ in type, shape or dtype")
+
+
 def _stacked(values):
     """Float, complex or int arrays of one shape and dtype, nonempty and
     of one axis or more, stacked once unless they are one array already:
     the shape of one, a complex one as [re, im] pairs along a new last
     axis; a float64 matrix with a row per value; and the slot code of its
     numbers, _INT for ints, which must lie within 2**53."""
-    if not (isinstance(values, np.ndarray)
-            or all(map(isinstance, values, itertools.repeat(np.ndarray)))
-            and len({(v.shape, v.dtype) for v in values}) == 1):
-        raise TypeError("arrays that differ in type, shape or dtype")
+    _one_kind(values)
     stacked = values[0][None] if len(values) == 1 else np.asarray(values)
     if not stacked.size or stacked.ndim < 2:
         raise TypeError("cannot serialize an empty or 0-d array")
@@ -668,6 +681,17 @@ def _flow(col: int, texts: list, indent: int) -> str:
     return "".join(pieces)
 
 
+def _run_count(header: dict, runs: dict) -> int:
+    """The number of runs; TypeError unless the header and the runs are
+    mappings and the runs columns of one nonzero length."""
+    if not (isinstance(header, dict) and isinstance(runs, dict)):
+        raise TypeError("a report's header and runs are mappings")
+    sizes = set(map(len, runs.values()))
+    if len(sizes) != 1 or 0 in sizes:
+        raise TypeError("runs are columns of one nonzero length")
+    return sizes.pop()
+
+
 def _yaml_pieces(header: dict, runs: dict):
     """The report ``{**header, "runs": rows}``, the k-th of `rows` mapping
     each key of `runs` to the k-th entry of its column, as ``yaml.dump``
@@ -677,38 +701,49 @@ def _yaml_pieces(header: dict, runs: dict):
     is taken.  The header's values, and the columns' entries, are the
     kinds :func:`_compile` takes; both templates are compiled before the
     iterator is returned, so any other kind raises TypeError here."""
-    if not (isinstance(header, dict) and isinstance(runs, dict)):
-        raise TypeError("a report's header and runs are mappings")
-    sizes = set(map(len, runs.values()))
-    if len(sizes) != 1 or 0 in sizes:
-        raise TypeError("runs are columns of one nonzero length")
+    size = _run_count(header, runs)
     t = _Template(1)
     # the root's block mapping, however plain the header's values, as the
     # runs follow them
     for i, (key, value) in enumerate(header.items()):
         _compile(t, "\n" * bool(i) + _key_head(key), [value], 0)
-    stack = _Template(sizes.pop())
+    stack = _Template(size)
     _runs(stack, runs)
     return itertools.chain(_filled(t), ["\n" * bool(header) + _key_head("runs")],
                            _filled(stack), ["\n"])
 
 
+def _check_column(values) -> None:
+    """TypeError where :func:`_compile` rejects `values`, the entry of one
+    key in each item, checked without stacking a list of arrays."""
+    first = values[0]
+    if isinstance(values, np.ndarray):
+        _stacked(values)  # one array already: nothing is copied
+    elif isinstance(first, np.ndarray):
+        _one_kind(values)
+        for x in values:
+            _stacked([x])
+    elif isinstance(first, complex):
+        _one_object(values)
+    elif _number_code(values) is None:
+        for x in values:
+            _scalar_text(x)
+
+
 def _json_lines(header: dict, runs: dict):
     """The ``--json`` report as an iterator of lines, one
     ``{**header, "run": run}`` per run, a run holding its entry of every
-    column; the header, never empty, is written once.  Every entry is
-    checked before the iterator is returned, so a kind that
-    :func:`_json_value` rejects raises TypeError here."""
+    column; the header, never empty, is written once.  The header and
+    the runs are checked as :func:`_yaml_pieces` checks them before the
+    iterator is returned, so a report it rejects raises TypeError here."""
+    _run_count(header, runs)
+    for key, value in header.items():
+        _key_head(key)
+        _check_column([value])
+    for key, column in runs.items():
+        _key_head(key)
+        _check_column(column)
     opening = _json_dumps(header)[:-1] + ',"run":'
-    for column in runs.values():
-        if isinstance(column, np.ndarray) and column.ndim > 1:
-            _stacked(column)  # every run's array at once
-            continue
-        for x in column:
-            if isinstance(x, np.ndarray):
-                _stacked([x])
-            elif not isinstance(x, (float, complex, str)):
-                _scalar_text(x)
     return (opening + _json_dumps(dict(zip(runs, row))) + "}\n"
             for row in zip(*runs.values()))
 
@@ -764,6 +799,7 @@ def cmd_superpose(args) -> tuple[dict, dict, bool]:
         pairs = [(m, n)]
     else:
         pairs = [(m, n) for m in range(size) for n in range(size)]
+    del cfg  # parsed: its nested lists are not held across the run
 
     sweep = run_sweep(states, pairs, spec)
     # scalars as Python lists, as the writer rejects numpy scalars; every
@@ -797,6 +833,7 @@ def cmd_distinguish(args) -> tuple[dict, dict, bool]:
     """Discriminate every set member and report the decoded labels."""
     cfg, states = _read_state_set_config(args)
     seed = _parse_seed(cfg, args)
+    del cfg  # parsed: its nested lists are not held across the run
 
     bundle = build_distinguisher(states)
     members = distinguish_members(bundle)
@@ -819,6 +856,22 @@ def cmd_distinguish(args) -> tuple[dict, dict, bool]:
 
 def cmd_fixed_point(args) -> tuple[dict, dict, bool]:
     """Solve the self-consistency condition for a user-supplied circuit."""
+    policy, u, rho = _read_circuit_config(args)
+    result = deutsch.fixed_point(u, rho, policy=policy)
+    runs = {
+        "fixed_point": result.fixed_point.entries[None],
+        "residual": [float(result.residual)],
+        "fixed_space_dim": [result.fixed_space_dim],
+        "unique": [bool(result.unique)],
+        "entropy_nats": [deutsch.von_neumann_entropy(result.fixed_point)],
+    }
+    header = {"policy": policy, "unitary": u, "rho_cr": rho}
+    return header, runs, True
+
+
+def _read_circuit_config(args) -> tuple[str, np.ndarray, np.ndarray]:
+    """The policy, the validated unitary and rho_cr of a fixed-point
+    config; the config itself is not held past parsing."""
     cfg = _load_config(args.config)
     policy = _parse_policy(cfg, args)
     if "unitary" not in cfg:
@@ -858,17 +911,7 @@ def cmd_fixed_point(args) -> tuple[dict, dict, bool]:
         raise ConfigError(
             f"unitary dim {u.shape[0]} does not factor over rho_cr dim {rho.shape[0]}"
         )
-
-    result = deutsch.fixed_point(u, rho, policy=policy)
-    runs = {
-        "fixed_point": result.fixed_point.entries[None],
-        "residual": [float(result.residual)],
-        "fixed_space_dim": [result.fixed_space_dim],
-        "unique": [bool(result.unique)],
-        "entropy_nats": [deutsch.von_neumann_entropy(result.fixed_point)],
-    }
-    header = {"policy": policy, "unitary": u, "rho_cr": rho}
-    return header, runs, True
+    return policy, u, rho
 
 
 def _example_states() -> StateSet:

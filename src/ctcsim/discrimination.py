@@ -12,7 +12,9 @@ satisfy two conditions: (1) U_k psi_k = |k>, and (2) every overlap
 
 A :class:`DistinguisherBundle` holds the U_k as its own read-only
 (N, N, N) stack, U_k = uks[k], and measures both conditions on that
-stack, so it cannot carry conditions of other unitaries.  On
+stack, so it cannot carry conditions of other unitaries;
+:func:`build_distinguisher` hands it the stack it built, frozen, with no
+copy.  On
 the first attempt each U_k is the adjoint of a Gram-Schmidt completion of
 psi_k by the standard basis, which has a closed form in the suffix sums
 s_i = sum_{l >= i} |psi_k[l]|^2, so :func:`build_distinguisher` builds all
@@ -40,6 +42,8 @@ linear solve and certifies it with a bound on |p - e_m|_1.  The same pass
 gives a certified member's labels T_m p and, from Phi_m formed a few
 members at a time, its residual, so no member is settled on its own; a
 member without that certificate takes the SVD path, which is its oracle.
+A discrimination of the whole set thus holds the (N, N, N) complex stack
+once and the chains in one real N^3 array.
 """
 
 from __future__ import annotations
@@ -75,16 +79,22 @@ _EPS = np.finfo(float).eps
 # solve's working arrays are freed by then, but three a chunk would set a
 # new peak at N = 12 and four at N = 16
 _CHUNK = 2
+# complex entries of each product that is squared into the chains (at
+# least one U_k's): two products at N = 12 and four at N = 16; twice as
+# many entries would raise the peak of a distinguish at N = 16 by 7 %
+_CHAIN_ENTRIES = 1024
 
 
 @dataclass(frozen=True, eq=False)
 class DistinguisherBundle:
     """The per-index unitaries of a discrimination circuit for one state set.
 
-    `uks` is held as one read-only (N, N, N) copy of the given unitaries,
-    whose row k is U_k.  Both construction conditions are measured on it
-    when first read: `overlaps[j, k] = |<j| U_k |psi_j>|`, their least
-    value `condition2_min`, and `condition1_deviation[k]`, the Euclidean
+    `uks` is one read-only (N, N, N) stack whose row k is U_k: a copy of
+    the given unitaries, which stay the caller's, or, in a bundle from
+    :func:`build_distinguisher`, the stack it built, frozen and held with
+    no copy.  Both construction conditions are measured on it when first
+    read: `overlaps[j, k] = |<j| U_k |psi_j>|`, their least value
+    `condition2_min`, and `condition1_deviation[k]`, the Euclidean
     distance of U_k psi_k from |k>.  No condition threshold is enforced
     here.  The N^2 x N^2 circuit :attr:`total` is assembled on first
     access only; :func:`distinguish` never needs it.
@@ -104,9 +114,24 @@ class DistinguisherBundle:
         stack.setflags(write=False)
         object.__setattr__(self, "uks", stack)
 
+    @classmethod
+    def _adopt(cls, state_set: StateSet, stack: np.ndarray,
+               overlaps: np.ndarray | None = None) -> DistinguisherBundle:
+        """The bundle of `stack`, an (N, N, N) complex array made for it:
+        frozen and held as it is, and `overlaps`, if given, taken as
+        measured on it."""
+        stack.setflags(write=False)
+        bundle = cls.__new__(cls)
+        object.__setattr__(bundle, "state_set", state_set)
+        object.__setattr__(bundle, "uks", stack)
+        if overlaps is not None:
+            # where the cached property keeps its value
+            bundle.__dict__["overlaps"] = overlaps
+        return bundle
+
     @cached_property
     def overlaps(self) -> np.ndarray:
-        return np.abs(np.einsum("kjc,jc->jk", self.uks, self.state_set.amplitudes))
+        return _overlaps(self.uks, self.state_set.amplitudes)
 
     @cached_property
     def condition2_min(self) -> float:
@@ -268,6 +293,11 @@ def _first_completions(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uks, served
 
 
+def _overlaps(uks: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """overlaps[j, k] = |<j| U_k |psi_j>| of the stack `uks`."""
+    return np.abs(np.einsum("kjc,jc->jk", uks, amps))
+
+
 def build_distinguisher(states: StateSet) -> DistinguisherBundle:
     """Construct per-index unitaries for every k and bundle them.
 
@@ -275,11 +305,12 @@ def build_distinguisher(states: StateSet) -> DistinguisherBundle:
     falls short raises :class:`Condition2Exhausted` before any completion.
     Every first attempt is built at once in closed form
     (:func:`_first_completions`); a k the form does not serve, or whose
-    completion misses condition (2), is built by :func:`build_uk`.  The
-    overlaps the bundle measures on the first completions decide condition
-    (2), so in the common case, every k served, they are measured once;
-    its circuit :attr:`DistinguisherBundle.total` is assembled only when
-    it is read.
+    completion misses condition (2), is built by :func:`build_uk` into
+    the same stack, which the bundle then holds with no copy.  The
+    overlaps measured on the first completions decide condition (2), and
+    in the common case, every k served, the bundle keeps them, so they
+    are measured once; its circuit :attr:`DistinguisherBundle.total` is
+    assembled only when it is read.
     """
     room, least = condition2_room(states)
     k = int(np.argmax(room.min(axis=0) < least))
@@ -290,13 +321,13 @@ def build_distinguisher(states: StateSet) -> DistinguisherBundle:
             f"members {j} and {k} have 1 - F = {infidelity:.3e}, which keeps "
             f"overlap^2 of U_{k} from exceeding {condition2_threshold(len(room)):.3e}")
     uks, served = _first_completions(states.amplitudes)
-    bundle = DistinguisherBundle(states, uks)
-    served &= bundle.overlaps.min(axis=0) ** 2 > least
+    overlaps = _overlaps(uks, states.amplitudes)
+    served &= overlaps.min(axis=0) ** 2 > least
     if served.all():
-        return bundle
+        return DistinguisherBundle._adopt(states, uks, overlaps)
     for k in np.flatnonzero(~served):
         uks[k] = build_uk(states, int(k)).entries
-    return DistinguisherBundle(states, uks)
+    return DistinguisherBundle._adopt(states, uks)
 
 
 def _svd_labels(chain: np.ndarray) -> tuple[np.ndarray, float]:
@@ -395,6 +426,26 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
     return DistinguishResult(*settled, input_in_set=in_set, chain_gap=chain_gap)
 
 
+def _member_chains(uks: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Every member's label chain, t[k, j, m] = T_m[j, k] =
+    |<j|U_k|psi_m>|^2, as re^2 + im^2 of the products of the stack `uks`
+    with the set `amps`: a few U_k at a time, each product in one complex
+    buffer of at most ``_CHAIN_ENTRIES`` entries (or one U_k's), so the
+    chains take one real N^3 array and no N^3 complex product exists."""
+    n = len(amps)
+    t = np.empty((n, n, n))
+    rows, chains = uks.reshape(n * n, n), t.reshape(n * n, n)
+    step = n * max(1, _CHAIN_ENTRIES // (n * n))
+    product = np.empty((min(step, n * n), n), dtype=complex)
+    parts = product.view(float)
+    for lo in range(0, n * n, step):
+        size = min(step, n * n - lo)
+        np.matmul(rows[lo:lo + size], amps.T, out=product[:size])
+        np.square(parts[:size], out=parts[:size])
+        np.add(parts[:size, 0::2], parts[:size, 1::2], out=chains[lo:lo + size])
+    return t
+
+
 def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
     """Discriminate every set member, certifying each label by minorization.
 
@@ -410,9 +461,12 @@ def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
 
     which `bound` states with N eps of rounding allowed for in each sum.
 
-    The chains of all members come from one product of the stack with the
-    set, squared in its own buffer, and every p from one stacked bordered
-    solve: row 0 of T_m - I replaced by ones, right-hand side e_0.  Its
+    The chains of all members are written straight into one real N^3
+    array by :func:`_member_chains`, which multiplies a few U_k of the
+    stack at a time with the set and squares each product in one small
+    buffer, so the pass holds no N^3 complex array beside the stack.
+    Every p comes from one stacked bordered solve, set up in place on the
+    chains: row 0 of T_m - I replaced by ones, right-hand side e_0.  Its
     residual |T_m p - p|_1 is the column-sum rounding sum_k (c_k - 1) p_k
     of the replaced row plus the solve's own rounding.  A member whose
     eps_m does not exceed 2 delta_m + N eps (the bordered system may then
@@ -440,12 +494,8 @@ def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
     """
     states = bundle.state_set
     n = states.size
-    # chain[k, j, m] = T_m[j, k], as re^2 + im^2 in the real parts
-    chain = (bundle.uks.reshape(n * n, n) @ states.amplitudes.T).reshape(n, n, n)
-    parts = chain.view(float).reshape(-1, 2)
-    np.square(parts, out=parts)
-    np.add(parts[:, 0], parts[:, 1], out=parts[:, 0])
-    t = chain.real
+    # t[k, j, m] = T_m[j, k]
+    t = _member_chains(bundle.uks, states.amplitudes)
     ks = np.arange(n)
     minorization = t[:, ks, ks].min(axis=0)
     column = t[ks, :, ks]
@@ -468,7 +518,7 @@ def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
     p /= p.sum(axis=1, keepdims=True)
     moved = np.matmul(bordered, p[..., None])[..., 0]
     moved[:, 0] = np.einsum("km,mk->m", row0, p)
-    del chain, parts, t, bordered
+    del t, bordered
     solve_miss = np.abs(moved).sum(axis=1)
     shift = np.abs(p - np.eye(n)).sum(axis=1)
     # what rounding may hide in the sums, the residual and the shift

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import yaml
 from conftest import ReportDumper, as_lists, run_rows
 from ctcsim import cli, deutsch, discrimination, superpose
 from ctcsim.cli import main
-from ctcsim.sampling import random_state_set
+from ctcsim.sampling import haar_unitary, random_density_matrix, random_state_set
 
 S_17 = format(1 / np.sqrt(2), ".17g")
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -740,7 +741,8 @@ def _command_returning(monkeypatch, runs):
 @pytest.mark.parametrize("runs", [
     {"m": [0, 1, 2], "x": [1.0, 2.0, None]},
     {"m": [0, 1, 2], "x": np.zeros((3, 2), dtype=bool)},
-], ids=["last-entry", "bool-array"])
+    {"m": [0, 1], "a": [np.ones(2), np.ones(3)]},
+], ids=["last-entry", "bool-array", "shapes-differ"])
 def test_rejected_column_writes_no_byte(tmp_path, capsys, monkeypatch,
                                         flags, runs):
     # the writer checks every entry before the first piece: a rejected
@@ -811,6 +813,46 @@ def test_reader_that_closes_early_is_no_program_fault(tmp_path, flags):
     assert proc.wait() == 0
     assert first.startswith(b"command: superpose" if not flags else b'{"command"')
     assert stderr == b""
+
+
+def second_call_peak(argv):
+    """The tracemalloc peak of ``main(argv)`` on its second call, as the
+    first also builds one-time state such as the parser (about 0.2 MB)."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_distinguish_holds_one_stack_and_one_real_chain_array(tmp_path, n):
+    # the U_k stack, 16 N^3 bytes, is built once and held with no copy,
+    # and the chains take one real N^3 array, half of that; the parsed
+    # config is not held beside them.  Its rows are flow sequences, read
+    # by json.loads: a block-style config of N = 32 takes more to load
+    states = random_state_set(n, np.random.default_rng(n))
+    cfg = write(tmp_path, f"haar{n}.json", json.dumps({"state_set": [
+        [[z.real, z.imag] for z in s.amplitudes.tolist()] for s in states]}))
+    peak = second_call_peak(["distinguish", cfg, "--out", str(tmp_path / "out")])
+    assert peak < 1.8 * 16 * n**3
+
+
+def test_fixed_point_holds_no_config_beside_its_superoperators(tmp_path):
+    # a Haar 2 x 16 circuit: two n x n arrays, n = 16^2, and 64 KB for the
+    # parsed arrays and the report; the config's nested lists of [re, im]
+    # pairs, about 150 KB, are dropped once parsed
+    rng = np.random.default_rng(32)
+    pairs = lambda m: [[[v.real, v.imag] for v in row] for row in m.tolist()]
+    cfg = write(tmp_path, "haar2x16.json", json.dumps({
+        "unitary": pairs(haar_unitary(32, rng).entries),
+        "rho_cr": pairs(random_density_matrix(2, rng).entries)}))
+    peak = second_call_peak(["fixed-point", cfg, "--out", str(tmp_path / "out")])
+    assert peak < 2 * 256**2 * 8 + 64 * 1024
 
 
 def run_at_scale(tmp_path, capsys, command, x):

@@ -837,8 +837,9 @@ def test_stacked_members_match_the_oracle_beyond_the_hypothesis_sizes(n, seed):
 
 @pytest.mark.parametrize("n", [16, 24, 32])
 def test_member_pass_holds_no_more_than_its_chain_stack(n):
-    # the (N, N, N) complex chains take 16 N^3 bytes; forming every Phi_m
-    # at once for the residuals would more than double that
+    # the chains take one real N^3 array, 8 N^3 bytes, beside one product
+    # buffer and a few N x N arrays; a complex N^3 product would double
+    # that, and forming every Phi_m at once for the residuals would too
     bundle = _haar_bundle(n, n)
     distinguish_members(bundle)
     tracemalloc.start()
@@ -847,7 +848,8 @@ def test_member_pass_holds_no_more_than_its_chain_stack(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 16 * n**3
+    buffer = 16 * max(discrimination._CHAIN_ENTRIES, n * n)
+    assert peak <= 8 * n**3 + buffer + 8 * 8 * n**2
 
 
 def _member_error(monkeypatch, bundle, shifts):
@@ -895,3 +897,93 @@ def test_members_without_minorization_raise_no_warning():
         warnings.simplefilter("error")
         members = distinguish_members(_uncertified_bundle())
     assert members.certified.tolist() == [False, False, True]
+
+
+# ---------------------------------------------------------------------------
+# the built stack is the bundle's own, and the chains are squared a few
+# U_k at a time into one real array
+
+
+def _single_product_chains(uks, amps):
+    """Every member's chain from one product of the whole stack with the
+    set, squared in its own complex buffer: the member pass's oracle."""
+    n = len(amps)
+    chain = (uks.reshape(n * n, n) @ amps.T).reshape(n, n, n)
+    parts = chain.view(float).reshape(-1, 2)
+    np.square(parts, out=parts)
+    np.add(parts[:, 0], parts[:, 1], out=parts[:, 0])
+    return chain.real.copy()
+
+
+def _assert_members_match_the_single_product(monkeypatch, bundle):
+    members = distinguish_members(bundle)
+    with monkeypatch.context() as patch:
+        patch.setattr(discrimination, "_member_chains", _single_product_chains)
+        oracle = distinguish_members(bundle)
+    for field in dataclasses.fields(members):
+        got, want = getattr(members, field.name), getattr(oracle, field.name)
+        assert np.array_equal(got, want), field.name
+
+
+@pytest.mark.parametrize("n", range(2, 49))
+def test_member_results_are_the_single_product_bit_for_bit(monkeypatch, n):
+    # every size from one product of all U_k to one U_k a product
+    _assert_members_match_the_single_product(monkeypatch,
+                                             _haar_bundle(n, 1000 + n))
+
+
+@pytest.mark.parametrize("states", [
+    near_parallel_set(8, 1e-7),
+    near_parallel_set(12, 3 * condition2_threshold(12)),
+    planar_set(12, 3.0),
+], ids=["near-parallel-8", "near-parallel-12-polar", "planar-12"])
+def test_edge_set_members_are_the_single_product_bit_for_bit(monkeypatch,
+                                                             states):
+    _assert_members_match_the_single_product(monkeypatch,
+                                             build_distinguisher(states))
+
+
+@pytest.mark.parametrize("states", FALLBACK_SETS + [
+    random_state_set(n, np.random.default_rng(400 + n)) for n in (1, 2, 8, 16)
+], ids=FALLBACK_IDS + ["haar-1", "haar-2", "haar-8", "haar-16"])
+def test_built_bundle_holds_the_stack_it_built(monkeypatch, states):
+    # no copy of the closed-form stack: the U_k build_uk rebuilds are
+    # written into it, and it is frozen once the bundle holds it
+    built = []
+    real = discrimination._first_completions
+    monkeypatch.setattr(discrimination, "_first_completions",
+                        lambda amps: built.append(real(amps)) or built[-1])
+    bundle = build_distinguisher(states)
+    (stack, _), = built
+    assert bundle.uks is stack
+    assert not stack.flags.writeable
+
+
+@pytest.mark.parametrize("states, measured", [
+    (random_state_set(8, np.random.default_rng(8)), 1),
+    (FALLBACK_SETS[2], 2),
+], ids=["haar-8", "polar-rows"])
+def test_built_bundle_measures_its_overlaps_once(monkeypatch, states, measured):
+    # the overlaps that decide condition 2 are the bundle's, unless a
+    # rebuilt U_k changed the stack after they were measured
+    calls = []
+    real = discrimination._overlaps
+    monkeypatch.setattr(discrimination, "_overlaps",
+                        lambda uks, amps: calls.append(1) or real(uks, amps))
+    bundle = build_distinguisher(states)
+    assert bundle.condition2_min > 0
+    assert np.array_equal(bundle.overlaps,
+                          real(bundle.uks, states.amplitudes))
+    assert len(calls) == measured
+
+
+def test_constructed_bundle_shares_no_memory_with_its_input():
+    states = random_state_set(4, np.random.default_rng(9))
+    stack = np.array(build_distinguisher(states).uks)
+    bundle = DistinguisherBundle(states, stack)
+    assert bundle.uks is not stack
+    assert not np.shares_memory(bundle.uks, stack)
+    assert stack.flags.writeable
+    assert not bundle.uks.flags.writeable
+    stack[0] = 0
+    assert np.abs(bundle.uks[0]).max() > 0

@@ -108,6 +108,8 @@ def check_report(header, runs):
     for columns in (runs, _other_form(runs)):
         text = "".join(cli._yaml_pieces(header, columns))
         assert text == dump(report, ReportDumper)
+        # what the YAML writer takes, the --json report takes too
+        assert len(list(cli._json_lines(header, columns))) == len(rows)
         # PyYAML's Python emitter single-quotes a tagged scalar, `!!float
         # 'inf'` where libyaml writes `!!float inf`, which also moves its
         # line breaks
@@ -122,10 +124,12 @@ def check_report(header, runs):
 
 def check_rejected(header, runs):
     # the call alone raises, its iterator never taken: both templates are
-    # compiled before the first piece, so main writes no byte of a
-    # rejected report
+    # compiled, and the --json report checked, before the first piece, so
+    # main writes no byte of a rejected report in either format
     with pytest.raises(TypeError):
         cli._yaml_pieces(header, runs)
+    with pytest.raises(TypeError):
+        cli._json_lines(header, runs)
 
 
 @st.composite
