@@ -8,7 +8,8 @@ reproduces the binary double.
 
 Reports do not go through PyYAML's Python object layers.  They are
 rendered by :func:`_yaml_pieces` byte for byte as ``yaml.dump`` with
-libyaml would write them, 80-column wrap included.  The writer takes
+libyaml would write them, 80-column wrap included, or with ``--json`` by
+:func:`_json_lines` as one JSON object per run.  The writer takes
 what the commands hand it and nothing else: a header whose values are
 floats, ints, names, the timestamp, complex numbers and float or
 complex arrays, and runs as columns with an entry per run: lists of
@@ -17,27 +18,26 @@ and float, complex or int arrays (ints within 2**53) whose leading axis
 is the run.  Any other value, a nested list or mapping, None, an empty,
 0-d or bool array or arrays that differ in shape or dtype, raises
 TypeError.  A complex value is written as its [re, im] pair, by the
-writer and :func:`_json_dumps` alone.  One compiler, :func:`_compile`,
-lays out a stack of values, one per item, as a template with a slot per
-number: the header is a stack of one, and the runs are one stack with
-an item per run, a block mapping when a column holds arrays or complex
-values and a flow mapping otherwise.  A scalar with one text in every
-item, and the complex number the runs share, are written into the
-template once.  A template's numbers are one float matrix, a row per
-item; one numpy pass finds the few floats, such as ``inf`` or
-``1e+22``, that ``%.17g`` or ``%.1f`` would not write, and each item is
-one ``%`` of its row.  A flow row that might reach column 80 is filled
-with separators and broken by :func:`_flow`.  :func:`_yaml_pieces`
-compiles both templates before it returns, so a rejected value raises
-TypeError before the first byte, and returns an iterator whose pieces,
-a run each, are formatted as they are taken.  :func:`main` streams it
-with ``writelines``, an ``--out`` file in write-through mode, so no two
-runs' texts are held at once.  A ``--json`` report is streamed the same
-way by :func:`_json_lines`, which first checks the header and every
-column by the writer's rules, without stacking a column, so it rejects
-what the YAML writer rejects, and then formats each line, the header's
-text once rendered and the run's entry of every column, as it is
-written.
+writer alone.  One compiler lays out a stack of values, one per item,
+as a template with a slot per number: the header is a stack of one, and
+the runs are one stack with an item per run.  Its value rules
+(:func:`_stacked`, :func:`_scalar_item` and the checks beside them) are
+shared by two layouts: :func:`_compile` for YAML, a run a block mapping
+when a column holds arrays or complex values and a flow mapping
+otherwise, and :func:`_json_entries` for JSON, with arrays as nested
+lists and every key quoted.  So both formats reject the same values.  A
+scalar with one text in every item, and the complex number the runs
+share, are written into the template once.  A template's numbers are
+one float matrix, a row per item; one numpy pass finds the few floats,
+such as ``inf`` or ``1e+22``, that ``%.17g`` or ``%.1f`` would not
+write, and each item is one ``%`` of its row.  A YAML flow row that
+might reach column 80 is filled with separators and broken by
+:func:`_flow`.  Each writer compiles both templates before it returns,
+so a rejected value raises TypeError before the first byte, and returns
+an iterator whose pieces, a run each, are formatted as they are taken;
+a JSON line is the header's text, formatted once, and the run's
+object.  :func:`main` streams it with ``writelines``, an ``--out`` file
+in write-through mode, so no two runs' texts are held at once.
 
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
 with YAML 1.1's scalar rules.  A numeric row, one flow sequence of
@@ -77,6 +77,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -429,11 +430,12 @@ _GROUP, _SEP = "\x1d", "\x1e"
 class _Template:
     """A layout compiled for `size` items: its pieces, with a _SLOT per
     number or text; each slot's code and float column, a row per item (a
-    _TEXT slot's texts come from its iterator in `texts`); and each wrap
-    group's (column, indent)."""
+    _TEXT slot's texts come from its iterator in `texts`); each wrap
+    group's (column, indent); and `tag`, written before a float's text
+    where it holds no '.'."""
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self, size: int, tag: str):
+        self.size, self.tag = size, tag
         self.layout, self.codes, self.columns = [], bytearray(), []
         self.texts, self.groups = [], []
 
@@ -456,7 +458,7 @@ def _compile(t: _Template, head: str, values, indent: int) -> None:
         parts = [_scalar_text(first.real), _scalar_text(first.imag)]
         t.layout.append(lead + _flow(_column(lead), parts, indent + _INDENT) + "]")
     else:
-        t.layout.append(f"{head} {_scalar_item(t, values)[0]}")
+        t.layout.append(f"{head} {_scalar_item(t, values, _scalar_text)[0]}")
 
 
 def _one_object(values) -> None:
@@ -465,10 +467,11 @@ def _one_object(values) -> None:
         raise TypeError("a complex value must be the same in every item")
 
 
-def _scalar_item(t: _Template, values: list):
-    """The text of scalars `values` in `t`'s layout and its greatest
-    length: a _SLOT, whose column `t` now holds, unless there is one
-    value or every value's text is the same."""
+def _scalar_item(t: _Template, values: list, text):
+    """The text of scalars `values` in `t`'s layout, each value's own
+    written by `text`, and its greatest length: a _SLOT, whose column
+    `t` now holds, unless there is one value or every value's text is
+    the same."""
     code = _number_code(values) if len(values) > 1 else None
     if code is not None:
         t.columns.append(np.array(values, dtype=float)[:, None])
@@ -476,7 +479,7 @@ def _scalar_item(t: _Template, values: list):
         # the longest int text is the smallest or the largest int's
         return _SLOT, (max(len(str(min(values))), len(str(max(values))))
                        if code == _INT else _FLOAT_CHARS)
-    texts = list(map(_scalar_text, values))
+    texts = list(map(text, values))
     if texts.count(texts[0]) == len(texts):
         return texts[0], len(texts[0])
     t.texts.append((len(t.codes), iter(texts)))
@@ -496,7 +499,7 @@ def _runs(t: _Template, runs: dict) -> None:
         for i, (head, column) in enumerate(zip(heads, columns)):
             _compile(t, ("\n  " if i else "\n- ") + head, column, _INDENT)
         return
-    items = [_scalar_item(t, column) for column in columns]
+    items = [_scalar_item(t, column, _scalar_text) for column in columns]
     items = [(f"{head} {text}", len(head) + 1 + width)
              for head, (text, width) in zip(heads, items)]
     body, group = _flow_items(_column("\n- {"), items, _INDENT)
@@ -531,9 +534,7 @@ def _number_code(values: list):
 def _arrays(t: _Template, head: str, values, indent: int) -> None:
     """Arrays of one shape and dtype laid out after `head` as their
     lists, with a _SLOT per number."""
-    shape, matrix, code = _stacked(values)
-    t.columns.append(matrix)
-    t.codes += bytes([code]) * matrix.shape[1]
+    shape = _stacked(t, values)
     if len(shape) == 1:
         lead, col, wrap = head + " ", _column(head) + 2, indent + _INDENT
     else:
@@ -549,25 +550,20 @@ def _arrays(t: _Template, head: str, values, indent: int) -> None:
         row = line.join(["- " + row] * shape[depth])
     t.layout.append(lead + row)
     if group:
-        t.groups += [group] * (matrix.shape[1] // shape[-1])
+        t.groups += [group] * math.prod(shape[:-1])
 
 
-def _one_kind(values) -> None:
-    """TypeError unless `values` are arrays of one shape and dtype, or
-    one array whose leading axis is the item."""
+def _stacked(t: _Template, values):
+    """Stack `values`, float, complex or int arrays of one shape and
+    dtype, nonempty and of one axis or more, into `t`: a float64 matrix
+    with a row per value, stacked once unless they are one array already,
+    and a slot code per number, _INT for ints, which must lie within
+    2**53.  Returns the shape of one value, a complex one's with its
+    [re, im] pairs along a new last axis."""
     if not (isinstance(values, np.ndarray)
             or all(map(isinstance, values, itertools.repeat(np.ndarray)))
             and len({(v.shape, v.dtype) for v in values}) == 1):
         raise TypeError("arrays that differ in type, shape or dtype")
-
-
-def _stacked(values):
-    """Float, complex or int arrays of one shape and dtype, nonempty and
-    of one axis or more, stacked once unless they are one array already:
-    the shape of one, a complex one as [re, im] pairs along a new last
-    axis; a float64 matrix with a row per value; and the slot code of its
-    numbers, _INT for ints, which must lie within 2**53."""
-    _one_kind(values)
     stacked = values[0][None] if len(values) == 1 else np.asarray(values)
     if not stacked.size or stacked.ndim < 2:
         raise TypeError("cannot serialize an empty or 0-d array")
@@ -582,7 +578,9 @@ def _stacked(values):
     elif kind != "f":
         raise TypeError(f"cannot serialize a {stacked.dtype} array")
     matrix = stacked.reshape(len(stacked), -1).astype(float, copy=False)
-    return stacked.shape[1:], matrix, code
+    t.columns.append(matrix)
+    t.codes += bytes([code]) * matrix.shape[1]
+    return stacked.shape[1:]
 
 
 def _filled(t: _Template):
@@ -592,7 +590,7 @@ def _filled(t: _Template):
     matrix = np.concatenate([np.zeros((t.size, 0)), *t.columns], axis=1)
     layout = "".join(t.layout)
     t.layout = t.columns = None
-    for text in _formatted(layout, matrix, t.codes, texts=t.texts):
+    for text in _formatted(layout, matrix, t.codes, t.tag, t.texts):
         if t.groups:
             parts = text.split(_GROUP)
             parts[1::2] = [_flow(col, items.split(_SEP), indent)
@@ -601,8 +599,7 @@ def _filled(t: _Template):
         yield text
 
 
-def _formatted(layout: str, matrix, kinds=None, tag: str = _FLOAT_TAG,
-               texts=()):
+def _formatted(layout: str, matrix, kinds, tag: str, texts):
     """Yield each row of `matrix` written into `layout`, whose k-th _SLOT
     takes column k: a float, or as the code byte ``kinds[k]`` says, an int
     held as a float (_INT) or a text (_TEXT), taken for each row from
@@ -613,10 +610,8 @@ def _formatted(layout: str, matrix, kinds=None, tag: str = _FLOAT_TAG,
     pattern of codes takes its own template, made once."""
     marks = np.frombuffer(layout.replace("%", "%%").encode(), np.uint8).copy()
     slots = np.flatnonzero(marks == 0)
-    codes = _float_codes(matrix)
-    if kinds is not None:
-        kinds = np.frombuffer(kinds, dtype=np.int8)
-        codes = np.where(kinds != 0, kinds, codes)
+    kinds = np.frombuffer(kinds, dtype=np.int8)
+    codes = np.where(kinds != 0, kinds, _float_codes(matrix))
     templates = {}
     for values, row_codes in zip(matrix, codes):
         row = values.tolist()
@@ -702,75 +697,60 @@ def _yaml_pieces(header: dict, runs: dict):
     kinds :func:`_compile` takes; both templates are compiled before the
     iterator is returned, so any other kind raises TypeError here."""
     size = _run_count(header, runs)
-    t = _Template(1)
+    t = _Template(1, _FLOAT_TAG)
     # the root's block mapping, however plain the header's values, as the
     # runs follow them
     for i, (key, value) in enumerate(header.items()):
         _compile(t, "\n" * bool(i) + _key_head(key), [value], 0)
-    stack = _Template(size)
+    stack = _Template(size, _FLOAT_TAG)
     _runs(stack, runs)
     return itertools.chain(_filled(t), ["\n" * bool(header) + _key_head("runs")],
                            _filled(stack), ["\n"])
 
 
-def _check_column(values) -> None:
-    """TypeError where :func:`_compile` rejects `values`, the entry of one
-    key in each item, checked without stacking a list of arrays."""
-    first = values[0]
-    if isinstance(values, np.ndarray):
-        _stacked(values)  # one array already: nothing is copied
-    elif isinstance(first, np.ndarray):
-        _one_kind(values)
-        for x in values:
-            _stacked([x])
-    elif isinstance(first, complex):
-        _one_object(values)
-    elif _number_code(values) is None:
-        for x in values:
-            _scalar_text(x)
+def _json_text(x) -> str:
+    """A scalar :func:`_scalar_text` takes, as JSON: a float without its
+    tag, a name or the timestamp in double quotes."""
+    if isinstance(x, float):
+        return _fmt_float(x)
+    text = _scalar_text(x)
+    return f'"{x}"' if isinstance(x, str) else text
+
+
+def _json_entries(t: _Template, columns: dict) -> None:
+    """Append to `t`'s layout the entries of a JSON object, without its
+    braces: each key of `columns` quoted, and its values, the key's entry
+    in each item, of the kinds :func:`_compile` takes, arrays as nested
+    lists with a _SLOT per number."""
+    for i, (key, values) in enumerate(columns.items()):
+        _key_head(key)
+        first = values[0]
+        if isinstance(values, np.ndarray) or isinstance(first, np.ndarray):
+            text = _SLOT
+            for n in reversed(_stacked(t, values)):
+                text = "[" + ",".join([text] * n) + "]"
+        elif isinstance(first, complex):
+            _one_object(values)
+            text = f"[{_json_text(first.real)},{_json_text(first.imag)}]"
+        else:
+            text = _scalar_item(t, values, _json_text)[0]
+        t.layout.append(f'{"," * bool(i)}"{key}":{text}')
 
 
 def _json_lines(header: dict, runs: dict):
     """The ``--json`` report as an iterator of lines, one
     ``{**header, "run": run}`` per run, a run holding its entry of every
-    column; the header, never empty, is written once.  The header and
-    the runs are checked as :func:`_yaml_pieces` checks them before the
-    iterator is returned, so a report it rejects raises TypeError here."""
-    _run_count(header, runs)
-    for key, value in header.items():
-        _key_head(key)
-        _check_column([value])
-    for key, column in runs.items():
-        _key_head(key)
-        _check_column(column)
-    opening = _json_dumps(header)[:-1] + ',"run":'
-    return (opening + _json_dumps(dict(zip(runs, row))) + "}\n"
-            for row in zip(*runs.values()))
-
-
-def _json_dumps(values: dict) -> str:
-    """`values`, a mapping of the kinds :func:`_compile` takes, as one
-    JSON object."""
-    if not isinstance(values, dict):
-        raise TypeError("a JSON report is a mapping")
-    return "{" + ",".join(f"{json.dumps(str(k))}:{_json_value(v)}"
-                          for k, v in values.items()) + "}"
-
-
-def _json_value(x) -> str:
-    if isinstance(x, float):
-        return _fmt_float(x)
-    if isinstance(x, complex):
-        return f"[{_fmt_float(x.real)},{_fmt_float(x.imag)}]"
-    if isinstance(x, str):
-        return json.dumps(x)
-    if isinstance(x, np.ndarray):
-        shape, matrix, code = _stacked([x])
-        layout = _SLOT
-        for n in reversed(shape):
-            layout = "[" + ",".join([layout] * n) + "]"
-        return next(_formatted(layout, matrix, bytes([code]) * matrix.shape[1], tag=""))
-    return _scalar_text(x)
+    column, compiled as :func:`_yaml_pieces` compiles the YAML report:
+    the header a stack of one, its text written once, and the runs one
+    stack.  Both templates are compiled before the iterator is returned,
+    so a report the compiler rejects raises TypeError here."""
+    size = _run_count(header, runs)
+    t = _Template(1, "")
+    _json_entries(t, {key: [value] for key, value in header.items()})
+    stack = _Template(size, "")
+    _json_entries(stack, runs)
+    opening = "{" + next(_filled(t)) + "," * bool(header) + '"run":{'
+    return (opening + text + "}}\n" for text in _filled(stack))
 
 
 def _timestamp() -> str:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import yaml
@@ -62,6 +64,21 @@ def as_lists(obj):
     if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
     return obj
+
+
+def json_text(obj):
+    """An `as_lists` value as one line of a ``--json`` report writes it:
+    the oracle of ``cli._json_lines``.  A float is its ``.17g`` text,
+    with '.0' added after an integral value."""
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{json_text(v)}"
+                              for k, v in obj.items()) + "}"
+    if isinstance(obj, list):
+        return "[" + ",".join(map(json_text, obj)) + "]"
+    if isinstance(obj, float):
+        text = format(obj, ".17g")
+        return text + ".0" if text.lstrip("-").isdigit() else text
+    return json.dumps(obj)
 
 
 def run_rows(runs):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import ReportDumper, as_lists, run_rows
+from conftest import ReportDumper, as_lists, json_text, run_rows
 from ctcsim import cli, deutsch, discrimination, superpose
 from ctcsim.cli import main
 from ctcsim.sampling import haar_unitary, random_density_matrix, random_state_set
@@ -428,6 +428,21 @@ def test_report_floats_take_one_pass_for_the_header_and_one_for_the_runs(
     assert 1 <= len(calls) <= 2, calls
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["yaml", "json"])
+def test_sweep_floats_take_two_passes_in_either_format(tmp_path, capsys,
+                                                      monkeypatch, flags):
+    # the 64 runs of an N = 8 sweep are one template in either format, so
+    # their arrays take one _float_codes pass, and the header one more
+    cfg = haar_config(tmp_path, 8, 8, alpha=[0.6, 0.2], beta=[-0.3, 0.7])
+    calls = []
+    float_codes = cli._float_codes
+    monkeypatch.setattr(cli, "_float_codes",
+                        lambda a: calls.append(a.shape) or float_codes(a))
+    assert main(["superpose", cfg, *flags]) == 0
+    assert len(capsys.readouterr().out.splitlines()) >= 64
+    assert len(calls) == 2, len(calls)
+
+
 def test_main_reuses_one_parser(monkeypatch, capsys):
     builds = []
     build = cli.build_parser
@@ -705,8 +720,7 @@ def test_json_lines_are_header_and_run_objects(capsys, monkeypatch, argv):
     args = cli._parser().parse_args(argv)
     header, runs, _ = args.func(args)
     header = {"command": argv[0], "timestamp": cli._timestamp(), **header}
-    head = cli._json_dumps(header)
-    expected = "".join(f'{head[:-1]},"run":{cli._json_dumps(run)}}}\n'
+    expected = "".join(json_text(as_lists({**header, "run": run})) + "\n"
                        for run in run_rows(runs))
     assert main(argv + ["--json"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,7 @@
+import json
+
+import yaml
+
 from report_corpus import TIMESTAMP, write_corpus
 
 # one benchmark command, a demo, example and an edge set of condition 2
@@ -17,3 +21,17 @@ def test_report_corpus_is_byte_deterministic(tmp_path):
         assert status == "exit 0\n"
         assert f"timestamp: '{TIMESTAMP}'\n" in (
             tmp_path / "a" / f"{name}.yaml").read_text()
+
+
+def test_json_lines_hold_the_yaml_report(tmp_path):
+    # line k of --json is the YAML report's header with its k-th run
+    write_corpus(tmp_path, SUBSET)
+    for name in SUBSET:
+        report = yaml.safe_load((tmp_path / f"{name}.yaml").read_text())
+        runs = report.pop("runs")
+        lines = (tmp_path / f"{name}.json").read_text().splitlines()
+        assert len(lines) == len(runs)
+        for line, run in zip(lines, runs):
+            obj = json.loads(line)
+            assert obj.pop("run") == run
+            assert obj == report

@@ -1,9 +1,11 @@
 """The report writer and the config reader against PyYAML as oracle.
 
 `cli._yaml_pieces` must print what ``yaml.dump`` prints with libyaml's
-emitter for every kind of value a command hands it, and raise TypeError
-for any other, and `cli._read_config` must return what ``yaml.load``
-returns, under libyaml's parser and under PyYAML's pure-Python one.
+emitter for every kind of value a command hands it, `cli._json_lines`
+what ``conftest.json_text`` prints for each run, and both must raise
+TypeError for any other; `cli._read_config` must return what
+``yaml.load`` returns, under libyaml's parser and under PyYAML's
+pure-Python one.
 """
 
 import json
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import ReportDumper, as_lists, run_rows
+from conftest import ReportDumper, as_lists, json_text, run_rows
 from ctcsim import cli
 
 
@@ -99,33 +101,34 @@ def _other_form(runs):
 
 
 def check_report(header, runs):
-    """`_yaml_pieces(header, runs)`, with each column given as a list and
-    as one array where it holds arrays, against both dumpers of the
-    report it stands for, and the JSON of the header and of each run,
-    read back by ``json.loads``, where every number is finite."""
+    """`_yaml_pieces(header, runs)` and `_json_lines(header, runs)`, with
+    each column given as a list and as one array where it holds arrays:
+    the YAML against both dumpers of the report it stands for, and each
+    JSON line against :func:`json_text` of ``{**header, "run": run}``
+    and, where every number is finite, as ``json.loads`` reads it."""
     rows = run_rows(runs)
     report = as_lists({**header, "runs": rows})
+    objects = [as_lists({**header, "run": row}) for row in rows]
+    lines = [json_text(obj) + "\n" for obj in objects]
     for columns in (runs, _other_form(runs)):
         text = "".join(cli._yaml_pieces(header, columns))
         assert text == dump(report, ReportDumper)
-        # what the YAML writer takes, the --json report takes too
-        assert len(list(cli._json_lines(header, columns))) == len(rows)
+        assert list(cli._json_lines(header, columns)) == lines
         # PyYAML's Python emitter single-quotes a tagged scalar, `!!float
         # 'inf'` where libyaml writes `!!float inf`, which also moves its
         # line breaks
         if "!!float" not in text:
             assert text == dump(report, _Pure)
-    for values in (header, *rows):
-        text = cli._json_dumps(values)
-        if _finite(as_lists(values)):
+    for line, obj in zip(lines, objects):
+        if _finite(obj):
             # an int array's entries come back as ints, not as floats
-            assert _typed(json.loads(text)) == _typed(as_lists(values))
+            assert _typed(json.loads(line)) == _typed(obj)
 
 
 def check_rejected(header, runs):
-    # the call alone raises, its iterator never taken: both templates are
-    # compiled, and the --json report checked, before the first piece, so
-    # main writes no byte of a rejected report in either format
+    # the call alone raises, its iterator never taken: both templates of
+    # either format are compiled before the first piece, so main writes
+    # no byte of a rejected report
     with pytest.raises(TypeError):
         cli._yaml_pieces(header, runs)
     with pytest.raises(TypeError):
@@ -307,8 +310,6 @@ def test_emitter_rejects_other_shapes(header, runs):
 def test_removed_kinds_are_rejected_by_both_writers(value):
     check_rejected({"a": value}, ONE_RUN)
     check_rejected({}, {"a": [value, value]})
-    with pytest.raises(TypeError):
-        cli._json_dumps({"a": value})
 
 
 # complex values: written as their [re, im] pairs, the form `as_lists`
@@ -354,8 +355,6 @@ def test_complex_values_are_written_as_pairs(case):
         # empty and 0-d arrays are no command's values
         for key, value in header.items():
             check_rejected({key: value}, runs)
-            with pytest.raises(TypeError):
-                cli._json_dumps({key: value})
         return
     check_report(header, runs)
 
