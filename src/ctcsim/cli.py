@@ -6,16 +6,21 @@ Complex numbers are serialized as two-element [re, im] arrays and every
 float is printed with 17 significant digits so that reparsing
 reproduces the binary double.
 
-Reports do not go through PyYAML's Python object layers.  They are
-rendered by :func:`_yaml_pieces` byte for byte as ``yaml.dump`` with
-libyaml would write them, 80-column wrap included, or with ``--json`` by
-:func:`_json_lines` as one JSON object per run.  The writer takes
-what the commands hand it and nothing else: a header whose values are
-floats, ints, names, the timestamp, complex numbers and float or
+Reports are in format 2: each says what ran once.  The header holds the
+command, ``format: 2``, the timestamp and the run's parameters, with
+each input array named by its SHA-256 (:func:`_sha256`) rather than
+printed, and the runs hold what each run computed.  Reports do not go
+through PyYAML's Python object layers.  They are rendered by
+:func:`_yaml_pieces` byte for byte as ``yaml.dump`` with libyaml would
+write them, 80-column wrap included, or with ``--json`` by
+:func:`_json_lines` as the header's JSON object on the first line and
+one object per run on each line after it.  The writer takes what the
+commands hand it and nothing else: a header whose values are floats,
+ints, names, digests, the timestamp, complex numbers and float or
 complex arrays, and runs as columns with an entry per run: lists of
-floats, ints, bools or names, one complex number that every run holds,
-and float, complex or int arrays (ints within 2**53) whose leading axis
-is the run.  Any other value, a nested list or mapping, None, an empty,
+floats, ints, bools or names, and float, complex or int arrays (ints
+within 2**53) whose leading axis is the run.  Any other value, a
+complex number in the runs, a nested list or mapping, None, an empty,
 0-d or bool array or arrays that differ in shape or dtype, raises
 TypeError.  A complex value is written as its [re, im] pair, by the
 writer alone.  One compiler lays out a stack of values, one per item,
@@ -23,21 +28,19 @@ as a template with a slot per number: the header is a stack of one, and
 the runs are one stack with an item per run.  Its value rules
 (:func:`_stacked`, :func:`_scalar_item` and the checks beside them) are
 shared by two layouts: :func:`_compile` for YAML, a run a block mapping
-when a column holds arrays or complex values and a flow mapping
-otherwise, and :func:`_json_entries` for JSON, with arrays as nested
-lists and every key quoted.  So both formats reject the same values.  A
-scalar with one text in every item, and the complex number the runs
-share, are written into the template once.  A template's numbers are
-one float matrix, a row per item; one numpy pass finds the few floats,
-such as ``inf`` or ``1e+22``, that ``%.17g`` or ``%.1f`` would not
-write, and each item is one ``%`` of its row.  A YAML flow row that
-might reach column 80 is filled with separators and broken by
+when a column holds arrays and a flow mapping otherwise, and
+:func:`_json_entries` for JSON, with arrays as nested lists and every
+key quoted.  So both formats reject the same values.  A scalar with one
+text in every item is written into the template once.  A template's
+numbers are one float matrix, a row per item; one numpy pass finds the
+few floats, such as ``inf`` or ``1e+22``, that ``%.17g`` or ``%.1f``
+would not write, and each item is one ``%`` of its row.  A YAML flow
+row that might reach column 80 is filled with separators and broken by
 :func:`_flow`.  Each writer compiles both templates before it returns,
 so a rejected value raises TypeError before the first byte, and returns
-an iterator whose pieces, a run each, are formatted as they are taken;
-a JSON line is the header's text, formatted once, and the run's
-object.  :func:`main` streams it with ``writelines``, an ``--out`` file
-in write-through mode, so no two runs' texts are held at once.
+an iterator whose pieces, a run each, are formatted as they are taken.
+:func:`main` streams it with ``writelines``, an ``--out`` file in
+write-through mode, so no two runs' texts are held at once.
 
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
 with YAML 1.1's scalar rules.  A numeric row, one flow sequence of
@@ -61,8 +64,9 @@ levels deep (or too deep for PyYAML's pure-Python loader) or with a
 (fixed) ``tolerances`` key.
 
 Each subcommand returns its report header, its runs as a mapping of
-columns and its verdict; :func:`main` stamps the header, writes the
-report and picks the exit code.  Exit codes: 0 success, 2
+columns and its verdict, and ignores any config key it does not read;
+:func:`main` stamps the header, writes the report and picks the exit
+code.  Exit codes: 0 success, 2
 validation/config error (an unwritable ``--out`` included), 3 protocol
 error (degenerate superposition, non-unique fixed point, no numerical
 fixed point, exhausted unitary construction) or a command's own failed
@@ -75,6 +79,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -317,16 +322,6 @@ def _parse_spec(cfg: dict) -> SuperpositionSpec:
         raise ConfigError(str(exc))
 
 
-def _parse_seed(cfg: dict, args) -> int:
-    """The seed, validated and echoed in the header; no run draws from it."""
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = cfg.get("rng_seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
-
-
 def _parse_policy(cfg: dict, args) -> str:
     policy = getattr(args, "policy", None) or cfg.get("policy", "require_unique")
     if policy not in deutsch.POLICIES:
@@ -371,9 +366,9 @@ def _float_text(s: str, tag: str = "") -> str:
     return s + ".0" if s.lstrip("-").isdigit() else tag + s
 
 
-# strings a report holds: keys and names, plain unless YAML 1.1 reads
-# them as another type, and the quoted timestamp
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]{0,99}")
+# strings a report holds: keys, names and SHA-256 digests, plain unless
+# YAML 1.1 reads them as another type, and the quoted timestamp
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]{0,99}|[0-9a-f]{64}")
 _STAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 _FLOAT_TAG = "!!float "
 _WIDTH = 80  # libyaml's best_width
@@ -381,7 +376,7 @@ _INDENT = 2  # libyaml's best_indent
 
 
 def _scalar_text(x) -> str:
-    """A float, bool, int, name or timestamp as libyaml writes it."""
+    """A float, bool, int, name, digest or timestamp as libyaml writes it."""
     if isinstance(x, float):
         # a float YAML 1.1 would not resolve implicitly carries its tag
         return _float_text(format(x, ".17g"), _FLOAT_TAG)
@@ -443,28 +438,14 @@ class _Template:
 def _compile(t: _Template, head: str, values, indent: int) -> None:
     """Append to `t`'s layout `head`, text whose last line ends in an
     entry's ``key:``, and the layout of `values`, the entry's value in
-    each item, in the block mapping at `indent`: scalars, one complex
-    number that every item holds, or float, complex or int arrays of one
-    shape and dtype, given as a list or as one array whose leading axis
-    is the item.  Any other value raises TypeError."""
-    first = values[0]
-    if isinstance(values, np.ndarray) or isinstance(first, np.ndarray):
+    each item, in the block mapping at `indent`: scalars, or float,
+    complex or int arrays of one shape and dtype, given as a list or as
+    one array whose leading axis is the item.  Any other value raises
+    TypeError."""
+    if isinstance(values, np.ndarray) or isinstance(values[0], np.ndarray):
         _arrays(t, head, values, indent)
-    elif isinstance(first, complex):
-        # the same object in every item, as the runs of a sweep share the
-        # spec's alpha and beta: written into the template once
-        _one_object(values)
-        lead = head + " ["
-        parts = [_scalar_text(first.real), _scalar_text(first.imag)]
-        t.layout.append(lead + _flow(_column(lead), parts, indent + _INDENT) + "]")
     else:
         t.layout.append(f"{head} {_scalar_item(t, values, _scalar_text)[0]}")
-
-
-def _one_object(values) -> None:
-    """TypeError unless `values` are one complex object."""
-    if len(set(map(id, values))) > 1:
-        raise TypeError("a complex value must be the same in every item")
 
 
 def _scalar_item(t: _Template, values: list, text):
@@ -491,10 +472,10 @@ def _scalar_item(t: _Template, values: list, text):
 def _runs(t: _Template, runs: dict) -> None:
     """The runs, a block sequence with an item per run in `t`, laid out
     key by key from their columns: each run a block mapping if a column
-    holds arrays or complex values, else a flow mapping of scalars."""
+    holds arrays, else a flow mapping of scalars."""
     heads = list(map(_key_head, runs))
     columns = list(runs.values())
-    if any(isinstance(c, np.ndarray) or isinstance(c[0], (np.ndarray, complex))
+    if any(isinstance(c, np.ndarray) or isinstance(c[0], np.ndarray)
            for c in columns):
         for i, (head, column) in enumerate(zip(heads, columns)):
             _compile(t, ("\n  " if i else "\n- ") + head, column, _INDENT)
@@ -687,6 +668,15 @@ def _run_count(header: dict, runs: dict) -> int:
     return sizes.pop()
 
 
+def _header_columns(header: dict) -> dict:
+    """The header as columns of one item, each complex number as the
+    float array of its [re, im] pair, laid out as any other array; in
+    the runs, a complex number is a scalar no report writes."""
+    return {key: [np.array([value.real, value.imag])
+                  if isinstance(value, complex) else value]
+            for key, value in header.items()}
+
+
 def _yaml_pieces(header: dict, runs: dict):
     """The report ``{**header, "runs": rows}``, the k-th of `rows` mapping
     each key of `runs` to the k-th entry of its column, as ``yaml.dump``
@@ -700,8 +690,8 @@ def _yaml_pieces(header: dict, runs: dict):
     t = _Template(1, _FLOAT_TAG)
     # the root's block mapping, however plain the header's values, as the
     # runs follow them
-    for i, (key, value) in enumerate(header.items()):
-        _compile(t, "\n" * bool(i) + _key_head(key), [value], 0)
+    for i, (key, values) in enumerate(_header_columns(header).items()):
+        _compile(t, "\n" * bool(i) + _key_head(key), values, 0)
     stack = _Template(size, _FLOAT_TAG)
     _runs(stack, runs)
     return itertools.chain(_filled(t), ["\n" * bool(header) + _key_head("runs")],
@@ -724,33 +714,36 @@ def _json_entries(t: _Template, columns: dict) -> None:
     lists with a _SLOT per number."""
     for i, (key, values) in enumerate(columns.items()):
         _key_head(key)
-        first = values[0]
-        if isinstance(values, np.ndarray) or isinstance(first, np.ndarray):
+        if isinstance(values, np.ndarray) or isinstance(values[0], np.ndarray):
             text = _SLOT
             for n in reversed(_stacked(t, values)):
                 text = "[" + ",".join([text] * n) + "]"
-        elif isinstance(first, complex):
-            _one_object(values)
-            text = f"[{_json_text(first.real)},{_json_text(first.imag)}]"
         else:
             text = _scalar_item(t, values, _json_text)[0]
         t.layout.append(f'{"," * bool(i)}"{key}":{text}')
 
 
 def _json_lines(header: dict, runs: dict):
-    """The ``--json`` report as an iterator of lines, one
-    ``{**header, "run": run}`` per run, a run holding its entry of every
-    column, compiled as :func:`_yaml_pieces` compiles the YAML report:
-    the header a stack of one, its text written once, and the runs one
-    stack.  Both templates are compiled before the iterator is returned,
-    so a report the compiler rejects raises TypeError here."""
+    """The ``--json`` report as an iterator of lines: the header object,
+    then one object per run, holding its entry of every column, compiled
+    as :func:`_yaml_pieces` compiles the YAML report, the header a stack
+    of one and the runs one stack.  Both templates are compiled before
+    the iterator is returned, so a report the compiler rejects raises
+    TypeError here."""
     size = _run_count(header, runs)
     t = _Template(1, "")
-    _json_entries(t, {key: [value] for key, value in header.items()})
+    _json_entries(t, _header_columns(header))
     stack = _Template(size, "")
     _json_entries(stack, runs)
-    opening = "{" + next(_filled(t)) + "," * bool(header) + '"run":{'
-    return (opening + text + "}}\n" for text in _filled(stack))
+    return ("{" + text + "}\n" for text in itertools.chain(_filled(t), _filled(stack)))
+
+
+def _sha256(a: np.ndarray) -> str:
+    """The SHA-256 of `a`'s shape, as little-endian int64 values, then of
+    its C-ordered little-endian complex128 entries, in lowercase hex."""
+    digest = hashlib.sha256(np.array(a.shape, dtype="<i8"))
+    digest.update(np.ascontiguousarray(a, dtype="<c16"))
+    return digest.hexdigest()
 
 
 def _timestamp() -> str:
@@ -765,7 +758,6 @@ def cmd_superpose(args) -> tuple[dict, dict, bool]:
     """Run the superposition protocol for one pair or a full sweep."""
     cfg, states = _read_state_set_config(args)
     spec = _parse_spec(cfg)
-    seed = _parse_seed(cfg, args)
 
     size = states.size
     if ("m" in cfg) != ("n" in cfg):
@@ -782,14 +774,11 @@ def cmd_superpose(args) -> tuple[dict, dict, bool]:
     del cfg  # parsed: its nested lists are not held across the run
 
     sweep = run_sweep(states, pairs, spec)
-    # scalars as Python lists, as the writer rejects numpy scalars; every
-    # run holds the same alpha and beta objects, which the writer writes once
+    # scalars as Python lists, as the writer rejects numpy scalars
     m, n = sweep.pairs.T.tolist()
     runs = {
         "m": m,
         "n": n,
-        "alpha": [spec.alpha] * len(m),
-        "beta": [spec.beta] * len(m),
         "decoded_indices": sweep.members.decoded[sweep.pairs],
         "fixed_point_residuals": sweep.members.residual[sweep.pairs],
         "fidelity": sweep.fidelity.tolist(),
@@ -797,11 +786,10 @@ def cmd_superpose(args) -> tuple[dict, dict, bool]:
         "expected_state": sweep.expected,
     }
     header = {
-        "seed": seed,
         "policy": "require_unique",
         "alpha": spec.alpha,
         "beta": spec.beta,
-        "state_set": states.amplitudes,
+        "state_set_sha256": _sha256(states.amplitudes),
         "condition_overlaps": sweep.bundle.overlaps,
         "condition2_min": sweep.bundle.condition2_min,
         "condition1_deviation": sweep.bundle.condition1_deviation,
@@ -812,7 +800,6 @@ def cmd_superpose(args) -> tuple[dict, dict, bool]:
 def cmd_distinguish(args) -> tuple[dict, dict, bool]:
     """Discriminate every set member and report the decoded labels."""
     cfg, states = _read_state_set_config(args)
-    seed = _parse_seed(cfg, args)
     del cfg  # parsed: its nested lists are not held across the run
 
     bundle = build_distinguisher(states)
@@ -826,8 +813,7 @@ def cmd_distinguish(args) -> tuple[dict, dict, bool]:
         "fidelity_to_basis": members.fidelity_to_basis.tolist(),
     }
     header = {
-        "seed": seed,
-        "state_set": states.amplitudes,
+        "state_set_sha256": _sha256(states.amplitudes),
         "condition_overlaps": bundle.overlaps,
         "condition2_min": bundle.condition2_min,
     }
@@ -845,7 +831,8 @@ def cmd_fixed_point(args) -> tuple[dict, dict, bool]:
         "unique": [bool(result.unique)],
         "entropy_nats": [deutsch.von_neumann_entropy(result.fixed_point)],
     }
-    header = {"policy": policy, "unitary": u, "rho_cr": rho}
+    header = {"policy": policy, "unitary_sha256": _sha256(u),
+              "rho_cr_sha256": _sha256(rho)}
     return header, runs, True
 
 
@@ -937,7 +924,6 @@ def cmd_example(args) -> tuple[dict, dict, bool]:
         spec = SuperpositionSpec(args.alpha, args.beta)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    seed = _parse_seed({}, args)
     states = _example_states()
     bundle = build_distinguisher(states)
     # the blocks U_ij, row by row
@@ -954,7 +940,6 @@ def cmd_example(args) -> tuple[dict, dict, bool]:
     runs = {"i": i, "j": j, "constructed": constructed,
             "reference": reference, "deviation": deviation}
     header = {
-        "seed": seed,
         "alpha": spec.alpha,
         "beta": spec.beta,
         "state_set": states.amplitudes,
@@ -971,7 +956,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the report to PATH instead of stdout")
     parser.add_argument("--json", action="store_true",
-                        help="emit one JSON report object per run")
+                        help="emit the header, then each run, as one JSON "
+                             "object a line")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -981,18 +967,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "discrimination, and superposition of set members.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None,
-                        help="override the config's rng_seed (echoed only)")
     state_set = argparse.ArgumentParser(add_help=False)
     state_set.add_argument("config")
 
-    p = sub.add_parser("superpose", parents=[seeded, state_set],
+    p = sub.add_parser("superpose", parents=[state_set],
                        help="run the superposition protocol from a config")
     _add_common(p)
     p.set_defaults(func=cmd_superpose)
 
-    p = sub.add_parser("distinguish", parents=[seeded, state_set],
+    p = sub.add_parser("distinguish", parents=[state_set],
                        help="discriminate every member of a state set")
     _add_common(p)
     p.set_defaults(func=cmd_distinguish)
@@ -1005,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_fixed_point)
 
-    p = sub.add_parser("example", parents=[seeded],
+    p = sub.add_parser("example",
                        help="reproduce the two-state worked construction")
     p.add_argument("--alpha", type=float, default=1 / np.sqrt(2),
                    help="real target amplitude for the first state")
@@ -1027,7 +1010,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         header, runs, ok = args.func(args)
-        header = {"command": args.command, "timestamp": _timestamp(), **header}
+        header = {"command": args.command, "format": 2,
+                  "timestamp": _timestamp(), **header}
         pieces = (_json_lines if args.json else _yaml_pieces)(header, runs)
         # each piece is formatted as it is written, so the report's text is
         # never held at once

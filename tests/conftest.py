@@ -7,6 +7,7 @@ import yaml
 from ctcsim import StateSet, StateVector, ctc_map
 from ctcsim.cli import _fmt_float
 from ctcsim.linalg import condition2_threshold
+from ctcsim.sampling import haar_unitary
 
 S = 1 / np.sqrt(2)
 HADAMARD = np.array([[S, S], [S, -S]], dtype=complex)
@@ -35,6 +36,14 @@ def planar_set(n, factor):
     rows = np.zeros((n, n))
     rows[:, 0], rows[:, 1] = np.cos(angles), np.sin(angles)
     return StateSet(rows)
+
+
+def haar_rotated(states, rng):
+    """`states` rotated by the Haar unitary Q that `rng` draws, amplitudes
+    ``amps @ Q.T``: a rotation keeps every overlap, so whether some U_k
+    meets condition 2."""
+    rotation = haar_unitary(states.size, rng).entries
+    return StateSet(states.amplitudes @ rotation.T)
 
 
 def damped_power_iteration(u, rho_cr, sigma0, max_iters=3000, tol=1e-12):
@@ -79,6 +88,13 @@ def json_text(obj):
         text = format(obj, ".17g")
         return text + ".0" if text.lstrip("-").isdigit() else text
     return json.dumps(obj)
+
+
+def json_lines(header, rows):
+    """The ``--json`` report of `header` and the runs `rows`, one mapping
+    a run: the header object's line, then one line a run, as
+    `json_text` writes each."""
+    return [json_text(as_lists(obj)) + "\n" for obj in [header, *rows]]
 
 
 def run_rows(runs):

@@ -54,7 +54,7 @@ def _set_config(path: Path, amplitudes: np.ndarray) -> str:
              for row in np.asarray(amplitudes, dtype=complex)]
     rows = "".join("  - [" + ", ".join(row) + "]\n" for row in pairs)
     path.write_text("state_set:\n" + rows
-                    + "alpha: [0.6, 0.2]\nbeta: [-0.3, 0.7]\nrng_seed: 0\n",
+                    + "alpha: [0.6, 0.2]\nbeta: [-0.3, 0.7]\n",
                     encoding="utf-8")
     return str(path)
 

@@ -214,7 +214,6 @@ def test_criterion_6_byte_determinism(tmp_path):
             f"  - [[{s17}, 0], [-{s17}, 0]]\n"
             f"alpha: [{s17}, 0]\n"
             f"beta: [{s17}, 0]\n"
-            "rng_seed: 0\n"
         )
         fp_cfg = tmp_path / "fp.yaml"
         fp_cfg.write_text(
@@ -237,13 +236,12 @@ def test_criterion_6_byte_determinism(tmp_path):
 
         def collect(tag):
             chunks = []
-            # fixed-point reads no seed and rejects --seed
             for k, argv in enumerate((
-                ["superpose", str(pair_cfg), "--seed", "0"],
-                ["superpose", str(pair_cfg), "--json", "--seed", "0"],
-                ["distinguish", str(pair_cfg), "--seed", "0"],
+                ["superpose", str(pair_cfg)],
+                ["superpose", str(pair_cfg), "--json"],
+                ["distinguish", str(pair_cfg)],
                 ["fixed-point", str(fp_cfg)],
-                ["example", "--seed", "0"],
+                ["example"],
             )):
                 out = tmp_path / f"{tag}_{k}.txt"
                 code = main(argv + ["--out", str(out)])

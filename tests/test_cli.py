@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import ReportDumper, as_lists, json_text, run_rows
+from conftest import ReportDumper, as_lists, json_lines, run_rows
 from ctcsim import cli, deutsch, discrimination, superpose
 from ctcsim.cli import main
 from ctcsim.sampling import haar_unitary, random_density_matrix, random_state_set
@@ -26,7 +27,6 @@ state_set:
   - [[{S_17}, 0], [-{S_17}, 0]]
 alpha: [{S_17}, 0]
 beta: [{S_17}, 0]
-rng_seed: 0
 """
 
 BASIS_CONFIG = """\
@@ -177,7 +177,7 @@ def test_superpose_sweep_builds_one_distinguisher(tmp_path, capsys,
     cfg = write(tmp_path, "three.yaml", yaml.safe_dump({
         "state_set": [[[float(z.real), float(z.imag)] for z in s.amplitudes]
                       for s in states],
-        "alpha": [0.6, 0.1], "beta": [-0.3, 0.7], "rng_seed": 5,
+        "alpha": [0.6, 0.1], "beta": [-0.3, 0.7],
     }))
     assert main(["superpose", cfg]) == 0
     assert len(yaml.safe_load(capsys.readouterr().out)["runs"]) == 9
@@ -199,7 +199,6 @@ def test_distinguish_builds_no_superoperator(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, "four.yaml", yaml.safe_dump({
         "state_set": [[[float(z.real), float(z.imag)] for z in s.amplitudes]
                       for s in states],
-        "rng_seed": 2,
     }))
     assert main(["distinguish", cfg]) == 0
     report = yaml.safe_load(capsys.readouterr().out)
@@ -221,6 +220,10 @@ def test_distinguish_builds_no_superoperator(tmp_path, capsys, monkeypatch):
     ["superpose", "CFG", "--tolerance", "sharpness=1"],
     ["superpose", "CFG", "--tolerance", "success_fidelity=0.5"],
     ["distinguish", "CFG", "--tolerance", "distinct=-1e-9"],
+    # no run draws from a seed, so no command takes one
+    ["superpose", "CFG", "--seed", "0"],
+    ["distinguish", "CFG", "--seed", "0"],
+    ["example", "--seed", "0"],
 ])
 def test_unread_flags_are_not_accepted(tmp_path, argv):
     cfg = write(tmp_path, "pair.yaml", PAIR_CONFIG)
@@ -229,7 +232,16 @@ def test_unread_flags_are_not_accepted(tmp_path, argv):
     assert err.value.code == 2
 
 
-NEGATIVE_SEED_CONFIG = PAIR_CONFIG.replace("rng_seed: 0", "rng_seed: -5")
+@pytest.mark.parametrize("command", ["superpose", "distinguish"])
+def test_rng_seed_is_ignored_as_any_unread_key(tmp_path, capsys, command):
+    # configs written for the seeded commands still run, and run the same
+    reports = []
+    for extra in ("", "rng_seed: -5\n"):
+        assert main([command, write(tmp_path, "pair.yaml", PAIR_CONFIG + extra)]) == 0
+        reports.append(strip_timestamp(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+
+
 NON_SQUARE_CONFIG = "unitary: [[1, 0, 0], [0, 1, 0]]\nrho_cr: [1, 0]\n"
 # an integer beyond float range
 HUGE = "9" * 400
@@ -237,11 +249,6 @@ HUGE = "9" * 400
 
 @pytest.mark.parametrize("argv, config", [
     (["fixed-point", "CFG"], NON_SQUARE_CONFIG),
-    (["superpose", "CFG"], NEGATIVE_SEED_CONFIG),
-    (["distinguish", "CFG"], NEGATIVE_SEED_CONFIG),
-    (["superpose", "CFG", "--seed", "-1"], PAIR_CONFIG),
-    (["distinguish", "CFG", "--seed", "-1"], PAIR_CONFIG),
-    (["example", "--seed", "-1"], PAIR_CONFIG),
     (["superpose", "CFG"],
      PAIR_CONFIG.replace(f"alpha: [{S_17}, 0]", "alpha: .nan")),
     (["superpose", "CFG"],
@@ -269,10 +276,9 @@ HUGE = "9" * 400
      "unitary: [[1, 0], [0, 1]]\nrho_cr: [1, 0]\ntolerances: {distinct: 0}\n"),
     (["distinguish", "CFG"], PAIR_CONFIG + "policy: max_entropy\n"),
     (["distinguish", "CFG"], PAIR_CONFIG + "policy: bogus\n"),
-], ids=["non-square-unitary", "superpose-rng-seed", "distinguish-rng-seed",
-        "superpose-seed-flag", "distinguish-seed-flag", "example-seed-flag",
-        "superpose-nan-alpha", "superpose-inf-beta", "example-nan-alpha",
-        "example-inf-beta", "distinguish-inf-tolerance-config",
+], ids=["non-square-unitary", "superpose-nan-alpha", "superpose-inf-beta",
+        "example-nan-alpha", "example-inf-beta",
+        "distinguish-inf-tolerance-config",
         "superpose-negative-tolerance-config", "tolerances-list",
         "tolerances-number", "tolerances-string", "tolerances-pair-list",
         "non-utf8-byte", "huge-alpha", "huge-state-set-entry",
@@ -314,11 +320,11 @@ def test_superpose_json_lines(tmp_path, capsys):
     cfg = write(tmp_path, "pair.yaml", PAIR_CONFIG)
     assert main(["superpose", cfg, "--json"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 4
-    for line in lines:
-        obj = json.loads(line)
-        assert obj["command"] == "superpose"
-        assert obj["run"]["fidelity"] >= 1 - 1e-8
+    assert len(lines) == 5
+    header = json.loads(lines[0])
+    assert header["command"] == "superpose" and header["format"] == 2
+    for line in lines[1:]:
+        assert json.loads(line)["fidelity"] >= 1 - 1e-8
 
 
 def test_report_is_deterministic(tmp_path):
@@ -328,26 +334,6 @@ def test_report_is_deterministic(tmp_path):
     assert main(["superpose", cfg, "--out", str(out1)]) == 0
     assert main(["superpose", cfg, "--out", str(out2)]) == 0
     assert strip_timestamp(out1.read_text()) == strip_timestamp(out2.read_text())
-
-
-# the YAML header holds the seed once, each of the three JSON lines once
-@pytest.mark.parametrize("extra, seed_text, echoes", [
-    ([], "seed: {}\n", 1), (["--json"], '"seed":{},', 3),
-], ids=["yaml", "json"])
-def test_seed_is_echoed_and_selects_nothing(tmp_path, extra, seed_text,
-                                            echoes):
-    # the three-state set's first completions of U_0 and U_2 miss
-    # condition 2, where Haar draws from the seed once chose the rows
-    cfg = str(DEMO_CONFIGS / "distinguish_three_state.yaml")
-    texts = []
-    for seed in (0, 1):
-        out = tmp_path / f"r{seed}"
-        assert main(["distinguish", cfg, "--seed", str(seed), "--out", str(out)]
-                    + extra) == 0
-        texts.append(re.sub(r'"timestamp":"[^"]*"', "",
-                            strip_timestamp(out.read_text())))
-    assert texts[0].count(seed_text.format(0)) == echoes
-    assert texts[0].replace(seed_text.format(0), seed_text.format(1)) == texts[1]
 
 
 class _PurePythonDumper(yaml.SafeDumper):
@@ -364,7 +350,7 @@ def haar_config(tmp_path, n, seed, **extra):
     return write(tmp_path, f"haar{n}.yaml", yaml.safe_dump({
         "state_set": [[[float(z.real), float(z.imag)] for z in s.amplitudes]
                       for s in states],
-        "rng_seed": seed, **extra,
+        **extra,
     }))
 
 
@@ -500,7 +486,7 @@ def test_distinguish_random_five_state_set(tmp_path, capsys):
         for s in states
     ]
     cfg = write(tmp_path, "five.yaml", yaml.safe_dump({
-        "state_set": literals, "alpha": 1, "beta": 0, "rng_seed": 7,
+        "state_set": literals, "alpha": 1, "beta": 0,
     }))
     assert main(["distinguish", cfg]) == 0
     report = yaml.safe_load(capsys.readouterr().out)
@@ -682,8 +668,13 @@ def test_main_stamps_writes_and_exits(tmp_path, capsys, monkeypatch, argv,
                                       fail_verdict):
     assert main(argv) == 0
     printed = capsys.readouterr().out
-    assert printed.startswith(f"command: {argv[0]}\ntimestamp: '")
+    assert printed.startswith(f"command: {argv[0]}\nformat: 2\ntimestamp: '")
     report = yaml.safe_load(printed)
+    # inputs are named by digest, and the spec is in the header once;
+    # example's state_set is the construction's own set, not an input
+    assert not {"seed", "unitary", "rho_cr"} & set(report)
+    assert ("state_set" in report) == (argv[0] == "example")
+    assert not any({"alpha", "beta"} & set(run) for run in report["runs"])
 
     out = tmp_path / "report.yaml"
     assert main(argv + ["--out", str(out)]) == 0
@@ -693,12 +684,12 @@ def test_main_stamps_writes_and_exits(tmp_path, capsys, monkeypatch, argv,
 
     assert main(argv + ["--json"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(report["runs"])
-    for line in lines:
-        obj = json.loads(line)
-        keys = list(obj)
-        assert keys[:2] == ["command", "timestamp"] and keys[-1] == "run"
-        assert obj["command"] == argv[0]
+    assert len(lines) == 1 + len(report["runs"])
+    header = json.loads(lines[0])
+    assert list(header)[:3] == ["command", "format", "timestamp"]
+    assert list(header) == list(report)[:-1]
+    assert [list(json.loads(line)) for line in lines[1:]] == list(
+        map(list, report["runs"]))
 
     if fail_verdict is not None:
         fail_verdict(monkeypatch)
@@ -714,19 +705,63 @@ def test_main_stamps_writes_and_exits(tmp_path, capsys, monkeypatch, argv,
     ["example", "--alpha", "0.6", "--beta", "-0.8"],
 ], ids=["superpose-sweep", "distinguish", "example"])
 def test_json_lines_are_header_and_run_objects(capsys, monkeypatch, argv):
-    # main writes the header's text once; each line must still be the
-    # object {**header, "run": run}: the header's entries, then the run's
+    # line 1 is the stamped header's object, and each later line one run's
     monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00Z")
     args = cli._parser().parse_args(argv)
     header, runs, _ = args.func(args)
-    header = {"command": argv[0], "timestamp": cli._timestamp(), **header}
-    expected = "".join(json_text(as_lists({**header, "run": run})) + "\n"
-                       for run in run_rows(runs))
+    header = {"command": argv[0], "format": 2, "timestamp": cli._timestamp(),
+              **header}
+    rows = run_rows(runs)
     assert main(argv + ["--json"]) == 0
     out = capsys.readouterr().out
-    assert out == expected
-    for line, run in zip(out.splitlines(), run_rows(runs), strict=True):
-        assert json.loads(line) == {**as_lists(header), "run": as_lists(run)}
+    assert out == "".join(json_lines(header, rows))
+    assert [json.loads(line) for line in out.splitlines()] == [
+        as_lists(header), *map(as_lists, rows)]
+
+
+def config_sha256(node, outer=False):
+    """The digest a report names a config array by, recomputed with numpy
+    and hashlib alone: the array of the [re, im] pairs `node` holds, with
+    `outer` the density matrix of that vector, its shape as little-endian
+    int64 values, then its C-ordered little-endian complex128 entries."""
+    a = np.array(node, dtype=float).view(complex)[..., 0]
+    if outer:
+        a = np.outer(a, a.conj())
+    digest = hashlib.sha256(np.array(a.shape, dtype="<i8").tobytes())
+    digest.update(np.ascontiguousarray(a, dtype="<c16").tobytes())
+    return digest.hexdigest()
+
+
+MIXED_CONFIG = {
+    "unitary": [[[1.0 if r == c else 0.0, 0.0] for c in range(4)]
+                for r in range(4)],
+    "rho_cr": [[[0.6, 0.0], [0.0, 0.2]], [[0.0, -0.2], [0.4, 0.0]]],
+    "policy": "max_entropy",
+}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("superpose", DEMO_CONFIGS / "superpose_two_state.yaml"),
+    ("distinguish", DEMO_CONFIGS / "distinguish_three_state.yaml"),
+    ("fixed-point", DEMO_CONFIGS / "fixed_point_swap.yaml"),
+    ("fixed-point", None),
+], ids=["superpose", "distinguish", "fixed-point-vector", "fixed-point-matrix"])
+def test_inputs_are_named_by_their_sha256(tmp_path, capsys, command, config):
+    if config is None:
+        config = write(tmp_path, "mixed.yaml", yaml.safe_dump(MIXED_CONFIG))
+    cfg = yaml.safe_load(Path(config).read_text())
+    if command == "fixed-point":
+        vector = not isinstance(cfg["rho_cr"][0][0], list)
+        expected = {"unitary_sha256": config_sha256(cfg["unitary"]),
+                    "rho_cr_sha256": config_sha256(cfg["rho_cr"], vector)}
+    else:
+        expected = {"state_set_sha256": config_sha256(cfg["state_set"])}
+    assert main([command, str(config)]) == 0
+    report = yaml.safe_load(capsys.readouterr().out)
+    assert main([command, str(config), "--json"]) == 0
+    header = json.loads(capsys.readouterr().out.splitlines()[0])
+    for key, digest in expected.items():
+        assert report[key] == header[key] == digest
 
 
 @pytest.mark.parametrize("target", ["missing/report.yaml", "."],
@@ -745,7 +780,7 @@ def _command_returning(monkeypatch, runs):
     class Parser:
         def parse_args(self, argv):
             args = parser.parse_args(argv)
-            args.func = lambda args: ({"seed": 0}, runs, True)
+            args.func = lambda args: ({"policy": "require_unique"}, runs, True)
             return args
 
     monkeypatch.setattr(cli, "_parser", Parser)
@@ -799,14 +834,14 @@ def test_sweep_report_is_written_as_it_is_formatted(tmp_path, monkeypatch,
     monkeypatch.setattr(sys, "stdout", Stdout())
     assert main(["superpose", cfg, *flags]) == 0
     written = sys.stdout.written
-    # YAML: the header, "runs:", a piece per run and the last newline
-    runs = written if flags else written[2:-1]
+    # YAML: the header, "runs:", a piece per run and the last newline;
+    # JSON: the header's line and a line per run
+    runs = written[1:] if flags else written[2:-1]
     assert len(runs) == 256
     counts = [count for _, count in runs]
     assert counts == sorted(set(counts))
     assert counts[-1] == len(rows)
-    if not flags:
-        assert counts[0] == 2  # the header's row and the first run's
+    assert counts[0] == 2  # the header's row and the first run's
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["yaml", "json"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import HADAMARD, S, near_parallel_set, planar_set
+from conftest import HADAMARD, S, haar_rotated, near_parallel_set, planar_set
 from ctcsim import (
     Condition2Exhausted,
     DimensionError,
@@ -34,7 +34,7 @@ from ctcsim import (
 )
 from ctcsim import deutsch, discrimination
 from ctcsim.linalg import TOL_NORM, condition2_room, condition2_threshold
-from ctcsim.sampling import haar_state, haar_unitary, random_state_set
+from ctcsim.sampling import haar_state, random_state_set
 
 
 def orthonormal_set(n):
@@ -163,8 +163,7 @@ def _family_set(family, n, factor, rng):
     if family == "planar":
         return planar_set(n, factor)
     if family == "near-parallel":
-        rotation = haar_unitary(n, rng).entries
-        return StateSet(near_parallel_set(n, factor * t).amplitudes @ rotation.T)
+        return haar_rotated(near_parallel_set(n, factor * t), rng)
     z = np.array([haar_state(n, rng).amplitudes for _ in range(n)])
     if family == "moved":
         # member 1 at room factor t from member 0, along its own part
@@ -207,7 +206,7 @@ def test_validated_near_parallel_set_builds():
     assert distinguish_members(bundle).decoded.tolist() == list(range(12))
 
 
-# two sets that validation accepts and a later stage refuses (ROADMAP
+# four sets that validation accepts and a later stage refuses (ROADMAP
 # items 2 and 9); the marks go when the edges close
 
 @pytest.mark.xfail(raises=Condition2Exhausted, strict=True,
@@ -235,6 +234,35 @@ def test_validated_set_off_unit_norm_is_distinguished():
     states = StateSet(z)
     assert validate(states).passed
     distinguish_members(build_distinguisher(states))
+
+
+@pytest.mark.xfail(raises=NoFixedPointNumerical, strict=True,
+                   reason="condition-2 edge: the member pass's label weight "
+                          "check rejects a rotated near-parallel set that "
+                          "distinguish decodes")
+def test_validated_rotated_near_parallel_set_is_distinguished():
+    # three members at room 2 t, Haar-rotated: the stacked member pass
+    # finds a label weight of -3.3e-8 against its bound of -3.0e-8
+    states = haar_rotated(near_parallel_set(3, 2 * condition2_threshold(3)),
+                          np.random.default_rng(3))
+    assert validate(states).passed
+    bundle = build_distinguisher(states)
+    assert [distinguish(bundle, member).decoded
+            for member in states.amplitudes] == [0, 1, 2]
+    distinguish_members(bundle)
+
+
+@pytest.mark.xfail(raises=Condition2Exhausted, strict=True,
+                   reason="rotated near-parallel gap: the weighted polar "
+                          "factor misses a U_k that exists")
+def test_validated_rotated_near_parallel_set_builds():
+    # eight members at room 1.1 t: the set itself builds, and a rotation
+    # keeps every overlap, so a U_k exists for the rotated set too
+    states = near_parallel_set(8, 1.1 * condition2_threshold(8))
+    build_distinguisher(states)
+    rotated = haar_rotated(states, np.random.default_rng(0))
+    assert validate(rotated).passed
+    build_distinguisher(rotated)
 
 
 def test_build_uk_index_out_of_range(zero_minus_set):

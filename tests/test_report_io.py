@@ -2,7 +2,8 @@
 
 `cli._yaml_pieces` must print what ``yaml.dump`` prints with libyaml's
 emitter for every kind of value a command hands it, `cli._json_lines`
-what ``conftest.json_text`` prints for each run, and both must raise
+what ``conftest.json_lines`` prints for the header and each run, and
+both must raise
 TypeError for any other; `cli._read_config` must return what
 ``yaml.load`` returns, under libyaml's parser and under PyYAML's
 pure-Python one.
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import ReportDumper, as_lists, json_text, run_rows
+from conftest import ReportDumper, as_lists, json_lines, run_rows
 from ctcsim import cli
 
 
@@ -103,13 +104,14 @@ def _other_form(runs):
 def check_report(header, runs):
     """`_yaml_pieces(header, runs)` and `_json_lines(header, runs)`, with
     each column given as a list and as one array where it holds arrays:
-    the YAML against both dumpers of the report it stands for, and each
-    JSON line against :func:`json_text` of ``{**header, "run": run}``
-    and, where every number is finite, as ``json.loads`` reads it."""
+    the YAML against both dumpers of the report it stands for, and the
+    JSON lines against :func:`json_lines`, the header's line and then a
+    line a run, and, where every number is finite, as ``json.loads``
+    reads them."""
     rows = run_rows(runs)
     report = as_lists({**header, "runs": rows})
-    objects = [as_lists({**header, "run": row}) for row in rows]
-    lines = [json_text(obj) + "\n" for obj in objects]
+    objects = [as_lists(obj) for obj in [header, *rows]]
+    lines = json_lines(header, rows)
     for columns in (runs, _other_form(runs)):
         text = "".join(cli._yaml_pieces(header, columns))
         assert text == dump(report, ReportDumper)
@@ -138,8 +140,8 @@ def check_rejected(header, runs):
 @st.composite
 def reports(draw, header_values, kinds, block=False):
     """A header of `header_values` and runs whose columns are of `kinds`:
-    ``int``, ``float``, ``bool`` or ``name`` lists, a ``shared`` complex,
-    or ``floats``, ``complexes`` or ``ints`` stacks; with `block` the
+    ``int``, ``float``, ``bool`` or ``name`` lists, or ``floats``,
+    ``complexes`` or ``ints`` stacks; with `block` the
     first column is a stack, so every run is a block mapping."""
     header = draw(st.dictionaries(KEYS.filter(lambda key: key != "runs"),
                                   header_values, max_size=5))
@@ -149,9 +151,7 @@ def reports(draw, header_values, kinds, block=False):
     for k, key in enumerate(keys):
         kind = draw(st.sampled_from(
             ["floats", "complexes", "ints"] if block and not k else kinds))
-        if kind == "shared":
-            runs[key] = [draw(COMPLEXES)] * size
-        elif kind in ("floats", "complexes", "ints"):
+        if kind in ("floats", "complexes", "ints"):
             dtype, elements = {"floats": (np.float64, ARRAY_FLOATS),
                                "complexes": (np.complex128, COMPLEXES),
                                "ints": (np.int64, EXACT_INTS)}[kind]
@@ -164,8 +164,7 @@ def reports(draw, header_values, kinds, block=False):
     return header, runs
 
 
-RUN_KINDS = ["int", "float", "bool", "name", "shared", "floats", "complexes",
-             "ints"]
+RUN_KINDS = ["int", "float", "bool", "name", "floats", "complexes", "ints"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -177,7 +176,7 @@ def test_emitter_matches_both_dumpers(drawn):
 PAIRS_4x3 = np.arange(24.0).reshape(4, 3, 2) / 7
 ROW_OF_12 = -np.arange(1, 13) / 3
 COMPLEX_4x3 = (np.arange(12.0) - 5.5j * np.arange(12.0)[::-1]).reshape(4, 3) / 7
-# a complex value every run holds, as a sweep's alpha
+# a complex value every run would hold, as a sweep's alpha: a header value
 SHARED_Z = 0.5 - 1j
 # a run of a distinguish report, at the width of a two-digit index
 FLOW_RUN = {"input_index": [0, 11], "decoded": [0, 11],
@@ -191,7 +190,7 @@ FLOW_RUN = {"input_index": [0, 11], "decoded": [0, 11],
     ({"seed": 0}, {"key": np.tile([-0.12345678901234566, 1e-300], (1, 4, 1))}),
     ({"k" * 78: np.array([1.0, 2.0]), "l" * 78: np.array([1.0]),
       "m" * 77: 1 + 1j, "n" * 79: np.array([[0.5]])},
-     {"k" * 78: np.array([[1.0, 2.0]]), "m" * 77: [SHARED_Z]}),
+     {"k" * 78: np.array([[1.0, 2.0]])}),
     ({"deep": np.tile([0.5, -0.0], (2, 5, 1, 1))},
      {"deep": np.tile([0.5, -0.0], (1, 2, 5, 1, 1))}),
     ({"command": "distinguish", "seed": 0},
@@ -285,15 +284,20 @@ ONE_RUN = {"m": [0]}
     ({}, {"a": [np.ones(2), np.ones(3)]}),
     ({}, {"a": [np.ones(2), np.ones(2, complex)]}),
     ({}, {"a": [np.ones(2), np.ones(2, np.int64)]}),
-    # a complex value that is not one object in every run
+    # a complex value, which is a header value only, one object in every
+    # run or not, in flow or block runs
     ({}, {"a": [1.5j, complex(0, 1.5)]}),
     ({}, {"a": [0.5, 1j]}),
     ({}, {1: [0.5]}),
+    ({"alpha": SHARED_Z}, {"alpha": [SHARED_Z] * 3, "m": [0, 1, 2]}),
+    ({}, {"a": [PAIRS_4x3], "b": [1 + 2j]}),
+    ({}, {"state": COMPLEX_4x3[:2], "alpha": [SHARED_Z] * 2}),
 ], ids=["tuple", "spaced-string", "colon-string", "bytes", "int-key",
         "list-root", "zero-axis-array", "zero-axis-array-in-runs",
         "shared-zero-axis-array-in-runs", "zero-axis-array-in-one-run",
         "shapes-differ", "dtypes-differ", "float-and-int-arrays",
-        "complex-per-run", "complex-after-float", "int-key-in-runs"])
+        "complex-per-run", "complex-after-float", "int-key-in-runs",
+        "complex-shared", "complex-in-one-run", "complex-shared-in-blocks"])
 def test_emitter_rejects_other_shapes(header, runs):
     check_rejected(header, runs)
 
@@ -317,15 +321,14 @@ def test_removed_kinds_are_rejected_by_both_writers(value):
 WIDE_Z = 0.12345678901234566 - 0.98765432109876543j
 COMPLEX_CASES = {
     "scalars": ({"alpha": 0.6 - 0.8j, "beta": np.complex128(1j), "one": complex(1, 0)},
-                {"alpha": [SHARED_Z] * 3, "m": [0, 1, 2]}),
+                {"m": [0, 1, 2]}),
     "signed-zeros": ({"zeros": complex(-0.0, 0.0), "neg": complex(0.0, -0.0),
                       "both": complex(-0.0, -0.0)},
-                     {"both": [complex(-0.0, -0.0)] * 2, "i": [0, 1]}),
+                     {"i": [0, 1]}),
     "non-finite-and-tagged": (
         {"inf": complex(math.inf, -math.inf), "nan": complex(math.nan, 1e22),
-         "tiny": complex(5e-324, -1e308)},
-        {"z": [complex(math.nan, math.inf)] * 2,
-         "state": np.array([[complex(math.inf, 1e-306)], [complex(-0.0, 1e17)]])}),
+         "tiny": complex(5e-324, -1e308), "z": complex(math.nan, math.inf)},
+        {"state": np.array([[complex(math.inf, 1e-306)], [complex(-0.0, 1e17)]])}),
     "vectors": ({"vector": COMPLEX_4x3[0], "row": COMPLEX_4x3.ravel()},
                 {"vector": COMPLEX_4x3}),
     "matrices": ({"matrix": COMPLEX_4x3, "cube": COMPLEX_4x3.reshape(2, 2, 3)},
@@ -333,15 +336,15 @@ COMPLEX_CASES = {
     "non-contiguous": ({"transposed": COMPLEX_4x3.T, "strided": COMPLEX_4x3[::2, ::-1],
                         "real_part": COMPLEX_4x3.real},
                        {"strided": COMPLEX_4x3.T[::2], "real": COMPLEX_4x3.real[::-2]}),
-    # runs given as lists of arrays and of one shared value
-    "in-lists": ({"state_set": COMPLEX_4x3[:2]},
-                 {"state": [COMPLEX_4x3[0], COMPLEX_4x3[1]], "alpha": [SHARED_Z] * 2}),
-    # the runs' block mappings, which a shared complex value makes
-    "in-mappings": ({"z": complex(-0.0, math.inf)},
-                    {"alpha": [0.5j] * 2, "residual": [1e-17, 0.0]}),
+    # runs given as lists of arrays
+    "in-lists": ({"state_set": COMPLEX_4x3[:2], "alpha": SHARED_Z},
+                 {"state": [COMPLEX_4x3[0], COMPLEX_4x3[1]]}),
+    # complex header values before runs that are block mappings
+    "in-mappings": ({"z": complex(-0.0, math.inf), "alpha": 0.5j},
+                    {"state": COMPLEX_4x3[:2], "residual": [1e-17, 0.0]}),
     "past-column-80": ({"k" * 78: 1 + 1j, "l" * 76: COMPLEX_4x3[:2],
                         "wide": np.full(8, WIDE_Z)},
-                       {"k" * 78: [SHARED_Z] * 2, "wide": np.full((2, 8), WIDE_Z)}),
+                       {"wide": np.full((2, 8), WIDE_Z)}),
     "empty-and-0-d": ({"empty": np.zeros(0, complex),
                        "empty_rows": np.zeros((2, 0), complex),
                        "zero_axis": np.array(0.25 - 1j)}, ONE_RUN),
@@ -360,15 +363,14 @@ def test_complex_values_are_written_as_pairs(case):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(reports(SCALARS | COMPLEXES | COMPLEX_ARRAYS,
-               ["float", "shared", "complexes"]))
+@given(reports(SCALARS | COMPLEXES | COMPLEX_ARRAYS, ["float", "complexes"]))
 def test_complex_reports_match_both_dumpers(drawn):
     check_report(*drawn)
 
 
 # runs as block mappings, which the writer lays out key by key: values
-# of one shape and dtype in every run, one complex value shared by every
-# run, scalars, and keys long enough that rows wrap
+# of one shape and dtype in every run, scalars, and keys long enough that
+# rows wrap
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(reports(SCALARS | ARRAYS, RUN_KINDS, block=True))
 def test_same_key_runs_match_both_dumpers(drawn):
@@ -388,7 +390,7 @@ RUN_CASES = {
     "keys-added": [{"a": np.ones(2)}, {"a": np.ones(2), "b": 1}],
     "int-and-empty": [{"a": np.arange(3), "b": np.zeros(0)}] * 2,
     "empty-complex-rows": [{"a": np.zeros((2, 0), complex)}] * 2,
-    "one-item": [{"a": PAIRS_4x3, "b": 1 + 2j, "c": np.array([0.5, -1.0])}],
+    "one-item": [{"a": PAIRS_4x3, "b": 1.5, "c": np.array([0.5, -1.0])}],
     "scalar-items": [{"a": 0.5, "b": 1}, {"a": 1.5, "b": 2}],
     "shared-scalars": [{"a": 0.5, "b": 1, "c": "name"},
                        {"a": 1.5, "b": 1, "c": "name"}],
@@ -410,12 +412,12 @@ RUN_CASES = {
     "distinct-rows": [{"a": np.full(2, float(k)), "b": k} for k in range(3)],
 }
 # the cases whose columns are of unequal lengths, hold no column, or
-# hold values no command hands the writer
+# hold values no command hands the writer, complex numbers included
 REJECTED_RUNS = {
     "shapes-differ", "dtypes-differ", "keys-differ", "keys-added",
     "int-and-empty", "empty-complex-rows", "scalar-in-one-item",
     "nested-runs", "empty-items", "complex-scalars", "mappings",
-    "scalar-first", "sequence-between",
+    "scalar-first", "sequence-between", "shared-complex-and-wide-rows",
 }
 # headers by their seed: of scalars alone, with an array, or with a
 # key at the column-80 edge
@@ -481,7 +483,6 @@ def special_runs(draw):
         "labels": stack(np.int64, st.integers(0, 99), (2,)),
         "residuals": stack(np.float64, RUN_FLOATS, (2,)),
         "fidelity": draw(st.lists(RUN_FLOATS, min_size=size, max_size=size)),
-        "amplitude": [draw(RUN_COMPLEXES)] * size,
         "real": stack(np.float64, RUN_FLOATS, shape),
         "state": stack(np.complex128, RUN_COMPLEXES, shape),
     }
@@ -500,9 +501,8 @@ def test_special_floats_in_same_key_runs_match_both_dumpers(drawn):
 
 
 def test_identity_fixed_point_report_matches_both_dumpers(tmp_path):
-    # the identity's report holds integral floats in every array: its
-    # unitary's 1.0 and 0.0 entries and its max-entropy fixed point's
-    # zeros
+    # the identity's report holds integral floats: its max-entropy fixed
+    # point's zeros
     path = tmp_path / "identity.yaml"
     path.write_text(yaml.safe_dump({
         "unitary": np.eye(16).tolist(),
@@ -513,7 +513,7 @@ def test_identity_fixed_point_report_matches_both_dumpers(tmp_path):
     header, runs, ok = args.func(args)
     assert ok
     header = {"command": "fixed-point", **header}
-    assert "1.0, 0.0" in "".join(cli._yaml_pieces(header, runs))
+    assert "[0.0, 0.0]" in "".join(cli._yaml_pieces(header, runs))
     check_report(header, runs)
 
 
