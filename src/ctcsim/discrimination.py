@@ -10,20 +10,17 @@ state settles on its unique fixed point.  The per-index unitaries must
 satisfy two conditions: (1) U_k psi_k = |k>, and (2) every overlap
 <j| U_k |psi_j> is nonzero, which is what makes the fixed point unique.
 
-A :class:`DistinguisherBundle` holds the U_k as its own read-only
-(N, N, N) stack, U_k = uks[k], and measures both conditions on that
-stack, so it cannot carry conditions of other unitaries;
-:func:`build_distinguisher` hands it the stack it built, frozen, with no
-copy.  On
-the first attempt each U_k is the adjoint of a Gram-Schmidt completion of
-psi_k by the standard basis, which has a closed form in the suffix sums
-s_i = sum_{l >= i} |psi_k[l]|^2, so :func:`build_distinguisher` builds all
-N of them from one outer product.  The per-k :func:`build_uk` runs only
-where that form does not hold (Gram-Schmidt would skip a basis vector, as
-for psi_k = |0>) or misses condition (2), met then by a weighted polar
-factor; it is also the form's test oracle.
-For a pure input psi, write phi_k = U_k psi and Phi = [phi_0 ... phi_{N-1}],
-one product of the stack with psi.
+On the first attempt each U_k is the adjoint of a Gram-Schmidt completion
+of psi_k by the standard basis, which has a closed form in the suffix sums
+s_i = sum_{l >= i} |psi_k[l]|^2: a rank-one upper triangle plus a
+subdiagonal, rows 0 and k exchanged (:func:`_first_completions`).  So
+U_k psi costs O(N), one reversed cumulative sum, and a
+:class:`DistinguisherBundle` holds each such U_k as its O(N) parameters.
+The per-k :func:`build_uk` runs only where that form does not hold
+(Gram-Schmidt would skip a basis vector, as for psi_k = |0>) or misses
+condition (2), met then by a weighted polar factor; it is also the form's
+test oracle, and only the U_k it builds are held dense.
+For a pure input psi, write phi_k = U_k psi and Phi = [phi_0 ... phi_{N-1}].
 The circuit's self-consistency map is sigma -> sum_k sigma_kk phi_k phi_k^dagger:
 it reads only diag(sigma), so the CTC state is fixed by a distribution p
 over the N labels.  Its diagonal closes on itself exactly when p = T p for
@@ -39,11 +36,12 @@ themselves the conditions settle uniqueness: condition (2) bounds row m of
 member m's chain below by eps_m > 0 (Doeblin's minorization), so
 :func:`distinguish_members` takes every member's p from one stacked
 linear solve and certifies it with a bound on |p - e_m|_1.  The same pass
-gives a certified member's labels T_m p and, from Phi_m formed a few
-members at a time, its residual, so no member is settled on its own; a
-member without that certificate takes the SVD path, which is its oracle.
-A discrimination of the whole set thus holds the (N, N, N) complex stack
-once and the chains in one real N^3 array.
+gives a certified member's labels T_m p and its residual, so no member
+is settled on its own; a member without that certificate takes the SVD
+path, which is its oracle.  Both the bundle's conditions and the member
+pass take Phi from the closed form, a block of members at a time, so a
+discrimination of the whole set holds no N^3 array: the (N, N, N) stack
+:attr:`DistinguisherBundle.uks` is formed only when it is read.
 """
 
 from __future__ import annotations
@@ -75,63 +73,93 @@ _IN_SET_TOL = 1e-8
 
 _EPS = np.finfo(float).eps
 
-# members whose Phi_m are formed at once for the residual; the member
-# solve's working arrays are freed by then, but three a chunk would set a
-# new peak at N = 12 and four at N = 16
-_CHUNK = 2
-# complex entries of each product that is squared into the chains (at
-# least one U_k's): two products at N = 12 and four at N = 16; twice as
-# many entries would raise the peak of a distinguish at N = 16 by 7 %
-_CHAIN_ENTRIES = 1024
+# images U_k psi_m a block of the member pass may form (at least one
+# member's N): N <= 8 in one block, three at N = 12 and four at N = 16
+_BLOCK_IMAGES = 64
+# elements of numpy's ufunc buffers in the member pass: a broadcast
+# operand is otherwise buffered whole, up to 8192 elements, which would
+# double a block's arrays
+_BUFFER = 64
 
 
-@dataclass(frozen=True, eq=False)
+def _blocks(n: int) -> list[slice]:
+    """The member blocks of a set of `n`: as few as hold at most
+    ``_BLOCK_IMAGES // n`` members each (at least one), of even size."""
+    count = -(-n // max(1, _BLOCK_IMAGES // n))
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DistinguisherBundle:
     """The per-index unitaries of a discrimination circuit for one state set.
 
-    `uks` is one read-only (N, N, N) stack whose row k is U_k: a copy of
-    the given unitaries, which stay the caller's, or, in a bundle from
-    :func:`build_distinguisher`, the stack it built, frozen and held with
-    no copy.  Both construction conditions are measured on it when first
-    read: `overlaps[j, k] = |<j| U_k |psi_j>|`, their least value
+    Built from given unitaries, it holds a read-only copy of them, which
+    stay the caller's.  From :func:`build_distinguisher`, it holds each
+    U_k of the closed form by its parameters coef[k] and sub[k]
+    (:func:`_first_completions`), O(N) numbers, and only the U_k that
+    :func:`build_uk` built as dense matrices, so no N^3 array.
+    :func:`_images` applies every U_k to a block of states from these
+    parts.  `uks`, the read-only (N, N, N) stack whose row k is U_k, is
+    formed on first read and kept; :func:`distinguish` and
+    :func:`distinguish_members` never read it.  Both construction
+    conditions are measured from the same parts when first read:
+    `overlaps[j, k] = |<j| U_k |psi_j>|`, their least value
     `condition2_min`, and `condition1_deviation[k]`, the Euclidean
     distance of U_k psi_k from |k>.  No condition threshold is enforced
     here.  The N^2 x N^2 circuit :attr:`total` is assembled on first
-    access only; :func:`distinguish` never needs it.
+    access only.
     """
 
     state_set: StateSet
-    uks: np.ndarray
 
-    def __post_init__(self):
-        n = self.state_set.size
+    def __init__(self, state_set: StateSet, uks: Sequence):
+        n = state_set.size
         try:
-            stack = np.array(self.uks, dtype=complex)
+            stack = np.array(uks, dtype=complex)
         except ValueError:  # unitaries of unequal shapes
             stack = None
         if stack is None or stack.shape != (n, n, n):
             raise DimensionError(f"expected {n} unitaries of dim {n}")
         stack.setflags(write=False)
-        object.__setattr__(self, "uks", stack)
+        self._hold(state_set, None, None, np.arange(n), stack)
+        # where the cached property keeps its value
+        self.__dict__["uks"] = stack
+
+    def _hold(self, state_set, coef, sub, dense_ks, dense):
+        """Set the parts: the closed form's coefficients `coef` and
+        subdiagonals `sub` (None if no U_k has it), and the dense U_k
+        `dense[i]` of index `dense_ks[i]`."""
+        for name, value in (("state_set", state_set), ("_coef", coef),
+                            ("_sub", sub), ("_dense_ks", dense_ks),
+                            ("_dense", dense)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _adopt(cls, state_set: StateSet, stack: np.ndarray,
-               overlaps: np.ndarray | None = None) -> DistinguisherBundle:
-        """The bundle of `stack`, an (N, N, N) complex array made for it:
-        frozen and held as it is, and `overlaps`, if given, taken as
-        measured on it."""
-        stack.setflags(write=False)
+    def _from_parts(cls, state_set, coef, sub, dense_ks,
+                    dense) -> DistinguisherBundle:
         bundle = cls.__new__(cls)
-        object.__setattr__(bundle, "state_set", state_set)
-        object.__setattr__(bundle, "uks", stack)
-        if overlaps is not None:
-            # where the cached property keeps its value
-            bundle.__dict__["overlaps"] = overlaps
+        bundle._hold(state_set, coef, sub, dense_ks, dense)
         return bundle
 
     @cached_property
+    def uks(self) -> np.ndarray:
+        n = self.state_set.size
+        stack = np.matmul(self._coef[:, :, None],
+                          self.state_set.amplitudes.conj()[:, None, :])
+        stack[:, np.tri(n, n, -1, dtype=bool)] = 0
+        sub = np.arange(1, n)
+        stack[:, sub, sub - 1] = self._sub[:, 1:]
+        ks = np.arange(n)
+        row0 = stack[:, 0].copy()
+        stack[:, 0] = stack[ks, ks]
+        stack[ks, ks] = row0
+        stack[self._dense_ks] = self._dense
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
     def overlaps(self) -> np.ndarray:
-        return _overlaps(self.uks, self.state_set.amplitudes)
+        return _measure_overlaps(self)
 
     @cached_property
     def condition2_min(self) -> float:
@@ -139,9 +167,7 @@ class DistinguisherBundle:
 
     @cached_property
     def condition1_deviation(self) -> np.ndarray:
-        amps = self.state_set.amplitudes
-        return np.linalg.norm(
-            (self.uks @ amps[:, :, None])[..., 0] - np.eye(len(amps)), axis=1)
+        return _measure_deviation(self)
 
     @cached_property
     def total(self) -> UnitaryMatrix:
@@ -258,7 +284,7 @@ def build_uk(states: StateSet, k: int) -> UnitaryMatrix:
     )
 
 
-def _first_completions(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_completions(amps: np.ndarray):
     """Every first-attempt U_k in closed form, and where the form holds.
 
     Gram-Schmidt of e_0 ... e_{N-2} after psi = c, with suffix sums
@@ -266,36 +292,107 @@ def _first_completions(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (e_i - [l >= i] c conj(c_i) / s_i) sqrt(s_i / s_{i+1}): entry i is
     sqrt(s_{i+1} / s_i), entry l > i is -c_l conj(c_i) / sqrt(s_i s_{i+1}).
     Row r of U_k = V^dagger, V being W with columns 0 and k exchanged, is
-    the conjugate of column r of W, so one outer product of
-    [1, -c_0 / sqrt(s_0 s_1), ...] with conj(c) fills the upper triangle of
-    every U_k (rows 0 and k exchanged) and the subdiagonal is set apart.
-    The form holds for k unless psi_k is off unit norm by over
-    ``TOL_NORM / 2`` or some s_{i+1} < (2 ``TOL_GS``)^2 s_i, a factor 2 in
-    from where the loop would raise or skip a vector; there the returned
-    U_k is zero.
+    the conjugate of column r of W.  So, before rows 0 and k are
+    exchanged, row r of U_k is coef[k, r] conj(c) on l >= r, with
+    coef[k] = [1, -c_0 / sqrt(s_0 s_1), ...], and sub[k, r] =
+    sqrt(s_r / s_{r-1}) at l = r - 1 (sub[k, 0] = 0):
+
+        (U_k psi)_r = coef[k, r] sum_{l >= r} conj(c_l) psi_l
+                      + sub[k, r] psi_{r-1}.
+
+    Returns coef, sub (both N x N) and served, where the form holds: for
+    k unless psi_k is off unit norm by over ``TOL_NORM / 2`` or some
+    s_{i+1} < (2 ``TOL_GS``)^2 s_i, a factor 2 in from where the loop would
+    raise or skip a vector; there the parameters are zero.
     """
     n = len(amps)
     s = np.cumsum((np.abs(amps) ** 2)[:, ::-1], axis=1)[:, ::-1]
     served = ((s[:, 1:] >= (2 * TOL_GS) ** 2 * s[:, :-1]).all(axis=1)
               & (np.abs(np.sqrt(s[:, 0]) - 1) <= TOL_NORM / 2))
+    coef = np.ones((n, n), dtype=complex)
+    # complex, as the images it meets, so that numpy casts nothing
+    sub = np.zeros((n, n), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.ones((n, n), dtype=complex)
         coef[:, 1:] = -amps[:, :-1] / np.sqrt(s[:, :-1] * s[:, 1:])
-        uks = np.matmul(coef[:, :, None], amps.conj()[:, None, :])
-        uks[:, np.tri(n, n, -1, dtype=bool)] = 0
-        sub = np.arange(1, n)
-        uks[:, sub, sub - 1] = np.sqrt(s[:, 1:] / s[:, :-1])
-    uks[~served] = 0
-    ks = np.arange(n)
-    row0 = uks[:, 0].copy()
-    uks[:, 0] = uks[ks, ks]
-    uks[ks, ks] = row0
-    return uks, served
+        sub[:, 1:] = np.sqrt(s[:, 1:] / s[:, :-1])
+    coef[~served] = 0
+    sub[~served] = 0
+    return coef, sub, served
 
 
-def _overlaps(uks: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """overlaps[j, k] = |<j| U_k |psi_j>| of the stack `uks`."""
-    return np.abs(np.einsum("kjc,jc->jk", uks, amps))
+def _images(bundle: DistinguisherBundle, psis: np.ndarray) -> np.ndarray:
+    """images[b, k] = U_k psi_b for the rows psis[b], a (B, N, N) array.
+
+    A U_k of the closed form takes one reversed cumulative sum of
+    conj(c_l) psi_l (see :func:`_first_completions`); only the dense U_k
+    are multiplied as matrices.  The member pass calls it with numpy's
+    ufunc buffers cut to ``_BUFFER`` elements, so its broadcasts add no
+    buffer the size of the images."""
+    n = psis.shape[1]
+    dense_ks = bundle._dense_ks
+    # c_k[l] conj(psi_b[l]), conjugated in place
+    images = bundle.state_set.amplitudes * psis.conj()[:, None, :]
+    if dense_ks.size < n:
+        np.conjugate(images, out=images)
+        tail = images[..., ::-1]
+        np.cumsum(tail, axis=2, out=tail)
+        images *= bundle._coef
+        # sub[k, r] psi_b[r - 1]; sub[k, 0] = 0 takes psi_b[-1]
+        shifted = np.concatenate((psis[:, -1:], psis[:, :-1]), axis=1)
+        images += bundle._sub * shifted[:, None, :]
+        ks = np.arange(n)
+        row0 = images[:, :, 0].copy()
+        images[:, :, 0] = images[:, ks, ks]
+        images[:, ks, ks] = row0
+    if dense_ks.size:
+        images[:, dense_ks] = np.einsum("kjc,bc->bkj", bundle._dense, psis)
+    return images
+
+
+def _measure_overlaps(bundle: DistinguisherBundle) -> np.ndarray:
+    """overlaps[j, k] = |<j| U_k |psi_j>|.
+
+    Row j of a closed-form U_k is row j of its triangle, but row k for
+    j = 0 and row 0 for j = k (:func:`_first_completions`), so the
+    overlaps take the suffix sums sum_{l >= j} conj(c_k[l]) psi_j[l]: one
+    product with the upper triangle of the set.  The dense U_k are
+    multiplied with the set."""
+    amps = bundle.state_set.amplitudes
+    n = len(amps)
+    dense_ks = bundle._dense_ks
+    overlaps = np.empty((n, n))
+    if dense_ks.size < n:
+        coef, sub, bra = bundle._coef, bundle._sub, amps.conj()
+        ks = np.arange(n)
+        # at[k, j] = <j| U_k |psi_j>, taking psi_j[j - 1] from the
+        # subdiagonal of the set; psi_0[-1] meets sub[k, 0] = 0
+        at = coef * (bra @ np.triu(amps).T) + sub * amps[ks, ks - 1]
+        at[:, 0] = (coef[ks, ks] * (np.triu(bra) @ amps[0])
+                    + sub[ks, ks] * amps[0, ks - 1])
+        at[ks, ks] = coef[:, 0] * (bra * amps).sum(axis=1)
+        overlaps[:] = np.abs(at.T)
+    if dense_ks.size:
+        overlaps[:, dense_ks] = np.abs(
+            np.einsum("kjc,jc->jk", bundle._dense, amps))
+    return overlaps
+
+
+def _measure_deviation(bundle: DistinguisherBundle) -> np.ndarray:
+    """The distances |U_k psi_k - |k>|: for a closed-form U_k, of its
+    triangle's image of psi_k from |0>, rows 0 and k being exchanged."""
+    amps = bundle.state_set.amplitudes
+    n = len(amps)
+    dense_ks = bundle._dense_ks
+    own = np.empty((n, n), dtype=complex)
+    if dense_ks.size < n:
+        own[:] = np.cumsum((amps.conj() * amps)[:, ::-1], axis=1)[:, ::-1]
+        own *= bundle._coef
+        own += bundle._sub * amps[:, np.arange(n) - 1]
+        own[:, 0] -= 1
+    if dense_ks.size:
+        own[dense_ks] = np.einsum("kjc,kc->kj", bundle._dense, amps[dense_ks])
+        own[dense_ks, dense_ks] -= 1
+    return np.linalg.norm(own, axis=1)
 
 
 def build_distinguisher(states: StateSet) -> DistinguisherBundle:
@@ -303,14 +400,13 @@ def build_distinguisher(states: StateSet) -> DistinguisherBundle:
 
     The first k whose least room (:func:`ctcsim.linalg.condition2_room`)
     falls short raises :class:`Condition2Exhausted` before any completion.
-    Every first attempt is built at once in closed form
+    Every first attempt is taken in closed form
     (:func:`_first_completions`); a k the form does not serve, or whose
-    completion misses condition (2), is built by :func:`build_uk` into
-    the same stack, which the bundle then holds with no copy.  The
-    overlaps measured on the first completions decide condition (2), and
-    in the common case, every k served, the bundle keeps them, so they
-    are measured once; its circuit :attr:`DistinguisherBundle.total` is
-    assembled only when it is read.
+    completion misses condition (2), is built dense by :func:`build_uk`.
+    The conditions measured on the first completions decide condition
+    (2); in the common case, every k served, the bundle keeps them, so
+    they are measured once.  The (N, N, N) stack and the circuit
+    :attr:`DistinguisherBundle.total` are formed only when they are read.
     """
     room, least = condition2_room(states)
     k = int(np.argmax(room.min(axis=0) < least))
@@ -320,14 +416,18 @@ def build_distinguisher(states: StateSet) -> DistinguisherBundle:
         raise Condition2Exhausted(
             f"members {j} and {k} have 1 - F = {infidelity:.3e}, which keeps "
             f"overlap^2 of U_{k} from exceeding {condition2_threshold(len(room)):.3e}")
-    uks, served = _first_completions(states.amplitudes)
-    overlaps = _overlaps(uks, states.amplitudes)
-    served &= overlaps.min(axis=0) ** 2 > least
+    n = states.size
+    coef, sub, served = _first_completions(states.amplitudes)
+    bundle = DistinguisherBundle._from_parts(
+        states, coef, sub, np.arange(0), np.zeros((0, n, n), dtype=complex))
+    served &= bundle.overlaps.min(axis=0) ** 2 > least
     if served.all():
-        return DistinguisherBundle._adopt(states, uks, overlaps)
-    for k in np.flatnonzero(~served):
-        uks[k] = build_uk(states, int(k)).entries
-    return DistinguisherBundle._adopt(states, uks)
+        return bundle
+    rebuilt = np.flatnonzero(~served)
+    coef[rebuilt] = 0
+    sub[rebuilt] = 0
+    dense = np.array([build_uk(states, int(k)).entries for k in rebuilt])
+    return DistinguisherBundle._from_parts(states, coef, sub, rebuilt, dense)
 
 
 def _svd_labels(chain: np.ndarray) -> tuple[np.ndarray, float]:
@@ -422,28 +522,63 @@ def distinguish(bundle: DistinguisherBundle, input_state) -> DistinguishResult:
             InputNotInSetWarning,
             stacklevel=2,
         )
-    _, chain_gap, settled = _settle_by_svd((bundle.uks @ vec).T)
+    _, chain_gap, settled = _settle_by_svd(_images(bundle, vec[None])[0].T)
     return DistinguishResult(*settled, input_in_set=in_set, chain_gap=chain_gap)
 
 
-def _member_chains(uks: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Every member's label chain, t[k, j, m] = T_m[j, k] =
-    |<j|U_k|psi_m>|^2, as re^2 + im^2 of the products of the stack `uks`
-    with the set `amps`: a few U_k at a time, each product in one complex
-    buffer of at most ``_CHAIN_ENTRIES`` entries (or one U_k's), so the
-    chains take one real N^3 array and no N^3 complex product exists."""
+def _residuals(images: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """The largest entry of sigma - map(sigma) =
+    -Phi_m diag(moved_m) Phi_m^dagger for each member of a block, as of
+    G = images_m^dagger diag(moved_m) images_m, which has the same moduli.
+    G is Hermitian, so its rows i < N/2 and its block i, j >= N/2 hold
+    every modulus.  Each is formed from the weighted conjugate of its
+    rows' half of the images, so that no more than a block of arrays
+    exists beside them."""
+    half = images.shape[2] // 2
+    out = np.zeros(len(images))
+    for i, j in ((slice(half), slice(None)), (slice(half, None),) * 2):
+        rows = images[:, :, i] * moved[:, :, None]
+        np.conjugate(rows, out=rows)
+        part = np.matmul(rows.transpose(0, 2, 1), images[:, :, j])
+        np.maximum(out, np.abs(part).max(axis=(1, 2), initial=0), out=out)
+        del rows, part
+    return out
+
+
+def _member_block(bundle: DistinguisherBundle, block: slice, eye: np.ndarray,
+                  p, moved, minorization, column_miss, drift,
+                  residual) -> None:
+    """Members `block` of :func:`distinguish_members`: their images and
+    chains, the bordered solve for right-hand side e_0 (column 0 of `eye`)
+    and its check, and the residuals, written into rows `block` of the
+    pass's arrays."""
+    amps = bundle.state_set.amplitudes
     n = len(amps)
-    t = np.empty((n, n, n))
-    rows, chains = uks.reshape(n * n, n), t.reshape(n * n, n)
-    step = n * max(1, _CHAIN_ENTRIES // (n * n))
-    product = np.empty((min(step, n * n), n), dtype=complex)
-    parts = product.view(float)
-    for lo in range(0, n * n, step):
-        size = min(step, n * n - lo)
-        np.matmul(rows[lo:lo + size], amps.T, out=product[:size])
-        np.square(parts[:size], out=parts[:size])
-        np.add(parts[:size, 0::2], parts[:size, 1::2], out=chains[lo:lo + size])
-    return t
+    images = _images(bundle, amps[block])
+    # t[b, k, j] = T_m[j, k] = |<j|U_k|psi_m>|^2 for m = block.start + b
+    t = np.square(images.real)
+    t += np.square(images.imag)
+    # T_m[m, k] and T_m[j, m], as [k, b] and [j, b]; each sum runs along
+    # its rows, whatever the block size
+    minorization[block] = np.diagonal(t, block.start, 0, 2).min(axis=0)
+    column_miss[block] = np.abs(np.diagonal(t, block.start, 0, 1).T
+                                - eye[block]).sum(axis=1)
+    drift[block] = np.abs(t.sum(axis=2) - 1).max(axis=1)
+    row0 = t[:, :, 0] - eye[0]
+    # the bordered systems, in place; a member without a certificate
+    # solves the identity instead
+    t.reshape(-1, n * n)[:, ::n + 1] -= 1
+    t[:, :, 0] = 1
+    singular = minorization[block] <= 2 * drift[block] + n * _EPS
+    if singular.any():
+        t[singular] = eye
+    bordered = t.transpose(0, 2, 1)
+    p[block] = np.linalg.solve(bordered, eye[:, :1])[..., 0]
+    p[block] /= p[block].sum(axis=1, keepdims=True)
+    moved[block] = np.matmul(bordered, p[block, :, None])[..., 0]
+    moved[block, 0] = (row0 * p[block]).sum(axis=1)
+    del t, bordered
+    residual[block] = _residuals(images, moved[block])
 
 
 def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
@@ -461,66 +596,50 @@ def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
 
     which `bound` states with N eps of rounding allowed for in each sum.
 
-    The chains of all members are written straight into one real N^3
-    array by :func:`_member_chains`, which multiplies a few U_k of the
-    stack at a time with the set and squares each product in one small
-    buffer, so the pass holds no N^3 complex array beside the stack.
-    Every p comes from one stacked bordered solve, set up in place on the
-    chains: row 0 of T_m - I replaced by ones, right-hand side e_0.  Its
-    residual |T_m p - p|_1 is the column-sum rounding sum_k (c_k - 1) p_k
-    of the replaced row plus the solve's own rounding.  A member whose
-    eps_m does not exceed 2 delta_m + N eps (the bordered system may then
-    be singular), or whose p misses its bound, has no certificate and
-    takes the SVD path of :func:`distinguish` instead, with its
-    exceptions.
+    Members are taken a block at a time (:func:`_blocks`), and each
+    block's images U_k psi_m come from :func:`_images`, so the pass holds
+    no N^3 array.  Every p of a block comes from one stacked bordered
+    solve, set up in place on the block's chains: row 0 of T_m - I
+    replaced by ones, right-hand side e_0.  Its residual |T_m p - p|_1 is
+    the column-sum rounding sum_k (c_k - 1) p_k of the replaced row plus
+    the solve's own rounding.  A member whose eps_m does not exceed
+    2 delta_m + N eps (the bordered system may then be singular), or whose
+    p misses its bound, has no certificate and takes the SVD path of
+    :func:`distinguish` instead, with its exceptions.
 
     The bound is measured on the p the solve returned, so an error in p
     raises the bound with it: a minorized member with a bad p keeps its
     certificate, and the residual check raises
     :class:`NoFixedPointNumerical` rather than the SVD path taking over.
 
-    A certified member is settled by the same stacked pass, with no
-    per-member settle: the solve's check T_m p - p, row 0 from the
-    replaced row, gives its labels diag(rho_out) = diag(sigma) = T_m p,
-    and its residual is the largest entry of sigma - map(sigma) =
-    -Phi_m diag(T_m p - p) Phi_m^dagger.  Those Phi_m are formed from the
-    stack for two members at a time, after the solve's arrays are freed,
-    so the residuals add no N^3 array of their own.  Negative label
-    weights are checked against -(``TOL_PSD`` + N eps / eps_m), residuals
-    against ``deutsch.TOL_FIX``, as in :func:`distinguish`, for all
-    members at once.  Members without a certificate then take the SVD
-    path, and the first member in member order that fails a check, or
-    whose SVD path raises, is the one that raises.
+    A certified member is settled by the same pass, with no per-member
+    settle: the solve's check T_m p - p, row 0 from the replaced row,
+    gives its labels diag(rho_out) = diag(sigma) = T_m p, and its residual
+    is the largest entry of sigma - map(sigma) =
+    -Phi_m diag(T_m p - p) Phi_m^dagger, formed from the block's images.
+    Negative label weights are checked against -(``TOL_PSD`` + N eps /
+    eps_m), residuals against ``deutsch.TOL_FIX``, as in
+    :func:`distinguish`, for all members at once.  Members without a
+    certificate then take the SVD path, and the first member in member
+    order that fails a check, or whose SVD path raises, is the one that
+    raises.
     """
-    states = bundle.state_set
-    n = states.size
-    # t[k, j, m] = T_m[j, k]
-    t = _member_chains(bundle.uks, states.amplitudes)
+    amps = bundle.state_set.amplitudes
+    n = len(amps)
     ks = np.arange(n)
-    minorization = t[:, ks, ks].min(axis=0)
-    column = t[ks, :, ks]
-    column[ks, ks] -= 1
-    column_miss = np.abs(column, out=column).sum(axis=1)
-    drift = np.abs(t.sum(axis=1) - 1).max(axis=0)
-    row0 = t[:, 0, :].copy()
-    row0[0] -= 1
+    eye = np.eye(n)
+    p, moved = np.empty((n, n)), np.empty((n, n))
+    minorization, column_miss, drift, residual = np.empty((4, n))
+    size = np.setbufsize(_BUFFER)
+    try:
+        for block in _blocks(n):
+            _member_block(bundle, block, eye, p, moved, minorization,
+                          column_miss, drift, residual)
+    finally:
+        np.setbufsize(size)
     minorized = minorization > 2 * drift + n * _EPS
-    # the bordered systems, in place; a member without a certificate
-    # solves the identity instead
-    t[ks, ks] -= 1
-    t[:, 0] = 1
-    for m in np.flatnonzero(~minorized):
-        t[:, :, m] = np.eye(n)
-    bordered = t.transpose(2, 1, 0)
-    e0 = np.zeros((n, 1))
-    e0[0] = 1
-    p = np.linalg.solve(bordered, e0)[..., 0]
-    p /= p.sum(axis=1, keepdims=True)
-    moved = np.matmul(bordered, p[..., None])[..., 0]
-    moved[:, 0] = np.einsum("km,mk->m", row0, p)
-    del t, bordered
     solve_miss = np.abs(moved).sum(axis=1)
-    shift = np.abs(p - np.eye(n)).sum(axis=1)
+    shift = np.abs(p - eye).sum(axis=1)
     # what rounding may hide in the sums, the residual and the shift
     hidden = n * _EPS * (1 + column_miss + solve_miss + 2 * shift)
     bound = np.full(n, np.inf)
@@ -533,21 +652,11 @@ def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
     np.divide(n * _EPS, minorization, out=weight_tol, where=certified)
     weight_tol += TOL_PSD
     negative = certified & (p.min(axis=1) < -weight_tol)
-    # sigma - map(sigma) = -Phi_m diag(moved_m) Phi_m^dagger has the moduli
-    # of phis^dagger diag(moved_m) phis, phis[c, k] = U_k psi_m for
-    # m = lo + c, formed for _CHUNK members at a time
-    residual = np.empty(n)
-    uks = bundle.uks.reshape(n * n, n).T
-    for lo in range(0, n, _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
-        phis = (states.amplitudes[chunk] @ uks).reshape(-1, n, n)
-        gap = phis.conj().transpose(0, 2, 1) @ (moved[chunk, :, None] * phis)
-        residual[chunk] = np.abs(gap).max(axis=(1, 2))
     failed = negative | (certified & (residual > deutsch.TOL_FIX))
     first = int(np.argmax(failed)) if failed.any() else n
     for m in np.flatnonzero(~certified[:first]):
-        label_p, _, settled = _settle_by_svd((bundle.uks @ states.amplitudes[m]).T)
-        shift[m] = np.abs(label_p - np.eye(n)[m]).sum()
+        label_p, _, settled = _settle_by_svd(_images(bundle, amps[m:m + 1])[0].T)
+        shift[m] = np.abs(label_p - eye[m]).sum()
         bound[m] = np.inf
         _, rho_out, _, _, residual[m] = settled
         labels[m] = rho_out.entries.diagonal().real

@@ -1,6 +1,7 @@
 """Write every report of a fixed command set, for byte-for-byte diffs.
 
     PYTHONPATH=src python tests/report_corpus.py OUTDIR
+    PYTHONPATH=src python tests/report_corpus.py --compare OLD NEW
 
 For each command of :func:`commands` the report is written as YAML to
 ``OUTDIR/<name>.yaml`` and as ``--json`` to ``OUTDIR/<name>.json``, each
@@ -11,6 +12,12 @@ a script, it pins BLAS to one thread, as the benchmark does.  Apart from
 the test helpers that build the edge sets, it calls ``ctcsim.cli.main``
 and patches ``cli._timestamp`` alone, so it runs against the ``ctcsim``
 of any tree that ``PYTHONPATH`` names.
+
+``--compare`` reads two such corpora for a change that may move floats
+(:func:`compare_corpora`): every status file, key, integer, boolean and
+string (names and digests) must be equal, and every fidelity within
+``FIDELITY_MOVE``.  It prints the largest move of each float key and
+exits 1 on any difference.
 
 The commands: the seed-3 and seed-7 rounds of every benchmark workload,
 every demo config (``fixed-point`` also under ``--policy max_entropy``),
@@ -24,6 +31,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -35,6 +44,7 @@ if __name__ == "__main__":
         os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
+import yaml  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
@@ -45,6 +55,9 @@ from ctcsim import cli  # noqa: E402
 from ctcsim.linalg import condition2_threshold  # noqa: E402
 
 TIMESTAMP = "2000-01-01T00:00:00Z"
+# the largest move a fidelity may make between two compared corpora
+FIDELITY_MOVE = 1e-12
+FIDELITY_KEYS = ("fidelity", "fidelity_to_basis")
 DEMO_CONFIGS = ROOT / "demos" / "configs"
 
 
@@ -122,7 +135,79 @@ def write_corpus(outdir: Path, names=None) -> list[str]:
     return names
 
 
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
+def _documents(path: Path) -> list:
+    """The parsed report: one YAML document, or one JSON value a line."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        return [json.loads(line) for line in text.splitlines()]
+    return [yaml.safe_load(text)]
+
+
+def _walk(old, new, key: str, where: str, moves: dict, problems: list):
+    """Compare two parsed values; a float's move is recorded under the
+    nearest mapping key above it, any other difference in `problems`."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if list(old) != list(new):
+            problems.append(f"{where}: keys {list(old)} != {list(new)}")
+            return
+        for k in old:
+            _walk(old[k], new[k], str(k), f"{where}.{k}", moves, problems)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            problems.append(f"{where}: {len(old)} != {len(new)} items")
+            return
+        for i, (a, b) in enumerate(zip(old, new)):
+            _walk(a, b, key, f"{where}[{i}]", moves, problems)
+    elif type(old) is float and type(new) is float:
+        same = old == new or (math.isnan(old) and math.isnan(new))
+        move = 0.0 if same else abs(old - new)
+        move = math.inf if math.isnan(move) else move
+        moves[key] = max(moves.get(key, 0.0), move)
+        if key in FIDELITY_KEYS and move > FIDELITY_MOVE:
+            problems.append(f"{where}: fidelity moved by {move:.3e}")
+    elif type(old) is not type(new) or old != new:
+        problems.append(f"{where}: {old!r} != {new!r}")
+
+
+def compare_corpora(old, new) -> tuple[list[str], dict[str, float]]:
+    """Compare the corpora in directories `old` and `new`.
+
+    Returns the differences that fail the comparison and the largest
+    move of each float key.  Every report and status file must exist in
+    both; status files (exit code and stderr) must be equal byte for
+    byte; reports must have the same structure, keys and non-float
+    values, and no fidelity may move by more than ``FIDELITY_MOVE``.
+    """
+    old, new = Path(old), Path(new)
+    names = {p.name for p in old.iterdir() if p.is_file()}
+    others = {p.name for p in new.iterdir() if p.is_file()}
+    problems = [f"{name}: only in {old}" for name in sorted(names - others)]
+    problems += [f"{name}: only in {new}" for name in sorted(others - names)]
+    moves: dict[str, float] = {}
+    for name in sorted(names & others):
+        a, b = old / name, new / name
+        if name.endswith(".status"):
+            if a.read_bytes() != b.read_bytes():
+                problems.append(f"{name}: status differs")
+            continue
+        _walk(_documents(a), _documents(b), "", name, moves, problems)
+    return problems, moves
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        problems, moves = compare_corpora(argv[1], argv[2])
+        for key in sorted(moves):
+            print(f"{key:24s} largest move {moves[key]:.3e}")
+        for problem in problems:
+            print(f"DIFFERS {problem}")
+        print(f"{len(problems)} differences")
+        return 1 if problems else 0
+    if len(argv) != 1:
         sys.exit(__doc__)
-    print(f"{len(write_corpus(Path(sys.argv[1])))} commands written")
+    print(f"{len(write_corpus(Path(argv[0])))} commands written")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

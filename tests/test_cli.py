@@ -880,10 +880,10 @@ def second_call_peak(argv):
 
 @pytest.mark.parametrize("n", [32, 64])
 def test_distinguish_holds_one_stack_and_one_real_chain_array(tmp_path, n):
-    # the U_k stack, 16 N^3 bytes, is built once and held with no copy,
-    # and the chains take one real N^3 array, half of that; the parsed
-    # config is not held beside them.  Its rows are flow sequences, read
-    # by json.loads: a block-style config of N = 32 takes more to load
+    # the bound of one U_k stack, 16 N^3 bytes, and one real N^3 chain
+    # array; a discrimination now holds neither, and the parsed config is
+    # not held beside its arrays.  Its rows are flow sequences, read by
+    # json.loads: a block-style config of N = 32 takes more to load
     states = random_state_set(n, np.random.default_rng(n))
     cfg = write(tmp_path, f"haar{n}.json", json.dumps({"state_set": [
         [[z.real, z.imag] for z in s.amplitudes.tolist()] for s in states]}))

@@ -1,8 +1,9 @@
 import json
 
+import pytest
 import yaml
 
-from report_corpus import TIMESTAMP, write_corpus
+from report_corpus import TIMESTAMP, compare_corpora, main, write_corpus
 
 # one benchmark command, a demo, example and an edge set of condition 2
 SUBSET = ["bench-distinguish-large-3-0", "demo-distinguish_three_state",
@@ -35,3 +36,43 @@ def test_json_lines_hold_the_yaml_report(tmp_path):
         assert json.loads(lines[0]) == report
         for line, run in zip(lines[1:], runs):
             assert json.loads(line) == run
+
+
+def _hand_corpus(path, fidelity=0.75, residual=1e-17, decoded=1, stderr=""):
+    # one --json report (a header line and one run), its YAML twin and
+    # their status files
+    path.mkdir()
+    header = {"command": "distinguish", "state_set_sha256": "ab12"}
+    run = {"decoded": decoded, "unique": True, "residual": residual,
+           "fidelity_to_basis": fidelity}
+    (path / "r.json").write_text(
+        json.dumps(header) + "\n" + json.dumps(run) + "\n", encoding="utf-8")
+    (path / "r.yaml").write_text(
+        yaml.safe_dump({**header, "runs": [run]}, sort_keys=False),
+        encoding="utf-8")
+    for name in ("r.json.status", "r.yaml.status"):
+        (path / name).write_text(f"exit 0\n{stderr}", encoding="utf-8")
+    return path
+
+
+def test_compare_lists_float_moves_and_fails_on_any_other_difference(tmp_path):
+    old = _hand_corpus(tmp_path / "old")
+    same = _hand_corpus(tmp_path / "same", fidelity=0.75 + 4e-13,
+                        residual=3e-17)
+    problems, moves = compare_corpora(old, same)
+    assert problems == []
+    assert moves["residual"] == pytest.approx(2e-17)
+    assert 3e-13 < moves["fidelity_to_basis"] < 5e-13
+    assert main(["--compare", str(old), str(same)]) == 0
+    changed = {
+        "fidelity": dict(fidelity=0.75 + 2e-12),
+        "decoded": dict(decoded=2),
+        "stderr": dict(stderr="warning\n"),
+    }
+    for name, change in changed.items():
+        new = _hand_corpus(tmp_path / name, **change)
+        problems, _ = compare_corpora(old, new)
+        assert len(problems) == 2, problems  # the YAML and the --json report
+        assert main(["--compare", str(old), str(new)]) == 1
+    (same / "r.json").unlink()
+    assert compare_corpora(old, same)[0] == [f"r.json: only in {old}"]
