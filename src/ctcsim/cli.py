@@ -417,9 +417,9 @@ _ODD, _INT, _TEXT = 2, 3, 4
 # one number's or text's place in a layout
 _SLOT = "\0"
 # a wrap group: the items of a flow collection that might reach column
-# 80, separated by _SEP between two _GROUPs, whose line breaks _flow
-# decides once their texts are known
-_GROUP, _SEP = "\x1d", "\x1e"
+# 80, with ", " between them and a _GROUP on each side, whose line breaks
+# _flow decides once their texts are known; no item holds a comma
+_GROUP = "\x1d"
 
 
 class _Template:
@@ -453,14 +453,19 @@ def _scalar_item(t: _Template, values: list, text):
     written by `text`, and its greatest length: a _SLOT, whose column
     `t` now holds, unless there is one value or every value's text is
     the same."""
-    code = _number_code(values) if len(values) > 1 else None
+    types = set(map(type, values))
+    code = _number_code(values, types) if len(values) > 1 else None
     if code is not None:
         t.columns.append(np.array(values, dtype=float)[:, None])
         t.codes.append(code)
         # the longest int text is the smallest or the largest int's
         return _SLOT, (max(len(str(min(values))), len(str(max(values))))
                        if code == _INT else _FLOAT_CHARS)
-    texts = list(map(text, values))
+    if len(types) == 1 and values.count(values[0]) == len(values):
+        # equal values of one type, such as bools or names, have one text
+        texts = [text(values[0])]
+    else:
+        texts = list(map(text, values))
     if texts.count(texts[0]) == len(texts):
         return texts[0], len(texts[0])
     t.texts.append((len(t.codes), iter(texts)))
@@ -493,18 +498,18 @@ def _flow_items(col: int, items: list, indent: int):
     """The text between the brackets, opened at column `col`, of a flow
     collection of `items`, each a text and its greatest length, and its
     wrap group: (`col`, `indent`), or None where no line can break."""
-    texts = [text for text, _ in items]
+    body = ", ".join([text for text, _ in items])
     # the column after the last comma decides whether any line breaks
     last = col + sum(width + 2 for _, width in items[:-1]) - 1
     if max(col, last) <= _WIDTH:
-        return ", ".join(texts), None
-    return _GROUP + _SEP.join(texts) + _GROUP, (col, indent)
+        return body, None
+    return _GROUP + body + _GROUP, (col, indent)
 
 
-def _number_code(values: list):
-    """The slot code of `values`: 0 if every value is a float, _INT if
-    every one is an int a float holds exactly, else None."""
-    types = set(map(type, values))
+def _number_code(values: list, types: set):
+    """The slot code of `values`, whose types are `types`: 0 if every
+    value is a float, _INT if every one is an int a float holds exactly,
+    else None."""
     if all(issubclass(t, float) for t in types):
         return 0
     if types == {int} and -_EXACT_INT <= min(values) and max(values) <= _EXACT_INT:
@@ -574,8 +579,7 @@ def _filled(t: _Template):
     for text in _formatted(layout, matrix, t.codes, t.tag, t.texts):
         if t.groups:
             parts = text.split(_GROUP)
-            parts[1::2] = [_flow(col, items.split(_SEP), indent)
-                           for (col, indent), items in zip(t.groups, parts[1::2])]
+            parts[1::2] = map(_flow, t.groups, parts[1::2])
             text = "".join(parts)
         yield text
 
@@ -600,12 +604,15 @@ def _formatted(layout: str, matrix, kinds, tag: str, texts):
             row[k] = next(column)
         key = row_codes.tobytes()
         if key not in templates:
-            # each slot's mark becomes its code, and each code its format
+            # each slot's mark becomes its code, and each code that the
+            # row holds its format
             marks[slots] = row_codes
             template = marks.tobytes().decode()
             for code, form in enumerate(_FORMATS):
-                template = template.replace(chr(code), form)
-            templates[key] = template, np.flatnonzero(row_codes == _ODD).tolist()
+                if code in key:
+                    template = template.replace(chr(code), form)
+            templates[key] = template, (np.flatnonzero(row_codes == _ODD).tolist()
+                                        if _ODD in key else ())
         template, odd = templates[key]
         for k in odd:
             row[k] = _float_text(format(row[k], ".17g"), tag)
@@ -624,37 +631,44 @@ def _float_codes(a):
     mag = np.abs(a)
     fits = mag < 1e16
     whole &= fits
+    codes = whole.view(np.int8)
     # a non-integral value from 1e-4 up to 1e16 is written with its '.'
     rest = np.flatnonzero(~(whole | fits & (mag >= 1e-4)))
-    codes = whole.view(np.int8)
     if rest.size:
-        # inf / inf and a subnormal's zero scale warn
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = mag.reshape(-1)[rest]
-            mantissa = t / 10.0 ** np.floor(np.log10(t))
-            plain = ((t < 1e-4) & (t >= 1e-300)
-                     & (np.abs(mantissa - np.rint(mantissa)) > 1e-13))
-            codes.reshape(-1)[rest[~plain]] = 2
+        codes.reshape(-1)[rest] = 2
+        t = mag.reshape(-1)[rest]
+        # the finite values below 1e-4 whose scale a float holds, the
+        # only ones whose mantissa is taken, so that nothing warns
+        tiny = (t < 1e-4) & (t >= 1e-300)
+        t = t[tiny]
+        mantissa = t / 10.0 ** np.floor(np.log10(t))
+        plain = np.abs(mantissa - np.rint(mantissa)) > 1e-13
+        codes.reshape(-1)[rest[tiny][plain]] = 0
     return codes
 
 
-def _flow(col: int, texts: list, indent: int) -> str:
-    """The items `texts` of a flow collection whose opening bracket ends at
-    column `col`, as they go between its brackets: a line breaks before
-    an item once the column passes 80, and goes on at `indent`."""
-    pieces = []
-    sep = ""
-    for t in texts:
-        if col > _WIDTH:
-            sep += "\n" + " " * indent
-            col = indent
-        elif sep:
-            sep += " "
-            col += 1
-        pieces.append(sep + t)
-        col += len(t) + 1  # and the comma before the next item
-        sep = ","
-    return "".join(pieces)
+def _flow(group: tuple, text: str) -> str:
+    """The items of a flow collection, `text` with ", " between them,
+    as they go between its brackets, for its wrap group (col, indent):
+    its opening bracket ends at column col, and a line breaks before an
+    item once the column passes 80, going on at indent.  So a line ends
+    at its first comma past column 80, found by one search a line; a
+    bracket past column 80 puts even the first item on a new line."""
+    col, indent = group
+    lead = ""
+    if col > _WIDTH:
+        lead, col = "\n" + " " * indent, indent
+    end = text.find(",", max(_WIDTH - col, 0))
+    if end < 0:
+        return lead + text
+    lines = []
+    start, room = 0, max(_WIDTH - indent, 0)
+    while end >= 0:
+        lines.append(text[start:end + 1])
+        start = end + 2
+        end = text.find(",", start + room)
+    lines.append(text[start:])
+    return lead + ("\n" + " " * indent).join(lines)
 
 
 def _run_count(header: dict, runs: dict) -> int:

@@ -64,7 +64,6 @@ from .linalg import (
     StateSet,
     UnitaryMatrix,
     _as_vector,
-    condition2_room,
     condition2_threshold,
     unitary_from_first_column,
 )
@@ -263,7 +262,7 @@ def build_uk(states: StateSet, k: int) -> UnitaryMatrix:
     if not 0 <= k < n:
         raise DimensionError(f"index {k} out of range for a set of {n} states")
     amps = states.amplitudes
-    _, least = condition2_room(states)
+    least = states.least_room[2]
     order = list(range(n))
     order[0], order[k] = k, 0
     w = unitary_from_first_column(amps[k]).entries
@@ -335,15 +334,16 @@ def _images(bundle: DistinguisherBundle, psis: np.ndarray) -> np.ndarray:
     if dense_ks.size < n:
         np.conjugate(images, out=images)
         tail = images[..., ::-1]
-        np.cumsum(tail, axis=2, out=tail)
+        np.add.accumulate(tail, axis=2, out=tail)
         images *= bundle._coef
         # sub[k, r] psi_b[r - 1]; sub[k, 0] = 0 takes psi_b[-1]
-        shifted = np.concatenate((psis[:, -1:], psis[:, :-1]), axis=1)
-        images += bundle._sub * shifted[:, None, :]
-        ks = np.arange(n)
-        row0 = images[:, :, 0].copy()
-        images[:, :, 0] = images[:, ks, ks]
-        images[:, ks, ks] = row0
+        images += bundle._sub * psis[:, None, np.arange(-1, n - 1)]
+        # rows 0 and k of each U_k exchanged, as the strided views of
+        # entries (k, 0) and (k, k)
+        flat = images.reshape(len(psis), n * n)
+        first = flat[:, ::n].copy()
+        flat[:, ::n] = flat[:, ::n + 1]
+        flat[:, ::n + 1] = first
     if dense_ks.size:
         images[:, dense_ks] = np.einsum("kjc,bc->bkj", bundle._dense, psis)
     return images
@@ -398,7 +398,7 @@ def _measure_deviation(bundle: DistinguisherBundle) -> np.ndarray:
 def build_distinguisher(states: StateSet) -> DistinguisherBundle:
     """Construct per-index unitaries for every k and bundle them.
 
-    The first k whose least room (:func:`ctcsim.linalg.condition2_room`)
+    The first k whose least room (:attr:`ctcsim.linalg.StateSet.least_room`)
     falls short raises :class:`Condition2Exhausted` before any completion.
     Every first attempt is taken in closed form
     (:func:`_first_completions`); a k the form does not serve, or whose
@@ -408,14 +408,14 @@ def build_distinguisher(states: StateSet) -> DistinguisherBundle:
     they are measured once.  The (N, N, N) stack and the circuit
     :attr:`DistinguisherBundle.total` are formed only when they are read.
     """
-    room, least = condition2_room(states)
-    k = int(np.argmax(room.min(axis=0) < least))
-    j = int(np.argmin(room[:, k]))
-    if room[j, k] < least:
-        infidelity = room[j, k] / np.linalg.norm(states.amplitudes[j]) ** 2
+    rooms, first, least = states.least_room
+    k = int(np.argmax(rooms < least))
+    j = int(first[k])
+    if rooms[k] < least:
+        infidelity = rooms[k] / np.linalg.norm(states.amplitudes[j]) ** 2
         raise Condition2Exhausted(
             f"members {j} and {k} have 1 - F = {infidelity:.3e}, which keeps "
-            f"overlap^2 of U_{k} from exceeding {condition2_threshold(len(room)):.3e}")
+            f"overlap^2 of U_{k} from exceeding {condition2_threshold(len(rooms)):.3e}")
     n = states.size
     coef, sub, served = _first_completions(states.amplitudes)
     bundle = DistinguisherBundle._from_parts(
@@ -535,49 +535,56 @@ def _residuals(images: np.ndarray, moved: np.ndarray) -> np.ndarray:
     rows' half of the images, so that no more than a block of arrays
     exists beside them."""
     half = images.shape[2] // 2
-    out = np.zeros(len(images))
+    peaks = []
     for i, j in ((slice(half), slice(None)), (slice(half, None),) * 2):
         rows = images[:, :, i] * moved[:, :, None]
         np.conjugate(rows, out=rows)
         part = np.matmul(rows.transpose(0, 2, 1), images[:, :, j])
-        np.maximum(out, np.abs(part).max(axis=(1, 2), initial=0), out=out)
-        del rows, part
-    return out
+        # the rows are freed before the moduli take their place
+        del rows
+        peaks.append(np.abs(part).max(axis=(1, 2), initial=0))
+        del part
+    return np.maximum(*peaks)
 
 
 def _member_block(bundle: DistinguisherBundle, block: slice, eye: np.ndarray,
                   p, moved, minorization, column_miss, drift,
                   residual) -> None:
     """Members `block` of :func:`distinguish_members`: their images and
-    chains, the bordered solve for right-hand side e_0 (column 0 of `eye`)
+    chains, the bordered solve for right-hand side e_0 (row 0 of `eye`)
     and its check, and the residuals, written into rows `block` of the
     pass's arrays."""
     amps = bundle.state_set.amplitudes
     n = len(amps)
+    start = block.start
     images = _images(bundle, amps[block])
-    # t[b, k, j] = T_m[j, k] = |<j|U_k|psi_m>|^2 for m = block.start + b
+    # t[b, k, j] = T_m[j, k] = |<j|U_k|psi_m>|^2 for m = start + b
     t = np.square(images.real)
     t += np.square(images.imag)
-    # T_m[m, k] and T_m[j, m], as [k, b] and [j, b]; each sum runs along
-    # its rows, whatever the block size
-    minorization[block] = np.diagonal(t, block.start, 0, 2).min(axis=0)
-    column_miss[block] = np.abs(np.diagonal(t, block.start, 0, 1).T
-                                - eye[block]).sum(axis=1)
-    drift[block] = np.abs(t.sum(axis=2) - 1).max(axis=1)
-    row0 = t[:, :, 0] - eye[0]
-    # the bordered systems, in place; a member without a certificate
-    # solves the identity instead
-    t.reshape(-1, n * n)[:, ::n + 1] -= 1
+    # T_m[m, k] as [k, b] and the column sums, each along its rows,
+    # whatever the block size
+    least = minorization[block] = t.diagonal(start, 0, 2).min(axis=0)
+    sums = t.sum(axis=2)
+    sums -= 1
+    np.abs(sums, out=sums)
+    worst = drift[block] = sums.max(axis=1)
+    # the bordered systems, in place: T_m - I, then row 0 replaced by
+    # ones; (T_m - I)[j, m] as [j, b]
+    t -= eye
+    column_miss[block] = np.abs(t.diagonal(start, 0, 1)).sum(axis=0)
+    row0 = t[:, :, 0].copy()
     t[:, :, 0] = 1
-    singular = minorization[block] <= 2 * drift[block] + n * _EPS
-    if singular.any():
-        t[singular] = eye
+    # a member without a certificate solves the identity instead; the
+    # block's least eps_m and largest delta_m tell whether any lacks one
+    # (Python's min and max are the quicker on a few members)
+    if min(least.tolist()) <= 2 * max(worst.tolist()) + n * _EPS:
+        t[least <= 2 * worst + n * _EPS] = eye
     bordered = t.transpose(0, 2, 1)
-    p[block] = np.linalg.solve(bordered, eye[:, :1])[..., 0]
-    p[block] /= p[block].sum(axis=1, keepdims=True)
-    moved[block] = np.matmul(bordered, p[block, :, None])[..., 0]
+    solved = np.linalg.solve(bordered, eye[0])
+    np.divide(solved, solved.sum(axis=1, keepdims=True), out=p[block])
+    np.matmul(bordered, p[block, :, None], out=moved[block, :, None])
     moved[block, 0] = (row0 * p[block]).sum(axis=1)
-    del t, bordered
+    del t, bordered, solved
     residual[block] = _residuals(images, moved[block])
 
 
@@ -651,8 +658,9 @@ def distinguish_members(bundle: DistinguisherBundle) -> MemberResults:
     weight_tol = np.full(n, np.inf)
     np.divide(n * _EPS, minorization, out=weight_tol, where=certified)
     weight_tol += TOL_PSD
-    negative = certified & (p.min(axis=1) < -weight_tol)
-    failed = negative | (certified & (residual > deutsch.TOL_FIX))
+    # an uncertified member's tolerance is infinite
+    negative = p.min(axis=1) < -weight_tol
+    failed = negative | certified & (residual > deutsch.TOL_FIX)
     first = int(np.argmax(failed)) if failed.any() else n
     for m in np.flatnonzero(~certified[:first]):
         label_p, _, settled = _settle_by_svd(_images(bundle, amps[m:m + 1])[0].T)

@@ -26,6 +26,7 @@ every pair leaves condition (2) of the discrimination circuit the room
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Literal, Sequence
 
 import numpy as np
@@ -107,7 +108,9 @@ class UnitaryMatrix(_SquareMatrix):
 class StateSet:
     """N states in an N-dimensional space, member k being row k of the
     read-only N x N array `amplitudes`; members read back as
-    :class:`StateVector`."""
+    :class:`StateVector`.  `least_room` is measured on first read and
+    kept, so that ``validate`` and the discrimination circuit built on
+    the set share one :func:`condition2_room`."""
 
     amplitudes: np.ndarray
 
@@ -138,6 +141,18 @@ class StateSet:
 
     def __getitem__(self, k: int) -> StateVector:
         return StateVector(self.amplitudes[k])
+
+    @cached_property
+    def least_room(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """For each member k, the least room min_j room[j, k] of
+        :func:`condition2_room` and the first j that reaches it, and the
+        least room condition (2) needs."""
+        room, least = condition2_room(self)
+        first = room.argmin(axis=0)
+        rooms = room[first, np.arange(len(room))]
+        rooms.setflags(write=False)
+        first.setflags(write=False)
+        return rooms, first, least
 
 
 def _as_vector(v) -> np.ndarray:
@@ -339,8 +354,8 @@ def validate(obj) -> ValidityReport:
         ))
     if isinstance(obj, StateSet):
         worst_norm = np.abs(np.linalg.norm(obj.amplitudes, axis=1) - 1.0).max()
-        room, least = condition2_room(obj)
-        worst = float(room.min())
+        rooms, _, least = obj.least_room
+        worst = float(rooms.min())
         return ValidityReport("StateSet", (
             _check("members_normalized", worst_norm, TOL_NORM),
             InvariantCheck("distinct", worst >= least, worst, least),

@@ -14,7 +14,10 @@ import pytest
 import yaml
 
 from conftest import ReportDumper, as_lists, json_lines, run_rows
-from ctcsim import cli, deutsch, discrimination, superpose
+# report_corpus puts the repository root on the path, for the benchmark's
+# own config writer
+from report_corpus import build_round
+from ctcsim import cli, deutsch, discrimination, linalg, superpose
 from ctcsim.cli import main
 from ctcsim.sampling import haar_unitary, random_density_matrix, random_state_set
 
@@ -183,6 +186,24 @@ def test_superpose_sweep_builds_one_distinguisher(tmp_path, capsys,
     assert len(yaml.safe_load(capsys.readouterr().out)["runs"]) == 9
     assert calls == {"build_distinguisher": 1, "distinguish_members": 1,
                      "distinguish": 0, "build_u_prime": 0, "fixed_point": 0}
+
+
+@pytest.mark.parametrize("command", ["distinguish", "superpose"])
+def test_state_set_commands_measure_the_room_once(tmp_path, capsys,
+                                                  monkeypatch, command):
+    # validate and the discrimination circuit built on the set share one
+    # measurement of condition 2's room, kept on the StateSet
+    calls = []
+    real = linalg.condition2_room
+    counted = lambda states: calls.append(states) or real(states)
+    monkeypatch.setattr(linalg, "condition2_room", counted)
+    # where a module of its own might call it
+    monkeypatch.setattr(discrimination, "condition2_room", counted,
+                        raising=False)
+    cfg = haar_config(tmp_path, 5, 55, alpha=[0.6, 0.2], beta=[-0.3, 0.7])
+    assert main([command, cfg]) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_distinguish_builds_no_superoperator(tmp_path, capsys, monkeypatch):
@@ -393,6 +414,27 @@ def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
     for dumper in (ReportDumper, _PurePythonDumper):
         assert printed == yaml.dump(report, Dumper=dumper, sort_keys=False,
                                     default_flow_style=None)
+
+
+def distinguish_large_configs(tmp_path, seed=7):
+    """The configs of one round of the benchmark's distinguish-large, as
+    it writes them: seeded Haar sets at N = 12, 16 and 16, each amplitude
+    an [re, im] pair of 17-digit floats on a row a member."""
+    return [cmd.argv[1] for cmd in build_round("distinguish-large", seed,
+                                               tmp_path)]
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["N=12", "N=16"])
+def test_benchmark_distinguish_report_is_the_report_dumpers(tmp_path, capsys,
+                                                           index):
+    # at the benchmark's sizes the condition_overlaps rows wrap, and the
+    # runs are flow mappings past column 80 whose residuals, near 1e-16,
+    # take the writer's exponent branch
+    cfg = distinguish_large_configs(tmp_path)[index]
+    assert main(["distinguish", cfg]) == 0
+    printed = capsys.readouterr().out
+    assert printed == yaml.dump(yaml.safe_load(printed), Dumper=ReportDumper,
+                                sort_keys=False, default_flow_style=None)
 
 
 @pytest.mark.parametrize("argv", [
@@ -889,6 +931,23 @@ def test_distinguish_holds_one_stack_and_one_real_chain_array(tmp_path, n):
         [[z.real, z.imag] for z in s.amplitudes.tolist()] for s in states]}))
     peak = second_call_peak(["distinguish", cfg, "--out", str(tmp_path / "out")])
     assert peak < 1.8 * 16 * n**3
+
+
+# the second-call peaks, in bytes, of the seed-7 distinguish-large
+# configs at N = 12 and 16 (45.6 and 71.0 KB) before the member pass took
+# fewer numpy calls a block and the writer less fixed cost a template,
+# measured as this test measures them
+WARM_DISTINGUISH_PEAKS = {0: 45_632, 1: 70_963}
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["N=12", "N=16"])
+def test_warm_distinguish_peak_holds_at_its_measured_value(tmp_path, index):
+    # an allocation added to the member pass or the writer shows here
+    # before it reaches the benchmark's peak_mem_mb, which the N = 16
+    # command sets when the round runs warm
+    cfg = distinguish_large_configs(tmp_path)[index]
+    peak = second_call_peak(["distinguish", cfg, "--out", str(tmp_path / "out")])
+    assert peak <= 1.02 * WARM_DISTINGUISH_PEAKS[index], peak
 
 
 def test_fixed_point_holds_no_config_beside_its_superoperators(tmp_path):
