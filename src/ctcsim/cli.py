@@ -843,7 +843,7 @@ def cmd_fixed_point(args) -> tuple[dict, dict, bool]:
         "residual": [float(result.residual)],
         "fixed_space_dim": [result.fixed_space_dim],
         "unique": [bool(result.unique)],
-        "entropy_nats": [deutsch.von_neumann_entropy(result.fixed_point)],
+        "entropy_nats": [result.entropy_nats],
     }
     header = {"policy": policy, "unitary_sha256": _sha256(u),
               "rho_cr_sha256": _sha256(rho)}

@@ -30,17 +30,9 @@ would give.  Otherwise the null space is taken by a full SVD, whose
 null vectors are Hermitian matrices (Stewart, Introduction to the
 Numerical Solution of Markov Chains, 1994, for the bordered system).
 
-This path holds at most two n x n arrays, n = d^2.  L is assembled in
-Fortran order, a slab of output pairs at a time, and B overwrites it in
-place; L's row 0 and diagonal are saved, so that writing them back
-restores L when B is singular, |A x| is too large, or a pre-check shows
-that the factorization cannot complete: s_min(B) <= |v^T B| / |v| for v
-the indicator of the diagonal rows 1 .. d-1, with the rounding of fl(v^T B)
-bounded.  Since a completed factorization would prove the opposite, the
-pre-check changes no verdict; the identity and block channels, which
-conserve sigma_00, take it.  Otherwise fl(B^T B) is formed and B
-dropped before the factorization, and L is assembled again only if
-that fails.
+This path holds at most two n x n arrays, n = d^2: B overwrites L in
+place, and L is restored, or assembled again, only for the SVD
+(:func:`_certified_fixed_point`).
 
 When the fixed space has more than one dimension, the ``max_entropy``
 policy applies Deutsch's maximum-entropy rule.  It starts from the
@@ -50,7 +42,12 @@ state.  On that support it takes damped Newton steps over the traceless
 fixed directions until the entropy gradient (the KKT certificate) is
 below ``_KKT_TOL``.  If ``_MAX_NEWTON`` steps do not get it there, or
 a step still leaves the cone after ``_MAX_HALVINGS`` halvings, it raises
-:class:`NoFixedPointNumerical`.
+:class:`NoFixedPointNumerical`.  Such a run holds L, then the SVD's two
+n x n factors, and the k - 1 directions as complex d x d matrices, formed
+and compressed to the support once (k the fixed-space dimension).  Each
+Newton step takes one eigh of the trial state, one solve of the k - 1
+Hessian system and one rotation of the directions into the new
+eigenbasis.
 """
 
 from __future__ import annotations
@@ -81,6 +78,7 @@ _MAX_NEWTON = 50
 _MAX_HALVINGS = 60
 # output pairs a slab of the assembly forms at once
 _SLAB = 32
+_SCALE = 1 / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -90,12 +88,14 @@ class FixedPointResult:
     `residual` is the max-entry norm of sigma - map(sigma);
     `fixed_space_dim` is the dimension of the eigenvalue-1 eigenspace of
     the linearized map, and `unique` is true iff it is 1.
+    `entropy_nats` comes from the spectrum that checked it PSD.
     """
 
     fixed_point: DensityMatrix
     residual: float
     fixed_space_dim: int
     unique: bool
+    entropy_nats: float
 
 
 def _split_dims(u: np.ndarray, rho_cr: np.ndarray) -> tuple[int, int]:
@@ -138,7 +138,8 @@ def output_state(u, rho_cr, sigma) -> DensityMatrix:
 def consistency_residual(u, rho_cr, sigma) -> float:
     """Max-entry norm of sigma - map(sigma)."""
     sigma = _as_matrix(sigma)
-    return float(np.abs(sigma - ctc_map(u, rho_cr, sigma).entries).max())
+    joint, cr_dim, ctc_dim = _conjugate(u, rho_cr, sigma)
+    return float(np.abs(sigma - partial_trace(joint, cr_dim, ctc_dim, "second")).max())
 
 
 def superoperator_matrix(u, rho_cr) -> np.ndarray:
@@ -221,20 +222,28 @@ def _hermitian_superoperator(u, rho_cr) -> np.ndarray:
     return real
 
 
-def _hermitian(x: np.ndarray, dim: int) -> np.ndarray:
+def _hermitian(x: np.ndarray, index) -> np.ndarray:
     """Hermitian matrices from coordinates along the last axis of x."""
-    diag, up, low = _hermitian_index(dim)
-    z = (x[..., dim:dim + up.size] + 1j * x[..., dim + up.size:]) / np.sqrt(2)
-    vec = np.zeros(x.shape[:-1] + (dim * dim,), dtype=complex)
-    vec[..., diag], vec[..., up], vec[..., low] = x[..., :dim], z, z.conj()
-    # + 0.0 turns the signed zeros of conj() and of the SVD into 0.0
-    return vec.reshape(x.shape[:-1] + (dim, dim)).swapaxes(-1, -2) + 0.0
+    diag, up, low = index
+    dim, m = diag.size, up.size
+    h = np.zeros(x.shape[:-1] + (dim * dim,), dtype=complex)
+    # C order puts the upper entries at low and their mirrors at up; the
+    # scale is the one numpy's complex division by sqrt(2) applies
+    h.real[..., low] = h.real[..., up] = x[..., dim:dim + m] * _SCALE
+    h.imag[..., low] = imag = x[..., dim + m:] * _SCALE
+    h.imag[..., up] = -imag
+    h.real[..., diag] = x[..., :dim]
+    h += 0.0  # the signed zeros of the SVD and of -imag become 0.0
+    return h.reshape(x.shape[:-1] + (dim, dim))
 
 
 def von_neumann_entropy(state) -> float:
     """Entropy -Tr(rho ln rho) in nats."""
     m = _as_matrix(state)
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    return _entropy(np.linalg.eigvalsh((m + m.conj().T) / 2))
+
+
+def _entropy(w: np.ndarray) -> float:
     w = w[w > 1e-15]
     # + 0.0 turns the -0.0 of a pure state into 0.0
     return float(-(w * np.log(w)).sum()) + 0.0
@@ -244,82 +253,83 @@ def _finalize(u, rho_cr, sigma: np.ndarray, fixed_space_dim: int) -> FixedPointR
     # the checks are written to fail on NaN
     if not np.isfinite(sigma).all():
         raise NoFixedPointNumerical("candidate fixed point is not finite")
-    eigmin = np.linalg.eigvalsh(sigma).min()
-    if not eigmin >= -TOL_PSD:
+    spectrum = np.linalg.eigvalsh(sigma)
+    if not spectrum[0] >= -TOL_PSD:
         raise NoFixedPointNumerical(
-            f"candidate fixed point has negative eigenvalue {eigmin:.3e}"
+            f"candidate fixed point has negative eigenvalue {spectrum[0]:.3e}"
         )
     residual = consistency_residual(u, rho_cr, sigma)
     if not residual <= TOL_FIX:
         raise NoFixedPointNumerical(
             f"candidate fixed point has residual {residual:.3e} > {TOL_FIX}"
         )
-    return FixedPointResult(
-        fixed_point=DensityMatrix(sigma),
-        residual=residual,
-        fixed_space_dim=fixed_space_dim,
-        unique=fixed_space_dim == 1,
-    )
+    return FixedPointResult(DensityMatrix(sigma), residual, fixed_space_dim,
+                            fixed_space_dim == 1, _entropy(spectrum))
 
 
 def _max_entropy_fixed_point(right: np.ndarray, left: np.ndarray,
-                             dim: int) -> np.ndarray:
+                             index) -> np.ndarray:
     """Entropy-maximizing element of the fixed-point set.
 
     `right` and `left` hold the real right and left null vectors of
-    (L - I) as columns; `right` is an orthonormal Hermitian basis of the
-    fixed space.  The spectral projector R (Ul^T R)^-1 Ul^T maps I/d to
-    the Cesaro limit of its orbit: a fixed state whose support contains
-    the support of every fixed state.  On that support the entropy is
-    strictly concave over the traceless fixed directions D_i, and Newton
-    steps, halved while they leave the positive-definite cone, drive its
-    gradient -Tr(D_i log sigma) to 0.  A step still outside the cone after
-    ``_MAX_HALVINGS`` halvings raises :class:`NoFixedPointNumerical` at
-    once, naming the step.
+    (L - I) as columns, `right` an orthonormal Hermitian basis of the
+    fixed space.  R (Ul^T R)^-1 Ul^T maps I/d to the Cesaro limit of its
+    orbit, whose support contains that of every fixed state.  A
+    Householder reflection taking the basis traces to e_0 gives the
+    orthonormal traceless directions D_i.  On the support the entropy is
+    strictly concave over them, and Newton steps, halved while they leave
+    the positive-definite cone, drive -Tr(D_i log sigma) to 0 in the
+    eigenbasis of sigma.  A step still outside the cone after
+    ``_MAX_HALVINGS`` halvings raises :class:`NoFixedPointNumerical`.
     """
-    mixed = np.zeros(dim * dim)
-    mixed[:dim] = 1 / dim
-    limit = right @ np.linalg.solve(left.T @ right, left.T @ mixed)
-    w, v = np.linalg.eigh(_hermitian(limit, dim))
+    dim = index[0].size
+    # Ul^T vec(I/d) sums the diagonal rows of Ul
+    limit = right @ np.linalg.solve(left.T @ right, left[:dim].sum(axis=0) / dim)
+    w, frame = np.linalg.eigh(_hermitian(limit, index))
     keep = w > TOL_PSD
-    support = v[:, keep]
-
-    _, _, vh = np.linalg.svd(right[:dim].sum(axis=0)[None, :])
-    directions = _hermitian(vh[1:] @ right.T, dim)
-    directions = support.conj().T @ directions @ support
-    directions = (directions + directions.conj().transpose(0, 2, 1)) / 2
-
+    frame = frame[:, keep]
     lam = w[keep] / w[keep].sum()
-    q = np.eye(lam.size, dtype=complex)
-    sigma = np.diag(lam).astype(complex)
+    v = right[:dim].sum(axis=0)
+    v[0] += math.copysign(math.sqrt(v @ v), v[0])
+    basis = np.outer(right @ v, v[1:] * (-2 / (v @ v)))
+    basis += right[:, 1:]
+    directions = _hermitian(basis.T, index)
+    del basis
+    directions = frame.conj().T @ directions
+    directions = directions @ frame
+    directions += directions.conj().swapaxes(1, 2)
+    directions *= 0.5
+    r = lam.size
     for newton in range(_MAX_NEWTON):
-        rotated = (q.conj().T @ directions @ q).reshape(len(directions), -1)
+        flat = directions.reshape(len(directions), r * r)
         log_lam = np.log(lam)
-        grad = -(rotated[:, :: lam.size + 1].real @ log_lam)
+        grad = -(flat[:, :: r + 1].real @ log_lam)
         if grad.size == 0 or np.abs(grad).max() < _KKT_TOL:
-            return support @ sigma @ support.conj().T
-        gap = np.subtract.outer(lam, lam)
-        flat = np.abs(gap) <= 1e-12 * lam.max()
-        gamma = np.where(
-            flat, 2 / np.add.outer(lam, lam),
-            np.subtract.outer(log_lam, log_lam) / np.where(flat, 1.0, gap),
-        )
+            sigma = (frame * lam) @ frame.conj().T
+            sigma += sigma.conj().T
+            sigma *= 0.5
+            return sigma
+        # (log lam_a - log lam_b) / (lam_a - lam_b), 1 / lam_a at a tie
+        gap = lam[:, None] - lam
+        gamma = 2 / (lam[:, None] + lam)
+        np.divide(log_lam[:, None] - log_lam, gap, out=gamma,
+                  where=np.abs(gap) > 1e-12 * lam[-1])
         # minus the Hessian of the entropy over the directions
-        hess = ((rotated.conj() * gamma.ravel()) @ rotated.T).real
-        step = np.tensordot(np.linalg.solve(hess, grad), directions, axes=1)
+        hess = ((flat.conj() * gamma.ravel()) @ flat.T).real
+        step = (np.linalg.solve(hess, grad) @ flat).reshape(r, r)
         for _ in range(_MAX_HALVINGS + 1):
-            trial = sigma + step
-            lam_t, q_t = np.linalg.eigh(trial)
-            if lam_t.min() > 0:
-                sigma, lam, q = trial, lam_t, q_t
+            lam_t, q = np.linalg.eigh(np.diag(lam) + step)
+            if lam_t[0] > 0:
                 break
-            step = step / 2
+            step *= 0.5
         else:
             raise NoFixedPointNumerical(
                 f"max-entropy Newton step {newton + 1} leaves the positive-"
                 f"definite cone after {_MAX_HALVINGS} halvings: smallest "
-                f"trial eigenvalue {lam_t.min():.3e}"
+                f"trial eigenvalue {lam_t[0]:.3e}"
             )
+        lam, frame = lam_t, frame @ q
+        directions = q.conj().T @ directions @ q
     raise NoFixedPointNumerical(
         f"max-entropy refinement not converged after {_MAX_NEWTON} Newton "
         f"steps: KKT gradient {np.abs(grad).max():.3e} > {_KKT_TOL}"
@@ -461,46 +471,35 @@ def _bordered_solution(bordered: np.ndarray, row: np.ndarray) -> np.ndarray | No
 def fixed_point(u, rho_cr, policy: Policy = "require_unique") -> FixedPointResult:
     """Solve the self-consistency condition for the CTC state.
 
-    The eigenvalue-1 eigenspace of the map on Hermitian matrices is the
-    null space of the real A = L - I, with singular-value cutoff
-    ``SVD_CUTOFF``.  A unique fixed point is taken from one LU solve of
-    the bordered B, A with row 0 replaced by the trace row: x = B^-1 e_0
-    is certified when a shifted Cholesky factorization proves
-    s_(n-1)(A) >= s_min(B) > ``SVD_CUTOFF`` and s_min(A) <= |A x| / |x|
-    <= ``SVD_CUTOFF``, which leave exactly one singular value null.  That
-    path holds at most two n x n arrays, n = d^2, and this function holds
-    no reference to L while it runs (:func:`_certified_fixed_point`).
-    Otherwise (a pre-check proving s_min(B) <= ``SVD_CUTOFF``, B singular,
-    the residual too large or the factorization failing) the null space
-    of L, restored or assembled again, is extracted by SVD
-    (:func:`null_space`), and a one-dimensional one gives its null vector
-    over its trace.  Under
-    ``require_unique`` a multi-dimensional fixed space raises
-    :class:`NonUniqueFixedPoint`; under ``max_entropy`` the
-    entropy-maximizing fixed density matrix is returned.  It is found
-    from the Cesaro limit of I/d, taken in closed form from the left and
-    right null vectors, by Newton steps on that state's support; a KKT
-    gradient still above ``_KKT_TOL`` after ``_MAX_NEWTON`` steps, or a
-    step outside the positive-definite cone after ``_MAX_HALVINGS``
-    halvings, raises :class:`NoFixedPointNumerical`.
+    The fixed space is the null space of A = L - I over Hermitian sigma,
+    with singular-value cutoff ``SVD_CUTOFF``: certified unique by the
+    bordered solve of the module docstring, holding at most two n x n
+    arrays, n = d^2, else taken by SVD (:func:`null_space`) from L,
+    restored or assembled again.  Under ``require_unique`` a fixed space
+    of more than one dimension raises :class:`NonUniqueFixedPoint`;
+    under ``max_entropy`` the entropy-maximizing fixed density matrix is
+    returned (:func:`_max_entropy_fixed_point`).  The Hermitian index of
+    d is formed once a call, for every conversion to a matrix.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     x, real = _certified_fixed_point(u, rho_cr)
+    index = _hermitian_index(math.isqrt(len(x if real is None else real)))
     if x is not None:
-        return _finalize(u, rho_cr, _hermitian(x, math.isqrt(x.size)), 1)
-    dim = math.isqrt(real.shape[0])
+        return _finalize(u, rho_cr, _hermitian(x, index), 1)
+    dim = index[0].size
     uu, _, vh, null_mask = null_space(real, "L", "fixed space")
-    fixed_space_dim = int(null_mask.sum())
-    if fixed_space_dim == 1:
-        x = vh[null_mask][0]
+    del real
+    k = int(null_mask.sum())  # the null singular values are the last k
+    if k == 1:
+        x = vh[-1]
         trace = x[:dim].sum()
         if abs(trace) < 1e-12:
             raise NoFixedPointNumerical(
                 "fixed-space eigenvector is traceless; no density-matrix solution"
             )
-        return _finalize(u, rho_cr, _hermitian(x / trace, dim), fixed_space_dim)
+        return _finalize(u, rho_cr, _hermitian(x / trace, index), k)
     if policy == "require_unique":
-        raise NonUniqueFixedPoint(fixed_space_dim)
-    sigma = _max_entropy_fixed_point(vh[null_mask].T, uu[:, null_mask], dim)
-    return _finalize(u, rho_cr, sigma, fixed_space_dim)
+        raise NonUniqueFixedPoint(k)
+    sigma = _max_entropy_fixed_point(vh[-k:].T, uu[:, -k:], index)
+    return _finalize(u, rho_cr, sigma, k)

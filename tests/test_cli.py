@@ -996,3 +996,24 @@ def test_only_cancelling_amplitudes_are_degenerate_at_any_scale(tmp_path, capsys
     # whose members could cancel is not distinct and fails validation
     for command in ("superpose", "example"):
         assert run_at_scale(tmp_path, capsys, command, scale)[0] == 0
+
+
+def test_fixed_point_command_decomposes_sigma_once(tmp_path, monkeypatch):
+    # the PSD check's spectrum also gives entropy_nats; the seed-7 Haar
+    # 2 x 8 config of the benchmark's fixed-point-mix
+    cmd = build_round("fixed-point-mix", 7, tmp_path)[0]
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert main(list(cmd.argv)) == 0
+    assert shapes.count((8, 8)) == 1, shapes
+    report = yaml.safe_load(Path(cmd.out).read_text())
+    run = report["runs"][0]
+    sigma = np.array([[complex(*z) for z in row] for row in run["fixed_point"]])
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert run["entropy_nats"] == deutsch.von_neumann_entropy(sigma)

@@ -656,6 +656,27 @@ def test_unique_fixed_point_holds_two_superoperators(ctc_dim):
     assert peak <= 1.05 * 2 * ctc_dim**4 * 8
 
 
+# the peak, in bytes, of the identity 2 x 16 under max_entropy (n = 256,
+# 6.27 n^2 doubles) once its directions were formed and compressed once;
+# it was 6 428 832 (12.3 n^2 doubles) before
+MAX_ENTROPY_IDENTITY_PEAK = 3_284_856
+
+
+def test_max_entropy_on_the_identity_holds_its_measured_peak():
+    u, rho = np.eye(32), _haar_circuit(2, 16)[1]
+    fixed_point(u, rho, policy="max_entropy")  # numpy's lazily built state
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = fixed_point(u, rho, policy="max_entropy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.fixed_space_dim == 256
+    assert np.abs(result.fixed_point.entries - np.eye(16) / 16).max() <= 1e-12
+    assert peak <= 1.05 * MAX_ENTROPY_IDENTITY_PEAK, peak
+
+
 @pytest.mark.parametrize("case, builds, factorizations", [
     (lambda: (np.eye(16), _haar_circuit(2, 8)[1]), 1, []),
     (lambda: _block_channel_case(3)[:2], 1, []),
