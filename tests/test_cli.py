@@ -1017,3 +1017,20 @@ def test_fixed_point_command_decomposes_sigma_once(tmp_path, monkeypatch):
     sigma = np.array([[complex(*z) for z in row] for row in run["fixed_point"]])
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     assert run["entropy_nats"] == deutsch.von_neumann_entropy(sigma)
+
+
+# the second-call peaks, in bytes, of the seed-7 fixed-point-mix configs:
+# the Haar 2 x 16 command sets the benchmark's peak_mem_mb; the identity
+# 2 x 8 under max_entropy peaked at 474 037 B before its directions were
+# formed and compressed once
+WARM_FIXED_POINT_PEAKS = {3: (1_080_511, 1.01), 6: (211_769, 1.02),
+                          4: (277_725, 1.02)}
+
+
+@pytest.mark.parametrize("index", [3, 6, 4],
+                         ids=["haar-2x16", "block-5x6", "identity-2x8"])
+def test_warm_fixed_point_peak_holds_at_its_measured_value(tmp_path, index):
+    cmd = build_round("fixed-point-mix", 7, tmp_path)[index]
+    peak = second_call_peak(list(cmd.argv))
+    bound, slack = WARM_FIXED_POINT_PEAKS[index]
+    assert peak <= slack * bound, peak
