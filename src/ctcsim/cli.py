@@ -12,14 +12,14 @@ each input array named by its SHA-256 (:func:`_sha256`) rather than
 printed, and the runs hold what each run computed.  Reports do not go
 through PyYAML's Python object layers.  They are rendered by
 :func:`_yaml_pieces` byte for byte as ``yaml.dump`` with libyaml would
-write them, 80-column wrap included, or with ``--json`` by
-:func:`_json_lines` as the header's JSON object on the first line and
-one object per run on each line after it.  The writer takes what the
-commands hand it and nothing else: a header whose values are floats,
-ints, names, digests, the timestamp, complex numbers and float or
-complex arrays, and runs as columns with an entry per run: lists of
-floats, ints, bools or names, and float, complex or int arrays (ints
-within 2**53) whose leading axis is the run.  Any other value, a
+write them with no line width, each flow collection on one line, or
+with ``--json`` by :func:`_json_lines` as the header's JSON object on
+the first line and one object per run on each line after it.  The writer
+takes what the commands hand it and nothing else: a header whose values
+are floats, ints, names, digests, the timestamp, complex numbers and
+float or complex arrays, and runs as columns with an entry per run:
+lists of floats, ints, bools or names, and float, complex or int arrays
+(ints within 2**53) whose leading axis is the run.  Any other value, a
 complex number in the runs, a nested list or mapping, None, an empty,
 0-d or bool array or arrays that differ in shape or dtype, raises
 TypeError.  A complex value is written as its [re, im] pair, by the
@@ -34,11 +34,10 @@ key quoted.  So both formats reject the same values.  A scalar with one
 text in every item is written into the template once.  A template's
 numbers are one float matrix, a row per item; one numpy pass finds the
 few floats, such as ``inf`` or ``1e+22``, that ``%.17g`` or ``%.1f``
-would not write, and each item is one ``%`` of its row.  A YAML flow
-row that might reach column 80 is filled with separators and broken by
-:func:`_flow`.  Each writer compiles both templates before it returns,
-so a rejected value raises TypeError before the first byte, and returns
-an iterator whose pieces, a run each, are formatted as they are taken.
+would not write, and each item is one ``%`` of its row.  Each writer
+compiles both templates before it returns, so a rejected value raises
+TypeError before the first byte, and returns an iterator whose pieces,
+a run each, are formatted as they are taken.
 :func:`main` streams it with ``writelines``, an ``--out`` file in
 write-through mode, so no two runs' texts are held at once.
 
@@ -79,10 +78,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -371,7 +370,6 @@ def _float_text(s: str, tag: str = "") -> str:
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]{0,99}|[0-9a-f]{64}")
 _STAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 _FLOAT_TAG = "!!float "
-_WIDTH = 80  # libyaml's best_width
 _INDENT = 2  # libyaml's best_indent
 
 
@@ -400,13 +398,6 @@ def _key_head(key) -> str:
     return _scalar_text(key) + ":"
 
 
-def _column(text: str) -> int:
-    """The column after `text`, which starts a line or holds a line break."""
-    return len(text) - 1 - text.rfind("\n")
-
-
-# a float's .17g text, '.0' or tag added, takes at most 24 characters
-_FLOAT_CHARS = 24
 # ints a float holds exactly, written by %d from a float column
 _EXACT_INT = 2**53
 # a slot's format by its code, the character that marks the slot in a
@@ -416,23 +407,18 @@ _FORMATS = ("%.17g", "%.1f", "%s", "%d", "%s")
 _ODD, _INT, _TEXT = 2, 3, 4
 # one number's or text's place in a layout
 _SLOT = "\0"
-# a wrap group: the items of a flow collection that might reach column
-# 80, with ", " between them and a _GROUP on each side, whose line breaks
-# _flow decides once their texts are known; no item holds a comma
-_GROUP = "\x1d"
 
 
 class _Template:
     """A layout compiled for `size` items: its pieces, with a _SLOT per
     number or text; each slot's code and float column, a row per item (a
-    _TEXT slot's texts come from its iterator in `texts`); each wrap
-    group's (column, indent); and `tag`, written before a float's text
-    where it holds no '.'."""
+    _TEXT slot's texts come from its iterator in `texts`); and `tag`,
+    written before a float's text where it holds no '.'."""
 
     def __init__(self, size: int, tag: str):
         self.size, self.tag = size, tag
         self.layout, self.codes, self.columns = [], bytearray(), []
-        self.texts, self.groups = [], []
+        self.texts = []
 
 
 def _compile(t: _Template, head: str, values, indent: int) -> None:
@@ -445,33 +431,30 @@ def _compile(t: _Template, head: str, values, indent: int) -> None:
     if isinstance(values, np.ndarray) or isinstance(values[0], np.ndarray):
         _arrays(t, head, values, indent)
     else:
-        t.layout.append(f"{head} {_scalar_item(t, values, _scalar_text)[0]}")
+        t.layout.append(f"{head} {_scalar_item(t, values, _scalar_text)}")
 
 
 def _scalar_item(t: _Template, values: list, text):
     """The text of scalars `values` in `t`'s layout, each value's own
-    written by `text`, and its greatest length: a _SLOT, whose column
-    `t` now holds, unless there is one value or every value's text is
-    the same."""
+    written by `text`: a _SLOT, whose column `t` now holds, unless there
+    is one value or every value's text is the same."""
     types = set(map(type, values))
     code = _number_code(values, types) if len(values) > 1 else None
     if code is not None:
         t.columns.append(np.array(values, dtype=float)[:, None])
         t.codes.append(code)
-        # the longest int text is the smallest or the largest int's
-        return _SLOT, (max(len(str(min(values))), len(str(max(values))))
-                       if code == _INT else _FLOAT_CHARS)
+        return _SLOT
     if len(types) == 1 and values.count(values[0]) == len(values):
         # equal values of one type, such as bools or names, have one text
         texts = [text(values[0])]
     else:
         texts = list(map(text, values))
     if texts.count(texts[0]) == len(texts):
-        return texts[0], len(texts[0])
+        return texts[0]
     t.texts.append((len(t.codes), iter(texts)))
     t.codes.append(_TEXT)
     t.columns.append(np.zeros((t.size, 1)))
-    return _SLOT, max(map(len, texts))
+    return _SLOT
 
 
 def _runs(t: _Template, runs: dict) -> None:
@@ -485,25 +468,9 @@ def _runs(t: _Template, runs: dict) -> None:
         for i, (head, column) in enumerate(zip(heads, columns)):
             _compile(t, ("\n  " if i else "\n- ") + head, column, _INDENT)
         return
-    items = [_scalar_item(t, column, _scalar_text) for column in columns]
-    items = [(f"{head} {text}", len(head) + 1 + width)
-             for head, (text, width) in zip(heads, items)]
-    body, group = _flow_items(_column("\n- {"), items, _INDENT)
-    t.layout.append("\n- {" + body + "}")
-    if group:
-        t.groups.append(group)
-
-
-def _flow_items(col: int, items: list, indent: int):
-    """The text between the brackets, opened at column `col`, of a flow
-    collection of `items`, each a text and its greatest length, and its
-    wrap group: (`col`, `indent`), or None where no line can break."""
-    body = ", ".join([text for text, _ in items])
-    # the column after the last comma decides whether any line breaks
-    last = col + sum(width + 2 for _, width in items[:-1]) - 1
-    if max(col, last) <= _WIDTH:
-        return body, None
-    return _GROUP + body + _GROUP, (col, indent)
+    items = [f"{head} {_scalar_item(t, column, _scalar_text)}"
+             for head, column in zip(heads, columns)]
+    t.layout.append("\n- {" + ", ".join(items) + "}")
 
 
 def _number_code(values: list, types: set):
@@ -521,22 +488,13 @@ def _arrays(t: _Template, head: str, values, indent: int) -> None:
     """Arrays of one shape and dtype laid out after `head` as their
     lists, with a _SLOT per number."""
     shape = _stacked(t, values)
-    if len(shape) == 1:
-        lead, col, wrap = head + " ", _column(head) + 2, indent + _INDENT
-    else:
-        # a block sequence under a key is not indented
-        lead = head + "\n" + " " * indent
-        # every row is a flow sequence after a dash in this column
-        dashes = indent + _INDENT * (len(shape) - 2)
-        col, wrap = dashes + 3, dashes + _INDENT
-    body, group = _flow_items(col, [(_SLOT, _FLOAT_CHARS)] * shape[-1], wrap)
-    row = f"[{body}]"
+    # a block sequence under a key is not indented
+    lead = head + (" " if len(shape) == 1 else "\n" + " " * indent)
+    row = "[" + ", ".join([_SLOT] * shape[-1]) + "]"
     for depth in reversed(range(len(shape) - 1)):
         line = "\n" + " " * (indent + _INDENT * depth)
         row = line.join(["- " + row] * shape[depth])
     t.layout.append(lead + row)
-    if group:
-        t.groups += [group] * math.prod(shape[:-1])
 
 
 def _stacked(t: _Template, values):
@@ -571,17 +529,12 @@ def _stacked(t: _Template, values):
 
 def _filled(t: _Template):
     """Yield the text of each item of `t`: its layout filled by one `%` of
-    its row, and each wrap group broken by :func:`_flow`.  The template
-    is spent: its numbers live on only in the matrix."""
+    its row.  The template is spent: its numbers live on only in the
+    matrix."""
     matrix = np.concatenate([np.zeros((t.size, 0)), *t.columns], axis=1)
     layout = "".join(t.layout)
     t.layout = t.columns = None
-    for text in _formatted(layout, matrix, t.codes, t.tag, t.texts):
-        if t.groups:
-            parts = text.split(_GROUP)
-            parts[1::2] = map(_flow, t.groups, parts[1::2])
-            text = "".join(parts)
-        yield text
+    yield from _formatted(layout, matrix, t.codes, t.tag, t.texts)
 
 
 def _formatted(layout: str, matrix, kinds, tag: str, texts):
@@ -647,30 +600,6 @@ def _float_codes(a):
     return codes
 
 
-def _flow(group: tuple, text: str) -> str:
-    """The items of a flow collection, `text` with ", " between them,
-    as they go between its brackets, for its wrap group (col, indent):
-    its opening bracket ends at column col, and a line breaks before an
-    item once the column passes 80, going on at indent.  So a line ends
-    at its first comma past column 80, found by one search a line; a
-    bracket past column 80 puts even the first item on a new line."""
-    col, indent = group
-    lead = ""
-    if col > _WIDTH:
-        lead, col = "\n" + " " * indent, indent
-    end = text.find(",", max(_WIDTH - col, 0))
-    if end < 0:
-        return lead + text
-    lines = []
-    start, room = 0, max(_WIDTH - indent, 0)
-    while end >= 0:
-        lines.append(text[start:end + 1])
-        start = end + 2
-        end = text.find(",", start + room)
-    lines.append(text[start:])
-    return lead + ("\n" + " " * indent).join(lines)
-
-
 def _run_count(header: dict, runs: dict) -> int:
     """The number of runs; TypeError unless the header and the runs are
     mappings and the runs columns of one nonzero length."""
@@ -694,12 +623,13 @@ def _header_columns(header: dict) -> dict:
 def _yaml_pieces(header: dict, runs: dict):
     """The report ``{**header, "runs": rows}``, the k-th of `rows` mapping
     each key of `runs` to the k-th entry of its column, as ``yaml.dump``
-    writes it with libyaml's safe dumper and :func:`_fmt_float` as its
-    float representer, as an iterator of pieces to be written in order:
-    the header's text, then one piece for each run, each formatted as it
-    is taken.  The header's values, and the columns' entries, are the
-    kinds :func:`_compile` takes; both templates are compiled before the
-    iterator is returned, so any other kind raises TypeError here."""
+    writes it with libyaml's safe dumper, no line width and
+    :func:`_fmt_float` as its float representer, as an iterator of
+    pieces to be written in order: the header's text, then one piece for
+    each run, each formatted as it is taken.  The header's values, and
+    the columns' entries, are the kinds :func:`_compile` takes; both
+    templates are compiled before the iterator is returned, so any other
+    kind raises TypeError here."""
     size = _run_count(header, runs)
     t = _Template(1, _FLOAT_TAG)
     # the root's block mapping, however plain the header's values, as the
@@ -733,7 +663,7 @@ def _json_entries(t: _Template, columns: dict) -> None:
             for n in reversed(_stacked(t, values)):
                 text = "[" + ",".join([text] * n) + "]"
         else:
-            text = _scalar_item(t, values, _json_text)[0]
+            text = _scalar_item(t, values, _json_text)
         t.layout.append(f'{"," * bool(i)}"{key}":{text}')
 
 
@@ -1017,7 +947,12 @@ def build_parser() -> argparse.ArgumentParser:
 # built on first use: argparse's gettext and locale work stays out of import
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+    parser = build_parser()
+    # each add_argument leaves a help formatter in a reference cycle: free
+    # them here, so that the first command's peak does not hold them until
+    # the next collection happens to run
+    gc.collect(0)
+    return parser
 
 
 def main(argv=None) -> int:

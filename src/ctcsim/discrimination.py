@@ -308,14 +308,17 @@ def _first_completions(amps: np.ndarray):
     s = np.cumsum((np.abs(amps) ** 2)[:, ::-1], axis=1)[:, ::-1]
     served = ((s[:, 1:] >= (2 * TOL_GS) ** 2 * s[:, :-1]).all(axis=1)
               & (np.abs(np.sqrt(s[:, 0]) - 1) <= TOL_NORM / 2))
-    coef = np.ones((n, n), dtype=complex)
+    # divided only where served, so that an unserved k's zero suffix
+    # sums raise no warning; its parameters stay zero
+    rows = served[:, None]
+    coef = np.zeros((n, n), dtype=complex)
+    coef[:, 0] = served
+    np.divide(-amps[:, :-1], np.sqrt(s[:, :-1] * s[:, 1:]), out=coef[:, 1:],
+              where=rows)
     # complex, as the images it meets, so that numpy casts nothing
     sub = np.zeros((n, n), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef[:, 1:] = -amps[:, :-1] / np.sqrt(s[:, :-1] * s[:, 1:])
-        sub[:, 1:] = np.sqrt(s[:, 1:] / s[:, :-1])
-    coef[~served] = 0
-    sub[~served] = 0
+    sub[:, 1:] = np.sqrt(np.divide(s[:, 1:], s[:, :-1], out=np.zeros((n, n - 1)),
+                                   where=rows))
     return coef, sub, served
 
 
@@ -366,8 +369,9 @@ def _measure_overlaps(bundle: DistinguisherBundle) -> np.ndarray:
         ks = np.arange(n)
         # at[k, j] = <j| U_k |psi_j>, taking psi_j[j - 1] from the
         # subdiagonal of the set; psi_0[-1] meets sub[k, 0] = 0
-        at = coef * (bra @ np.triu(amps).T) + sub * amps[ks, ks - 1]
-        at[:, 0] = (coef[ks, ks] * (np.triu(bra) @ amps[0])
+        upper = np.triu(amps)
+        at = coef * (bra @ upper.T) + sub * amps[ks, ks - 1]
+        at[:, 0] = (coef[ks, ks] * (upper.conj() @ amps[0])
                     + sub[ks, ks] * amps[0, ks - 1])
         at[ks, ks] = coef[:, 0] * (bra * amps).sum(axis=1)
         overlaps[:] = np.abs(at.T)

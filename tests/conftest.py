@@ -102,8 +102,20 @@ def run_rows(runs):
     return [dict(zip(runs, row)) for row in zip(*runs.values())]
 
 
+# a line width no report reaches; PyYAML's pure-Python emitter reads a
+# width of -1 as 80
+WIDTH = 10**9
+
+
 class ReportDumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
-    """PyYAML's dumper for reports: the oracle of ``cli._yaml_pieces``."""
+    """PyYAML's dumper for reports: the oracle of ``cli._yaml_pieces``.
+
+    Its line width defaults to `WIDTH`, unlimited, as a report writes each
+    flow collection on one line: no reader of a report uses the line
+    breaks libyaml's 80 columns would put inside a row."""
+
+    def __init__(self, stream, width=None, **kwargs):
+        super().__init__(stream, width=width or WIDTH, **kwargs)
 
 
 ReportDumper.add_representer(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import ReportDumper, as_lists, json_lines, run_rows
+from conftest import WIDTH, ReportDumper, as_lists, json_lines, run_rows
 # report_corpus puts the repository root on the path, for the benchmark's
 # own config writer
 from report_corpus import build_round
@@ -383,8 +383,9 @@ def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
     # the report the command printed, with its arrays as lists, dumped
     # again by libyaml's and by PyYAML's pure-Python emitter: distinguish
     # runs are flow mappings, example runs hold 3-d arrays; a five-state
-    # sweep's header rows wrap, and twelve states give distinguish runs
-    # two-digit indices, which bring their flow mappings to column 80
+    # sweep's header rows run past column 80, and twelve states give
+    # distinguish runs two-digit indices, which bring their flow mappings
+    # to column 80, all on one line
     if command == "superpose-haar5":
         argv = ["superpose", haar_config(tmp_path, 5, 55, alpha=[0.6, 0.2],
                                          beta=[-0.3, 0.7])]
@@ -413,7 +414,7 @@ def test_report_dumper_matches_pure_python_dumper(tmp_path, capsys,
     printed = capsys.readouterr().out
     for dumper in (ReportDumper, _PurePythonDumper):
         assert printed == yaml.dump(report, Dumper=dumper, sort_keys=False,
-                                    default_flow_style=None)
+                                    default_flow_style=None, width=WIDTH)
 
 
 def distinguish_large_configs(tmp_path, seed=7):
@@ -427,14 +428,24 @@ def distinguish_large_configs(tmp_path, seed=7):
 @pytest.mark.parametrize("index", [0, 1], ids=["N=12", "N=16"])
 def test_benchmark_distinguish_report_is_the_report_dumpers(tmp_path, capsys,
                                                            index):
-    # at the benchmark's sizes the condition_overlaps rows wrap, and the
-    # runs are flow mappings past column 80 whose residuals, near 1e-16,
+    # at the benchmark's sizes the condition_overlaps rows hold 12 or 16
+    # floats, and the runs are flow mappings whose residuals, near 1e-16,
     # take the writer's exponent branch
     cfg = distinguish_large_configs(tmp_path)[index]
     assert main(["distinguish", cfg]) == 0
     printed = capsys.readouterr().out
     assert printed == yaml.dump(yaml.safe_load(printed), Dumper=ReportDumper,
                                 sort_keys=False, default_flow_style=None)
+
+
+def test_distinguish_report_writes_each_flow_collection_on_one_line(
+        tmp_path, capsys):
+    # the seed-7 N = 16 config: a line for each of the report's seven
+    # keys, runs included, for each of the 16 condition_overlaps rows and
+    # for each of the 16 runs
+    cfg = distinguish_large_configs(tmp_path)[1]
+    assert main(["distinguish", cfg]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 39
 
 
 @pytest.mark.parametrize("argv", [

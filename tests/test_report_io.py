@@ -1,7 +1,8 @@
 """The report writer and the config reader against PyYAML as oracle.
 
 `cli._yaml_pieces` must print what ``yaml.dump`` prints with libyaml's
-emitter for every kind of value a command hands it, `cli._json_lines`
+emitter and no line width (``conftest.WIDTH``), each flow collection on
+one line, for every kind of value a command hands it, `cli._json_lines`
 what ``conftest.json_lines`` prints for the header and each run, and
 both must raise
 TypeError for any other; `cli._read_config` must return what
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import ReportDumper, as_lists, json_lines, run_rows
+from conftest import WIDTH, ReportDumper, as_lists, json_lines, run_rows
 from ctcsim import cli
 
 
@@ -39,7 +40,7 @@ if hasattr(yaml, "CSafeLoader"):
 
 def dump(report, dumper):
     return yaml.dump(report, Dumper=dumper, sort_keys=False,
-                     default_flow_style=None)
+                     default_flow_style=None, width=WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,8 @@ FLOATS = st.floats() | st.sampled_from([
 NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_-]{0,11}", fullmatch=True) \
     | st.sampled_from(["yes", "No", "on", "OFF", "true", "null", "Null",
                        "y", "n", "command", "max_entropy"])
-# a key of 78 or more characters puts the first flow item past column 80
+# a key of 78 or more characters puts the first flow item past column
+# 80, where libyaml's default width would break the line
 KEYS = NAMES | st.builds(lambda name, n: (name + "k" * n)[:100], NAMES,
                          st.integers(70, 100))
 STAMPS = st.datetimes(min_value=datetime(1000, 1, 1)).map(
@@ -60,8 +62,8 @@ STAMPS = st.datetimes(min_value=datetime(1000, 1, 1)).map(
 SCALARS = FLOATS | st.integers() | st.booleans() | NAMES | STAMPS
 COMPLEXES = st.builds(complex, FLOATS, FLOATS)
 # report arrays: the shapes commands print, with integral floats among
-# the entries; rows of up to 12 entries of up to 24 characters cross
-# column 80
+# the entries; rows of up to 12 entries of up to 24 characters run past
+# column 80 and stay on one line
 ARRAY_FLOATS = FLOATS | st.integers(-2**60, 2**60).map(float)
 ARRAY_SHAPES = (st.tuples(st.integers(1, 12))
                 | st.tuples(st.integers(1, 6), st.just(2))
@@ -72,11 +74,6 @@ COMPLEX_ARRAYS = hnp.arrays(np.complex128, ARRAY_SHAPES, elements=COMPLEXES)
 # a run's arrays: a sweep's pairs and states, an example's blocks
 RUN_SHAPES = st.sampled_from([(3,), (4, 2), (2, 3), (2, 2, 2), (12,), (3, 12)])
 EXACT_INTS = st.integers(-2**53, 2**53)
-
-
-def dump(report, dumper):
-    return yaml.dump(report, Dumper=dumper, sort_keys=False,
-                     default_flow_style=None)
 
 
 def _finite(obj):
@@ -117,8 +114,7 @@ def check_report(header, runs):
         assert text == dump(report, ReportDumper)
         assert list(cli._json_lines(header, columns)) == lines
         # PyYAML's Python emitter single-quotes a tagged scalar, `!!float
-        # 'inf'` where libyaml writes `!!float inf`, which also moves its
-        # line breaks
+        # 'inf'` where libyaml writes `!!float inf`
         if "!!float" not in text:
             assert text == dump(report, _Pure)
     for line, obj in zip(lines, objects):
@@ -235,7 +231,7 @@ def test_array_reports_match_both_dumpers(drawn):
     ({"special": np.array([[math.inf, -math.inf], [math.nan, 1e22],
                            [-0.0, 5e-324], [1e308, 2.0**53]])},
      {"special": np.array([[math.nan, 1e-306], [-1e16, 2.0**60]])[None]}),
-    # int arrays, up to 2**53, and rows of them that wrap
+    # int arrays, up to 2**53, and rows of them past column 80
     ({"ints": np.arange(3), "bounds": np.array([-2**53, 2**53]),
       "small": np.arange(3, dtype=np.uint8)},
      {"decoded": np.arange(6).reshape(3, 2), "wide": np.full((3, 2, 13), 2**53)}),
@@ -260,7 +256,8 @@ def _row_before_last(chars):
 @pytest.mark.parametrize("chars", range(66, 84))
 def test_array_rows_at_the_wrap_column(chars):
     # the last comma of these rows lands on either side of column 80, in
-    # the header and, two columns further in, in a run
+    # the header and, two columns further in, in a run, where libyaml's
+    # default width would break the line; with no width it does not
     row = _row_before_last(chars)
     check_report({"a": np.array(row), "b": np.array([row, row[::-1]])},
                  {"a": np.array([row]), "c": np.array([[[row], [row]]])})
@@ -370,7 +367,7 @@ def test_complex_reports_match_both_dumpers(drawn):
 
 # runs as block mappings, which the writer lays out key by key: values
 # of one shape and dtype in every run, scalars, and keys long enough that
-# rows wrap
+# rows run past column 80
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(reports(SCALARS | ARRAYS, RUN_KINDS, block=True))
 def test_same_key_runs_match_both_dumpers(drawn):
