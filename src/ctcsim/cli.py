@@ -42,25 +42,33 @@ a run each, are formatted as they are taken.
 write-through mode, so no two runs' texts are held at once.
 
 Configs are read by :func:`_read_config` as ``yaml.load`` reads them,
-with YAML 1.1's scalar rules.  A numeric row, one flow sequence of
-numbers, is read by one ``json.loads`` when YAML 1.1 reads every number
-in it as a decimal, and replaced by a placeholder: the one
-``yaml.load`` reads only the text outside the numeric rows.  A row is
-either a line's value after block-sequence dashes or a plain key
-(``- [..]``, ``- - [..]``, ``key: [..]``, ``- key: [..]``), replaced by
-``x,``, or a key's value inside a flow mapping (``{"key": [..], ..}``,
-as in a JSON config), replaced by ``x_``.  A config file is read in
-text mode, whose universal newlines turn CRLF into LF before rows are
-looked for.  If the load fails, or a placeholder does not come back as
-a scalar of its own (a row inside a block scalar or a multi-line
-scalar; ``x,`` inside a flow collection), the original text is loaded
-again without placeholders.
+with YAML 1.1's scalar rules, except that a numeric row comes back as a
+float array.  A numeric row is one flow sequence of numbers that
+``json.loads`` reads and whose every number YAML 1.1 reads as a
+decimal.  It is either a line's value after block-sequence dashes or a
+plain key (``- [..]``, ``- - [..]``, ``key: [..]``, ``- key: [..]``),
+replaced by the placeholder ``x,``, or a key's value inside a flow
+mapping (``{"key": [..], ..}``, as in a JSON config), replaced by
+``x_``; a plain key's block sequence of rows, one a line, is one row of
+rows, replaced by `` x,`` after the key.  The one ``yaml.load`` reads
+only the text outside the numeric rows.  A row whose lists nest
+regularly, one to three deep, is read as a float64 array of that shape
+(:func:`_row_value`): its bracket skeleton gives the shape, and one
+``json.loads`` of it with its brackets as spaces reads every number as
+it would in the nested lists; any other row keeps the nested lists of
+``json.loads``.  A config file is read in text mode, whose universal
+newlines turn CRLF into LF before rows are looked for.  If the load
+fails, or a placeholder does not come back as a scalar of its own (a
+row inside a block scalar or a multi-line scalar; ``x,`` inside a flow
+collection; a block sequence that goes on past its rows), the original
+text is loaded again without placeholders.
 Every complex value of a config is read by :func:`_parse_array`: a
-number is a YAML int or float, never a bool, a complex value is a bare
-number or an [re, im] pair, and a number beyond float range is a config
-error that names its entry, as is a config nested over ``_MAX_DEPTH``
-levels deep (or too deep for PyYAML's pure-Python loader) or with a
-(fixed) ``tolerances`` key.
+float array by its shape, any other node entry by entry, where a number
+is a YAML int or float, never a bool, a complex value is a bare number
+or an [re, im] pair, and a number beyond float range is a config error
+that names its entry, as is a config nested over ``_MAX_DEPTH`` levels
+deep (or too deep for PyYAML's pure-Python loader) or with a (fixed)
+``tolerances`` key.
 
 Each subcommand returns its report header, its runs as a mapping of
 columns and its verdict, and ignores any config key it does not read;
@@ -126,50 +134,196 @@ _RESOLVER = yaml.resolver.Resolver()
 _STR_TAG = "tag:yaml.org,2002:str"
 
 
-# a numeric row: a flow sequence of numbers that ends its line, after
-# block-sequence dashes or a plain key (group 1), or that is a value in a
-# flow mapping, after its plain or double-quoted key, as in a JSON config
-# (group 2)
-_ROW = re.compile(
-    r"^ *(?:- +)*(?:- +|[A-Za-z_][A-Za-z0-9_-]*: +)(\[[][0-9eE.+, -]*\]) *$"
-    r'|[{,] *(?:"[^"\\\n]*"|[A-Za-z_][A-Za-z0-9_-]*): +'
-    r"(\[[][0-9eE.+, -]*\])(?= *[,}])",
-    re.MULTILINE)
-# an exponent YAML 1.1 reads as part of a string: no fraction before it
-# or no sign after it (JSON reads 1e5 and 1.5e5 as numbers)
-_STRING_EXPONENT = re.compile(r"(?<![.0-9])[0-9]+[eE]|[eE][0-9]")
-# the plain scalar each masked row becomes, by its group; ``,`` ends a
-# plain scalar in a flow collection, so a line's placeholder there cannot
-# come back whole, while a flow mapping's comes back whole in either
+_KEY = r"[A-Za-z_][A-Za-z0-9_-]*"
+# where a numeric row is masked: a line's value after block-sequence
+# dashes or a plain key, an entry of a plain key's block sequence, and a
+# value in a flow mapping after its plain or double-quoted key, as in a
+# JSON config; a line's candidates are checked for a row's characters as
+# they are read, a mapping's as they are found
+_ROW_LINE = re.compile(rf" *(?:- +)*(?:- +|{_KEY}: +)(\[.*\]) *", re.DOTALL)
+_ENTRY_LINE = re.compile(r"( *)- +(\[.*\]) *", re.DOTALL)
+_KEY_LINE = re.compile(rf"( *){_KEY}:( *)")
+_MAPPING_ROW = re.compile(
+    r'[{,] *(?:"[^"\\\n]*"|' + _KEY + r'): +(\[[][0-9eE.+, -]*\])(?= *[,}])')
+# the plain scalar each masked row becomes: a line's and a mapping's;
+# ``,`` ends a plain scalar in a flow collection, so a line's placeholder
+# there cannot come back whole, while a mapping's comes back whole in either
 _PLACEHOLDERS = ("x,", "x_")
+# a row's characters as classes, spaces dropped: a number's as N and a
+# comma as a backslash (a backslash as "?"), so that "[", "," and "]" are
+# consecutive bytes, and an empty slot of an innermost list, a "[" or ","
+# just before a "," or "]", is the only step of 1 or 2 between neighbours
+_ROW_CLASSES = bytes.maketrans(b"0123456789eE.+-,\\", b"N" * 15 + b"\\?")
+# a row read as a float array is at most three lists deep
+_ROW_DEPTH = 3
+
+
+def _line_end(text: str, start: int) -> int:
+    end = text.find("\n", start)
+    return len(text) if end < 0 else end
+
+
+def _string_exponent(text: str, start: int, end: int) -> bool:
+    """Whether a number of `text[start:end]`, a candidate row, has an
+    exponent YAML 1.1 reads as part of a string: with no sign after it or
+    no fraction before it (JSON reads 1e5 and 1.5e5 as numbers).  Only a
+    row of JSON's numbers is masked, so each number is taken to be one."""
+    for letter in "eE":
+        at = text.find(letter, start, end)
+        while at >= 0:
+            first = max(start, *(text.rfind(c, start, at) for c in " ,["))
+            if text[at + 1] not in "+-" or text.find(".", first, at) < 0:
+                return True
+            at = text.find(letter, at + 1, end)
+    return False
+
+
+def _skeleton(shape: tuple) -> bytes:
+    """The brackets and commas, as classes, of nested lists of numbers of
+    `shape`."""
+    skeleton = b""
+    for size in reversed(shape):
+        skeleton = b"[" + b"\\".join([skeleton] * size) + b"]"
+    return skeleton
+
+
+def _regular_shape(skeleton: bytes):
+    """The shape of nested lists of numbers, one to ``_ROW_DEPTH`` deep,
+    whose brackets and commas, as classes, are `skeleton`, if every list
+    at a level holds as many entries; else None."""
+    depth = len(skeleton) - len(skeleton.lstrip(b"["))
+    if not 0 < depth <= _ROW_DEPTH:
+        return None
+    shape = ()
+    inner = 0  # the skeleton length of an entry of the level's lists
+    for level in reversed(range(depth)):
+        # the first list at `level` ends where `depth - level` lists close,
+        # after the `depth` brackets that open the skeleton
+        end = skeleton.find(b"]" * (depth - level))
+        if end < 0:
+            return None
+        length = end + depth - 2 * level
+        shape = ((length - 1) // (inner + 1),) + shape
+        inner = length
+    return shape if _skeleton(shape) == skeleton else None
+
+
+def _slots_filled(classes: bytes) -> bool:
+    """Whether no "[" or "," of `classes` stands just before a "," or "]":
+    with one number between any two commas, whether each number is an
+    entry of an innermost list."""
+    codes = np.frombuffer(classes, np.uint8)
+    steps = codes[1:] - codes[:-1]
+    steps -= 1
+    return steps.min() >= 2
+
+
+def _row_value(text: str, start: int, end: int):
+    """The value of ``[text[start:end]]``, a flow sequence of numbers, as
+    ``json.loads`` reads it: a float64 array of its shape if its lists
+    nest regularly, one to ``_ROW_DEPTH`` deep, and every number converts
+    to a float, else nested lists; None if it holds another character or
+    ``json.loads`` cannot read it.  No copy of the row is held beside the
+    numbers that ``json.loads`` reads."""
+    inner = text[start:end]
+    if not inner.isascii():
+        return None
+    classes = inner.encode().translate(_ROW_CLASSES, b" ")
+    del inner
+    skeleton = b"[" + classes.translate(None, b"N") + b"]"
+    if skeleton.translate(None, b"[\\]"):
+        return None
+    shape = _regular_shape(skeleton)
+    # a row one list deep has its numbers in place
+    if shape is not None and (len(shape) == 1 or _slots_filled(classes)):
+        del classes
+        # with its brackets as spaces the row is one list of its numbers,
+        # each read by json.loads as in the nested lists; the shape, set
+        # in place so that no view is held, checks their count
+        numbers = f"[{text[start:end].replace('[', ' ').replace(']', ' ')}]"
+        try:
+            values = np.array(json.loads(numbers), dtype=float)
+            values.shape = shape
+            return values
+        except (ValueError, OverflowError):
+            pass
+    try:
+        return json.loads(f"[{text[start:end]}]")
+    except (ValueError, RecursionError):
+        return None
+
+
+def _block_rows(text: str, start: int, indent: int):
+    """The block sequence of rows from line `start` on, under a plain key
+    at `indent`, read as one flow sequence of them: (the start of the
+    line after it, the end of its last row, its value), if its entries,
+    each a row alone on its line, share an indentation of `indent` or
+    more and YAML 1.1 reads their numbers as decimals; else None.  A
+    sequence that goes on past them, after a blank or comment line or
+    with another entry, leaves its placeholder inside a scalar or the
+    masked text unparsed, so the reader loads the text again."""
+    entries = []
+    while start <= len(text):
+        end = _line_end(text, start)
+        entry = _ENTRY_LINE.fullmatch(text, start, end)
+        if not entry or entries and entry.end(1) - start != column:
+            break
+        column = entry.end(1) - start
+        entries.append(entry)
+        start = end + 1
+    if not entries or column < indent:
+        return None
+    last = entries[-1].end(2)
+    if _string_exponent(text, entries[0].start(2), last):
+        return None
+    rows = ",".join([entry.group(2) for entry in entries])
+    value = _row_value(rows, 0, len(rows))
+    return None if value is None else (start, last, value)
+
+
+def _row_spans(text: str):
+    """Yield (start, end, lead, placeholder, value) for each span of
+    `text` to be masked, in order: a plain key's block sequence of rows,
+    from after its ``:``, led by a space, or a row, by itself."""
+    start = 0
+    while start <= len(text):
+        end = _line_end(text, start)
+        key = _KEY_LINE.fullmatch(text, start, end)
+        block = key and _block_rows(text, end + 1, key.end(1) - start)
+        if block:
+            start, last, value = block
+            yield key.start(2), last, " ", _PLACEHOLDERS[0], value
+            continue
+        row = _ROW_LINE.fullmatch(text, start, end)
+        matches = (row,) if row else _MAPPING_ROW.finditer(text, start, end)
+        for match in matches:
+            first, last = match.span(1)
+            value = (None if _string_exponent(text, first, last)
+                     else _row_value(text, first + 1, last - 1))
+            if value is not None:
+                yield first, last, "", _PLACEHOLDERS[1 - bool(row)], value
+        start = end + 1
 
 
 def _mask_rows(text: str) -> tuple[str, dict]:
-    """`text` with its numeric rows masked, and the rows by the start
+    """`text` with its numeric rows masked, and their values by the start
     index of their placeholder in the masked text.
 
     Each row that ``json.loads`` reads, and whose numbers YAML 1.1 also
-    reads as decimals, is replaced by its group's placeholder, so the
-    masked text is the config's skeleton.
+    reads as decimals, is replaced by a placeholder, so the masked text
+    is the config's skeleton; a plain key's block sequence of such rows is
+    replaced as one, by `` x,`` after its ``:``.  A value is that of
+    :func:`_row_value`.
     """
     rows = {}
     pieces = []
-    end = start = 0
-    for match in _ROW.finditer(text):
-        group = match.lastindex
-        row = match.group(group)
-        try:
-            value = json.loads(row)
-        except (ValueError, RecursionError):
-            continue
-        # most rows hold no exponent; the substring test skips their search
-        if ("e" in row or "E" in row) and _STRING_EXPONENT.search(row):
-            continue
-        pieces += (text[end:match.start(group)], _PLACEHOLDERS[group - 1])
-        start += len(pieces[-2])
-        rows[start] = value
-        start += len(pieces[-1])
-        end = match.end(group)
+    end = length = 0
+    for start, stop, lead, placeholder, value in _row_spans(text):
+        pieces += (text[end:start], lead, placeholder)
+        length += start - end + len(lead)
+        rows[length] = value
+        length += len(placeholder)
+        end = stop
     pieces.append(text[end:])
     return "".join(pieces), rows
 
@@ -196,16 +350,18 @@ def _check_depth(masked: str) -> None:
 
 
 def _read_config(text: str):
-    """The object ``yaml.load(text, Loader=_Loader)`` returns.
+    """The object ``yaml.load(text, Loader=_Loader)`` returns, with each
+    numeric row that :func:`_mask_rows` masks as its value there, a float
+    array where its lists nest regularly.
 
     The masked text, the config's skeleton, is loaded once, and each
     scalar equal to the placeholder that starts at a row's index is
     replaced by its row.  If that load raises or leaves a row unused (a
-    row inside a block scalar or a multi-line scalar, or a line's row
-    inside a flow collection), the original text is loaded again, so
-    values and errors are those of a plain load.  The masked text's
-    nesting is checked first; ``json.loads`` nests a row no deeper than
-    the recursion limit.
+    row inside a block scalar or a multi-line scalar, a line's row
+    inside a flow collection, or a block sequence that goes on past its
+    rows), the original text is loaded again, so values and errors are
+    those of a plain load.  The masked text's nesting is checked first;
+    a row nested deeper than the recursion limit is not masked.
     """
     masked, rows = _mask_rows(text)
     _check_depth(masked)
@@ -251,6 +407,10 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config must be a key-value mapping at top level")
     if "tolerances" in data:
         raise ConfigError("tolerances are fixed; remove the tolerances key")
+    if not isinstance(data.get("policy", ""), str):
+        # a policy's error names it as the plain load reads it, with no
+        # row's array in it
+        data["policy"] = yaml.load(text, Loader=_Loader)["policy"]
     return data
 
 
@@ -259,14 +419,30 @@ _NUMBER_TYPES = frozenset((int, float))
 _LIST_OF = {1: "amplitudes", 2: "rows"}
 
 
+def _nests(node, levels: int) -> bool:
+    """Whether `node` is a list, or a row's float array, nested `levels`
+    deep along its first entries, every list but the last nonempty."""
+    if isinstance(node, np.ndarray):
+        return node.ndim >= levels
+    if not isinstance(node, list):
+        return False
+    return levels == 1 or bool(node) and _nests(node[0], levels - 1)
+
+
 def _parse_array(node, where: str, depth: int):
     """`node` as a complex number (depth 0), vector (1) or matrix (2).
 
-    A well-formed node, lists nested `depth` deep ending in numbers or
-    `depth + 1` deep ending in [re, im] pairs, is read by one
-    ``np.array``; any other, mixed forms included, is read entry by
-    entry, and its first bad entry is a ConfigError that names it.
+    A float array, a numeric row as the reader returns it, is taken by
+    its shape when it has `depth` axes of numbers or `depth + 1` ending
+    in [re, im] pairs.  Any other node, lists included, is read entry
+    by entry, and its first bad entry is a ConfigError that names it.
     """
+    if isinstance(node, np.ndarray):
+        if depth and node.ndim == depth:
+            return node.astype(complex)
+        if depth and node.ndim == depth + 1 and node.shape[-1] == 2:
+            return node.view(complex)[..., 0]
+        node = node.tolist()
     if not depth:
         parts = node if isinstance(node, list) and len(node) == 2 else [node]
         if not set(map(type, parts)) <= _NUMBER_TYPES:
@@ -278,19 +454,6 @@ def _parse_array(node, where: str, depth: int):
     if not isinstance(node, list) or not node:
         raise ConfigError(
             f"{where}: expected a nonempty list of {_LIST_OF[depth]}")
-    try:
-        arr = np.array(node, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    if (arr is not None and arr.size and arr.ndim >= depth
-            and arr.shape[depth:] in ((), (2,))):
-        leaves = node
-        for _ in range(arr.ndim - 1):
-            leaves = itertools.chain.from_iterable(leaves)
-        if set(map(type, leaves)) <= _NUMBER_TYPES:
-            if arr.ndim > depth:
-                return arr.view(complex)[..., 0]
-            return arr.astype(complex)
     entries = [_parse_array(x, f"{where}[{k}]", depth - 1) for k, x in enumerate(node)]
     if depth > 1 and any(r.size != entries[0].size for r in entries):
         raise ConfigError(f"{where}: rows have unequal lengths")
@@ -301,7 +464,7 @@ def _parse_state_set(cfg: dict) -> StateSet:
     if "state_set" not in cfg:
         raise ConfigError("config is missing the state_set key")
     node = cfg["state_set"]
-    if not isinstance(node, list) or not node:
+    if not _nests(node, 1) or not len(node):
         raise ConfigError("state_set: expected a nonempty list of vectors")
     amplitudes = _parse_array(node, "state_set", 2)
     try:
@@ -715,7 +878,7 @@ def cmd_superpose(args) -> tuple[dict, dict, bool]:
         pairs = [(m, n)]
     else:
         pairs = [(m, n) for m in range(size) for n in range(size)]
-    del cfg  # parsed: its nested lists are not held across the run
+    del cfg  # parsed: its rows are not held across the run
 
     sweep = run_sweep(states, pairs, spec)
     # scalars as Python lists, as the writer rejects numpy scalars
@@ -744,7 +907,7 @@ def cmd_superpose(args) -> tuple[dict, dict, bool]:
 def cmd_distinguish(args) -> tuple[dict, dict, bool]:
     """Discriminate every set member and report the decoded labels."""
     cfg, states = _read_state_set_config(args)
-    del cfg  # parsed: its nested lists are not held across the run
+    del cfg  # parsed: its rows are not held across the run
 
     bundle = build_distinguisher(states)
     members = distinguish_members(bundle)
@@ -800,8 +963,7 @@ def _read_circuit_config(args) -> tuple[str, np.ndarray, np.ndarray]:
     node = cfg["rho_cr"]
     # a density matrix must use [re, im] entries (triple nesting);
     # double nesting is read as a pure-state vector
-    if (isinstance(node, list) and node and isinstance(node[0], list)
-            and node[0] and isinstance(node[0][0], list)):
+    if _nests(node, 3):
         rho = _parse_array(node, "rho_cr", 2)
         how = "a density matrix"
     else:

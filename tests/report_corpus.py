@@ -24,7 +24,12 @@ every demo config (``fixed-point`` also under ``--policy max_entropy``),
 ``example`` with its defaults and at alpha 0.6, beta -0.8, ``superpose``
 and ``distinguish`` on Haar sets at N = 12 and 32, and on two edge sets of
 condition 2: ``near_parallel_set(12, 3 t)`` and the feasible planar set
-at N = 8 and 3 t (t the condition-2 threshold).
+at N = 8 and 3 t (t the condition-2 threshold).  The seed-7
+``fixed-point`` 2 x 8 and ``distinguish`` N = 12 configs run again by
+every route of the config reader (:func:`_route_configs`): as one JSON
+line, in block style with a number a line, with CRLF line ends, with a
+byte-order mark, and, for ``fixed-point``, with ``rho_cr`` as one
+pure-state row.
 """
 
 from __future__ import annotations
@@ -77,6 +82,24 @@ def _haar_rows(n: int, seed: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _route_configs(path: Path, pure_state: bool) -> dict[str, str]:
+    """The config at `path` written again for each route of the reader,
+    by route name: each beside it, with the same values."""
+    text = path.read_text(encoding="utf-8")
+    data = yaml.safe_load(text)
+    routes = {"json": json.dumps(data), "block": yaml.safe_dump(data),
+              "crlf": text.replace("\n", "\r\n"), "bom": "\ufeff" + text}
+    if pure_state:
+        routes["pure-state"] = (text[:text.index("rho_cr:")]
+                                + "rho_cr: [[0.6, 0.0], [0.0, 0.8]]\n")
+    out = {}
+    for route, content in routes.items():
+        route_path = path.with_name(f"{path.stem}-{route}.yaml")
+        route_path.write_bytes(content.encode("utf-8"))
+        out[route] = str(route_path)
+    return out
+
+
 def commands(workdir: Path) -> dict[str, list[str]]:
     """Every command of the corpus by name, its configs written to
     `workdir`; each argv is given without ``--json``."""
@@ -89,6 +112,12 @@ def commands(workdir: Path) -> dict[str, list[str]]:
                 argv = list(cmd.argv)
                 at = argv.index("--out")
                 out[f"bench-{workload}-{seed}-{i}"] = argv[:at] + argv[at + 2:]
+    for command, name, pure_state in (("fixed-point", "fixed-point-mix", True),
+                                      ("distinguish", "distinguish-large", False)):
+        bench = workdir / f"bench-{name}-7"
+        cfg = next(bench.glob(f"{command}-0.yaml"))
+        for route, path in _route_configs(cfg, pure_state).items():
+            out[f"route-{command}-{route}"] = [command, path]
     for cfg in sorted(DEMO_CONFIGS.glob("*.yaml")):
         command = ("fixed-point" if cfg.stem.startswith("fixed_point")
                    else cfg.stem.split("_")[0])

@@ -917,6 +917,20 @@ def test_reader_that_closes_early_is_no_program_fault(tmp_path, flags):
     assert stderr == b""
 
 
+@pytest.mark.parametrize("workload", ["superpose-sweep", "distinguish-large",
+                                      "fixed-point-mix"])
+def test_benchmark_configs_read_as_arrays_without_warnings(tmp_path, workload):
+    for cmd in build_round(workload, 7, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = cli._load_config(cmd.argv[1])
+            arrays = {key: cfg[key] for key in ("state_set", "alpha", "beta",
+                                               "unitary", "rho_cr") if key in cfg}
+            assert all(isinstance(a, np.ndarray) for a in arrays.values()), cfg
+            for key, node in arrays.items():
+                cli._parse_array(node, key, 0 if key in ("alpha", "beta") else 2)
+
+
 def second_call_peak(argv):
     """The tracemalloc peak of ``main(argv)`` on its second call, as the
     first also builds one-time state such as the parser (about 0.2 MB)."""
@@ -935,8 +949,9 @@ def second_call_peak(argv):
 def test_distinguish_holds_one_stack_and_one_real_chain_array(tmp_path, n):
     # the bound of one U_k stack, 16 N^3 bytes, and one real N^3 chain
     # array; a discrimination now holds neither, and the parsed config is
-    # not held beside its arrays.  Its rows are flow sequences, read by
-    # json.loads: a block-style config of N = 32 takes more to load
+    # not held beside its arrays.  The config is one JSON line, its state
+    # set one numeric row read as a float array: a block-style config of
+    # N = 32 takes more to load
     states = random_state_set(n, np.random.default_rng(n))
     cfg = write(tmp_path, f"haar{n}.json", json.dumps({"state_set": [
         [[z.real, z.imag] for z in s.amplitudes.tolist()] for s in states]}))
@@ -1033,8 +1048,9 @@ def test_fixed_point_command_decomposes_sigma_once(tmp_path, monkeypatch):
 # the second-call peaks, in bytes, of the seed-7 fixed-point-mix configs:
 # the Haar 2 x 16 command sets the benchmark's peak_mem_mb; the identity
 # 2 x 8 under max_entropy peaked at 474 037 B before its directions were
-# formed and compressed once
-WARM_FIXED_POINT_PEAKS = {3: (1_080_511, 1.01), 6: (211_769, 1.02),
+# formed and compressed once; the block 5 x 6 peaked at 211 769 B inside
+# the config read while rows were read as nested lists
+WARM_FIXED_POINT_PEAKS = {3: (1_080_511, 1.01), 6: (177_634, 1.02),
                           4: (277_725, 1.02)}
 
 

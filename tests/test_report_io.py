@@ -7,12 +7,15 @@ what ``conftest.json_lines`` prints for the header and each run, and
 both must raise
 TypeError for any other; `cli._read_config` must return what
 ``yaml.load`` returns, under libyaml's parser and under PyYAML's
-pure-Python one.
+pure-Python one, except that a numeric row it reads as a float array
+must be, bit for bit and in shape, ``np.array(row, dtype=float)`` of
+``yaml.load``'s row.
 """
 
 import json
 import math
 import re
+import warnings
 from datetime import datetime
 from pathlib import Path
 
@@ -575,15 +578,27 @@ DOCUMENTS = [
     'x, "a": [1, 2], y\n', "a, b: [1, 2], c\n", "a, b: [1, 2]}\n",
     "a: 'q, \"b\": [1, 2], c'\n", "a: \"{b: [1, 2]}\"\n",
     "{a: [1, 2], b: [3}\n",
+    # rows whose numbers stand outside their innermost lists
+    "a: [1[, 2], [3, 4]]\n", "a: [[1, 2], [3, ]4]\n", "a:\n  - [[1, 2]]\n  - [[3, ]4]\n",
+    # block sequences of rows, read as one, and sequences that go on past
+    # their rows or stand left of their key
+    "a:\n- [1]\n- [2.5]\nb:\n    - [[3, 4]]\n    - [[5, -0.0]]\n",
+    "x:\n  a:\n  - [1, 2]\n  b: [3]\n", "  a:\n- [1, 2]\n",
+    "a:\n  - [1]\n\n  - [2]\n", "a:\n  - [1]\n# c\n  - [2]\n",
+    "a:\n  - [1]\n  - foo\n", "a:\n  - [1, 2]\n   b: 2\n", "a:\n  - [1]\n    - [2]\n",
+    "a:\n  - [1]\n  - [2, 3]\n  - [[4]]\n", "a:\n  - [1e5]\n  - [2]\n",
 ]
 
 
 def _typed(obj):
-    """Values and their exact types, nested; nan compares equal to nan."""
+    """Values and their exact types, nested; nan compares equal to nan,
+    and an array is its dtype, shape and bytes."""
     if isinstance(obj, dict):
         return ("dict", [(_typed(k), _typed(v)) for k, v in obj.items()])
     if isinstance(obj, list):
         return ("list", [_typed(x) for x in obj])
+    if isinstance(obj, np.ndarray):
+        return ("ndarray", obj.dtype.str, obj.shape, obj.tobytes())
     return (type(obj).__name__, repr(obj))
 
 
@@ -594,11 +609,37 @@ def _outcome(read, text):
         return (type(exc).__name__, str(exc))
 
 
+def _as_read(value, read):
+    """`value`, as ``yaml.load`` returns it, with each row that the reader
+    returned as an array, where `read` holds one, passed through
+    ``np.array(row, dtype=float)``."""
+    if isinstance(read, np.ndarray):
+        return np.array(value, dtype=float)
+    if isinstance(value, dict) and isinstance(read, dict):
+        return {k: _as_read(v, read.get(k)) for k, v in value.items()}
+    if isinstance(value, list) and isinstance(read, list) and len(value) == len(read):
+        return [_as_read(v, r) for v, r in zip(value, read)]
+    return value
+
+
+def _load_outcome(text, loader=None):
+    """The outcome of ``yaml.load``, as `cli._read_config` must return it."""
+    try:
+        value = yaml.load(text, Loader=loader or cli._Loader)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return (type(exc).__name__, str(exc))
+    try:
+        read = cli._read_config(text)
+    except Exception:  # noqa: BLE001 - the reader's own outcome differs
+        read = None
+    return _typed(_as_read(value, read))
+
+
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
 @pytest.mark.parametrize("text", DOCUMENTS)
 def test_reader_matches_yaml_load(monkeypatch, loader, text):
     monkeypatch.setattr(cli, "_Loader", loader)
-    expected = _outcome(lambda t: yaml.load(t, Loader=loader), text)
+    expected = _load_outcome(text, loader)
     assert _outcome(cli._read_config, text) == expected
 
 
@@ -681,8 +722,19 @@ DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def _skeleton(text):
-    """`text` with each flow sequence that ends a line replaced by `x,`."""
+    """`text` with each top-level key's block sequence of flow sequences,
+    one a line, replaced by ` x,` after its `:`, and each other flow
+    sequence that ends a line by `x,`."""
+    text = re.sub(r"(?m)^(\w+):\n(?:  - \[.*\]\n)+", r"\1: x,\n", text)
     return re.sub(r"\[.*\](?= *$)", "x,", text, flags=re.MULTILINE)
+
+
+def _read_as_arrays(read, value):
+    """Assert that `read`, what the reader returned for a benchmark-shaped
+    config, is `value`, ``yaml.load``'s, with each list value as the float
+    array ``np.array`` makes of it."""
+    assert _typed(read) == _typed(_as_read(value, read))
+    assert not any(isinstance(v, list) for v in read.values()), read
 
 
 def _benchmark_shaped_configs():
@@ -702,12 +754,14 @@ def _benchmark_shaped_configs():
 def test_benchmark_shaped_configs_take_the_masked_parse(monkeypatch, loader):
     texts = list(_benchmark_shaped_configs())
     assert len(texts) == 6
-    expected = [_typed(yaml.load(text, Loader=loader)) for text in texts]
+    expected = [yaml.load(text, Loader=loader) for text in texts]
     loads = _spy_loads(monkeypatch, loader)
     monkeypatch.setattr(yaml, "load", None)
     for text, value in zip(texts, expected):
         loads.clear()
-        assert _typed(cli._read_config(text)) == value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _read_as_arrays(cli._read_config(text), value)
         # one load, of the skeleton, which spliced every row
         assert loads == [cli._mask_rows(text)[0]] and loads[0] != text
         assert loads[0] == _skeleton(text)
@@ -718,12 +772,14 @@ def test_json_configs_take_the_masked_parse(monkeypatch, loader):
     # the same configs written as JSON, on one line, as CI writes them
     texts = [json.dumps(yaml.safe_load(text))
              for text in _benchmark_shaped_configs()]
-    expected = [_typed(yaml.load(text, Loader=loader)) for text in texts]
+    expected = [yaml.load(text, Loader=loader) for text in texts]
     loads = _spy_loads(monkeypatch, loader)
     monkeypatch.setattr(yaml, "load", None)
     for text, value in zip(texts, expected):
         loads.clear()
-        assert _typed(cli._read_config(text)) == value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _read_as_arrays(cli._read_config(text), value)
         # one load, of the skeleton, which spliced every array
         assert loads == [cli._mask_rows(text)[0]]
         assert "[" not in loads[0] and "x_" in loads[0]
@@ -733,14 +789,14 @@ def test_json_configs_take_the_masked_parse(monkeypatch, loader):
 def test_bom_configs_take_the_masked_parse(monkeypatch, tmp_path, loader):
     # libyaml's marks do not count a byte-order mark
     texts = list(_benchmark_shaped_configs())
-    expected = [_typed(yaml.load(text, Loader=loader)) for text in texts]
+    expected = [yaml.load(text, Loader=loader) for text in texts]
     path = tmp_path / "bom.yaml"
     loads = _spy_loads(monkeypatch, loader)
     monkeypatch.setattr(yaml, "load", None)
     for text, value in zip(texts, expected):
         path.write_text("\ufeff" + text, encoding="utf-8")
         loads.clear()
-        assert _typed(cli._load_config(str(path))) == value
+        _read_as_arrays(cli._load_config(str(path)), value)
         assert loads == [cli._mask_rows(text)[0]] and loads[0] != text
         assert loads[0] == _skeleton(text)
 
@@ -752,7 +808,7 @@ def test_bom_configs_take_the_masked_parse(monkeypatch, tmp_path, loader):
 ])
 def test_rows_not_spliced_are_read_again(monkeypatch, text):
     # rows inside block scalars, multi-line scalars and flow collections
-    expected = _outcome(lambda t: yaml.load(t, Loader=cli._Loader), text)
+    expected = _load_outcome(text)
     loads = _spy_loads(monkeypatch, cli._Loader)
     assert _outcome(cli._read_config, text) == expected
     # a masked load, then the plain one
@@ -766,6 +822,17 @@ _DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*|[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)
 
 def _every_token_decimal(row):
     return all(map(_DECIMAL.fullmatch, re.findall(r"[^][, ]+", row)))
+
+
+def _row_oracle(value):
+    """A masked row's value from ``json.loads``'s: the float array
+    ``np.array`` makes of it if its lists nest regularly, one to three
+    deep, and every number converts, else the nested lists."""
+    try:
+        array = np.array(value, dtype=float)
+    except (ValueError, OverflowError):
+        return value
+    return array if array.size and array.ndim <= 3 else value
 
 
 JSON_NUMBERS = st.builds(
@@ -787,7 +854,8 @@ JSON_ROWS = st.lists(
 def test_rows_are_masked_exactly_when_yaml_reads_decimals(row):
     masked, rows = cli._mask_rows(f"a: {row}\n")
     if _every_token_decimal(row):
-        assert (masked, rows) == ("a: x,\n", {3: json.loads(row)})
+        assert (masked, list(rows)) == ("a: x,\n", [3])
+        assert _typed(rows[3]) == _typed(_row_oracle(json.loads(row)))
     else:
         assert (masked, rows) == (f"a: {row}\n", {})
 
@@ -906,6 +974,64 @@ def test_numbers_beyond_float_range_are_config_errors(node, depth, where):
 
 
 # ---------------------------------------------------------------------------
+# rows read as float arrays
+
+# number texts as configs hold them: ints, some beyond 2**53 or beyond
+# float range, floats by repr and by %.17g, zeros and signed exponents
+NUMBER_TEXTS = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    (st.integers(2**1024, 2**1100) | st.integers(-2**1100, -2**1024)).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("%.17g".__mod__),
+    st.sampled_from(["-0.0", "0.0", "-0", "0", "1.0e+400", "-0.125e-3"]),
+    st.builds("{}.{}{}{}{}".format, st.integers(-99, 99), st.integers(0, 999),
+              st.sampled_from("eE"), st.sampled_from("+-"), st.integers(0, 330)),
+)
+
+
+def _row_text(node, sep, pad):
+    if isinstance(node, list):
+        return "[" + pad + sep.join(_row_text(x, sep, pad) for x in node) + pad + "]"
+    return node
+
+
+# flat rows, rows of [re, im] pairs and any other nesting, written with
+# spacing variants
+ROW_TEXTS = st.builds(
+    _row_text,
+    st.lists(NUMBER_TEXTS, max_size=4)
+    | st.lists(st.lists(NUMBER_TEXTS, min_size=2, max_size=2), min_size=1, max_size=3)
+    | st.recursive(NUMBER_TEXTS, lambda c: st.lists(c, max_size=3),
+                   max_leaves=8).filter(lambda node: isinstance(node, list)),
+    st.sampled_from([", ", ",", " , ", "  ,"]), st.sampled_from(["", " "]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ROW_TEXTS)
+def test_rows_parse_as_the_entry_walk_parses_the_plain_load(row):
+    # a line's row, a block sequence of two, and a JSON flow mapping's
+    for text in (f"a: {row}\n", f"a:\n  - {row}\n  - {row}\nb: 1\n",
+                 '{"a": ' + row + ', "b": 1}'):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            node = cli._read_config(text)["a"]
+        plain = yaml.load(text, Loader=cli._Loader)["a"]
+        for depth, walk in enumerate(WALKS):
+            assert _parsed(cli._parse_array, node, depth) == _parsed(walk, plain)
+    # an array, bit for bit np.array of what json.loads reads, exactly
+    # where the row is masked and its lists nest regularly
+    value = cli._read_config(f"a: {row}\n")["a"]
+    try:
+        expected = _row_oracle(json.loads(row)) if _every_token_decimal(row) else None
+    except ValueError:
+        expected = None
+    if isinstance(expected, np.ndarray):
+        assert _typed(value) == _typed(expected)
+    else:
+        assert not isinstance(value, np.ndarray)
+
+
+# ---------------------------------------------------------------------------
 # nesting depth
 
 
@@ -938,8 +1064,7 @@ def test_nesting_beyond_the_limit_is_a_config_error(monkeypatch, kind):
     "# " + "[" * 2000 + "\na: [1, 2]\n",
 ])
 def test_nesting_marks_inside_scalars_and_comments_load(text):
-    assert _outcome(cli._read_config, text) == _outcome(
-        lambda t: yaml.load(t, Loader=cli._Loader), text)
+    assert _outcome(cli._read_config, text) == _load_outcome(text)
 
 
 def test_nesting_too_deep_for_the_pure_python_loader_is_a_config_error(
